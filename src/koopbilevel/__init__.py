@@ -70,7 +70,6 @@ from .lower_level import (
     LowerLevelSolution,
     build_qp,
     choose_linearization_point,
-    lower_cost_breakdown,
     solve_lower,
 )
 from .upper_level import (

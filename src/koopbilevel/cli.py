@@ -27,7 +27,7 @@ from .errors import ConfigError, KoopbilevelError, NonConvergenceError
 from .gedmd import identify, load_model, model_to_config, save_model
 from .lifting import lift
 from .lower_level import BoundaryVariant
-from .upper_level import solve_reduced, sweep_period
+from .upper_level import make_periodic_amplitude_anchor, solve_reduced, sweep_period
 
 __all__ = [
     "cmd_identify",
@@ -104,7 +104,19 @@ def _select_variants(cfg, variant=None, w=None):
     return [BoundaryVariant(kind=variant)]
 
 
-def cmd_solve(cfg, out_dir, variant=None, w=None, workers=1):
+def _solve_with_baseline(model, system, variant, mbc, upper_cfg, nlp_cfg, N):
+    """Bilevel solve plus the baseline NLP warm-started from it; a baseline
+    that does not converge is reported through its last iterate."""
+    bilevel = solve_reduced(model, variant, mbc, upper_cfg, N)
+    nlp = transcribe(system, mbc, N)
+    try:
+        baseline = solve_nlp(nlp, bilevel, config=nlp_cfg)
+    except NonConvergenceError as exc:
+        baseline = exc.best
+    return bilevel, baseline
+
+
+def cmd_solve(cfg, out_dir, variant=None, w=None):
     """Bilevel solve and warm-started baseline for each requested variant."""
     cfg = cfgmod.validate_config(cfg)
     _ensure_dir(out_dir)
@@ -121,12 +133,9 @@ def cmd_solve(cfg, out_dir, variant=None, w=None, workers=1):
     per_variant_time = {}
     for var in _select_variants(cfg, variant, w):
         t0 = time.perf_counter()
-        bilevel = solve_reduced(model, var, mbc, upper_cfg, N, workers=workers)
-        nlp = transcribe(system, mbc, N)
-        try:
-            baseline = solve_nlp(nlp, bilevel, config=nlp_cfg)
-        except NonConvergenceError as exc:
-            baseline = exc.best
+        bilevel, baseline = _solve_with_baseline(
+            model, system, var, mbc, upper_cfg, nlp_cfg, N
+        )
         per_variant_time[var.label] = time.perf_counter() - t0
 
         label = var.label
@@ -189,7 +198,7 @@ def _write_sweep_csv(path, rows, columns):
             fh.write(",".join(repr(float(row[c])) for c in columns) + "\n")
 
 
-def cmd_sweep(cfg, out_dir, axis="T", workers=1):
+def cmd_sweep(cfg, out_dir, axis="T"):
     """Grid evaluation: period sweep of the lower level, or amplitude sweep
     of full bilevel-vs-baseline comparisons."""
     cfg = cfgmod.validate_config(cfg)
@@ -206,7 +215,7 @@ def cmd_sweep(cfg, out_dir, axis="T", workers=1):
         hi = float(sweep_cfg.get("T_max", cfg["upper"]["T_max"]))
         pts = int(sweep_cfg.get("points", 101))
         grid = np.linspace(lo, hi, pts)
-        rows = sweep_period(model, variants[0], mbc, grid, N, workers=workers)
+        rows = sweep_period(model, variants[0], mbc, grid, N)
         _write_sweep_csv(os.path.join(out_dir, "sweep_T.csv"), rows, _SWEEP_COLUMNS)
         return rows
 
@@ -220,16 +229,11 @@ def cmd_sweep(cfg, out_dir, axis="T", workers=1):
     pcc_points = int(cfg.get("pcc_points", 101))
     rows = []
     for a_deg in amps:
-        from .upper_level import make_periodic_amplitude_anchor
-
         mbc = make_periodic_amplitude_anchor(np.deg2rad(a_deg))
         for var in variants:
-            bilevel = solve_reduced(model, var, mbc, upper_cfg, N, workers=workers)
-            nlp = transcribe(system, mbc, N)
-            try:
-                baseline = solve_nlp(nlp, bilevel, config=nlp_cfg)
-            except NonConvergenceError as exc:
-                baseline = exc.best
+            bilevel, baseline = _solve_with_baseline(
+                model, system, var, mbc, upper_cfg, nlp_cfg, N
+            )
             entry = artifacts.comparison_entry(bilevel, baseline, pcc_points)
             rows.append(
                 {
@@ -268,7 +272,7 @@ def load_bundle(name):
         ) from None
 
 
-def cmd_reproduce(bundle_name, out_dir, workers=8, seed=None):
+def cmd_reproduce(bundle_name, out_dir, seed=None):
     """Run a bundle end to end and evaluate its tolerance gates."""
     bundle = load_bundle(bundle_name)
     cfg = cfgmod.validate_config(bundle["config"])
@@ -285,11 +289,11 @@ def cmd_reproduce(bundle_name, out_dir, workers=8, seed=None):
     sweep_rows = None
     if "sweep" in cfg:
         t0 = time.perf_counter()
-        sweep_rows = cmd_sweep(cfg, out_dir, axis="T", workers=workers)
+        sweep_rows = cmd_sweep(cfg, out_dir, axis="T")
         timings["sweep"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    report, solutions, per_variant = cmd_solve(cfg, out_dir, workers=workers)
+    report, solutions, per_variant = cmd_solve(cfg, out_dir)
     timings["solve"] = time.perf_counter() - t0
     timings["per_variant"] = per_variant
 
@@ -384,18 +388,15 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--variant", choices=["b0", "bT", "soft"], default=None)
     p.add_argument("--w", type=float, default=None)
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("sweep", help="period or amplitude sweep")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--axis", choices=["T", "amplitude"], default="T")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("reproduce", help="run a pinned benchmark bundle")
     p.add_argument("--bundle", required=True, choices=["fig1", "pendulum", "walker"])
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=8)
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("audit", help="recompute reported numbers from artifacts")
@@ -412,17 +413,14 @@ def main(argv=None):
             return 0
         if args.command == "solve":
             cfg = cfgmod.load_config(args.config)
-            cmd_solve(cfg, args.out, variant=args.variant, w=args.w,
-                      workers=args.workers)
+            cmd_solve(cfg, args.out, variant=args.variant, w=args.w)
             return 0
         if args.command == "sweep":
             cfg = cfgmod.load_config(args.config)
-            cmd_sweep(cfg, args.out, axis=args.axis, workers=args.workers)
+            cmd_sweep(cfg, args.out, axis=args.axis)
             return 0
         if args.command == "reproduce":
-            results, passed = cmd_reproduce(
-                args.bundle, args.out, workers=args.workers, seed=args.seed
-            )
+            results, passed = cmd_reproduce(args.bundle, args.out, seed=args.seed)
             for rec in results:
                 status = "PASS" if rec["passed"] else "FAIL"
                 print(f"[{status}] ({rec['severity']}) {rec['id']}: {rec['detail']}")

@@ -127,8 +127,7 @@ def validate_config(cfg):
     _check_keys(
         upper, "upper", ("T_min", "T_max"),
         ("grid_size", "simplex_maxfev", "simplex_xatol", "simplex_fatol",
-         "simplex_radius", "al_rho0", "al_gamma", "al_max_outer",
-         "al_tol_constraint"),
+         "simplex_radius", "tol_constraint"),
     )
     _check_number(upper["T_min"], "upper.T_min", lo=0.0)
     _check_number(upper["T_max"], "upper.T_max", lo=0.0)
@@ -207,7 +206,7 @@ def build_upper_config(cfg):
     return UpperConfig(
         T_min=float(upper.pop("T_min")),
         T_max=float(upper.pop("T_max")),
-        **{k: (int(v) if k in ("grid_size", "simplex_maxfev", "al_max_outer") else float(v))
+        **{k: (int(v) if k in ("grid_size", "simplex_maxfev") else float(v))
            for k, v in upper.items()},
     )
 

@@ -10,6 +10,7 @@ reported but do not affect the exit code.
 import numpy as np
 
 from .errors import ConfigError
+from .systems import step_length
 
 TWO_PI = 2.0 * np.pi
 
@@ -183,8 +184,6 @@ def _gate_walker_accuracy(gate, ctx):
     defect = float(
         np.linalg.norm(extras.flip_map(extras.jump_map(xT)) - x0)
     )
-    from .systems import step_length
-
     v_real = step_length(system, xT) / sol.T
     v_err = abs(v_real - gate["v_avg"]) / gate["v_avg"]
     passed = defect <= gate["periodicity_defect_max"] and v_err <= gate["v_avg_rel_err_max"]

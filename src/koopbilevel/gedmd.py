@@ -151,10 +151,6 @@ def fit_generator(Psi, dPsi, svd_tol=1e-10):
     Psi = np.asarray(Psi, dtype=float)
     dPsi = np.asarray(dPsi, dtype=float)
     n_z = Psi.shape[0]
-    if Psi.shape[1] < n_z:
-        rank_warn = True
-    else:
-        rank_warn = False
     pinv, rank = pinv_svd(Psi, rel_tol=svd_tol)
     L = dPsi @ pinv
     denom = np.linalg.norm(dPsi)
@@ -163,7 +159,7 @@ def fit_generator(Psi, dPsi, svd_tol=1e-10):
         matrix=L,
         residual=residual,
         rank=rank,
-        rank_deficient=rank_warn or rank < n_z,
+        rank_deficient=rank < n_z,
     )
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "choose_linearization_point",
     "build_qp",
     "solve_lower",
-    "lower_cost_breakdown",
 ]
 
 _VARIANT_KINDS = ("b0", "bT", "soft")
@@ -257,11 +256,3 @@ def solve_lower(problem):
         N=N,
     )
 
-
-def lower_cost_breakdown(sol):
-    """Original cost, lifted boundary mismatch, and the blended QP objective."""
-    return {
-        "c": sol.c,
-        "c_hat": sol.c_hat,
-        "weighted_total": sol.weighted_total,
-    }

@@ -8,12 +8,13 @@ constraints b(x0, xT, T) = 0. Two strategies are provided:
   parametrization p -> (x0, xT, T) of its solution manifold, multistart over a
   period grid refined with a derivative-free simplex. This is the workhorse:
   the landscape over T has several local minima, one basin per added period.
-* ``solve_general`` - augmented Lagrangian over the raw (x0, xT, T) variables
-  with a simplex inner loop, for constraints without a usable reduction.
+* ``solve_general`` - one SLSQP solve (sequential quadratic programming,
+  Nocedal & Wright, *Numerical Optimization*, ch. 18, in Kraft's form) over
+  the raw (x0, xT, T) variables with b = 0 as equality constraints, for
+  constraints without a usable reduction.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -73,10 +74,7 @@ class UpperConfig:
     simplex_xatol: float = 1e-6
     simplex_fatol: float = 1e-12
     simplex_radius: float = 1.0
-    al_rho0: float = 10.0
-    al_gamma: float = 10.0
-    al_max_outer: int = 12
-    al_tol_constraint: float = 1e-6
+    tol_constraint: float = 1e-6
 
     def __post_init__(self):
         if not 0 < self.T_min < self.T_max:
@@ -162,7 +160,7 @@ def _build_solution(model, variant, mbc, x0, xT, T, N, eval_count, records,
     )
 
 
-def solve_reduced(model, variant, mbc, config, N, workers=1):
+def solve_reduced(model, variant, mbc, config, N):
     """Multistart + simplex over the explicit constraint parametrization.
 
     Starts are seeded on a uniform period grid; each start is refined with
@@ -220,11 +218,7 @@ def solve_reduced(model, variant, mbc, config, N, workers=1):
         }
 
     grid = np.linspace(config.T_min, config.T_max, config.grid_size)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(refine, grid))
-    else:
-        records = [refine(T) for T in grid]
+    records = [refine(T) for T in grid]
 
     finite = [r for r in records if np.isfinite(r["c_star"])]
     if not finite:
@@ -245,96 +239,63 @@ def solve_reduced(model, variant, mbc, config, N, workers=1):
     )
 
 
-def solve_general(model, variant, mbc, config, N, v0, workers=1):
-    """Augmented Lagrangian over raw v = (x0, xT, T) with a simplex inner loop.
+def solve_general(model, variant, mbc, config, N, v0):
+    """One SLSQP solve over raw v = (x0, xT, T).
 
-    Multipliers are updated after every inner solve; the penalty grows when
-    the constraint norm stalls. Fails with the best iterate attached if the
-    feasibility tolerance is not reached within the outer budget.
+    The objective is the upper cost, differentiated by SLSQP's finite
+    differences; b(x0, xT, T) = 0 is one block of equality constraints and
+    [T_min, T_max] a box on T. The feasibility history holds ||b|| after each
+    major iteration. Fails with the last iterate attached unless SLSQP
+    reports success at a finite cost with ||b|| <= ``tol_constraint``.
     """
     t_start = time.perf_counter()
     n_x = mbc.n_x
-    v = np.asarray(v0, dtype=float).copy()
-    if v.shape != (2 * n_x + 1,):
+    v0 = np.asarray(v0, dtype=float)
+    if v0.shape != (2 * n_x + 1,):
         raise ConfigError(
-            f"initial guess must have dim {2 * n_x + 1}, got {v.shape}"
+            f"initial guess must have dim {2 * n_x + 1}, got {v0.shape}"
         )
-    lam = np.zeros(mbc.n_g)
-    rho = config.al_rho0
     eval_count = [0]
+    feas_history = []
 
     def split(v):
         return v[:n_x], v[n_x : 2 * n_x], float(v[2 * n_x])
 
     def constraint(v):
-        x0, xT, T = split(v)
-        return np.atleast_1d(np.asarray(mbc.eval(x0, xT, T), dtype=float))
+        return np.atleast_1d(np.asarray(mbc.eval(*split(v)), dtype=float))
 
-    def auglag(v):
+    def objective(v):
         eval_count[0] += 1
-        x0, xT, T = split(v)
-        if T <= 0:
-            return np.inf
-        c = upper_objective(model, variant, x0, xT, T, N)
-        if not np.isfinite(c):
-            return np.inf
-        b = constraint(v)
-        return c + float(lam @ b) + 0.5 * rho * float(b @ b)
+        return upper_objective(model, variant, *split(v), N)
 
-    scale = config.simplex_radius * 0.1 * (1.0 + np.abs(v))
-    best = None
-    feas_prev = np.inf
-    feas_history = []
-    cost_prev = np.inf
-    for outer in range(config.al_max_outer):
-        res = minimize(
-            auglag,
-            v,
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": _initial_simplex(v, scale),
-                "xatol": config.simplex_xatol,
-                "fatol": config.simplex_fatol,
-                "maxfev": config.simplex_maxfev,
-            },
+    res = minimize(
+        objective,
+        v0,
+        method="SLSQP",
+        bounds=[(None, None)] * (2 * n_x) + [(config.T_min, config.T_max)],
+        constraints={"type": "eq", "fun": constraint},
+        callback=lambda v: feas_history.append(
+            float(np.linalg.norm(constraint(v)))
+        ),
+        options={"maxiter": 100, "ftol": 1e-14},
+    )
+    v = res.x
+    feas = float(np.linalg.norm(constraint(v)))
+    if not (res.success and feas <= config.tol_constraint
+            and np.isfinite(res.fun)):
+        raise NonConvergenceError(
+            f"SLSQP upper solve failed: {res.message}; ||b||={feas:.3e} "
+            f"(tol {config.tol_constraint:g}), cost {res.fun:.3e}",
+            best=v,
+            history=feas_history,
         )
-        v = res.x
-        b = constraint(v)
-        feas = float(np.linalg.norm(b))
-        feas_history.append(feas)
-        x0, xT, T = split(v)
-        cost = upper_objective(model, variant, x0, xT, T, N)
-        if best is None or (feas, cost) < best[0]:
-            best = ((feas, cost), v.copy())
-        if feas <= config.al_tol_constraint:
-            converged_cost = abs(cost - cost_prev) <= max(1e-12, 1e-8 * abs(cost))
-            if outer > 0 and converged_cost:
-                break
-            cost_prev = cost
-        lam = lam + rho * b
-        if feas > 0.25 * feas_prev:
-            rho *= config.al_gamma
-        feas_prev = feas
-        scale = np.maximum(scale * 0.5, 10.0 * config.simplex_xatol)
-    else:
-        (feas, _), v_best = best
-        if feas > config.al_tol_constraint:
-            raise NonConvergenceError(
-                f"augmented Lagrangian stalled at ||b||={feas:.3e} "
-                f"(tol {config.al_tol_constraint:g})",
-                best=v_best,
-                history=feas_history,
-            )
-        v = v_best
-
-    x0, xT, T = split(v)
     return _build_solution(
-        model, variant, mbc, x0, xT, T, N, eval_count[0], [],
+        model, variant, mbc, *split(v), N, eval_count[0], [],
         time.perf_counter() - t_start, feas_history,
     )
 
 
-def sweep_period(model, variant, mbc, T_grid, N, workers=1):
+def sweep_period(model, variant, mbc, T_grid, N):
     """Evaluate the upper objective on a period grid (no refinement).
 
     Returns one row per grid point with the lower-level diagnostics; failed
@@ -361,13 +322,7 @@ def sweep_period(model, variant, mbc, T_grid, N, workers=1):
             "manifold_defect_max": float(np.max(sol.manifold_defects)),
         }
 
-    T_grid = np.asarray(T_grid, dtype=float)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(evaluate, T_grid))
-    else:
-        rows = [evaluate(T) for T in T_grid]
-    return rows
+    return [evaluate(T) for T in np.asarray(T_grid, dtype=float)]
 
 
 # ---------------------------------------------------------------------------

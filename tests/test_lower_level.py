@@ -10,7 +10,6 @@ from koopbilevel import (
     choose_linearization_point,
     get_dictionary,
     lift,
-    lower_cost_breakdown,
     solve_lower,
 )
 from koopbilevel.gedmd import GeneratorModel, linearize
@@ -246,17 +245,15 @@ class TestCostBreakdown:
         sol = solve_lower(
             make_problem(pendulum_model, "b0", [0.7, 0], [0.7, 0], 6.5, 30)
         )
-        parts = lower_cost_breakdown(sol)
-        assert parts["weighted_total"] == parts["c"]
-        assert parts["c_hat"] >= 0.0
+        assert sol.weighted_total == sol.c
+        assert sol.c_hat >= 0.0
 
     def test_soft_reachable_boundaries_zero_defect(self, oscillator_model):
         sol = solve_lower(
             make_problem(oscillator_model, "soft", [0, 0], [0, 0], TWO_PI, 30, w=0.5)
         )
-        parts = lower_cost_breakdown(sol)
-        assert parts["c_hat"] <= 1e-12
-        assert parts["c"] <= 1e-12
+        assert sol.c_hat <= 1e-12
+        assert sol.c <= 1e-12
 
     def test_cost_is_discretized_input_energy(self, pendulum_model):
         sol = solve_lower(
