@@ -25,7 +25,7 @@ from . import artifacts, config as cfgmod, gates as gatesmod
 from .baseline_nlp import solve_nlp, transcribe
 from .errors import ConfigError, KoopbilevelError, NonConvergenceError
 from .gedmd import identify, load_model, model_to_config, save_model
-from .lifting import lift
+from .lifting import lift, manifold_defect
 from .lower_level import BoundaryVariant
 from .upper_level import make_periodic_amplitude_anchor, solve_reduced, sweep_period
 
@@ -326,7 +326,8 @@ def _close(a, b, rtol=1e-9, atol=1e-12):
 
 
 def cmd_audit(out_dir):
-    """Recompute every comparison-report number from the persisted artifacts."""
+    """Recompute every comparison-report number, and each solution's
+    boundary manifold defects, from the persisted artifacts."""
     report = artifacts.read_json(os.path.join(out_dir, "report.json"))
     model = load_model(_model_path(out_dir))
     dictionary = model.dictionary
@@ -358,13 +359,19 @@ def cmd_audit(out_dir):
         checks["c_hat_lower"] = float(
             np.sum((z0 - psi0) ** 2) + np.sum((zN - psiT) ** 2)
         )
-        for key, recomputed in checks.items():
-            if not _close(entry[key], recomputed):
+        rows = [(key, entry[key], value) for key, value in checks.items()]
+        defects = manifold_defect(dictionary, np.stack([z0, zN])).tolist()
+        rows += [
+            ("manifold_defects[0]", sol["manifold_defects"][0], defects[0]),
+            ("manifold_defects[-1]", sol["manifold_defects"][-1], defects[1]),
+        ]
+        for key, reported, recomputed in rows:
+            if not _close(reported, recomputed):
                 problems.append(
                     {
                         "variant": label,
                         "field": key,
-                        "reported": entry[key],
+                        "reported": reported,
                         "recomputed": recomputed,
                     }
                 )

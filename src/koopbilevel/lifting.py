@@ -221,9 +221,15 @@ def lift_gradient(dictionary, x):
 
 
 def manifold_defect(dictionary, z):
-    """Distance ||z - psi(C z)||_2 from the lifted point to the lift manifold."""
+    """Distance ||z - psi(C z)||_2 from lifted points to the lift manifold.
+
+    ``z`` has shape ``(..., n_z)``; the result has shape ``z.shape[:-1]``, one
+    distance per lifted point, from a single dictionary evaluation. A single
+    point (1-D ``z``) gives a Python float.
+    """
     z = np.asarray(z, dtype=float)
-    return float(np.linalg.norm(z - dictionary.eval(unlift(dictionary, z)), axis=-1))
+    dist = np.linalg.norm(z - dictionary.eval(unlift(dictionary, z)), axis=-1)
+    return float(dist) if z.ndim == 1 else dist
 
 
 def _e(i, n):

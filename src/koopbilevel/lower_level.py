@@ -13,7 +13,7 @@ knots. Three boundary formulations are supported:
   mismatch added to the objective at weight w in (0, 1).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -60,7 +60,12 @@ class BoundaryVariant:
 
 @dataclass(frozen=True)
 class LowerLevelProblem:
-    """One lower-level instance: model + variant + boundary data + grid."""
+    """One lower-level instance: model + variant + boundary data + grid.
+
+    It also carries the lifted boundaries ``psi0 = psi(x0)`` and
+    ``psiT = psi(xT)``, computed once, in one dictionary evaluation, when the
+    problem is built; the QP assembly and the solve read them from here.
+    """
 
     model: object
     variant: BoundaryVariant
@@ -68,6 +73,8 @@ class LowerLevelProblem:
     xT: np.ndarray
     T: float
     N: int
+    psi0: np.ndarray = field(init=False)
+    psiT: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
@@ -82,6 +89,9 @@ class LowerLevelProblem:
             raise BuildError(f"period must be positive, got T={self.T}")
         if self.N < 2:
             raise BuildError(f"need at least 2 knots, got N={self.N}")
+        psi0, psiT = lift(self.model.dictionary, np.stack([self.x0, self.xT]))
+        object.__setattr__(self, "psi0", psi0)
+        object.__setattr__(self, "psiT", psiT)
 
 
 @dataclass(frozen=True)
@@ -107,15 +117,16 @@ class LowerLevelSolution:
         return unlift(dictionary, self.z_traj)
 
 
-def choose_linearization_point(variant, x0, xT, dictionary):
+def choose_linearization_point(variant, psi0, psiT):
     """Lifted linearization point: the boundary that carries the full lift.
 
-    ``b0`` uses psi(x0), ``bT`` uses psi(xT). For soft constraints either
-    boundary works; psi(x0) is used for determinism.
+    Selects one of the already lifted boundaries, it lifts nothing: ``b0``
+    uses psi0 = psi(x0), ``bT`` uses psiT = psi(xT). For soft constraints
+    either boundary works; psi0 is used for determinism.
     """
     if variant.kind == "bT":
-        return lift(dictionary, xT)
-    return lift(dictionary, x0)
+        return psiT
+    return psi0
 
 
 @dataclass(frozen=True)
@@ -155,19 +166,16 @@ def build_qp(problem):
     discretization h * sum ||u_k||^2 with h = T/N.
     """
     model = problem.model
-    dictionary = model.dictionary
     variant = problem.variant
     n_z, n_u, N = model.n_z, model.n_u, problem.N
-    n_x = dictionary.n_x
+    n_x = model.dictionary.n_x
     h = problem.T / N
 
-    z_bar = choose_linearization_point(variant, problem.x0, problem.xT, dictionary)
-    lti = linearize(model, z_bar)
+    psi0, psiT = problem.psi0, problem.psiT
+    lti = linearize(model, choose_linearization_point(variant, psi0, psiT))
     zoh = zoh_discretize(lti.A, lti.B, h)
     S, AdN = _condense(zoh.Ad, zoh.Bd, N)
 
-    psi0 = lift(dictionary, problem.x0)
-    psiT = lift(dictionary, problem.xT)
     C = np.zeros((n_x, n_z))
     C[:, :n_x] = np.eye(n_x)
 
@@ -233,15 +241,14 @@ def solve_lower(problem):
     for k in range(N):
         Z[k + 1] = qp.Ad @ Z[k] + qp.Bd @ u[k]
 
-    dictionary = problem.model.dictionary
-    psi0 = lift(dictionary, problem.x0)
-    psiT = lift(dictionary, problem.xT)
     h = problem.T / N
     c = h * float(np.sum(u**2))
-    c_hat = float(np.sum((Z[0] - psi0) ** 2) + np.sum((Z[N] - psiT) ** 2))
+    c_hat = float(
+        np.sum((Z[0] - problem.psi0) ** 2) + np.sum((Z[N] - problem.psiT) ** 2)
+    )
     w = problem.variant.w
     weighted = (1.0 - w) * c + w * c_hat
-    defects = np.array([manifold_defect(dictionary, z) for z in Z])
+    defects = manifold_defect(problem.model.dictionary, Z)
 
     return LowerLevelSolution(
         z_traj=Z,

@@ -65,7 +65,12 @@ class MixedBoundaryConstraint:
 
 @dataclass(frozen=True)
 class UpperConfig:
-    """Search hyperparameters for the upper level."""
+    """Search hyperparameters for the upper level.
+
+    Both solvers read the period bracket ``T_min``, ``T_max``.
+    ``solve_reduced`` also reads ``grid_size`` and the ``simplex_*`` fields;
+    ``solve_general`` also reads ``tol_constraint`` and nothing else.
+    """
 
     T_min: float
     T_max: float

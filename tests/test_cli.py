@@ -1,5 +1,6 @@
 import copy
 import glob
+import json
 import os
 
 import pytest
@@ -27,6 +28,20 @@ def test_reproduce_fig1_is_clean_and_deterministic(tmp_path):
     for name in names:
         first, second = (_read_bytes(os.path.join(out, name)) for out in outs)
         assert first == second, name
+
+    path = os.path.join(outs[1], names[-1])
+    sol = json.loads(_read_bytes(path))
+    sol["manifold_defects"][-1] += 1.0
+    with open(path, "w") as fh:
+        json.dump(sol, fh)
+    assert cli.main(["audit", "--out", outs[1]]) != 0
+
+
+@pytest.mark.parametrize("bundle", ["pendulum", "walker"])
+def test_reproduce_bundle_passes_gates_with_clean_audit(tmp_path, bundle):
+    out = str(tmp_path / bundle)
+    assert cli.main(["reproduce", "--bundle", bundle, "--out", out]) == 0
+    assert cli.main(["audit", "--out", out]) == 0
 
 
 def test_upper_block_rejects_augmented_lagrangian_keys():

@@ -89,6 +89,17 @@ class TestManifoldDefect:
         z[7] += 1.0
         assert abs(manifold_defect(d, z) - 1.0) <= 1e-14
 
+    def test_batched_matches_per_point(self):
+        d = get_dictionary("compass_gait29", 4)
+        rng = np.random.default_rng(17)
+        k = 52
+        Z = lift(d, rng.uniform(-0.5, 0.5, size=(k, 4)))
+        Z += rng.normal(scale=1e-2, size=Z.shape)
+        batched = manifold_defect(d, Z)
+        assert batched.shape == (k,)
+        assert np.array_equal(batched, [manifold_defect(d, z) for z in Z])
+        assert isinstance(manifold_defect(d, Z[0]), float)
+
 
 class TestSerialization:
     def test_round_trip_exact(self):

@@ -10,6 +10,7 @@ from koopbilevel import (
     choose_linearization_point,
     get_dictionary,
     lift,
+    manifold_defect,
     solve_lower,
 )
 from koopbilevel.gedmd import GeneratorModel, linearize
@@ -54,16 +55,17 @@ class TestLinearizationPoint:
         d = get_dictionary("pendulum12", 2)
         x0 = np.array([0.7, 0.0])
         xT = np.array([0.1, -0.2])
+        psi0, psiT = lift(d, x0), lift(d, xT)
         assert np.array_equal(
-            choose_linearization_point(BoundaryVariant("b0"), x0, xT, d),
+            choose_linearization_point(BoundaryVariant("b0"), psi0, psiT),
             lift(d, x0),
         )
         assert np.array_equal(
-            choose_linearization_point(BoundaryVariant("bT"), x0, xT, d),
+            choose_linearization_point(BoundaryVariant("bT"), psi0, psiT),
             lift(d, xT),
         )
         assert np.array_equal(
-            choose_linearization_point(BoundaryVariant("soft", w=0.5), x0, xT, d),
+            choose_linearization_point(BoundaryVariant("soft", w=0.5), psi0, psiT),
             lift(d, x0),
         )
 
@@ -71,7 +73,7 @@ class TestLinearizationPoint:
         d = get_dictionary("pendulum12", 2)
         x = np.array([0.5, 0.0])
         pts = [
-            choose_linearization_point(v, x, x, d)
+            choose_linearization_point(v, lift(d, x), lift(d, x))
             for v in (BoundaryVariant("b0"), BoundaryVariant("bT"),
                       BoundaryVariant("soft", w=0.2))
         ]
@@ -162,6 +164,10 @@ class TestSolveLower:
         assert sol.manifold_defects.shape == (41,)
         assert sol.manifold_defects[0] <= 1e-9  # starts on the manifold
         assert sol.manifold_defects[-1] > sol.manifold_defects[0]
+        d = pendulum_model.dictionary
+        assert np.array_equal(
+            sol.manifold_defects, [manifold_defect(d, z) for z in sol.z_traj]
+        )
 
     def test_condensed_matches_uncondensed_oracle(self, pendulum_model):
         """Full-transcription KKT oracle: all z_k kept as variables."""
@@ -176,7 +182,7 @@ class TestSolveLower:
             sol = solve_lower(problem)
 
             variant = problem.variant
-            z_bar = choose_linearization_point(variant, x0, xT, d)
+            z_bar = choose_linearization_point(variant, lift(d, x0), lift(d, xT))
             lti = linearize(model, z_bar)
             pair = zoh_discretize(lti.A, lti.B, T / N)
             nv = (N + 1) * n_z + N * n_u

@@ -151,10 +151,7 @@ class TestSweep:
 class TestSolveGeneral:
     def test_matches_reduced_on_oscillator(self, oscillator_model, osc_solution):
         mbc = make_periodic_amplitude_anchor(A_30)
-        cfg = UpperConfig(
-            T_min=0.7 * TWO_PI, T_max=5.0 * TWO_PI, grid_size=1,
-            simplex_maxfev=800, simplex_xatol=1e-8, simplex_fatol=1e-14,
-        )
+        cfg = UpperConfig(T_min=0.7 * TWO_PI, T_max=5.0 * TWO_PI, grid_size=1)
         v0 = np.array([A_30 + 0.2, -0.1, A_30 - 0.15, 0.1, 6.6])
         sol = solve_general(
             oscillator_model, BoundaryVariant("b0"), mbc, cfg, 101, v0
@@ -165,10 +162,7 @@ class TestSolveGeneral:
 
     def test_feasibility_history_min_never_increases(self, oscillator_model):
         mbc = make_periodic_amplitude_anchor(A_30)
-        cfg = UpperConfig(
-            T_min=0.7 * TWO_PI, T_max=5.0 * TWO_PI, grid_size=1,
-            simplex_maxfev=300, simplex_xatol=1e-7,
-        )
+        cfg = UpperConfig(T_min=0.7 * TWO_PI, T_max=5.0 * TWO_PI, grid_size=1)
         v0 = np.array([A_30, 0.0, A_30, 0.0, 6.4])
         sol = solve_general(
             oscillator_model, BoundaryVariant("b0"), mbc, cfg, 60, v0
@@ -182,9 +176,7 @@ class TestSolveGeneral:
             eval=lambda x0, xT, T: np.array([x0[0] - 1.0, x0[0] - 2.0]),
             n_g=2, n_x=2,
         )
-        cfg = UpperConfig(
-            T_min=5.0, T_max=8.0, grid_size=1, simplex_maxfev=60,
-        )
+        cfg = UpperConfig(T_min=5.0, T_max=8.0, grid_size=1)
         with pytest.raises(NonConvergenceError) as err:
             solve_general(
                 oscillator_model, BoundaryVariant("b0"), mbc, cfg, 30,
