@@ -103,13 +103,10 @@ def comparison_entry(bilevel, baseline, n_points=101):
         bilevel.times, bilevel.states, baseline.times, baseline.states, n_points
     )
     # inputs are knot-valued; compare them on the knot grid
-    tu_a = bilevel.times[:-1]
-    tu_b = baseline.times[:-1]
-    ga, gb = resample_common_grid(
-        (tu_a - tu_a[0], bilevel.inputs), (tu_b - tu_b[0], baseline.inputs),
-        n=n_points,
+    pcc_input = trajectory_pcc(
+        bilevel.times[:-1], bilevel.inputs, baseline.times[:-1],
+        baseline.inputs, n_points,
     )
-    pcc_input = mean_pearson(ga, gb)
     return {
         "variant": bilevel.variant.label,
         "T_star": bilevel.T,

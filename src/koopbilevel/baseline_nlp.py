@@ -20,7 +20,6 @@ sparsity or second-order machinery beyond what the problem sizes need.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
@@ -42,18 +41,16 @@ __all__ = [
 class NlpConfig:
     """Budget and tolerances of the SQP solve.
 
-    The solve may take ``max_outer * inner_maxiter`` major iterations.
-    ``tol_feas`` bounds both the largest constraint residual and the largest
-    KKT stationarity residual of a converged solution. ``fd_step`` is the
-    central-difference step of the constraint Jacobian. ``T_bounds`` is the
-    period box, by default ``(0.2 T0, 5 T0)`` around the warm start's T0.
+    The solve may take ``maxiter`` major iterations. ``tol_feas`` bounds both
+    the largest constraint residual and the largest KKT stationarity residual
+    of a converged solution. ``fd_step`` is the central-difference step of the
+    constraint Jacobian. The period box is fixed at ``(0.2 T0, 5 T0)`` around
+    the warm start's T0.
     """
 
-    max_outer: int = 15
+    maxiter: int = 6000
     tol_feas: float = 1e-6
-    inner_maxiter: int = 400
     fd_step: float = 1e-6
-    T_bounds: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -261,7 +258,8 @@ def solve_nlp(nlp, warm_start, config=None):
     iterate (with ``converged=False``) and the history, one
     ``{iteration, feas, cost}`` entry per major iteration.
 
-    The stationarity test leaves out the period box, which is a safeguard
+    The period is kept in the box ``(0.2 T0, 5 T0)`` around the warm start's
+    T0. The stationarity test leaves out that box, which is a safeguard
     rather than part of the problem, so a point held on the box is not
     reported converged. ``outer_iterations`` counts major iterations,
     ``inner_iterations`` objective evaluations.
@@ -269,8 +267,7 @@ def solve_nlp(nlp, warm_start, config=None):
     cfg = config or NlpConfig()
     v = _warm_start_vector(nlp, warm_start)
     T0 = float(v[-1])
-    t_lo, t_hi = cfg.T_bounds if cfg.T_bounds else (0.2 * T0, 5.0 * T0)
-    bounds = [(None, None)] * (nlp.n_var - 1) + [(t_lo, t_hi)]
+    bounds = [(None, None)] * (nlp.n_var - 1) + [(0.2 * T0, 5.0 * T0)]
     history = []
 
     def record(x):
@@ -289,7 +286,7 @@ def solve_nlp(nlp, warm_start, config=None):
         callback=record,
         # SLSQP stops once the change in f (or the step) and the summed
         # constraint violation are below ftol, so ftol sits far below tol_feas
-        options={"maxiter": cfg.max_outer * cfg.inner_maxiter, "ftol": 1e-14},
+        options={"maxiter": cfg.maxiter, "ftol": 1e-14},
     )
     v = res.x
     feas = float(np.max(np.abs(nlp.constraints(v))))

@@ -192,10 +192,14 @@ def cmd_solve(cfg, out_dir, variant=None, w=None):
 
 
 def _write_sweep_csv(path, rows, columns):
+    """One row per dict: numbers as round-trip floats, strings as they are."""
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(repr(float(row[c])) for c in columns) + "\n")
+            fh.write(",".join(
+                row[c] if isinstance(row[c], str) else repr(float(row[c]))
+                for c in columns
+            ) + "\n")
 
 
 def cmd_sweep(cfg, out_dir, axis="T"):
@@ -248,15 +252,11 @@ def cmd_sweep(cfg, out_dir, axis="T"):
                     "variant": entry["variant"],
                 }
             )
-    cols = ("amplitude_deg", "variant_w", "T_star", "T_star_baseline",
-            "pcc_state", "pcc_input", "c", "c_baseline")
-    with open(os.path.join(out_dir, "sweep_amplitude.csv"), "w") as fh:
-        fh.write(",".join(cols + ("variant",)) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(repr(float(row[c])) for c in cols)
-                + f",{row['variant']}\n"
-            )
+    _write_sweep_csv(
+        os.path.join(out_dir, "sweep_amplitude.csv"), rows,
+        ("amplitude_deg", "variant_w", "T_star", "T_star_baseline",
+         "pcc_state", "pcc_input", "c", "c_baseline", "variant"),
+    )
     return rows
 
 

@@ -5,6 +5,7 @@ every error message carries the dotted path of the offending entry, so a
 typo'd key fails before any compute starts.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -60,8 +61,26 @@ def _check_number(val, path, lo=None, hi=None, integer=False):
         _require(val <= hi, path, f"must be <= {hi}, got {val}")
 
 
+def _build_section(cls, block, path):
+    """Build the config dataclass ``cls`` from the JSON object ``block``.
+
+    The fields of ``cls`` are the allowed keys, those without a default the
+    required ones; each value must be a number, an integer for ``int`` fields.
+    """
+    fields = dataclasses.fields(cls)
+    _check_keys(
+        block, path,
+        [f.name for f in fields if f.default is dataclasses.MISSING],
+        [f.name for f in fields if f.default is not dataclasses.MISSING],
+    )
+    for f in fields:
+        if f.name in block:
+            _check_number(block[f.name], f"{path}.{f.name}", integer=f.type is int)
+    return cls(**{f.name: f.type(block[f.name]) for f in fields if f.name in block})
+
+
 _TOP_KEYS_REQ = ("system", "dictionary", "identification", "mbc", "N", "variants", "upper")
-_TOP_KEYS_OPT = ("baseline", "sweep", "substeps", "pcc_points")
+_TOP_KEYS_OPT = ("baseline", "sweep", "pcc_points")
 
 
 def validate_config(cfg):
@@ -123,27 +142,13 @@ def validate_config(cfg):
             _require("w" in var, path, "soft variant needs a weight w")
             _check_number(var["w"], f"{path}.w")
 
-    upper = cfg["upper"]
-    _check_keys(
-        upper, "upper", ("T_min", "T_max"),
-        ("grid_size", "simplex_maxfev", "simplex_xatol", "simplex_fatol",
-         "simplex_radius", "tol_constraint"),
-    )
-    _check_number(upper["T_min"], "upper.T_min", lo=0.0)
-    _check_number(upper["T_max"], "upper.T_max", lo=0.0)
-
-    if "baseline" in cfg:
-        _check_keys(
-            cfg["baseline"], "baseline", (),
-            ("max_outer", "tol_feas", "inner_maxiter", "fd_step"),
-        )
+    build_upper_config(cfg)
+    build_nlp_config(cfg)
     if "sweep" in cfg:
         sweep = cfg["sweep"]
         _check_keys(sweep, "sweep", (), ("T_min", "T_max", "points", "amplitudes_deg"))
         if "points" in sweep:
             _check_number(sweep["points"], "sweep.points", lo=1, integer=True)
-    if "substeps" in cfg:
-        _check_number(cfg["substeps"], "substeps", lo=1, integer=True)
     if "pcc_points" in cfg:
         _check_number(cfg["pcc_points"], "pcc_points", lo=2, integer=True)
     return cfg
@@ -202,21 +207,11 @@ def build_variants(cfg):
 
 
 def build_upper_config(cfg):
-    upper = dict(cfg["upper"])
-    return UpperConfig(
-        T_min=float(upper.pop("T_min")),
-        T_max=float(upper.pop("T_max")),
-        **{k: (int(v) if k in ("grid_size", "simplex_maxfev") else float(v))
-           for k, v in upper.items()},
-    )
+    return _build_section(UpperConfig, cfg["upper"], "upper")
 
 
 def build_nlp_config(cfg):
-    base = dict(cfg.get("baseline", {}))
-    ints = ("max_outer", "inner_maxiter")
-    return NlpConfig(
-        **{k: (int(v) if k in ints else float(v)) for k, v in base.items()}
-    )
+    return _build_section(NlpConfig, cfg.get("baseline", {}), "baseline")
 
 
 def identification_box(cfg, system):

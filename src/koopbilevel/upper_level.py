@@ -63,13 +63,20 @@ class MixedBoundaryConstraint:
     p_bounds: Optional[np.ndarray] = None
 
 
+_SIMPLEX_FATOL = 1e-12  # Nelder-Mead cost tolerance of solve_reduced
+_TOL_CONSTRAINT = 1e-6  # largest ||b|| that solve_general accepts
+
+
 @dataclass(frozen=True)
 class UpperConfig:
     """Search hyperparameters for the upper level.
 
-    Both solvers read the period bracket ``T_min``, ``T_max``.
-    ``solve_reduced`` also reads ``grid_size`` and the ``simplex_*`` fields;
-    ``solve_general`` also reads ``tol_constraint`` and nothing else.
+    Both solvers read the period bracket ``T_min``, ``T_max``, and
+    ``solve_general`` reads nothing else. ``solve_reduced`` also reads
+    ``grid_size`` and the ``simplex_*`` fields; its Nelder-Mead ``fatol`` is
+    ``_SIMPLEX_FATOL`` (1e-12) and its initial simplex spans the
+    constraint's ``p_scale``. ``solve_general`` accepts ||b|| up to
+    ``_TOL_CONSTRAINT`` (1e-6).
     """
 
     T_min: float
@@ -77,9 +84,6 @@ class UpperConfig:
     grid_size: int = 20
     simplex_maxfev: int = 300
     simplex_xatol: float = 1e-6
-    simplex_fatol: float = 1e-12
-    simplex_radius: float = 1.0
-    tol_constraint: float = 1e-6
 
     def __post_init__(self):
         if not 0 < self.T_min < self.T_max:
@@ -178,10 +182,9 @@ def solve_reduced(model, variant, mbc, config, N):
     scale = np.asarray(
         mbc.p_scale if mbc.p_scale is not None else np.full(mbc.p_dim, 0.1),
         dtype=float,
-    ) * config.simplex_radius
+    )
 
-    def objective(p, counter):
-        counter[0] += 1
+    def objective(p):
         if mbc.p_bounds is not None and (
             np.any(p < mbc.p_bounds[:, 0]) or np.any(p > mbc.p_bounds[:, 1])
         ):
@@ -197,9 +200,13 @@ def solve_reduced(model, variant, mbc, config, N):
             mbc.p_seed(T_seed) if mbc.p_seed is not None else [T_seed],
             dtype=float,
         )
-        counter = [0]
-        f = lambda p: objective(p, counter)
-        c0 = f(p0)
+        costs = []
+
+        def f(p):
+            costs.append(objective(p))
+            return costs[-1]
+
+        # the seed is the simplex's first vertex, so costs[0] is its cost
         res = minimize(
             f,
             p0,
@@ -207,19 +214,16 @@ def solve_reduced(model, variant, mbc, config, N):
             options={
                 "initial_simplex": _initial_simplex(p0, scale),
                 "xatol": config.simplex_xatol,
-                "fatol": config.simplex_fatol,
+                "fatol": _SIMPLEX_FATOL,
                 "maxfev": config.simplex_maxfev,
             },
         )
-        p_best, c_best = (res.x, float(res.fun))
-        if c0 < c_best:
-            p_best, c_best = p0, c0
         return {
             "T_seed": float(T_seed),
-            "c_seed": float(c0),
-            "p_star": p_best.tolist(),
-            "c_star": c_best,
-            "nfev": counter[0],
+            "c_seed": float(costs[0]),
+            "p_star": res.x.tolist(),
+            "c_star": float(res.fun),
+            "nfev": len(costs),
         }
 
     grid = np.linspace(config.T_min, config.T_max, config.grid_size)
@@ -251,7 +255,8 @@ def solve_general(model, variant, mbc, config, N, v0):
     differences; b(x0, xT, T) = 0 is one block of equality constraints and
     [T_min, T_max] a box on T. The feasibility history holds ||b|| after each
     major iteration. Fails with the last iterate attached unless SLSQP
-    reports success at a finite cost with ||b|| <= ``tol_constraint``.
+    reports success at a finite cost with ||b|| <= ``_TOL_CONSTRAINT``
+    (1e-6).
     """
     t_start = time.perf_counter()
     n_x = mbc.n_x
@@ -286,11 +291,10 @@ def solve_general(model, variant, mbc, config, N, v0):
     )
     v = res.x
     feas = float(np.linalg.norm(constraint(v)))
-    if not (res.success and feas <= config.tol_constraint
-            and np.isfinite(res.fun)):
+    if not (res.success and feas <= _TOL_CONSTRAINT and np.isfinite(res.fun)):
         raise NonConvergenceError(
             f"SLSQP upper solve failed: {res.message}; ||b||={feas:.3e} "
-            f"(tol {config.tol_constraint:g}), cost {res.fun:.3e}",
+            f"(tol {_TOL_CONSTRAINT:g}), cost {res.fun:.3e}",
             best=v,
             history=feas_history,
         )
@@ -366,7 +370,7 @@ def make_periodic_amplitude_anchor(amplitude):
     )
 
 
-def make_walker_gait(system, v_avg, rate_bound=None, T_bounds=(0.5, 6.0)):
+def make_walker_gait(system, v_avg, rate_bound=None):
     """Symmetric single-step gait at a prescribed average forward speed.
 
     Rows: x(0) - flip(jump(x(T))) = 0 (periodicity across the impact and
@@ -375,7 +379,8 @@ def make_walker_gait(system, v_avg, rate_bound=None, T_bounds=(0.5, 6.0)):
     The reduction parametrizes the manifold by p = (T, terminal leg rates):
     the touchdown angles follow from the speed constraint. ``rate_bound``
     restricts the searched terminal rates, typically to the box the surrogate
-    was identified on, so the search cannot wander into extrapolation.
+    was identified on, so the search cannot wander into extrapolation; with
+    it, the period is kept in [0.5, 6].
     """
     if system.hybrid is None:
         raise ConfigError("walker gait constraint needs a hybrid system")
@@ -385,7 +390,7 @@ def make_walker_gait(system, v_avg, rate_bound=None, T_bounds=(0.5, 6.0)):
     p_bounds = None
     if rate_bound is not None:
         rb = float(rate_bound)
-        p_bounds = np.array([list(T_bounds), [-rb, rb], [-rb, rb]])
+        p_bounds = np.array([[0.5, 6.0], [-rb, rb], [-rb, rb]])
 
     def reset(xT):
         return extras.flip_map(extras.jump_map(xT))

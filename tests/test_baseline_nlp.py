@@ -119,7 +119,7 @@ class TestSolveNlp:
     def test_budget_cut_solve_is_never_reported_converged(
         self, pendulum_nlp_n40, pendulum_bilevel_n40
     ):
-        cfg = NlpConfig(max_outer=1, inner_maxiter=3)
+        cfg = NlpConfig(maxiter=3)
         try:
             sol = solve_nlp(pendulum_nlp_n40, pendulum_bilevel_n40, config=cfg)
         except NonConvergenceError as exc:
@@ -186,7 +186,7 @@ class TestSolveNlp:
         nlp = transcribe(pendulum, mbc, 10)
         guess = (np.zeros((11, 2)), np.zeros((10, 1)), 5.0)
         with pytest.raises(NonConvergenceError) as err:
-            solve_nlp(nlp, guess, config=NlpConfig(max_outer=3, inner_maxiter=60))
+            solve_nlp(nlp, guess, config=NlpConfig(maxiter=180))
         assert err.value.best is not None
         assert err.value.best.max_mbc_violation > 1e-3
 

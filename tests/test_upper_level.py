@@ -14,6 +14,7 @@ from koopbilevel import (
     sweep_period,
     upper_objective,
 )
+from koopbilevel import upper_level
 from koopbilevel.errors import LowerLevelError
 
 TWO_PI = 2.0 * np.pi
@@ -78,6 +79,37 @@ class TestSolveReduced:
     def test_multistart_dominance(self, osc_solution):
         seeds = [r["c_seed"] for r in osc_solution.start_records]
         assert osc_solution.cost <= min(seeds) + 1e-15
+
+    def test_seed_costs_are_the_objective_at_the_seeds(self, osc_solution,
+                                                       oscillator_model):
+        mbc = make_periodic_amplitude_anchor(A_30)
+        for rec in osc_solution.start_records:
+            x0, xT, T = mbc.reduction(mbc.p_seed(rec["T_seed"]))
+            assert rec["c_seed"] == upper_objective(
+                oscillator_model, BoundaryVariant("b0"), x0, xT, T, 101
+            )
+
+    def test_each_seed_is_evaluated_once(self, oscillator_model, monkeypatch):
+        calls = []
+        original = upper_level.upper_objective
+
+        def recording(model, variant, x0, xT, T, N):
+            calls.append((np.copy(x0), np.copy(xT), T))
+            return original(model, variant, x0, xT, T, N)
+
+        monkeypatch.setattr(upper_level, "upper_objective", recording)
+        mbc = make_periodic_amplitude_anchor(A_30)
+        # few enough steps that the 1-D simplex cannot come back to its seed
+        cfg = UpperConfig(T_min=TWO_PI, T_max=2.0 * TWO_PI, grid_size=1,
+                          simplex_maxfev=6)
+        sol = solve_reduced(oscillator_model, BoundaryVariant("b0"), mbc, cfg, 101)
+        x0, xT, T = mbc.reduction(mbc.p_seed(TWO_PI))
+        at_seed = [
+            c for c in calls
+            if c[2] == T and np.array_equal(c[0], x0) and np.array_equal(c[1], xT)
+        ]
+        assert len(at_seed) == 1
+        assert sol.eval_count == len(calls) == 6
 
     def test_cost_reproducible_from_lower_level(self, osc_solution,
                                                 oscillator_model):
