@@ -8,7 +8,6 @@ recomputed exactly from what is on disk.
 
 import hashlib
 import json
-import os
 
 import numpy as np
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import artifacts, config as cfgmod, gates as gatesmod
 from .baseline_nlp import solve_nlp, transcribe
 from .errors import ConfigError, KoopbilevelError, NonConvergenceError
-from .gedmd import identify, load_model, model_to_config, save_model
+from .gedmd import identify, load_model, save_model
 from .lifting import lift, manifold_defect
 from .lower_level import BoundaryVariant
 from .upper_level import make_periodic_amplitude_anchor, solve_reduced, sweep_period
@@ -174,6 +174,7 @@ def cmd_solve(cfg, out_dir, variant=None, w=None):
                     "converged": baseline.converged,
                     "outer_iterations": baseline.outer_iterations,
                     "inner_iterations": baseline.inner_iterations,
+                    "history": list(baseline.history),
                 },
             },
         )

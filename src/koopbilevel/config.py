@@ -118,10 +118,10 @@ def validate_config(cfg):
         _check_keys(mbc, "mbc", ("type", "amplitude_deg"))
         _check_number(mbc["amplitude_deg"], "mbc.amplitude_deg")
     elif mbc["type"] == "walker_gait":
-        _check_keys(mbc, "mbc", ("type", "v_avg"), ("rate_bound",))
+        # rate_bound spans the finite box the upper-level search needs
+        _check_keys(mbc, "mbc", ("type", "v_avg", "rate_bound"))
         _check_number(mbc["v_avg"], "mbc.v_avg", lo=0.0)
-        if "rate_bound" in mbc:
-            _check_number(mbc["rate_bound"], "mbc.rate_bound", lo=0.0)
+        _check_number(mbc["rate_bound"], "mbc.rate_bound", lo=0.0)
     else:
         raise ConfigError(
             f"mbc.type: unknown type '{mbc['type']}'; "
@@ -196,7 +196,7 @@ def build_mbc(cfg, system):
     mbc = cfg["mbc"]
     if mbc["type"] == "periodic_amplitude_anchor":
         return make_periodic_amplitude_anchor(np.deg2rad(mbc["amplitude_deg"]))
-    return make_walker_gait(system, mbc["v_avg"], rate_bound=mbc.get("rate_bound"))
+    return make_walker_gait(system, mbc["v_avg"], rate_bound=mbc["rate_bound"])
 
 
 def build_variants(cfg):

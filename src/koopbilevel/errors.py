@@ -53,7 +53,7 @@ class LowerLevelError(KoopbilevelError):
 
 
 class NoSolutionError(KoopbilevelError):
-    """Every multistart branch of the upper level failed."""
+    """The upper-level search found no point with a finite cost."""
 
 
 class NonConvergenceError(KoopbilevelError):

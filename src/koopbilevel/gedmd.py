@@ -14,7 +14,7 @@ the convex lower level.
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BuildError, ConfigError, DegenerateQpError, LowerLevelError
 from .gedmd import linearize
-from .lifting import lift, manifold_defect, unlift
+from .lifting import lift, manifold_defect
 from .numerics import KktResult, solve_kkt, zoh_discretize
 
 __all__ = [
@@ -112,9 +112,6 @@ class LowerLevelSolution:
     @property
     def times(self):
         return np.linspace(0.0, self.T, self.N + 1)
-
-    def states(self, dictionary):
-        return unlift(dictionary, self.z_traj)
 
 
 def choose_linearization_point(variant, psi0, psiT):

@@ -5,9 +5,12 @@ the convex lower level, over (x0, xT, T) subject to the mixed boundary
 constraints b(x0, xT, T) = 0. Two strategies are provided:
 
 * ``solve_reduced`` - when the constraint set admits an explicit
-  parametrization p -> (x0, xT, T) of its solution manifold, multistart over a
-  period grid refined with a derivative-free simplex. This is the workhorse:
-  the landscape over T has several local minima, one basin per added period.
+  parametrization p -> (x0, xT, T) of its solution manifold, a global search
+  over the low-dimensional box of p: DIRECT (Jones, Perttunen & Stuckman,
+  *Lipschitzian optimization without the Lipschitz constant*, 1993, in the
+  locally biased form of Gablonsky & Kelley, 2001), whose best point is
+  polished by bounded L-BFGS-B. The landscape over T has several local
+  minima, one basin per added period, so a local method alone is not enough.
 * ``solve_general`` - one SLSQP solve (sequential quadratic programming,
   Nocedal & Wright, *Numerical Optimization*, ch. 18, in Kraft's form) over
   the raw (x0, xT, T) variables with b = 0 as equality constraints, for
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import Bounds, direct, minimize
 
 from .errors import (
     ConfigError,
@@ -56,42 +59,37 @@ class MixedBoundaryConstraint:
     name: str = "custom"
     reduction: Optional[Callable] = None
     p_dim: int = 0
-    p_seed: Optional[Callable] = None
-    p_scale: Optional[np.ndarray] = None
-    # optional trust region for p: keeps surrogate queries inside the region
-    # the generator model was identified on (rows of (lo, hi))
+    # box of p searched by solve_reduced (rows of (lo, hi)); keeps surrogate
+    # queries inside the region the model was identified on. Required when
+    # p_dim > 1, a 1-D reduction searches [T_min, T_max] without it.
     p_bounds: Optional[np.ndarray] = None
 
 
-_SIMPLEX_FATOL = 1e-12  # Nelder-Mead cost tolerance of solve_reduced
+_DIRECT_MAXFUN = 200  # evaluation budget of the DIRECT stage of solve_reduced
+_POLISH_FTOL = 1e-15  # L-BFGS-B tolerances of the polish stage
+_POLISH_GTOL = 1e-10
 _TOL_CONSTRAINT = 1e-6  # largest ||b|| that solve_general accepts
 
 
 @dataclass(frozen=True)
 class UpperConfig:
-    """Search hyperparameters for the upper level.
+    """The period bracket [T_min, T_max] of the upper level.
 
-    Both solvers read the period bracket ``T_min``, ``T_max``, and
-    ``solve_general`` reads nothing else. ``solve_reduced`` also reads
-    ``grid_size`` and the ``simplex_*`` fields; its Nelder-Mead ``fatol`` is
-    ``_SIMPLEX_FATOL`` (1e-12) and its initial simplex spans the
-    constraint's ``p_scale``. ``solve_general`` accepts ||b|| up to
+    Both solvers keep T inside it. Everything else is a module constant:
+    ``solve_reduced`` gives DIRECT ``_DIRECT_MAXFUN`` (200) evaluations and
+    polishes with L-BFGS-B at ``ftol`` ``_POLISH_FTOL`` (1e-15) and ``gtol``
+    ``_POLISH_GTOL`` (1e-10); ``solve_general`` accepts ||b|| up to
     ``_TOL_CONSTRAINT`` (1e-6).
     """
 
     T_min: float
     T_max: float
-    grid_size: int = 20
-    simplex_maxfev: int = 300
-    simplex_xatol: float = 1e-6
 
     def __post_init__(self):
         if not 0 < self.T_min < self.T_max:
             raise ConfigError(
                 f"need 0 < T_min < T_max, got [{self.T_min}, {self.T_max}]"
             )
-        if self.grid_size < 1:
-            raise ConfigError("multistart grid needs at least one point")
 
 
 @dataclass(frozen=True)
@@ -134,14 +132,6 @@ def upper_objective(model, variant, x0, xT, T, N):
     return cost
 
 
-def _initial_simplex(p0, scale):
-    dim = p0.size
-    simplex = np.tile(p0, (dim + 1, 1))
-    for i in range(dim):
-        simplex[i + 1, i] += scale[i]
-    return simplex
-
-
 def _build_solution(model, variant, mbc, x0, xT, T, N, eval_count, records,
                     wall_time, feas_history=()):
     cost, lower, err = _lower_eval(model, variant, x0, xT, T, N)
@@ -169,82 +159,84 @@ def _build_solution(model, variant, mbc, x0, xT, T, N, eval_count, records,
     )
 
 
-def solve_reduced(model, variant, mbc, config, N):
-    """Multistart + simplex over the explicit constraint parametrization.
+def _search_box(mbc, config):
+    """Box of p searched by ``solve_reduced``, rows of (lo, hi)."""
+    if mbc.p_bounds is None:
+        if mbc.p_dim != 1:
+            raise ConfigError(
+                f"constraint '{mbc.name}' has a {mbc.p_dim}-D reduction "
+                "but no p_bounds to search"
+            )
+        return np.array([[config.T_min, config.T_max]])
+    box = np.array(mbc.p_bounds, dtype=float)
+    box[0] = np.clip(box[0], config.T_min, config.T_max)
+    if not np.all(box[:, 0] < box[:, 1]):
+        raise ConfigError(f"empty search box for '{mbc.name}': {box.tolist()}")
+    return box
 
-    Starts are seeded on a uniform period grid; each start is refined with
-    Nelder-Mead on p. The best refined point wins, with ties broken by lower
-    period and then lexicographic initial state.
+
+def solve_reduced(model, variant, mbc, config, N):
+    """DIRECT over the box of p, then an L-BFGS-B polish of its best point.
+
+    The box is ``mbc.p_bounds`` with the period row clipped to
+    [T_min, T_max]. The polish uses SciPy's finite-difference gradient inside
+    the box; DIRECT's point is kept unless the polish improves on it. Each
+    stage leaves one record: point, cost, evaluations and how many of them
+    were +inf; the polish record also lists the box faces its point is on.
     """
     if mbc.reduction is None:
         raise ConfigError(f"constraint '{mbc.name}' provides no reduction")
+    box = _search_box(mbc, config)
     t_start = time.perf_counter()
-    scale = np.asarray(
-        mbc.p_scale if mbc.p_scale is not None else np.full(mbc.p_dim, 0.1),
-        dtype=float,
-    )
 
-    def objective(p):
-        if mbc.p_bounds is not None and (
-            np.any(p < mbc.p_bounds[:, 0]) or np.any(p > mbc.p_bounds[:, 1])
-        ):
-            return np.inf
-        try:
-            x0, xT, T = mbc.reduction(p)
-        except KoopbilevelError:
-            return np.inf
-        return upper_objective(model, variant, x0, xT, T, N)
-
-    def refine(T_seed):
-        p0 = np.asarray(
-            mbc.p_seed(T_seed) if mbc.p_seed is not None else [T_seed],
-            dtype=float,
-        )
+    def run_stage(stage, search):
         costs = []
 
-        def f(p):
-            costs.append(objective(p))
+        def objective(p):
+            try:
+                x0, xT, T = mbc.reduction(p)
+            except KoopbilevelError:
+                costs.append(np.inf)
+            else:
+                costs.append(upper_objective(model, variant, x0, xT, T, N))
             return costs[-1]
 
-        # the seed is the simplex's first vertex, so costs[0] is its cost
-        res = minimize(
-            f,
-            p0,
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": _initial_simplex(p0, scale),
-                "xatol": config.simplex_xatol,
-                "fatol": _SIMPLEX_FATOL,
-                "maxfev": config.simplex_maxfev,
-            },
-        )
+        res = search(objective)
         return {
-            "T_seed": float(T_seed),
-            "c_seed": float(costs[0]),
+            "stage": stage,
             "p_star": res.x.tolist(),
             "c_star": float(res.fun),
             "nfev": len(costs),
+            "n_inf": int(np.isinf(costs).sum()),
         }
 
-    grid = np.linspace(config.T_min, config.T_max, config.grid_size)
-    records = [refine(T) for T in grid]
-
-    finite = [r for r in records if np.isfinite(r["c_star"])]
-    if not finite:
+    coarse = run_stage(
+        "direct", lambda f: direct(f, Bounds(*box.T), maxfun=_DIRECT_MAXFUN)
+    )
+    if not np.isfinite(coarse["c_star"]):
         raise NoSolutionError(
-            f"all {len(records)} multistart branches failed for '{mbc.name}'"
+            f"DIRECT found no finite upper cost for '{mbc.name}' in "
+            f"{coarse['nfev']} evaluations"
         )
-
-    def sort_key(rec):
-        x0, xT, T = mbc.reduction(np.asarray(rec["p_star"]))
-        return (rec["c_star"], T, tuple(np.asarray(x0).tolist()))
-
-    best = min(finite, key=sort_key)
+    polish = run_stage(
+        "polish",
+        lambda f: minimize(
+            f, np.asarray(coarse["p_star"]), method="L-BFGS-B", bounds=box,
+            options={"ftol": _POLISH_FTOL, "gtol": _POLISH_GTOL},
+        ),
+    )
+    p = np.asarray(polish["p_star"])
+    polish["active_bounds"] = [
+        {"index": i, "side": side, "value": float(box[i, j])}
+        for i in range(p.size)
+        for j, side in enumerate(("lower", "upper"))
+        if p[i] == box[i, j]
+    ]
+    best = polish if polish["c_star"] < coarse["c_star"] else coarse
     x0, xT, T = mbc.reduction(np.asarray(best["p_star"]))
-    eval_count = sum(r["nfev"] for r in records)
     return _build_solution(
-        model, variant, mbc, x0, xT, T, N, eval_count, records,
-        time.perf_counter() - t_start,
+        model, variant, mbc, x0, xT, T, N, coarse["nfev"] + polish["nfev"],
+        [coarse, polish], time.perf_counter() - t_start,
     )
 
 
@@ -365,8 +357,6 @@ def make_periodic_amplitude_anchor(amplitude):
         name=f"periodic_amplitude_anchor(a={a:g})",
         reduction=reduction,
         p_dim=1,
-        p_seed=lambda T: np.array([T]),
-        p_scale=np.array([0.25]),
     )
 
 
@@ -378,9 +368,10 @@ def make_walker_gait(system, v_avg, rate_bound=None):
     th_st(T) + th_sw(T) = 0 (anchor: symmetric touchdown configuration).
     The reduction parametrizes the manifold by p = (T, terminal leg rates):
     the touchdown angles follow from the speed constraint. ``rate_bound``
-    restricts the searched terminal rates, typically to the box the surrogate
-    was identified on, so the search cannot wander into extrapolation; with
-    it, the period is kept in [0.5, 6].
+    sets the search box ``p_bounds`` = [0.5, 6] x [-rate_bound, rate_bound]^2,
+    typically the rates the surrogate was identified on, so the search cannot
+    wander into extrapolation. ``solve_reduced`` needs that box; without
+    ``rate_bound`` the constraint serves evaluation and the baseline NLP only.
     """
     if system.hybrid is None:
         raise ConfigError("walker gait constraint needs a hybrid system")
@@ -416,12 +407,6 @@ def make_walker_gait(system, v_avg, rate_bound=None):
         xT = np.array([-alpha, alpha, p[1], p[2]])
         return reset(xT), xT, T
 
-    def p_seed(T):
-        arg = np.clip(v_avg * T / (2.0 * ell), -0.99, 0.99)
-        alpha = float(np.arcsin(arg))
-        rate = -2.0 * alpha / max(T, 1e-6)  # mean stance sweep rate
-        return np.array([T, 2.0 * rate, 2.5 * rate])
-
     return MixedBoundaryConstraint(
         eval=b,
         n_g=6,
@@ -429,7 +414,5 @@ def make_walker_gait(system, v_avg, rate_bound=None):
         name=f"walker_gait(v_avg={v_avg:g})",
         reduction=reduction,
         p_dim=3,
-        p_seed=p_seed,
-        p_scale=np.array([0.15, 0.05, 0.05]),
         p_bounds=p_bounds,
     )

@@ -24,8 +24,7 @@ A_40 = np.deg2rad(40.0)
 @pytest.fixture(scope="module")
 def pendulum_bilevel_n40(pendulum_model):
     mbc = make_periodic_amplitude_anchor(A_40)
-    cfg = UpperConfig(T_min=0.8 * TWO_PI, T_max=1.4 * TWO_PI, grid_size=4,
-                      simplex_maxfev=100, simplex_xatol=1e-6)
+    cfg = UpperConfig(T_min=0.8 * TWO_PI, T_max=1.4 * TWO_PI)
     return solve_reduced(pendulum_model, BoundaryVariant("b0"), mbc, cfg, 40)
 
 

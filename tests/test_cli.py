@@ -56,6 +56,7 @@ BAD_SOLVER_SETTINGS = [
     ("baseline", "max_outer", 15),
     ("baseline", "inner_maxiter", 400),
     ("upper", "al_rho0", 10.0),
+    ("upper", "simplex_maxfev", 400),
 ]
 
 
@@ -78,6 +79,17 @@ def test_config_rejects_bad_solver_settings(block, key, value):
 def test_solve_exits_2_on_a_bad_setting(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(_fig1_config_with("upper", "simplex_xatol", "abc")))
+    out = str(tmp_path / "out")
+    assert cli.main(["solve", "--config", str(path), "--out", out]) == 2
+    assert not os.path.exists(os.path.join(out, "model.json"))
+
+
+def test_walker_config_needs_rate_bound(tmp_path):
+    # the upper-level search needs the finite box that rate_bound spans
+    cfg = copy.deepcopy(cli.load_bundle("walker")["config"])
+    del cfg["mbc"]["rate_bound"]
+    path = tmp_path / "walker.json"
+    path.write_text(json.dumps(cfg))
     out = str(tmp_path / "out")
     assert cli.main(["solve", "--config", str(path), "--out", out]) == 2
     assert not os.path.exists(os.path.join(out, "model.json"))
