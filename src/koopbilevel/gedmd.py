@@ -1,10 +1,12 @@
 """Bilinear Koopman generator identification from sampled Lie-derivative data.
 
-For each input channel the generator restricted to the dictionary span is fit
-by least squares: ``L = dPsi @ pinv(Psi)`` where the columns of ``Psi`` are
-lifted sample states and the columns of ``dPsi`` are their Lie derivatives
-along the drift (index 0) or along the drift plus one canonical input channel
-(index i). The identified matrices give the bilinear surrogate
+This is gEDMD (Klus et al., *Data-driven approximation of the Koopman
+generator*, Physica D 2020). For each input channel the generator restricted
+to the dictionary span is fit by least squares: ``L = dPsi @ pinv(Psi)``
+where the columns of ``Psi`` are lifted sample states and the columns of
+``dPsi`` are their Lie derivatives along the drift (index 0) or along the
+drift plus one canonical input channel (index i). The identified matrices
+give the bilinear surrogate
 
     dz/dt = L0 z + sum_i u_i (Li - L0) z,
 
@@ -109,28 +111,30 @@ def _canonical_input(system, input_index):
     return u
 
 
-def assemble_data(system, dictionary, samples, input_index):
-    """Lift samples and compute their Lie derivatives for one input channel.
+def assemble_data(system, dictionary, samples):
+    """Lift the samples once and compute their Lie derivatives per channel.
 
-    ``input_index`` 0 uses u = 0; index i in 1..n_u uses the canonical basis
-    input u = e_i. Returns (Psi, dPsi), both with one column per sample.
+    Channel 0 uses u = 0; channel i in 1..n_u uses the canonical basis input
+    u = e_i. One dictionary evaluation and one gradient of the samples serve
+    every channel. Returns ``(Psi, dPsis)``: ``Psi`` with one column per
+    sample, and one such ``dPsi`` per channel.
     """
-    if not 0 <= input_index <= system.n_u:
-        raise ConfigError(
-            f"input_index must be in 0..{system.n_u}, got {input_index}"
-        )
     X = samples.states
-    u = _canonical_input(system, input_index)
-    rhs = eval_rhs(system, X, u)
     Psi = dictionary.eval(X)
-    dPsi = np.einsum("szx,sx->sz", dictionary.grad(X), rhs)
-    bad = ~(np.all(np.isfinite(Psi), axis=1) & np.all(np.isfinite(dPsi), axis=1))
-    if np.any(bad):
-        idx = int(np.argmax(bad))
+    grad = dictionary.grad(X)
+    dPsis = [
+        np.einsum("szx,sx->sz", grad, eval_rhs(system, X, _canonical_input(system, i)))
+        for i in range(system.n_u + 1)
+    ]
+    finite = np.all(np.isfinite(Psi), axis=1)
+    for dPsi in dPsis:
+        finite &= np.all(np.isfinite(dPsi), axis=1)
+    if not np.all(finite):
+        idx = int(np.argmin(finite))
         raise DataError(
             f"non-finite lift or Lie derivative at sample {idx}: x={X[idx]}"
         )
-    return Psi.T, dPsi.T
+    return Psi.T, tuple(dPsi.T for dPsi in dPsis)
 
 
 @dataclass(frozen=True)
@@ -141,37 +145,44 @@ class FitResult:
     rank_deficient: bool
 
 
-def fit_generator(Psi, dPsi, svd_tol=1e-10):
-    """Least-squares generator fit ``L = dPsi @ pinv(Psi)``.
+def fit_generator(Psi, dPsis, svd_tol=1e-10):
+    """Least-squares generator fits ``L = dPsi @ pinv(Psi)``, one per ``dPsi``.
 
-    The pseudo-inverse truncates singular values below ``svd_tol`` relative to
-    the largest. A rank-deficient regression is not fatal: the fit proceeds on
-    the retained subspace and the deficiency is recorded on the result.
+    The pseudo-inverse is computed once and truncates singular values below
+    ``svd_tol`` relative to the largest. A rank-deficient regression is not
+    fatal: each fit proceeds on the retained subspace and the deficiency is
+    recorded on its result.
     """
     Psi = np.asarray(Psi, dtype=float)
-    dPsi = np.asarray(dPsi, dtype=float)
     n_z = Psi.shape[0]
     pinv, rank = pinv_svd(Psi, rel_tol=svd_tol)
-    L = dPsi @ pinv
-    denom = np.linalg.norm(dPsi)
-    residual = float(np.linalg.norm(L @ Psi - dPsi) / denom) if denom > 0 else 0.0
-    return FitResult(
-        matrix=L,
-        residual=residual,
-        rank=rank,
-        rank_deficient=rank < n_z,
-    )
+    fits = []
+    for dPsi in dPsis:
+        dPsi = np.asarray(dPsi, dtype=float)
+        L = dPsi @ pinv
+        denom = np.linalg.norm(dPsi)
+        residual = float(np.linalg.norm(L @ Psi - dPsi) / denom) if denom > 0 else 0.0
+        fits.append(FitResult(
+            matrix=L,
+            residual=residual,
+            rank=rank,
+            rank_deficient=rank < n_z,
+        ))
+    return fits
 
 
 def identify(system, dictionary, n_s, seed, svd_tol=1e-10, box=None):
-    """Identify (L0, L1..Ln_u) from uniform samples of the state box."""
+    """Identify (L0, L1..Ln_u) from uniform samples of the state box.
+
+    The samples are lifted, differentiated and decomposed (one SVD) once;
+    each input channel then costs only its Lie derivatives and one product
+    with the pseudo-inverse.
+    """
     if box is None:
         box = system.state_box
     samples = sample_states(box, n_s, seed)
-    fits = []
-    for i in range(system.n_u + 1):
-        Psi, dPsi = assemble_data(system, dictionary, samples, i)
-        fits.append(fit_generator(Psi, dPsi, svd_tol=svd_tol))
+    Psi, dPsis = assemble_data(system, dictionary, samples)
+    fits = fit_generator(Psi, dPsis, svd_tol=svd_tol)
     return GeneratorModel(
         L0=fits[0].matrix,
         Li=tuple(f.matrix for f in fits[1:]),

@@ -6,10 +6,15 @@ vector by reading its leading entries (``x = C z`` with ``C = [I 0]``).
 
 Terms are declared as serializable descriptors (monomial / sin / cos /
 product) rather than opaque callables, so an identified surrogate model can be
-persisted together with the exact basis it was fit in.
+persisted together with the exact basis it was fit in. The descriptors stay
+the source of truth, and they are what ``to_config`` writes.
+``ObservableDictionary.eval`` runs a column plan compiled from them once per
+dictionary, which evaluates all terms in a few array operations and rounds
+as the terms themselves do.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -156,8 +161,96 @@ def _is_state_copy(term, index, n_x):
 
 
 @dataclass(frozen=True)
+class _Plan:
+    """Column program that evaluates a dictionary on a batch of states.
+
+    Columns hold the distinct monomials, then the distinct trig terms, then
+    the distinct products, the latter ordered so every factor comes first.
+    """
+
+    n_cols: int
+    powers: tuple  # (state i, power p) of each nonzero power in a monomial
+    mono_factors: np.ndarray  # (n_state, n_mono): 1 + index into powers, 0 for x_i^0
+    W: np.ndarray  # distinct trig coefficient rows, (n_arg, n_x)
+    trigs: tuple  # (np.sin or np.cos, rows of W, trig columns)
+    products: tuple  # (factor columns (n, arity), product columns)
+    terms: np.ndarray  # column of each dictionary term
+
+
+def _compile(terms):
+    """Plan whose rounding is that of ``term.value``, term by term.
+
+    Monomials multiply ``x_i ** p`` in ascending state order (a zero power
+    multiplies by an exact 1) and products multiply their factors in factor
+    order, as ``Monomial.value`` and ``Product.value`` do. Trig arguments
+    come from one matrix product instead of one dot product per term; the
+    two agree exactly when every argument is exact in any summation order,
+    as with coefficients in {0, +-1} and at most two nonzero (all presets),
+    and otherwise by a few ulp of the argument.
+    """
+    monos, trigs, prods = {}, {}, {}  # insertion-ordered sets of terms
+
+    def visit(t):
+        if isinstance(t, Product):
+            depth = 1 + max((visit(f) for f in t.factors), default=0)
+            prods.setdefault(t, depth)
+            return depth
+        (monos if isinstance(t, Monomial) else trigs).setdefault(t, 0)
+        return 0
+
+    for t in terms:
+        visit(t)
+    order = list(monos) + list(trigs) + sorted(prods, key=prods.get)
+    col = {t: j for j, t in enumerate(order)}
+
+    n_state = max((len(m.powers) for m in monos), default=0)
+    padded = [m.powers + (0,) * (n_state - len(m.powers)) for m in monos]
+    powers = sorted({(i, p) for row in padded for i, p in enumerate(row) if p})
+    mono_factors = np.array(
+        [[powers.index((i, row[i])) + 1 if row[i] else 0 for row in padded]
+         for i in range(n_state)],
+        dtype=int,
+    ).reshape(n_state, len(monos))
+    args = list(dict.fromkeys(t.coeffs for t in trigs))
+    trig_ops = tuple(
+        (np.sin if fn == "sin" else np.cos,
+         np.array([args.index(t.coeffs) for t in trigs if t.fn == fn]),
+         np.array([col[t] for t in trigs if t.fn == fn]))
+        for fn in ("sin", "cos")
+        if any(t.fn == fn for t in trigs)
+    )
+    groups = {}
+    for t, depth in prods.items():
+        groups.setdefault((depth, len(t.factors)), []).append(t)
+    products = tuple(
+        (np.array([[col[f] for f in t.factors] for t in group],
+                  dtype=int).reshape(len(group), arity),
+         np.array([col[t] for t in group]))
+        for (_, arity), group in sorted(groups.items())
+    )
+    return _Plan(
+        n_cols=len(order),
+        powers=tuple(powers),
+        mono_factors=mono_factors,
+        W=np.array(args, dtype=float),
+        trigs=trig_ops,
+        products=products,
+        terms=np.array([col[t] for t in terms]),
+    )
+
+
+@dataclass(frozen=True)
 class ObservableDictionary:
-    """Ordered lifting basis whose first n_x terms copy the state."""
+    """Ordered lifting basis whose first n_x terms copy the state.
+
+    ``eval`` runs a plan compiled from ``terms`` on first use (``_compile``):
+    one power per (state, power) pair and one multiply per state for all
+    distinct monomials, one ``sin`` and one ``cos`` of ``X @ W.T`` over the
+    distinct trig arguments, one multiply per factor position for each group
+    of products, and a final column gather into term order. For every preset
+    it is bitwise equal to stacking ``term.value`` over the terms, and its
+    result has the same C layout. ``grad`` stays per term.
+    """
 
     n_x: int
     terms: tuple
@@ -180,9 +273,33 @@ class ObservableDictionary:
     def labels(self):
         return [t.label() for t in self.terms]
 
+    @cached_property
+    def _plan(self):
+        return _compile(self.terms)
+
     def eval(self, x):
         x = np.asarray(x, dtype=float)
-        return np.stack([t.value(x) for t in self.terms], axis=-1)
+        plan = self._plan
+        X = x.reshape(-1, x.shape[-1])
+        V = np.empty((X.shape[0], plan.n_cols))
+        pw = np.empty((X.shape[0], 1 + len(plan.powers)))
+        pw[:, 0] = 1.0
+        for j, (i, p) in enumerate(plan.powers, start=1):
+            pw[:, j] = X[:, i] ** p
+        mono = 1.0
+        for factors in plan.mono_factors:
+            mono = mono * pw[:, factors]
+        V[:, : plan.mono_factors.shape[1]] = mono
+        if plan.trigs:
+            A = X @ plan.W.T
+            for fn, rows, cols in plan.trigs:
+                V[:, cols] = fn(A[:, rows])
+        for factors, cols in plan.products:
+            out = 1.0
+            for j in range(factors.shape[1]):
+                out = out * V[:, factors[:, j]]
+            V[:, cols] = out
+        return V.take(plan.terms, axis=1).reshape(x.shape[:-1] + (self.n_z,))
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)

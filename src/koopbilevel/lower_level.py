@@ -14,6 +14,7 @@ knots. Three boundary formulations are supported:
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -96,7 +97,13 @@ class LowerLevelProblem:
 
 @dataclass(frozen=True)
 class LowerLevelSolution:
-    """Lifted trajectory, inputs, both cost components, and KKT residuals."""
+    """Lifted trajectory, inputs, both cost components, and KKT residuals.
+
+    ``manifold_defects`` (the distance of each knot of ``z_traj`` from the
+    lift manifold of ``dictionary``) is computed on first read, in one
+    batched ``manifold_defect`` call, and kept: the upper search reads only
+    the costs, so the solves it makes never pay for the diagnostic.
+    """
 
     z_traj: np.ndarray
     u_traj: np.ndarray
@@ -104,7 +111,7 @@ class LowerLevelSolution:
     c_hat: float
     weighted_total: float
     kkt: KktResult
-    manifold_defects: np.ndarray
+    dictionary: object
     variant: BoundaryVariant
     T: float
     N: int
@@ -112,6 +119,10 @@ class LowerLevelSolution:
     @property
     def times(self):
         return np.linspace(0.0, self.T, self.N + 1)
+
+    @cached_property
+    def manifold_defects(self):
+        return manifold_defect(self.dictionary, self.z_traj)
 
 
 def choose_linearization_point(variant, psi0, psiT):
@@ -214,7 +225,9 @@ def solve_lower(problem):
 
     Both cost components are reported: the original running cost ``c`` (the
     only part the upper level consumes) and the lifted boundary mismatch
-    ``c_hat``.
+    ``c_hat``. The dictionary is evaluated once, for the boundaries, when
+    ``problem`` is built; the trajectory's manifold defects wait for their
+    first read.
     """
     qp = build_qp(problem)
     try:
@@ -245,7 +258,6 @@ def solve_lower(problem):
     )
     w = problem.variant.w
     weighted = (1.0 - w) * c + w * c_hat
-    defects = manifold_defect(problem.model.dictionary, Z)
 
     return LowerLevelSolution(
         z_traj=Z,
@@ -254,7 +266,7 @@ def solve_lower(problem):
         c_hat=c_hat,
         weighted_total=weighted,
         kkt=kkt,
-        manifold_defects=defects,
+        dictionary=problem.model.dictionary,
         variant=problem.variant,
         T=float(problem.T),
         N=N,

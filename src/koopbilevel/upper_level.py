@@ -180,25 +180,33 @@ def solve_reduced(model, variant, mbc, config, N):
 
     The box is ``mbc.p_bounds`` with the period row clipped to
     [T_min, T_max]. The polish uses SciPy's finite-difference gradient inside
-    the box; DIRECT's point is kept unless the polish improves on it. Each
-    stage leaves one record: point, cost, evaluations and how many of them
-    were +inf; the polish record also lists the box faces its point is on.
+    the box; DIRECT's point is kept unless the polish improves on it. A point
+    either stage has already evaluated is not solved again. Each stage leaves
+    one record: point, cost, objective calls (repeats included) and how many
+    of them were +inf; the polish record also lists the box faces its point
+    is on.
     """
     if mbc.reduction is None:
         raise ConfigError(f"constraint '{mbc.name}' provides no reduction")
     box = _search_box(mbc, config)
     t_start = time.perf_counter()
+    memo = {}  # p.tobytes() -> cost, shared by both stages
+
+    def cost_at(p):
+        try:
+            x0, xT, T = mbc.reduction(p)
+        except KoopbilevelError:
+            return np.inf
+        return upper_objective(model, variant, x0, xT, T, N)
 
     def run_stage(stage, search):
         costs = []
 
         def objective(p):
-            try:
-                x0, xT, T = mbc.reduction(p)
-            except KoopbilevelError:
-                costs.append(np.inf)
-            else:
-                costs.append(upper_objective(model, variant, x0, xT, T, N))
+            key = np.asarray(p, dtype=float).tobytes()
+            if key not in memo:
+                memo[key] = cost_at(p)
+            costs.append(memo[key])
             return costs[-1]
 
         res = search(objective)

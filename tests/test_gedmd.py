@@ -24,7 +24,7 @@ from koopbilevel.gedmd import (
     save_model,
 )
 from koopbilevel.lifting import Monomial, ObservableDictionary
-from koopbilevel.numerics import expm
+from koopbilevel.numerics import expm, pinv_svd
 from koopbilevel.systems import eval_rhs, make_linear_system
 
 TWO_PI = 2.0 * np.pi
@@ -59,13 +59,13 @@ class TestAssembleData:
     def test_linear_system_identity_dictionary(self, oscillator):
         d = get_dictionary("identity", 2)
         samples = sample_states(oscillator.state_box, 50, seed=1)
-        Psi, dPsi = assemble_data(oscillator, d, samples, 0)
+        Psi, (dPsi, _) = assemble_data(oscillator, d, samples)
         assert np.max(np.abs(dPsi - oscillator.params["A"] @ Psi)) <= 1e-14
 
     def test_pendulum_sin_row_is_lie_derivative(self, pendulum):
         d = get_dictionary("pendulum12", 2)
         samples = sample_states(pendulum.state_box, 80, seed=2)
-        _, dPsi = assemble_data(pendulum, d, samples, 0)
+        _, (dPsi, _) = assemble_data(pendulum, d, samples)
         X = samples.states
         # d/dt sin(x1) = x2 cos(x1) regardless of drift details
         assert np.max(np.abs(dPsi[2] - X[:, 1] * np.cos(X[:, 0]))) <= 1e-12
@@ -73,15 +73,14 @@ class TestAssembleData:
     def test_input_channel_difference_is_gradient_column(self, pendulum):
         d = get_dictionary("pendulum12", 2)
         samples = sample_states(pendulum.state_box, 60, seed=3)
-        _, d0 = assemble_data(pendulum, d, samples, 0)
-        _, d1 = assemble_data(pendulum, d, samples, 1)
+        _, (d0, d1) = assemble_data(pendulum, d, samples)
         grads = d.grad(samples.states)  # (n_s, n_z, n_x); G = [0, 1]^T
         assert np.max(np.abs((d1 - d0) - grads[:, :, 1].T)) <= 1e-12
 
     def test_finite_difference_directional_oracle(self, pendulum):
         d = get_dictionary("pendulum12", 2)
         samples = sample_states(pendulum.state_box, 40, seed=4)
-        Psi, dPsi = assemble_data(pendulum, d, samples, 1)
+        Psi, (_, dPsi) = assemble_data(pendulum, d, samples)
         X = samples.states
         rhs = eval_rhs(pendulum, X, np.ones(1))
         h = 1e-5
@@ -96,21 +95,15 @@ class TestAssembleData:
         box = np.array([[2.0, 3.0], [0.0, 1.0]])
         samples = sample_states(box, 5, seed=5)
         with pytest.raises(DataError, match="sample 0"):
-            assemble_data(oscillator, overflow, samples, 0)
-
-    def test_bad_input_index(self, oscillator):
-        d = get_dictionary("identity", 2)
-        samples = sample_states(oscillator.state_box, 10, seed=6)
-        with pytest.raises(ConfigError):
-            assemble_data(oscillator, d, samples, 2)
+            assemble_data(oscillator, overflow, samples)
 
 
 class TestFitGenerator:
     def test_exact_linear_regression(self, oscillator):
         d = get_dictionary("identity", 2)
         samples = sample_states(oscillator.state_box, 200, seed=7)
-        Psi, dPsi = assemble_data(oscillator, d, samples, 0)
-        fit = fit_generator(Psi, dPsi)
+        Psi, dPsis = assemble_data(oscillator, d, samples)
+        fit = fit_generator(Psi, dPsis)[0]
         assert np.max(np.abs(fit.matrix - oscillator.params["A"])) <= 1e-10
         assert fit.residual <= 1e-12
         assert not fit.rank_deficient
@@ -118,7 +111,7 @@ class TestFitGenerator:
     def test_zero_derivatives_give_zero_matrix(self):
         rng = np.random.default_rng(8)
         Psi = rng.normal(size=(3, 40))
-        fit = fit_generator(Psi, np.zeros((3, 40)))
+        (fit,) = fit_generator(Psi, [np.zeros((3, 40))])
         assert np.array_equal(fit.matrix, np.zeros((3, 3)))
         assert fit.residual == 0.0
 
@@ -126,26 +119,26 @@ class TestFitGenerator:
         rng = np.random.default_rng(9)
         Psi = rng.normal(size=(4, 60))
         dPsi = rng.normal(size=(4, 60))
-        L1 = fit_generator(Psi, dPsi).matrix
-        L2 = fit_generator(np.hstack([Psi, Psi]), np.hstack([dPsi, dPsi])).matrix
+        L1 = fit_generator(Psi, [dPsi])[0].matrix
+        L2 = fit_generator(np.hstack([Psi, Psi]), [np.hstack([dPsi, dPsi])])[0].matrix
         assert np.max(np.abs(L1 - L2)) <= 1e-12
 
     def test_self_consistent_data_leaves_fit_unchanged(self):
         rng = np.random.default_rng(10)
         Psi = rng.normal(size=(4, 50))
         dPsi = rng.normal(size=(4, 50))
-        L = fit_generator(Psi, dPsi).matrix
+        L = fit_generator(Psi, [dPsi])[0].matrix
         extra = rng.normal(size=(4, 20))
         L2 = fit_generator(
-            np.hstack([Psi, extra]), np.hstack([dPsi, L @ extra])
-        ).matrix
+            np.hstack([Psi, extra]), [np.hstack([dPsi, L @ extra])]
+        )[0].matrix
         assert np.max(np.abs(L - L2)) <= 1e-12
 
     def test_rank_deficiency_recorded(self, oscillator):
         d = get_dictionary("pendulum12", 2)
         samples = sample_states(oscillator.state_box, 6, seed=11)  # n_s < n_z
-        Psi, dPsi = assemble_data(oscillator, d, samples, 0)
-        assert fit_generator(Psi, dPsi).rank_deficient
+        Psi, dPsis = assemble_data(oscillator, d, samples)
+        assert fit_generator(Psi, dPsis)[0].rank_deficient
 
 
 class TestIdentify:
@@ -177,10 +170,32 @@ class TestIdentify:
         d = get_dictionary("pendulum12", 2)
         model = identify(pendulum, d, n_s=500, seed=13)
         samples = sample_states(model.box, model.n_s, model.seed)
+        Psi, dPsis = assemble_data(pendulum, d, samples)
         for i, L in enumerate((model.L0,) + model.Li):
-            Psi, dPsi = assemble_data(pendulum, d, samples, i)
+            dPsi = dPsis[i]
             resid = np.linalg.norm(L @ Psi - dPsi) / np.linalg.norm(dPsi)
             assert abs(resid - model.residuals[i]) <= 1e-12
+
+
+    def test_matches_per_channel_oracle_bitwise(self, pendulum):
+        # lift, differentiate and decompose the samples once per channel,
+        # term by term, as identification did before sharing them
+        d = get_dictionary("pendulum12", 2)
+        model = identify(pendulum, d, n_s=500, seed=13)
+        X = sample_states(model.box, model.n_s, model.seed).states
+        for i, L in enumerate((model.L0,) + model.Li):
+            u = np.zeros(pendulum.n_u)
+            u[i - 1] = float(i > 0)
+            Psi = np.stack([t.value(X) for t in d.terms], -1).T
+            dPsi = np.einsum(
+                "szx,sx->sz", d.grad(X), eval_rhs(pendulum, X, u)).T
+            pinv, rank = pinv_svd(Psi, rel_tol=model.svd_tol)
+            L_oracle = dPsi @ pinv
+            resid = float(np.linalg.norm(L_oracle @ Psi - dPsi)
+                          / np.linalg.norm(dPsi))
+            assert np.array_equal(L, L_oracle)
+            assert model.residuals[i] == resid
+            assert model.ranks[i] == rank
 
 
 class TestLinearize:

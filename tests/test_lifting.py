@@ -76,6 +76,80 @@ class TestGradients:
             assert err <= 1e-6 * (1.0 + np.max(np.abs(G)))
 
 
+def term_oracle(dictionary, X):
+    return np.stack([t.value(X) for t in dictionary.terms], -1)
+
+
+class TestCompiledEval:
+    @pytest.mark.parametrize("name,n_x", [
+        ("identity", 3),
+        ("linear_const", 2),
+        ("pendulum12", 2),
+        ("compass_gait29", 4),
+    ])
+    def test_presets_match_term_oracle_bitwise(self, name, n_x):
+        d = get_dictionary(name, n_x)
+        rng = np.random.default_rng(18)
+        for shape in [(n_x,), (2, n_x), (52, n_x), (3, 4, n_x)]:
+            X = rng.uniform(-2.0, 2.0, size=shape)
+            got, want = d.eval(X), term_oracle(d, X)
+            assert got.shape == want.shape == shape[:-1] + (d.n_z,)
+            assert np.array_equal(got, want)
+            assert got.flags.c_contiguous
+
+    def test_nested_config_dictionary_matches_term_oracle(self):
+        d = ObservableDictionary.from_config({"n_x": 3, "terms": [
+            {"kind": "monomial", "powers": [1, 0, 0]},
+            {"kind": "monomial", "powers": [0, 1, 0]},
+            {"kind": "monomial", "powers": [0, 0, 1]},
+            {"kind": "monomial", "powers": [0, 0, 0]},
+            {"kind": "cos", "coeffs": [0.3, -1.7, 2.5]},
+            {"kind": "product", "factors": [
+                {"kind": "monomial", "powers": [2, 0, 3]},
+                {"kind": "sin", "coeffs": [0.3, -1.7, 2.5]},
+                {"kind": "monomial", "powers": [0, 1, 0]},
+            ]},
+            {"kind": "product", "factors": [
+                {"kind": "cos", "coeffs": [1.0, 0.0, 0.0]},
+                {"kind": "product", "factors": [
+                    {"kind": "monomial", "powers": [0, 0, 0]},
+                    {"kind": "sin", "coeffs": [0.0, 0.5, 0.0]},
+                ]},
+            ]},
+            {"kind": "monomial", "powers": [1, 2, 0]},
+            {"kind": "monomial", "powers": [2, 0, 3]},
+        ]})
+        # X @ W.T may round the argument 0.3 x1 - 1.7 x2 + 2.5 x3 of terms
+        # 4 and 5 differently from the per-term dot product, by a few ulp;
+        # every other term is computed exactly as the term oracle does
+        exact = [0, 1, 2, 3, 6, 7, 8]
+        rng = np.random.default_rng(19)
+        for shape in [(3,), (2, 3), (52, 3), (3, 4, 3)]:
+            X = rng.uniform(-1.5, 1.5, size=shape)
+            got, want = d.eval(X), term_oracle(d, X)
+            assert np.array_equal(got[..., exact], want[..., exact])
+            np.testing.assert_allclose(
+                got, want, rtol=1e-15, atol=1e-15 * np.max(np.abs(want)))
+
+    def test_random_states_match_term_oracle(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+        from hypothesis.extra import numpy as hnp
+
+        d = get_dictionary("compass_gait29", 4)
+        states = hnp.arrays(
+            float, st.tuples(st.integers(1, 8), st.just(4)),
+            elements=st.floats(-1e3, 1e3, allow_nan=False),
+        )
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(states)
+        def check(X):
+            assert np.array_equal(d.eval(X), term_oracle(d, X))
+
+        check()
+
+
 class TestManifoldDefect:
     def test_zero_on_lifted_points(self):
         d = get_dictionary("pendulum12", 2)

@@ -6,6 +6,7 @@ from koopbilevel import (
     ConfigError,
     LowerLevelError,
     LowerLevelProblem,
+    ObservableDictionary,
     build_qp,
     choose_linearization_point,
     get_dictionary,
@@ -156,6 +157,27 @@ class TestSolveLower:
         soft = solve_lower(make_problem(pendulum_model, "soft", x0, xT, 6.5, 40, w=0.4))
         assert np.linalg.norm(soft.z_traj[0][:2] - x0) <= 1e-9
         assert np.linalg.norm(soft.z_traj[-1][:2] - xT) <= 1e-9
+
+    def test_one_dictionary_evaluation_per_solve(self, pendulum_model,
+                                                  monkeypatch):
+        # the boundaries are lifted once; the trajectory's defects are left
+        # to their first read, which the upper search never makes
+        calls = []
+        original = ObservableDictionary.eval
+
+        def counting(self, x):
+            calls.append(np.shape(x))
+            return original(self, x)
+
+        monkeypatch.setattr(ObservableDictionary, "eval", counting)
+        sol = solve_lower(
+            make_problem(pendulum_model, "b0", [0.7, 0], [0.7, 0], 6.5, 40)
+        )
+        assert np.isfinite(sol.c)
+        assert calls == [(2, 2)]
+        sol.manifold_defects
+        sol.manifold_defects
+        assert calls == [(2, 2), (41, 2)]
 
     def test_manifold_defect_series(self, pendulum_model):
         sol = solve_lower(
