@@ -143,9 +143,9 @@ class TranscribedNlp:
         eps = fd_step
         J = np.zeros((self.n_con, self.n_var))
 
-        rows = np.arange(N * n_x).reshape(N, n_x)
-        for k in range(N):
-            J[rows[k][:, None], (k + 1) * n_x + np.arange(n_x)] = np.eye(n_x)
+        rows = np.arange(N * n_x)
+        J[rows, rows + n_x] = 1.0
+        rows = rows.reshape(N, n_x)
 
         # d defect_k / d x_k, batched over k, one state dimension at a time
         for d in range(n_x):
@@ -155,8 +155,7 @@ class TranscribedNlp:
             Xm[:, d] -= eps
             dS = (rk4_step(self.system, Xp, U, h)
                   - rk4_step(self.system, Xm, U, h)) / (2.0 * eps)
-            for k in range(N):
-                J[rows[k], k * n_x + d] = -dS[k]
+            J[rows, (np.arange(N) * n_x + d)[:, None]] = -dS
 
         for d in range(n_u):
             Up = U.copy()
@@ -165,9 +164,7 @@ class TranscribedNlp:
             Um[:, d] -= eps
             dS = (rk4_step(self.system, X[:N], Up, h)
                   - rk4_step(self.system, X[:N], Um, h)) / (2.0 * eps)
-            col = self.n_states + np.arange(N) * n_u + d
-            for k in range(N):
-                J[rows[k], col[k]] = -dS[k]
+            J[rows, (self.n_states + np.arange(N) * n_u + d)[:, None]] = -dS
 
         epsT = eps * max(1.0, abs(T))
         dS = (rk4_step(self.system, X[:N], U, (T + epsT) / N)

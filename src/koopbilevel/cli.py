@@ -8,6 +8,11 @@ Subcommands:
 * ``reproduce`` - run a pinned benchmark bundle and evaluate its gates.
 * ``audit``     - recompute every reported number from persisted artifacts.
 
+Each config is parsed once, by :func:`koopbilevel.config.validate_config`,
+into the :class:`~koopbilevel.config.RunConfig` that ``identify``, ``solve``,
+``sweep`` and ``reproduce`` read; it is the only source of run settings, so a
+bad config exits with code 2 before ``identify`` runs.
+
 Exit codes: 0 success/pass, 1 gate failure, 2 config error, 3 numerical
 failure.
 """
@@ -26,7 +31,6 @@ from .baseline_nlp import solve_nlp, transcribe
 from .errors import ConfigError, KoopbilevelError, NonConvergenceError
 from .gedmd import identify, load_model, save_model
 from .lifting import lift, manifold_defect
-from .lower_level import BoundaryVariant
 from .upper_level import make_periodic_amplitude_anchor, solve_reduced, sweep_period
 
 __all__ = [
@@ -51,23 +55,16 @@ def _model_path(out_dir):
     return os.path.join(out_dir, "model.json")
 
 
-def cmd_identify(cfg, out_dir, seed_override=None):
+def cmd_identify(run, out_dir):
     """Identify the generator model and persist it with its residual report."""
-    cfg = cfgmod.validate_config(cfg)
-    if seed_override is not None:
-        cfg = json.loads(json.dumps(cfg))
-        cfg["identification"]["seed"] = int(seed_override)
     _ensure_dir(out_dir)
-    system = cfgmod.build_system(cfg)
-    dictionary = cfgmod.build_dictionary(cfg, system)
-    ident = cfg["identification"]
     model = identify(
-        system,
-        dictionary,
-        n_s=int(ident["n_s"]),
-        seed=int(ident["seed"]),
-        svd_tol=float(ident.get("svd_tol", 1e-10)),
-        box=cfgmod.identification_box(cfg, system),
+        run.system,
+        run.dictionary,
+        n_s=run.n_s,
+        seed=run.seed,
+        svd_tol=run.svd_tol,
+        box=run.box,
     )
     path = _model_path(out_dir)
     save_model(model, path)
@@ -84,58 +81,36 @@ def cmd_identify(cfg, out_dir, seed_override=None):
     return model
 
 
-def _ensure_model(cfg, out_dir):
+def _ensure_model(run, out_dir):
     path = _model_path(out_dir)
     if os.path.exists(path):
         return load_model(path)
-    return cmd_identify(cfg, out_dir)
+    return cmd_identify(run, out_dir)
 
 
-def _select_variants(cfg, variant=None, w=None):
-    if variant is None:
-        return cfgmod.build_variants(cfg)
-    if variant == "soft":
-        if w is None:
-            chosen = [v for v in cfgmod.build_variants(cfg) if v.kind == "soft"]
-            if not chosen:
-                raise ConfigError("no soft variants in config; pass --w")
-            return chosen
-        return [BoundaryVariant(kind="soft", w=float(w))]
-    return [BoundaryVariant(kind=variant)]
-
-
-def _solve_with_baseline(model, system, variant, mbc, upper_cfg, nlp_cfg, N):
+def _solve_with_baseline(model, run, variant, mbc):
     """Bilevel solve plus the baseline NLP warm-started from it; a baseline
     that does not converge is reported through its last iterate."""
-    bilevel = solve_reduced(model, variant, mbc, upper_cfg, N)
-    nlp = transcribe(system, mbc, N)
+    bilevel = solve_reduced(model, variant, mbc, run.upper, run.N)
+    nlp = transcribe(run.system, mbc, run.N)
     try:
-        baseline = solve_nlp(nlp, bilevel, config=nlp_cfg)
+        baseline = solve_nlp(nlp, bilevel, config=run.nlp)
     except NonConvergenceError as exc:
         baseline = exc.best
     return bilevel, baseline
 
 
-def cmd_solve(cfg, out_dir, variant=None, w=None):
-    """Bilevel solve and warm-started baseline for each requested variant."""
-    cfg = cfgmod.validate_config(cfg)
+def cmd_solve(run, out_dir):
+    """Bilevel solve and warm-started baseline for each configured variant."""
     _ensure_dir(out_dir)
-    system = cfgmod.build_system(cfg)
-    model = _ensure_model(cfg, out_dir)
-    mbc = cfgmod.build_mbc(cfg, system)
-    upper_cfg = cfgmod.build_upper_config(cfg)
-    nlp_cfg = cfgmod.build_nlp_config(cfg)
-    N = int(cfg["N"])
-    pcc_points = int(cfg.get("pcc_points", 101))
+    model = _ensure_model(run, out_dir)
 
     entries = []
     solutions = {}
     per_variant_time = {}
-    for var in _select_variants(cfg, variant, w):
+    for var in run.variants:
         t0 = time.perf_counter()
-        bilevel, baseline = _solve_with_baseline(
-            model, system, var, mbc, upper_cfg, nlp_cfg, N
-        )
+        bilevel, baseline = _solve_with_baseline(model, run, var, run.mbc)
         per_variant_time[var.label] = time.perf_counter() - t0
 
         label = var.label
@@ -178,13 +153,13 @@ def cmd_solve(cfg, out_dir, variant=None, w=None):
                 },
             },
         )
-        entries.append(artifacts.comparison_entry(bilevel, baseline, pcc_points))
+        entries.append(artifacts.comparison_entry(bilevel, baseline, run.pcc_points))
         solutions[label] = {"bilevel": bilevel, "baseline": baseline}
 
     report = {
         "entries": entries,
         "provenance": {
-            "config_hash": cfgmod.config_hash(cfg),
+            "config_hash": cfgmod.config_hash(run.raw),
             "model_hash": artifacts.sha256_file(_model_path(out_dir)),
         },
     }
@@ -203,46 +178,30 @@ def _write_sweep_csv(path, rows, columns):
             ) + "\n")
 
 
-def cmd_sweep(cfg, out_dir, axis="T"):
+def cmd_sweep(run, out_dir, axis="T"):
     """Grid evaluation: period sweep of the lower level, or amplitude sweep
     of full bilevel-vs-baseline comparisons."""
-    cfg = cfgmod.validate_config(cfg)
+    if axis not in ("T", "amplitude"):
+        raise ConfigError(f"unknown sweep axis '{axis}'; expected T or amplitude")
+    if axis == "amplitude" and not run.amplitudes_deg:
+        raise ConfigError("amplitude sweep needs sweep.amplitudes_deg")
     _ensure_dir(out_dir)
-    system = cfgmod.build_system(cfg)
-    model = _ensure_model(cfg, out_dir)
-    N = int(cfg["N"])
-    sweep_cfg = cfg.get("sweep", {})
-    variants = cfgmod.build_variants(cfg)
+    model = _ensure_model(run, out_dir)
 
     if axis == "T":
-        mbc = cfgmod.build_mbc(cfg, system)
-        lo = float(sweep_cfg.get("T_min", cfg["upper"]["T_min"]))
-        hi = float(sweep_cfg.get("T_max", cfg["upper"]["T_max"]))
-        pts = int(sweep_cfg.get("points", 101))
-        grid = np.linspace(lo, hi, pts)
-        rows = sweep_period(model, variants[0], mbc, grid, N)
+        rows = sweep_period(model, run.variants[0], run.mbc, run.period_grid, run.N)
         _write_sweep_csv(os.path.join(out_dir, "sweep_T.csv"), rows, _SWEEP_COLUMNS)
         return rows
 
-    if axis != "amplitude":
-        raise ConfigError(f"unknown sweep axis '{axis}'; expected T or amplitude")
-    amps = sweep_cfg.get("amplitudes_deg")
-    if not amps:
-        raise ConfigError("amplitude sweep needs sweep.amplitudes_deg")
-    upper_cfg = cfgmod.build_upper_config(cfg)
-    nlp_cfg = cfgmod.build_nlp_config(cfg)
-    pcc_points = int(cfg.get("pcc_points", 101))
     rows = []
-    for a_deg in amps:
+    for a_deg in run.amplitudes_deg:
         mbc = make_periodic_amplitude_anchor(np.deg2rad(a_deg))
-        for var in variants:
-            bilevel, baseline = _solve_with_baseline(
-                model, system, var, mbc, upper_cfg, nlp_cfg, N
-            )
-            entry = artifacts.comparison_entry(bilevel, baseline, pcc_points)
+        for var in run.variants:
+            bilevel, baseline = _solve_with_baseline(model, run, var, mbc)
+            entry = artifacts.comparison_entry(bilevel, baseline, run.pcc_points)
             rows.append(
                 {
-                    "amplitude_deg": float(a_deg),
+                    "amplitude_deg": a_deg,
                     "variant_w": var.w,
                     "T_star": entry["T_star"],
                     "T_star_baseline": entry["T_star_baseline"],
@@ -276,25 +235,22 @@ def load_bundle(name):
 def cmd_reproduce(bundle_name, out_dir, seed=None):
     """Run a bundle end to end and evaluate its tolerance gates."""
     bundle = load_bundle(bundle_name)
-    cfg = cfgmod.validate_config(bundle["config"])
-    if seed is not None:
-        cfg = json.loads(json.dumps(cfg))
-        cfg["identification"]["seed"] = int(seed)
+    run = cfgmod.validate_config(bundle["config"], seed=seed)
     _ensure_dir(out_dir)
 
     timings = {}
     t0 = time.perf_counter()
-    cmd_identify(cfg, out_dir)
+    cmd_identify(run, out_dir)
     timings["identify"] = time.perf_counter() - t0
 
     sweep_rows = None
-    if "sweep" in cfg:
+    if "sweep" in run.raw:
         t0 = time.perf_counter()
-        sweep_rows = cmd_sweep(cfg, out_dir, axis="T")
+        sweep_rows = cmd_sweep(run, out_dir, axis="T")
         timings["sweep"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    report, solutions, per_variant = cmd_solve(cfg, out_dir)
+    report, solutions, per_variant = cmd_solve(run, out_dir)
     timings["solve"] = time.perf_counter() - t0
     timings["per_variant"] = per_variant
 
@@ -302,9 +258,8 @@ def cmd_reproduce(bundle_name, out_dir, seed=None):
         "sweep_rows": sweep_rows,
         "entries": report["entries"],
         "solutions": solutions,
-        "system": cfgmod.build_system(cfg),
+        "system": run.system,
         "timings": timings,
-        "config": cfg,
     }
     results, passed = gatesmod.evaluate_gates(bundle["gates"], ctx)
     artifacts.write_json(
@@ -389,13 +344,10 @@ def _build_parser():
     p = sub.add_parser("identify", help="fit and persist a generator model")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("solve", help="bilevel solve + warm-started baseline")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--variant", choices=["b0", "bT", "soft"], default=None)
-    p.add_argument("--w", type=float, default=None)
 
     p = sub.add_parser("sweep", help="period or amplitude sweep")
     p.add_argument("--config", required=True)
@@ -416,16 +368,13 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "identify":
-            cfg = cfgmod.load_config(args.config)
-            cmd_identify(cfg, args.out, seed_override=args.seed)
+            cmd_identify(cfgmod.load_config(args.config), args.out)
             return 0
         if args.command == "solve":
-            cfg = cfgmod.load_config(args.config)
-            cmd_solve(cfg, args.out, variant=args.variant, w=args.w)
+            cmd_solve(cfgmod.load_config(args.config), args.out)
             return 0
         if args.command == "sweep":
-            cfg = cfgmod.load_config(args.config)
-            cmd_sweep(cfg, args.out, axis=args.axis)
+            cmd_sweep(cfgmod.load_config(args.config), args.out, axis=args.axis)
             return 0
         if args.command == "reproduce":
             results, passed = cmd_reproduce(args.bundle, args.out, seed=args.seed)

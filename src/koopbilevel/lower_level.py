@@ -147,8 +147,6 @@ class QpBuild:
     beq: np.ndarray
     Ad: np.ndarray
     Bd: np.ndarray
-    S: np.ndarray
-    AdN: np.ndarray
     z0_fixed: Optional[np.ndarray]
     n_z: int
     n_u: int
@@ -215,7 +213,7 @@ def build_qp(problem):
         z0_fixed = None
 
     return QpBuild(
-        H=H, g=g, Aeq=Aeq, beq=beq, Ad=zoh.Ad, Bd=zoh.Bd, S=S, AdN=AdN,
+        H=H, g=g, Aeq=Aeq, beq=beq, Ad=zoh.Ad, Bd=zoh.Bd,
         z0_fixed=z0_fixed, n_z=n_z, n_u=n_u, N=N,
     )
 

@@ -187,9 +187,6 @@ def apply_reset(extras, x, guard_tol=1e-8):
 # Conventional damped harmonic oscillator; unit natural frequency puts the
 # energy-optimal periods at integer multiples of 2*pi.
 _A_OSCILLATOR = np.array([[0.0, 1.0], [-1.0, -0.2]])
-# Literal matrix from the benchmark figure caption (a saddle; kept as a named
-# preset so the discrepancy stays testable).
-_A_OSCILLATOR_CAPTION = np.array([[1.0, 0.0], [-1.0, -0.2]])
 _B_OSCILLATOR = np.array([[0.0], [1.0]])
 
 
@@ -218,10 +215,8 @@ def make_linear_system(A, B, name="linear", state_box=None):
     )
 
 
-def make_oscillator(caption_matrix=False):
-    A = _A_OSCILLATOR_CAPTION if caption_matrix else _A_OSCILLATOR
-    name = "oscillator_caption" if caption_matrix else "oscillator"
-    return make_linear_system(A, _B_OSCILLATOR, name=name)
+def make_oscillator():
+    return make_linear_system(_A_OSCILLATOR, _B_OSCILLATOR, name="oscillator")
 
 
 def make_pendulum(damping=0.1):
@@ -385,8 +380,7 @@ def step_length(system, x):
 
 
 SYSTEM_PRESETS = {
-    "oscillator": lambda **kw: make_oscillator(caption_matrix=False, **kw),
-    "oscillator_caption": lambda **kw: make_oscillator(caption_matrix=True, **kw),
+    "oscillator": make_oscillator,
     "pendulum": make_pendulum,
     "compass_gait": make_compass_gait,
 }

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from koopbilevel import ConfigError, cli
+from koopbilevel import ConfigError, cli, config
 from koopbilevel.config import validate_config
 
 
@@ -76,12 +76,46 @@ def test_config_rejects_bad_solver_settings(block, key, value):
         validate_config(_fig1_config_with(block, key, value))
 
 
-def test_solve_exits_2_on_a_bad_setting(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(_fig1_config_with("upper", "simplex_xatol", "abc")))
+# (path in the error, block, key, value, subcommand): each exits 2 before
+# identify runs
+BAD_SETTINGS = [
+    ("upper", "upper", "simplex_xatol", "abc", ["solve"]),
+    ("variants[0]", None, "variants", [{"kind": "soft", "w": 1.5}], ["solve"]),
+    ("variants[0]", None, "variants", [{"kind": "b0", "w": 0.3}], ["solve"]),
+    ("mbc", None, "mbc", {"type": "walker_gait", "v_avg": 0.05, "rate_bound": 0.15},
+     ["solve"]),
+    ("identification.box", "identification", "box", [[-1.0, 1.0]] * 3, ["solve"]),
+    ("sweep.T_min", "sweep", "T_min", "abc", ["sweep", "--axis", "T"]),
+    ("sweep.amplitudes_deg", "sweep", "amplitudes_deg", "x",
+     ["sweep", "--axis", "amplitude"]),
+]
+
+
+@pytest.mark.parametrize(
+    "path,block,key,value,command", BAD_SETTINGS,
+    ids=["upper.simplex_xatol", "soft_w", "hard_w", "walker_mbc_on_oscillator",
+         "identification.box", "sweep.T_min", "sweep.amplitudes_deg"],
+)
+def test_solve_exits_2_on_a_bad_setting(tmp_path, capsys, path, block, key, value,
+                                        command):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(_fig1_config_with(block, key, value)))
     out = str(tmp_path / "out")
-    assert cli.main(["solve", "--config", str(path), "--out", out]) == 2
+    assert cli.main(command + ["--config", str(cfg_path), "--out", out]) == 2
     assert not os.path.exists(os.path.join(out, "model.json"))
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ")
+    assert "Traceback" not in err
+
+
+def test_reproduce_builds_the_system_once(tmp_path, monkeypatch):
+    calls = []
+    get_system = config.get_system
+    monkeypatch.setattr(
+        config, "get_system", lambda *a, **kw: calls.append(a) or get_system(*a, **kw)
+    )
+    assert cli.main(["reproduce", "--bundle", "fig1", "--out", str(tmp_path)]) == 0
+    assert calls == [("oscillator",)]
 
 
 def test_walker_config_needs_rate_bound(tmp_path):
