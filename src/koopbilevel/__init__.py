@@ -78,10 +78,8 @@ from .upper_level import (
     UpperConfig,
     make_periodic_amplitude_anchor,
     make_walker_gait,
-    solve_general,
     solve_reduced,
     sweep_period,
-    upper_objective,
 )
 from .baseline_nlp import (
     NlpConfig,

@@ -15,6 +15,7 @@ from .errors import ConfigError
 from .numerics import mean_pearson, resample_common_grid
 
 __all__ = [
+    "canonical_json",
     "write_json",
     "read_json",
     "sha256_file",
@@ -28,10 +29,14 @@ def _fmt(x):
     return repr(float(x))
 
 
+def canonical_json(obj):
+    """Deterministic serialization: sorted keys, exact float round trip."""
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
 def write_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(canonical_json(obj))
 
 
 def read_json(path):

@@ -11,7 +11,9 @@ Subcommands:
 Each config is parsed once, by :func:`koopbilevel.config.validate_config`,
 into the :class:`~koopbilevel.config.RunConfig` that ``identify``, ``solve``,
 ``sweep`` and ``reproduce`` read; it is the only source of run settings, so a
-bad config exits with code 2 before ``identify`` runs.
+bad config exits with code 2 before ``identify`` runs. ``solve``, ``sweep``
+and ``reproduce`` each identify their model from that config; a
+``model.json`` already in ``--out`` is overwritten, never reused.
 
 Exit codes: 0 success/pass, 1 gate failure, 2 config error, 3 numerical
 failure.
@@ -81,13 +83,6 @@ def cmd_identify(run, out_dir):
     return model
 
 
-def _ensure_model(run, out_dir):
-    path = _model_path(out_dir)
-    if os.path.exists(path):
-        return load_model(path)
-    return cmd_identify(run, out_dir)
-
-
 def _solve_with_baseline(model, run, variant, mbc):
     """Bilevel solve plus the baseline NLP warm-started from it; a baseline
     that does not converge is reported through its last iterate."""
@@ -100,10 +95,10 @@ def _solve_with_baseline(model, run, variant, mbc):
     return bilevel, baseline
 
 
-def cmd_solve(run, out_dir):
-    """Bilevel solve and warm-started baseline for each configured variant."""
+def cmd_solve(run, out_dir, model):
+    """Bilevel solve and warm-started baseline for each configured variant,
+    on the model that ``cmd_identify`` wrote to ``out_dir``."""
     _ensure_dir(out_dir)
-    model = _ensure_model(run, out_dir)
 
     entries = []
     solutions = {}
@@ -178,15 +173,18 @@ def _write_sweep_csv(path, rows, columns):
             ) + "\n")
 
 
-def cmd_sweep(run, out_dir, axis="T"):
-    """Grid evaluation: period sweep of the lower level, or amplitude sweep
-    of full bilevel-vs-baseline comparisons."""
+def _check_sweep_axis(run, axis):
     if axis not in ("T", "amplitude"):
         raise ConfigError(f"unknown sweep axis '{axis}'; expected T or amplitude")
     if axis == "amplitude" and not run.amplitudes_deg:
         raise ConfigError("amplitude sweep needs sweep.amplitudes_deg")
+
+
+def cmd_sweep(run, out_dir, model, axis="T"):
+    """Grid evaluation: period sweep of the lower level, or amplitude sweep
+    of full bilevel-vs-baseline comparisons."""
+    _check_sweep_axis(run, axis)
     _ensure_dir(out_dir)
-    model = _ensure_model(run, out_dir)
 
     if axis == "T":
         rows = sweep_period(model, run.variants[0], run.mbc, run.period_grid, run.N)
@@ -240,17 +238,17 @@ def cmd_reproduce(bundle_name, out_dir, seed=None):
 
     timings = {}
     t0 = time.perf_counter()
-    cmd_identify(run, out_dir)
+    model = cmd_identify(run, out_dir)
     timings["identify"] = time.perf_counter() - t0
 
     sweep_rows = None
     if "sweep" in run.raw:
         t0 = time.perf_counter()
-        sweep_rows = cmd_sweep(run, out_dir, axis="T")
+        sweep_rows = cmd_sweep(run, out_dir, model, axis="T")
         timings["sweep"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    report, solutions, per_variant = cmd_solve(run, out_dir)
+    report, solutions, per_variant = cmd_solve(run, out_dir, model)
     timings["solve"] = time.perf_counter() - t0
     timings["per_variant"] = per_variant
 
@@ -371,10 +369,13 @@ def main(argv=None):
             cmd_identify(cfgmod.load_config(args.config), args.out)
             return 0
         if args.command == "solve":
-            cmd_solve(cfgmod.load_config(args.config), args.out)
+            run = cfgmod.load_config(args.config)
+            cmd_solve(run, args.out, cmd_identify(run, args.out))
             return 0
         if args.command == "sweep":
-            cmd_sweep(cfgmod.load_config(args.config), args.out, axis=args.axis)
+            run = cfgmod.load_config(args.config)
+            _check_sweep_axis(run, args.axis)  # before identify writes model.json
+            cmd_sweep(run, args.out, cmd_identify(run, args.out), axis=args.axis)
             return 0
         if args.command == "reproduce":
             results, passed = cmd_reproduce(args.bundle, args.out, seed=args.seed)

@@ -17,6 +17,7 @@ import json
 
 import numpy as np
 
+from .artifacts import canonical_json
 from .baseline_nlp import NlpConfig
 from .errors import ConfigError
 from .lifting import ObservableDictionary, get_dictionary
@@ -33,7 +34,6 @@ __all__ = [
     "RunConfig",
     "load_config",
     "validate_config",
-    "canonical_json",
     "config_hash",
 ]
 
@@ -122,6 +122,8 @@ def _parse_system(sys_cfg):
     _require(isinstance(sys_cfg["name"], str), "system.name", "expected a string")
     params = sys_cfg.get("params", {})
     _require(isinstance(params, dict), "system.params", "expected an object")
+    for key, val in params.items():
+        _check_number(val, f"system.params.{key}")
     with _at("system"):
         return get_system(sys_cfg["name"], **params)
 
@@ -159,18 +161,22 @@ def _parse_mbc(mbc, system):
         _check_keys(mbc, "mbc", ("type", "amplitude_deg"))
         _check_number(mbc["amplitude_deg"], "mbc.amplitude_deg")
         with _at("mbc"):
-            return make_periodic_amplitude_anchor(np.deg2rad(mbc["amplitude_deg"]))
-    if mbc["type"] == "walker_gait":
+            built = make_periodic_amplitude_anchor(np.deg2rad(mbc["amplitude_deg"]))
+    elif mbc["type"] == "walker_gait":
         # rate_bound spans the finite box the upper-level search needs
         _check_keys(mbc, "mbc", ("type", "v_avg", "rate_bound"))
         _check_number(mbc["v_avg"], "mbc.v_avg", lo=0.0)
-        _check_number(mbc["rate_bound"], "mbc.rate_bound", lo=0.0)
+        _check_number(mbc["rate_bound"], "mbc.rate_bound")
         with _at("mbc"):
-            return make_walker_gait(system, mbc["v_avg"], rate_bound=mbc["rate_bound"])
-    raise ConfigError(
-        f"mbc.type: unknown type '{mbc['type']}'; "
-        "expected periodic_amplitude_anchor or walker_gait"
-    )
+            built = make_walker_gait(system, mbc["v_avg"], rate_bound=mbc["rate_bound"])
+    else:
+        raise ConfigError(
+            f"mbc.type: unknown type '{mbc['type']}'; "
+            "expected periodic_amplitude_anchor or walker_gait"
+        )
+    _require(built.n_x == system.n_x, "mbc",
+             f"'{built.name}' has n_x={built.n_x}, system n_x={system.n_x}")
+    return built
 
 
 def _parse_variants(variants):
@@ -230,8 +236,12 @@ def validate_config(cfg, seed=None):
         _check_number(cfg["pcc_points"], "pcc_points", lo=2, integer=True)
 
     system = _parse_system(cfg["system"])
+    mbc = _parse_mbc(cfg["mbc"], system)
     upper = _build_section(UpperConfig, cfg["upper"], "upper")
     period_grid, amplitudes_deg = _parse_sweep(cfg.get("sweep", {}), upper)
+    # the amplitude sweep builds one amplitude anchor per entry
+    _require(not amplitudes_deg or cfg["mbc"]["type"] == "periodic_amplitude_anchor",
+             "sweep.amplitudes_deg", "needs a periodic_amplitude_anchor mbc")
     return RunConfig(
         raw=cfg,
         system=system,
@@ -240,7 +250,7 @@ def validate_config(cfg, seed=None):
         seed=int(ident["seed"]),
         svd_tol=float(ident.get("svd_tol", 1e-10)),
         box=_parse_box(ident, system),
-        mbc=_parse_mbc(cfg["mbc"], system),
+        mbc=mbc,
         variants=_parse_variants(cfg["variants"]),
         N=int(cfg["N"]),
         upper=upper,
@@ -261,11 +271,6 @@ def load_config(path):
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return validate_config(cfg)
-
-
-def canonical_json(obj):
-    """Deterministic serialization: sorted keys, exact float round trip."""
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
 def config_hash(cfg):

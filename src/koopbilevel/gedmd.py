@@ -20,6 +20,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import ConfigError, DataError
 from .lifting import ObservableDictionary
 from .numerics import pinv_svd
@@ -281,9 +282,7 @@ def model_from_config(cfg):
 
 
 def save_model(model, path):
-    with open(path, "w") as fh:
-        json.dump(model_to_config(model), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, model_to_config(model))
 
 
 def load_model(path):

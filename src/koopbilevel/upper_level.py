@@ -1,24 +1,19 @@
-"""Upper level: search over boundary states and period time.
+"""Upper level: a global search over the boundary-constraint manifold.
 
 The upper problem minimizes the original running cost, evaluated by solving
 the convex lower level, over (x0, xT, T) subject to the mixed boundary
-constraints b(x0, xT, T) = 0. Two strategies are provided:
-
-* ``solve_reduced`` - when the constraint set admits an explicit
-  parametrization p -> (x0, xT, T) of its solution manifold, a global search
-  over the low-dimensional box of p: DIRECT (Jones, Perttunen & Stuckman,
-  *Lipschitzian optimization without the Lipschitz constant*, 1993, in the
-  locally biased form of Gablonsky & Kelley, 2001), whose best point is
-  polished by bounded L-BFGS-B. The landscape over T has several local
-  minima, one basin per added period, so a local method alone is not enough.
-* ``solve_general`` - one SLSQP solve (sequential quadratic programming,
-  Nocedal & Wright, *Numerical Optimization*, ch. 18, in Kraft's form) over
-  the raw (x0, xT, T) variables with b = 0 as equality constraints, for
-  constraints without a usable reduction.
+constraints b(x0, xT, T) = 0. Each constraint preset parametrizes the
+solution set of b = 0 explicitly, p -> (x0, xT, T) with the period T as p's
+first entry, so the upper level is a search over a low-dimensional box of p.
+``solve_reduced`` runs DIRECT (Jones, Perttunen & Stuckman, *Lipschitzian
+optimization without the Lipschitz constant*, 1993, in the locally biased
+form of Gablonsky & Kelley, 2001) over that box and polishes its best point
+with bounded L-BFGS-B. The landscape over T has several local minima, one
+basin per added period, so a local method alone is not enough.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,7 +23,6 @@ from .errors import (
     ConfigError,
     KoopbilevelError,
     LowerLevelError,
-    NonConvergenceError,
     NoSolutionError,
 )
 from .lifting import unlift
@@ -39,9 +33,7 @@ __all__ = [
     "MixedBoundaryConstraint",
     "UpperConfig",
     "BilevelSolution",
-    "upper_objective",
     "solve_reduced",
-    "solve_general",
     "sweep_period",
     "make_periodic_amplitude_anchor",
     "make_walker_gait",
@@ -58,28 +50,28 @@ class MixedBoundaryConstraint:
     n_x: int
     name: str = "custom"
     reduction: Optional[Callable] = None
-    p_dim: int = 0
-    # box of p searched by solve_reduced (rows of (lo, hi)); keeps surrogate
-    # queries inside the region the model was identified on. Required when
-    # p_dim > 1, a 1-D reduction searches [T_min, T_max] without it.
-    p_bounds: Optional[np.ndarray] = None
+    # (lo, hi) rows of p after the period, whose row is UpperConfig's bracket;
+    # they keep surrogate queries inside the region the model was identified on
+    p_bounds: tuple = ()
+
+    @property
+    def p_dim(self):
+        return 1 + len(self.p_bounds)
 
 
 _DIRECT_MAXFUN = 200  # evaluation budget of the DIRECT stage of solve_reduced
 _POLISH_FTOL = 1e-15  # L-BFGS-B tolerances of the polish stage
 _POLISH_GTOL = 1e-10
-_TOL_CONSTRAINT = 1e-6  # largest ||b|| that solve_general accepts
 
 
 @dataclass(frozen=True)
 class UpperConfig:
     """The period bracket [T_min, T_max] of the upper level.
 
-    Both solvers keep T inside it. Everything else is a module constant:
-    ``solve_reduced`` gives DIRECT ``_DIRECT_MAXFUN`` (200) evaluations and
-    polishes with L-BFGS-B at ``ftol`` ``_POLISH_FTOL`` (1e-15) and ``gtol``
-    ``_POLISH_GTOL`` (1e-10); ``solve_general`` accepts ||b|| up to
-    ``_TOL_CONSTRAINT`` (1e-6).
+    ``solve_reduced`` keeps T inside it. Everything else is a module
+    constant: DIRECT gets ``_DIRECT_MAXFUN`` (200) evaluations and the
+    L-BFGS-B polish runs at ``ftol`` ``_POLISH_FTOL`` (1e-15) and ``gtol``
+    ``_POLISH_GTOL`` (1e-10).
     """
 
     T_min: float
@@ -111,32 +103,29 @@ class BilevelSolution:
     lower: object
     N: int
     wall_time: float = 0.0
-    feasibility_history: tuple = field(default=())
 
 
-def _lower_eval(model, variant, x0, xT, T, N):
-    """One inner evaluation; failures surface as +inf with a diagnostic."""
+def _lower_eval(model, variant, mbc, p, N):
+    """Upper cost at p: reduce p to (x0, xT, T) and solve the lower level.
+
+    Returns (cost, lower solution, None), or (+inf, None, message) when the
+    reduction or the lower solve fails.
+    """
     try:
-        problem = LowerLevelProblem(
+        x0, xT, T = mbc.reduction(p)
+        sol = solve_lower(LowerLevelProblem(
             model=model, variant=variant, x0=x0, xT=xT, T=T, N=N
-        )
-        sol = solve_lower(problem)
-        return sol.c, sol, None
+        ))
     except KoopbilevelError as exc:
         return np.inf, None, str(exc)
+    return sol.c, sol, None
 
 
-def upper_objective(model, variant, x0, xT, T, N):
-    """Original cost of the lower-level optimum; +inf if the solve fails."""
-    cost, _, _ = _lower_eval(model, variant, x0, xT, T, N)
-    return cost
-
-
-def _build_solution(model, variant, mbc, x0, xT, T, N, eval_count, records,
-                    wall_time, feas_history=()):
-    cost, lower, err = _lower_eval(model, variant, x0, xT, T, N)
+def _build_solution(model, variant, mbc, p, N, eval_count, records, wall_time):
+    cost, lower, err = _lower_eval(model, variant, mbc, p, N)
     if lower is None:
         raise NoSolutionError(f"final lower-level solve failed: {err}")
+    x0, xT, T = mbc.reduction(p)
     dictionary = model.dictionary
     b = np.atleast_1d(np.asarray(mbc.eval(x0, xT, T), dtype=float))
     return BilevelSolution(
@@ -155,31 +144,14 @@ def _build_solution(model, variant, mbc, x0, xT, T, N, eval_count, records,
         lower=lower,
         N=N,
         wall_time=wall_time,
-        feasibility_history=tuple(feas_history),
     )
-
-
-def _search_box(mbc, config):
-    """Box of p searched by ``solve_reduced``, rows of (lo, hi)."""
-    if mbc.p_bounds is None:
-        if mbc.p_dim != 1:
-            raise ConfigError(
-                f"constraint '{mbc.name}' has a {mbc.p_dim}-D reduction "
-                "but no p_bounds to search"
-            )
-        return np.array([[config.T_min, config.T_max]])
-    box = np.array(mbc.p_bounds, dtype=float)
-    box[0] = np.clip(box[0], config.T_min, config.T_max)
-    if not np.all(box[:, 0] < box[:, 1]):
-        raise ConfigError(f"empty search box for '{mbc.name}': {box.tolist()}")
-    return box
 
 
 def solve_reduced(model, variant, mbc, config, N):
     """DIRECT over the box of p, then an L-BFGS-B polish of its best point.
 
-    The box is ``mbc.p_bounds`` with the period row clipped to
-    [T_min, T_max]. The polish uses SciPy's finite-difference gradient inside
+    The box is [T_min, T_max] for the period followed by the rows of
+    ``mbc.p_bounds``. The polish uses SciPy's finite-difference gradient inside
     the box; DIRECT's point is kept unless the polish improves on it. A point
     either stage has already evaluated is not solved again. Each stage leaves
     one record: point, cost, objective calls (repeats included) and how many
@@ -188,16 +160,9 @@ def solve_reduced(model, variant, mbc, config, N):
     """
     if mbc.reduction is None:
         raise ConfigError(f"constraint '{mbc.name}' provides no reduction")
-    box = _search_box(mbc, config)
+    box = np.array([(config.T_min, config.T_max), *mbc.p_bounds], dtype=float)
     t_start = time.perf_counter()
     memo = {}  # p.tobytes() -> cost, shared by both stages
-
-    def cost_at(p):
-        try:
-            x0, xT, T = mbc.reduction(p)
-        except KoopbilevelError:
-            return np.inf
-        return upper_objective(model, variant, x0, xT, T, N)
 
     def run_stage(stage, search):
         costs = []
@@ -205,7 +170,7 @@ def solve_reduced(model, variant, mbc, config, N):
         def objective(p):
             key = np.asarray(p, dtype=float).tobytes()
             if key not in memo:
-                memo[key] = cost_at(p)
+                memo[key] = _lower_eval(model, variant, mbc, p, N)[0]
             costs.append(memo[key])
             return costs[-1]
 
@@ -241,66 +206,10 @@ def solve_reduced(model, variant, mbc, config, N):
         if p[i] == box[i, j]
     ]
     best = polish if polish["c_star"] < coarse["c_star"] else coarse
-    x0, xT, T = mbc.reduction(np.asarray(best["p_star"]))
     return _build_solution(
-        model, variant, mbc, x0, xT, T, N, coarse["nfev"] + polish["nfev"],
-        [coarse, polish], time.perf_counter() - t_start,
-    )
-
-
-def solve_general(model, variant, mbc, config, N, v0):
-    """One SLSQP solve over raw v = (x0, xT, T).
-
-    The objective is the upper cost, differentiated by SLSQP's finite
-    differences; b(x0, xT, T) = 0 is one block of equality constraints and
-    [T_min, T_max] a box on T. The feasibility history holds ||b|| after each
-    major iteration. Fails with the last iterate attached unless SLSQP
-    reports success at a finite cost with ||b|| <= ``_TOL_CONSTRAINT``
-    (1e-6).
-    """
-    t_start = time.perf_counter()
-    n_x = mbc.n_x
-    v0 = np.asarray(v0, dtype=float)
-    if v0.shape != (2 * n_x + 1,):
-        raise ConfigError(
-            f"initial guess must have dim {2 * n_x + 1}, got {v0.shape}"
-        )
-    eval_count = [0]
-    feas_history = []
-
-    def split(v):
-        return v[:n_x], v[n_x : 2 * n_x], float(v[2 * n_x])
-
-    def constraint(v):
-        return np.atleast_1d(np.asarray(mbc.eval(*split(v)), dtype=float))
-
-    def objective(v):
-        eval_count[0] += 1
-        return upper_objective(model, variant, *split(v), N)
-
-    res = minimize(
-        objective,
-        v0,
-        method="SLSQP",
-        bounds=[(None, None)] * (2 * n_x) + [(config.T_min, config.T_max)],
-        constraints={"type": "eq", "fun": constraint},
-        callback=lambda v: feas_history.append(
-            float(np.linalg.norm(constraint(v)))
-        ),
-        options={"maxiter": 100, "ftol": 1e-14},
-    )
-    v = res.x
-    feas = float(np.linalg.norm(constraint(v)))
-    if not (res.success and feas <= _TOL_CONSTRAINT and np.isfinite(res.fun)):
-        raise NonConvergenceError(
-            f"SLSQP upper solve failed: {res.message}; ||b||={feas:.3e} "
-            f"(tol {_TOL_CONSTRAINT:g}), cost {res.fun:.3e}",
-            best=v,
-            history=feas_history,
-        )
-    return _build_solution(
-        model, variant, mbc, *split(v), N, eval_count[0], [],
-        time.perf_counter() - t_start, feas_history,
+        model, variant, mbc, np.asarray(best["p_star"]), N,
+        coarse["nfev"] + polish["nfev"], [coarse, polish],
+        time.perf_counter() - t_start,
     )
 
 
@@ -314,12 +223,7 @@ def sweep_period(model, variant, mbc, T_grid, N):
         raise ConfigError("period sweeps need a one-dimensional reduction")
 
     def evaluate(T):
-        try:
-            x0, xT, T_red = mbc.reduction(np.asarray([T], dtype=float))
-        except KoopbilevelError:
-            return {"T": float(T), "c_star": np.nan,
-                    "kkt_residual": np.nan, "manifold_defect_max": np.nan}
-        cost, sol, _ = _lower_eval(model, variant, x0, xT, T_red, N)
+        cost, sol, _ = _lower_eval(model, variant, mbc, np.asarray([T]), N)
         if sol is None:
             return {"T": float(T), "c_star": np.nan,
                     "kkt_residual": np.nan, "manifold_defect_max": np.nan}
@@ -364,11 +268,10 @@ def make_periodic_amplitude_anchor(amplitude):
         n_x=2,
         name=f"periodic_amplitude_anchor(a={a:g})",
         reduction=reduction,
-        p_dim=1,
     )
 
 
-def make_walker_gait(system, v_avg, rate_bound=None):
+def make_walker_gait(system, v_avg, rate_bound):
     """Symmetric single-step gait at a prescribed average forward speed.
 
     Rows: x(0) - flip(jump(x(T))) = 0 (periodicity across the impact and
@@ -376,20 +279,18 @@ def make_walker_gait(system, v_avg, rate_bound=None):
     th_st(T) + th_sw(T) = 0 (anchor: symmetric touchdown configuration).
     The reduction parametrizes the manifold by p = (T, terminal leg rates):
     the touchdown angles follow from the speed constraint. ``rate_bound``
-    sets the search box ``p_bounds`` = [0.5, 6] x [-rate_bound, rate_bound]^2,
-    typically the rates the surrogate was identified on, so the search cannot
-    wander into extrapolation. ``solve_reduced`` needs that box; without
-    ``rate_bound`` the constraint serves evaluation and the baseline NLP only.
+    bounds both rates, ``p_bounds`` = [-rate_bound, rate_bound]^2: typically
+    the rates the surrogate was identified on, so the search cannot wander
+    into extrapolation.
     """
     if system.hybrid is None:
         raise ConfigError("walker gait constraint needs a hybrid system")
+    if rate_bound is None or not rate_bound > 0:
+        raise ConfigError(f"rate_bound must be > 0, got {rate_bound}")
     extras = system.hybrid
     ell = system.params["leg_length"]
     v_avg = float(v_avg)
-    p_bounds = None
-    if rate_bound is not None:
-        rb = float(rate_bound)
-        p_bounds = np.array([[0.5, 6.0], [-rb, rb], [-rb, rb]])
+    rb = float(rate_bound)
 
     def reset(xT):
         return extras.flip_map(extras.jump_map(xT))
@@ -421,6 +322,5 @@ def make_walker_gait(system, v_avg, rate_bound=None):
         n_x=4,
         name=f"walker_gait(v_avg={v_avg:g})",
         reduction=reduction,
-        p_dim=3,
-        p_bounds=p_bounds,
+        p_bounds=((-rb, rb), (-rb, rb)),
     )

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from koopbilevel import ConfigError, cli, config
+from koopbilevel import ConfigError, artifacts, cli, config
 from koopbilevel.config import validate_config
 
 
@@ -60,8 +60,8 @@ BAD_SOLVER_SETTINGS = [
 ]
 
 
-def _fig1_config_with(block, key, value):
-    cfg = copy.deepcopy(cli.load_bundle("fig1")["config"])
+def _bundle_config_with(bundle, block, key, value):
+    cfg = copy.deepcopy(cli.load_bundle(bundle)["config"])
     (cfg.setdefault(block, {}) if block else cfg)[key] = value
     return cfg
 
@@ -73,33 +73,43 @@ def _fig1_config_with(block, key, value):
 def test_config_rejects_bad_solver_settings(block, key, value):
     validate_config(cli.load_bundle("fig1")["config"])
     with pytest.raises(ConfigError):
-        validate_config(_fig1_config_with(block, key, value))
+        validate_config(_bundle_config_with("fig1", block, key, value))
 
 
-# (path in the error, block, key, value, subcommand): each exits 2 before
-# identify runs
+# (path in the error, bundle, block, key, value, subcommand): each exits 2
+# before identify runs
 BAD_SETTINGS = [
-    ("upper", "upper", "simplex_xatol", "abc", ["solve"]),
-    ("variants[0]", None, "variants", [{"kind": "soft", "w": 1.5}], ["solve"]),
-    ("variants[0]", None, "variants", [{"kind": "b0", "w": 0.3}], ["solve"]),
-    ("mbc", None, "mbc", {"type": "walker_gait", "v_avg": 0.05, "rate_bound": 0.15},
+    ("upper", "fig1", "upper", "simplex_xatol", "abc", ["solve"]),
+    ("variants[0]", "fig1", None, "variants", [{"kind": "soft", "w": 1.5}], ["solve"]),
+    ("variants[0]", "fig1", None, "variants", [{"kind": "b0", "w": 0.3}], ["solve"]),
+    ("mbc", "fig1", None, "mbc",
+     {"type": "walker_gait", "v_avg": 0.05, "rate_bound": 0.15}, ["solve"]),
+    ("identification.box", "fig1", "identification", "box", [[-1.0, 1.0]] * 3,
      ["solve"]),
-    ("identification.box", "identification", "box", [[-1.0, 1.0]] * 3, ["solve"]),
-    ("sweep.T_min", "sweep", "T_min", "abc", ["sweep", "--axis", "T"]),
-    ("sweep.amplitudes_deg", "sweep", "amplitudes_deg", "x",
+    ("sweep.T_min", "fig1", "sweep", "T_min", "abc", ["sweep", "--axis", "T"]),
+    ("sweep.amplitudes_deg", "fig1", "sweep", "amplitudes_deg", "x",
      ["sweep", "--axis", "amplitude"]),
+    ("mbc", "walker", None, "mbc",
+     {"type": "periodic_amplitude_anchor", "amplitude_deg": 10.0}, ["solve"]),
+    ("sweep.amplitudes_deg", "walker", "sweep", "amplitudes_deg", [10.0],
+     ["sweep", "--axis", "amplitude"]),
+    ("mbc", "walker", "mbc", "rate_bound", 0, ["solve"]),
+    ("system.params.damping", "pendulum", "system", "params", {"damping": "abc"},
+     ["solve"]),
 ]
 
 
 @pytest.mark.parametrize(
-    "path,block,key,value,command", BAD_SETTINGS,
+    "path,bundle,block,key,value,command", BAD_SETTINGS,
     ids=["upper.simplex_xatol", "soft_w", "hard_w", "walker_mbc_on_oscillator",
-         "identification.box", "sweep.T_min", "sweep.amplitudes_deg"],
+         "identification.box", "sweep.T_min", "sweep.amplitudes_deg",
+         "amplitude_mbc_on_walker", "amplitude_sweep_on_walker",
+         "walker_rate_bound_0", "system.params.damping"],
 )
-def test_solve_exits_2_on_a_bad_setting(tmp_path, capsys, path, block, key, value,
-                                        command):
+def test_solve_exits_2_on_a_bad_setting(tmp_path, capsys, path, bundle, block, key,
+                                        value, command):
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps(_fig1_config_with(block, key, value)))
+    cfg_path.write_text(json.dumps(_bundle_config_with(bundle, block, key, value)))
     out = str(tmp_path / "out")
     assert cli.main(command + ["--config", str(cfg_path), "--out", out]) == 2
     assert not os.path.exists(os.path.join(out, "model.json"))
@@ -116,6 +126,26 @@ def test_reproduce_builds_the_system_once(tmp_path, monkeypatch):
     )
     assert cli.main(["reproduce", "--bundle", "fig1", "--out", str(tmp_path)]) == 0
     assert calls == [("oscillator",)]
+
+
+def test_solve_identifies_from_its_own_config(tmp_path):
+    # a model.json left in --out by a run of another config is replaced
+    out = str(tmp_path / "out")
+    for seed, n_s in ((20240, 2000), (7, 300)):
+        cfg = _bundle_config_with("fig1", "identification", "seed", seed)
+        cfg["identification"]["n_s"] = n_s
+        path = tmp_path / f"seed{seed}.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["solve", "--config", str(path), "--out", out]) == 0
+
+    model_path = os.path.join(out, "model.json")
+    model = json.loads(_read_bytes(model_path))
+    assert (model["seed"], model["n_s"]) == (7, 300)
+    report = json.loads(_read_bytes(os.path.join(out, "report.json")))
+    assert report["provenance"] == {
+        "config_hash": config.config_hash(cfg),
+        "model_hash": artifacts.sha256_file(model_path),
+    }
 
 
 def test_walker_config_needs_rate_bound(tmp_path):

@@ -4,15 +4,14 @@ import pytest
 from koopbilevel import (
     BoundaryVariant,
     ConfigError,
+    LowerLevelProblem,
     MixedBoundaryConstraint,
-    NonConvergenceError,
     UpperConfig,
     make_periodic_amplitude_anchor,
     make_walker_gait,
-    solve_general,
+    solve_lower,
     solve_reduced,
     sweep_period,
-    upper_objective,
 )
 from koopbilevel import upper_level
 from koopbilevel.errors import LowerLevelError
@@ -39,20 +38,27 @@ def osc_solution(oscillator_model, osc_config):
     )
 
 
+# p = (T,) -> both boundaries at the origin, whatever the sign of T
+AT_REST = MixedBoundaryConstraint(
+    eval=lambda x0, xT, T: np.concatenate([x0, xT]), n_g=4, n_x=2,
+    reduction=lambda p: (np.zeros(2), np.zeros(2), float(p[0])),
+)
+
+
 class TestUpperObjective:
     def test_equilibrium_costs_nothing(self, oscillator_model):
-        z = np.zeros(2)
         for kind in ("b0", "bT"):
-            c = upper_objective(oscillator_model, BoundaryVariant(kind), z, z,
-                                TWO_PI, 50)
+            c, sol, err = upper_level._lower_eval(
+                oscillator_model, BoundaryVariant(kind), AT_REST, [TWO_PI], 50)
             assert c <= 1e-18
+            assert sol.c == c and err is None
 
     def test_failure_maps_to_infinite_cost(self, oscillator_model):
-        c = upper_objective(
-            oscillator_model, BoundaryVariant("b0"), np.zeros(2), np.zeros(2),
-            -1.0, 50,
-        )
+        # the lower problem rejects T = -1; the reduction rejects nothing
+        c, sol, err = upper_level._lower_eval(
+            oscillator_model, BoundaryVariant("b0"), AT_REST, [-1.0], 50)
         assert np.isinf(c)
+        assert sol is None and "period must be positive" in err
 
 
 class TestSolveReduced:
@@ -90,27 +96,30 @@ class TestSolveReduced:
         # DIRECT's point is the seed of the polish
         mbc = make_periodic_amplitude_anchor(A_30)
         for rec in osc_solution.start_records:
-            x0, xT, T = mbc.reduction(np.asarray(rec["p_star"]))
-            assert rec["c_star"] == upper_objective(
-                oscillator_model, BoundaryVariant("b0"), x0, xT, T, 101
+            cost, _, _ = upper_level._lower_eval(
+                oscillator_model, BoundaryVariant("b0"), mbc,
+                np.asarray(rec["p_star"]), 101,
             )
+            assert rec["c_star"] == cost
 
     def test_every_evaluation_stays_in_the_period_bracket(
             self, oscillator_model, monkeypatch):
         calls = []
-        original = upper_level.upper_objective
+        original = upper_level.solve_lower
 
-        def recording(model, variant, x0, xT, T, N):
-            calls.append(T)
-            return original(model, variant, x0, xT, T, N)
+        def recording(problem):
+            calls.append(problem.T)
+            return original(problem)
 
-        monkeypatch.setattr(upper_level, "upper_objective", recording)
+        monkeypatch.setattr(upper_level, "solve_lower", recording)
         mbc = make_periodic_amplitude_anchor(A_30)
         cfg = UpperConfig(T_min=TWO_PI, T_max=TWO_PI + 0.1)
         sol = solve_reduced(oscillator_model, BoundaryVariant("b0"), mbc, cfg, 101)
         assert calls
         assert all(cfg.T_min <= T <= cfg.T_max for T in calls)
-        assert len(set(calls)) == len(calls) <= sol.eval_count
+        # one solve per distinct point, plus the re-solve of the best one
+        assert len(set(calls)) == len(calls) - 1 <= sol.eval_count
+        assert calls[-1] == sol.T
         assert sum(r["n_inf"] for r in sol.start_records) == 0
 
     def test_repeated_points_are_solved_once(self, oscillator_model,
@@ -146,11 +155,11 @@ class TestSolveReduced:
 
     def test_cost_reproducible_from_lower_level(self, osc_solution,
                                                 oscillator_model):
-        c = upper_objective(
-            oscillator_model, BoundaryVariant("b0"), osc_solution.x0,
-            osc_solution.xT, osc_solution.T, 101,
-        )
-        assert abs(c - osc_solution.cost) <= 1e-10
+        lower = solve_lower(LowerLevelProblem(
+            model=oscillator_model, variant=BoundaryVariant("b0"),
+            x0=osc_solution.x0, xT=osc_solution.xT, T=osc_solution.T, N=101,
+        ))
+        assert abs(lower.c - osc_solution.cost) <= 1e-10
 
     def test_single_start_at_optimum_stays_put(self, oscillator_model):
         mbc = make_periodic_amplitude_anchor(A_30)
@@ -175,12 +184,30 @@ class TestSolveReduced:
                           osc_config, 20)
 
     @pytest.mark.parametrize("rate_bound", [None, 0.0])
-    def test_search_box_must_be_finite_and_nonempty(
-            self, oscillator_model, osc_config, walker, rate_bound):
-        mbc = make_walker_gait(walker, 0.05, rate_bound=rate_bound)
+    def test_search_box_must_be_finite_and_nonempty(self, walker, rate_bound):
+        # the rate rows of the box come from rate_bound, which has no default
         with pytest.raises(ConfigError):
-            solve_reduced(oscillator_model, BoundaryVariant("b0"), mbc,
-                          osc_config, 20)
+            make_walker_gait(walker, 0.05, rate_bound=rate_bound)
+
+    def test_walker_box_is_the_bracket_then_the_rate_rows(
+            self, oscillator_model, walker, monkeypatch):
+        boxes = []
+
+        class Searched(Exception):
+            pass
+
+        def stop(f, bounds, **kwargs):
+            boxes.append(np.column_stack([bounds.lb, bounds.ub]))
+            raise Searched
+
+        monkeypatch.setattr(upper_level, "direct", stop)
+        cfg = UpperConfig(T_min=1.7, T_max=2.9)
+        mbc = make_walker_gait(walker, 0.05, rate_bound=0.15)
+        with pytest.raises(Searched):
+            solve_reduced(oscillator_model, BoundaryVariant("b0"), mbc, cfg, 20)
+        assert mbc.p_dim == 3
+        np.testing.assert_array_equal(
+            boxes[0], [[1.7, 2.9], [-0.15, 0.15], [-0.15, 0.15]])
 
 
 class TestSweep:
@@ -203,7 +230,6 @@ class TestSweep:
 
         mbc = MixedBoundaryConstraint(
             eval=base.eval, n_g=4, n_x=2, reduction=guarded_reduction,
-            p_dim=1,
         )
         rows = sweep_period(
             oscillator_model, BoundaryVariant("b0"), mbc, [6.0, 11.0], 60
@@ -212,52 +238,15 @@ class TestSweep:
         assert np.isnan(rows[1]["c_star"])
 
     def test_needs_one_dimensional_reduction(self, oscillator_model, walker):
-        mbc = make_walker_gait(walker, 0.05)
+        mbc = make_walker_gait(walker, 0.05, rate_bound=0.15)
         with pytest.raises(ConfigError):
             sweep_period(oscillator_model, BoundaryVariant("b0"), mbc,
                          [2.0], 20)
 
 
-class TestSolveGeneral:
-    def test_matches_reduced_on_oscillator(self, oscillator_model, osc_solution):
-        mbc = make_periodic_amplitude_anchor(A_30)
-        cfg = UpperConfig(T_min=0.7 * TWO_PI, T_max=5.0 * TWO_PI)
-        v0 = np.array([A_30 + 0.2, -0.1, A_30 - 0.15, 0.1, 6.6])
-        sol = solve_general(
-            oscillator_model, BoundaryVariant("b0"), mbc, cfg, 101, v0
-        )
-        assert sol.constraint_violation <= 1e-6
-        assert abs(sol.T - osc_solution.T) <= 1e-3
-        assert sol.cost == pytest.approx(osc_solution.cost, rel=1e-2)
-
-    def test_feasibility_history_min_never_increases(self, oscillator_model):
-        mbc = make_periodic_amplitude_anchor(A_30)
-        cfg = UpperConfig(T_min=0.7 * TWO_PI, T_max=5.0 * TWO_PI)
-        v0 = np.array([A_30, 0.0, A_30, 0.0, 6.4])
-        sol = solve_general(
-            oscillator_model, BoundaryVariant("b0"), mbc, cfg, 60, v0
-        )
-        hist = np.array(sol.feasibility_history)
-        running = np.minimum.accumulate(hist)
-        assert np.all(np.diff(running) <= 0.0 + 1e-18)
-
-    def test_infeasible_constraints_fail_loudly(self, oscillator_model):
-        mbc = MixedBoundaryConstraint(
-            eval=lambda x0, xT, T: np.array([x0[0] - 1.0, x0[0] - 2.0]),
-            n_g=2, n_x=2,
-        )
-        cfg = UpperConfig(T_min=5.0, T_max=8.0)
-        with pytest.raises(NonConvergenceError) as err:
-            solve_general(
-                oscillator_model, BoundaryVariant("b0"), mbc, cfg, 30,
-                np.array([0.0, 0.0, 0.0, 0.0, 6.0]),
-            )
-        assert err.value.best is not None
-
-
 class TestWalkerConstraint:
     def test_reduction_parametrizes_constraint_manifold(self, walker):
-        mbc = make_walker_gait(walker, 0.05)
+        mbc = make_walker_gait(walker, 0.05, rate_bound=0.15)
         rng = np.random.default_rng(17)
         for _ in range(25):
             p = np.array([
@@ -269,11 +258,10 @@ class TestWalkerConstraint:
             assert np.linalg.norm(mbc.eval(x0, xT, T)) <= 1e-10
 
     def test_infeasible_step_geometry_rejected(self, walker):
-        mbc = make_walker_gait(walker, 0.9)  # needs sin(alpha) > 1 at T ~ 3
+        mbc = make_walker_gait(walker, 0.9, rate_bound=0.15)  # needs sin(alpha) > 1 at T ~ 3
         with pytest.raises(LowerLevelError):
             mbc.reduction(np.array([3.0, -0.1, -0.1]))
 
     def test_trust_region_bounds_expose_limits(self, walker):
         mbc = make_walker_gait(walker, 0.05, rate_bound=0.15)
-        assert mbc.p_bounds is not None
-        assert np.all(mbc.p_bounds[1:, 0] == -0.15)
+        assert mbc.p_bounds == ((-0.15, 0.15), (-0.15, 0.15))
