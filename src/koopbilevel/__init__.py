@@ -82,7 +82,6 @@ from .upper_level import (
     sweep_period,
 )
 from .baseline_nlp import (
-    NlpConfig,
     NlpSolution,
     TranscribedNlp,
     evaluate_solution,

@@ -25,6 +25,11 @@ __all__ = [
 ]
 
 
+# points of the normalized-time grid that PCC compares trajectories on; one
+# constant, so the report and audit compute on the same grid
+_PCC_POINTS = 101
+
+
 def _fmt(x):
     return repr(float(x))
 
@@ -93,23 +98,22 @@ def read_trajectory_csv(path):
     return times, states, inputs
 
 
-def trajectory_pcc(times_a, values_a, times_b, values_b, n_points=101):
+def trajectory_pcc(times_a, values_a, times_b, values_b):
     """Mean Pearson correlation of two signals on a shared normalized grid."""
     ga, gb = resample_common_grid(
-        (times_a, values_a), (times_b, values_b), n=n_points
+        (times_a, values_a), (times_b, values_b), n=_PCC_POINTS
     )
     return mean_pearson(ga, gb)
 
 
-def comparison_entry(bilevel, baseline, n_points=101):
+def comparison_entry(bilevel, baseline):
     """Per-variant comparison block between a bilevel and a baseline solution."""
     pcc_state = trajectory_pcc(
-        bilevel.times, bilevel.states, baseline.times, baseline.states, n_points
+        bilevel.times, bilevel.states, baseline.times, baseline.states
     )
     # inputs are knot-valued; compare them on the knot grid
     pcc_input = trajectory_pcc(
-        bilevel.times[:-1], bilevel.inputs, baseline.times[:-1],
-        baseline.inputs, n_points,
+        bilevel.times[:-1], bilevel.inputs, baseline.times[:-1], baseline.inputs
     )
     return {
         "variant": bilevel.variant.label,

@@ -29,7 +29,6 @@ from .systems import rk4_step
 
 __all__ = [
     "TranscribedNlp",
-    "NlpConfig",
     "NlpSolution",
     "transcribe",
     "solve_nlp",
@@ -37,20 +36,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NlpConfig:
-    """Budget and tolerances of the SQP solve.
-
-    The solve may take ``maxiter`` major iterations. ``tol_feas`` bounds both
-    the largest constraint residual and the largest KKT stationarity residual
-    of a converged solution. ``fd_step`` is the central-difference step of the
-    constraint Jacobian. The period box is fixed at ``(0.2 T0, 5 T0)`` around
-    the warm start's T0.
-    """
-
-    maxiter: int = 6000
-    tol_feas: float = 1e-6
-    fd_step: float = 1e-6
+# SLSQP's major-iteration budget: no bundle run comes near it (walker stops
+# after 48, pendulum after 23-38, fig1 after 2)
+_MAXITER = 6000
+# bound on the largest constraint residual and on the KKT stationarity
+# residual of a converged solution
+_TOL_FEAS = 1e-6
+# central-difference step of the constraint Jacobian
+_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -128,19 +121,17 @@ class TranscribedNlp:
 
     def mbc_residual(self, v):
         X, _, T = self.unpack(v)
-        return np.atleast_1d(
-            np.asarray(self.mbc.eval(X[0], X[self.N], T), dtype=float)
-        )
+        return self.mbc.residual(X[0], X[self.N], T)
 
     def constraints(self, v):
         return np.concatenate([self.defects(v), self.mbc_residual(v)])
 
-    def constraint_jacobian(self, v, fd_step=NlpConfig.fd_step):
+    def constraint_jacobian(self, v):
         """Central-difference Jacobian using the per-interval structure."""
         X, U, T = self.unpack(v)
         N, n_x, n_u = self.N, self.n_x, self.n_u
         h = T / N
-        eps = fd_step
+        eps = _FD_STEP
         J = np.zeros((self.n_con, self.n_var))
 
         rows = np.arange(N * n_x)
@@ -172,11 +163,7 @@ class TranscribedNlp:
         J[: self.n_defects, -1] = -dS.ravel()
 
         # boundary rows depend on x_0, x_N, T only
-        def mbc_of(x0, xN, TT):
-            return np.atleast_1d(
-                np.asarray(self.mbc.eval(x0, xN, TT), dtype=float)
-            )
-
+        mbc_of = self.mbc.residual
         x0, xN = X[0], X[N]
         base = self.n_defects
         for d in range(n_x):
@@ -198,29 +185,15 @@ def transcribe(system, mbc, N):
 
 
 def _warm_start_vector(nlp, warm_start):
-    if hasattr(warm_start, "states") and hasattr(warm_start, "inputs"):
-        X = np.asarray(warm_start.states, dtype=float)
-        U = np.asarray(warm_start.inputs, dtype=float)
-        T = float(warm_start.T)
-    elif isinstance(warm_start, tuple) and len(warm_start) == 3:
-        X, U, T = warm_start
-        X = np.asarray(X, dtype=float)
-        U = np.asarray(U, dtype=float)
-        T = float(T)
-    else:
-        v = np.asarray(warm_start, dtype=float)
-        if v.shape != (nlp.n_var,):
-            raise BuildError(
-                f"warm start vector has dim {v.shape}, expected ({nlp.n_var},)"
-            )
-        return v.copy()
+    if hasattr(warm_start, "states"):
+        warm_start = (warm_start.states, warm_start.inputs, warm_start.T)
+    X, U, T = warm_start
+    X = np.asarray(X, dtype=float)
     if X.shape != (nlp.N + 1, nlp.n_x):
         raise BuildError(
             f"warm-start states have shape {X.shape}, expected "
             f"({nlp.N + 1}, {nlp.n_x}); use matching N"
         )
-    if U.ndim == 1:
-        U = U[:, None]
     return nlp.pack(X, U, T)
 
 
@@ -244,16 +217,17 @@ def _solution_from_vector(nlp, v, kkt, converged, outer, inner, history):
     )
 
 
-def solve_nlp(nlp, warm_start, config=None):
+def solve_nlp(nlp, warm_start):
     """SQP solve of the transcribed problem, one SLSQP run.
 
-    ``warm_start`` may be a bilevel solution (states/inputs/T attributes), an
-    explicit (X, U, T) triple, or a raw decision vector. The solution is
-    converged when SLSQP reports success and, at the returned point, both the
-    largest constraint residual and the KKT stationarity residual are at most
-    ``tol_feas``. Otherwise a :class:`NonConvergenceError` carries the last
-    iterate (with ``converged=False``) and the history, one
-    ``{iteration, feas, cost}`` entry per major iteration.
+    ``warm_start`` is a bilevel solution (states/inputs/T attributes) or an
+    explicit (X, U, T) triple. SLSQP gets ``_MAXITER`` major iterations. The
+    solution is converged when SLSQP reports success and, at the returned
+    point, both the largest constraint residual and the KKT stationarity
+    residual are at most ``_TOL_FEAS``. Otherwise a
+    :class:`NonConvergenceError` carries the last iterate (with
+    ``converged=False``) and the history, one ``{iteration, feas, cost}``
+    entry per major iteration.
 
     The period is kept in the box ``(0.2 T0, 5 T0)`` around the warm start's
     T0. The stationarity test leaves out that box, which is a safeguard
@@ -261,7 +235,6 @@ def solve_nlp(nlp, warm_start, config=None):
     reported converged. ``outer_iterations`` counts major iterations,
     ``inner_iterations`` objective evaluations.
     """
-    cfg = config or NlpConfig()
     v = _warm_start_vector(nlp, warm_start)
     T0 = float(v[-1])
     bounds = [(None, None)] * (nlp.n_var - 1) + [(0.2 * T0, 5.0 * T0)]
@@ -279,27 +252,27 @@ def solve_nlp(nlp, warm_start, config=None):
         method="SLSQP",
         bounds=bounds,
         constraints={"type": "eq", "fun": nlp.constraints,
-                     "jac": lambda x: nlp.constraint_jacobian(x, cfg.fd_step)},
+                     "jac": nlp.constraint_jacobian},
         callback=record,
         # SLSQP stops once the change in f (or the step) and the summed
-        # constraint violation are below ftol, so ftol sits far below tol_feas
-        options={"maxiter": cfg.maxiter, "ftol": 1e-14},
+        # constraint violation are below ftol, so ftol sits far below _TOL_FEAS
+        options={"maxiter": _MAXITER, "ftol": 1e-14},
     )
     v = res.x
     feas = float(np.max(np.abs(nlp.constraints(v))))
     # stationarity: largest entry of grad f + J^T lam, lam the least-squares
     # multipliers at the returned point
-    J = nlp.constraint_jacobian(v, cfg.fd_step)
+    J = nlp.constraint_jacobian(v)
     g = nlp.objective_grad(v)
     lam, *_ = np.linalg.lstsq(J.T, -g, rcond=None)
     kkt = float(np.max(np.abs(g + J.T @ lam)))
-    converged = bool(res.success) and max(feas, kkt) <= cfg.tol_feas
+    converged = bool(res.success) and max(feas, kkt) <= _TOL_FEAS
     sol = _solution_from_vector(nlp, v, kkt, converged, int(res.nit),
                                 int(res.nfev), history)
     if not converged:
         raise NonConvergenceError(
             f"baseline NLP not converged: {res.message}; max residual "
-            f"{feas:.3e}, KKT stationarity {kkt:.3e} (tol {cfg.tol_feas:g})",
+            f"{feas:.3e}, KKT stationarity {kkt:.3e} (tol {_TOL_FEAS:g})",
             best=sol,
             history=history,
         )

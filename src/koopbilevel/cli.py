@@ -60,14 +60,8 @@ def _model_path(out_dir):
 def cmd_identify(run, out_dir):
     """Identify the generator model and persist it with its residual report."""
     _ensure_dir(out_dir)
-    model = identify(
-        run.system,
-        run.dictionary,
-        n_s=run.n_s,
-        seed=run.seed,
-        svd_tol=run.svd_tol,
-        box=run.box,
-    )
+    model = identify(run.system, run.dictionary, n_s=run.n_s, seed=run.seed,
+                     box=run.box)
     path = _model_path(out_dir)
     save_model(model, path)
     artifacts.write_json(
@@ -89,7 +83,7 @@ def _solve_with_baseline(model, run, variant, mbc):
     bilevel = solve_reduced(model, variant, mbc, run.upper, run.N)
     nlp = transcribe(run.system, mbc, run.N)
     try:
-        baseline = solve_nlp(nlp, bilevel, config=run.nlp)
+        baseline = solve_nlp(nlp, bilevel)
     except NonConvergenceError as exc:
         baseline = exc.best
     return bilevel, baseline
@@ -148,7 +142,7 @@ def cmd_solve(run, out_dir, model):
                 },
             },
         )
-        entries.append(artifacts.comparison_entry(bilevel, baseline, run.pcc_points))
+        entries.append(artifacts.comparison_entry(bilevel, baseline))
         solutions[label] = {"bilevel": bilevel, "baseline": baseline}
 
     report = {
@@ -178,6 +172,11 @@ def _check_sweep_axis(run, axis):
         raise ConfigError(f"unknown sweep axis '{axis}'; expected T or amplitude")
     if axis == "amplitude" and not run.amplitudes_deg:
         raise ConfigError("amplitude sweep needs sweep.amplitudes_deg")
+    if axis == "T" and run.mbc.p_dim != 1:
+        raise ConfigError(
+            f"mbc: a period sweep needs a one-dimensional reduction; "
+            f"'{run.mbc.name}' has p_dim={run.mbc.p_dim}"
+        )
 
 
 def cmd_sweep(run, out_dir, model, axis="T"):
@@ -196,7 +195,7 @@ def cmd_sweep(run, out_dir, model, axis="T"):
         mbc = make_periodic_amplitude_anchor(np.deg2rad(a_deg))
         for var in run.variants:
             bilevel, baseline = _solve_with_baseline(model, run, var, mbc)
-            entry = artifacts.comparison_entry(bilevel, baseline, run.pcc_points)
+            entry = artifacts.comparison_entry(bilevel, baseline)
             rows.append(
                 {
                     "amplitude_deg": a_deg,

@@ -3,11 +3,33 @@
 Configs are plain JSON. :func:`validate_config` (and :func:`load_config`)
 parse one into a frozen :class:`RunConfig` holding every object a run uses:
 system, dictionary, identification settings, boundary constraint, variants
-and solver settings. That object is the only source of run settings; the CLI
-adds no defaults of its own. Parsing is strict: unknown keys are rejected,
-and every error, a constructor's included, is a :class:`ConfigError` carrying
-the dotted path of the offending entry, so a bad config fails before any
-compute starts.
+and the upper-level period bracket. That object is the only source of run
+settings; the CLI adds no defaults of its own. Parsing is strict: unknown
+keys are rejected, and every error, a constructor's included, is a
+:class:`ConfigError` carrying the dotted path of the offending entry, so a
+bad config fails before any compute starts.
+
+The keys a config may set (``?`` marks an optional one):
+
+* ``system``: ``name`` (a preset of :func:`~koopbilevel.systems.get_system`),
+  ``params?`` (numeric keyword arguments of the preset)
+* ``dictionary``: the name of a preset of
+  :func:`~koopbilevel.lifting.get_dictionary`
+* ``identification``: ``n_s``, ``seed``, ``box?`` (one ``[lower, upper]``
+  row per state; defaults to the system's state box)
+* ``mbc``: ``{"type": "periodic_amplitude_anchor", "amplitude_deg"}`` or
+  ``{"type": "walker_gait", "v_avg", "rate_bound"}``
+* ``N``: the number of knot intervals
+* ``variants``: a non-empty list of ``{"kind", "w?"}``
+* ``upper``: ``T_min``, ``T_max``
+* ``sweep?``: ``T_min?``, ``T_max?`` (default to ``upper``'s), ``points?``
+  (default 101), ``amplitudes_deg?``
+
+Solver budgets and tolerances that no run varies are constants of the module
+that uses them: the SLSQP budget of :mod:`~koopbilevel.baseline_nlp`, the
+SVD cutoff of :mod:`~koopbilevel.gedmd`, the PCC grid of
+:mod:`~koopbilevel.artifacts` and the DIRECT budget of
+:mod:`~koopbilevel.upper_level`.
 """
 
 import contextlib
@@ -18,7 +40,6 @@ import json
 import numpy as np
 
 from .artifacts import canonical_json
-from .baseline_nlp import NlpConfig
 from .errors import ConfigError
 from .lifting import ObservableDictionary, get_dictionary
 from .lower_level import BoundaryVariant
@@ -53,16 +74,13 @@ class RunConfig:
     dictionary: ObservableDictionary
     n_s: int
     seed: int
-    svd_tol: float
     box: np.ndarray
     mbc: MixedBoundaryConstraint
     variants: tuple
     N: int
     upper: UpperConfig
-    nlp: NlpConfig
     period_grid: np.ndarray
     amplitudes_deg: tuple
-    pcc_points: int
 
 
 def _require(cond, path, msg):
@@ -98,23 +116,12 @@ def _check_number(val, path, lo=None, integer=False):
         _require(val >= lo, path, f"must be >= {lo}, got {val}")
 
 
-def _build_section(cls, block, path):
-    """Build the config dataclass ``cls`` from the JSON object ``block``.
-
-    The fields of ``cls`` are the allowed keys, those without a default the
-    required ones; each value must be a number, an integer for ``int`` fields.
-    """
-    fields = dataclasses.fields(cls)
-    _check_keys(
-        block, path,
-        [f.name for f in fields if f.default is dataclasses.MISSING],
-        [f.name for f in fields if f.default is not dataclasses.MISSING],
-    )
-    for f in fields:
-        if f.name in block:
-            _check_number(block[f.name], f"{path}.{f.name}", integer=f.type is int)
-    with _at(path):
-        return cls(**{f.name: f.type(block[f.name]) for f in fields if f.name in block})
+def _parse_upper(upper):
+    _check_keys(upper, "upper", ("T_min", "T_max"))
+    for key in ("T_min", "T_max"):
+        _check_number(upper[key], f"upper.{key}")
+    with _at("upper"):
+        return UpperConfig(T_min=float(upper["T_min"]), T_max=float(upper["T_max"]))
 
 
 def _parse_system(sys_cfg):
@@ -128,18 +135,10 @@ def _parse_system(sys_cfg):
         return get_system(sys_cfg["name"], **params)
 
 
-def _parse_dictionary(dict_cfg, system):
-    _require(isinstance(dict_cfg, (str, dict)), "dictionary",
-             "expected a preset name or a term-descriptor object")
-    if isinstance(dict_cfg, str):
-        with _at("dictionary"):
-            return get_dictionary(dict_cfg, system.n_x)
-    _check_keys(dict_cfg, "dictionary", ("n_x", "terms"), ("name",))
+def _parse_dictionary(name, system):
+    _require(isinstance(name, str), "dictionary", "expected a preset name")
     with _at("dictionary"):
-        dictionary = ObservableDictionary.from_config(dict_cfg)
-    _require(dictionary.n_x == system.n_x, "dictionary.n_x",
-             f"{dictionary.n_x} does not match system n_x={system.n_x}")
-    return dictionary
+        return get_dictionary(name, system.n_x)
 
 
 def _parse_box(ident, system):
@@ -212,7 +211,7 @@ def _parse_sweep(sweep, upper):
 
 
 _TOP_KEYS_REQ = ("system", "dictionary", "identification", "mbc", "N", "variants", "upper")
-_TOP_KEYS_OPT = ("baseline", "sweep", "pcc_points")
+_TOP_KEYS_OPT = ("sweep",)
 
 
 def validate_config(cfg, seed=None):
@@ -223,21 +222,17 @@ def validate_config(cfg, seed=None):
     """
     _check_keys(cfg, "config", _TOP_KEYS_REQ, _TOP_KEYS_OPT)
     ident = cfg["identification"]
-    _check_keys(ident, "identification", ("n_s", "seed"), ("svd_tol", "box"))
+    _check_keys(ident, "identification", ("n_s", "seed"), ("box",))
     if seed is not None:
         ident = {**ident, "seed": seed}
         cfg = {**cfg, "identification": ident}
     _check_number(ident["n_s"], "identification.n_s", lo=1, integer=True)
     _check_number(ident["seed"], "identification.seed", lo=0, integer=True)
-    if "svd_tol" in ident:
-        _check_number(ident["svd_tol"], "identification.svd_tol", lo=0.0)
     _check_number(cfg["N"], "N", lo=2, integer=True)
-    if "pcc_points" in cfg:
-        _check_number(cfg["pcc_points"], "pcc_points", lo=2, integer=True)
 
     system = _parse_system(cfg["system"])
     mbc = _parse_mbc(cfg["mbc"], system)
-    upper = _build_section(UpperConfig, cfg["upper"], "upper")
+    upper = _parse_upper(cfg["upper"])
     period_grid, amplitudes_deg = _parse_sweep(cfg.get("sweep", {}), upper)
     # the amplitude sweep builds one amplitude anchor per entry
     _require(not amplitudes_deg or cfg["mbc"]["type"] == "periodic_amplitude_anchor",
@@ -248,16 +243,13 @@ def validate_config(cfg, seed=None):
         dictionary=_parse_dictionary(cfg["dictionary"], system),
         n_s=int(ident["n_s"]),
         seed=int(ident["seed"]),
-        svd_tol=float(ident.get("svd_tol", 1e-10)),
         box=_parse_box(ident, system),
         mbc=mbc,
         variants=_parse_variants(cfg["variants"]),
         N=int(cfg["N"]),
         upper=upper,
-        nlp=_build_section(NlpConfig, cfg.get("baseline", {}), "baseline"),
         period_grid=period_grid,
         amplitudes_deg=amplitudes_deg,
-        pcc_points=int(cfg.get("pcc_points", 101)),
     )
 
 

@@ -104,21 +104,15 @@ def pinv_svd(M, rel_tol=1e-12):
     return (Vt.T * inv_s) @ U.T, rank
 
 
-def default_kkt_regularization(H):
-    """Tikhonov term 1e-9 * trace(H)/dim; keeps PSD-singular Hessians factorable."""
-    n = H.shape[0]
-    if n == 0:
-        return 0.0
-    return 1e-9 * float(np.trace(H)) / n
-
-
-def solve_kkt(H, g, Aeq=None, beq=None, reg=None):
+def solve_kkt(H, g, Aeq, beq):
     """Solve ``min 1/2 v'Hv + g'v  s.t.  Aeq v = beq`` by direct factorization.
 
     The saddle system ``[[H + reg*I, Aeq'], [Aeq, 0]]`` is factorized with
-    pivoted LU. Stationarity and feasibility residuals are recomputed from the
-    returned primal/dual pair and must fall below ``1e-9 * scale``; otherwise
-    the system is reported as degenerate.
+    pivoted LU. The Tikhonov term ``reg = 1e-9 * trace(H)/n`` keeps
+    PSD-singular Hessians factorable; the result records it. Stationarity and
+    feasibility residuals are recomputed from the returned primal/dual pair
+    and must fall below ``1e-9 * scale``; otherwise the system is reported as
+    degenerate.
 
     Parameters
     ----------
@@ -126,12 +120,10 @@ def solve_kkt(H, g, Aeq=None, beq=None, reg=None):
         Symmetric positive semidefinite Hessian.
     g : (n,) ndarray
         Linear cost term.
-    Aeq : (m, n) ndarray, optional
-        Equality constraint matrix; omit for an unconstrained quadratic.
-    beq : (m,) ndarray, optional
+    Aeq : (m, n) ndarray
+        Equality constraint matrix; m = 0 for an unconstrained quadratic.
+    beq : (m,) ndarray
         Equality right-hand side.
-    reg : float, optional
-        Tikhonov regularization added to H. Defaults to 1e-9*trace(H)/n.
 
     Raises
     ------
@@ -146,9 +138,6 @@ def solve_kkt(H, g, Aeq=None, beq=None, reg=None):
     sym_err = float(np.max(np.abs(H - H.T))) if n else 0.0
     if sym_err > 1e-12 * max(1.0, float(np.max(np.abs(H))) if n else 1.0):
         raise NumericError(f"H is not symmetric (max asymmetry {sym_err:.3e})")
-    if Aeq is None:
-        Aeq = np.zeros((0, n))
-        beq = np.zeros(0)
     Aeq = np.asarray(Aeq, dtype=float)
     beq = np.asarray(beq, dtype=float)
     m = Aeq.shape[0]
@@ -156,8 +145,7 @@ def solve_kkt(H, g, Aeq=None, beq=None, reg=None):
         raise NumericError(
             f"inconsistent constraint dimensions: Aeq {Aeq.shape}, beq {beq.shape}"
         )
-    if reg is None:
-        reg = default_kkt_regularization(H)
+    reg = 1e-9 * float(np.trace(H)) / n if n else 0.0
 
     Hr = H + reg * np.eye(n)
     kkt = np.zeros((n + m, n + m))
@@ -194,7 +182,7 @@ def solve_kkt(H, g, Aeq=None, beq=None, reg=None):
         dual=lam,
         stationarity_residual=stat_res,
         feasibility_residual=feas_res,
-        reg=float(reg),
+        reg=reg,
     )
 
 
@@ -216,21 +204,18 @@ def pearson(a, b):
     return float(np.clip(da @ db / (na * nb), -1.0, 1.0))
 
 
-def resample_common_grid(traj_a, traj_b, n=101):
+def resample_common_grid(traj_a, traj_b, n):
     """Resample two trajectories onto a shared normalized-time grid.
 
-    Each trajectory is an object with ``times`` (k+1,) and ``states``
-    (k+1, n_x) attributes (or a plain ``(times, states)`` pair). Time is
-    normalized to tau in [0, 1] so trajectories with different periods can be
-    compared; states are linearly interpolated onto ``n`` grid points.
+    Each trajectory is a ``(times, states)`` pair, times (k+1,) and states
+    (k+1, n_x) or (k+1,). Time is normalized to tau in [0, 1] so trajectories
+    with different periods can be compared; states are linearly interpolated
+    onto ``n`` grid points.
 
     Returns the pair of (n, n_x) arrays.
     """
     out = []
-    for traj in (traj_a, traj_b):
-        times, states = (
-            (traj.times, traj.states) if hasattr(traj, "times") else traj
-        )
+    for times, states in (traj_a, traj_b):
         times = np.asarray(times, dtype=float)
         states = np.asarray(states, dtype=float)
         if states.ndim == 1:

@@ -58,6 +58,10 @@ class MixedBoundaryConstraint:
     def p_dim(self):
         return 1 + len(self.p_bounds)
 
+    def residual(self, x0, xT, T):
+        """b(x0, xT, T) as a 1-D float array."""
+        return np.atleast_1d(np.asarray(self.eval(x0, xT, T), dtype=float))
+
 
 _DIRECT_MAXFUN = 200  # evaluation budget of the DIRECT stage of solve_reduced
 _POLISH_FTOL = 1e-15  # L-BFGS-B tolerances of the polish stage
@@ -127,7 +131,6 @@ def _build_solution(model, variant, mbc, p, N, eval_count, records, wall_time):
         raise NoSolutionError(f"final lower-level solve failed: {err}")
     x0, xT, T = mbc.reduction(p)
     dictionary = model.dictionary
-    b = np.atleast_1d(np.asarray(mbc.eval(x0, xT, T), dtype=float))
     return BilevelSolution(
         variant=variant,
         x0=np.asarray(x0, dtype=float),
@@ -138,7 +141,7 @@ def _build_solution(model, variant, mbc, p, N, eval_count, records, wall_time):
         inputs=lower.u_traj,
         z_traj=lower.z_traj,
         cost=cost,
-        constraint_violation=float(np.linalg.norm(b)),
+        constraint_violation=float(np.linalg.norm(mbc.residual(x0, xT, T))),
         eval_count=eval_count,
         start_records=tuple(records),
         lower=lower,

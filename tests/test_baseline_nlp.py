@@ -4,7 +4,6 @@ import pytest
 from koopbilevel import (
     BoundaryVariant,
     MixedBoundaryConstraint,
-    NlpConfig,
     NonConvergenceError,
     UpperConfig,
     evaluate_solution,
@@ -14,6 +13,7 @@ from koopbilevel import (
     solve_reduced,
     transcribe,
 )
+from koopbilevel import baseline_nlp
 from koopbilevel.lower_level import LowerLevelProblem
 from koopbilevel.systems import ControlSignal, simulate
 
@@ -111,16 +111,16 @@ class TestSolveNlp:
         g = nlp.objective_grad(v)
         lam, *_ = np.linalg.lstsq(J.T, -g, rcond=None)
         stationarity = np.max(np.abs(g + J.T @ lam))
-        assert stationarity <= NlpConfig().tol_feas
+        assert stationarity <= baseline_nlp._TOL_FEAS
         assert sol.kkt_residual == pytest.approx(stationarity, rel=1e-6,
                                                  abs=1e-12)
 
     def test_budget_cut_solve_is_never_reported_converged(
-        self, pendulum_nlp_n40, pendulum_bilevel_n40
+        self, pendulum_nlp_n40, pendulum_bilevel_n40, monkeypatch
     ):
-        cfg = NlpConfig(maxiter=3)
+        monkeypatch.setattr(baseline_nlp, "_MAXITER", 3)
         try:
-            sol = solve_nlp(pendulum_nlp_n40, pendulum_bilevel_n40, config=cfg)
+            sol = solve_nlp(pendulum_nlp_n40, pendulum_bilevel_n40)
         except NonConvergenceError as exc:
             assert exc.best is not None
             sol = exc.best
@@ -177,15 +177,16 @@ class TestSolveNlp:
         assert abs(sol.T - T0) <= 1e-9
         assert np.max(np.abs(sol.inputs - qp_sol.u_traj)) <= 1e-6
 
-    def test_infeasible_problem_raises_with_best_iterate(self, pendulum):
+    def test_infeasible_problem_raises_with_best_iterate(self, pendulum, monkeypatch):
         def b(x0, xT, T):
             return np.array([x0[0] - 0.3, x0[0] - 0.6])
 
         mbc = MixedBoundaryConstraint(eval=b, n_g=2, n_x=2)
         nlp = transcribe(pendulum, mbc, 10)
         guess = (np.zeros((11, 2)), np.zeros((10, 1)), 5.0)
+        monkeypatch.setattr(baseline_nlp, "_MAXITER", 180)
         with pytest.raises(NonConvergenceError) as err:
-            solve_nlp(nlp, guess, config=NlpConfig(maxiter=180))
+            solve_nlp(nlp, guess)
         assert err.value.best is not None
         assert err.value.best.max_mbc_violation > 1e-3
 

@@ -57,12 +57,21 @@ BAD_SOLVER_SETTINGS = [
     ("baseline", "inner_maxiter", 400),
     ("upper", "al_rho0", 10.0),
     ("upper", "simplex_maxfev", 400),
+    (None, "pcc_points", 51),
+    ("identification", "svd_tol", 1e-10),
+    (None, "dictionary", {"name": "linear_const", "n_x": 2, "terms": [
+        {"kind": "monomial", "powers": [1, 0]},
+        {"kind": "monomial", "powers": [0, 1]},
+        {"kind": "monomial", "powers": [0, 0]},
+    ]}),
 ]
 
 
 def _bundle_config_with(bundle, block, key, value):
+    """The bundle's config with ``block.key`` set; unchanged for key None."""
     cfg = copy.deepcopy(cli.load_bundle(bundle)["config"])
-    (cfg.setdefault(block, {}) if block else cfg)[key] = value
+    if key is not None:
+        (cfg.setdefault(block, {}) if block else cfg)[key] = value
     return cfg
 
 
@@ -96,6 +105,7 @@ BAD_SETTINGS = [
     ("mbc", "walker", "mbc", "rate_bound", 0, ["solve"]),
     ("system.params.damping", "pendulum", "system", "params", {"damping": "abc"},
      ["solve"]),
+    ("mbc", "walker", None, None, None, ["sweep", "--axis", "T"]),
 ]
 
 
@@ -104,7 +114,7 @@ BAD_SETTINGS = [
     ids=["upper.simplex_xatol", "soft_w", "hard_w", "walker_mbc_on_oscillator",
          "identification.box", "sweep.T_min", "sweep.amplitudes_deg",
          "amplitude_mbc_on_walker", "amplitude_sweep_on_walker",
-         "walker_rate_bound_0", "system.params.damping"],
+         "walker_rate_bound_0", "system.params.damping", "period_sweep_on_walker"],
 )
 def test_solve_exits_2_on_a_bad_setting(tmp_path, capsys, path, bundle, block, key,
                                         value, command):

@@ -163,12 +163,12 @@ class TestIdentify:
 
     def test_rank_warning_for_undersampling(self, pendulum):
         d = get_dictionary("pendulum12", 2)
-        model = identify(pendulum, d, n_s=8, seed=12)
+        model = identify(pendulum, d, n_s=8, seed=12, box=pendulum.state_box)
         assert model.rank_deficient
 
     def test_residuals_recomputable(self, pendulum):
         d = get_dictionary("pendulum12", 2)
-        model = identify(pendulum, d, n_s=500, seed=13)
+        model = identify(pendulum, d, n_s=500, seed=13, box=pendulum.state_box)
         samples = sample_states(model.box, model.n_s, model.seed)
         Psi, dPsis = assemble_data(pendulum, d, samples)
         for i, L in enumerate((model.L0,) + model.Li):
@@ -181,7 +181,7 @@ class TestIdentify:
         # lift, differentiate and decompose the samples once per channel,
         # term by term, as identification did before sharing them
         d = get_dictionary("pendulum12", 2)
-        model = identify(pendulum, d, n_s=500, seed=13)
+        model = identify(pendulum, d, n_s=500, seed=13, box=pendulum.state_box)
         X = sample_states(model.box, model.n_s, model.seed).states
         for i, L in enumerate((model.L0,) + model.Li):
             u = np.zeros(pendulum.n_u)
@@ -249,8 +249,8 @@ class TestPersistence:
 
     def test_bitwise_determinism(self, pendulum):
         d = get_dictionary("pendulum12", 2)
-        m1 = identify(pendulum, d, n_s=300, seed=99)
-        m2 = identify(pendulum, d, n_s=300, seed=99)
+        m1 = identify(pendulum, d, n_s=300, seed=99, box=pendulum.state_box)
+        m2 = identify(pendulum, d, n_s=300, seed=99, box=pendulum.state_box)
         s1 = json.dumps(model_to_config(m1), sort_keys=True)
         s2 = json.dumps(model_to_config(m2), sort_keys=True)
         assert s1 == s2
@@ -263,8 +263,10 @@ def test_constant_term_required_for_constant_input_maps():
     sys_lin = make_linear_system(
         np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[0.0], [1.0]]),
     )
-    ident = identify(sys_lin, get_dictionary("identity", 2), n_s=400, seed=16)
-    with_const = identify(sys_lin, get_dictionary("linear_const", 2), n_s=400, seed=16)
+    ident = identify(sys_lin, get_dictionary("identity", 2), n_s=400, seed=16,
+                     box=sys_lin.state_box)
+    with_const = identify(sys_lin, get_dictionary("linear_const", 2), n_s=400,
+                          seed=16, box=sys_lin.state_box)
     z_bar = with_const.dictionary.eval(np.array([0.2, 0.1]))
     B_const = linearize(with_const, z_bar).B[:2]
     assert np.max(np.abs(B_const - sys_lin.params["B"])) <= 1e-10

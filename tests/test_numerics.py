@@ -133,20 +133,16 @@ def nullspace_elimination_oracle(H, g, A, b, reg):
 class TestSolveKkt:
     def test_unconstrained_quadratic(self):
         g = np.array([1.0, -2.0, 0.5])
-        res = solve_kkt(np.eye(3), g)
+        res = solve_kkt(np.eye(3), g, np.zeros((0, 3)), np.zeros(0))
         assert np.allclose(res.primal, -g, atol=1e-9)
 
     def test_symmetric_two_variable(self):
         res = solve_kkt(
-            np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([2.0]), reg=0.0
-        )
-        assert np.allclose(res.primal, [1.0, 1.0], atol=1e-12)
-        assert abs(res.dual[0] + 1.0) <= 1e-12
-        # the default regularization perturbs the multiplier by O(1e-9)
-        res_reg = solve_kkt(
             np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([2.0])
         )
-        assert abs(res_reg.dual[0] + 1.0) <= 1e-8
+        assert np.allclose(res.primal, [1.0, 1.0], atol=1e-12)
+        # the regularization perturbs the multiplier by O(1e-9)
+        assert abs(res.dual[0] + 1.0) <= 1e-8
 
     def test_nullspace_elimination_oracle(self):
         rng = np.random.default_rng(5)
@@ -206,7 +202,8 @@ class TestSolveKkt:
 
     def test_rejects_asymmetric_hessian(self):
         with pytest.raises(NumericError):
-            solve_kkt(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+            solve_kkt(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2),
+                      np.zeros((0, 2)), np.zeros(0))
 
 
 class TestPearson:
