@@ -16,7 +16,6 @@ from .errors import (
     DataError,
     DegenerateQpError,
     DomainEvaluationError,
-    HybridEventError,
     IntegrationError,
     KoopbilevelError,
     LowerLevelError,
@@ -29,7 +28,6 @@ from .systems import (
     ControlSignal,
     HybridExtras,
     Trajectory,
-    apply_reset,
     eval_rhs,
     get_system,
     rk4_step,

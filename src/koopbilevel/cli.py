@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``identify``  - fit and persist a generator surrogate model.
-* ``solve``     - bilevel solve plus warm-started baseline, per variant.
+* ``solve``     - bilevel solve of every variant, checked by one baseline NLP.
 * ``sweep``     - period or amplitude sweeps, written as plot-ready CSV.
 * ``reproduce`` - run a pinned benchmark bundle and evaluate its gates.
 * ``audit``     - recompute every reported number from persisted artifacts.
@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 _SWEEP_COLUMNS = ("T", "c_star", "kkt_residual", "manifold_defect_max")
+_AMPLITUDE_COLUMNS = ("amplitude_deg", "variant_w", "T_star", "T_star_baseline",
+                      "pcc_state", "pcc_input", "c", "c_baseline", "variant")
 
 
 def _ensure_dir(path):
@@ -77,39 +79,45 @@ def cmd_identify(run, out_dir):
     return model
 
 
-def _solve_with_baseline(model, run, variant, mbc):
-    """Bilevel solve plus the baseline NLP warm-started from it; a baseline
-    that does not converge is reported through its last iterate."""
-    bilevel = solve_reduced(model, variant, mbc, run.upper, run.N)
-    nlp = transcribe(run.system, mbc, run.N)
+def _solve_baseline(run, mbc, warm_start):
+    """The baseline NLP of ``(run.system, mbc, run.N)``, warm-started from a
+    bilevel solution; one that does not converge is reported through its
+    last iterate."""
     try:
-        baseline = solve_nlp(nlp, bilevel)
+        return solve_nlp(transcribe(run.system, mbc, run.N), warm_start)
     except NonConvergenceError as exc:
-        baseline = exc.best
-    return bilevel, baseline
+        return exc.best
 
 
 def cmd_solve(run, out_dir, model):
-    """Bilevel solve and warm-started baseline for each configured variant,
-    on the model that ``cmd_identify`` wrote to ``out_dir``."""
+    """Bilevel solve of each configured variant, on the model that
+    ``cmd_identify`` wrote to ``out_dir``, and one baseline NLP for them all.
+
+    The transcribed NLP depends only on the system, the mbc and N, so it is
+    solved once, warm-started from the bilevel solution of the first
+    configured variant. ``out_dir`` receives ``<label>_bilevel.csv`` and
+    ``<label>_solution.json`` per variant; ``baseline.csv`` and
+    ``baseline.json``, whose ``warm_start`` names that variant; and
+    ``report.json``, with one entry per variant that compares it with the
+    shared baseline.
+
+    Returns the report, the bilevel solutions by label, and the seconds of
+    each variant's bilevel solve (``per_variant``) and of the baseline.
+    """
     _ensure_dir(out_dir)
 
-    entries = []
     solutions = {}
-    per_variant_time = {}
+    timings = {"per_variant": {}}
     for var in run.variants:
-        t0 = time.perf_counter()
-        bilevel, baseline = _solve_with_baseline(model, run, var, run.mbc)
-        per_variant_time[var.label] = time.perf_counter() - t0
-
         label = var.label
+        t0 = time.perf_counter()
+        bilevel = solve_reduced(model, var, run.mbc, run.upper, run.N)
+        timings["per_variant"][label] = time.perf_counter() - t0
+        solutions[label] = bilevel
+
         artifacts.write_trajectory_csv(
             os.path.join(out_dir, f"{label}_bilevel.csv"),
             bilevel.times, bilevel.states, bilevel.inputs,
-        )
-        artifacts.write_trajectory_csv(
-            os.path.join(out_dir, f"{label}_baseline.csv"),
-            baseline.times, baseline.states, baseline.inputs,
         )
         artifacts.write_json(
             os.path.join(out_dir, f"{label}_solution.json"),
@@ -129,31 +137,45 @@ def cmd_solve(run, out_dir, model):
                 "zN": bilevel.z_traj[-1].tolist(),
                 "eval_count": bilevel.eval_count,
                 "start_records": list(bilevel.start_records),
-                "baseline": {
-                    "T": baseline.T,
-                    "cost": baseline.cost,
-                    "max_defect": baseline.max_defect,
-                    "max_mbc_violation": baseline.max_mbc_violation,
-                    "kkt_residual": baseline.kkt_residual,
-                    "converged": baseline.converged,
-                    "outer_iterations": baseline.outer_iterations,
-                    "inner_iterations": baseline.inner_iterations,
-                    "history": list(baseline.history),
-                },
             },
         )
-        entries.append(artifacts.comparison_entry(bilevel, baseline))
-        solutions[label] = {"bilevel": bilevel, "baseline": baseline}
+
+    warm_start = run.variants[0].label
+    t0 = time.perf_counter()
+    baseline = _solve_baseline(run, run.mbc, solutions[warm_start])
+    timings["baseline"] = time.perf_counter() - t0
+    artifacts.write_trajectory_csv(
+        os.path.join(out_dir, "baseline.csv"),
+        baseline.times, baseline.states, baseline.inputs,
+    )
+    artifacts.write_json(
+        os.path.join(out_dir, "baseline.json"),
+        {
+            "warm_start": warm_start,
+            "T": baseline.T,
+            "cost": baseline.cost,
+            "max_defect": baseline.max_defect,
+            "max_mbc_violation": baseline.max_mbc_violation,
+            "kkt_residual": baseline.kkt_residual,
+            "converged": baseline.converged,
+            "outer_iterations": baseline.outer_iterations,
+            "inner_iterations": baseline.inner_iterations,
+            "history": list(baseline.history),
+        },
+    )
 
     report = {
-        "entries": entries,
+        "entries": [
+            artifacts.comparison_entry(bilevel, baseline)
+            for bilevel in solutions.values()
+        ],
         "provenance": {
             "config_hash": cfgmod.config_hash(run.raw),
             "model_hash": artifacts.sha256_file(_model_path(out_dir)),
         },
     }
     artifacts.write_json(os.path.join(out_dir, "report.json"), report)
-    return report, solutions, per_variant_time
+    return report, solutions, timings
 
 
 def _write_sweep_csv(path, rows, columns):
@@ -181,7 +203,8 @@ def _check_sweep_axis(run, axis):
 
 def cmd_sweep(run, out_dir, model, axis="T"):
     """Grid evaluation: period sweep of the lower level, or amplitude sweep
-    of full bilevel-vs-baseline comparisons."""
+    comparing every variant's bilevel solution with one baseline NLP per
+    amplitude, warm-started as in :func:`cmd_solve`."""
     _check_sweep_axis(run, axis)
     _ensure_dir(out_dir)
 
@@ -193,26 +216,15 @@ def cmd_sweep(run, out_dir, model, axis="T"):
     rows = []
     for a_deg in run.amplitudes_deg:
         mbc = make_periodic_amplitude_anchor(np.deg2rad(a_deg))
-        for var in run.variants:
-            bilevel, baseline = _solve_with_baseline(model, run, var, mbc)
-            entry = artifacts.comparison_entry(bilevel, baseline)
-            rows.append(
-                {
-                    "amplitude_deg": a_deg,
-                    "variant_w": var.w,
-                    "T_star": entry["T_star"],
-                    "T_star_baseline": entry["T_star_baseline"],
-                    "pcc_state": entry["pcc_state"],
-                    "pcc_input": entry["pcc_input"],
-                    "c": entry["c"],
-                    "c_baseline": entry["c_baseline"],
-                    "variant": entry["variant"],
-                }
-            )
+        bilevels = [solve_reduced(model, var, mbc, run.upper, run.N)
+                    for var in run.variants]
+        baseline = _solve_baseline(run, mbc, bilevels[0])
+        for bilevel in bilevels:
+            row = dict(artifacts.comparison_entry(bilevel, baseline),
+                       amplitude_deg=a_deg, variant_w=bilevel.variant.w)
+            rows.append({c: row[c] for c in _AMPLITUDE_COLUMNS})
     _write_sweep_csv(
-        os.path.join(out_dir, "sweep_amplitude.csv"), rows,
-        ("amplitude_deg", "variant_w", "T_star", "T_star_baseline",
-         "pcc_state", "pcc_input", "c", "c_baseline", "variant"),
+        os.path.join(out_dir, "sweep_amplitude.csv"), rows, _AMPLITUDE_COLUMNS
     )
     return rows
 
@@ -247,9 +259,9 @@ def cmd_reproduce(bundle_name, out_dir, seed=None):
         timings["sweep"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    report, solutions, per_variant = cmd_solve(run, out_dir, model)
+    report, solutions, solve_timings = cmd_solve(run, out_dir, model)
     timings["solve"] = time.perf_counter() - t0
-    timings["per_variant"] = per_variant
+    timings.update(solve_timings)
 
     ctx = {
         "sweep_rows": sweep_rows,
@@ -268,7 +280,7 @@ def cmd_reproduce(bundle_name, out_dir, seed=None):
             "timings": {
                 k: v for k, v in timings.items() if not isinstance(v, dict)
             },
-            "per_variant_seconds": per_variant,
+            "per_variant_seconds": timings["per_variant"],
         },
     )
     return results, passed
@@ -278,28 +290,44 @@ def _close(a, b, rtol=1e-9, atol=1e-12):
     return abs(a - b) <= atol + rtol * max(abs(a), abs(b))
 
 
+def _mismatches(source, rows):
+    """Problem records for the ``(field, reported, recomputed)`` rows that
+    disagree."""
+    return [
+        {"variant": source, "field": key, "reported": reported,
+         "recomputed": recomputed}
+        for key, reported, recomputed in rows
+        if not _close(reported, recomputed)
+    ]
+
+
 def cmd_audit(out_dir):
-    """Recompute every comparison-report number, and each solution's
-    boundary manifold defects, from the persisted artifacts."""
+    """Recompute every comparison-report number, each solution's boundary
+    manifold defects, and the baseline's period and cost from the persisted
+    artifacts."""
     report = artifacts.read_json(os.path.join(out_dir, "report.json"))
     model = load_model(_model_path(out_dir))
     dictionary = model.dictionary
-    problems = []
+    tn, xn, un = artifacts.read_trajectory_csv(os.path.join(out_dir, "baseline.csv"))
+    baseline = artifacts.read_json(os.path.join(out_dir, "baseline.json"))
+    T_baseline = tn[-1]
+    c_baseline = (T_baseline / un.shape[0]) * float(np.sum(un**2))
+    problems = _mismatches("baseline", [
+        ("T", baseline["T"], T_baseline),
+        ("cost", baseline["cost"], c_baseline),
+    ])
     for entry in report["entries"]:
         label = entry["variant"]
         tb, xb, ub = artifacts.read_trajectory_csv(
             os.path.join(out_dir, f"{label}_bilevel.csv")
         )
-        tn, xn, un = artifacts.read_trajectory_csv(
-            os.path.join(out_dir, f"{label}_baseline.csv")
-        )
         sol = artifacts.read_json(os.path.join(out_dir, f"{label}_solution.json"))
 
         checks = {
             "T_star": tb[-1],
-            "T_star_baseline": tn[-1],
+            "T_star_baseline": T_baseline,
             "c": (tb[-1] / ub.shape[0]) * float(np.sum(ub**2)),
-            "c_baseline": (tn[-1] / un.shape[0]) * float(np.sum(un**2)),
+            "c_baseline": c_baseline,
             "pcc_state": artifacts.trajectory_pcc(tb, xb, tn, xn),
             "pcc_input": artifacts.trajectory_pcc(
                 tb[:-1], ub, tn[:-1], un
@@ -318,16 +346,7 @@ def cmd_audit(out_dir):
             ("manifold_defects[0]", sol["manifold_defects"][0], defects[0]),
             ("manifold_defects[-1]", sol["manifold_defects"][-1], defects[1]),
         ]
-        for key, reported, recomputed in rows:
-            if not _close(reported, recomputed):
-                problems.append(
-                    {
-                        "variant": label,
-                        "field": key,
-                        "reported": reported,
-                        "recomputed": recomputed,
-                    }
-                )
+        problems += _mismatches(label, rows)
     return problems
 
 
@@ -342,7 +361,7 @@ def _build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("solve", help="bilevel solve + warm-started baseline")
+    p = sub.add_parser("solve", help="bilevel solves + one warm-started baseline")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
 

@@ -17,10 +17,6 @@ class IntegrationError(KoopbilevelError):
     """An integrator stage produced non-finite values."""
 
 
-class HybridEventError(KoopbilevelError):
-    """A reset map was applied away from its guard surface."""
-
-
 class DataError(KoopbilevelError):
     """Training data assembly failed (non-finite lift or Lie derivative)."""
 

@@ -2,9 +2,9 @@
 
 Gate *thresholds* live in the bundle JSON; this module only interprets them.
 Each gate kind receives the run context (sweep rows, per-variant comparison
-entries, solutions, timings) and returns a result record. A bundle passes
-when every gate marked ``required`` passes; ``informational`` gates are
-reported but do not affect the exit code.
+entries, bilevel solutions by variant label, timings) and returns a result
+record. A bundle passes when every gate marked ``required`` passes;
+``informational`` gates are reported but do not affect the exit code.
 """
 
 import numpy as np
@@ -177,7 +177,7 @@ def _gate_walker_accuracy(gate, ctx):
     if entry["baseline_converged"]:
         val = entry["pcc_state"]
         return val >= gate["pcc_min"], {"mode": "pcc", "pcc_state": val}
-    sol = ctx["solutions"][gate["variant"]]["bilevel"]
+    sol = ctx["solutions"][gate["variant"]]
     system = ctx["system"]
     extras = system.hybrid
     x0, xT = sol.states[0], sol.states[-1]

@@ -11,12 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DomainEvaluationError,
-    HybridEventError,
-    IntegrationError,
-)
+from .errors import ConfigError, DomainEvaluationError, IntegrationError
 
 __all__ = [
     "ControlAffineSystem",
@@ -26,7 +21,6 @@ __all__ = [
     "eval_rhs",
     "rk4_step",
     "simulate",
-    "apply_reset",
     "get_system",
     "SYSTEM_PRESETS",
 ]
@@ -164,20 +158,6 @@ def simulate(system, x0, signal, substeps=16):
         states[k + 1] = x
     times = np.linspace(0.0, signal.T, N + 1)
     return Trajectory(times=times, states=states)
-
-
-def apply_reset(extras, x, guard_tol=1e-8):
-    """Apply the impact reset and leg relabeling: returns flip(jump(x)).
-
-    The pre-impact state must lie on the guard surface within ``guard_tol``.
-    """
-    x = np.asarray(x, dtype=float)
-    g = float(extras.touchdown_guard(x))
-    if abs(g) > guard_tol:
-        raise HybridEventError(
-            f"reset applied off the guard surface (guard={g:.3e}, tol={guard_tol:.1e})"
-        )
-    return extras.flip_map(extras.jump_map(x))
 
 
 # ---------------------------------------------------------------------------

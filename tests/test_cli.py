@@ -14,34 +14,66 @@ def _read_bytes(path):
         return fh.read()
 
 
+def _audit_after_edit(path, edit):
+    """Exit code of ``audit`` once ``edit`` has changed the JSON at ``path``;
+    the file is restored afterwards."""
+    original = _read_bytes(path)
+    obj = json.loads(original)
+    edit(obj)
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    try:
+        return cli.main(["audit", "--out", os.path.dirname(path)])
+    finally:
+        with open(path, "wb") as fh:
+            fh.write(original)
+
+
 def test_reproduce_fig1_is_clean_and_deterministic(tmp_path):
     outs = [str(tmp_path / "first"), str(tmp_path / "second")]
     for out in outs:
         assert cli.main(["reproduce", "--bundle", "fig1", "--out", out]) == 0
         assert cli.main(["audit", "--out", out]) == 0
 
-    names = ["report.json", "sweep_T.csv"] + sorted(
+    solutions = sorted(
         os.path.basename(p)
         for p in glob.glob(os.path.join(outs[0], "*_solution.json"))
     )
-    assert len(names) > 2
+    assert solutions
+    names = ["report.json", "sweep_T.csv", "baseline.json", "baseline.csv"] + solutions
     for name in names:
         first, second = (_read_bytes(os.path.join(out, name)) for out in outs)
         assert first == second, name
 
-    path = os.path.join(outs[1], names[-1])
-    sol = json.loads(_read_bytes(path))
-    sol["manifold_defects"][-1] += 1.0
-    with open(path, "w") as fh:
-        json.dump(sol, fh)
-    assert cli.main(["audit", "--out", outs[1]]) != 0
+    def shift_last_defect(sol):
+        sol["manifold_defects"][-1] += 1.0
+
+    def shift_cost(baseline):
+        baseline["cost"] += 1.0
+
+    assert _audit_after_edit(os.path.join(outs[1], solutions[-1]), shift_last_defect) != 0
+    assert _audit_after_edit(os.path.join(outs[1], "baseline.json"), shift_cost) != 0
+    assert cli.main(["audit", "--out", outs[1]]) == 0
 
 
 @pytest.mark.parametrize("bundle", ["pendulum", "walker"])
-def test_reproduce_bundle_passes_gates_with_clean_audit(tmp_path, bundle):
+def test_reproduce_bundle_passes_gates_with_clean_audit(tmp_path, monkeypatch, bundle):
+    calls = []
+    solve_nlp = cli.solve_nlp
+    monkeypatch.setattr(
+        cli, "solve_nlp", lambda *a, **kw: calls.append(a) or solve_nlp(*a, **kw)
+    )
     out = str(tmp_path / bundle)
     assert cli.main(["reproduce", "--bundle", bundle, "--out", out]) == 0
     assert cli.main(["audit", "--out", out]) == 0
+    # the baseline NLP depends only on (system, mbc, N): one solve per bundle
+    assert len(calls) == 1
+
+    baseline = json.loads(_read_bytes(os.path.join(out, "baseline.json")))
+    report = json.loads(_read_bytes(os.path.join(out, "report.json")))
+    for entry in report["entries"]:
+        assert entry["T_star_baseline"] == baseline["T"], entry["variant"]
+        assert entry["c_baseline"] == baseline["cost"], entry["variant"]
 
 
 BAD_SOLVER_SETTINGS = [
@@ -172,6 +204,7 @@ def test_walker_config_needs_rate_bound(tmp_path):
 def test_amplitude_sweep_rows_match_solve_report(tmp_path):
     cfg = copy.deepcopy(cli.load_bundle("fig1")["config"])
     cfg["sweep"]["amplitudes_deg"] = [30.0]
+    cfg["variants"] = [{"kind": "b0"}, {"kind": "bT"}]
     path = tmp_path / "fig1.json"
     path.write_text(json.dumps(cfg))
     out = str(tmp_path / "out")
@@ -186,9 +219,12 @@ def test_amplitude_sweep_rows_match_solve_report(tmp_path):
     with open(os.path.join(out, "sweep_amplitude.csv")) as fh:
         header = fh.readline().strip().split(",")
         rows = [dict(zip(header, line.strip().split(","))) for line in fh]
-    assert len(rows) == len(entries) == 1
+    assert len(rows) == len(entries) == 2
+    # one baseline per amplitude, shared by its rows
+    for key in ("T_star_baseline", "c_baseline"):
+        assert rows[0][key] == rows[1][key], key
     for row in rows:
         entry = entries[row["variant"]]
         assert float(row["amplitude_deg"]) == 30.0
-        for key in ("T_star", "c", "pcc_state"):
+        for key in ("T_star", "c", "pcc_state", "T_star_baseline", "c_baseline"):
             assert float(row[key]) == entry[key], key

@@ -6,10 +6,8 @@ from koopbilevel import (
     ControlAffineSystem,
     ControlSignal,
     DomainEvaluationError,
-    HybridEventError,
     HybridExtras,
     Trajectory,
-    apply_reset,
     eval_rhs,
     get_system,
     rk4_step,
@@ -219,19 +217,6 @@ class TestWalkerHybrid:
             l_pre = m * cross(pst_pre - ph_pre, vst_pre)
             l_post = m * cross(pst_post - ph_post, vst_post)
             assert abs(l_pre - l_post) <= 1e-12
-
-    def test_apply_reset_relabeling(self):
-        extras = HybridExtras(
-            jump_map=lambda x: x,
-            flip_map=lambda x: np.asarray(x)[..., [1, 0, 3, 2]],
-            touchdown_guard=lambda x: 0.0,
-        )
-        out = apply_reset(extras, np.array([1.0, 2.0, 3.0, 4.0]))
-        assert np.array_equal(out, [2.0, 1.0, 4.0, 3.0])
-
-    def test_guard_violation_raises(self, walker):
-        with pytest.raises(HybridEventError):
-            apply_reset(walker.hybrid, np.array([0.1, 0.3, 0.0, 0.0]))
 
     def test_guard_zero_at_symmetric_touchdown(self, walker):
         assert abs(walker.hybrid.touchdown_guard(np.array([-0.2, 0.2, 0.1, 0.1]))) == 0.0
