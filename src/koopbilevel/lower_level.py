@@ -11,6 +11,11 @@ knots. Three boundary formulations are supported:
 * ``bT``   - lift the terminal boundary: C z(0) = x0 and z(N) = psi(xT).
 * ``soft`` - both boundaries pinned only through C, with the lifted boundary
   mismatch added to the objective at weight w in (0, 1).
+
+No step of a solve loops over the knots in Python. The blocks Ad^j Bd of the
+condensing map come from doubling, in about 2 log2 N matrix products. A solve
+ends at the inputs and the running cost, the only part the upper search
+reads; the lifted trajectory is rebuilt from those blocks on its first read.
 """
 
 from dataclasses import dataclass, field
@@ -97,28 +102,51 @@ class LowerLevelProblem:
 
 @dataclass(frozen=True)
 class LowerLevelSolution:
-    """Lifted trajectory, inputs, both cost components, and KKT residuals.
+    """Inputs, running cost and KKT result; the lifted trajectory on demand.
 
+    The upper search reads only ``c``, so a solve stops at the inputs. The
+    lifted trajectory ``z_traj``, the boundary mismatch ``c_hat`` and the
+    blend ``weighted_total`` are computed on first read and kept, as are
     ``manifold_defects`` (the distance of each knot of ``z_traj`` from the
-    lift manifold of ``dictionary``) is computed on first read, in one
-    batched ``manifold_defect`` call, and kept: the upper search reads only
-    the costs, so the solves it makes never pay for the diagnostic.
+    lift manifold of ``dictionary``, in one batched ``manifold_defect``
+    call). For that the solution keeps ``Ad``, the condensing map ``S`` of
+    ``build_qp`` (the blocks Ad^j Bd), the initial lifted state ``z0`` and
+    the lifted boundaries: ``z_traj`` is the free response Ad^k z0, by
+    doubling, plus one block-Toeplitz product of ``S`` with the inputs.
     """
 
-    z_traj: np.ndarray
     u_traj: np.ndarray
     c: float
-    c_hat: float
-    weighted_total: float
     kkt: KktResult
     dictionary: object
     variant: BoundaryVariant
     T: float
     N: int
+    Ad: np.ndarray
+    S: np.ndarray
+    z0: np.ndarray
+    psi0: np.ndarray
+    psiT: np.ndarray
 
     @property
     def times(self):
         return np.linspace(0.0, self.T, self.N + 1)
+
+    @cached_property
+    def z_traj(self):
+        return _trajectory(self.Ad, self.S, self.z0, self.u_traj)
+
+    @cached_property
+    def c_hat(self):
+        z = self.z_traj
+        return float(
+            np.sum((z[0] - self.psi0) ** 2) + np.sum((z[-1] - self.psiT) ** 2)
+        )
+
+    @cached_property
+    def weighted_total(self):
+        w = self.variant.w
+        return (1.0 - w) * self.c + w * self.c_hat
 
     @cached_property
     def manifold_defects(self):
@@ -139,7 +167,7 @@ def choose_linearization_point(variant, psi0, psiT):
 
 @dataclass(frozen=True)
 class QpBuild:
-    """Condensed QP data with the affine maps needed to reconstruct z."""
+    """Condensed QP data with the maps that rebuild z: Ad, Bd and S."""
 
     H: np.ndarray
     g: np.ndarray
@@ -147,21 +175,53 @@ class QpBuild:
     beq: np.ndarray
     Ad: np.ndarray
     Bd: np.ndarray
+    S: np.ndarray
     z0_fixed: Optional[np.ndarray]
     n_z: int
     n_u: int
     N: int
 
 
-def _condense(Ad, Bd, N):
-    """Map S with z_N = Ad^N z_0 + S u, u stacked knot-major."""
+def _powers(Ad, K, count):
+    """[K, Ad K, ..., Ad^(count-1) K] side by side, by doubling.
+
+    Each pass appends Ad^m times the m blocks built so far and then squares
+    Ad^m, so ``count`` blocks take about 2 log2(count) matrix products.
+    """
+    cols = count * K.shape[1]
+    blocks, M = K, Ad
+    while blocks.shape[1] < cols:
+        blocks = np.hstack([blocks, M @ blocks[:, : cols - blocks.shape[1]]])
+        M = M @ M
+    return blocks
+
+
+def _condense(Ad, Bd, psi0, N):
+    """S with ``z_N = Ad^N z_0 + S u`` (u stacked knot-major), and Ad^N psi0.
+
+    S holds the blocks Ad^(N-1-j) Bd of the knots j = 0..N-1. Both come from
+    one doubling seeded with ``[Bd | psi0]``.
+    """
     n_z, n_u = Bd.shape
-    S = np.zeros((n_z, N * n_u))
-    P = np.eye(n_z)
-    for j in range(N - 1, -1, -1):
-        S[:, j * n_u : (j + 1) * n_u] = P @ Bd
-        P = P @ Ad
-    return S, P
+    P = _powers(Ad, np.column_stack([Bd, psi0]), N + 1)
+    P = P.reshape(n_z, N + 1, n_u + 1)
+    return P[:, N - 1 :: -1, :n_u].reshape(n_z, N * n_u), P[:, N, n_u]
+
+
+def _trajectory(Ad, S, z0, u):
+    """Lifted states z_0..z_N of ``z_{k+1} = Ad z_k + Bd u_k``.
+
+    ``z_k = Ad^k z_0 + sum_{j<k} Ad^(k-1-j) Bd u_j``: the free response by
+    doubling, plus one block-Toeplitz product. Row k-1 of that product is the
+    inputs shifted right by N-k knots, so that u_j meets the block of S
+    (``_condense``) that holds Ad^(k-1-j) Bd.
+    """
+    N, n_u = u.shape
+    Z = _powers(Ad, z0[:, None], N + 1).T
+    shifted = np.concatenate([np.zeros((N - 1) * n_u), u.ravel()])
+    lagged = np.lib.stride_tricks.sliding_window_view(shifted, N * n_u)[::n_u]
+    Z[1:] += lagged @ S.T
+    return Z
 
 
 def build_qp(problem):
@@ -180,7 +240,7 @@ def build_qp(problem):
     psi0, psiT = problem.psi0, problem.psiT
     lti = linearize(model, choose_linearization_point(variant, psi0, psiT))
     zoh = zoh_discretize(lti.A, lti.B, h)
-    S, AdN = _condense(zoh.Ad, zoh.Bd, N)
+    S, AdN_psi0 = _condense(zoh.Ad, zoh.Bd, psi0, N)
 
     C = np.zeros((n_x, n_z))
     C[:, :n_x] = np.eye(n_x)
@@ -190,10 +250,11 @@ def build_qp(problem):
         H = 2.0 * h * np.eye(nv)
         g = np.zeros(nv)
         Aeq = C @ S
-        beq = problem.xT - C @ (AdN @ psi0)
+        beq = problem.xT - C @ AdN_psi0
         z0_fixed = psi0
     else:
         nv = n_z + N * n_u
+        AdN = np.linalg.matrix_power(zoh.Ad, N)
         F = np.hstack([AdN, S])  # z_N as an affine map of (z0, u)
         E0 = np.hstack([np.eye(n_z), np.zeros((n_z, N * n_u))])
         P_u = np.zeros((nv, nv))
@@ -213,19 +274,19 @@ def build_qp(problem):
         z0_fixed = None
 
     return QpBuild(
-        H=H, g=g, Aeq=Aeq, beq=beq, Ad=zoh.Ad, Bd=zoh.Bd,
+        H=H, g=g, Aeq=Aeq, beq=beq, Ad=zoh.Ad, Bd=zoh.Bd, S=S,
         z0_fixed=z0_fixed, n_z=n_z, n_u=n_u, N=N,
     )
 
 
 def solve_lower(problem):
-    """Solve the condensed QP and reconstruct the lifted trajectory.
+    """Solve the condensed QP for the inputs and the running cost.
 
-    Both cost components are reported: the original running cost ``c`` (the
-    only part the upper level consumes) and the lifted boundary mismatch
-    ``c_hat``. The dictionary is evaluated once, for the boundaries, when
-    ``problem`` is built; the trajectory's manifold defects wait for their
-    first read.
+    The solve computes the original running cost ``c``, the only part the
+    upper level consumes. The lifted trajectory, the lifted boundary
+    mismatch ``c_hat`` and the trajectory's manifold defects wait for their
+    first read (see ``LowerLevelSolution``). The dictionary is evaluated
+    once, for the boundaries, when ``problem`` is built.
     """
     qp = build_qp(problem)
     try:
@@ -244,29 +305,17 @@ def solve_lower(problem):
         z0 = kkt.primal[:n_z]
         u = kkt.primal[n_z:].reshape(N, n_u)
 
-    Z = np.empty((N + 1, n_z))
-    Z[0] = z0
-    for k in range(N):
-        Z[k + 1] = qp.Ad @ Z[k] + qp.Bd @ u[k]
-
-    h = problem.T / N
-    c = h * float(np.sum(u**2))
-    c_hat = float(
-        np.sum((Z[0] - problem.psi0) ** 2) + np.sum((Z[N] - problem.psiT) ** 2)
-    )
-    w = problem.variant.w
-    weighted = (1.0 - w) * c + w * c_hat
-
     return LowerLevelSolution(
-        z_traj=Z,
         u_traj=u,
-        c=c,
-        c_hat=c_hat,
-        weighted_total=weighted,
+        c=problem.T / N * float(np.sum(u**2)),
         kkt=kkt,
         dictionary=problem.model.dictionary,
         variant=problem.variant,
         T=float(problem.T),
         N=N,
+        Ad=qp.Ad,
+        S=qp.S,
+        z0=z0,
+        psi0=problem.psi0,
+        psiT=problem.psiT,
     )
-

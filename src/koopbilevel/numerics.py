@@ -35,13 +35,18 @@ class ZohPair:
 
 @dataclass(frozen=True)
 class KktResult:
-    """Solution of an equality-constrained QP with post-hoc residuals."""
+    """Solution of an equality-constrained QP with post-hoc residuals.
+
+    ``min_pivot`` is the smallest ``|diag(U)|`` of the LU factorization of
+    the saddle matrix.
+    """
 
     primal: np.ndarray
     dual: np.ndarray
     stationarity_residual: float
     feasibility_residual: float
     reg: float
+    min_pivot: float
 
 
 def expm(M):
@@ -104,15 +109,18 @@ def pinv_svd(M, rel_tol=1e-12):
     return (Vt.T * inv_s) @ U.T, rank
 
 
+_GETRF = scipy.linalg.get_lapack_funcs("getrf", dtype=np.float64)
+
+
 def solve_kkt(H, g, Aeq, beq):
     """Solve ``min 1/2 v'Hv + g'v  s.t.  Aeq v = beq`` by direct factorization.
 
     The saddle system ``[[H + reg*I, Aeq'], [Aeq, 0]]`` is factorized with
-    pivoted LU. The Tikhonov term ``reg = 1e-9 * trace(H)/n`` keeps
-    PSD-singular Hessians factorable; the result records it. Stationarity and
-    feasibility residuals are recomputed from the returned primal/dual pair
-    and must fall below ``1e-9 * scale``; otherwise the system is reported as
-    degenerate.
+    pivoted LU (LAPACK ``getrf``). The Tikhonov term ``reg = 1e-9 *
+    trace(H)/n`` keeps PSD-singular Hessians factorable; the result records
+    it, and the smallest pivot of the LU. Stationarity and feasibility
+    residuals are recomputed from the returned primal/dual pair and must fall
+    below ``1e-9 * scale``; otherwise the system is reported as degenerate.
 
     Parameters
     ----------
@@ -128,15 +136,16 @@ def solve_kkt(H, g, Aeq, beq):
     Raises
     ------
     DegenerateQpError
-        If the factorization is singular or residuals stay above tolerance.
+        If the LU factorization has an exactly zero pivot (raised before any
+        solve, with ``min_pivot`` 0) or the residuals stay above tolerance.
     """
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
     n = H.shape[0]
-    if H.shape != (n, n) or g.shape != (n,):
+    if n == 0 or H.shape != (n, n) or g.shape != (n,):
         raise NumericError(f"inconsistent QP dimensions: H {H.shape}, g {g.shape}")
-    sym_err = float(np.max(np.abs(H - H.T))) if n else 0.0
-    if sym_err > 1e-12 * max(1.0, float(np.max(np.abs(H))) if n else 1.0):
+    sym_err = float(np.max(np.abs(H - H.T)))
+    if sym_err > 1e-12 * max(1.0, float(np.max(np.abs(H)))):
         raise NumericError(f"H is not symmetric (max asymmetry {sym_err:.3e})")
     Aeq = np.asarray(Aeq, dtype=float)
     beq = np.asarray(beq, dtype=float)
@@ -145,7 +154,7 @@ def solve_kkt(H, g, Aeq, beq):
         raise NumericError(
             f"inconsistent constraint dimensions: Aeq {Aeq.shape}, beq {beq.shape}"
         )
-    reg = 1e-9 * float(np.trace(H)) / n if n else 0.0
+    reg = 1e-9 * float(np.trace(H)) / n
 
     Hr = H + reg * np.eye(n)
     kkt = np.zeros((n + m, n + m))
@@ -154,9 +163,15 @@ def solve_kkt(H, g, Aeq, beq):
     kkt[n:, :n] = Aeq
     rhs = np.concatenate([-g, beq])
 
-    lu, piv = scipy.linalg.lu_factor(kkt, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    min_pivot = float(diag.min()) if diag.size else np.inf
+    # getrf itself, not lu_factor: a zero pivot is reported through info
+    # instead of a LinAlgWarning in the caller's warning stream
+    lu, piv, info = _GETRF(kkt)
+    min_pivot = float(np.abs(np.diag(lu)).min())
+    if info > 0:
+        raise DegenerateQpError(
+            f"KKT matrix is singular: pivot {info} of its LU is exactly zero",
+            min_pivot=min_pivot,
+        )
     sol = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
     v, lam = sol[:n], sol[n:]
 
@@ -183,6 +198,7 @@ def solve_kkt(H, g, Aeq, beq):
         stationarity_residual=stat_res,
         feasibility_residual=feas_res,
         reg=reg,
+        min_pivot=min_pivot,
     )
 
 

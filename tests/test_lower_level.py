@@ -10,18 +10,39 @@ from koopbilevel import (
     build_qp,
     choose_linearization_point,
     get_dictionary,
+    identify,
     lift,
     manifold_defect,
     solve_lower,
 )
+from koopbilevel import cli, config, lower_level, upper_level
 from koopbilevel.gedmd import GeneratorModel, linearize
-from koopbilevel.numerics import solve_kkt, zoh_discretize
+from koopbilevel.numerics import expm, solve_kkt, zoh_discretize
 
 TWO_PI = 2.0 * np.pi
 
 # published minimum-energy sweep values at the benchmark grid (the published
 # curve is the half-objective 1/2 * integral u^2; our cost is the full one)
 PAPER_HALF_COST = {1.01: 0.0167997737931162, 2.01: 0.0306649101931638}
+
+
+def loop_condense(Ad, Bd, N):
+    """Per-knot oracle: S with z_N = Ad^N z_0 + S u, and Ad^N."""
+    n_z, n_u = Bd.shape
+    S = np.zeros((n_z, N * n_u))
+    P = np.eye(n_z)
+    for j in range(N - 1, -1, -1):
+        S[:, j * n_u : (j + 1) * n_u] = P @ Bd
+        P = P @ Ad
+    return S, P
+
+
+def loop_trajectory(Ad, Bd, z0, u):
+    """Per-knot oracle: z_{k+1} = Ad z_k + Bd u_k."""
+    Z = [z0]
+    for u_k in u:
+        Z.append(Ad @ Z[-1] + Bd @ u_k)
+    return np.array(Z)
 
 
 def make_problem(model, kind, x0, xT, T, N, w=0.0):
@@ -266,6 +287,81 @@ class TestSolveLower:
         )
         with pytest.raises(LowerLevelError):
             solve_lower(make_problem(model, "b0", [0, 0], [1.0, 0], 1.0, 5))
+
+
+class TestDoubling:
+    def test_matches_the_per_knot_loop(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(
+            n_z=st.integers(1, 30), n_u=st.integers(1, 2), N=st.integers(2, 130),
+            h=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1),
+        )
+        def check(n_z, n_u, N, h, seed):
+            rng = np.random.default_rng(seed)
+            A = rng.normal(size=(n_z, n_z)) / np.sqrt(n_z)
+            Ad = expm(h * A)
+            Bd = h * rng.normal(size=(n_z, n_u))
+            psi0 = rng.normal(size=n_z)
+            u = rng.normal(size=(N, n_u))
+
+            S, AdN_psi0 = lower_level._condense(Ad, Bd, psi0, N)
+            S_loop, AdN = loop_condense(Ad, Bd, N)
+            largest = np.max(np.abs(S_loop))
+            assert np.max(np.abs(S - S_loop)) <= 1e-10 * largest
+            assert np.max(np.abs(AdN_psi0 - AdN @ psi0)) <= 1e-10 * (
+                np.max(np.abs(AdN)) * np.sum(np.abs(psi0)))
+
+            Z = lower_level._trajectory(Ad, S, psi0, u)
+            Z_loop = loop_trajectory(Ad, Bd, psi0, u)
+            assert np.array_equal(Z[0], psi0)
+            scale = np.max(np.abs(Z_loop)) + largest * np.sum(np.abs(u))
+            assert np.max(np.abs(Z - Z_loop)) <= 1e-10 * scale
+
+        check()
+
+
+class TestLazyTrajectory:
+    def test_search_solves_build_no_trajectory(self, monkeypatch):
+        # the upper search reads only c: of the fig1 bilevel solve's lower
+        # solves, only the final re-solve of the best point builds z_traj
+        run = config.validate_config(cli.load_bundle("fig1")["config"])
+        model = identify(run.system, run.dictionary, n_s=run.n_s,
+                         seed=run.seed, box=run.box)
+        builds, at_final = [], []
+        trajectory = lower_level._trajectory
+        build_solution = upper_level._build_solution
+
+        def counting(*args):
+            builds.append(1)
+            return trajectory(*args)
+
+        def final(*args):
+            at_final.append(len(builds))
+            return build_solution(*args)
+
+        monkeypatch.setattr(lower_level, "_trajectory", counting)
+        monkeypatch.setattr(upper_level, "_build_solution", final)
+        sol = upper_level.solve_reduced(
+            model, run.variants[0], run.mbc, run.upper, run.N)
+        assert sol.eval_count > 100
+        assert at_final == [0]
+        assert len(builds) == 1
+        assert "z_traj" in vars(sol.lower)
+
+    def test_trajectory_waits_for_its_first_read(self, pendulum_model):
+        problem = make_problem(
+            pendulum_model, "soft", [0.7, 0], [0.65, 0.05], 6.5, 40, w=0.3)
+        first, second = solve_lower(problem), solve_lower(problem)
+        for sol in (first, second):
+            assert not {"z_traj", "c_hat", "weighted_total"} & set(vars(sol))
+        blend_first = (first.weighted_total, first.c_hat)
+        blend_second = (second.c_hat, second.weighted_total)[::-1]
+        assert blend_first == blend_second
+        assert "z_traj" in vars(first)
+        assert first.weighted_total == (1.0 - 0.3) * first.c + 0.3 * first.c_hat
 
 
 class TestCostBreakdown:

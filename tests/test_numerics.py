@@ -1,10 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from koopbilevel import (
+    BoundaryVariant,
     CorrelationError,
     DegenerateQpError,
+    LowerLevelError,
+    LowerLevelProblem,
     NumericError,
+    build_qp,
+    get_dictionary,
+    solve_lower,
     expm,
     pearson,
     pinv_svd,
@@ -12,6 +21,7 @@ from koopbilevel import (
     solve_kkt,
     zoh_discretize,
 )
+from koopbilevel.gedmd import GeneratorModel
 from koopbilevel.numerics import mean_pearson
 from koopbilevel.systems import ControlSignal, simulate
 
@@ -204,6 +214,85 @@ class TestSolveKkt:
         with pytest.raises(NumericError):
             solve_kkt(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2),
                       np.zeros((0, 2)), np.zeros(0))
+
+    def test_singular_systems_raise_without_warnings(self):
+        # both have an exactly zero LU pivot: contradictory constraint rows,
+        # and a surrogate with no input authority asked to move its state
+        A = np.array([[1.0, 0.0], [1.0, 0.0]])
+        d = get_dictionary("linear_const", 2)
+        L0 = np.zeros((3, 3))
+        model = GeneratorModel(
+            L0=L0, Li=(L0.copy(),), dictionary=d, residuals=(0.0, 0.0),
+            ranks=(3, 3), svd_tol=1e-10, seed=0, n_s=0,
+            box=np.array([[-1, 1], [-1, 1]], dtype=float), system_name="null",
+        )
+        problem = LowerLevelProblem(
+            model=model, variant=BoundaryVariant("b0"), x0=np.zeros(2),
+            xT=np.array([1.0, 0.0]), T=1.0, N=5,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateQpError) as err:
+                solve_kkt(np.eye(2), np.zeros(2), A, np.array([0.0, 1.0]))
+            assert err.value.min_pivot == 0.0
+            with pytest.raises(LowerLevelError) as err:
+                solve_lower(problem)
+            assert err.value.__cause__.min_pivot == 0.0
+
+    def test_result_carries_the_smallest_pivot(self, pendulum_model):
+        problem = LowerLevelProblem(
+            model=pendulum_model, variant=BoundaryVariant("b0"),
+            x0=np.array([0.7, 0.0]), xT=np.array([0.7, 0.0]), T=6.5, N=40,
+        )
+        qp = build_qp(problem)
+        res = solve_kkt(qp.H, qp.g, qp.Aeq, qp.beq)
+        n, m = qp.H.shape[0], qp.Aeq.shape[0]
+        kkt = np.zeros((n + m, n + m))
+        kkt[:n, :n] = qp.H + res.reg * np.eye(n)
+        kkt[:n, n:] = qp.Aeq.T
+        kkt[n:, :n] = qp.Aeq
+        lu, _ = scipy.linalg.lu_factor(kkt)
+        assert res.min_pivot > 0.0
+        assert res.min_pivot == np.abs(np.diag(lu)).min()
+        assert solve_lower(problem).kkt.min_pivot == res.min_pivot
+
+    def test_random_psd_problems_match_nullspace_oracle(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        @st.composite
+        def problems(draw):
+            n = draw(st.integers(2, 12))
+            m = draw(st.integers(1, n))
+            # rank(H) + m >= n, so null(H) and null(Aeq) meet only in 0
+            r = draw(st.integers(max(n - m, 1), n))
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            B = rng.normal(size=(r, n))
+            H = B.T @ B
+            return (0.5 * (H + H.T), rng.normal(size=n),
+                    rng.normal(size=(m, n)), rng.normal(size=m))
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(problems())
+        def check(qp):
+            H, g, A, b = qp
+            n, m = A.shape[1], A.shape[0]
+            sv = np.linalg.svd(A, compute_uv=False)
+            hypothesis.assume(sv[-1] >= 1e-3 * sv[0])
+            if m < n:
+                Z = scipy.linalg.null_space(A)
+                reduced = np.linalg.eigvalsh(Z.T @ H @ Z)
+                hypothesis.assume(reduced[0] >= 1e-3 * np.linalg.norm(H, 2))
+            res = solve_kkt(H, g, A, b)
+            Hr = H + res.reg * np.eye(n)
+            assert res.stationarity_residual <= 1e-9 * (
+                1 + np.linalg.norm(g) + np.linalg.norm(Hr @ res.primal))
+            assert res.feasibility_residual <= 1e-9 * (1 + np.linalg.norm(b))
+            oracle = nullspace_elimination_oracle(H, g, A, b, res.reg)
+            assert np.max(np.abs(res.primal - oracle)) <= 1e-8 * (
+                1 + np.max(np.abs(oracle)))
+
+        check()
 
 
 class TestPearson:
