@@ -19,7 +19,6 @@ from .errors import (
     IntegrationError,
     KoopbilevelError,
     LowerLevelError,
-    NonConvergenceError,
     NoSolutionError,
     NumericError,
 )
@@ -44,7 +43,6 @@ from .lifting import (
 from .gedmd import (
     GeneratorModel,
     LiftedLTI,
-    SampleSet,
     assemble_data,
     fit_generator,
     identify,

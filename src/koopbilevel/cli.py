@@ -30,7 +30,7 @@ import numpy as np
 
 from . import artifacts, config as cfgmod, gates as gatesmod
 from .baseline_nlp import solve_nlp, transcribe
-from .errors import ConfigError, KoopbilevelError, NonConvergenceError
+from .errors import ConfigError, KoopbilevelError
 from .gedmd import identify, load_model, save_model
 from .lifting import lift, manifold_defect
 from .upper_level import make_periodic_amplitude_anchor, solve_reduced, sweep_period
@@ -79,27 +79,19 @@ def cmd_identify(run, out_dir):
     return model
 
 
-def _solve_baseline(run, mbc, warm_start):
-    """The baseline NLP of ``(run.system, mbc, run.N)``, warm-started from a
-    bilevel solution; one that does not converge is reported through its
-    last iterate."""
-    try:
-        return solve_nlp(transcribe(run.system, mbc, run.N), warm_start)
-    except NonConvergenceError as exc:
-        return exc.best
-
-
 def cmd_solve(run, out_dir, model):
     """Bilevel solve of each configured variant, on the model that
     ``cmd_identify`` wrote to ``out_dir``, and one baseline NLP for them all.
 
     The transcribed NLP depends only on the system, the mbc and N, so it is
     solved once, warm-started from the bilevel solution of the first
-    configured variant. ``out_dir`` receives ``<label>_bilevel.csv`` and
-    ``<label>_solution.json`` per variant; ``baseline.csv`` and
-    ``baseline.json``, whose ``warm_start`` names that variant; and
-    ``report.json``, with one entry per variant that compares it with the
-    shared baseline.
+    configured variant. A baseline that does not converge is still written
+    and compared, as SLSQP's last iterate with ``converged: false``; the
+    report entries carry that flag as ``baseline_converged``. ``out_dir``
+    receives ``<label>_bilevel.csv`` and ``<label>_solution.json`` per
+    variant; ``baseline.csv`` and ``baseline.json``, whose ``warm_start``
+    names that variant; and ``report.json``, with one entry per variant that
+    compares it with the shared baseline.
 
     Returns the report, the bilevel solutions by label, and the seconds of
     each variant's bilevel solve (``per_variant``) and of the baseline.
@@ -133,8 +125,8 @@ def cmd_solve(run, out_dir, model):
                 "kkt_stationarity": bilevel.lower.kkt.stationarity_residual,
                 "kkt_feasibility": bilevel.lower.kkt.feasibility_residual,
                 "manifold_defects": bilevel.lower.manifold_defects.tolist(),
-                "z0": bilevel.z_traj[0].tolist(),
-                "zN": bilevel.z_traj[-1].tolist(),
+                "z0": bilevel.lower.z_traj[0].tolist(),
+                "zN": bilevel.lower.z_traj[-1].tolist(),
                 "eval_count": bilevel.eval_count,
                 "start_records": list(bilevel.start_records),
             },
@@ -142,7 +134,8 @@ def cmd_solve(run, out_dir, model):
 
     warm_start = run.variants[0].label
     t0 = time.perf_counter()
-    baseline = _solve_baseline(run, run.mbc, solutions[warm_start])
+    baseline = solve_nlp(transcribe(run.system, run.mbc, run.N),
+                         solutions[warm_start])
     timings["baseline"] = time.perf_counter() - t0
     artifacts.write_trajectory_csv(
         os.path.join(out_dir, "baseline.csv"),
@@ -218,7 +211,7 @@ def cmd_sweep(run, out_dir, model, axis="T"):
         mbc = make_periodic_amplitude_anchor(np.deg2rad(a_deg))
         bilevels = [solve_reduced(model, var, mbc, run.upper, run.N)
                     for var in run.variants]
-        baseline = _solve_baseline(run, mbc, bilevels[0])
+        baseline = solve_nlp(transcribe(run.system, mbc, run.N), bilevels[0])
         for bilevel in bilevels:
             row = dict(artifacts.comparison_entry(bilevel, baseline),
                        amplitude_deg=a_deg, variant_w=bilevel.variant.w)

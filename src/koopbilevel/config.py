@@ -25,6 +25,9 @@ The keys a config may set (``?`` marks an optional one):
 * ``sweep?``: ``T_min?``, ``T_max?`` (default to ``upper``'s), ``points?``
   (default 101), ``amplitudes_deg?``
 
+Numbers must be finite: JSON's ``NaN``, ``Infinity`` and ``-Infinity``,
+which Python's ``json`` reads, are rejected wherever a number is expected.
+
 Solver budgets and tolerances that no run varies are constants of the module
 that uses them: the SLSQP budget of :mod:`~koopbilevel.baseline_nlp`, the
 SVD cutoff of :mod:`~koopbilevel.gedmd`, the PCC grid of
@@ -36,6 +39,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import sys
 
 import numpy as np
 
@@ -110,6 +114,8 @@ def _check_keys(obj, path, required, optional=()):
 def _check_number(val, path, lo=None, integer=False):
     ok = isinstance(val, (int, float)) and not isinstance(val, bool)
     _require(ok, path, f"expected a number, got {type(val).__name__}")
+    # NaN compares false: this rejects NaN, +-inf and ints no float can hold
+    _require(abs(val) <= sys.float_info.max, path, f"must be finite, got {val}")
     if integer:
         _require(float(val).is_integer(), path, f"expected an integer, got {val}")
     if lo is not None:
@@ -150,6 +156,9 @@ def _parse_box(ident, system):
         "identification.box", "expected a list of [lower, upper] pairs")
     _require(len(box) == system.n_x, "identification.box",
              f"expected {system.n_x} rows (system n_x), got {len(box)}")
+    for i, row in enumerate(box):
+        for j, val in enumerate(row):
+            _check_number(val, f"identification.box[{i}][{j}]")
     with _at("identification.box"):
         return np.asarray(box, dtype=float)
 

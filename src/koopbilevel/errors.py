@@ -1,4 +1,10 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package.
+
+An error means no result exists: a bad config, non-finite numbers, a
+singular system or a failed assembly. A solver that runs out of budget or
+misses its tolerance is not an error. It returns what it found and says so,
+as the baseline NLP's ``converged=False`` does.
+"""
 
 
 class KoopbilevelError(Exception):
@@ -51,14 +57,3 @@ class LowerLevelError(KoopbilevelError):
 class NoSolutionError(KoopbilevelError):
     """The upper-level search found no point with a finite cost."""
 
-
-class NonConvergenceError(KoopbilevelError):
-    """An iterative solver stopped without meeting its convergence test.
-
-    The best or last iterate is attached for diagnosis and warm restarts.
-    """
-
-    def __init__(self, message, best=None, history=None):
-        super().__init__(message)
-        self.best = best
-        self.history = history

@@ -27,7 +27,6 @@ from .numerics import pinv_svd
 from .systems import eval_rhs, simulate
 
 __all__ = [
-    "SampleSet",
     "GeneratorModel",
     "LiftedLTI",
     "sample_states",
@@ -43,15 +42,6 @@ __all__ = [
     "model_to_config",
     "model_from_config",
 ]
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """Uniform i.i.d. samples inside a box, reproducible from the seed."""
-
-    states: np.ndarray
-    seed: int
-    box: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -88,11 +78,11 @@ class LiftedLTI:
 
     A: np.ndarray
     B: np.ndarray
-    z_bar: np.ndarray
 
 
 def sample_states(box, n_s, seed):
-    """Draw n_s i.i.d. uniform samples in the box, deterministic in the seed."""
+    """Draw n_s i.i.d. uniform samples in the box, one state per row of the
+    returned array, deterministic in the seed."""
     box = np.asarray(box, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2:
         raise ConfigError(f"sampling box must have shape (n_x, 2), got {box.shape}")
@@ -101,8 +91,7 @@ def sample_states(box, n_s, seed):
     if n_s < 1:
         raise ConfigError(f"need at least one sample, got n_s={n_s}")
     rng = np.random.default_rng(seed)
-    states = rng.uniform(box[:, 0], box[:, 1], size=(int(n_s), box.shape[0]))
-    return SampleSet(states=states, seed=int(seed), box=box)
+    return rng.uniform(box[:, 0], box[:, 1], size=(int(n_s), box.shape[0]))
 
 
 def _canonical_input(system, input_index):
@@ -112,15 +101,15 @@ def _canonical_input(system, input_index):
     return u
 
 
-def assemble_data(system, dictionary, samples):
-    """Lift the samples once and compute their Lie derivatives per channel.
+def assemble_data(system, dictionary, X):
+    """Lift the samples ``X`` (one state per row) once and compute their Lie
+    derivatives per channel.
 
     Channel 0 uses u = 0; channel i in 1..n_u uses the canonical basis input
     u = e_i. One dictionary evaluation and one gradient of the samples serve
     every channel. Returns ``(Psi, dPsis)``: ``Psi`` with one column per
     sample, and one such ``dPsi`` per channel.
     """
-    X = samples.states
     Psi = dictionary.eval(X)
     grad = dictionary.grad(X)
     dPsis = [
@@ -186,8 +175,8 @@ def identify(system, dictionary, n_s, seed, box):
     each input channel then costs only its Lie derivatives and one product
     with the pseudo-inverse.
     """
-    samples = sample_states(box, n_s, seed)
-    Psi, dPsis = assemble_data(system, dictionary, samples)
+    X = sample_states(box, n_s, seed)
+    Psi, dPsis = assemble_data(system, dictionary, X)
     fits = fit_generator(Psi, dPsis)
     return GeneratorModel(
         L0=fits[0].matrix,
@@ -211,7 +200,7 @@ def linearize(model, z_bar):
             f"linearization point has dim {z_bar.shape}, expected ({model.n_z},)"
         )
     B = np.column_stack([(Li - model.L0) @ z_bar for Li in model.Li])
-    return LiftedLTI(A=model.L0.copy(), B=B, z_bar=z_bar.copy())
+    return LiftedLTI(A=model.L0.copy(), B=B)
 
 
 def bilinear_rhs(model, z, u):

@@ -104,33 +104,30 @@ class LowerLevelProblem:
 class LowerLevelSolution:
     """Inputs, running cost and KKT result; the lifted trajectory on demand.
 
+    ``problem`` is the :class:`LowerLevelProblem` that was solved; the
+    variant, period, grid, dictionary and lifted boundaries are read from it.
     The upper search reads only ``c``, so a solve stops at the inputs. The
     lifted trajectory ``z_traj``, the boundary mismatch ``c_hat`` and the
     blend ``weighted_total`` are computed on first read and kept, as are
     ``manifold_defects`` (the distance of each knot of ``z_traj`` from the
-    lift manifold of ``dictionary``, in one batched ``manifold_defect``
-    call). For that the solution keeps ``Ad``, the condensing map ``S`` of
-    ``build_qp`` (the blocks Ad^j Bd), the initial lifted state ``z0`` and
-    the lifted boundaries: ``z_traj`` is the free response Ad^k z0, by
+    lift manifold of the problem's dictionary, in one batched
+    ``manifold_defect`` call). For that the solution keeps ``Ad``, the
+    condensing map ``S`` of ``build_qp`` (the blocks Ad^j Bd) and the
+    initial lifted state ``z0``: ``z_traj`` is the free response Ad^k z0, by
     doubling, plus one block-Toeplitz product of ``S`` with the inputs.
     """
 
     u_traj: np.ndarray
     c: float
     kkt: KktResult
-    dictionary: object
-    variant: BoundaryVariant
-    T: float
-    N: int
+    problem: LowerLevelProblem
     Ad: np.ndarray
     S: np.ndarray
     z0: np.ndarray
-    psi0: np.ndarray
-    psiT: np.ndarray
 
     @property
     def times(self):
-        return np.linspace(0.0, self.T, self.N + 1)
+        return np.linspace(0.0, self.problem.T, self.problem.N + 1)
 
     @cached_property
     def z_traj(self):
@@ -138,19 +135,17 @@ class LowerLevelSolution:
 
     @cached_property
     def c_hat(self):
-        z = self.z_traj
-        return float(
-            np.sum((z[0] - self.psi0) ** 2) + np.sum((z[-1] - self.psiT) ** 2)
-        )
+        z, p = self.z_traj, self.problem
+        return float(np.sum((z[0] - p.psi0) ** 2) + np.sum((z[-1] - p.psiT) ** 2))
 
     @cached_property
     def weighted_total(self):
-        w = self.variant.w
+        w = self.problem.variant.w
         return (1.0 - w) * self.c + w * self.c_hat
 
     @cached_property
     def manifold_defects(self):
-        return manifold_defect(self.dictionary, self.z_traj)
+        return manifold_defect(self.problem.model.dictionary, self.z_traj)
 
 
 def choose_linearization_point(variant, psi0, psiT):
@@ -177,9 +172,6 @@ class QpBuild:
     Bd: np.ndarray
     S: np.ndarray
     z0_fixed: Optional[np.ndarray]
-    n_z: int
-    n_u: int
-    N: int
 
 
 def _powers(Ad, K, count):
@@ -275,7 +267,7 @@ def build_qp(problem):
 
     return QpBuild(
         H=H, g=g, Aeq=Aeq, beq=beq, Ad=zoh.Ad, Bd=zoh.Bd, S=S,
-        z0_fixed=z0_fixed, n_z=n_z, n_u=n_u, N=N,
+        z0_fixed=z0_fixed,
     )
 
 
@@ -297,7 +289,7 @@ def solve_lower(problem):
             f"T={problem.T:.6g}: {exc}"
         ) from exc
 
-    N, n_z, n_u = qp.N, qp.n_z, qp.n_u
+    N, n_z, n_u = problem.N, problem.model.n_z, problem.model.n_u
     if qp.z0_fixed is not None:
         z0 = qp.z0_fixed
         u = kkt.primal.reshape(N, n_u)
@@ -309,13 +301,8 @@ def solve_lower(problem):
         u_traj=u,
         c=problem.T / N * float(np.sum(u**2)),
         kkt=kkt,
-        dictionary=problem.model.dictionary,
-        variant=problem.variant,
-        T=float(problem.T),
-        N=N,
+        problem=problem,
         Ad=qp.Ad,
         S=qp.S,
         z0=z0,
-        psi0=problem.psi0,
-        psiT=problem.psiT,
     )

@@ -30,7 +30,6 @@ class ZohPair:
 
     Ad: np.ndarray
     Bd: np.ndarray
-    h: float
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ def zoh_discretize(A, B, h):
     aug[:n, :n] = A
     aug[:n, n:] = B
     E = expm(aug * h)
-    return ZohPair(Ad=E[:n, :n], Bd=E[:n, n:], h=float(h))
+    return ZohPair(Ad=E[:n, :n], Bd=E[:n, n:])
 
 
 def pinv_svd(M, rel_tol=1e-12):

@@ -12,7 +12,6 @@ with bounded L-BFGS-B. The landscape over T has several local minima, one
 basin per added period, so a local method alone is not enough.
 """
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -90,7 +89,13 @@ class UpperConfig:
 
 @dataclass(frozen=True)
 class BilevelSolution:
-    """Optimal boundaries and period with the recovered trajectories."""
+    """Optimal boundaries and period with the recovered trajectories.
+
+    ``states`` is the lifted trajectory of ``lower`` mapped back to the
+    original states; ``lower.z_traj`` is that lifted trajectory and
+    ``lower.problem`` the lower-level instance at the optimum. ``cost`` is
+    the running cost ``lower.c``.
+    """
 
     variant: object
     x0: np.ndarray
@@ -99,14 +104,11 @@ class BilevelSolution:
     times: np.ndarray
     states: np.ndarray
     inputs: np.ndarray
-    z_traj: np.ndarray
     cost: float
     constraint_violation: float
     eval_count: int
     start_records: tuple
     lower: object
-    N: int
-    wall_time: float = 0.0
 
 
 def _lower_eval(model, variant, mbc, p, N):
@@ -125,28 +127,24 @@ def _lower_eval(model, variant, mbc, p, N):
     return sol.c, sol, None
 
 
-def _build_solution(model, variant, mbc, p, N, eval_count, records, wall_time):
+def _build_solution(model, variant, mbc, p, N, eval_count, records):
     cost, lower, err = _lower_eval(model, variant, mbc, p, N)
     if lower is None:
         raise NoSolutionError(f"final lower-level solve failed: {err}")
-    x0, xT, T = mbc.reduction(p)
-    dictionary = model.dictionary
+    x0, xT, T = lower.problem.x0, lower.problem.xT, float(lower.problem.T)
     return BilevelSolution(
         variant=variant,
-        x0=np.asarray(x0, dtype=float),
-        xT=np.asarray(xT, dtype=float),
-        T=float(T),
+        x0=x0,
+        xT=xT,
+        T=T,
         times=lower.times,
-        states=unlift(dictionary, lower.z_traj),
+        states=unlift(model.dictionary, lower.z_traj),
         inputs=lower.u_traj,
-        z_traj=lower.z_traj,
         cost=cost,
         constraint_violation=float(np.linalg.norm(mbc.residual(x0, xT, T))),
         eval_count=eval_count,
         start_records=tuple(records),
         lower=lower,
-        N=N,
-        wall_time=wall_time,
     )
 
 
@@ -164,7 +162,6 @@ def solve_reduced(model, variant, mbc, config, N):
     if mbc.reduction is None:
         raise ConfigError(f"constraint '{mbc.name}' provides no reduction")
     box = np.array([(config.T_min, config.T_max), *mbc.p_bounds], dtype=float)
-    t_start = time.perf_counter()
     memo = {}  # p.tobytes() -> cost, shared by both stages
 
     def run_stage(stage, search):
@@ -212,7 +209,6 @@ def solve_reduced(model, variant, mbc, config, N):
     return _build_solution(
         model, variant, mbc, np.asarray(best["p_star"]), N,
         coarse["nfev"] + polish["nfev"], [coarse, polish],
-        time.perf_counter() - t_start,
     )
 
 

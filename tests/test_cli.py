@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from koopbilevel import ConfigError, artifacts, cli, config
+from koopbilevel import ConfigError, artifacts, baseline_nlp, cli, config
 from koopbilevel.config import validate_config
 
 
@@ -138,6 +138,11 @@ BAD_SETTINGS = [
     ("system.params.damping", "pendulum", "system", "params", {"damping": "abc"},
      ["solve"]),
     ("mbc", "walker", None, None, None, ["sweep", "--axis", "T"]),
+    # Python's json reads NaN and Infinity; a number must be finite
+    ("mbc.amplitude_deg", "fig1", "mbc", "amplitude_deg", float("nan"), ["solve"]),
+    ("upper.T_max", "fig1", "upper", "T_max", float("inf"), ["solve"]),
+    ("identification.box[1][0]", "fig1", "identification", "box",
+     [[-1.0, 1.0], [float("nan"), 1.0]], ["solve"]),
 ]
 
 
@@ -146,7 +151,8 @@ BAD_SETTINGS = [
     ids=["upper.simplex_xatol", "soft_w", "hard_w", "walker_mbc_on_oscillator",
          "identification.box", "sweep.T_min", "sweep.amplitudes_deg",
          "amplitude_mbc_on_walker", "amplitude_sweep_on_walker",
-         "walker_rate_bound_0", "system.params.damping", "period_sweep_on_walker"],
+         "walker_rate_bound_0", "system.params.damping", "period_sweep_on_walker",
+         "amplitude_deg_nan", "T_max_inf", "box_nan"],
 )
 def test_solve_exits_2_on_a_bad_setting(tmp_path, capsys, path, bundle, block, key,
                                         value, command):
@@ -228,3 +234,18 @@ def test_amplitude_sweep_rows_match_solve_report(tmp_path):
         assert float(row["amplitude_deg"]) == 30.0
         for key in ("T_star", "c", "pcc_state", "T_star_baseline", "c_baseline"):
             assert float(row[key]) == entry[key], key
+
+
+def test_solve_reports_a_nonconverged_baseline(tmp_path, monkeypatch):
+    # a baseline that stops short is written and compared, flagged as such
+    monkeypatch.setattr(baseline_nlp, "_MAXITER", 1)
+    path = tmp_path / "fig1.json"
+    path.write_text(json.dumps(cli.load_bundle("fig1")["config"]))
+    out = str(tmp_path / "out")
+    assert cli.main(["solve", "--config", str(path), "--out", out]) == 0
+
+    baseline = json.loads(_read_bytes(os.path.join(out, "baseline.json")))
+    assert baseline["converged"] is False
+    report = json.loads(_read_bytes(os.path.join(out, "report.json")))
+    assert [e["baseline_converged"] for e in report["entries"]] == [False]
+    assert cli.main(["audit", "--out", out]) == 0

@@ -34,21 +34,21 @@ class TestSampling:
     def test_bounds_and_shape(self):
         box = np.array([[0.0, 1.0], [0.0, 1.0]])
         s = sample_states(box, 4, seed=42)
-        assert s.states.shape == (4, 2)
-        assert np.all(s.states >= 0.0) and np.all(s.states <= 1.0)
+        assert s.shape == (4, 2)
+        assert np.all(s >= 0.0) and np.all(s <= 1.0)
 
     def test_deterministic_given_seed(self):
         box = np.array([[-1.0, 2.0], [0.0, 1.0]])
         a = sample_states(box, 100, seed=5)
         b = sample_states(box, 100, seed=5)
-        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a, b)
 
     def test_law_of_large_numbers(self):
         box = np.array([[-1.0, 3.0], [0.5, 2.5]])
         s = sample_states(box, 45000, seed=6)
         mid = box.mean(axis=1)
         sigma = (box[:, 1] - box[:, 0]) / np.sqrt(12.0) / np.sqrt(45000)
-        assert np.all(np.abs(s.states.mean(axis=0) - mid) <= 3.0 * sigma)
+        assert np.all(np.abs(s.mean(axis=0) - mid) <= 3.0 * sigma)
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(ConfigError):
@@ -64,24 +64,22 @@ class TestAssembleData:
 
     def test_pendulum_sin_row_is_lie_derivative(self, pendulum):
         d = get_dictionary("pendulum12", 2)
-        samples = sample_states(pendulum.state_box, 80, seed=2)
-        _, (dPsi, _) = assemble_data(pendulum, d, samples)
-        X = samples.states
+        X = sample_states(pendulum.state_box, 80, seed=2)
+        _, (dPsi, _) = assemble_data(pendulum, d, X)
         # d/dt sin(x1) = x2 cos(x1) regardless of drift details
         assert np.max(np.abs(dPsi[2] - X[:, 1] * np.cos(X[:, 0]))) <= 1e-12
 
     def test_input_channel_difference_is_gradient_column(self, pendulum):
         d = get_dictionary("pendulum12", 2)
-        samples = sample_states(pendulum.state_box, 60, seed=3)
-        _, (d0, d1) = assemble_data(pendulum, d, samples)
-        grads = d.grad(samples.states)  # (n_s, n_z, n_x); G = [0, 1]^T
+        X = sample_states(pendulum.state_box, 60, seed=3)
+        _, (d0, d1) = assemble_data(pendulum, d, X)
+        grads = d.grad(X)  # (n_s, n_z, n_x); G = [0, 1]^T
         assert np.max(np.abs((d1 - d0) - grads[:, :, 1].T)) <= 1e-12
 
     def test_finite_difference_directional_oracle(self, pendulum):
         d = get_dictionary("pendulum12", 2)
-        samples = sample_states(pendulum.state_box, 40, seed=4)
-        Psi, (_, dPsi) = assemble_data(pendulum, d, samples)
-        X = samples.states
+        X = sample_states(pendulum.state_box, 40, seed=4)
+        Psi, (_, dPsi) = assemble_data(pendulum, d, X)
         rhs = eval_rhs(pendulum, X, np.ones(1))
         h = 1e-5
         fd = (d.eval(X + h * rhs) - d.eval(X - h * rhs)).T / (2 * h)
@@ -182,7 +180,7 @@ class TestIdentify:
         # term by term, as identification did before sharing them
         d = get_dictionary("pendulum12", 2)
         model = identify(pendulum, d, n_s=500, seed=13, box=pendulum.state_box)
-        X = sample_states(model.box, model.n_s, model.seed).states
+        X = sample_states(model.box, model.n_s, model.seed)
         for i, L in enumerate((model.L0,) + model.Li):
             u = np.zeros(pendulum.n_u)
             u[i - 1] = float(i > 0)
