@@ -26,7 +26,6 @@ from .systems import (
     ControlAffineSystem,
     ControlSignal,
     HybridExtras,
-    Trajectory,
     eval_rhs,
     get_system,
     rk4_step,
@@ -42,7 +41,6 @@ from .lifting import (
 )
 from .gedmd import (
     GeneratorModel,
-    LiftedLTI,
     assemble_data,
     fit_generator,
     identify,

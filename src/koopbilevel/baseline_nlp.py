@@ -199,7 +199,7 @@ def _warm_start_vector(nlp, warm_start):
 
 def _solution_from_vector(nlp, v, kkt, converged, outer, inner, history):
     X, U, T = nlp.unpack(v)
-    defect = float(np.max(np.abs(nlp.defects(v)))) if nlp.N else 0.0
+    defect = float(np.max(np.abs(nlp.defects(v))))
     mbc_viol = float(np.max(np.abs(nlp.mbc_residual(v))))
     return NlpSolution(
         times=np.linspace(0.0, T, nlp.N + 1),

@@ -93,8 +93,8 @@ def cmd_solve(run, out_dir, model):
     names that variant; and ``report.json``, with one entry per variant that
     compares it with the shared baseline.
 
-    Returns the report, the bilevel solutions by label, and the seconds of
-    each variant's bilevel solve (``per_variant``) and of the baseline.
+    Returns the report and the seconds of each variant's bilevel solve
+    (``per_variant``) and of the baseline.
     """
     _ensure_dir(out_dir)
 
@@ -168,7 +168,7 @@ def cmd_solve(run, out_dir, model):
         },
     }
     artifacts.write_json(os.path.join(out_dir, "report.json"), report)
-    return report, solutions, timings
+    return report, timings
 
 
 def _write_sweep_csv(path, rows, columns):
@@ -252,15 +252,13 @@ def cmd_reproduce(bundle_name, out_dir, seed=None):
         timings["sweep"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    report, solutions, solve_timings = cmd_solve(run, out_dir, model)
+    report, solve_timings = cmd_solve(run, out_dir, model)
     timings["solve"] = time.perf_counter() - t0
     timings.update(solve_timings)
 
     ctx = {
         "sweep_rows": sweep_rows,
         "entries": report["entries"],
-        "solutions": solutions,
-        "system": run.system,
         "timings": timings,
     }
     results, passed = gatesmod.evaluate_gates(bundle["gates"], ctx)

@@ -159,6 +159,8 @@ def _parse_box(ident, system):
     for i, row in enumerate(box):
         for j, val in enumerate(row):
             _check_number(val, f"identification.box[{i}][{j}]")
+        _require(row[0] < row[1], f"identification.box[{i}]",
+                 f"lower bound {row[0]} must be below upper bound {row[1]}")
     with _at("identification.box"):
         return np.asarray(box, dtype=float)
 

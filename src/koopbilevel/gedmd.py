@@ -10,12 +10,16 @@ give the bilinear surrogate
 
     dz/dt = L0 z + sum_i u_i (Li - L0) z,
 
-which is linearized about a lifted reference point to get LTI dynamics for
-the convex lower level.
+a control-affine system on lifted states (``GeneratorModel.surrogate``) with
+drift L0 z and input column i equal to (Li - L0) z. ``systems.simulate``
+integrates it with the same RK4 as the true system, and the convex lower
+level linearizes it about a lifted reference point: A = L0 and B is its input
+map there.
 """
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -24,18 +28,15 @@ from .artifacts import write_json
 from .errors import ConfigError, DataError
 from .lifting import ObservableDictionary
 from .numerics import pinv_svd
-from .systems import eval_rhs, simulate
+from .systems import ControlAffineSystem, eval_rhs, simulate
 
 __all__ = [
     "GeneratorModel",
-    "LiftedLTI",
     "sample_states",
     "assemble_data",
     "fit_generator",
     "identify",
     "linearize",
-    "bilinear_rhs",
-    "integrate_bilinear",
     "prediction_error",
     "save_model",
     "load_model",
@@ -71,13 +72,28 @@ class GeneratorModel:
     def rank_deficient(self):
         return any(r < self.n_z for r in self.ranks)
 
+    @cached_property
+    def surrogate(self):
+        """The bilinear surrogate as a control-affine system on lifted states:
+        drift L0 z, input column i equal to (Li - L0) z. The stacked product
+        rounds bitwise like ``(Li - L0) @ z``; ``einsum`` does not."""
+        L0 = self.L0
+        G = np.stack([Li - L0 for Li in self.Li])
 
-@dataclass(frozen=True)
-class LiftedLTI:
-    """LTI dynamics dz/dt = A z + B u from linearizing the bilinear model."""
+        def drift(z):
+            return (L0 @ z[..., None])[..., 0]
 
-    A: np.ndarray
-    B: np.ndarray
+        def input_map(z):
+            return np.moveaxis((G @ z[..., None, :, None])[..., 0], -2, -1)
+
+        return ControlAffineSystem(
+            name=f"{self.system_name} surrogate",
+            n_x=self.n_z,
+            n_u=self.n_u,
+            drift=drift,
+            input_map=input_map,
+            state_box=None,
+        )
 
 
 def sample_states(box, n_s, seed):
@@ -193,54 +209,26 @@ def identify(system, dictionary, n_s, seed, box):
 
 
 def linearize(model, z_bar):
-    """LTI pair at a lifted reference: A = L0, B column i = (Li - L0) z_bar."""
+    """LTI pair ``(A, B)`` at a lifted reference: A = L0, and B is the
+    surrogate's input map at z_bar, column i = (Li - L0) z_bar."""
     z_bar = np.asarray(z_bar, dtype=float)
     if z_bar.shape != (model.n_z,):
         raise ConfigError(
             f"linearization point has dim {z_bar.shape}, expected ({model.n_z},)"
         )
-    B = np.column_stack([(Li - model.L0) @ z_bar for Li in model.Li])
-    return LiftedLTI(A=model.L0.copy(), B=B)
+    return model.L0, model.surrogate.input_map(z_bar)
 
 
-def bilinear_rhs(model, z, u):
-    """dz/dt = L0 z + sum_i u_i (Li - L0) z."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    dz = model.L0 @ z
-    for i, Li in enumerate(model.Li):
-        if u[i] != 0.0:
-            dz = dz + u[i] * ((Li - model.L0) @ z)
-    return dz
-
-
-def integrate_bilinear(model, z0, signal, substeps=16):
-    """RK4 integration of the bilinear surrogate under a piecewise-constant u."""
-    N = signal.N
-    h = signal.T / N / substeps
-    Z = np.empty((N + 1, model.n_z))
-    Z[0] = z0
-    z = np.asarray(z0, dtype=float)
-    for k in range(N):
-        u = signal.knots[k]
-        for _ in range(substeps):
-            k1 = bilinear_rhs(model, z, u)
-            k2 = bilinear_rhs(model, z + 0.5 * h * k1, u)
-            k3 = bilinear_rhs(model, z + 0.5 * h * k2, u)
-            k4 = bilinear_rhs(model, z + h * k3, u)
-            z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        Z[k + 1] = z
-    return Z
-
-
-def prediction_error(model, system, dictionary, x0, signal, substeps=16):
+def prediction_error(model, system, x0, signal, substeps=16):
     """Per-state RMS gap between the bilinear surrogate and the true flow.
 
-    Integrates the bilinear model (not its linearization) so identification
-    error is measured separately from linearization error.
+    Integrates the bilinear surrogate (not its linearization) so
+    identification error is measured separately from linearization error.
     """
     truth = simulate(system, x0, signal, substeps=substeps)
-    Z = integrate_bilinear(model, dictionary.eval(x0), signal, substeps=substeps)
-    err = Z[:, : system.n_x] - truth.states
+    Z = simulate(model.surrogate, model.dictionary.eval(x0), signal,
+                 substeps=substeps)
+    err = Z[:, : system.n_x] - truth
     return np.sqrt(np.mean(err**2, axis=0))
 
 

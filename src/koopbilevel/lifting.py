@@ -68,11 +68,6 @@ class Monomial:
     def to_config(self):
         return {"kind": "monomial", "powers": list(self.powers)}
 
-    def label(self):
-        parts = [f"x{i + 1}" + (f"^{p}" if p > 1 else "")
-                 for i, p in enumerate(self.powers) if p]
-        return "*".join(parts) if parts else "1"
-
 
 @dataclass(frozen=True)
 class Trig:
@@ -100,17 +95,6 @@ class Trig:
     def to_config(self):
         return {"kind": self.fn, "coeffs": list(float(c) for c in self.coeffs)}
 
-    def label(self):
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            coef = "" if mag == 1 else f"{mag:g}*"
-            parts.append(f"{sign}{coef}x{i + 1}")
-        return f"{self.fn}({''.join(parts)})"
-
 
 @dataclass(frozen=True)
 class Product:
@@ -137,9 +121,6 @@ class Product:
 
     def to_config(self):
         return {"kind": "product", "factors": [f.to_config() for f in self.factors]}
-
-    def label(self):
-        return "*".join(f.label() for f in self.factors)
 
 
 def term_from_config(cfg):
@@ -268,10 +249,6 @@ class ObservableDictionary:
     @property
     def n_z(self):
         return len(self.terms)
-
-    @property
-    def labels(self):
-        return [t.label() for t in self.terms]
 
     @cached_property
     def _plan(self):

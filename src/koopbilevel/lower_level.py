@@ -230,8 +230,8 @@ def build_qp(problem):
     h = problem.T / N
 
     psi0, psiT = problem.psi0, problem.psiT
-    lti = linearize(model, choose_linearization_point(variant, psi0, psiT))
-    zoh = zoh_discretize(lti.A, lti.B, h)
+    A, B = linearize(model, choose_linearization_point(variant, psi0, psiT))
+    zoh = zoh_discretize(A, B, h)
     S, AdN_psi0 = _condense(zoh.Ad, zoh.Bd, psi0, N)
 
     C = np.zeros((n_x, n_z))

@@ -17,7 +17,6 @@ __all__ = [
     "ControlAffineSystem",
     "HybridExtras",
     "ControlSignal",
-    "Trajectory",
     "eval_rhs",
     "rk4_step",
     "simulate",
@@ -31,25 +30,30 @@ class HybridExtras:
     """Reset machinery for systems with an endpoint impact.
 
     ``jump_map`` resets velocities at impact (generalized positions are
-    preserved); ``flip_map`` relabels the legs and is an involution;
-    ``touchdown_guard`` is zero exactly at ground contact.
+    preserved); ``flip_map`` relabels the legs and is an involution. Where
+    the impact happens is not part of the system: the walker's gait
+    constraint pins th_st + th_sw = 0 at the endpoint, which puts both feet
+    on the ground.
     """
 
     jump_map: Callable[[np.ndarray], np.ndarray]
     flip_map: Callable[[np.ndarray], np.ndarray]
-    touchdown_guard: Callable[[np.ndarray], float]
 
 
 @dataclass(frozen=True)
 class ControlAffineSystem:
-    """Control-affine dynamics ``dx/dt = drift(x) + input_map(x) @ u``."""
+    """Control-affine dynamics ``dx/dt = drift(x) + input_map(x) @ u``.
+
+    ``state_box`` is the default identification box of a true system; a
+    surrogate, which is never sampled, has none.
+    """
 
     name: str
     n_x: int
     n_u: int
     drift: Callable[[np.ndarray], np.ndarray]
     input_map: Callable[[np.ndarray], np.ndarray]
-    state_box: np.ndarray
+    state_box: Optional[np.ndarray]
     hybrid: Optional[HybridExtras] = None
     params: dict = field(default_factory=dict)
 
@@ -74,28 +78,6 @@ class ControlSignal:
     @property
     def N(self):
         return self.knots.shape[0]
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """States sampled on a strictly increasing time grid starting at 0."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
-        if times.ndim != 1 or states.shape[0] != times.shape[0]:
-            raise ConfigError("trajectory times and states are inconsistent")
-        if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-            raise ConfigError("trajectory times must start at 0 and increase")
-
-    @property
-    def T(self):
-        return float(self.times[-1])
 
 
 def eval_rhs(system, x, u):
@@ -141,7 +123,7 @@ def simulate(system, x0, signal, substeps=16):
     """Integrate under a piecewise-constant signal; samples at knot boundaries.
 
     Each knot interval of length T/N is integrated with ``substeps`` RK4
-    steps. Returns a :class:`Trajectory` with N+1 samples.
+    steps. Returns the ``(N+1, n_x)`` states at times ``k*T/N``.
     """
     if substeps < 1:
         raise ConfigError(f"substeps must be >= 1, got {substeps}")
@@ -156,8 +138,7 @@ def simulate(system, x0, signal, substeps=16):
         for _ in range(substeps):
             x = rk4_step(system, x, u, h)
         states[k + 1] = x
-    times = np.linspace(0.0, signal.T, N + 1)
-    return Trajectory(times=times, states=states)
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +295,6 @@ def make_compass_gait(hip_mass=2.0, leg_mass=1.0, leg_length=1.0, com_from_hip=0
         x = np.asarray(x, dtype=float)
         return x[..., [1, 0, 3, 2]]
 
-    def touchdown_guard(x):
-        # swing-foot height above ground; zero when both feet touch
-        return float(ell * (np.cos(x[0]) - np.cos(x[1])))
-
     def kinetic_energy(x):
         """Total kinetic energy about the stance pivot (used by energy audits)."""
         th_st, th_sw, w_st, w_sw = np.asarray(x, dtype=float)
@@ -330,9 +307,7 @@ def make_compass_gait(hip_mass=2.0, leg_mass=1.0, leg_length=1.0, com_from_hip=0
     box = np.array(
         [[-0.35, 0.35], [-0.35, 0.35], [-1.5, 1.5], [-1.5, 1.5]]
     )
-    extras = HybridExtras(
-        jump_map=jump_map, flip_map=flip_map, touchdown_guard=touchdown_guard
-    )
+    extras = HybridExtras(jump_map=jump_map, flip_map=flip_map)
     return ControlAffineSystem(
         name="compass_gait",
         n_x=4,

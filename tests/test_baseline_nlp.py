@@ -161,9 +161,9 @@ class TestSolveNlp:
             model=oscillator_model, variant=BoundaryVariant("b0"),
             x0=anchor, xT=anchor, T=T0, N=N,
         ))
-        traj = simulate(oscillator, anchor,
-                        ControlSignal(knots=qp_sol.u_traj, T=T0), substeps=8)
-        sol = solve_nlp(nlp, (traj.states, qp_sol.u_traj, T0))
+        X = simulate(oscillator, anchor,
+                     ControlSignal(knots=qp_sol.u_traj, T=T0), substeps=8)
+        sol = solve_nlp(nlp, (X, qp_sol.u_traj, T0))
         assert sol.converged
         assert abs(sol.T - T0) <= 1e-9
         assert np.max(np.abs(sol.inputs - qp_sol.u_traj)) <= 1e-6

@@ -143,6 +143,8 @@ BAD_SETTINGS = [
     ("upper.T_max", "fig1", "upper", "T_max", float("inf"), ["solve"]),
     ("identification.box[1][0]", "fig1", "identification", "box",
      [[-1.0, 1.0], [float("nan"), 1.0]], ["solve"]),
+    ("identification.box[0]", "fig1", "identification", "box",
+     [[1.0, 1.0], [-1.0, 1.0]], ["solve"]),
 ]
 
 
@@ -152,7 +154,7 @@ BAD_SETTINGS = [
          "identification.box", "sweep.T_min", "sweep.amplitudes_deg",
          "amplitude_mbc_on_walker", "amplitude_sweep_on_walker",
          "walker_rate_bound_0", "system.params.damping", "period_sweep_on_walker",
-         "amplitude_deg_nan", "T_max_inf", "box_nan"],
+         "amplitude_deg_nan", "T_max_inf", "box_nan", "box_degenerate"],
 )
 def test_solve_exits_2_on_a_bad_setting(tmp_path, capsys, path, bundle, block, key,
                                         value, command):
@@ -160,7 +162,7 @@ def test_solve_exits_2_on_a_bad_setting(tmp_path, capsys, path, bundle, block, k
     cfg_path.write_text(json.dumps(_bundle_config_with(bundle, block, key, value)))
     out = str(tmp_path / "out")
     assert cli.main(command + ["--config", str(cfg_path), "--out", out]) == 2
-    assert not os.path.exists(os.path.join(out, "model.json"))
+    assert not os.path.exists(out)
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {path}: ")
     assert "Traceback" not in err

@@ -17,7 +17,6 @@ from koopbilevel import (
     simulate,
 )
 from koopbilevel.gedmd import (
-    integrate_bilinear,
     load_model,
     model_from_config,
     model_to_config,
@@ -147,15 +146,15 @@ class TestIdentify:
         assert np.max(np.abs(model.L0[:, 2])) <= 1e-10  # no constant drift
         d = model.dictionary
         for x in ([0.0, 0.0], [0.7, -0.3]):
-            lti = linearize(model, d.eval(np.asarray(x)))
-            assert np.max(np.abs(lti.B[:2] - B)) <= 1e-10
+            _, B_lin = linearize(model, d.eval(np.asarray(x)))
+            assert np.max(np.abs(B_lin[:2] - B)) <= 1e-10
 
     def test_predicted_flow_matches_matrix_exponential(self, oscillator,
                                                        oscillator_model):
         x0 = np.array([0.8, -0.2])
         model = oscillator_model
         sig = ControlSignal(knots=np.zeros(64), T=TWO_PI)
-        Z = integrate_bilinear(model, model.dictionary.eval(x0), sig, substeps=8)
+        Z = simulate(model.surrogate, model.dictionary.eval(x0), sig, substeps=8)
         exact = expm(oscillator.params["A"] * TWO_PI) @ x0
         assert np.max(np.abs(Z[-1][:2] - exact)) <= 1e-8
 
@@ -198,14 +197,15 @@ class TestIdentify:
 
 class TestLinearize:
     def test_zero_point_gives_zero_input_matrix(self, oscillator_model):
-        lti = linearize(oscillator_model, np.zeros(3))
-        assert np.array_equal(lti.B, np.zeros((3, 1)))
+        A, B = linearize(oscillator_model, np.zeros(3))
+        assert A is oscillator_model.L0
+        assert np.array_equal(B, np.zeros((3, 1)))
 
     def test_linearity_in_reference_point(self, pendulum_model):
         rng = np.random.default_rng(14)
         z = rng.normal(size=pendulum_model.n_z)
-        B1 = linearize(pendulum_model, z).B
-        B2 = linearize(pendulum_model, 2.5 * z).B
+        _, B1 = linearize(pendulum_model, z)
+        _, B2 = linearize(pendulum_model, 2.5 * z)
         assert np.max(np.abs(B2 - 2.5 * B1)) <= 1e-12
 
     def test_dimension_check(self, pendulum_model):
@@ -213,21 +213,52 @@ class TestLinearize:
             linearize(pendulum_model, np.zeros(3))
 
 
+@pytest.fixture(scope="module")
+def walker_model(walker):
+    return identify(walker, get_dictionary("compass_gait29", 4), n_s=2000,
+                    seed=17, box=walker.state_box)
+
+
+class TestSurrogate:
+    @pytest.mark.parametrize("name", ["pendulum_model", "walker_model"])
+    def test_input_map_is_bitwise_the_per_channel_product(self, request, name):
+        model = request.getfixturevalue(name)
+        rng = np.random.default_rng(18)
+        Z = rng.normal(size=(50, model.n_z))
+
+        def columns(z):
+            return np.column_stack([(Li - model.L0) @ z for Li in model.Li])
+
+        batch = model.surrogate.input_map(Z)
+        assert batch.shape == (50, model.n_z, model.n_u)
+        for z, G in zip(Z, batch):
+            assert np.array_equal(model.surrogate.input_map(z), columns(z))
+            assert np.array_equal(G, columns(z))
+            assert np.array_equal(linearize(model, z)[1], columns(z))
+
+    def test_right_hand_side_is_the_bilinear_model(self, pendulum_model):
+        model = pendulum_model
+        rng = np.random.default_rng(19)
+        z, u = rng.normal(size=model.n_z), rng.normal(size=model.n_u)
+        bilinear = model.L0 @ z + sum(
+            ui * ((Li - model.L0) @ z) for ui, Li in zip(u, model.Li))
+        rhs = eval_rhs(model.surrogate, z, u)
+        assert np.max(np.abs(rhs - bilinear)) <= 1e-12 * np.max(np.abs(bilinear))
+
+
 class TestPredictionError:
     def test_exact_for_linear_surrogate(self, oscillator, oscillator_model):
         rng = np.random.default_rng(15)
         sig = ControlSignal(knots=rng.normal(scale=0.2, size=20), T=TWO_PI)
         err = prediction_error(
-            oscillator_model, oscillator, oscillator_model.dictionary,
-            np.array([0.3, 0.4]), sig, substeps=16,
+            oscillator_model, oscillator, np.array([0.3, 0.4]), sig, substeps=16,
         )
         assert np.max(err) <= 1e-8
 
     def test_vanishing_horizon(self, oscillator, oscillator_model):
         sig = ControlSignal(knots=np.zeros(1), T=1e-9)
         err = prediction_error(
-            oscillator_model, oscillator, oscillator_model.dictionary,
-            np.array([0.3, 0.4]), sig, substeps=1,
+            oscillator_model, oscillator, np.array([0.3, 0.4]), sig, substeps=1,
         )
         assert np.max(err) <= 1e-12
 
@@ -242,7 +273,7 @@ class TestPersistence:
             np.array_equal(a, b) for a, b in zip(loaded.Li, pendulum_model.Li)
         )
         assert loaded.residuals == pendulum_model.residuals
-        assert loaded.dictionary.labels == pendulum_model.dictionary.labels
+        assert loaded.dictionary == pendulum_model.dictionary
         assert np.array_equal(loaded.box, pendulum_model.box)
 
     def test_bitwise_determinism(self, pendulum):
@@ -266,8 +297,8 @@ def test_constant_term_required_for_constant_input_maps():
     with_const = identify(sys_lin, get_dictionary("linear_const", 2), n_s=400,
                           seed=16, box=sys_lin.state_box)
     z_bar = with_const.dictionary.eval(np.array([0.2, 0.1]))
-    B_const = linearize(with_const, z_bar).B[:2]
+    B_const = linearize(with_const, z_bar)[1][:2]
     assert np.max(np.abs(B_const - sys_lin.params["B"])) <= 1e-10
     # identity-dictionary fit has tiny induced B: both channels see ~A psi
-    B_ident = linearize(ident, np.array([0.2, 0.1])).B
+    _, B_ident = linearize(ident, np.array([0.2, 0.1]))
     assert np.max(np.abs(B_ident)) <= 0.2  # cannot encode the constant column

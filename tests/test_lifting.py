@@ -12,7 +12,7 @@ from koopbilevel import (
     manifold_defect,
     unlift,
 )
-from koopbilevel.lifting import Monomial, Product, Trig, term_from_config
+from koopbilevel.lifting import Monomial, Product, term_from_config
 
 
 def fd_gradient(dictionary, x, h=1e-5):
@@ -181,7 +181,7 @@ class TestSerialization:
         cfg = json.loads(json.dumps(d.to_config()))
         d2 = ObservableDictionary.from_config(cfg)
         assert d2.n_z == d.n_z == 29
-        assert d2.labels == d.labels
+        assert d2 == d
         rng = np.random.default_rng(16)
         X = rng.normal(size=(20, 4))
         assert np.array_equal(d.eval(X), d2.eval(X))
@@ -195,14 +195,6 @@ class TestSerialization:
         assert isinstance(t, Product)
         x = np.array([0.3, 1.2])
         assert abs(t.value(x) - 1.44 * np.sin(0.3)) <= 1e-15
-
-    def test_labels_are_readable(self):
-        d = get_dictionary("pendulum12", 2)
-        assert d.labels[0] == "x1"
-        assert d.labels[2] == "sin(x1)"
-        assert d.labels[-1] == "1"
-        rel = Trig("sin", (1.0, -1.0, 0.0, 0.0))
-        assert rel.label() == "sin(x1-x2)"
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):

@@ -226,8 +226,7 @@ class TestSolveLower:
 
             variant = problem.variant
             z_bar = choose_linearization_point(variant, lift(d, x0), lift(d, xT))
-            lti = linearize(model, z_bar)
-            pair = zoh_discretize(lti.A, lti.B, T / N)
+            pair = zoh_discretize(*linearize(model, z_bar), T / N)
             nv = (N + 1) * n_z + N * n_u
             h = T / N
 

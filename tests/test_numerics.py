@@ -89,8 +89,8 @@ class TestZoh:
         pair = zoh_discretize(oscillator.params["A"], oscillator.params["B"], h)
         x0 = np.array([0.4, -0.2])
         u = np.array([0.7])
-        traj = simulate(oscillator, x0, ControlSignal(knots=[u], T=h), substeps=256)
-        assert np.max(np.abs(pair.Ad @ x0 + pair.Bd @ u - traj.states[-1])) <= 1e-10
+        X = simulate(oscillator, x0, ControlSignal(knots=[u], T=h), substeps=256)
+        assert np.max(np.abs(pair.Ad @ x0 + pair.Bd @ u - X[-1])) <= 1e-10
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(NumericError):
