@@ -20,10 +20,13 @@ The keys a config may set (``?`` marks an optional one):
 * ``mbc``: ``{"type": "periodic_amplitude_anchor", "amplitude_deg"}`` or
   ``{"type": "walker_gait", "v_avg", "rate_bound"}``
 * ``N``: the number of knot intervals
-* ``variants``: a non-empty list of ``{"kind", "w?"}``
-* ``upper``: ``T_min``, ``T_max``
-* ``sweep?``: ``T_min?``, ``T_max?`` (default to ``upper``'s), ``points?``
-  (default 101), ``amplitudes_deg?``
+* ``variants``: a non-empty list of ``{"kind", "w?"}`` with distinct labels
+  (``kind``, or ``soft_w<w>`` for a soft variant, ``w`` printed with ``%g``),
+  since each variant's results and files are keyed by its label
+* ``upper``: ``T_min``, ``T_max``, with ``0 < T_min < T_max``
+* ``sweep?``: ``T_min?``, ``T_max?`` (default to ``upper``'s, and with
+  ``0 < T_min < T_max`` once defaulted), ``points?`` (default 101),
+  ``amplitudes_deg?``
 
 Numbers must be finite: JSON's ``NaN``, ``Infinity`` and ``-Infinity``,
 which Python's ``json`` reads, are rejected wherever a number is expected.
@@ -199,7 +202,11 @@ def _parse_variants(variants):
         if "w" in var:
             _check_number(var["w"], f"{path}.w")
         with _at(path):
-            parsed.append(BoundaryVariant(kind=var["kind"], w=float(var.get("w", 0.0))))
+            variant = BoundaryVariant(kind=var["kind"], w=float(var.get("w", 0.0)))
+        # results and output files are keyed by label
+        _require(all(v.label != variant.label for v in parsed), path,
+                 f"repeats the label '{variant.label}' of an earlier variant")
+        parsed.append(variant)
     return tuple(parsed)
 
 
@@ -215,9 +222,10 @@ def _parse_sweep(sweep, upper):
     _require(isinstance(amps, list), "sweep.amplitudes_deg", "expected a list of numbers")
     for i, a in enumerate(amps):
         _check_number(a, f"sweep.amplitudes_deg[{i}]")
-    grid = np.linspace(float(sweep.get("T_min", upper.T_min)),
-                       float(sweep.get("T_max", upper.T_max)),
-                       int(sweep.get("points", 101)))
+    with _at("sweep"):
+        bracket = UpperConfig(T_min=float(sweep.get("T_min", upper.T_min)),
+                              T_max=float(sweep.get("T_max", upper.T_max)))
+    grid = np.linspace(bracket.T_min, bracket.T_max, int(sweep.get("points", 101)))
     return grid, tuple(float(a) for a in amps)
 
 

@@ -176,8 +176,9 @@ def _gate_walker_accuracy(gate, ctx):
     stand in for the comparison."""
     entry = _entry(ctx, gate["variant"])
     val = entry["pcc_state"]
-    passed = entry["baseline_converged"] and val >= gate["pcc_min"]
-    return passed, {"mode": "pcc", "pcc_state": val}
+    converged = entry["baseline_converged"]
+    passed = converged and val >= gate["pcc_min"]
+    return passed, {"pcc_state": val, "baseline_converged": converged}
 
 
 def _gate_runtime_max_seconds(gate, ctx):

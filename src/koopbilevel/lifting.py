@@ -8,9 +8,10 @@ Terms are declared as serializable descriptors (monomial / sin / cos /
 product) rather than opaque callables, so an identified surrogate model can be
 persisted together with the exact basis it was fit in. The descriptors stay
 the source of truth, and they are what ``to_config`` writes.
-``ObservableDictionary.eval`` runs a column plan compiled from them once per
-dictionary, which evaluates all terms in a few array operations and rounds
-as the terms themselves do.
+``ObservableDictionary.eval`` walks a program of the dictionary's distinct
+terms, built once per dictionary, that evaluates each of them once with its
+own ``value`` (a product from its factors' columns), so it is bitwise equal
+to ``term.value`` term by term for every dictionary.
 """
 
 from dataclasses import dataclass
@@ -142,95 +143,16 @@ def _is_state_copy(term, index, n_x):
 
 
 @dataclass(frozen=True)
-class _Plan:
-    """Column program that evaluates a dictionary on a batch of states.
-
-    Columns hold the distinct monomials, then the distinct trig terms, then
-    the distinct products, the latter ordered so every factor comes first.
-    """
-
-    n_cols: int
-    powers: tuple  # (state i, power p) of each nonzero power in a monomial
-    mono_factors: np.ndarray  # (n_state, n_mono): 1 + index into powers, 0 for x_i^0
-    W: np.ndarray  # distinct trig coefficient rows, (n_arg, n_x)
-    trigs: tuple  # (np.sin or np.cos, rows of W, trig columns)
-    products: tuple  # (factor columns (n, arity), product columns)
-    terms: np.ndarray  # column of each dictionary term
-
-
-def _compile(terms):
-    """Plan whose rounding is that of ``term.value``, term by term.
-
-    Monomials multiply ``x_i ** p`` in ascending state order (a zero power
-    multiplies by an exact 1) and products multiply their factors in factor
-    order, as ``Monomial.value`` and ``Product.value`` do. Trig arguments
-    come from one matrix product instead of one dot product per term; the
-    two agree exactly when every argument is exact in any summation order,
-    as with coefficients in {0, +-1} and at most two nonzero (all presets),
-    and otherwise by a few ulp of the argument.
-    """
-    monos, trigs, prods = {}, {}, {}  # insertion-ordered sets of terms
-
-    def visit(t):
-        if isinstance(t, Product):
-            depth = 1 + max((visit(f) for f in t.factors), default=0)
-            prods.setdefault(t, depth)
-            return depth
-        (monos if isinstance(t, Monomial) else trigs).setdefault(t, 0)
-        return 0
-
-    for t in terms:
-        visit(t)
-    order = list(monos) + list(trigs) + sorted(prods, key=prods.get)
-    col = {t: j for j, t in enumerate(order)}
-
-    n_state = max((len(m.powers) for m in monos), default=0)
-    padded = [m.powers + (0,) * (n_state - len(m.powers)) for m in monos]
-    powers = sorted({(i, p) for row in padded for i, p in enumerate(row) if p})
-    mono_factors = np.array(
-        [[powers.index((i, row[i])) + 1 if row[i] else 0 for row in padded]
-         for i in range(n_state)],
-        dtype=int,
-    ).reshape(n_state, len(monos))
-    args = list(dict.fromkeys(t.coeffs for t in trigs))
-    trig_ops = tuple(
-        (np.sin if fn == "sin" else np.cos,
-         np.array([args.index(t.coeffs) for t in trigs if t.fn == fn]),
-         np.array([col[t] for t in trigs if t.fn == fn]))
-        for fn in ("sin", "cos")
-        if any(t.fn == fn for t in trigs)
-    )
-    groups = {}
-    for t, depth in prods.items():
-        groups.setdefault((depth, len(t.factors)), []).append(t)
-    products = tuple(
-        (np.array([[col[f] for f in t.factors] for t in group],
-                  dtype=int).reshape(len(group), arity),
-         np.array([col[t] for t in group]))
-        for (_, arity), group in sorted(groups.items())
-    )
-    return _Plan(
-        n_cols=len(order),
-        powers=tuple(powers),
-        mono_factors=mono_factors,
-        W=np.array(args, dtype=float),
-        trigs=trig_ops,
-        products=products,
-        terms=np.array([col[t] for t in terms]),
-    )
-
-
-@dataclass(frozen=True)
 class ObservableDictionary:
     """Ordered lifting basis whose first n_x terms copy the state.
 
-    ``eval`` runs a plan compiled from ``terms`` on first use (``_compile``):
-    one power per (state, power) pair and one multiply per state for all
-    distinct monomials, one ``sin`` and one ``cos`` of ``X @ W.T`` over the
-    distinct trig arguments, one multiply per factor position for each group
-    of products, and a final column gather into term order. For every preset
-    it is bitwise equal to stacking ``term.value`` over the terms, and its
-    result has the same C layout. ``grad`` stays per term.
+    ``eval`` runs ``_program``, built on first use: the distinct terms in
+    dependency order, every product after its factors. It calls each
+    distinct monomial's and trig term's own ``value`` once and multiplies
+    each product's factor columns in factor order from ones, as
+    ``Product.value`` does, so for every dictionary it is bitwise equal to
+    stacking ``term.value`` over the terms, in the same C layout. ``grad``
+    stays per term.
     """
 
     n_x: int
@@ -251,32 +173,35 @@ class ObservableDictionary:
         return len(self.terms)
 
     @cached_property
-    def _plan(self):
-        return _compile(self.terms)
+    def _program(self):
+        """((term, factor positions or None), ...) in dependency order, and
+        the position of each dictionary term in it."""
+        index, program = {}, []
+
+        def visit(t):
+            if t not in index:
+                factors = (tuple(visit(f) for f in t.factors)
+                           if isinstance(t, Product) else None)
+                index[t] = len(program)
+                program.append((t, factors))
+            return index[t]
+
+        positions = tuple(visit(t) for t in self.terms)
+        return tuple(program), positions
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)
-        plan = self._plan
-        X = x.reshape(-1, x.shape[-1])
-        V = np.empty((X.shape[0], plan.n_cols))
-        pw = np.empty((X.shape[0], 1 + len(plan.powers)))
-        pw[:, 0] = 1.0
-        for j, (i, p) in enumerate(plan.powers, start=1):
-            pw[:, j] = X[:, i] ** p
-        mono = 1.0
-        for factors in plan.mono_factors:
-            mono = mono * pw[:, factors]
-        V[:, : plan.mono_factors.shape[1]] = mono
-        if plan.trigs:
-            A = X @ plan.W.T
-            for fn, rows, cols in plan.trigs:
-                V[:, cols] = fn(A[:, rows])
-        for factors, cols in plan.products:
-            out = 1.0
-            for j in range(factors.shape[1]):
-                out = out * V[:, factors[:, j]]
-            V[:, cols] = out
-        return V.take(plan.terms, axis=1).reshape(x.shape[:-1] + (self.n_z,))
+        program, positions = self._program
+        cols = []
+        for term, factors in program:
+            if factors is None:
+                cols.append(term.value(x))
+                continue
+            out = np.ones(x.shape[:-1])
+            for j in factors:
+                out = out * cols[j]
+            cols.append(out)
+        return np.stack([cols[j] for j in positions], axis=-1)
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)

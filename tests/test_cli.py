@@ -145,6 +145,12 @@ BAD_SETTINGS = [
      [[-1.0, 1.0], [float("nan"), 1.0]], ["solve"]),
     ("identification.box[0]", "fig1", "identification", "box",
      [[1.0, 1.0], [-1.0, 1.0]], ["solve"]),
+    ("sweep", "fig1", "sweep", "T_min", -1.0, ["sweep", "--axis", "T"]),
+    # variants are keyed by label: a repeat would overwrite the first's files
+    ("variants[1]", "fig1", None, "variants", [{"kind": "b0"}, {"kind": "b0"}],
+     ["solve"]),
+    ("variants[1]", "fig1", None, "variants",
+     [{"kind": "soft", "w": 0.1}, {"kind": "soft", "w": 0.1000000001}], ["solve"]),
 ]
 
 
@@ -154,7 +160,8 @@ BAD_SETTINGS = [
          "identification.box", "sweep.T_min", "sweep.amplitudes_deg",
          "amplitude_mbc_on_walker", "amplitude_sweep_on_walker",
          "walker_rate_bound_0", "system.params.damping", "period_sweep_on_walker",
-         "amplitude_deg_nan", "T_max_inf", "box_nan", "box_degenerate"],
+         "amplitude_deg_nan", "T_max_inf", "box_nan", "box_degenerate",
+         "sweep_T_min_negative", "repeated_variant", "repeated_soft_label"],
 )
 def test_solve_exits_2_on_a_bad_setting(tmp_path, capsys, path, bundle, block, key,
                                         value, command):

@@ -102,6 +102,13 @@ def test_gate_kind(kind, settings, changes, expected):
     assert passed is expected
 
 
+def test_walker_accuracy_detail_says_the_baseline_did_not_converge():
+    gate = {"kind": "walker_accuracy", "variant": "unconverged", "pcc_min": 0.95}
+    results, _ = evaluate_gates([gate], CTX)
+    assert results[0]["detail"]["baseline_converged"] is False
+    assert results[0]["detail"]["pcc_state"] == 0.99
+
+
 def test_unknown_kind_is_a_config_error():
     with pytest.raises(ConfigError, match="unknown gate kind 'no_such_kind'"):
         evaluate_gates([{"kind": "no_such_kind"}], CTX)
