@@ -35,7 +35,6 @@ from .lifting import (
     ObservableDictionary,
     get_dictionary,
     lift,
-    lift_gradient,
     manifold_defect,
     unlift,
 )

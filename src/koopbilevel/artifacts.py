@@ -4,6 +4,11 @@ Trajectories go to CSV (header ``t,x1..xn,u1..um``), everything else to JSON
 with sorted keys. All floats are written with shortest round-trip ``repr`` so
 identical runs produce byte-identical files and every reported number can be
 recomputed exactly from what is on disk.
+
+Identical runs means the same inputs at the same BLAS thread count: BLAS
+reductions round differently per thread count, so walker with one OpenBLAS
+thread instead of two moves ``model.json``'s ``L0`` by 3.5e-13 relative and
+``T_star`` by 1.5e-5, and every artifact differs.
 """
 
 import hashlib

@@ -11,9 +11,10 @@ an all-equality NLP:
 solved by sequential quadratic programming (Nocedal & Wright, *Numerical
 Optimization*, ch. 18) in Kraft's SLSQP form, with the period kept in a box.
 Constraint Jacobians come from central finite differences, exploiting the
-per-interval structure (each defect touches only its own knot variables and
-T), so a full Jacobian costs a handful of batched RK4 sweeps rather than one
-trajectory integration per variable.
+per-interval structure: each defect touches only its own knot variables and
+T, so all defect rows cost two batched RK4 sweeps, one over every knot and
+every perturbed direction (each state, each input, and T) stepped forward and
+one stepped back, rather than one trajectory integration per variable.
 
 This module is the comparison oracle: it is deliberately plain, with no
 sparsity or second-order machinery beyond what the problem sizes need.
@@ -112,12 +113,9 @@ class TranscribedNlp:
         g[-1] = float(np.sum(U**2)) / self.N
         return g
 
-    def _steps(self, X, U, h):
-        return rk4_step(self.system, X[: self.N], U, h)
-
     def defects(self, v):
         X, U, T = self.unpack(v)
-        return (X[1:] - self._steps(X, U, T / self.N)).ravel()
+        return (X[1:] - rk4_step(self.system, X[: self.N], U, T / self.N)).ravel()
 
     def mbc_residual(self, v):
         X, _, T = self.unpack(v)
@@ -127,40 +125,39 @@ class TranscribedNlp:
         return np.concatenate([self.defects(v), self.mbc_residual(v)])
 
     def constraint_jacobian(self, v):
-        """Central-difference Jacobian using the per-interval structure."""
+        """Central-difference Jacobian using the per-interval structure: one
+        forward and one backward RK4 sweep, batched over every knot and every
+        direction, give all defect columns."""
         X, U, T = self.unpack(v)
         N, n_x, n_u = self.N, self.n_x, self.n_u
-        h = T / N
         eps = _FD_STEP
+        epsT = eps * max(1.0, abs(T))
         J = np.zeros((self.n_con, self.n_var))
 
         rows = np.arange(N * n_x)
         J[rows, rows + n_x] = 1.0
-        rows = rows.reshape(N, n_x)
 
-        # d defect_k / d x_k, batched over k, one state dimension at a time
-        for d in range(n_x):
-            Xp = X[:N].copy()
-            Xp[:, d] += eps
-            Xm = X[:N].copy()
-            Xm[:, d] -= eps
-            dS = (rk4_step(self.system, Xp, U, h)
-                  - rk4_step(self.system, Xm, U, h)) / (2.0 * eps)
-            J[rows, (np.arange(N) * n_x + d)[:, None]] = -dS
+        # batch entry j perturbs state j (j < n_x), input j - n_x, or T (last)
+        m = n_x + n_u + 1
+        ix, iu, k = np.arange(n_x), np.arange(n_u), np.arange(N)
 
-        for d in range(n_u):
-            Up = U.copy()
-            Up[:, d] += eps
-            Um = U.copy()
-            Um[:, d] -= eps
-            dS = (rk4_step(self.system, X[:N], Up, h)
-                  - rk4_step(self.system, X[:N], Um, h)) / (2.0 * eps)
-            J[rows, (self.n_states + np.arange(N) * n_u + d)[:, None]] = -dS
+        def sweep(sign):
+            Xs = np.repeat(X[None, :N], m, axis=0)
+            Us = np.repeat(U[None], m, axis=0)
+            Xs[ix, :, ix] += sign * eps
+            Us[n_x + iu, :, iu] += sign * eps
+            h = np.full((m, 1, 1), T / N)
+            h[-1] = (T + sign * epsT) / N
+            return rk4_step(self.system, Xs, Us, h)
 
-        epsT = eps * max(1.0, abs(T))
-        dS = (rk4_step(self.system, X[:N], U, (T + epsT) / N)
-              - rk4_step(self.system, X[:N], U, (T - epsT) / N)) / (2.0 * epsT)
-        J[: self.n_defects, -1] = -dS.ravel()
+        step = 2.0 * np.append(np.full(m - 1, eps), epsT)
+        dS = (sweep(1.0) - sweep(-1.0)) / step[:, None, None]
+        cols = np.concatenate([
+            k * n_x + ix[:, None],
+            self.n_states + k * n_u + iu[:, None],
+            np.full((1, N), self.n_var - 1),
+        ])
+        J[rows.reshape(N, n_x), cols[:, :, None]] = -dS
 
         # boundary rows depend on x_0, x_N, T only
         mbc_of = self.mbc.residual
@@ -195,26 +192,6 @@ def _warm_start_vector(nlp, warm_start):
             f"({nlp.N + 1}, {nlp.n_x}); use matching N"
         )
     return nlp.pack(X, U, T)
-
-
-def _solution_from_vector(nlp, v, kkt, converged, outer, inner, history):
-    X, U, T = nlp.unpack(v)
-    defect = float(np.max(np.abs(nlp.defects(v))))
-    mbc_viol = float(np.max(np.abs(nlp.mbc_residual(v))))
-    return NlpSolution(
-        times=np.linspace(0.0, T, nlp.N + 1),
-        states=X,
-        inputs=U,
-        T=T,
-        cost=nlp.objective(v),
-        max_defect=defect,
-        max_mbc_violation=mbc_viol,
-        kkt_residual=kkt,
-        converged=converged,
-        outer_iterations=outer,
-        inner_iterations=inner,
-        history=tuple(history),
-    )
 
 
 def solve_nlp(nlp, warm_start):
@@ -258,16 +235,25 @@ def solve_nlp(nlp, warm_start):
         options={"maxiter": _MAXITER, "ftol": 1e-14},
     )
     v = res.x
-    feas = float(np.max(np.abs(nlp.constraints(v))))
+    c = nlp.constraints(v)
+    feas = float(np.max(np.abs(c)))
     # stationarity: largest entry of grad f + J^T lam, lam the least-squares
     # multipliers at the returned point
     J = nlp.constraint_jacobian(v)
     g = nlp.objective_grad(v)
     lam, *_ = np.linalg.lstsq(J.T, -g, rcond=None)
     kkt = float(np.max(np.abs(g + J.T @ lam)))
-    converged = bool(res.success) and max(feas, kkt) <= _TOL_FEAS
-    return _solution_from_vector(nlp, v, kkt, converged, int(res.nit),
-                                 int(res.nfev), history)
+    X, U, T = nlp.unpack(v)
+    return NlpSolution(
+        times=np.linspace(0.0, T, nlp.N + 1), states=X, inputs=U, T=T,
+        cost=nlp.objective(v),
+        max_defect=float(np.max(np.abs(c[: nlp.n_defects]))),
+        max_mbc_violation=float(np.max(np.abs(c[nlp.n_defects :]))),
+        kkt_residual=kkt,
+        converged=bool(res.success) and max(feas, kkt) <= _TOL_FEAS,
+        outer_iterations=int(res.nit), inner_iterations=int(res.nfev),
+        history=tuple(history),
+    )
 
 
 def evaluate_solution(nlp, sol):

@@ -15,8 +15,9 @@ bad config exits with code 2 before ``identify`` runs. ``solve``, ``sweep``
 and ``reproduce`` each identify their model from that config; a
 ``model.json`` already in ``--out`` is overwritten, never reused.
 
-Exit codes: 0 success/pass, 1 gate failure, 2 config error, 3 numerical
-failure.
+Exit codes: 0 success/pass, 1 gate failure or audit mismatch, 2 config
+error or a file that cannot be read or written (such as an artifact missing
+from the directory ``audit`` checks), 3 numerical failure.
 """
 
 import argparse
@@ -405,6 +406,9 @@ def main(argv=None):
             return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     except KoopbilevelError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

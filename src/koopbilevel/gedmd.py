@@ -122,16 +122,20 @@ def assemble_data(system, dictionary, X):
     derivatives per channel.
 
     Channel 0 uses u = 0; channel i in 1..n_u uses the canonical basis input
-    u = e_i. One dictionary evaluation and one gradient of the samples serve
-    every channel. Returns ``(Psi, dPsis)``: ``Psi`` with one column per
-    sample, and one such ``dPsi`` per channel.
+    u = e_i. One dictionary evaluation serves every channel; each term's
+    gradient is contracted with every channel's vector field as it is
+    computed, so no (n_s, n_z, n_x) tensor is built. Returns ``(Psi,
+    dPsis)``: ``Psi`` with one column per sample, and one such ``dPsi`` per
+    channel.
     """
     Psi = dictionary.eval(X)
-    grad = dictionary.grad(X)
-    dPsis = [
-        np.einsum("szx,sx->sz", grad, eval_rhs(system, X, _canonical_input(system, i)))
-        for i in range(system.n_u + 1)
-    ]
+    fields = [eval_rhs(system, X, _canonical_input(system, i))
+              for i in range(system.n_u + 1)]
+    dPsis = [np.empty(Psi.shape) for _ in fields]
+    for j, term in enumerate(dictionary.terms):
+        g = term.grad(X)
+        for f, dPsi in zip(fields, dPsis):
+            dPsi[:, j] = np.einsum("sx,sx->s", g, f)
     finite = np.all(np.isfinite(Psi), axis=1)
     for dPsi in dPsis:
         finite &= np.all(np.isfinite(dPsi), axis=1)

@@ -30,7 +30,6 @@ __all__ = [
     "term_from_config",
     "lift",
     "unlift",
-    "lift_gradient",
     "manifold_defect",
     "make_identity_dictionary",
     "make_linear_const_dictionary",
@@ -82,7 +81,7 @@ class Trig:
             raise ConfigError(f"trig term must be sin or cos, got '{self.fn}'")
 
     def _arg(self, X):
-        return np.tensordot(X, np.asarray(self.coeffs, dtype=float), axes=([-1], [0]))
+        return X @ np.asarray(self.coeffs, dtype=float)
 
     def value(self, X):
         arg = self._arg(X)
@@ -232,11 +231,6 @@ def unlift(dictionary, z):
     """x = C z with C = [I 0]: read the state copy off the lifted vector."""
     z = np.asarray(z, dtype=float)
     return z[..., : dictionary.n_x]
-
-
-def lift_gradient(dictionary, x):
-    """Analytic Jacobian of psi, shape (..., n_z, n_x)."""
-    return dictionary.grad(x)
 
 
 def manifold_defect(dictionary, z):

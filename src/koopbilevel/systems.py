@@ -104,8 +104,9 @@ def eval_rhs(system, x, u):
 
 
 def rk4_step(system, x, u, h):
-    """One classical fourth-order Runge-Kutta step with u held constant."""
-    if not h > 0:
+    """One classical fourth-order Runge-Kutta step with u held constant; ``h``
+    may be an array of positive steps that broadcasts against ``x``."""
+    if not np.all(h > 0):
         raise IntegrationError(f"step size must be positive, got h={h}")
     k1 = eval_rhs(system, x, u)
     k2 = eval_rhs(system, x + 0.5 * h * k1, u)

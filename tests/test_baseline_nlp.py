@@ -7,6 +7,7 @@ from koopbilevel import (
     UpperConfig,
     evaluate_solution,
     make_periodic_amplitude_anchor,
+    make_walker_gait,
     solve_lower,
     solve_nlp,
     solve_reduced,
@@ -14,10 +15,59 @@ from koopbilevel import (
 )
 from koopbilevel import baseline_nlp
 from koopbilevel.lower_level import LowerLevelProblem
-from koopbilevel.systems import ControlSignal, simulate
+from koopbilevel.systems import ControlSignal, rk4_step, simulate
 
 TWO_PI = 2.0 * np.pi
 A_40 = np.deg2rad(40.0)
+
+
+def jacobian_oracle(nlp, v):
+    """Constraint Jacobian with one central RK4 difference per state, input
+    and period direction, each batched over the knots only."""
+    X, U, T = nlp.unpack(v)
+    N, n_x, n_u = nlp.N, nlp.n_x, nlp.n_u
+    h, eps = T / N, baseline_nlp._FD_STEP
+    epsT = eps * max(1.0, abs(T))
+    J = np.zeros((nlp.n_con, nlp.n_var))
+    rows = np.arange(N * n_x)
+    J[rows, rows + n_x] = 1.0
+    rows = rows.reshape(N, n_x)
+    for d in range(n_x):
+        Xp, Xm = X[:N].copy(), X[:N].copy()
+        Xp[:, d] += eps
+        Xm[:, d] -= eps
+        dS = (rk4_step(nlp.system, Xp, U, h)
+              - rk4_step(nlp.system, Xm, U, h)) / (2.0 * eps)
+        J[rows, (np.arange(N) * n_x + d)[:, None]] = -dS
+    for d in range(n_u):
+        Up, Um = U.copy(), U.copy()
+        Up[:, d] += eps
+        Um[:, d] -= eps
+        dS = (rk4_step(nlp.system, X[:N], Up, h)
+              - rk4_step(nlp.system, X[:N], Um, h)) / (2.0 * eps)
+        J[rows, (nlp.n_states + np.arange(N) * n_u + d)[:, None]] = -dS
+    dS = (rk4_step(nlp.system, X[:N], U, (T + epsT) / N)
+          - rk4_step(nlp.system, X[:N], U, (T - epsT) / N)) / (2.0 * epsT)
+    J[: nlp.n_defects, -1] = -dS.ravel()
+    mbc_of = nlp.mbc.residual
+    x0, xN = X[0], X[N]
+    for d in range(n_x):
+        e = np.zeros(n_x)
+        e[d] = eps
+        J[nlp.n_defects:, d] = (mbc_of(x0 + e, xN, T)
+                                - mbc_of(x0 - e, xN, T)) / (2 * eps)
+        J[nlp.n_defects:, N * n_x + d] = (mbc_of(x0, xN + e, T)
+                                          - mbc_of(x0, xN - e, T)) / (2 * eps)
+    J[nlp.n_defects:, -1] = (mbc_of(x0, xN, T + epsT)
+                             - mbc_of(x0, xN, T - epsT)) / (2 * epsT)
+    return J
+
+
+def random_point(nlp, rng, T):
+    box = nlp.system.state_box
+    X = rng.uniform(box[:, 0], box[:, 1], size=(nlp.N + 1, nlp.n_x))
+    U = rng.normal(size=(nlp.N, nlp.n_u))
+    return nlp.pack(X, U, T * (1.0 + 0.1 * rng.normal()))
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +121,30 @@ class TestTranscription:
             e[j] = h
             J_fd[:, j] = (nlp.constraints(v + e) - nlp.constraints(v - e)) / (2 * h)
         assert np.max(np.abs(J - J_fd)) <= 1e-7
+
+    @pytest.mark.parametrize("name,N,T", [("pendulum", 12, 5.0),
+                                          ("walker", 8, 2.2)])
+    def test_constraint_jacobian_is_two_sweeps_equal_to_per_direction_oracle(
+        self, request, monkeypatch, name, N, T
+    ):
+        system = request.getfixturevalue(name)
+        mbc = (make_walker_gait(system, 0.05, rate_bound=0.15)
+               if name == "walker" else make_periodic_amplitude_anchor(A_40))
+        nlp = transcribe(system, mbc, N)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rk4_step(*args)
+
+        monkeypatch.setattr(baseline_nlp, "rk4_step", counted)
+        rng = np.random.default_rng(24)
+        for _ in range(3):
+            v = random_point(nlp, rng, T)
+            calls.clear()
+            J = nlp.constraint_jacobian(v)
+            assert len(calls) == 2
+            assert np.array_equal(J, jacobian_oracle(nlp, v))
 
     def test_bilevel_warm_start_defect_is_small(self, pendulum_bilevel_n40,
                                                 pendulum_nlp_n40):

@@ -2,9 +2,12 @@ import copy
 import glob
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import koopbilevel
 from koopbilevel import ConfigError, artifacts, baseline_nlp, cli, config
 from koopbilevel.config import validate_config
 
@@ -258,3 +261,32 @@ def test_solve_reports_a_nonconverged_baseline(tmp_path, monkeypatch):
     report = json.loads(_read_bytes(os.path.join(out, "report.json")))
     assert [e["baseline_converged"] for e in report["entries"]] == [False]
     assert cli.main(["audit", "--out", out]) == 0
+
+
+def _run_cli(*args):
+    """Exit code and stderr of ``python -m koopbilevel.cli`` in a fresh
+    process, so an uncaught exception would show as a traceback."""
+    src = os.path.dirname(os.path.dirname(koopbilevel.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "koopbilevel.cli", *args],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
+
+
+def test_audit_of_an_empty_directory_exits_2(tmp_path):
+    # exit 1 means a reported mismatch; a missing artifact is not one
+    code, err = _run_cli("audit", "--out", str(tmp_path))
+    assert code == 2
+    assert "Traceback" not in err
+    assert "report.json" in err
+
+
+def test_audit_without_the_baseline_csv_exits_2(tmp_path):
+    out = str(tmp_path / "fig1")
+    assert cli.main(["reproduce", "--bundle", "fig1", "--out", out]) == 0
+    os.remove(os.path.join(out, "baseline.csv"))
+    code, err = _run_cli("audit", "--out", out)
+    assert code == 2
+    assert "Traceback" not in err
+    assert "baseline.csv" in err

@@ -7,6 +7,7 @@ from koopbilevel import (
     ControlSignal,
     DomainEvaluationError,
     HybridExtras,
+    IntegrationError,
     eval_rhs,
     get_system,
     rk4_step,
@@ -65,6 +66,24 @@ class TestRk4:
     def test_equilibrium_fixed_point(self, pendulum):
         x = rk4_step(pendulum, np.zeros(2), np.zeros(1), 0.37)
         assert np.array_equal(x, np.zeros(2))
+
+    @pytest.mark.parametrize("name", ["pendulum", "compass_gait"])
+    def test_array_step_matches_scalar_steps_bitwise(self, name):
+        # one step size per batch entry, as the baseline's period column uses
+        system = get_system(name)
+        rng = np.random.default_rng(22)
+        h = np.array([0.02, 0.05, 0.37])
+        X = rng.uniform(-0.3, 0.3, size=(3, 7, system.n_x))
+        U = rng.normal(size=(3, 7, system.n_u))
+        batch = rk4_step(system, X, U, h[:, None, None])
+        for j in range(3):
+            assert np.array_equal(batch[j], rk4_step(system, X[j], U[j], h[j]))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1])
+    def test_array_step_rejects_nonpositive_entries(self, pendulum, bad):
+        h = np.array([0.1, bad, 0.2])[:, None, None]
+        with pytest.raises(IntegrationError, match="step size"):
+            rk4_step(pendulum, np.zeros((3, 1, 2)), np.zeros((3, 1, 1)), h)
 
     def test_linear_system_is_degree4_taylor(self, oscillator):
         A = oscillator.params["A"]

@@ -194,6 +194,17 @@ class TestIdentify:
             assert model.residuals[i] == resid
             assert model.ranks[i] == rank
 
+    def test_builds_no_gradient_tensor(self, pendulum, monkeypatch):
+        # Lie derivatives are contracted term by term; the dictionary's
+        # stacked (n_s, n_z, n_x) gradient is never asked for
+        def refuse(self, x):
+            raise AssertionError("ObservableDictionary.grad called")
+
+        monkeypatch.setattr(ObservableDictionary, "grad", refuse)
+        d = get_dictionary("pendulum12", 2)
+        model = identify(pendulum, d, n_s=500, seed=13, box=pendulum.state_box)
+        assert model.n_z == 12 and not model.rank_deficient
+
 
 class TestLinearize:
     def test_zero_point_gives_zero_input_matrix(self, oscillator_model):
