@@ -10,11 +10,22 @@ an all-equality NLP:
 
 solved by sequential quadratic programming (Nocedal & Wright, *Numerical
 Optimization*, ch. 18) in Kraft's SLSQP form, with the period kept in a box.
+SLSQP sees the multiple-shooting form of the same transcription (Bock &
+Plitt, *A multiple shooting algorithm for direct solution of optimal control
+problems*, IFAC 1984): a state variable only at every ``_SEGMENT``-th knot and
+at knot N, with one defect per segment over the unchanged RK4 steps inside
+it. The discrete feasible set and optimum are the same, and the dense SQP
+subproblem has far fewer variables. The every-knot transcription stays the
+checker: the solution's state at every knot is rebuilt by stepping forward
+from each node, and its feasibility and KKT residual are measured there.
+
 Constraint Jacobians come from central finite differences, exploiting the
-per-interval structure: each defect touches only its own knot variables and
-T, so all defect rows cost two batched RK4 sweeps, one over every knot and
-every perturbed direction (each state, each input, and T) stepped forward and
-one stepped back, rather than one trajectory integration per variable.
+per-segment structure: each defect touches only its own node, its segment's
+inputs and T, so all defect rows cost two batched sweeps of a segment's RK4
+steps, one over every segment and every perturbed direction (each node
+state, each input, and T) stepped forward and one stepped back, rather than
+one trajectory integration per variable. The every-knot Jacobian is the
+one-knot-segment case.
 
 This module is the comparison oracle: it is deliberately plain, with no
 sparsity or second-order machinery beyond what the problem sizes need.
@@ -37,9 +48,12 @@ __all__ = [
 ]
 
 
-# SLSQP's major-iteration budget: no bundle run comes near it (walker stops
-# after 48, pendulum after 23-38, fig1 after 2)
+# SLSQP's major-iteration budget: no bundle run comes near it (on the
+# shooting form walker stops after 31, pendulum after 14, fig1 after 2; on
+# every knot they took 48, 30 and 2)
 _MAXITER = 6000
+# knots per multiple-shooting segment of the problem SLSQP solves
+_SEGMENT = 10
 # bound on the largest constraint residual and on the KKT stationarity
 # residual of a converged solution
 _TOL_FEAS = 1e-6
@@ -64,24 +78,40 @@ class NlpSolution:
 
 
 class TranscribedNlp:
-    """Decision vector (x_0..x_N, u_0..u_{N-1}, T) with defect constraints."""
+    """Decision vector (node states, u_0..u_{N-1}, T) with defect constraints.
 
-    def __init__(self, system, mbc, N):
+    A node sits at every ``segment``-th knot and at knot N; the last segment
+    is shorter when ``segment`` does not divide N. Each defect is the next
+    node state minus the RK4 steps from the node. The default ``segment=1``
+    puts a node on every knot: the transcription (x_0..x_N, u, T) that
+    :func:`transcribe` builds and :func:`evaluate_solution` checks.
+    """
+
+    def __init__(self, system, mbc, N, segment=1):
         if N < 2:
             raise BuildError(f"need at least 2 intervals, got N={N}")
         if mbc.n_x != system.n_x:
             raise BuildError(
                 f"constraint is for n_x={mbc.n_x}, system has n_x={system.n_x}"
             )
+        if segment < 1:
+            raise BuildError(f"need at least 1 knot per segment, got {segment}")
         self.system = system
         self.mbc = mbc
         self.N = int(N)
+        # a segment longer than the grid is one segment over all N intervals
+        self.segment = min(int(segment), self.N)
+        self.nodes = np.append(np.arange(0, self.N, self.segment), self.N)
+        # segments that take RK4 step j: all but a last segment shorter than j + 1
+        lengths = np.diff(self.nodes)
+        self._active = [int(np.sum(lengths > j)) for j in range(self.segment)]
+        self.n_segments = len(lengths)
         self.n_x = system.n_x
         self.n_u = system.n_u
-        self.n_states = (N + 1) * self.n_x
-        self.n_inputs = N * self.n_u
+        self.n_states = (self.n_segments + 1) * self.n_x
+        self.n_inputs = self.N * self.n_u
         self.n_var = self.n_states + self.n_inputs + 1
-        self.n_defects = N * self.n_x
+        self.n_defects = self.n_segments * self.n_x
         self.n_con = self.n_defects + mbc.n_g
 
     # -- packing ------------------------------------------------------------
@@ -92,11 +122,40 @@ class TranscribedNlp:
         )
 
     def unpack(self, v):
-        X = v[: self.n_states].reshape(self.N + 1, self.n_x)
+        X = v[: self.n_states].reshape(self.n_segments + 1, self.n_x)
         U = v[self.n_states : self.n_states + self.n_inputs].reshape(
             self.N, self.n_u
         )
         return X, U, float(v[-1])
+
+    def _segment_inputs(self, U):
+        """Inputs as ``(n_segments, segment, n_u)``, zero-padded past u_{N-1}."""
+        padded = np.zeros((self.n_segments * self.segment, self.n_u))
+        padded[: self.N] = U
+        return padded.reshape(self.n_segments, self.segment, self.n_u)
+
+    def _shoot(self, x, U, h):
+        """States after each RK4 step of every segment, ``(..., n_segments,
+        segment, n_x)``, from node states ``x`` (..., n_segments, n_x) under
+        segment inputs ``U`` (..., n_segments, segment, n_u). A short last
+        segment stops at knot N and holds its end state in the padded slots."""
+        x = np.array(x, dtype=float)
+        path = np.empty(x.shape[:-1] + (self.segment, self.n_x))
+        for j, s in enumerate(self._active):
+            x[..., :s, :] = rk4_step(self.system, x[..., :s, :],
+                                     U[..., :s, j, :], h)
+            path[..., j, :] = x
+        return path
+
+    def knot_states(self, v):
+        """The ``(N+1, n_x)`` state at every knot: each node state, then the
+        RK4 steps from it up to the next node."""
+        X, U, T = self.unpack(v)
+        path = self._shoot(X[:-1], self._segment_inputs(U), T / self.N)
+        states = np.empty((self.N + 1, self.n_x))
+        states[1:] = path.reshape(-1, self.n_x)[: self.N]
+        states[self.nodes] = X
+        return states
 
     # -- objective and constraints -------------------------------------------
 
@@ -115,59 +174,66 @@ class TranscribedNlp:
 
     def defects(self, v):
         X, U, T = self.unpack(v)
-        return (X[1:] - rk4_step(self.system, X[: self.N], U, T / self.N)).ravel()
+        path = self._shoot(X[:-1], self._segment_inputs(U), T / self.N)
+        return (X[1:] - path[:, -1]).ravel()
 
     def mbc_residual(self, v):
         X, _, T = self.unpack(v)
-        return self.mbc.residual(X[0], X[self.N], T)
+        return self.mbc.residual(X[0], X[-1], T)
 
     def constraints(self, v):
         return np.concatenate([self.defects(v), self.mbc_residual(v)])
 
     def constraint_jacobian(self, v):
-        """Central-difference Jacobian using the per-interval structure: one
-        forward and one backward RK4 sweep, batched over every knot and every
-        direction, give all defect columns."""
+        """Central-difference Jacobian using the per-segment structure: one
+        forward and one backward sweep of ``segment`` RK4 steps, batched over
+        every segment and every direction, give all defect columns."""
         X, U, T = self.unpack(v)
-        N, n_x, n_u = self.N, self.n_x, self.n_u
+        N, S, n_x, n_u = self.N, self.n_segments, self.n_x, self.n_u
         eps = _FD_STEP
         epsT = eps * max(1.0, abs(T))
         J = np.zeros((self.n_con, self.n_var))
 
-        rows = np.arange(N * n_x)
+        rows = np.arange(S * n_x)
         J[rows, rows + n_x] = 1.0
 
-        # batch entry j perturbs state j (j < n_x), input j - n_x, or T (last)
-        m = n_x + n_u + 1
-        ix, iu, k = np.arange(n_x), np.arange(n_u), np.arange(N)
+        # batch entry j perturbs node state j (j < n_x), the segment's input
+        # j - n_x (step (j - n_x) // n_u, channel (j - n_x) % n_u), or T (last)
+        m = n_x + self.segment * n_u + 1
+        ix, iu, seg = np.arange(n_x), np.arange(self.segment * n_u), np.arange(S)
+        U_seg = self._segment_inputs(U).reshape(S, -1)
 
         def sweep(sign):
-            Xs = np.repeat(X[None, :N], m, axis=0)
-            Us = np.repeat(U[None], m, axis=0)
+            Xs = np.repeat(X[None, :S], m, axis=0)
+            Us = np.repeat(U_seg[None], m, axis=0)
             Xs[ix, :, ix] += sign * eps
             Us[n_x + iu, :, iu] += sign * eps
             h = np.full((m, 1, 1), T / N)
             h[-1] = (T + sign * epsT) / N
-            return rk4_step(self.system, Xs, Us, h)
+            return self._shoot(Xs, Us.reshape(m, S, self.segment, n_u), h)[:, :, -1]
 
         step = 2.0 * np.append(np.full(m - 1, eps), epsT)
         dS = (sweep(1.0) - sweep(-1.0)) / step[:, None, None]
         cols = np.concatenate([
-            k * n_x + ix[:, None],
-            self.n_states + k * n_u + iu[:, None],
-            np.full((1, N), self.n_var - 1),
+            seg * n_x + ix[:, None],
+            self.n_states + seg * self.segment * n_u + iu[:, None],
+            np.full((1, S), self.n_var - 1),
         ])
-        J[rows.reshape(N, n_x), cols[:, :, None]] = -dS
+        # a short last segment's padded inputs have no column
+        keep = cols < self.n_var - 1
+        keep[-1] = True
+        r, c = np.broadcast_arrays(rows.reshape(S, n_x), cols[:, :, None])
+        J[r[keep], c[keep]] = -dS[keep]
 
-        # boundary rows depend on x_0, x_N, T only
+        # boundary rows depend on the first and last node and T only
         mbc_of = self.mbc.residual
-        x0, xN = X[0], X[N]
+        x0, xN = X[0], X[S]
         base = self.n_defects
         for d in range(n_x):
             e = np.zeros(n_x)
             e[d] = eps
             J[base:, d] = (mbc_of(x0 + e, xN, T) - mbc_of(x0 - e, xN, T)) / (2 * eps)
-            J[base:, N * n_x + d] = (
+            J[base:, S * n_x + d] = (
                 mbc_of(x0, xN + e, T) - mbc_of(x0, xN - e, T)
             ) / (2 * eps)
         J[base:, -1] = (mbc_of(x0, xN, T + epsT) - mbc_of(x0, xN, T - epsT)) / (
@@ -181,7 +247,7 @@ def transcribe(system, mbc, N):
     return TranscribedNlp(system, mbc, N)
 
 
-def _warm_start_vector(nlp, warm_start):
+def _warm_start(nlp, warm_start):
     if hasattr(warm_start, "states"):
         warm_start = (warm_start.states, warm_start.inputs, warm_start.T)
     X, U, T = warm_start
@@ -191,50 +257,58 @@ def _warm_start_vector(nlp, warm_start):
             f"warm-start states have shape {X.shape}, expected "
             f"({nlp.N + 1}, {nlp.n_x}); use matching N"
         )
-    return nlp.pack(X, U, T)
+    return X, U, float(T)
 
 
 def solve_nlp(nlp, warm_start):
-    """SQP solve of the transcribed problem, one SLSQP run.
+    """SQP solve of the transcribed problem, one SLSQP run on its
+    multiple-shooting form, checked on every knot of ``nlp``.
 
     ``warm_start`` is a bilevel solution (states/inputs/T attributes) or an
-    explicit (X, U, T) triple. SLSQP gets ``_MAXITER`` major iterations.
-    The returned solution is SLSQP's last iterate, whether or not it
-    converged: ``converged`` is True only when SLSQP reports success and, at
-    that point, both the largest constraint residual and the KKT
-    stationarity residual are at most ``_TOL_FEAS``. ``history`` holds one
-    ``{iteration, feas, cost}`` entry per major iteration.
+    explicit (X, U, T) triple on the knots of ``nlp``. SLSQP solves the same
+    problem with a node every ``_SEGMENT`` knots and gets ``_MAXITER`` major
+    iterations. The returned solution is SLSQP's last iterate, with its state
+    at every knot rebuilt by stepping forward from each node, whether or not
+    it converged: ``converged`` is True only when SLSQP reports success and,
+    at that point, both the largest constraint residual and the KKT
+    stationarity residual of the every-knot ``nlp`` are at most
+    ``_TOL_FEAS``. ``max_defect``, ``max_mbc_violation`` and
+    ``kkt_residual`` are ``nlp``'s too. ``history`` holds one
+    ``{iteration, feas, cost}`` entry per major iteration, with ``feas`` the
+    shooting problem's largest constraint residual.
 
     The period is kept in the box ``(0.2 T0, 5 T0)`` around the warm start's
     T0. The stationarity test leaves out that box, which is a safeguard
     rather than part of the problem, so a point held on the box is not
-    reported converged. ``outer_iterations`` counts major iterations,
-    ``inner_iterations`` objective evaluations.
+    reported converged. ``outer_iterations`` counts SLSQP's major
+    iterations, ``inner_iterations`` its objective evaluations.
     """
-    v = _warm_start_vector(nlp, warm_start)
-    T0 = float(v[-1])
-    bounds = [(None, None)] * (nlp.n_var - 1) + [(0.2 * T0, 5.0 * T0)]
+    X, U, T0 = _warm_start(nlp, warm_start)
+    shoot = TranscribedNlp(nlp.system, nlp.mbc, nlp.N, segment=_SEGMENT)
+    bounds = [(None, None)] * (shoot.n_var - 1) + [(0.2 * T0, 5.0 * T0)]
     history = []
 
     def record(x):
         history.append({"iteration": len(history) + 1,
-                        "feas": float(np.max(np.abs(nlp.constraints(x)))),
-                        "cost": nlp.objective(x)})
+                        "feas": float(np.max(np.abs(shoot.constraints(x)))),
+                        "cost": shoot.objective(x)})
 
     res = minimize(
-        nlp.objective,
-        v,
-        jac=nlp.objective_grad,
+        shoot.objective,
+        shoot.pack(X[shoot.nodes], U, T0),
+        jac=shoot.objective_grad,
         method="SLSQP",
         bounds=bounds,
-        constraints={"type": "eq", "fun": nlp.constraints,
-                     "jac": nlp.constraint_jacobian},
+        constraints={"type": "eq", "fun": shoot.constraints,
+                     "jac": shoot.constraint_jacobian},
         callback=record,
         # SLSQP stops once the change in f (or the step) and the summed
         # constraint violation are below ftol, so ftol sits far below _TOL_FEAS
         options={"maxiter": _MAXITER, "ftol": 1e-14},
     )
-    v = res.x
+    _, U, T = shoot.unpack(res.x)
+    X = shoot.knot_states(res.x)
+    v = nlp.pack(X, U, T)
     c = nlp.constraints(v)
     feas = float(np.max(np.abs(c)))
     # stationarity: largest entry of grad f + J^T lam, lam the least-squares
@@ -243,7 +317,6 @@ def solve_nlp(nlp, warm_start):
     g = nlp.objective_grad(v)
     lam, *_ = np.linalg.lstsq(J.T, -g, rcond=None)
     kkt = float(np.max(np.abs(g + J.T @ lam)))
-    X, U, T = nlp.unpack(v)
     return NlpSolution(
         times=np.linspace(0.0, T, nlp.N + 1), states=X, inputs=U, T=T,
         cost=nlp.objective(v),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from koopbilevel import (
     BoundaryVariant,
@@ -82,6 +83,19 @@ def pendulum_nlp_n40(pendulum):
     return transcribe(pendulum, make_periodic_amplitude_anchor(A_40), 40)
 
 
+@pytest.fixture
+def slsqp_sizes(monkeypatch):
+    """Size of the decision vector each SLSQP run of ``solve_nlp`` starts from."""
+    sizes = []
+
+    def recorded(fun, x0, **kwargs):
+        sizes.append(x0.size)
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(baseline_nlp, "minimize", recorded)
+    return sizes
+
+
 class TestTranscription:
     def test_variable_and_constraint_counts(self, pendulum):
         nlp = transcribe(pendulum, make_periodic_amplitude_anchor(A_40), 101)
@@ -145,6 +159,64 @@ class TestTranscription:
             J = nlp.constraint_jacobian(v)
             assert len(calls) == 2
             assert np.array_equal(J, jacobian_oracle(nlp, v))
+
+    @pytest.mark.parametrize("N,segment", [(12, 5), (3, 10), (10, 5)])
+    def test_segments_step_the_every_knot_trajectory(self, pendulum,
+                                                     monkeypatch, N, segment):
+        nlp = baseline_nlp.TranscribedNlp(
+            pendulum, make_periodic_amplitude_anchor(A_40), N, segment=segment)
+        rng = np.random.default_rng(26)
+        U, T = 0.3 * rng.normal(size=(N, 1)), 5.0
+        X = np.empty((N + 1, 2))
+        X[0] = [0.4, -0.2]
+        for k in range(N):
+            X[k + 1] = rk4_step(pendulum, X[k], U[k], T / N)
+        stepped = []
+
+        def counted(system, x, u, h):
+            stepped.append(x.shape[0])
+            return rk4_step(system, x, u, h)
+
+        monkeypatch.setattr(baseline_nlp, "rk4_step", counted)
+        v = nlp.pack(X[nlp.nodes], U, T)
+        assert np.all(nlp.defects(v) == 0.0)
+        # no step runs past knot N
+        assert sum(stepped) == N
+        assert np.array_equal(nlp.knot_states(v), X)
+
+    @pytest.mark.parametrize("name,N,segment,T", [("pendulum", 12, 5, 5.0),
+                                                  ("pendulum", 3, 10, 5.0),
+                                                  ("walker", 8, 5, 2.2)])
+    def test_segment_jacobian_against_dense_fd(self, request, monkeypatch,
+                                               name, N, segment, T):
+        # ragged grids: segments of 5, 5, 2 knots; one segment of 3 knots,
+        # shorter than the segment length; segments of 5, 3 knots
+        system = request.getfixturevalue(name)
+        mbc = (make_walker_gait(system, 0.05, rate_bound=0.15)
+               if name == "walker" else make_periodic_amplitude_anchor(A_40))
+        nlp = baseline_nlp.TranscribedNlp(system, mbc, N, segment=segment)
+        L = min(segment, N)
+        assert nlp.nodes[-1] == N and np.all(np.diff(nlp.nodes) <= L)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rk4_step(*args)
+
+        monkeypatch.setattr(baseline_nlp, "rk4_step", counted)
+        rng = np.random.default_rng(25)
+        box = system.state_box
+        X = rng.uniform(box[:, 0], box[:, 1], size=(len(nlp.nodes), nlp.n_x))
+        v = nlp.pack(X, 0.3 * rng.normal(size=(N, nlp.n_u)), T)
+        J = nlp.constraint_jacobian(v)
+        assert len(calls) == 2 * L
+        h = baseline_nlp._FD_STEP
+        J_fd = np.zeros_like(J)
+        for j in range(nlp.n_var):
+            e = np.zeros(nlp.n_var)
+            e[j] = h
+            J_fd[:, j] = (nlp.constraints(v + e) - nlp.constraints(v - e)) / (2 * h)
+        assert np.max(np.abs(J - J_fd)) <= 1e-7 * max(1.0, np.max(np.abs(J)))
 
     def test_bilevel_warm_start_defect_is_small(self, pendulum_bilevel_n40,
                                                 pendulum_nlp_n40):
@@ -254,6 +326,50 @@ class TestSolveNlp:
         sol = solve_nlp(nlp, guess)
         assert not sol.converged
         assert sol.max_mbc_violation > 1e-3
+
+    def test_returned_states_step_exactly_inside_each_segment(
+        self, pendulum_nlp_n40, pendulum_bilevel_n40
+    ):
+        nlp = pendulum_nlp_n40
+        sol = solve_nlp(nlp, pendulum_bilevel_n40)
+        d = np.abs(nlp.defects(nlp.pack(sol.states, sol.inputs, sol.T)))
+        d = d.reshape(nlp.N, nlp.n_x)
+        # defect k closes the interval into knot k + 1; only the interval into
+        # a shooting node carries SLSQP's residual, every other knot is the
+        # RK4 step of the one before
+        into_node = (np.arange(1, nlp.N + 1) % baseline_nlp._SEGMENT == 0)
+        into_node[-1] = True
+        assert np.max(d[into_node]) <= 1e-12
+        assert np.all(d[~into_node] == 0.0)
+        assert sol.max_defect == np.max(d)
+
+    @pytest.mark.parametrize("N", [40, 12])
+    def test_slsqp_sees_one_state_per_segment(self, pendulum, slsqp_sizes, N):
+        nlp = transcribe(pendulum, make_periodic_amplitude_anchor(A_40), N)
+        guess = (np.zeros((N + 1, 2)), np.full((N, 1), 0.1), TWO_PI)
+        solve_nlp(nlp, guess)
+        S = -(-N // baseline_nlp._SEGMENT)
+        assert slsqp_sizes == [(S + 1) * nlp.n_x + N * nlp.n_u + 1]
+
+    def test_matches_every_knot_slsqp_oracle(self, pendulum_nlp_n40,
+                                             pendulum_bilevel_n40, slsqp_sizes):
+        nlp = pendulum_nlp_n40
+        sol = solve_nlp(nlp, pendulum_bilevel_n40)
+        assert slsqp_sizes[0] < nlp.n_var
+        # SLSQP on every knot (x_0..x_N, u, T) with solve_nlp's options and box
+        ws = pendulum_bilevel_n40
+        T0 = ws.T
+        oracle = minimize(
+            nlp.objective, nlp.pack(ws.states, ws.inputs, T0),
+            jac=nlp.objective_grad, method="SLSQP",
+            bounds=[(None, None)] * (nlp.n_var - 1) + [(0.2 * T0, 5.0 * T0)],
+            constraints={"type": "eq", "fun": nlp.constraints,
+                         "jac": nlp.constraint_jacobian},
+            options={"maxiter": baseline_nlp._MAXITER, "ftol": 1e-14},
+        )
+        assert oracle.success and sol.converged
+        assert abs(sol.T - oracle.x[-1]) <= 1e-7 * oracle.x[-1]
+        assert abs(sol.cost - oracle.fun) <= 1e-9 * oracle.fun
 
 
 class TestEvaluateSolution:
