@@ -21,11 +21,11 @@ from each node, and its feasibility and KKT residual are measured there.
 
 Constraint Jacobians come from central finite differences, exploiting the
 per-segment structure: each defect touches only its own node, its segment's
-inputs and T, so all defect rows cost two batched sweeps of a segment's RK4
-steps, one over every segment and every perturbed direction (each node
-state, each input, and T) stepped forward and one stepped back, rather than
-one trajectory integration per variable. The every-knot Jacobian is the
-one-knot-segment case.
+inputs and T. So one batch of a segment's RK4 steps, over every segment and
+over the nominal point and each perturbed direction (each node state, each
+input, and T) stepped both ways, gives the constraints and every defect
+column together, rather than one trajectory integration per variable. The
+every-knot Jacobian is the one-knot-segment case.
 
 This module is the comparison oracle: it is deliberately plain, with no
 sparsity or second-order machinery beyond what the problem sizes need.
@@ -185,9 +185,15 @@ class TranscribedNlp:
         return np.concatenate([self.defects(v), self.mbc_residual(v)])
 
     def constraint_jacobian(self, v):
-        """Central-difference Jacobian using the per-segment structure: one
-        forward and one backward sweep of ``segment`` RK4 steps, batched over
-        every segment and every direction, give all defect columns."""
+        """Central-difference Jacobian of :meth:`constraints`; see
+        :meth:`linearize`."""
+        return self.linearize(v)[1]
+
+    def linearize(self, v):
+        """Constraints and their central-difference Jacobian, ``(c, J)``, from
+        one batch of ``segment`` RK4 steps over every segment, the nominal
+        point and every direction stepped both ways. ``c`` is bitwise
+        :meth:`constraints`: RK4 acts on each batch entry alone."""
         X, U, T = self.unpack(v)
         N, S, n_x, n_u = self.N, self.n_segments, self.n_x, self.n_u
         eps = _FD_STEP
@@ -197,23 +203,26 @@ class TranscribedNlp:
         rows = np.arange(S * n_x)
         J[rows, rows + n_x] = 1.0
 
-        # batch entry j perturbs node state j (j < n_x), the segment's input
-        # j - n_x (step (j - n_x) // n_u, channel (j - n_x) % n_u), or T (last)
+        # direction j perturbs node state j (j < n_x), the segment's input
+        # j - n_x (step (j - n_x) // n_u, channel (j - n_x) % n_u), or T (last);
+        # batch entry 0 is the nominal point, 1 + j steps direction j by +eps
+        # and 1 + m + j by -eps
         m = n_x + self.segment * n_u + 1
         ix, iu, seg = np.arange(n_x), np.arange(self.segment * n_u), np.arange(S)
-        U_seg = self._segment_inputs(U).reshape(S, -1)
-
-        def sweep(sign):
-            Xs = np.repeat(X[None, :S], m, axis=0)
-            Us = np.repeat(U_seg[None], m, axis=0)
-            Xs[ix, :, ix] += sign * eps
-            Us[n_x + iu, :, iu] += sign * eps
-            h = np.full((m, 1, 1), T / N)
-            h[-1] = (T + sign * epsT) / N
-            return self._shoot(Xs, Us.reshape(m, S, self.segment, n_u), h)[:, :, -1]
+        Xs = np.repeat(X[None, :S], 2 * m + 1, axis=0)
+        Us = np.repeat(self._segment_inputs(U).reshape(1, S, -1), 2 * m + 1, axis=0)
+        Xs[1 + ix, :, ix] += eps
+        Xs[1 + m + ix, :, ix] -= eps
+        Us[1 + n_x + iu, :, iu] += eps
+        Us[1 + m + n_x + iu, :, iu] -= eps
+        h = np.full((2 * m + 1, 1, 1), T / N)
+        h[m] = (T + epsT) / N
+        h[2 * m] = (T - epsT) / N
+        ends = self._shoot(
+            Xs, Us.reshape(2 * m + 1, S, self.segment, n_u), h)[:, :, -1]
 
         step = 2.0 * np.append(np.full(m - 1, eps), epsT)
-        dS = (sweep(1.0) - sweep(-1.0)) / step[:, None, None]
+        dS = (ends[1 : m + 1] - ends[m + 1 :]) / step[:, None, None]
         cols = np.concatenate([
             seg * n_x + ix[:, None],
             self.n_states + seg * self.segment * n_u + iu[:, None],
@@ -239,7 +248,8 @@ class TranscribedNlp:
         J[base:, -1] = (mbc_of(x0, xN, T + epsT) - mbc_of(x0, xN, T - epsT)) / (
             2 * epsT
         )
-        return J
+        c = np.concatenate([(X[1:] - ends[0]).ravel(), mbc_of(x0, xN, T)])
+        return c, J
 
 
 def transcribe(system, mbc, N):
@@ -252,12 +262,18 @@ def _warm_start(nlp, warm_start):
         warm_start = (warm_start.states, warm_start.inputs, warm_start.T)
     X, U, T = warm_start
     X = np.asarray(X, dtype=float)
-    if X.shape != (nlp.N + 1, nlp.n_x):
-        raise BuildError(
-            f"warm-start states have shape {X.shape}, expected "
-            f"({nlp.N + 1}, {nlp.n_x}); use matching N"
-        )
-    return X, U, float(T)
+    U = np.asarray(U, dtype=float)
+    T = float(T)
+    for name, A, shape in (("states", X, (nlp.N + 1, nlp.n_x)),
+                           ("inputs", U, (nlp.N, nlp.n_u))):
+        if A.shape != shape:
+            raise BuildError(
+                f"warm-start {name} have shape {A.shape}, expected {shape}; "
+                f"use matching N"
+            )
+    if not (np.isfinite(T) and T > 0):
+        raise BuildError(f"warm-start period must be finite and positive, got T={T}")
+    return X, U, T
 
 
 def solve_nlp(nlp, warm_start):
@@ -265,15 +281,19 @@ def solve_nlp(nlp, warm_start):
     multiple-shooting form, checked on every knot of ``nlp``.
 
     ``warm_start`` is a bilevel solution (states/inputs/T attributes) or an
-    explicit (X, U, T) triple on the knots of ``nlp``. SLSQP solves the same
-    problem with a node every ``_SEGMENT`` knots and gets ``_MAXITER`` major
-    iterations. The returned solution is SLSQP's last iterate, with its state
-    at every knot rebuilt by stepping forward from each node, whether or not
-    it converged: ``converged`` is True only when SLSQP reports success and,
-    at that point, both the largest constraint residual and the KKT
-    stationarity residual of the every-knot ``nlp`` are at most
-    ``_TOL_FEAS``. ``max_defect``, ``max_mbc_violation`` and
-    ``kkt_residual`` are ``nlp``'s too. ``history`` holds one
+    explicit (X, U, T) triple on the knots of ``nlp``, with states
+    ``(N+1, n_x)``, inputs ``(N, n_u)`` and T finite and positive; anything
+    else is a :class:`BuildError`. SLSQP solves the same problem with a node
+    every ``_SEGMENT`` knots and gets ``_MAXITER`` major iterations. Its
+    constraints, their Jacobian and the history entry at a point all come
+    from one :meth:`TranscribedNlp.linearize` of that point. The returned
+    solution is SLSQP's last iterate, with its state at every knot rebuilt by
+    stepping forward from each node, whether or not it converged:
+    ``converged`` is True only when SLSQP reports success and, at that point,
+    both the largest constraint residual and the KKT stationarity residual of
+    the every-knot ``nlp`` are at most ``_TOL_FEAS``. ``max_defect``,
+    ``max_mbc_violation`` and ``kkt_residual`` are ``nlp``'s too, from one
+    ``linearize`` of the every-knot point. ``history`` holds one
     ``{iteration, feas, cost}`` entry per major iteration, with ``feas`` the
     shooting problem's largest constraint residual.
 
@@ -287,10 +307,20 @@ def solve_nlp(nlp, warm_start):
     shoot = TranscribedNlp(nlp.system, nlp.mbc, nlp.N, segment=_SEGMENT)
     bounds = [(None, None)] * (shoot.n_var - 1) + [(0.2 * T0, 5.0 * T0)]
     history = []
+    # SLSQP asks for the constraints, then their Jacobian, then records the
+    # same point: one linearization serves all three
+    memo = {}
+
+    def linearized(x):
+        key = x.tobytes()
+        if key not in memo:
+            memo.clear()
+            memo[key] = shoot.linearize(x)
+        return memo[key]
 
     def record(x):
         history.append({"iteration": len(history) + 1,
-                        "feas": float(np.max(np.abs(shoot.constraints(x)))),
+                        "feas": float(np.max(np.abs(linearized(x)[0]))),
                         "cost": shoot.objective(x)})
 
     res = minimize(
@@ -299,8 +329,8 @@ def solve_nlp(nlp, warm_start):
         jac=shoot.objective_grad,
         method="SLSQP",
         bounds=bounds,
-        constraints={"type": "eq", "fun": shoot.constraints,
-                     "jac": shoot.constraint_jacobian},
+        constraints={"type": "eq", "fun": lambda x: linearized(x)[0],
+                     "jac": lambda x: linearized(x)[1]},
         callback=record,
         # SLSQP stops once the change in f (or the step) and the summed
         # constraint violation are below ftol, so ftol sits far below _TOL_FEAS
@@ -309,11 +339,10 @@ def solve_nlp(nlp, warm_start):
     _, U, T = shoot.unpack(res.x)
     X = shoot.knot_states(res.x)
     v = nlp.pack(X, U, T)
-    c = nlp.constraints(v)
+    c, J = nlp.linearize(v)
     feas = float(np.max(np.abs(c)))
     # stationarity: largest entry of grad f + J^T lam, lam the least-squares
     # multipliers at the returned point
-    J = nlp.constraint_jacobian(v)
     g = nlp.objective_grad(v)
     lam, *_ = np.linalg.lstsq(J.T, -g, rcond=None)
     kkt = float(np.max(np.abs(g + J.T @ lam)))

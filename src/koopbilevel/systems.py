@@ -105,17 +105,23 @@ def eval_rhs(system, x, u):
 
 def rk4_step(system, x, u, h):
     """One classical fourth-order Runge-Kutta step with u held constant; ``h``
-    may be an array of positive steps that broadcasts against ``x``."""
+    may be an array of positive steps that broadcasts against ``x``. An error
+    names one offending step, not the whole array."""
     if not np.all(h > 0):
-        raise IntegrationError(f"step size must be positive, got h={h}")
+        # the smallest step, or nan when any step is nan
+        raise IntegrationError(
+            f"step size must be positive, got h={float(np.min(h))}"
+        )
     k1 = eval_rhs(system, x, u)
     k2 = eval_rhs(system, x + 0.5 * h * k1, u)
     k3 = eval_rhs(system, x + 0.5 * h * k2, u)
     k4 = eval_rhs(system, x + h * k3, u)
     out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(out)):
+        # the step of the first non-finite entry
+        h_bad = float(np.broadcast_to(h, out.shape)[~np.isfinite(out)][0])
         raise IntegrationError(
-            f"{system.name}: RK4 produced non-finite state at step size h={h}"
+            f"{system.name}: RK4 produced non-finite state at step size h={h_bad}"
         )
     return out
 

@@ -4,6 +4,7 @@ from scipy.optimize import minimize
 
 from koopbilevel import (
     BoundaryVariant,
+    BuildError,
     MixedBoundaryConstraint,
     UpperConfig,
     evaluate_solution,
@@ -50,17 +51,64 @@ def jacobian_oracle(nlp, v):
     dS = (rk4_step(nlp.system, X[:N], U, (T + epsT) / N)
           - rk4_step(nlp.system, X[:N], U, (T - epsT) / N)) / (2.0 * epsT)
     J[: nlp.n_defects, -1] = -dS.ravel()
+    fill_boundary_rows(J, nlp, X[0], X[N], T)
+    return J
+
+
+def fill_boundary_rows(J, nlp, x0, xN, T):
+    """Boundary rows of the Jacobian, one central difference per column."""
+    n_x, S = nlp.n_x, nlp.n_segments
+    eps = baseline_nlp._FD_STEP
+    epsT = eps * max(1.0, abs(T))
     mbc_of = nlp.mbc.residual
-    x0, xN = X[0], X[N]
     for d in range(n_x):
         e = np.zeros(n_x)
         e[d] = eps
         J[nlp.n_defects:, d] = (mbc_of(x0 + e, xN, T)
                                 - mbc_of(x0 - e, xN, T)) / (2 * eps)
-        J[nlp.n_defects:, N * n_x + d] = (mbc_of(x0, xN + e, T)
+        J[nlp.n_defects:, S * n_x + d] = (mbc_of(x0, xN + e, T)
                                           - mbc_of(x0, xN - e, T)) / (2 * eps)
     J[nlp.n_defects:, -1] = (mbc_of(x0, xN, T + epsT)
                              - mbc_of(x0, xN, T - epsT)) / (2 * epsT)
+
+
+def segment_jacobian_oracle(nlp, v):
+    """Constraint Jacobian of a shooting problem one direction at a time: a
+    central difference of separate + and - shoots per node-state channel,
+    per input of each step of a segment, and for the period."""
+    X, U, T = nlp.unpack(v)
+    N, S, L, n_x, n_u = nlp.N, nlp.n_segments, nlp.segment, nlp.n_x, nlp.n_u
+    h, eps = T / N, baseline_nlp._FD_STEP
+    epsT = eps * max(1.0, abs(T))
+    U_seg = nlp._segment_inputs(U)
+
+    def ends(Xn, Us, step):
+        return nlp._shoot(Xn, Us, step)[:, -1]
+
+    J = np.zeros((nlp.n_con, nlp.n_var))
+    rows = np.arange(S * n_x)
+    J[rows, rows + n_x] = 1.0
+    rows = rows.reshape(S, n_x)
+    for d in range(n_x):
+        Xp, Xm = X[:S].copy(), X[:S].copy()
+        Xp[:, d] += eps
+        Xm[:, d] -= eps
+        dS = (ends(Xp, U_seg, h) - ends(Xm, U_seg, h)) / (2.0 * eps)
+        J[rows, (np.arange(S) * n_x + d)[:, None]] = -dS
+    for j in range(L):
+        # the knot that step j of each segment leaves; none past knot N - 1
+        k = np.arange(S) * L + j
+        live = k < N
+        for d in range(n_u):
+            Up, Um = U_seg.copy(), U_seg.copy()
+            Up[:, j, d] += eps
+            Um[:, j, d] -= eps
+            dS = (ends(X[:S], Up, h) - ends(X[:S], Um, h)) / (2.0 * eps)
+            J[rows[live], (nlp.n_states + k[live] * n_u + d)[:, None]] = -dS[live]
+    dS = (ends(X[:S], U_seg, (T + epsT) / N)
+          - ends(X[:S], U_seg, (T - epsT) / N)) / (2.0 * epsT)
+    J[: nlp.n_defects, -1] = -dS.ravel()
+    fill_boundary_rows(J, nlp, X[0], X[S], T)
     return J
 
 
@@ -69,6 +117,25 @@ def random_point(nlp, rng, T):
     X = rng.uniform(box[:, 0], box[:, 1], size=(nlp.N + 1, nlp.n_x))
     U = rng.normal(size=(nlp.N, nlp.n_u))
     return nlp.pack(X, U, T * (1.0 + 0.1 * rng.normal()))
+
+
+def gait_or_anchor(name, system):
+    """The walker bundle's gait constraint, or the pendulum's 40° anchor."""
+    return (make_walker_gait(system, 0.05, rate_bound=0.15)
+            if name == "walker" else make_periodic_amplitude_anchor(A_40))
+
+
+@pytest.fixture
+def rk4_calls(monkeypatch):
+    """Arguments of each ``rk4_step`` call that ``baseline_nlp`` makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rk4_step(*args)
+
+    monkeypatch.setattr(baseline_nlp, "rk4_step", counted)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -139,25 +206,16 @@ class TestTranscription:
     @pytest.mark.parametrize("name,N,T", [("pendulum", 12, 5.0),
                                           ("walker", 8, 2.2)])
     def test_constraint_jacobian_is_two_sweeps_equal_to_per_direction_oracle(
-        self, request, monkeypatch, name, N, T
+        self, request, rk4_calls, name, N, T
     ):
         system = request.getfixturevalue(name)
-        mbc = (make_walker_gait(system, 0.05, rate_bound=0.15)
-               if name == "walker" else make_periodic_amplitude_anchor(A_40))
-        nlp = transcribe(system, mbc, N)
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return rk4_step(*args)
-
-        monkeypatch.setattr(baseline_nlp, "rk4_step", counted)
+        nlp = transcribe(system, gait_or_anchor(name, system), N)
         rng = np.random.default_rng(24)
         for _ in range(3):
             v = random_point(nlp, rng, T)
-            calls.clear()
+            rk4_calls.clear()
             J = nlp.constraint_jacobian(v)
-            assert len(calls) == 2
+            assert len(rk4_calls) == 1
             assert np.array_equal(J, jacobian_oracle(nlp, v))
 
     @pytest.mark.parametrize("N,segment", [(12, 5), (3, 10), (10, 5)])
@@ -187,29 +245,21 @@ class TestTranscription:
     @pytest.mark.parametrize("name,N,segment,T", [("pendulum", 12, 5, 5.0),
                                                   ("pendulum", 3, 10, 5.0),
                                                   ("walker", 8, 5, 2.2)])
-    def test_segment_jacobian_against_dense_fd(self, request, monkeypatch,
+    def test_segment_jacobian_against_dense_fd(self, request, rk4_calls,
                                                name, N, segment, T):
         # ragged grids: segments of 5, 5, 2 knots; one segment of 3 knots,
         # shorter than the segment length; segments of 5, 3 knots
         system = request.getfixturevalue(name)
-        mbc = (make_walker_gait(system, 0.05, rate_bound=0.15)
-               if name == "walker" else make_periodic_amplitude_anchor(A_40))
-        nlp = baseline_nlp.TranscribedNlp(system, mbc, N, segment=segment)
+        nlp = baseline_nlp.TranscribedNlp(system, gait_or_anchor(name, system),
+                                          N, segment=segment)
         L = min(segment, N)
         assert nlp.nodes[-1] == N and np.all(np.diff(nlp.nodes) <= L)
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return rk4_step(*args)
-
-        monkeypatch.setattr(baseline_nlp, "rk4_step", counted)
         rng = np.random.default_rng(25)
         box = system.state_box
         X = rng.uniform(box[:, 0], box[:, 1], size=(len(nlp.nodes), nlp.n_x))
         v = nlp.pack(X, 0.3 * rng.normal(size=(N, nlp.n_u)), T)
         J = nlp.constraint_jacobian(v)
-        assert len(calls) == 2 * L
+        assert len(rk4_calls) == L
         h = baseline_nlp._FD_STEP
         J_fd = np.zeros_like(J)
         for j in range(nlp.n_var):
@@ -217,6 +267,32 @@ class TestTranscription:
             e[j] = h
             J_fd[:, j] = (nlp.constraints(v + e) - nlp.constraints(v - e)) / (2 * h)
         assert np.max(np.abs(J - J_fd)) <= 1e-7 * max(1.0, np.max(np.abs(J)))
+
+    @pytest.mark.parametrize("name,N,segment,T", [("pendulum", 101, 1, 6.5),
+                                                  ("walker", 51, 1, 2.1),
+                                                  ("pendulum", 12, 5, 5.0),
+                                                  ("pendulum", 3, 10, 5.0),
+                                                  ("walker", 8, 5, 2.2)])
+    def test_linearize_is_one_shoot_equal_to_constraints_and_oracle(
+        self, request, rk4_calls, name, N, segment, T
+    ):
+        # every-knot grids of the pendulum and walker bundles, and the ragged
+        # shooting grids of test_segment_jacobian_against_dense_fd
+        system = request.getfixturevalue(name)
+        nlp = baseline_nlp.TranscribedNlp(system, gait_or_anchor(name, system),
+                                          N, segment=segment)
+        oracle = jacobian_oracle if segment == 1 else segment_jacobian_oracle
+        rng = np.random.default_rng(27)
+        box = system.state_box
+        for _ in range(3):
+            X = rng.uniform(box[:, 0], box[:, 1], size=(len(nlp.nodes), nlp.n_x))
+            v = nlp.pack(X, 0.3 * rng.normal(size=(N, nlp.n_u)),
+                         T * (1.0 + 0.1 * rng.normal()))
+            rk4_calls.clear()
+            c, J = nlp.linearize(v)
+            assert len(rk4_calls) == min(segment, N)
+            assert np.array_equal(c, nlp.constraints(v))
+            assert np.array_equal(J, oracle(nlp, v))
 
     def test_bilevel_warm_start_defect_is_small(self, pendulum_bilevel_n40,
                                                 pendulum_nlp_n40):
@@ -370,6 +446,50 @@ class TestSolveNlp:
         assert oracle.success and sol.converged
         assert abs(sol.T - oracle.x[-1]) <= 1e-7 * oracle.x[-1]
         assert abs(sol.cost - oracle.fun) <= 1e-9 * oracle.fun
+
+
+    def test_each_point_is_linearized_once(self, pendulum_nlp_n40,
+                                           pendulum_bilevel_n40, monkeypatch):
+        nlp = pendulum_nlp_n40
+        linearized, iterates = [], []
+        linearize = baseline_nlp.TranscribedNlp.linearize
+
+        def counted(self, v):
+            linearized.append((self.segment, v.tobytes()))
+            return linearize(self, v)
+
+        def recorded(fun, x0, callback, **kwargs):
+            def seen(x):
+                iterates.append(x.copy())
+                callback(x)
+
+            return minimize(fun, x0, callback=seen, **kwargs)
+
+        monkeypatch.setattr(baseline_nlp.TranscribedNlp, "linearize", counted)
+        monkeypatch.setattr(baseline_nlp, "minimize", recorded)
+        sol = solve_nlp(nlp, pendulum_bilevel_n40)
+        assert sol.converged
+        # SLSQP's constraints, Jacobian and history at a point, and the
+        # every-knot check at the end, share one linearization each
+        assert len(set(linearized)) == len(linearized)
+        assert (1, nlp.pack(sol.states, sol.inputs, sol.T).tobytes()) in linearized
+        shoot = baseline_nlp.TranscribedNlp(nlp.system, nlp.mbc, nlp.N,
+                                            segment=baseline_nlp._SEGMENT)
+        assert len(sol.history) == len(iterates) > 0
+        for entry, x in zip(sol.history, iterates):
+            assert entry["feas"] == np.max(np.abs(shoot.constraints(x)))
+            assert entry["cost"] == shoot.objective(x)
+
+    @pytest.mark.parametrize("inputs,T,match", [
+        (np.zeros((39, 1)), TWO_PI,
+         r"inputs have shape \(39, 1\), expected \(40, 1\)"),
+        (np.zeros((40, 1)), -1.0, "finite and positive, got T=-1.0"),
+        (np.zeros((40, 1)), np.nan, "finite and positive, got T=nan"),
+    ], ids=["short_inputs", "negative_T", "nan_T"])
+    def test_malformed_warm_start_is_a_build_error(self, pendulum_nlp_n40,
+                                                   inputs, T, match):
+        with pytest.raises(BuildError, match=match):
+            solve_nlp(pendulum_nlp_n40, (np.zeros((41, 2)), inputs, T))
 
 
 class TestEvaluateSolution:

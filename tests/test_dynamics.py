@@ -85,6 +85,29 @@ class TestRk4:
         with pytest.raises(IntegrationError, match="step size"):
             rk4_step(pendulum, np.zeros((3, 1, 2)), np.zeros((3, 1, 1)), h)
 
+    @pytest.mark.parametrize("steps,named", [([0.1, -0.3, -0.1, 0.2], "-0.3"),
+                                             ([0.1, 0.0, np.nan, 0.2], "nan")])
+    def test_array_step_error_names_one_step(self, pendulum, steps, named):
+        # the baseline's Jacobian batch passes h with shape (2m+1, 1, 1)
+        h = np.array(steps)[:, None, None]
+        with pytest.raises(IntegrationError) as info:
+            rk4_step(pendulum, np.zeros((4, 1, 2)), np.zeros((4, 1, 1)), h)
+        assert str(info.value) == f"step size must be positive, got h={named}"
+
+    def test_nonfinite_state_error_names_the_step_of_that_entry(self):
+        # finite drift whose RK4 combination overflows only where x > 0
+        big = ControlAffineSystem(
+            name="big", n_x=1, n_u=1,
+            drift=lambda x: np.where(x > 0, 1e308, 0.0),
+            input_map=lambda x: np.zeros(np.shape(x)[:-1] + (1, 1)),
+            state_box=None,
+        )
+        x = np.array([[-1.0], [-1.0], [1.0], [1.0]])[:, None, :]
+        h = np.array([0.1, 0.2, 0.3, 0.4])[:, None, None]
+        with pytest.raises(IntegrationError) as info, np.errstate(over="ignore"):
+            rk4_step(big, x, np.zeros((4, 1, 1)), h)
+        assert str(info.value).endswith("non-finite state at step size h=0.3")
+
     def test_linear_system_is_degree4_taylor(self, oscillator):
         A = oscillator.params["A"]
         h = 0.2
