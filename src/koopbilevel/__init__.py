@@ -24,7 +24,6 @@ from .errors import (
 )
 from .systems import (
     ControlAffineSystem,
-    ControlSignal,
     HybridExtras,
     eval_rhs,
     get_system,
@@ -79,7 +78,6 @@ from .baseline_nlp import (
     TranscribedNlp,
     evaluate_solution,
     solve_nlp,
-    transcribe,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,9 @@ import json
 import numpy as np
 
 from .errors import ConfigError
+from .lifting import lift
 from .numerics import mean_pearson, resample_common_grid
+from .systems import running_cost
 
 __all__ = [
     "canonical_json",
@@ -111,26 +113,29 @@ def trajectory_pcc(times_a, values_a, times_b, values_b):
     return mean_pearson(ga, gb)
 
 
-def comparison_entry(bilevel, baseline):
-    """Per-variant comparison block between a bilevel and a baseline solution."""
-    pcc_state = trajectory_pcc(
-        bilevel.times, bilevel.states, baseline.times, baseline.states
-    )
-    # inputs are knot-valued; compare them on the knot grid
-    pcc_input = trajectory_pcc(
-        bilevel.times[:-1], bilevel.inputs, baseline.times[:-1], baseline.inputs
-    )
+def comparison_entry(solution, trajectory, baseline, baseline_trajectory,
+                     dictionary):
+    """Report entry comparing one variant with the baseline, from what is
+    written for them: their JSON records and ``(times, states, inputs)``
+    trajectories, and the dictionary that lifts the variant's boundaries.
+    ``solve`` and ``audit`` both call it, so every field is audited."""
+    times, states, inputs = trajectory
+    times_b, states_b, inputs_b = baseline_trajectory
+    # one batched lift, as the lower level lifts its boundaries
+    psi0, psiT = lift(dictionary, np.array([solution["x0"], solution["xT"]]))
     return {
-        "variant": bilevel.variant.label,
-        "T_star": bilevel.T,
-        "T_star_baseline": baseline.T,
-        "pcc_state": pcc_state,
-        "pcc_input": pcc_input,
-        "c": bilevel.cost,
-        "c_baseline": baseline.cost,
-        "c_hat_lower": bilevel.lower.c_hat,
-        "mbc_violation": bilevel.constraint_violation,
-        "baseline_converged": bool(baseline.converged),
-        "baseline_max_defect": baseline.max_defect,
-        "baseline_max_mbc_violation": baseline.max_mbc_violation,
+        "variant": solution["variant"],
+        "T_star": float(times[-1]),
+        "T_star_baseline": float(times_b[-1]),
+        "pcc_state": trajectory_pcc(times, states, times_b, states_b),
+        # inputs are knot-valued; compare them on the knot grid
+        "pcc_input": trajectory_pcc(times[:-1], inputs, times_b[:-1], inputs_b),
+        "c": running_cost(times[-1], inputs),
+        "c_baseline": running_cost(times_b[-1], inputs_b),
+        "c_hat_lower": float(np.sum((np.asarray(solution["z0"]) - psi0) ** 2)
+                             + np.sum((np.asarray(solution["zN"]) - psiT) ** 2)),
+        "mbc_violation": solution["constraint_violation"],
+        "baseline_converged": baseline["converged"],
+        "baseline_max_defect": baseline["max_defect"],
+        "baseline_max_mbc_violation": baseline["max_mbc_violation"],
     }

@@ -37,12 +37,11 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import BuildError
-from .systems import rk4_step
+from .systems import rk4_step, running_cost
 
 __all__ = [
     "TranscribedNlp",
     "NlpSolution",
-    "transcribe",
     "solve_nlp",
     "evaluate_solution",
 ]
@@ -84,7 +83,7 @@ class TranscribedNlp:
     is shorter when ``segment`` does not divide N. Each defect is the next
     node state minus the RK4 steps from the node. The default ``segment=1``
     puts a node on every knot: the transcription (x_0..x_N, u, T) that
-    :func:`transcribe` builds and :func:`evaluate_solution` checks.
+    :func:`evaluate_solution` checks.
     """
 
     def __init__(self, system, mbc, N, segment=1):
@@ -161,7 +160,7 @@ class TranscribedNlp:
 
     def objective(self, v):
         _, U, T = self.unpack(v)
-        return (T / self.N) * float(np.sum(U**2))
+        return running_cost(T, U)
 
     def objective_grad(self, v):
         _, U, T = self.unpack(v)
@@ -250,11 +249,6 @@ class TranscribedNlp:
         )
         c = np.concatenate([(X[1:] - ends[0]).ravel(), mbc_of(x0, xN, T)])
         return c, J
-
-
-def transcribe(system, mbc, N):
-    """Build the direct-transcription NLP for one system/constraint pair."""
-    return TranscribedNlp(system, mbc, N)
 
 
 def _warm_start(nlp, warm_start):
@@ -369,6 +363,5 @@ def evaluate_solution(nlp, sol):
         "max_defect": float(np.max(np.abs(defects))),
         "defect_rms": float(np.sqrt(np.mean(defects**2))),
         "max_mbc_violation": float(np.max(np.abs(mbc))),
-        "input_energy": (sol.T / nlp.N) * float(np.sum(U**2)),
         "max_input": float(np.max(np.abs(U))),
     }

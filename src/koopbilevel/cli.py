@@ -8,6 +8,11 @@ Subcommands:
 * ``reproduce`` - run a pinned benchmark bundle and evaluate its gates.
 * ``audit``     - recompute every reported number from persisted artifacts.
 
+``audit`` reruns :func:`koopbilevel.artifacts.comparison_entry`, which wrote
+each ``report.json`` entry, on the files it reads back and compares every
+field. It also checks each solution record's ``T``, ``cost``, ``c_hat_lower``
+and boundary manifold defects, and the baseline's period and cost.
+
 Each config is parsed once, by :func:`koopbilevel.config.validate_config`,
 into the :class:`~koopbilevel.config.RunConfig` that ``identify``, ``solve``,
 ``sweep`` and ``reproduce`` read; it is the only source of run settings, so a
@@ -30,10 +35,11 @@ from importlib import resources
 import numpy as np
 
 from . import artifacts, config as cfgmod, gates as gatesmod
-from .baseline_nlp import solve_nlp, transcribe
+from .baseline_nlp import TranscribedNlp, solve_nlp
 from .errors import ConfigError, KoopbilevelError
 from .gedmd import identify, load_model, save_model
-from .lifting import lift, manifold_defect
+from .lifting import manifold_defect
+from .systems import running_cost
 from .upper_level import make_periodic_amplitude_anchor, solve_reduced, sweep_period
 
 __all__ = [
@@ -80,88 +86,90 @@ def cmd_identify(run, out_dir):
     return model
 
 
-def cmd_solve(run, out_dir, model):
-    """Bilevel solve of each configured variant, on the model that
-    ``cmd_identify`` wrote to ``out_dir``, and one baseline NLP for them all.
+def _solution_record(bilevel):
+    """The ``<label>_solution.json`` record of one variant's bilevel solution."""
+    lower = bilevel.lower
+    return {
+        "variant": bilevel.variant.label,
+        "x0": bilevel.x0.tolist(),
+        "xT": bilevel.xT.tolist(),
+        "T": bilevel.T,
+        "cost": bilevel.cost,
+        "c_hat_lower": lower.c_hat,
+        "weighted_total": lower.weighted_total,
+        "constraint_violation": bilevel.constraint_violation,
+        "kkt_stationarity": lower.kkt.stationarity_residual,
+        "kkt_feasibility": lower.kkt.feasibility_residual,
+        "manifold_defects": lower.manifold_defects.tolist(),
+        "z0": lower.z_traj[0].tolist(),
+        "zN": lower.z_traj[-1].tolist(),
+        "eval_count": bilevel.eval_count,
+        "start_records": list(bilevel.start_records),
+    }
 
-    The transcribed NLP depends only on the system, the mbc and N, so it is
-    solved once, warm-started from the bilevel solution of the first
-    configured variant. A baseline that does not converge is still written
-    and compared, as SLSQP's last iterate with ``converged: false``; the
-    report entries carry that flag as ``baseline_converged``. ``out_dir``
-    receives ``<label>_bilevel.csv`` and ``<label>_solution.json`` per
-    variant; ``baseline.csv`` and ``baseline.json``, whose ``warm_start``
-    names that variant; and ``report.json``, with one entry per variant that
-    compares it with the shared baseline.
 
-    Returns the report and the seconds of each variant's bilevel solve
-    (``per_variant``) and of the baseline.
+def _solve_step(run, model, mbc):
+    """Bilevel solve of every variant under ``mbc``, then one baseline NLP,
+    which depends only on the system, the mbc and N, warm-started from the
+    first variant. A baseline that does not converge is returned as SLSQP's
+    last iterate, with ``converged: false``.
+
+    Returns ``(variants, baseline, timings)``: a ``(record, (times, states,
+    inputs))`` pair per variant, in config order, and one for the baseline,
+    each record as written to ``<label>_solution.json`` or ``baseline.json``;
+    and the seconds of each bilevel solve (``per_variant``) and of the baseline.
     """
-    _ensure_dir(out_dir)
-
-    solutions = {}
     timings = {"per_variant": {}}
+    solutions = []
     for var in run.variants:
-        label = var.label
         t0 = time.perf_counter()
-        bilevel = solve_reduced(model, var, run.mbc, run.upper, run.N)
-        timings["per_variant"][label] = time.perf_counter() - t0
-        solutions[label] = bilevel
+        solutions.append(solve_reduced(model, var, mbc, run.upper, run.N))
+        timings["per_variant"][var.label] = time.perf_counter() - t0
 
-        artifacts.write_trajectory_csv(
-            os.path.join(out_dir, f"{label}_bilevel.csv"),
-            bilevel.times, bilevel.states, bilevel.inputs,
-        )
-        artifacts.write_json(
-            os.path.join(out_dir, f"{label}_solution.json"),
-            {
-                "variant": label,
-                "x0": bilevel.x0.tolist(),
-                "xT": bilevel.xT.tolist(),
-                "T": bilevel.T,
-                "cost": bilevel.cost,
-                "c_hat_lower": bilevel.lower.c_hat,
-                "weighted_total": bilevel.lower.weighted_total,
-                "constraint_violation": bilevel.constraint_violation,
-                "kkt_stationarity": bilevel.lower.kkt.stationarity_residual,
-                "kkt_feasibility": bilevel.lower.kkt.feasibility_residual,
-                "manifold_defects": bilevel.lower.manifold_defects.tolist(),
-                "z0": bilevel.lower.z_traj[0].tolist(),
-                "zN": bilevel.lower.z_traj[-1].tolist(),
-                "eval_count": bilevel.eval_count,
-                "start_records": list(bilevel.start_records),
-            },
-        )
-
-    warm_start = run.variants[0].label
     t0 = time.perf_counter()
-    baseline = solve_nlp(transcribe(run.system, run.mbc, run.N),
-                         solutions[warm_start])
+    baseline = solve_nlp(TranscribedNlp(run.system, mbc, run.N), solutions[0])
     timings["baseline"] = time.perf_counter() - t0
+    record = {
+        "warm_start": run.variants[0].label,
+        "T": baseline.T,
+        "cost": baseline.cost,
+        "max_defect": baseline.max_defect,
+        "max_mbc_violation": baseline.max_mbc_violation,
+        "kkt_residual": baseline.kkt_residual,
+        "converged": baseline.converged,
+        "outer_iterations": baseline.outer_iterations,
+        "inner_iterations": baseline.inner_iterations,
+        "history": list(baseline.history),
+    }
+    variants = [(_solution_record(sol), (sol.times, sol.states, sol.inputs))
+                for sol in solutions]
+    trajectory = (baseline.times, baseline.states, baseline.inputs)
+    return variants, (record, trajectory), timings
+
+
+def cmd_solve(run, out_dir, model):
+    """Run :func:`_solve_step` on the model that ``cmd_identify`` wrote to
+    ``out_dir``, and write ``<label>_bilevel.csv`` and ``<label>_solution.json``
+    per variant, ``baseline.csv``, ``baseline.json`` and ``report.json``, with
+    one :func:`~koopbilevel.artifacts.comparison_entry` per variant of what
+    those files hold. Returns the report and the timings."""
+    _ensure_dir(out_dir)
+    variants, (baseline, baseline_traj), timings = _solve_step(run, model, run.mbc)
+    for record, traj in variants:
+        label = record["variant"]
+        artifacts.write_trajectory_csv(
+            os.path.join(out_dir, f"{label}_bilevel.csv"), *traj)
+        artifacts.write_json(
+            os.path.join(out_dir, f"{label}_solution.json"), record)
     artifacts.write_trajectory_csv(
-        os.path.join(out_dir, "baseline.csv"),
-        baseline.times, baseline.states, baseline.inputs,
-    )
-    artifacts.write_json(
-        os.path.join(out_dir, "baseline.json"),
-        {
-            "warm_start": warm_start,
-            "T": baseline.T,
-            "cost": baseline.cost,
-            "max_defect": baseline.max_defect,
-            "max_mbc_violation": baseline.max_mbc_violation,
-            "kkt_residual": baseline.kkt_residual,
-            "converged": baseline.converged,
-            "outer_iterations": baseline.outer_iterations,
-            "inner_iterations": baseline.inner_iterations,
-            "history": list(baseline.history),
-        },
-    )
+        os.path.join(out_dir, "baseline.csv"), *baseline_traj)
+    artifacts.write_json(os.path.join(out_dir, "baseline.json"), baseline)
 
     report = {
         "entries": [
-            artifacts.comparison_entry(bilevel, baseline)
-            for bilevel in solutions.values()
+            artifacts.comparison_entry(record, traj, baseline, baseline_traj,
+                                       model.dictionary)
+            for record, traj in variants
         ],
         "provenance": {
             "config_hash": cfgmod.config_hash(run.raw),
@@ -198,7 +206,7 @@ def _check_sweep_axis(run, axis):
 def cmd_sweep(run, out_dir, model, axis="T"):
     """Grid evaluation: period sweep of the lower level, or amplitude sweep
     comparing every variant's bilevel solution with one baseline NLP per
-    amplitude, warm-started as in :func:`cmd_solve`."""
+    amplitude, each amplitude solved by :func:`_solve_step`."""
     _check_sweep_axis(run, axis)
     _ensure_dir(out_dir)
 
@@ -210,12 +218,12 @@ def cmd_sweep(run, out_dir, model, axis="T"):
     rows = []
     for a_deg in run.amplitudes_deg:
         mbc = make_periodic_amplitude_anchor(np.deg2rad(a_deg))
-        bilevels = [solve_reduced(model, var, mbc, run.upper, run.N)
-                    for var in run.variants]
-        baseline = solve_nlp(transcribe(run.system, mbc, run.N), bilevels[0])
-        for bilevel in bilevels:
-            row = dict(artifacts.comparison_entry(bilevel, baseline),
-                       amplitude_deg=a_deg, variant_w=bilevel.variant.w)
+        variants, baseline, _ = _solve_step(run, model, mbc)
+        for var, variant in zip(run.variants, variants):
+            row = dict(
+                artifacts.comparison_entry(*variant, *baseline, model.dictionary),
+                amplitude_deg=a_deg, variant_w=var.w,
+            )
             rows.append({c: row[c] for c in _AMPLITUDE_COLUMNS})
     _write_sweep_csv(
         os.path.join(out_dir, "sweep_amplitude.csv"), rows, _AMPLITUDE_COLUMNS
@@ -279,6 +287,8 @@ def cmd_reproduce(bundle_name, out_dir, seed=None):
 
 
 def _close(a, b, rtol=1e-9, atol=1e-12):
+    # not exact: an audit may run on a machine whose BLAS and libm round
+    # differently from the one that wrote the artifacts (see ``artifacts``)
     return abs(a - b) <= atol + rtol * max(abs(a), abs(b))
 
 
@@ -294,46 +304,36 @@ def _mismatches(source, rows):
 
 
 def cmd_audit(out_dir):
-    """Recompute every comparison-report number, each solution's boundary
-    manifold defects, and the baseline's period and cost from the persisted
-    artifacts."""
+    """Recompute from the persisted artifacts, and compare with what they
+    report: every ``report.json`` entry field, by rerunning
+    :func:`~koopbilevel.artifacts.comparison_entry` on the files read back;
+    each ``<label>_solution.json``'s ``T``, ``cost`` and ``c_hat_lower``, and
+    the manifold defects of its ``z0`` and ``zN``; and ``baseline.json``'s
+    period and cost, from ``baseline.csv``."""
     report = artifacts.read_json(os.path.join(out_dir, "report.json"))
-    model = load_model(_model_path(out_dir))
-    dictionary = model.dictionary
-    tn, xn, un = artifacts.read_trajectory_csv(os.path.join(out_dir, "baseline.csv"))
+    dictionary = load_model(_model_path(out_dir)).dictionary
     baseline = artifacts.read_json(os.path.join(out_dir, "baseline.json"))
-    T_baseline = tn[-1]
-    c_baseline = (T_baseline / un.shape[0]) * float(np.sum(un**2))
+    tn, xn, un = artifacts.read_trajectory_csv(os.path.join(out_dir, "baseline.csv"))
     problems = _mismatches("baseline", [
-        ("T", baseline["T"], T_baseline),
-        ("cost", baseline["cost"], c_baseline),
+        ("T", baseline["T"], tn[-1]),
+        ("cost", baseline["cost"], running_cost(tn[-1], un)),
     ])
     for entry in report["entries"]:
         label = entry["variant"]
-        tb, xb, ub = artifacts.read_trajectory_csv(
-            os.path.join(out_dir, f"{label}_bilevel.csv")
-        )
+        trajectory = artifacts.read_trajectory_csv(
+            os.path.join(out_dir, f"{label}_bilevel.csv"))
         sol = artifacts.read_json(os.path.join(out_dir, f"{label}_solution.json"))
-
-        checks = {
-            "T_star": tb[-1],
-            "T_star_baseline": T_baseline,
-            "c": (tb[-1] / ub.shape[0]) * float(np.sum(ub**2)),
-            "c_baseline": c_baseline,
-            "pcc_state": artifacts.trajectory_pcc(tb, xb, tn, xn),
-            "pcc_input": artifacts.trajectory_pcc(
-                tb[:-1], ub, tn[:-1], un
-            ),
-        }
-        z0 = np.asarray(sol["z0"])
-        zN = np.asarray(sol["zN"])
-        psi0 = lift(dictionary, np.asarray(sol["x0"]))
-        psiT = lift(dictionary, np.asarray(sol["xT"]))
-        checks["c_hat_lower"] = float(
-            np.sum((z0 - psi0) ** 2) + np.sum((zN - psiT) ** 2)
-        )
-        rows = [(key, entry[key], value) for key, value in checks.items()]
-        defects = manifold_defect(dictionary, np.stack([z0, zN])).tolist()
+        recomputed = artifacts.comparison_entry(
+            sol, trajectory, baseline, (tn, xn, un), dictionary)
+        rows = [(key, entry[key], value)
+                for key, value in recomputed.items() if key != "variant"]
+        rows += [
+            (f"solution.{key}", sol[key], recomputed[field])
+            for key, field in (("T", "T_star"), ("cost", "c"),
+                               ("c_hat_lower", "c_hat_lower"))
+        ]
+        z_ends = np.array([sol["z0"], sol["zN"]])
+        defects = manifold_defect(dictionary, z_ends).tolist()
         rows += [
             ("manifold_defects[0]", sol["manifold_defects"][0], defects[0]),
             ("manifold_defects[-1]", sol["manifold_defects"][-1], defects[1]),
@@ -402,7 +402,7 @@ def main(argv=None):
                         f"{p['reported']!r} recomputed {p['recomputed']!r}"
                     )
                 return 1
-            print("audit clean: all reported numbers recomputed exactly")
+            print("audit clean: all reported numbers recomputed within rtol 1e-9")
             return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -223,14 +223,15 @@ def linearize(model, z_bar):
     return model.L0, model.surrogate.input_map(z_bar)
 
 
-def prediction_error(model, system, x0, signal, substeps=16):
-    """Per-state RMS gap between the bilinear surrogate and the true flow.
+def prediction_error(model, system, x0, U, T, substeps=16):
+    """Per-state RMS gap between the bilinear surrogate and the true flow
+    under the ``(N, n_u)`` inputs ``U`` held piecewise constant over ``T``.
 
     Integrates the bilinear surrogate (not its linearization) so
     identification error is measured separately from linearization error.
     """
-    truth = simulate(system, x0, signal, substeps=substeps)
-    Z = simulate(model.surrogate, model.dictionary.eval(x0), signal,
+    truth = simulate(system, x0, U, T, substeps=substeps)
+    Z = simulate(model.surrogate, model.dictionary.eval(x0), U, T,
                  substeps=substeps)
     err = Z[:, : system.n_x] - truth
     return np.sqrt(np.mean(err**2, axis=0))

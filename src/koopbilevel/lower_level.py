@@ -28,6 +28,7 @@ from .errors import BuildError, ConfigError, DegenerateQpError, LowerLevelError
 from .gedmd import linearize
 from .lifting import lift, manifold_defect
 from .numerics import KktResult, solve_kkt, zoh_discretize
+from .systems import running_cost
 
 __all__ = [
     "BoundaryVariant",
@@ -299,7 +300,7 @@ def solve_lower(problem):
 
     return LowerLevelSolution(
         u_traj=u,
-        c=problem.T / N * float(np.sum(u**2)),
+        c=running_cost(problem.T, u),
         kkt=kkt,
         problem=problem,
         Ad=qp.Ad,

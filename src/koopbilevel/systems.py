@@ -16,9 +16,9 @@ from .errors import ConfigError, DomainEvaluationError, IntegrationError
 __all__ = [
     "ControlAffineSystem",
     "HybridExtras",
-    "ControlSignal",
     "eval_rhs",
     "rk4_step",
+    "running_cost",
     "simulate",
     "get_system",
     "SYSTEM_PRESETS",
@@ -56,28 +56,6 @@ class ControlAffineSystem:
     state_box: Optional[np.ndarray]
     hybrid: Optional[HybridExtras] = None
     params: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ControlSignal:
-    """Piecewise-constant input: knot k is held on [k*T/N, (k+1)*T/N)."""
-
-    knots: np.ndarray
-    T: float
-
-    def __post_init__(self):
-        knots = np.atleast_1d(np.asarray(self.knots, dtype=float))
-        if knots.ndim == 1:
-            knots = knots[:, None]
-        object.__setattr__(self, "knots", knots)
-        if knots.shape[0] < 1:
-            raise ConfigError("control signal needs at least one knot")
-        if not self.T > 0:
-            raise ConfigError(f"control period must be positive, got T={self.T}")
-
-    @property
-    def N(self):
-        return self.knots.shape[0]
 
 
 def eval_rhs(system, x, u):
@@ -126,24 +104,35 @@ def rk4_step(system, x, u, h):
     return out
 
 
-def simulate(system, x0, signal, substeps=16):
-    """Integrate under a piecewise-constant signal; samples at knot boundaries.
+def running_cost(T, U):
+    """Input energy ``(T/N) sum_k ||u_k||^2`` of the ``(N, n_u)`` inputs ``U``
+    held piecewise constant over the period ``T``."""
+    return float(T / U.shape[0]) * float(np.sum(U**2))
 
-    Each knot interval of length T/N is integrated with ``substeps`` RK4
-    steps. Returns the ``(N+1, n_x)`` states at times ``k*T/N``.
+
+def simulate(system, x0, U, T, substeps=16):
+    """Integrate under piecewise-constant inputs; samples at knot boundaries.
+
+    Row k of the ``(N, n_u)`` inputs ``U`` is held on [k T/N, (k+1) T/N), and
+    each of those intervals is integrated with ``substeps`` RK4 steps.
+    Returns the ``(N+1, n_x)`` states at times ``k T/N``.
     """
     if substeps < 1:
         raise ConfigError(f"substeps must be >= 1, got {substeps}")
+    U = np.asarray(U, dtype=float)
+    if U.ndim == 0 or U.shape[0] < 1:
+        raise ConfigError("simulate needs at least one input knot")
+    if not T > 0:
+        raise ConfigError(f"control period must be positive, got T={T}")
     x0 = np.asarray(x0, dtype=float)
-    N = signal.N
-    h = signal.T / N / substeps
+    N = U.shape[0]
+    h = T / N / substeps
     states = np.empty((N + 1, system.n_x))
     states[0] = x0
     x = x0
     for k in range(N):
-        u = signal.knots[k]
         for _ in range(substeps):
-            x = rk4_step(system, x, u, h)
+            x = rk4_step(system, x, U[k], h)
         states[k + 1] = x
     return states
 

@@ -79,6 +79,55 @@ def test_reproduce_bundle_passes_gates_with_clean_audit(tmp_path, monkeypatch, b
         assert entry["c_baseline"] == baseline["cost"], entry["variant"]
 
 
+@pytest.fixture(scope="module")
+def fig1_run(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("fig1"))
+    assert cli.main(["reproduce", "--bundle", "fig1", "--out", out]) == 0
+    return out
+
+
+def _shift(field):
+    def edit(obj):
+        obj[field] += 1.0
+    return edit
+
+
+def _flip(field):
+    def edit(obj):
+        obj[field] = not obj[field]
+    return edit
+
+
+def _in_entry(edit):
+    def edit_report(report):
+        edit(report["entries"][0])
+    return edit_report
+
+
+# (file, edit): one corruption each, every one a field that solve computed
+AUDITED_CORRUPTIONS = [
+    ("report.json", _in_entry(_shift("mbc_violation"))),
+    ("report.json", _in_entry(_flip("baseline_converged"))),
+    ("report.json", _in_entry(_shift("baseline_max_defect"))),
+    ("report.json", _in_entry(_shift("baseline_max_mbc_violation"))),
+    ("baseline.json", _flip("converged")),
+    ("b0_solution.json", _shift("constraint_violation")),
+    ("b0_solution.json", _shift("T")),
+    ("b0_solution.json", _shift("cost")),
+    ("b0_solution.json", _shift("c_hat_lower")),
+]
+
+
+@pytest.mark.parametrize(
+    "name,edit", AUDITED_CORRUPTIONS,
+    ids=["mbc_violation", "baseline_converged", "baseline_max_defect",
+         "baseline_max_mbc_violation", "converged", "constraint_violation",
+         "T", "cost", "c_hat_lower"],
+)
+def test_audit_finds_a_corrupted_field(fig1_run, name, edit):
+    assert _audit_after_edit(os.path.join(fig1_run, name), edit) == 1
+
+
 BAD_SOLVER_SETTINGS = [
     ("upper", "simplex_xatol", "abc"),
     ("upper", "grid_size", 2.5),

@@ -4,7 +4,6 @@ import pytest
 from koopbilevel import (
     ConfigError,
     ControlAffineSystem,
-    ControlSignal,
     DomainEvaluationError,
     HybridExtras,
     IntegrationError,
@@ -122,14 +121,10 @@ class TestRk4:
     def test_order_four_error_decay(self, oscillator):
         # global error over one period shrinks ~16x when the grid doubles
         x0 = np.array([1.0, 0.0])
-        ref = simulate(
-            oscillator, x0, ControlSignal(knots=np.zeros(64), T=TWO_PI), substeps=64
-        )[-1]
+        ref = simulate(oscillator, x0, np.zeros((64, 1)), TWO_PI, substeps=64)[-1]
 
         def err(N):
-            X = simulate(
-                oscillator, x0, ControlSignal(knots=np.zeros(N), T=TWO_PI), substeps=1
-            )
+            X = simulate(oscillator, x0, np.zeros((N, 1)), TWO_PI, substeps=1)
             return np.linalg.norm(X[-1] - ref)
 
         assert err(64) / err(128) >= 15.5
@@ -148,36 +143,33 @@ class TestRk4:
 
 class TestSimulate:
     def test_constant_at_equilibrium(self, pendulum):
-        X = simulate(pendulum, np.zeros(2), ControlSignal(knots=np.zeros(10), T=1.0))
+        X = simulate(pendulum, np.zeros(2), np.zeros((10, 1)), 1.0)
         assert np.array_equal(X, np.zeros((11, 2)))
 
     def test_matches_exact_zoh_on_oscillator(self, oscillator):
         rng = np.random.default_rng(9)
         N = 25
-        sig = ControlSignal(knots=rng.normal(scale=0.3, size=N), T=TWO_PI)
-        X = simulate(oscillator, np.array([0.5, 0.1]), sig, substeps=64)
+        U = rng.normal(scale=0.3, size=(N, 1))
+        X = simulate(oscillator, np.array([0.5, 0.1]), U, TWO_PI, substeps=64)
         pair = zoh_discretize(
             oscillator.params["A"], oscillator.params["B"], TWO_PI / N
         )
         z = np.array([0.5, 0.1])
         for k in range(N):
-            z = pair.Ad @ z + pair.Bd @ sig.knots[k]
+            z = pair.Ad @ z + pair.Bd @ U[k]
             assert np.max(np.abs(X[k + 1] - z)) < 1e-8
 
     def test_undamped_energy_conservation(self, pendulum_undamped):
         x0 = np.array([np.deg2rad(40.0), 0.0])
-        X = simulate(
-            pendulum_undamped, x0, ControlSignal(knots=np.zeros(64), T=TWO_PI),
-            substeps=32,
-        )
+        X = simulate(pendulum_undamped, x0, np.zeros((64, 1)), TWO_PI, substeps=32)
         E = pendulum_energy(X)
         assert np.max(np.abs(E - E[0])) <= 1e-6 * E[0]
 
-    def test_signal_validation(self):
+    def test_signal_validation(self, oscillator):
         with pytest.raises(ConfigError):
-            ControlSignal(knots=np.zeros((0, 1)), T=1.0)
+            simulate(oscillator, np.zeros(2), np.zeros((0, 1)), 1.0)
         with pytest.raises(ConfigError):
-            ControlSignal(knots=np.zeros(3), T=0.0)
+            simulate(oscillator, np.zeros(2), np.zeros((3, 1)), 0.0)
 
 
 class TestWalkerHybrid:

@@ -5,7 +5,6 @@ import pytest
 
 from koopbilevel import (
     ConfigError,
-    ControlSignal,
     DataError,
     assemble_data,
     fit_generator,
@@ -153,8 +152,8 @@ class TestIdentify:
                                                        oscillator_model):
         x0 = np.array([0.8, -0.2])
         model = oscillator_model
-        sig = ControlSignal(knots=np.zeros(64), T=TWO_PI)
-        Z = simulate(model.surrogate, model.dictionary.eval(x0), sig, substeps=8)
+        Z = simulate(model.surrogate, model.dictionary.eval(x0), np.zeros(64),
+                     TWO_PI, substeps=8)
         exact = expm(oscillator.params["A"] * TWO_PI) @ x0
         assert np.max(np.abs(Z[-1][:2] - exact)) <= 1e-8
 
@@ -260,16 +259,17 @@ class TestSurrogate:
 class TestPredictionError:
     def test_exact_for_linear_surrogate(self, oscillator, oscillator_model):
         rng = np.random.default_rng(15)
-        sig = ControlSignal(knots=rng.normal(scale=0.2, size=20), T=TWO_PI)
+        U = rng.normal(scale=0.2, size=(20, 1))
         err = prediction_error(
-            oscillator_model, oscillator, np.array([0.3, 0.4]), sig, substeps=16,
+            oscillator_model, oscillator, np.array([0.3, 0.4]), U, TWO_PI,
+            substeps=16,
         )
         assert np.max(err) <= 1e-8
 
     def test_vanishing_horizon(self, oscillator, oscillator_model):
-        sig = ControlSignal(knots=np.zeros(1), T=1e-9)
         err = prediction_error(
-            oscillator_model, oscillator, np.array([0.3, 0.4]), sig, substeps=1,
+            oscillator_model, oscillator, np.array([0.3, 0.4]), np.zeros((1, 1)),
+            1e-9, substeps=1,
         )
         assert np.max(err) <= 1e-12
 

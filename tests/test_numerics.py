@@ -23,7 +23,7 @@ from koopbilevel import (
 )
 from koopbilevel.gedmd import GeneratorModel
 from koopbilevel.numerics import mean_pearson
-from koopbilevel.systems import ControlSignal, simulate
+from koopbilevel.systems import simulate
 
 
 def truncated_series(M, terms=40):
@@ -89,7 +89,7 @@ class TestZoh:
         pair = zoh_discretize(oscillator.params["A"], oscillator.params["B"], h)
         x0 = np.array([0.4, -0.2])
         u = np.array([0.7])
-        X = simulate(oscillator, x0, ControlSignal(knots=[u], T=h), substeps=256)
+        X = simulate(oscillator, x0, u[None], h, substeps=256)
         assert np.max(np.abs(pair.Ad @ x0 + pair.Bd @ u - X[-1])) <= 1e-10
 
     def test_rejects_nonpositive_step(self):
