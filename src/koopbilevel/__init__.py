@@ -52,6 +52,7 @@ from .numerics import (
     expm,
     pearson,
     pinv_svd,
+    qp_sensitivity,
     resample_common_grid,
     solve_kkt,
     zoh_discretize,

@@ -303,13 +303,39 @@ def _mismatches(source, rows):
     ]
 
 
+def _audit_entry(out_dir, entry, baseline, baseline_traj, dictionary):
+    """Mismatches of one ``report.json`` entry and its variant's files."""
+    label = entry["variant"]
+    trajectory = artifacts.read_trajectory_csv(
+        os.path.join(out_dir, f"{label}_bilevel.csv"))
+    sol = artifacts.read_json(os.path.join(out_dir, f"{label}_solution.json"))
+    recomputed = artifacts.comparison_entry(
+        sol, trajectory, baseline, baseline_traj, dictionary)
+    rows = [(key, entry[key], value)
+            for key, value in recomputed.items() if key != "variant"]
+    rows += [
+        (f"solution.{key}", sol[key], recomputed[field])
+        for key, field in (("T", "T_star"), ("cost", "c"),
+                           ("c_hat_lower", "c_hat_lower"))
+    ]
+    z_ends = np.array([sol["z0"], sol["zN"]])
+    defects = manifold_defect(dictionary, z_ends).tolist()
+    rows += [
+        ("manifold_defects[0]", sol["manifold_defects"][0], defects[0]),
+        ("manifold_defects[-1]", sol["manifold_defects"][-1], defects[1]),
+    ]
+    return _mismatches(label, rows)
+
+
 def cmd_audit(out_dir):
     """Recompute from the persisted artifacts, and compare with what they
     report: every ``report.json`` entry field, by rerunning
     :func:`~koopbilevel.artifacts.comparison_entry` on the files read back;
     each ``<label>_solution.json``'s ``T``, ``cost`` and ``c_hat_lower``, and
     the manifold defects of its ``z0`` and ``zN``; and ``baseline.json``'s
-    period and cost, from ``baseline.csv``."""
+    period and cost, from ``baseline.csv``. A field missing from an entry or
+    record, and a ``<label>_solution.json`` or ``<label>_bilevel.csv``
+    without a ``report.json`` entry, are mismatches too."""
     report = artifacts.read_json(os.path.join(out_dir, "report.json"))
     dictionary = load_model(_model_path(out_dir)).dictionary
     baseline = artifacts.read_json(os.path.join(out_dir, "baseline.json"))
@@ -319,26 +345,18 @@ def cmd_audit(out_dir):
         ("cost", baseline["cost"], running_cost(tn[-1], un)),
     ])
     for entry in report["entries"]:
-        label = entry["variant"]
-        trajectory = artifacts.read_trajectory_csv(
-            os.path.join(out_dir, f"{label}_bilevel.csv"))
-        sol = artifacts.read_json(os.path.join(out_dir, f"{label}_solution.json"))
-        recomputed = artifacts.comparison_entry(
-            sol, trajectory, baseline, (tn, xn, un), dictionary)
-        rows = [(key, entry[key], value)
-                for key, value in recomputed.items() if key != "variant"]
-        rows += [
-            (f"solution.{key}", sol[key], recomputed[field])
-            for key, field in (("T", "T_star"), ("cost", "c"),
-                               ("c_hat_lower", "c_hat_lower"))
-        ]
-        z_ends = np.array([sol["z0"], sol["zN"]])
-        defects = manifold_defect(dictionary, z_ends).tolist()
-        rows += [
-            ("manifold_defects[0]", sol["manifold_defects"][0], defects[0]),
-            ("manifold_defects[-1]", sol["manifold_defects"][-1], defects[1]),
-        ]
-        problems += _mismatches(label, rows)
+        try:
+            problems += _audit_entry(out_dir, entry, baseline, (tn, xn, un),
+                                     dictionary)
+        except KeyError as exc:
+            problems.append({"variant": entry.get("variant"), "field": exc.args[0],
+                             "reported": "missing", "recomputed": None})
+    labels = {entry.get("variant") for entry in report["entries"]}
+    for name in sorted(os.listdir(out_dir)):
+        label = name.removesuffix("_solution.json").removesuffix("_bilevel.csv")
+        if label != name and label not in labels:
+            problems.append({"variant": label, "field": "report entry",
+                             "reported": "missing", "recomputed": name})
     return problems
 
 

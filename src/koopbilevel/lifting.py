@@ -8,10 +8,11 @@ Terms are declared as serializable descriptors (monomial / sin / cos /
 product) rather than opaque callables, so an identified surrogate model can be
 persisted together with the exact basis it was fit in. The descriptors stay
 the source of truth, and they are what ``to_config`` writes.
-``ObservableDictionary.eval`` walks a program of the dictionary's distinct
-terms, built once per dictionary, that evaluates each of them once with its
-own ``value`` (a product from its factors' columns), so it is bitwise equal
-to ``term.value`` term by term for every dictionary.
+``ObservableDictionary.eval`` and ``grad`` walk a program of the
+dictionary's distinct terms, built once per dictionary, that evaluates each
+of them once with its own ``value`` and ``grad`` (a product from its
+factors' columns), so they are bitwise equal to ``term.value`` and
+``term.grad`` term by term for every dictionary.
 """
 
 from dataclasses import dataclass
@@ -145,13 +146,13 @@ def _is_state_copy(term, index, n_x):
 class ObservableDictionary:
     """Ordered lifting basis whose first n_x terms copy the state.
 
-    ``eval`` runs ``_program``, built on first use: the distinct terms in
-    dependency order, every product after its factors. It calls each
-    distinct monomial's and trig term's own ``value`` once and multiplies
-    each product's factor columns in factor order from ones, as
-    ``Product.value`` does, so for every dictionary it is bitwise equal to
-    stacking ``term.value`` over the terms, in the same C layout. ``grad``
-    stays per term.
+    ``eval`` and ``grad`` run ``_program``, built on first use: the distinct
+    terms in dependency order, every product after its factors. They call
+    each distinct monomial's and trig term's own ``value`` (and ``grad``)
+    once, and build each product from its factors' columns in factor order
+    from ones, as ``Product.value`` and ``Product.grad`` do, so for every
+    dictionary they are bitwise equal to stacking ``term.value`` or
+    ``term.grad`` over the terms, in the same C layout.
     """
 
     n_x: int
@@ -188,23 +189,40 @@ class ObservableDictionary:
         positions = tuple(visit(t) for t in self.terms)
         return tuple(program), positions
 
-    def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        program, positions = self._program
-        cols = []
-        for term, factors in program:
+    def _run(self, x, with_grad):
+        """Values, and gradients if asked, of the program's terms at x."""
+        cols, grads = [], []
+        ones, zeros = np.ones(x.shape[:-1]), np.zeros(x.shape)  # never written
+        for term, factors in self._program[0]:
             if factors is None:
                 cols.append(term.value(x))
+                if with_grad:
+                    grads.append(term.grad(x))
                 continue
-            out = np.ones(x.shape[:-1])
+            out = ones
             for j in factors:
                 out = out * cols[j]
+            if with_grad:  # the product rule, as Product.grad applies it
+                g = zeros
+                for k in range(len(factors)):
+                    rest = ones
+                    for i, j in enumerate(factors):
+                        if i != k:
+                            rest = rest * cols[j]
+                    g = g + rest[..., None] * grads[factors[k]]
+                grads.append(g)
             cols.append(out)
-        return np.stack([cols[j] for j in positions], axis=-1)
+        return cols, grads
+
+    def eval(self, x):
+        x = np.asarray(x, dtype=float)
+        cols, _ = self._run(x, with_grad=False)
+        return np.stack([cols[j] for j in self._program[1]], axis=-1)
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
-        return np.stack([t.grad(x) for t in self.terms], axis=-2)
+        _, grads = self._run(x, with_grad=True)
+        return np.stack([grads[j] for j in self._program[1]], axis=-2)
 
     def to_config(self):
         return {

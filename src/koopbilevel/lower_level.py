@@ -16,6 +16,12 @@ No step of a solve loops over the knots in Python. The blocks Ad^j Bd of the
 condensing map come from doubling, in about 2 log2 N matrix products. A solve
 ends at the inputs and the running cost, the only part the upper search
 reads; the lifted trajectory is rebuilt from those blocks on its first read.
+
+The running cost's exact derivatives in (x0, xT, T) come from the solved QP
+(``LowerLevelSolution.cost_gradient``; Amos & Kolter, *OptNet*, ICML 2017).
+They need d(Ad^j Bd)/dh = (j+1) Ad^(j+1) B - j Ad^j B and one more
+exponential for the moved linearization point, and then one adjoint solve
+with the LU factors of the KKT solve (``numerics.qp_sensitivity``).
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +33,7 @@ import numpy as np
 from .errors import BuildError, ConfigError, DegenerateQpError, LowerLevelError
 from .gedmd import linearize
 from .lifting import lift, manifold_defect
-from .numerics import KktResult, solve_kkt, zoh_discretize
+from .numerics import KktResult, qp_sensitivity, solve_kkt, zoh_discretize
 from .systems import running_cost
 
 __all__ = [
@@ -148,6 +154,20 @@ class LowerLevelSolution:
     def manifold_defects(self):
         return manifold_defect(self.problem.model.dictionary, self.z_traj)
 
+    def cost_gradient(self, J):
+        """Derivatives of ``c`` along the columns of ``J``, (2 n_x + 1, k):
+        each column a direction of (x0, xT, T), stacked in that order. ``J``
+        the identity gives the gradient in (x0, xT, T); a reduction's
+        Jacobian gives the gradient in its parameters. Exact up to rounding,
+        the Tikhonov term of ``solve_kkt`` included."""
+        p, u = self.problem, self.u_traj.ravel()
+        # of c in the QP's decision vector, and in T at fixed inputs
+        grad = 2.0 * p.T / p.N * u
+        if p.variant.kind != "b0":  # the vector is (z0, u)
+            grad = np.concatenate([np.zeros(p.model.n_z), grad])
+        dc_dT = (u @ u) / p.N
+        return J[-1] * dc_dT + qp_sensitivity(self.kkt, grad, *_qp_tangents(self, J))
+
 
 def choose_linearization_point(variant, psi0, psiT):
     """Lifted linearization point: the boundary that carries the full lift.
@@ -215,6 +235,58 @@ def _trajectory(Ad, S, z0, u):
     lagged = np.lib.stride_tricks.sliding_window_view(shifted, N * n_u)[::n_u]
     Z[1:] += lagged @ S.T
     return Z
+
+
+def _qp_tangents(sol, J):
+    """Tangents (dH, dg, dAeq, dbeq) of ``build_qp``'s data along the
+    columns of ``J`` (see ``LowerLevelSolution.cost_gradient``), stacked over
+    them.
+
+    The blocks Ad^j Bd of S move with h = T/N, by (j+1) Ad^(j+1) B - j Ad^j B
+    per unit h, and with B at the linearization point, by Ad^j times the ZOH
+    input block of the moved B. One doubling gives both. That ZOH is a call
+    of its own, so the value's ZOH rounds as it did.
+    """
+    p = sol.problem
+    model, variant, N = p.model, p.variant, p.N
+    n_x, n_z, n_u, k = model.dictionary.n_x, model.n_z, model.n_u, J.shape[1]
+    h, dT, dh = p.T / N, J[-1], J[-1] / N
+    dx0, dxT = J[:n_x], J[n_x : 2 * n_x]
+    jac0, jacT = model.dictionary.grad(np.stack([p.x0, p.xT]))
+    dpsi0, dpsiT = jac0 @ dx0, jacT @ dxT
+    A, B = linearize(model, choose_linearization_point(variant, p.psi0, p.psiT))
+    dzbar = dpsiT if variant.kind == "bT" else dpsi0
+    dB = model.surrogate.input_map(dzbar.T)  # (k, n_z, n_u)
+    Gam = zoh_discretize(A, np.hstack(list(dB)), h).Bd
+    P = _powers(sol.Ad, np.hstack([B, Gam]), N + 1).reshape(n_z, N + 1, k + 1, n_u)
+    j = np.arange(N - 1, -1, -1)  # knot m holds Ad^(N-1-m) Bd
+    dS_dh = (j + 1)[:, None] * P[:, j + 1, 0] - j[:, None] * P[:, j, 0]
+    dS = (dh[:, None, None] * dS_dh.reshape(n_z, N * n_u)
+          + np.moveaxis(P[:, j, 1:], 2, 0).reshape(k, n_z, N * n_u))
+    AdN = np.linalg.matrix_power(sol.Ad, N)
+    dAdN = dT[:, None, None] * (A @ AdN)  # d exp(A T)/dT = A exp(A T)
+    if variant.kind == "b0":  # inputs only, z0 = psi0 substituted
+        dH = 2.0 * dh[:, None, None] * np.eye(N * n_u)
+        dbeq = dxT.T - (dAdN @ p.psi0 + (AdN @ dpsi0).T)[:, :n_x]
+        return dH, np.zeros((k, N * n_u)), dS[:, :n_x], dbeq
+    nv = n_z + N * n_u
+    dF = np.concatenate([dAdN, dS], axis=2)
+    dP_u = np.zeros((k, nv, nv))
+    dP_u[:, n_z:, n_z:] = 2.0 * dh[:, None, None] * np.eye(N * n_u)
+    zero_rows = np.zeros((k, n_x, nv))
+    if variant.kind == "bT":
+        dAeq = np.concatenate([zero_rows, dF], axis=1)
+        dbeq = np.concatenate([dx0.T, dpsiT.T], axis=1)
+        return dP_u, np.zeros((k, nv)), dAeq, dbeq
+    w = variant.w
+    F = np.hstack([AdN, sol.S])
+    FtdF = F.T @ dF
+    dH = (1.0 - w) * dP_u + 2.0 * w * (FtdF + FtdF.transpose(0, 2, 1))
+    dg = -2.0 * w * (dF.transpose(0, 2, 1) @ p.psiT + dpsiT.T @ F)
+    dg[:, :n_z] -= 2.0 * w * dpsi0.T
+    dAeq = np.concatenate([zero_rows, dF[:, :n_x]], axis=1)
+    dbeq = np.concatenate([dx0.T, dxT.T], axis=1)
+    return dH, dg, dAeq, dbeq
 
 
 def build_qp(problem):

@@ -1,8 +1,9 @@
 """Dense numerical kernels.
 
 Matrix exponential, exact zero-order-hold discretization, truncated-SVD
-pseudo-inverse, equality-constrained QP solves via the KKT saddle system,
-Pearson correlation, and common-grid trajectory resampling.
+pseudo-inverse, equality-constrained QP solves via the KKT saddle system and
+their sensitivities to the QP data, Pearson correlation, and common-grid
+trajectory resampling.
 """
 
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ __all__ = [
     "zoh_discretize",
     "pinv_svd",
     "solve_kkt",
+    "qp_sensitivity",
     "pearson",
     "resample_common_grid",
 ]
@@ -37,7 +39,8 @@ class KktResult:
     """Solution of an equality-constrained QP with post-hoc residuals.
 
     ``min_pivot`` is the smallest ``|diag(U)|`` of the LU factorization of
-    the saddle matrix.
+    the saddle matrix, and ``factors`` the ``(lu, piv)`` pair of that
+    factorization, which :func:`qp_sensitivity` solves with again.
     """
 
     primal: np.ndarray
@@ -46,6 +49,7 @@ class KktResult:
     feasibility_residual: float
     reg: float
     min_pivot: float
+    factors: tuple
 
 
 def expm(M):
@@ -109,6 +113,7 @@ def pinv_svd(M, rel_tol=1e-12):
 
 
 _GETRF = scipy.linalg.get_lapack_funcs("getrf", dtype=np.float64)
+_TIKHONOV = 1e-9  # solve_kkt adds _TIKHONOV * trace(H)/n to the diagonal of H
 
 
 def solve_kkt(H, g, Aeq, beq):
@@ -117,7 +122,7 @@ def solve_kkt(H, g, Aeq, beq):
     The saddle system ``[[H + reg*I, Aeq'], [Aeq, 0]]`` is factorized with
     pivoted LU (LAPACK ``getrf``). The Tikhonov term ``reg = 1e-9 *
     trace(H)/n`` keeps PSD-singular Hessians factorable; the result records
-    it, and the smallest pivot of the LU. Stationarity and feasibility
+    it, the LU factors and their smallest pivot. Stationarity and feasibility
     residuals are recomputed from the returned primal/dual pair and must fall
     below ``1e-9 * scale``; otherwise the system is reported as degenerate.
 
@@ -153,7 +158,7 @@ def solve_kkt(H, g, Aeq, beq):
         raise NumericError(
             f"inconsistent constraint dimensions: Aeq {Aeq.shape}, beq {beq.shape}"
         )
-    reg = 1e-9 * float(np.trace(H)) / n
+    reg = _TIKHONOV * float(np.trace(H)) / n
 
     Hr = H + reg * np.eye(n)
     kkt = np.zeros((n + m, n + m))
@@ -198,7 +203,30 @@ def solve_kkt(H, g, Aeq, beq):
         feasibility_residual=feas_res,
         reg=reg,
         min_pivot=min_pivot,
+        factors=(lu, piv),
     )
+
+
+def qp_sensitivity(kkt, grad, dH, dg, dAeq, dbeq):
+    """Derivatives of a smooth phi(v) at the solution of :func:`solve_kkt`
+    along k perturbations of the QP data.
+
+    ``grad`` is the gradient of phi at ``kkt.primal``; ``dH`` (k, n, n),
+    ``dg`` (k, n), ``dAeq`` (k, m, n) and ``dbeq`` (k, m) are the tangents of
+    ``(H, g, Aeq, beq)`` along each direction. One adjoint solve with the LU
+    factors of the saddle matrix ``K`` (symmetric, so ``K' y = K y``) gives
+    ``y``, and each derivative is ``y' (dr - dK s)`` for the solution ``s =
+    (v, lam)`` of ``K s = r``, the Tikhonov term's own tangent included.
+    Returns the k derivatives; phi's explicit dependence on the data is the
+    caller's.
+    """
+    v, lam = kkt.primal, kkt.dual
+    rhs = np.concatenate([grad, np.zeros(lam.size)])
+    y = scipy.linalg.lu_solve(kkt.factors, rhs, check_finite=False)
+    dreg = _TIKHONOV * np.trace(dH, axis1=1, axis2=2) / v.size
+    dstat = dH @ v + dreg[:, None] * v + dg + lam @ dAeq
+    dfeas = dAeq @ v - dbeq
+    return -(dstat @ y[: v.size]) - dfeas @ y[v.size :]
 
 
 def pearson(a, b):

@@ -30,7 +30,8 @@ class HybridExtras:
     """Reset machinery for systems with an endpoint impact.
 
     ``jump_map`` resets velocities at impact (generalized positions are
-    preserved); ``flip_map`` relabels the legs and is an involution. Where
+    preserved), and ``jump_jacobian`` is its Jacobian in the state;
+    ``flip_map`` relabels the legs and is an involution. Where
     the impact happens is not part of the system: the walker's gait
     constraint pins th_st + th_sw = 0 at the endpoint, which puts both feet
     on the ground.
@@ -38,6 +39,7 @@ class HybridExtras:
 
     jump_map: Callable[[np.ndarray], np.ndarray]
     flip_map: Callable[[np.ndarray], np.ndarray]
+    jump_jacobian: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -262,14 +264,8 @@ def make_compass_gait(hip_mass=2.0, leg_mass=1.0, leg_length=1.0, com_from_hip=0
         M[2, 2] = M[3, 3] = m * r**2
         return M
 
-    def jump_map(x):
-        """Inelastic impact at the swing foot; labels are not swapped here.
-
-        Solved in floating-base coordinates: the ground impulse at the new
-        contact point changes velocities so the swing foot sticks; angular
-        positions are untouched.
-        """
-        x = np.asarray(x, dtype=float)
+    def _impact(x):
+        # saddle system K (qd+, impulse) = rhs of the impact, and qd-
         th_st, th_sw, w_st, w_sw = x
         M = _floating_mass_matrix(th_st, th_sw)
         qd_minus = np.array(
@@ -284,8 +280,44 @@ def make_compass_gait(hip_mass=2.0, leg_mass=1.0, leg_length=1.0, com_from_hip=0
         kkt[:4, 4:] = -J.T
         kkt[4:, :4] = J
         rhs = np.concatenate([M @ qd_minus, np.zeros(2)])
+        return kkt, rhs, qd_minus
+
+    def jump_map(x):
+        """Inelastic impact at the swing foot; labels are not swapped here.
+
+        Solved in floating-base coordinates: the ground impulse at the new
+        contact point changes velocities so the swing foot sticks; angular
+        positions are untouched.
+        """
+        x = np.asarray(x, dtype=float)
+        kkt, rhs, _ = _impact(x)
         qd_plus = np.linalg.solve(kkt, rhs)[:4]
-        return np.array([th_st, th_sw, qd_plus[2], qd_plus[3]])
+        return np.array([x[0], x[1], qd_plus[2], qd_plus[3]])
+
+    def jump_jacobian(x):
+        """Jacobian of ``jump_map`` at x: the impact solve differentiated in
+        each state entry, with the same saddle matrix K, as K^-1 (drhs - dK s)."""
+        x = np.asarray(x, dtype=float)
+        th_st, th_sw, w_st, _ = x
+        kkt, rhs, qd_minus = _impact(x)
+        sol = np.linalg.solve(kkt, rhs)
+        dkkt = np.zeros((4, 6, 6))  # along th_st, th_sw, w_st, w_sw
+        for i, th in enumerate((th_st, th_sw)):  # couplings of leg i in M
+            dkkt[i, [0, 2 + i], [2 + i, 0]] = -m * r * np.sin(th)
+            dkkt[i, [1, 2 + i], [2 + i, 1]] = m * r * np.cos(th)
+        dJ = ell * np.array([-np.sin(th_sw), np.cos(th_sw)])  # of J's last column
+        dkkt[1, 4:, 3] = dJ
+        dkkt[1, 3, 4:] = -dJ
+        dqd = np.zeros((4, 4))  # row i: the tangent of qd- along state entry i
+        dqd[0, :2] = ell * np.array([np.sin(th_st), -np.cos(th_st)]) * w_st
+        dqd[2] = [-ell * np.cos(th_st), -ell * np.sin(th_st), 1.0, 0.0]
+        dqd[3, 3] = 1.0
+        drhs = np.zeros((4, 6))
+        drhs[:, :4] = dkkt[:, :4, :4] @ qd_minus + dqd @ kkt[:4, :4]  # M symmetric
+        dsol = np.linalg.solve(kkt, (drhs - dkkt @ sol).T)
+        jac = np.eye(4)
+        jac[2:] = dsol[2:4]
+        return jac
 
     def flip_map(x):
         x = np.asarray(x, dtype=float)
@@ -303,7 +335,8 @@ def make_compass_gait(hip_mass=2.0, leg_mass=1.0, leg_length=1.0, com_from_hip=0
     box = np.array(
         [[-0.35, 0.35], [-0.35, 0.35], [-1.5, 1.5], [-1.5, 1.5]]
     )
-    extras = HybridExtras(jump_map=jump_map, flip_map=flip_map)
+    extras = HybridExtras(jump_map=jump_map, flip_map=flip_map,
+                          jump_jacobian=jump_jacobian)
     return ControlAffineSystem(
         name="compass_gait",
         n_x=4,

@@ -4,14 +4,18 @@ The upper problem minimizes the original running cost, evaluated by solving
 the convex lower level, over (x0, xT, T) subject to the mixed boundary
 constraints b(x0, xT, T) = 0. Each constraint preset parametrizes the
 solution set of b = 0 explicitly, p -> (x0, xT, T) with the period T as p's
-first entry, so the upper level is a search over a low-dimensional box of p.
-``solve_reduced`` runs DIRECT (Jones, Perttunen & Stuckman, *Lipschitzian
-optimization without the Lipschitz constant*, 1993, in the locally biased
-form of Gablonsky & Kelley, 2001) over that box and polishes its best point
-with bounded L-BFGS-B. The landscape over T has several local minima, one
-basin per added period, so a local method alone is not enough.
+first entry, and supplies that map's Jacobian, so the upper level is a
+search over a low-dimensional box of p. ``solve_reduced`` runs DIRECT
+(Jones, Perttunen & Stuckman, *Lipschitzian optimization without the
+Lipschitz constant*, 1993, in the locally biased form of Gablonsky & Kelley,
+2001) over that box and polishes its best point with bounded L-BFGS-B. The
+landscape over T has several local minima, one basin per added period, so a
+local method alone is not enough. The polish reads the exact gradient of the
+upper cost: the lower level's cost gradient in (x0, xT, T), from its KKT
+solution, times the reduction's Jacobian.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -42,13 +46,16 @@ __all__ = [
 @dataclass(frozen=True)
 class MixedBoundaryConstraint:
     """Implicit boundary coupling b(x0, xT, T) = 0, optionally with an
-    explicit parametrization of its solution set."""
+    explicit parametrization of its solution set, ``reduction(p) -> (x0, xT,
+    T)``, and that map's Jacobian: ``reduction_jacobian(p)`` is d(x0, xT,
+    T)/dp, shape (2 n_x + 1, p_dim), rows in that order."""
 
     eval: Callable
     n_g: int
     n_x: int
     name: str = "custom"
     reduction: Optional[Callable] = None
+    reduction_jacobian: Optional[Callable] = None
     # (lo, hi) rows of p after the period, whose row is UpperConfig's bracket;
     # they keep surrogate queries inside the region the model was identified on
     p_bounds: tuple = ()
@@ -114,8 +121,8 @@ class BilevelSolution:
 def _lower_eval(model, variant, mbc, p, N):
     """Upper cost at p: reduce p to (x0, xT, T) and solve the lower level.
 
-    Returns (cost, lower solution, None), or (+inf, None, message) when the
-    reduction or the lower solve fails.
+    Returns (cost, lower solution, None), or (+inf, None, the exception) when
+    the reduction or the lower solve fails.
     """
     try:
         x0, xT, T = mbc.reduction(p)
@@ -123,7 +130,7 @@ def _lower_eval(model, variant, mbc, p, N):
             model=model, variant=variant, x0=x0, xT=xT, T=T, N=N
         ))
     except KoopbilevelError as exc:
-        return np.inf, None, str(exc)
+        return np.inf, None, exc
     return sol.c, sol, None
 
 
@@ -152,58 +159,91 @@ def solve_reduced(model, variant, mbc, config, N):
     """DIRECT over the box of p, then an L-BFGS-B polish of its best point.
 
     The box is [T_min, T_max] for the period followed by the rows of
-    ``mbc.p_bounds``. The polish uses SciPy's finite-difference gradient inside
-    the box; DIRECT's point is kept unless the polish improves on it. A point
-    either stage has already evaluated is not solved again. Each stage leaves
-    one record: point, cost, objective calls (repeats included) and how many
-    of them were +inf; the polish record also lists the box faces its point
-    is on.
+    ``mbc.p_bounds``. The polish gets the cost and its exact gradient in one
+    call: ``LowerLevelSolution.cost_gradient`` along the columns of
+    ``mbc.reduction_jacobian(p)``. DIRECT's point is kept unless the polish
+    improves on it. A point either stage has already evaluated is not solved
+    again: the memo keeps each point's cost (and, once the polish has asked
+    for it, its gradient), and the lower solution of the cheapest point so
+    far is kept, which gives the polish its first gradient. A failed point
+    costs +inf, with a zero gradient.
+
+    Each stage leaves one record: point, cost, objective calls (repeats
+    included), how many of them were +inf, and ``failures``, those calls by
+    exception type name. The polish record also has L-BFGS-B's iteration
+    count ``nit``, the box faces its point is on (``active_bounds``) and
+    ``projected_grad_norm``, the inf-norm of the exact gradient there without
+    the components on those faces. These records are written to
+    ``<label>_solution.json`` but cannot be audited: that needs the run's
+    config beside its artifacts.
     """
     if mbc.reduction is None:
         raise ConfigError(f"constraint '{mbc.name}' provides no reduction")
+    if mbc.reduction_jacobian is None:
+        raise ConfigError(
+            f"constraint '{mbc.name}' provides no Jacobian of its reduction")
     box = np.array([(config.T_min, config.T_max), *mbc.p_bounds], dtype=float)
-    memo = {}  # p.tobytes() -> cost, shared by both stages
+    memo = {}  # p.tobytes() -> (cost, failure type or None, gradient or None)
+    cheapest = [None, None]  # key and lower solution of the cheapest point so far
 
-    def run_stage(stage, search):
-        costs = []
+    def evaluate(p, with_grad):
+        key = p.tobytes()
+        if key in memo and not (with_grad and memo[key][2] is None):
+            return memo[key]
+        sol = cheapest[1] if key == cheapest[0] else None
+        if sol is None:
+            cost, sol, err = _lower_eval(model, variant, mbc, p, N)
+            if sol is None:
+                memo[key] = (cost, type(err).__name__, np.zeros(p.size))
+                return memo[key]
+            if cheapest[1] is None or sol.c < cheapest[1].c:
+                cheapest[:] = key, sol
+        grad = sol.cost_gradient(mbc.reduction_jacobian(p)) if with_grad else None
+        memo[key] = (sol.c, None, grad)
+        return memo[key]
+
+    def run_stage(stage, search, with_grad):
+        entries = []
 
         def objective(p):
-            key = np.asarray(p, dtype=float).tobytes()
-            if key not in memo:
-                memo[key] = _lower_eval(model, variant, mbc, p, N)[0]
-            costs.append(memo[key])
-            return costs[-1]
+            entries.append(evaluate(np.asarray(p, dtype=float), with_grad))
+            return (entries[-1][0], entries[-1][2]) if with_grad else entries[-1][0]
 
         res = search(objective)
-        return {
+        record = {
             "stage": stage,
             "p_star": res.x.tolist(),
             "c_star": float(res.fun),
-            "nfev": len(costs),
-            "n_inf": int(np.isinf(costs).sum()),
+            "nfev": len(entries),
+            "n_inf": int(np.isinf([e[0] for e in entries]).sum()),
+            "failures": dict(Counter(e[1] for e in entries if e[1] is not None)),
         }
+        return record, res
 
-    coarse = run_stage(
-        "direct", lambda f: direct(f, Bounds(*box.T), maxfun=_DIRECT_MAXFUN)
+    coarse, _ = run_stage(
+        "direct", lambda f: direct(f, Bounds(*box.T), maxfun=_DIRECT_MAXFUN),
+        with_grad=False,
     )
     if not np.isfinite(coarse["c_star"]):
         raise NoSolutionError(
             f"DIRECT found no finite upper cost for '{mbc.name}' in "
             f"{coarse['nfev']} evaluations"
         )
-    polish = run_stage(
+    polish, res = run_stage(
         "polish",
         lambda f: minimize(
-            f, np.asarray(coarse["p_star"]), method="L-BFGS-B", bounds=box,
-            options={"ftol": _POLISH_FTOL, "gtol": _POLISH_GTOL},
+            f, np.asarray(coarse["p_star"]), jac=True, method="L-BFGS-B",
+            bounds=box, options={"ftol": _POLISH_FTOL, "gtol": _POLISH_GTOL},
         ),
+        with_grad=True,
     )
-    p = np.asarray(polish["p_star"])
+    on_face = res.x[:, None] == box
+    polish["nit"] = int(res.nit)
+    polish["projected_grad_norm"] = float(
+        np.max(np.abs(res.jac[~on_face.any(axis=1)]), initial=0.0))
     polish["active_bounds"] = [
-        {"index": i, "side": side, "value": float(box[i, j])}
-        for i in range(p.size)
-        for j, side in enumerate(("lower", "upper"))
-        if p[i] == box[i, j]
+        {"index": int(i), "side": ("lower", "upper")[j], "value": float(box[i, j])}
+        for i, j in zip(*np.nonzero(on_face))
     ]
     best = polish if polish["c_star"] < coarse["c_star"] else coarse
     return _build_solution(
@@ -261,12 +301,16 @@ def make_periodic_amplitude_anchor(amplitude):
             raise LowerLevelError(f"period must be positive, got T={T:.3g}")
         return anchor.copy(), anchor.copy(), T
 
+    def reduction_jacobian(p):
+        return np.eye(5)[:, 4:]  # only T moves
+
     return MixedBoundaryConstraint(
         eval=b,
         n_g=4,
         n_x=2,
         name=f"periodic_amplitude_anchor(a={a:g})",
         reduction=reduction,
+        reduction_jacobian=reduction_jacobian,
     )
 
 
@@ -315,11 +359,21 @@ def make_walker_gait(system, v_avg, rate_bound):
         xT = np.array([-alpha, alpha, p[1], p[2]])
         return reset(xT), xT, T
 
+    def reduction_jacobian(p):
+        _, xT, _ = reduction(p)
+        dalpha = v_avg / (2.0 * ell * np.cos(xT[1]))  # d arcsin(v_avg T/(2l))/dT
+        dxT = np.zeros((4, 3))
+        dxT[:2, 0] = -dalpha, dalpha
+        dxT[2:, 1:] = np.eye(2)
+        dx0 = extras.flip_map((extras.jump_jacobian(xT) @ dxT).T).T
+        return np.vstack([dx0, dxT, [1.0, 0.0, 0.0]])
+
     return MixedBoundaryConstraint(
         eval=b,
         n_g=6,
         n_x=4,
         name=f"walker_gait(v_avg={v_avg:g})",
         reduction=reduction,
+        reduction_jacobian=reduction_jacobian,
         p_bounds=((-rb, rb), (-rb, rb)),
     )

@@ -128,6 +128,24 @@ def test_audit_finds_a_corrupted_field(fig1_run, name, edit):
     assert _audit_after_edit(os.path.join(fig1_run, name), edit) == 1
 
 
+def test_audit_reports_an_entry_missing_a_field(fig1_run, capsys):
+    def drop(report):
+        del report["entries"][0]["mbc_violation"]
+
+    assert _audit_after_edit(os.path.join(fig1_run, "report.json"), drop) == 1
+    assert "b0.mbc_violation" in capsys.readouterr().out
+
+
+def test_audit_reports_files_without_a_report_entry(fig1_run, capsys):
+    def drop_entries(report):
+        report["entries"] = []
+
+    assert _audit_after_edit(os.path.join(fig1_run, "report.json"),
+                             drop_entries) == 1
+    out = capsys.readouterr().out
+    assert "b0_solution.json" in out and "b0_bilevel.csv" in out
+
+
 BAD_SOLVER_SETTINGS = [
     ("upper", "simplex_xatol", "abc"),
     ("upper", "grid_size", 2.5),

@@ -11,7 +11,7 @@ from koopbilevel import (
     manifold_defect,
     unlift,
 )
-from koopbilevel.lifting import Monomial, Product, term_from_config
+from koopbilevel.lifting import Monomial, Product, Trig, term_from_config
 
 
 def fd_gradient(dictionary, x, h=1e-5):
@@ -95,6 +95,38 @@ class TestCompiledEval:
             assert got.shape == want.shape == shape[:-1] + (d.n_z,)
             assert np.array_equal(got, want)
             assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("name,n_x", [
+        ("identity", 3),
+        ("linear_const", 2),
+        ("pendulum12", 2),
+        ("compass_gait29", 4),
+    ])
+    def test_grad_matches_term_grads_bitwise(self, name, n_x, monkeypatch):
+        # each distinct term's gradient once, products by the product rule
+        # over the cached factor columns, in Product.grad's order
+        d = get_dictionary(name, n_x)
+        rng = np.random.default_rng(21)
+        for shape in [(n_x,), (2, n_x), (52, n_x), (3, 4, n_x)]:
+            X = rng.uniform(-2.0, 2.0, size=shape)
+            got = d.grad(X)
+            want = np.stack([t.grad(X) for t in d.terms], axis=-2)
+            assert got.shape == shape[:-1] + (d.n_z, n_x)
+            assert np.array_equal(got, want)
+            assert got.flags.c_contiguous
+        calls = []
+
+        def counting(original):
+            def grad(term, X):
+                calls.append(term)
+                return original(term, X)
+            return grad
+
+        for cls in (Monomial, Trig):
+            monkeypatch.setattr(cls, "grad", counting(cls.grad))
+        monkeypatch.setattr(Product, "grad", None)  # never called
+        d.grad(X)
+        assert len(calls) == len(set(calls))
 
     def test_nested_config_dictionary_matches_term_oracle(self):
         d = ObservableDictionary.from_config({"n_x": 3, "terms": [

@@ -15,7 +15,7 @@ from koopbilevel import (
     manifold_defect,
     solve_lower,
 )
-from koopbilevel import cli, config, lower_level, upper_level
+from koopbilevel import cli, config, lower_level, make_walker_gait, upper_level
 from koopbilevel.gedmd import GeneratorModel, linearize
 from koopbilevel.numerics import expm, solve_kkt, zoh_discretize
 
@@ -384,3 +384,46 @@ class TestCostBreakdown:
         )
         h = 6.5 / 25
         assert sol.c == pytest.approx(h * np.sum(sol.u_traj**2), abs=1e-15)
+
+
+def central_difference(f, x, step):
+    """Central differences of the scalar f along each coordinate of x."""
+    return np.array([(f(x + e) - f(x - e)) / (2 * step)
+                     for e in step * np.eye(x.size)])
+
+
+class TestCostGradient:
+    """``cost_gradient`` against central differences of ``c`` itself."""
+
+    @pytest.mark.parametrize("kind,w", [("b0", 0.0), ("bT", 0.0), ("soft", 0.5)])
+    def test_pendulum_gradient_in_boundaries_and_period(self, pendulum_model,
+                                                        kind, w):
+        def cost(theta):
+            return solve_lower(make_problem(pendulum_model, kind, theta[:2],
+                                            theta[2:4], theta[4], 101, w=w)).c
+
+        theta = np.array([0.5, 0.1, 0.45, -0.05, 6.5])
+        sol = solve_lower(make_problem(pendulum_model, kind, theta[:2],
+                                       theta[2:4], theta[4], 101, w=w))
+        got = sol.cost_gradient(np.eye(5))
+        want = central_difference(cost, theta, 1e-5)
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+    def test_walker_gradient_in_gait_parameters(self, walker):
+        # b0 through the walker gait's reduction and its Jacobian
+        model = identify(walker, get_dictionary("compass_gait29", 4), n_s=2000,
+                         seed=20240, box=np.array([[-0.09, 0.09], [-0.09, 0.09],
+                                                   [-0.15, 0.15], [-0.15, 0.15]]))
+        mbc = make_walker_gait(walker, 0.05, rate_bound=0.15)
+
+        def solve(p):
+            x0, xT, T = mbc.reduction(p)
+            return solve_lower(LowerLevelProblem(
+                model=model, variant=BoundaryVariant("b0"), x0=x0, xT=xT, T=T,
+                N=51))
+
+        for p in ([2.06, -0.09, -0.14], [2.5, 0.1, -0.05]):
+            p = np.asarray(p)
+            got = solve(p).cost_gradient(mbc.reduction_jacobian(p))
+            want = central_difference(lambda q: solve(q).c, p, 1e-6)
+            assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)

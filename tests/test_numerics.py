@@ -17,6 +17,7 @@ from koopbilevel import (
     expm,
     pearson,
     pinv_svd,
+    qp_sensitivity,
     resample_common_grid,
     solve_kkt,
     zoh_discretize,
@@ -201,6 +202,29 @@ class TestSolveKkt:
             d = Z @ rng.normal(size=5)
             d *= 1e-4 / np.linalg.norm(d)
             assert obj(res.primal + d) >= base - 1e-12
+
+    def test_sensitivity_matches_central_differences(self):
+        # phi(v) = w'v + |v|^2 / 2 along random tangents of all four QP data,
+        # on a singular H, so the Tikhonov term's own tangent matters too
+        rng = np.random.default_rng(8)
+        R = rng.normal(size=(4, 7))
+        H, g = R.T @ R, rng.normal(size=7)
+        A, b = rng.normal(size=(3, 7)), rng.normal(size=3)
+        dR = rng.normal(size=(2, 4, 7))
+        dH = dR.transpose(0, 2, 1) @ R + R.T @ dR
+        dg, dA, db = (rng.normal(size=(2,) + x.shape) for x in (g, A, b))
+        w = rng.normal(size=7)
+
+        def phi(t, i):
+            v = solve_kkt(H + t * dH[i], g + t * dg[i], A + t * dA[i],
+                          b + t * db[i]).primal
+            return w @ v + 0.5 * v @ v
+
+        res = solve_kkt(H, g, A, b)
+        got = qp_sensitivity(res, w + res.primal, dH, dg, dA, db)
+        step = 1e-6
+        want = [(phi(step, i) - phi(-step, i)) / (2 * step) for i in range(2)]
+        assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
 
     def test_infeasible_constraints_raise(self):
         # two contradictory rows make the KKT system inconsistent

@@ -58,7 +58,7 @@ class TestUpperObjective:
         c, sol, err = upper_level._lower_eval(
             oscillator_model, BoundaryVariant("b0"), AT_REST, [-1.0], 50)
         assert np.isinf(c)
-        assert sol is None and "period must be positive" in err
+        assert sol is None and "period must be positive" in str(err)
 
 
 class TestSolveReduced:
@@ -183,6 +183,71 @@ class TestSolveReduced:
             solve_reduced(oscillator_model, BoundaryVariant("b0"), mbc,
                           osc_config, 20)
 
+    def test_requires_reduction_jacobian(self, oscillator_model, osc_config):
+        base = make_periodic_amplitude_anchor(A_30)
+        mbc = MixedBoundaryConstraint(
+            eval=base.eval, n_g=4, n_x=2, reduction=base.reduction)
+        with pytest.raises(ConfigError, match="Jacobian"):
+            solve_reduced(oscillator_model, BoundaryVariant("b0"), mbc,
+                          osc_config, 20)
+
+    def test_polish_objective_is_only_called_for_value_and_gradient(
+            self, oscillator_model, monkeypatch):
+        seen = []
+        original = upper_level.minimize
+
+        def recording(f, x0, **kwargs):
+            seen.append(kwargs)
+
+            def g(p):
+                value, grad = f(p)
+                assert np.isfinite(value) and grad.shape == np.shape(p)
+                return value, grad
+
+            return original(g, x0, **kwargs)
+
+        monkeypatch.setattr(upper_level, "minimize", recording)
+        cfg = UpperConfig(T_min=TWO_PI, T_max=TWO_PI + 0.1)
+        solve_reduced(oscillator_model, BoundaryVariant("b0"),
+                      make_periodic_amplitude_anchor(A_30), cfg, 101)
+        assert len(seen) == 1
+        assert seen[0]["jac"] is True and seen[0]["method"] == "L-BFGS-B"
+
+    def test_polish_record_reports_its_stationarity(self, osc_solution,
+                                                    oscillator_model):
+        # projected_grad_norm is the exact gradient at the polish's point,
+        # recomputed from one lower solve there
+        mbc = make_periodic_amplitude_anchor(A_30)
+        _, polish = osc_solution.start_records
+        p = np.asarray(polish["p_star"])
+        _, sol, _ = upper_level._lower_eval(
+            oscillator_model, BoundaryVariant("b0"), mbc, p, 101)
+        grad = sol.cost_gradient(mbc.reduction_jacobian(p))
+        assert polish["active_bounds"] == []
+        assert polish["projected_grad_norm"] == np.max(np.abs(grad))
+        assert polish["projected_grad_norm"] <= 1e-6
+        assert isinstance(polish["nit"], int) and polish["nit"] >= 1
+
+    def test_stage_records_count_failures_by_type(self, oscillator_model):
+        base = make_periodic_amplitude_anchor(A_30)
+
+        def guarded_reduction(p):
+            if p[0] > TWO_PI + 0.07:
+                raise LowerLevelError("outside the trusted horizon")
+            return base.reduction(p)
+
+        mbc = MixedBoundaryConstraint(
+            eval=base.eval, n_g=4, n_x=2, reduction=guarded_reduction,
+            reduction_jacobian=base.reduction_jacobian,
+        )
+        cfg = UpperConfig(T_min=TWO_PI, T_max=TWO_PI + 0.1)
+        sol = solve_reduced(oscillator_model, BoundaryVariant("b0"), mbc, cfg, 101)
+        coarse, polish = sol.start_records
+        assert coarse["n_inf"] > 0
+        for rec in sol.start_records:
+            assert sum(rec["failures"].values()) == rec["n_inf"]
+            assert set(rec["failures"]) <= {"LowerLevelError"}
+
     @pytest.mark.parametrize("rate_bound", [None, 0.0])
     def test_search_box_must_be_finite_and_nonempty(self, walker, rate_bound):
         # the rate rows of the box come from rate_bound, which has no default
@@ -242,6 +307,29 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep_period(oscillator_model, BoundaryVariant("b0"), mbc,
                          [2.0], 20)
+
+
+def stacked_reduction(mbc, p):
+    x0, xT, T = mbc.reduction(p)
+    return np.concatenate([x0, xT, [T]])
+
+
+@pytest.mark.parametrize("preset,points", [
+    ("anchor", [[6.3], [9.1]]),
+    ("walker", [[2.06, -0.09, -0.14], [2.5, 0.1, -0.05], [1.8, 0.0, 0.15]]),
+])
+def test_reduction_jacobians_match_central_differences(walker, preset, points):
+    mbc = (make_periodic_amplitude_anchor(A_30) if preset == "anchor"
+           else make_walker_gait(walker, 0.05, rate_bound=0.15))
+    step = 1e-6
+    for p in np.asarray(points):
+        fd = np.column_stack([
+            (stacked_reduction(mbc, p + e) - stacked_reduction(mbc, p - e))
+            / (2 * step) for e in step * np.eye(p.size)
+        ])
+        got = mbc.reduction_jacobian(p)
+        assert got.shape == (2 * mbc.n_x + 1, mbc.p_dim)
+        assert np.max(np.abs(got - fd)) <= 1e-8
 
 
 class TestWalkerConstraint:
