@@ -48,8 +48,7 @@ from .gedmd import (
 )
 from .numerics import (
     KktResult,
-    ZohPair,
-    expm,
+    eigenmodes,
     pearson,
     pinv_svd,
     qp_sensitivity,

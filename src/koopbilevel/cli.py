@@ -67,10 +67,13 @@ def _model_path(out_dir):
 
 
 def cmd_identify(run, out_dir):
-    """Identify the generator model and persist it with its residual report."""
+    """Identify the generator model and persist it with its residual report,
+    which records cond(V) of L0's eigendecomposition. A defective L0 raises
+    ``NumericError`` here, before ``model.json`` is written."""
     _ensure_dir(out_dir)
     model = identify(run.system, run.dictionary, n_s=run.n_s, seed=run.seed,
                      box=run.box)
+    modes_cond = float(np.linalg.cond(model.modes[1]))
     path = _model_path(out_dir)
     save_model(model, path)
     artifacts.write_json(
@@ -80,6 +83,7 @@ def cmd_identify(run, out_dir):
             "ranks": list(model.ranks),
             "rank_deficient": model.rank_deficient,
             "n_z": model.n_z,
+            "modes_cond": modes_cond,
             "model_hash": artifacts.sha256_file(path),
         },
     )

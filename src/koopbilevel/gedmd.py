@@ -27,7 +27,7 @@ import numpy as np
 from .artifacts import write_json
 from .errors import ConfigError, DataError
 from .lifting import ObservableDictionary
-from .numerics import pinv_svd
+from .numerics import eigenmodes, pinv_svd
 from .systems import ControlAffineSystem, eval_rhs, simulate
 
 __all__ = [
@@ -71,6 +71,12 @@ class GeneratorModel:
     @property
     def rank_deficient(self):
         return any(r < self.n_z for r in self.ranks)
+
+    @cached_property
+    def modes(self):
+        """``(lam, V, Vinv)`` of L0 (``numerics.eigenmodes``), from which the
+        lower level takes every discretization in closed form."""
+        return eigenmodes(self.L0)
 
     @cached_property
     def surrogate(self):

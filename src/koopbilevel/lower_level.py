@@ -1,10 +1,10 @@
 """Convex lower level: lifted LTI trajectory QP for fixed boundaries and period.
 
 For fixed (x0, xT, T) the bilinear surrogate is linearized about a lifted
-boundary point, discretized exactly with matrix exponentials at step T/N, and
-condensed: intermediate lifted states are eliminated by forward propagation so
-the decision vector is the initial lifted state (where free) plus the input
-knots. Three boundary formulations are supported:
+boundary point (A = L0, B its input map there), discretized exactly with a
+zero-order hold at step h = T/N, and condensed: intermediate lifted states are
+eliminated so the decision vector is the initial lifted state (where free)
+plus the input knots. Three boundary formulations are supported:
 
 * ``b0``   - lift the initial boundary: z(0) = psi(x0) (eliminated by
   substitution), terminal constraint C z(N) = xT.
@@ -12,21 +12,22 @@ knots. Three boundary formulations are supported:
 * ``soft`` - both boundaries pinned only through C, with the lifted boundary
   mismatch added to the objective at weight w in (0, 1).
 
-No step of a solve loops over the knots in Python. The blocks Ad^j Bd of the
-condensing map come from doubling, in about 2 log2 N matrix products. A solve
-ends at the inputs and the running cost, the only part the upper search
-reads; the lifted trajectory is rebuilt from those blocks on its first read.
+Each map is elementwise in the eigenbasis of L0 = V diag(lam) V^-1, computed
+once per model (``GeneratorModel.modes``): the condensing blocks Ad^j Bd =
+V diag(e^(j lam h) h phi1(lam h)) V^-1 B, Ad^N psi0 and the free response
+Ad^k z0, in complex arithmetic with real results out. No step of a solve
+loops over the knots in Python. A solve ends at the inputs and the running
+cost, the only part the upper search reads; the lifted trajectory is rebuilt
+on its first read.
 
 The running cost's exact derivatives in (x0, xT, T) come from the solved QP
-(``LowerLevelSolution.cost_gradient``; Amos & Kolter, *OptNet*, ICML 2017).
-They need d(Ad^j Bd)/dh = (j+1) Ad^(j+1) B - j Ad^j B and one more
-exponential for the moved linearization point, and then one adjoint solve
-with the LU factors of the KKT solve (``numerics.qp_sensitivity``).
+(``LowerLevelSolution.cost_gradient``; Amos & Kolter, *OptNet*, ICML 2017):
+elementwise tangents of the same maps, then one adjoint solve with the LU
+factors of the KKT solve (``numerics.qp_sensitivity``).
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -118,18 +119,16 @@ class LowerLevelSolution:
     blend ``weighted_total`` are computed on first read and kept, as are
     ``manifold_defects`` (the distance of each knot of ``z_traj`` from the
     lift manifold of the problem's dictionary, in one batched
-    ``manifold_defect`` call). For that the solution keeps ``Ad``, the
-    condensing map ``S`` of ``build_qp`` (the blocks Ad^j Bd) and the
-    initial lifted state ``z0``: ``z_traj`` is the free response Ad^k z0, by
-    doubling, plus one block-Toeplitz product of ``S`` with the inputs.
+    ``manifold_defect`` call). For that, and for the cost gradient, the
+    solution keeps the solved ``QpBuild`` ``qp`` and the initial lifted
+    state ``z0``.
     """
 
     u_traj: np.ndarray
     c: float
     kkt: KktResult
     problem: LowerLevelProblem
-    Ad: np.ndarray
-    S: np.ndarray
+    qp: "QpBuild"
     z0: np.ndarray
 
     @property
@@ -138,7 +137,8 @@ class LowerLevelSolution:
 
     @cached_property
     def z_traj(self):
-        return _trajectory(self.Ad, self.S, self.z0, self.u_traj)
+        return _trajectory(self.problem.model.modes, self.qp.powers, self.qp.S,
+                           self.z0, self.u_traj)
 
     @cached_property
     def c_hat(self):
@@ -183,58 +183,56 @@ def choose_linearization_point(variant, psi0, psiT):
 
 @dataclass(frozen=True)
 class QpBuild:
-    """Condensed QP data with the maps that rebuild z: Ad, Bd and S."""
+    """Condensed QP data with the modal maps of ``_discretize``, which
+    rebuild z and give the data's tangents."""
 
     H: np.ndarray
     g: np.ndarray
     Aeq: np.ndarray
     beq: np.ndarray
-    Ad: np.ndarray
-    Bd: np.ndarray
     S: np.ndarray
-    z0_fixed: Optional[np.ndarray]
+    powers: np.ndarray
+    q: np.ndarray
+    Bm: np.ndarray
 
 
-def _powers(Ad, K, count):
-    """[K, Ad K, ..., Ad^(count-1) K] side by side, by doubling.
-
-    Each pass appends Ad^m times the m blocks built so far and then squares
-    Ad^m, so ``count`` blocks take about 2 log2(count) matrix products.
+def _from_modes(V, weights, K):
+    """Real parts of V diag(w) K for each column w of ``weights``, side by
+    side, as one real product [Re V, -Im V] [Re W; Im W]: with two OpenBLAS
+    threads a complex GEMM of some of these sizes stalls for milliseconds.
     """
-    cols = count * K.shape[1]
-    blocks, M = K, Ad
-    while blocks.shape[1] < cols:
-        blocks = np.hstack([blocks, M @ blocks[:, : cols - blocks.shape[1]]])
-        M = M @ M
-    return blocks
+    W = (weights[:, :, None] * K[:, None, :]).reshape(V.shape[0], -1)
+    return np.hstack([V.real, -V.imag]) @ np.vstack([W.real, W.imag])
 
 
-def _condense(Ad, Bd, psi0, N):
-    """S with ``z_N = Ad^N z_0 + S u`` (u stacked knot-major), and Ad^N psi0.
+def _discretize(modes, B, h, N):
+    """Exact ZOH of ``dz/dt = L0 z + B u`` at step h, in L0's eigenbasis.
 
-    S holds the blocks Ad^(N-1-j) Bd of the knots j = 0..N-1. Both come from
-    one doubling seeded with ``[Bd | psi0]``.
+    Returns ``powers[:, j]`` = e^(j lam h) for j = 0..N, q = h phi1(lam h),
+    Bm = V^-1 B, and S with ``z_N = Ad^N z_0 + S u`` (u stacked knot-major),
+    whose block of knot m is Ad^(N-1-m) Bd = V diag(e^((N-1-m) lam h) q) Bm.
     """
-    n_z, n_u = Bd.shape
-    P = _powers(Ad, np.column_stack([Bd, psi0]), N + 1)
-    P = P.reshape(n_z, N + 1, n_u + 1)
-    return P[:, N - 1 :: -1, :n_u].reshape(n_z, N * n_u), P[:, N, n_u]
+    lam, V, Vinv = modes
+    _, q = zoh_discretize(lam, h)
+    powers = np.exp(np.multiply.outer(lam, h * np.arange(N + 1)))
+    Bm = Vinv @ B
+    return powers, q, Bm, _from_modes(V, powers[:, N - 1 :: -1] * q[:, None], Bm)
 
 
-def _trajectory(Ad, S, z0, u):
+def _trajectory(modes, powers, S, z0, u):
     """Lifted states z_0..z_N of ``z_{k+1} = Ad z_k + Bd u_k``.
 
-    ``z_k = Ad^k z_0 + sum_{j<k} Ad^(k-1-j) Bd u_j``: the free response by
-    doubling, plus one block-Toeplitz product. Row k-1 of that product is the
-    inputs shifted right by N-k knots, so that u_j meets the block of S
-    (``_condense``) that holds Ad^(k-1-j) Bd.
+    ``z_k = Ad^k z_0 + sum_{j<k} Ad^(k-1-j) Bd u_j``: the free response V
+    diag(e^(k lam h)) V^-1 z_0, plus one block-Toeplitz product. Row k-1 of
+    that product is the inputs shifted right by N-k knots, so that u_j meets
+    the block of S (``_discretize``) that holds Ad^(k-1-j) Bd.
     """
+    _, V, Vinv = modes
     N, n_u = u.shape
-    Z = _powers(Ad, z0[:, None], N + 1).T
+    free = _from_modes(V, powers[:, 1:], (Vinv @ z0)[:, None]).T
     shifted = np.concatenate([np.zeros((N - 1) * n_u), u.ravel()])
     lagged = np.lib.stride_tricks.sliding_window_view(shifted, N * n_u)[::n_u]
-    Z[1:] += lagged @ S.T
-    return Z
+    return np.vstack([z0, free + lagged @ S.T])
 
 
 def _qp_tangents(sol, J):
@@ -242,29 +240,29 @@ def _qp_tangents(sol, J):
     columns of ``J`` (see ``LowerLevelSolution.cost_gradient``), stacked over
     them.
 
-    The blocks Ad^j Bd of S move with h = T/N, by (j+1) Ad^(j+1) B - j Ad^j B
-    per unit h, and with B at the linearization point, by Ad^j times the ZOH
-    input block of the moved B. One doubling gives both. That ZOH is a call
-    of its own, so the value's ZOH rounds as it did.
+    Each is elementwise in L0's eigenbasis. The blocks e^(j lam h) q Bm of S
+    move with h = T/N, by (j+1) e^((j+1) lam h) - j e^(j lam h) per unit h,
+    and with B at the linearization point, by e^(j lam h) q V^-1 dB. Ad^N
+    moves by V diag(lam e^(lam T)) V^-1 per unit T.
     """
-    p = sol.problem
+    p, qp = sol.problem, sol.qp
     model, variant, N = p.model, p.variant, p.N
     n_x, n_z, n_u, k = model.dictionary.n_x, model.n_z, model.n_u, J.shape[1]
-    h, dT, dh = p.T / N, J[-1], J[-1] / N
+    dT, dh = J[-1], J[-1] / N
     dx0, dxT = J[:n_x], J[n_x : 2 * n_x]
     jac0, jacT = model.dictionary.grad(np.stack([p.x0, p.xT]))
     dpsi0, dpsiT = jac0 @ dx0, jacT @ dxT
-    A, B = linearize(model, choose_linearization_point(variant, p.psi0, p.psiT))
     dzbar = dpsiT if variant.kind == "bT" else dpsi0
     dB = model.surrogate.input_map(dzbar.T)  # (k, n_z, n_u)
-    Gam = zoh_discretize(A, np.hstack(list(dB)), h).Bd
-    P = _powers(sol.Ad, np.hstack([B, Gam]), N + 1).reshape(n_z, N + 1, k + 1, n_u)
+    lam, V, Vinv = model.modes
+    E, eT = qp.powers, qp.powers[:, N]
     j = np.arange(N - 1, -1, -1)  # knot m holds Ad^(N-1-m) Bd
-    dS_dh = (j + 1)[:, None] * P[:, j + 1, 0] - j[:, None] * P[:, j, 0]
-    dS = (dh[:, None, None] * dS_dh.reshape(n_z, N * n_u)
-          + np.moveaxis(P[:, j, 1:], 2, 0).reshape(k, n_z, N * n_u))
-    AdN = np.linalg.matrix_power(sol.Ad, N)
-    dAdN = dT[:, None, None] * (A @ AdN)  # d exp(A T)/dT = A exp(A T)
+    dS_dh = _from_modes(V, (j + 1) * E[:, j + 1] - j * E[:, j], qp.Bm)
+    dS_dB = _from_modes(V, E[:, j] * qp.q[:, None], Vinv @ np.hstack(list(dB)))
+    dS = (dh[:, None, None] * dS_dh
+          + np.moveaxis(dS_dB.reshape(n_z, N, k, n_u), 2, 0).reshape(k, n_z, N * n_u))
+    AdN = _from_modes(V, eT[:, None], Vinv)
+    dAdN = dT[:, None, None] * _from_modes(V, (lam * eT)[:, None], Vinv)
     if variant.kind == "b0":  # inputs only, z0 = psi0 substituted
         dH = 2.0 * dh[:, None, None] * np.eye(N * n_u)
         dbeq = dxT.T - (dAdN @ p.psi0 + (AdN @ dpsi0).T)[:, :n_x]
@@ -279,7 +277,7 @@ def _qp_tangents(sol, J):
         dbeq = np.concatenate([dx0.T, dpsiT.T], axis=1)
         return dP_u, np.zeros((k, nv)), dAeq, dbeq
     w = variant.w
-    F = np.hstack([AdN, sol.S])
+    F = np.hstack([AdN, qp.S])
     FtdF = F.T @ dF
     dH = (1.0 - w) * dP_u + 2.0 * w * (FtdF + FtdF.transpose(0, 2, 1))
     dg = -2.0 * w * (dF.transpose(0, 2, 1) @ p.psiT + dpsiT.T @ F)
@@ -303,9 +301,10 @@ def build_qp(problem):
     h = problem.T / N
 
     psi0, psiT = problem.psi0, problem.psiT
-    A, B = linearize(model, choose_linearization_point(variant, psi0, psiT))
-    zoh = zoh_discretize(A, B, h)
-    S, AdN_psi0 = _condense(zoh.Ad, zoh.Bd, psi0, N)
+    _, B = linearize(model, choose_linearization_point(variant, psi0, psiT))
+    _, V, Vinv = model.modes
+    powers, q, Bm, S = _discretize(model.modes, B, h, N)
+    eT = powers[:, N]  # e^(lam T)
 
     C = np.zeros((n_x, n_z))
     C[:, :n_x] = np.eye(n_x)
@@ -315,12 +314,12 @@ def build_qp(problem):
         H = 2.0 * h * np.eye(nv)
         g = np.zeros(nv)
         Aeq = C @ S
+        AdN_psi0 = _from_modes(V, eT[:, None], (Vinv @ psi0)[:, None])[:, 0]
         beq = problem.xT - C @ AdN_psi0
-        z0_fixed = psi0
     else:
         nv = n_z + N * n_u
-        AdN = np.linalg.matrix_power(zoh.Ad, N)
-        F = np.hstack([AdN, S])  # z_N as an affine map of (z0, u)
+        # z_N as an affine map of (z0, u)
+        F = np.hstack([_from_modes(V, eT[:, None], Vinv), S])
         E0 = np.hstack([np.eye(n_z), np.zeros((n_z, N * n_u))])
         P_u = np.zeros((nv, nv))
         P_u[n_z:, n_z:] = np.eye(N * n_u)
@@ -336,12 +335,8 @@ def build_qp(problem):
             g = -2.0 * w * (E0.T @ psi0 + F.T @ psiT)
             Aeq = np.vstack([C0, C @ F])
             beq = np.concatenate([problem.x0, problem.xT])
-        z0_fixed = None
 
-    return QpBuild(
-        H=H, g=g, Aeq=Aeq, beq=beq, Ad=zoh.Ad, Bd=zoh.Bd, S=S,
-        z0_fixed=z0_fixed,
-    )
+    return QpBuild(H=H, g=g, Aeq=Aeq, beq=beq, S=S, powers=powers, q=q, Bm=Bm)
 
 
 def solve_lower(problem):
@@ -363,8 +358,8 @@ def solve_lower(problem):
         ) from exc
 
     N, n_z, n_u = problem.N, problem.model.n_z, problem.model.n_u
-    if qp.z0_fixed is not None:
-        z0 = qp.z0_fixed
+    if problem.variant.kind == "b0":  # z0 = psi0 was substituted
+        z0 = problem.psi0
         u = kkt.primal.reshape(N, n_u)
     else:
         z0 = kkt.primal[:n_z]
@@ -375,7 +370,6 @@ def solve_lower(problem):
         c=running_cost(problem.T, u),
         kkt=kkt,
         problem=problem,
-        Ad=qp.Ad,
-        S=qp.S,
+        qp=qp,
         z0=z0,
     )

@@ -134,39 +134,18 @@ def _lower_eval(model, variant, mbc, p, N):
     return sol.c, sol, None
 
 
-def _build_solution(model, variant, mbc, p, N, eval_count, records):
-    cost, lower, err = _lower_eval(model, variant, mbc, p, N)
-    if lower is None:
-        raise NoSolutionError(f"final lower-level solve failed: {err}")
-    x0, xT, T = lower.problem.x0, lower.problem.xT, float(lower.problem.T)
-    return BilevelSolution(
-        variant=variant,
-        x0=x0,
-        xT=xT,
-        T=T,
-        times=lower.times,
-        states=unlift(model.dictionary, lower.z_traj),
-        inputs=lower.u_traj,
-        cost=cost,
-        constraint_violation=float(np.linalg.norm(mbc.residual(x0, xT, T))),
-        eval_count=eval_count,
-        start_records=tuple(records),
-        lower=lower,
-    )
-
-
 def solve_reduced(model, variant, mbc, config, N):
     """DIRECT over the box of p, then an L-BFGS-B polish of its best point.
 
     The box is [T_min, T_max] for the period followed by the rows of
     ``mbc.p_bounds``. The polish gets the cost and its exact gradient in one
     call: ``LowerLevelSolution.cost_gradient`` along the columns of
-    ``mbc.reduction_jacobian(p)``. DIRECT's point is kept unless the polish
-    improves on it. A point either stage has already evaluated is not solved
-    again: the memo keeps each point's cost (and, once the polish has asked
-    for it, its gradient), and the lower solution of the cheapest point so
-    far is kept, which gives the polish its first gradient. A failed point
-    costs +inf, with a zero gradient.
+    ``mbc.reduction_jacobian(p)``. A point either stage has already
+    evaluated is not solved again: the memo keeps each point's cost (and,
+    once the polish has asked for it, its gradient), and the lower solution
+    of the cheapest point so far is kept. It gives the polish its first
+    gradient, and the solution returned is built from it, with no solve
+    after the search. A failed point costs +inf, with a zero gradient.
 
     Each stage leaves one record: point, cost, objective calls (repeats
     included), how many of them were +inf, and ``failures``, those calls by
@@ -245,10 +224,21 @@ def solve_reduced(model, variant, mbc, config, N):
         {"index": int(i), "side": ("lower", "upper")[j], "value": float(box[i, j])}
         for i, j in zip(*np.nonzero(on_face))
     ]
-    best = polish if polish["c_star"] < coarse["c_star"] else coarse
-    return _build_solution(
-        model, variant, mbc, np.asarray(best["p_star"]), N,
-        coarse["nfev"] + polish["nfev"], [coarse, polish],
+    lower = cheapest[1]
+    x0, xT, T = lower.problem.x0, lower.problem.xT, float(lower.problem.T)
+    return BilevelSolution(
+        variant=variant,
+        x0=x0,
+        xT=xT,
+        T=T,
+        times=lower.times,
+        states=unlift(model.dictionary, lower.z_traj),
+        inputs=lower.u_traj,
+        cost=lower.c,
+        constraint_violation=float(np.linalg.norm(mbc.residual(x0, xT, T))),
+        eval_count=coarse["nfev"] + polish["nfev"],
+        start_records=(coarse, polish),
+        lower=lower,
     )
 
 

@@ -1,9 +1,29 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from koopbilevel import get_dictionary, get_system, identify
 
 TWO_PI = 2.0 * np.pi
+
+
+def exact_zoh(A, B, h):
+    """(Ad, Bd) of ``dz/dt = A z + B u`` under a zero-order hold, from the top
+    blocks of ``expm(h [[A, B], [0, 0]])`` (Van Loan, *Computing integrals
+    involving the matrix exponential*, IEEE TAC 1978): an oracle independent
+    of the modal discretization the package uses."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    n, m = B.shape
+    aug = np.zeros((n + m, n + m))
+    aug[:n, :n], aug[:n, n:] = A, B
+    E = scipy.linalg.expm(h * aug)
+    return E[:n, :n], E[:n, n:]
+
+
+@pytest.fixture(scope="session")
+def zoh_oracle():
+    return exact_zoh
 
 
 @pytest.fixture(scope="session")

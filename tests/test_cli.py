@@ -1,10 +1,12 @@
 import copy
+import dataclasses
 import glob
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import koopbilevel
@@ -357,3 +359,21 @@ def test_audit_without_the_baseline_csv_exits_2(tmp_path):
     assert code == 2
     assert "Traceback" not in err
     assert "baseline.csv" in err
+
+
+def test_defective_generator_exits_3_at_identify(tmp_path, monkeypatch, capsys):
+    # an L0 with no modal form fails before model.json is written, not as
+    # +inf at every point of the upper search
+    identify = cli.identify
+
+    def defective(*args, **kwargs):
+        model = identify(*args, **kwargs)
+        L0 = np.zeros_like(model.L0)
+        L0[0, 1] = 1.0  # a 2x2 Jordan block
+        return dataclasses.replace(model, L0=L0)
+
+    monkeypatch.setattr(cli, "identify", defective)
+    out = str(tmp_path / "out")
+    assert cli.main(["reproduce", "--bundle", "fig1", "--out", out]) == 3
+    assert not os.path.exists(os.path.join(out, "model.json"))
+    assert "defective" in capsys.readouterr().err

@@ -6,6 +6,7 @@ from koopbilevel import (
     ConfigError,
     LowerLevelError,
     LowerLevelProblem,
+    NumericError,
     ObservableDictionary,
     build_qp,
     choose_linearization_point,
@@ -17,7 +18,7 @@ from koopbilevel import (
 )
 from koopbilevel import cli, config, lower_level, make_walker_gait, upper_level
 from koopbilevel.gedmd import GeneratorModel, linearize
-from koopbilevel.numerics import expm, solve_kkt, zoh_discretize
+from koopbilevel.numerics import eigenmodes, solve_kkt
 
 TWO_PI = 2.0 * np.pi
 
@@ -154,13 +155,12 @@ class TestSolveLower:
             )
             assert sol.c == pytest.approx(2.0 * half_cost, rel=2e-3)
 
-    def test_dynamics_defects(self, pendulum_model):
-        sol = solve_lower(
-            make_problem(pendulum_model, "b0", [0.7, 0], [0.7, 0], 6.5, 30)
-        )
-        qp = build_qp(make_problem(pendulum_model, "b0", [0.7, 0], [0.7, 0], 6.5, 30))
+    def test_dynamics_defects(self, pendulum_model, zoh_oracle):
+        problem = make_problem(pendulum_model, "b0", [0.7, 0], [0.7, 0], 6.5, 30)
+        sol = solve_lower(problem)
+        Ad, Bd = zoh_oracle(*linearize(pendulum_model, problem.psi0), 6.5 / 30)
         for k in range(30):
-            defect = sol.z_traj[k + 1] - qp.Ad @ sol.z_traj[k] - qp.Bd @ sol.u_traj[k]
+            defect = sol.z_traj[k + 1] - Ad @ sol.z_traj[k] - Bd @ sol.u_traj[k]
             assert np.linalg.norm(defect) <= 1e-9 * (1 + np.linalg.norm(sol.z_traj[k]))
 
     def test_boundary_residuals_by_variant(self, pendulum_model):
@@ -212,7 +212,8 @@ class TestSolveLower:
             sol.manifold_defects, [manifold_defect(d, z) for z in sol.z_traj]
         )
 
-    def test_condensed_matches_uncondensed_oracle(self, pendulum_model):
+    def test_condensed_matches_uncondensed_oracle(self, pendulum_model,
+                                                  zoh_oracle):
         """Full-transcription KKT oracle: all z_k kept as variables."""
         x0 = np.array([0.6, 0.0])
         xT = np.array([0.55, 0.1])
@@ -226,7 +227,7 @@ class TestSolveLower:
 
             variant = problem.variant
             z_bar = choose_linearization_point(variant, lift(d, x0), lift(d, xT))
-            pair = zoh_discretize(*linearize(model, z_bar), T / N)
+            Ad, Bd = zoh_oracle(*linearize(model, z_bar), T / N)
             nv = (N + 1) * n_z + N * n_u
             h = T / N
 
@@ -241,8 +242,8 @@ class TestSolveLower:
             for k in range(N):
                 row = np.zeros((n_z, nv))
                 row[:, zs(k + 1)] = np.eye(n_z)
-                row[:, zs(k)] = -pair.Ad
-                row[:, us(k)] = -pair.Bd
+                row[:, zs(k)] = -Ad
+                row[:, us(k)] = -Bd
                 rows.append(row)
                 rhs.append(np.zeros(n_z))
             C = np.zeros((2, n_z))
@@ -289,7 +290,7 @@ class TestSolveLower:
 
 
 class TestDoubling:
-    def test_matches_the_per_knot_loop(self):
+    def test_matches_the_per_knot_loop(self, zoh_oracle):
         hypothesis = pytest.importorskip("hypothesis")
         from hypothesis import strategies as st
 
@@ -301,19 +302,22 @@ class TestDoubling:
         def check(n_z, n_u, N, h, seed):
             rng = np.random.default_rng(seed)
             A = rng.normal(size=(n_z, n_z)) / np.sqrt(n_z)
-            Ad = expm(h * A)
-            Bd = h * rng.normal(size=(n_z, n_u))
+            B = rng.normal(size=(n_z, n_u))
+            Ad, Bd = zoh_oracle(A, B, h)
             psi0 = rng.normal(size=n_z)
             u = rng.normal(size=(N, n_u))
 
-            S, AdN_psi0 = lower_level._condense(Ad, Bd, psi0, N)
+            modes = eigenmodes(A)
+            powers, _, _, S = lower_level._discretize(modes, B, h, N)
+            AdN_psi0 = lower_level._trajectory(
+                modes, powers, S, psi0, np.zeros_like(u))[-1]
             S_loop, AdN = loop_condense(Ad, Bd, N)
             largest = np.max(np.abs(S_loop))
             assert np.max(np.abs(S - S_loop)) <= 1e-10 * largest
             assert np.max(np.abs(AdN_psi0 - AdN @ psi0)) <= 1e-10 * (
                 np.max(np.abs(AdN)) * np.sum(np.abs(psi0)))
 
-            Z = lower_level._trajectory(Ad, S, psi0, u)
+            Z = lower_level._trajectory(modes, powers, S, psi0, u)
             Z_loop = loop_trajectory(Ad, Bd, psi0, u)
             assert np.array_equal(Z[0], psi0)
             scale = np.max(np.abs(Z_loop)) + largest * np.sum(np.abs(u))
@@ -325,24 +329,26 @@ class TestDoubling:
 class TestLazyTrajectory:
     def test_search_solves_build_no_trajectory(self, monkeypatch):
         # the upper search reads only c: of the fig1 bilevel solve's lower
-        # solves, only the final re-solve of the best point builds z_traj
+        # solutions, only the cheapest one builds z_traj, and only once the
+        # search has ended
         run = config.validate_config(cli.load_bundle("fig1")["config"])
         model = identify(run.system, run.dictionary, n_s=run.n_s,
                          seed=run.seed, box=run.box)
         builds, at_final = [], []
         trajectory = lower_level._trajectory
-        build_solution = upper_level._build_solution
+        minimize = upper_level.minimize
 
         def counting(*args):
             builds.append(1)
             return trajectory(*args)
 
-        def final(*args):
+        def final(*args, **kwargs):  # the polish, the search's last stage
+            res = minimize(*args, **kwargs)
             at_final.append(len(builds))
-            return build_solution(*args)
+            return res
 
         monkeypatch.setattr(lower_level, "_trajectory", counting)
-        monkeypatch.setattr(upper_level, "_build_solution", final)
+        monkeypatch.setattr(upper_level, "minimize", final)
         sol = upper_level.solve_reduced(
             model, run.variants[0], run.mbc, run.upper, run.N)
         assert sol.eval_count > 100
@@ -427,3 +433,40 @@ class TestCostGradient:
             got = solve(p).cost_gradient(mbc.reduction_jacobian(p))
             want = central_difference(lambda q: solve(q).c, p, 1e-6)
             assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+
+class TestModalForm:
+    def test_defective_generator_raises(self):
+        # a 2x2 Jordan block has one eigenvector: L0 has no modal form
+        d = get_dictionary("linear_const", 2)
+        L0 = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+        L1 = L0.copy()
+        L1[1, 2] = 1.0  # input authority on x2
+        model = GeneratorModel(
+            L0=L0, Li=(L1,), dictionary=d, residuals=(0.0, 0.0),
+            ranks=(3, 3), svd_tol=1e-10, seed=0, n_s=0,
+            box=np.array([[-1, 1], [-1, 1]], dtype=float), system_name="jordan",
+        )
+        with pytest.raises(NumericError):
+            model.modes
+        with pytest.raises(NumericError):
+            solve_lower(make_problem(model, "b0", [0.1, 0], [0.2, 0], 1.0, 5))
+
+    def test_walker_cost_is_smooth_in_the_period(self):
+        # walker b0 at fixed boundaries at its bilevel optimum: over +-30
+        # one-ulp steps of T, c departs from a quadratic fit by a relative
+        # std of at most 1e-13, so the polish, whose ftol is 1e-15, does not
+        # chase rounding that changes from one T to the next
+        run = config.validate_config(cli.load_bundle("walker")["config"])
+        model = identify(run.system, run.dictionary, n_s=run.n_s,
+                         seed=run.seed, box=run.box)
+        x0, xT, T_star = run.mbc.reduction(
+            np.array([2.064490799966692, -0.09224900500819358, -0.15]))
+        steps = np.arange(-30, 31)
+        c = np.array([
+            solve_lower(LowerLevelProblem(
+                model=model, variant=run.variants[0], x0=x0, xT=xT,
+                T=T_star + k * np.spacing(T_star), N=run.N)).c
+            for k in steps])
+        rest = c - np.polyval(np.polyfit(steps, c, 2), steps)
+        assert np.std(rest) <= 1e-13 * np.mean(c)

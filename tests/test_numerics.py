@@ -14,7 +14,7 @@ from koopbilevel import (
     build_qp,
     get_dictionary,
     solve_lower,
-    expm,
+    eigenmodes,
     pearson,
     pinv_svd,
     qp_sensitivity,
@@ -36,7 +36,22 @@ def truncated_series(M, terms=40):
     return out
 
 
+def expm(M):
+    """The matrix exponential by the eigenvector method: V diag(e^lam) V^-1."""
+    lam, V, Vinv = eigenmodes(M)
+    return ((V * np.exp(lam)) @ Vinv).real
+
+
+def modal_zoh(A, B, h):
+    """(Ad, Bd) of ``dz/dt = A z + B u`` from the modes of A and their ZOH."""
+    lam, V, Vinv = eigenmodes(A)
+    e, q = zoh_discretize(lam, h)
+    return ((V * e) @ Vinv).real, ((V * q) @ Vinv).real @ np.asarray(B, dtype=float)
+
+
 class TestExpm:
+    """The exponential that ``eigenmodes`` gives every function of a matrix."""
+
     def test_zero_matrix(self):
         assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
 
@@ -70,32 +85,41 @@ class TestExpm:
             expm(np.ones((2, 3)))
         with pytest.raises(NumericError):
             expm(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+        with pytest.raises(NumericError):  # a Jordan block has one eigenvector
+            expm(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestZoh:
     def test_pure_integrator(self):
         B = np.array([[1.0], [2.0]])
-        pair = zoh_discretize(np.zeros((2, 2)), B, 0.5)
-        assert np.allclose(pair.Ad, np.eye(2), atol=1e-14)
-        assert np.allclose(pair.Bd, 0.5 * B, atol=1e-14)
+        Ad, Bd = modal_zoh(np.zeros((2, 2)), B, 0.5)
+        assert np.allclose(Ad, np.eye(2), atol=1e-14)
+        assert np.allclose(Bd, 0.5 * B, atol=1e-14)
+
+    def test_zero_eigenvalue_gives_exactly_h(self):
+        # phi1 takes its limit 1 at 0: fig1's L0 has an exact zero eigenvalue
+        e, q = zoh_discretize(np.array([0.0, 0.0j, -0.7]), 0.37)
+        assert e[0] == e[1] == 1.0
+        assert q[0] == q[1] == 0.37
+        assert q[2] == pytest.approx(np.expm1(-0.7 * 0.37) / -0.7, rel=1e-15)
 
     def test_scalar_closed_form(self):
         a, b, h = -0.7, 1.3, 0.25
-        pair = zoh_discretize([[a]], [[b]], h)
-        assert abs(pair.Ad[0, 0] - np.exp(a * h)) <= 1e-14
-        assert abs(pair.Bd[0, 0] - (np.exp(a * h) - 1.0) * b / a) <= 1e-14
+        e, q = zoh_discretize(np.array([a]), h)
+        assert abs(e[0] - np.exp(a * h)) <= 1e-14
+        assert abs(q[0] * b - (np.exp(a * h) - 1.0) * b / a) <= 1e-14
 
     def test_fine_rk4_oracle(self, oscillator):
         h = 0.1
-        pair = zoh_discretize(oscillator.params["A"], oscillator.params["B"], h)
+        Ad, Bd = modal_zoh(oscillator.params["A"], oscillator.params["B"], h)
         x0 = np.array([0.4, -0.2])
         u = np.array([0.7])
         X = simulate(oscillator, x0, u[None], h, substeps=256)
-        assert np.max(np.abs(pair.Ad @ x0 + pair.Bd @ u - X[-1])) <= 1e-10
+        assert np.max(np.abs(Ad @ x0 + Bd @ u - X[-1])) <= 1e-10
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(NumericError):
-            zoh_discretize(np.zeros((1, 1)), np.ones((1, 1)), 0.0)
+            zoh_discretize(np.zeros(1), 0.0)
 
 
 class TestPinvSvd:
