@@ -42,17 +42,15 @@ from .gedmd import (
     assemble_data,
     fit_generator,
     identify,
-    linearize,
     prediction_error,
     sample_states,
 )
 from .numerics import (
     KktResult,
+    complex_step,
     eigenmodes,
-    pearson,
     pinv_svd,
     qp_sensitivity,
-    resample_common_grid,
     solve_kkt,
     zoh_discretize,
 )

@@ -16,9 +16,8 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, CorrelationError, NumericError
 from .lifting import lift
-from .numerics import mean_pearson, resample_common_grid
 from .systems import running_cost
 
 __all__ = [
@@ -106,11 +105,30 @@ def read_trajectory_csv(path):
 
 
 def trajectory_pcc(times_a, values_a, times_b, values_b):
-    """Mean Pearson correlation of two signals on a shared normalized grid."""
-    ga, gb = resample_common_grid(
-        (times_a, values_a), (times_b, values_b), n=_PCC_POINTS
-    )
-    return mean_pearson(ga, gb)
+    """Mean over state dimensions of the Pearson correlation of two signals.
+
+    Each signal, ``(k+1,)`` times with ``(k+1, n_x)`` or ``(k+1,)`` values,
+    is linearly interpolated onto ``_PCC_POINTS`` points of normalized time
+    tau in [0, 1], so signals with different periods compare.
+    """
+    grid = np.linspace(0.0, 1.0, _PCC_POINTS)
+    resampled = []
+    for times, values in ((times_a, values_a), (times_b, values_b)):
+        times = np.asarray(times, dtype=float)
+        span = times[-1] - times[0]
+        if span <= 0:
+            raise NumericError("cannot normalize a trajectory with zero duration")
+        tau = (times - times[0]) / span
+        columns = np.atleast_2d(np.asarray(values, dtype=float).T)
+        resampled.append([np.interp(grid, tau, col) for col in columns])
+    pccs = []
+    for a, b in zip(*resampled):
+        da, db = a - a.mean(), b - b.mean()
+        na, nb = float(np.linalg.norm(da)), float(np.linalg.norm(db))
+        if na == 0.0 or nb == 0.0:
+            raise CorrelationError("correlation undefined for zero-variance series")
+        pccs.append(float(np.clip(da @ db / (na * nb), -1.0, 1.0)))
+    return float(np.mean(pccs))
 
 
 def comparison_entry(solution, trajectory, baseline, baseline_trajectory,

@@ -5,7 +5,9 @@ generator*, Physica D 2020). For each input channel the generator restricted
 to the dictionary span is fit by least squares: ``L = dPsi @ pinv(Psi)``
 where the columns of ``Psi`` are lifted sample states and the columns of
 ``dPsi`` are their Lie derivatives along the drift (index 0) or along the
-drift plus one canonical input channel (index i). The identified matrices
+drift plus one canonical input channel (index i). The Lie derivatives
+nabla psi . f are complex steps of the dictionary along each channel's vector
+field (``ObservableDictionary.derivative``). The identified matrices
 give the bilinear surrogate
 
     dz/dt = L0 z + sum_i u_i (Li - L0) z,
@@ -13,8 +15,8 @@ give the bilinear surrogate
 a control-affine system on lifted states (``GeneratorModel.surrogate``) with
 drift L0 z and input column i equal to (Li - L0) z. ``systems.simulate``
 integrates it with the same RK4 as the true system, and the convex lower
-level linearizes it about a lifted reference point: A = L0 and B is its input
-map there.
+level linearizes it about a lifted reference point: A = L0 and B is the
+surrogate's input map there.
 """
 
 import json
@@ -36,7 +38,6 @@ __all__ = [
     "assemble_data",
     "fit_generator",
     "identify",
-    "linearize",
     "prediction_error",
     "save_model",
     "load_model",
@@ -123,28 +124,31 @@ def _canonical_input(system, input_index):
     return u
 
 
+# samples differentiated per dictionary evaluation in assemble_data; bounds
+# its complex temporaries to a few blocks' worth whatever the sample count
+_BLOCK = 2048
+
+
 def assemble_data(system, dictionary, X):
     """Lift the samples ``X`` (one state per row) once and compute their Lie
     derivatives per channel.
 
     Channel 0 uses u = 0; channel i in 1..n_u uses the canonical basis input
-    u = e_i. One dictionary evaluation serves every channel; each term's
-    gradient is contracted with every channel's vector field as it is
-    computed, so no (n_s, n_z, n_x) tensor is built. Returns ``(Psi,
-    dPsis)``: ``Psi`` with one column per sample, and one such ``dPsi`` per
-    channel.
+    u = e_i. Each block of ``_BLOCK`` samples takes every channel's Lie
+    derivatives from one complex-step evaluation of the dictionary along the
+    channels' vector fields, written into preallocated arrays, so no whole
+    complex array is held. Returns ``(Psi, dPsis)``: ``Psi`` with one column
+    per sample, and one such ``dPsi`` per channel.
     """
     Psi = dictionary.eval(X)
-    fields = [eval_rhs(system, X, _canonical_input(system, i))
-              for i in range(system.n_u + 1)]
-    dPsis = [np.empty(Psi.shape) for _ in fields]
-    for j, term in enumerate(dictionary.terms):
-        g = term.grad(X)
-        for f, dPsi in zip(fields, dPsis):
-            dPsi[:, j] = np.einsum("sx,sx->s", g, f)
-    finite = np.all(np.isfinite(Psi), axis=1)
-    for dPsi in dPsis:
-        finite &= np.all(np.isfinite(dPsi), axis=1)
+    inputs = [_canonical_input(system, i) for i in range(system.n_u + 1)]
+    dPsis = np.empty((len(inputs),) + Psi.shape)
+    for start in range(0, len(X), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        fields = np.stack([eval_rhs(system, X[block], u) for u in inputs])
+        dPsis[:, block] = dictionary.derivative(X[block], fields)
+    finite = (np.all(np.isfinite(Psi), axis=1)
+              & np.all(np.isfinite(dPsis), axis=(0, 2)))
     if not np.all(finite):
         idx = int(np.argmin(finite))
         raise DataError(
@@ -216,17 +220,6 @@ def identify(system, dictionary, n_s, seed, box):
         box=np.asarray(box, dtype=float),
         system_name=system.name,
     )
-
-
-def linearize(model, z_bar):
-    """LTI pair ``(A, B)`` at a lifted reference: A = L0, and B is the
-    surrogate's input map at z_bar, column i = (Li - L0) z_bar."""
-    z_bar = np.asarray(z_bar, dtype=float)
-    if z_bar.shape != (model.n_z,):
-        raise ConfigError(
-            f"linearization point has dim {z_bar.shape}, expected ({model.n_z},)"
-        )
-    return model.L0, model.surrogate.input_map(z_bar)
 
 
 def prediction_error(model, system, x0, U, T, substeps=16):

@@ -1,4 +1,4 @@
-"""Observable dictionaries: lifting maps, analytic gradients, manifold defect.
+"""Observable dictionaries: lifting maps, their derivatives, manifold defect.
 
 A dictionary is an ordered list of scalar terms. The first ``n_x`` terms are
 always the plain state copy, so the original state is recovered from a lifted
@@ -8,11 +8,15 @@ Terms are declared as serializable descriptors (monomial / sin / cos /
 product) rather than opaque callables, so an identified surrogate model can be
 persisted together with the exact basis it was fit in. The descriptors stay
 the source of truth, and they are what ``to_config`` writes.
-``ObservableDictionary.eval`` and ``grad`` walk a program of the
-dictionary's distinct terms, built once per dictionary, that evaluates each
-of them once with its own ``value`` and ``grad`` (a product from its
-factors' columns), so they are bitwise equal to ``term.value`` and
-``term.grad`` term by term for every dictionary.
+``ObservableDictionary.eval`` walks a program of the dictionary's distinct
+terms, built once per dictionary, that evaluates each of them once with its
+own ``value`` (a product from its factors' columns), so it is bitwise equal
+to ``term.value`` term by term for every dictionary.
+
+Every term is a product of integer powers, sines and cosines, so ``eval``
+runs unchanged on complex states, and derivatives of the lift are complex
+steps of ``eval`` (``ObservableDictionary.derivative``): no term carries a
+hand-written gradient.
 """
 
 from dataclasses import dataclass
@@ -22,6 +26,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ConfigError
+from .numerics import complex_step
 
 __all__ = [
     "Monomial",
@@ -41,11 +46,23 @@ __all__ = [
 ]
 
 
+# numpy raises a complex number to an integer power by repeated
+# multiplication only below this magnitude; above it goes through the
+# logarithm, whose branch cut breaks the complex step at negative states
+_MAX_POWER = 100
+
+
 @dataclass(frozen=True)
 class Monomial:
-    """prod_i x_i^powers[i]; all powers zero gives the constant term."""
+    """prod_i x_i^powers[i]; all powers zero gives the constant term. Each
+    power's magnitude stays below 100, so the complex step is exact."""
 
     powers: Tuple[int, ...]
+
+    def __post_init__(self):
+        if any(abs(p) >= _MAX_POWER for p in self.powers):
+            raise ConfigError(f"monomial powers must have magnitude below "
+                              f"{_MAX_POWER}, got {self.powers}")
 
     def value(self, X):
         out = np.ones(np.shape(X)[:-1])
@@ -53,18 +70,6 @@ class Monomial:
             if p:
                 out = out * X[..., i] ** p
         return out
-
-    def grad(self, X):
-        g = np.zeros(np.shape(X))
-        for j, pj in enumerate(self.powers):
-            if not pj:
-                continue
-            col = pj * X[..., j] ** (pj - 1)
-            for i, p in enumerate(self.powers):
-                if p and i != j:
-                    col = col * X[..., i] ** p
-            g[..., j] = col
-        return g
 
     def to_config(self):
         return {"kind": "monomial", "powers": list(self.powers)}
@@ -82,16 +87,17 @@ class Trig:
             raise ConfigError(f"trig term must be sin or cos, got '{self.fn}'")
 
     def _arg(self, X):
-        return X @ np.asarray(self.coeffs, dtype=float)
+        # elementwise, not X @ coeffs: with two OpenBLAS threads, complex
+        # matrix-vector products of complex-step batches stall for milliseconds
+        arg = np.zeros(np.shape(X)[:-1])
+        for i, c in enumerate(self.coeffs):
+            if c:
+                arg = arg + c * X[..., i]
+        return arg
 
     def value(self, X):
         arg = self._arg(X)
         return np.sin(arg) if self.fn == "sin" else np.cos(arg)
-
-    def grad(self, X):
-        arg = self._arg(X)
-        d = np.cos(arg) if self.fn == "sin" else -np.sin(arg)
-        return d[..., None] * np.asarray(self.coeffs, dtype=float)
 
     def to_config(self):
         return {"kind": self.fn, "coeffs": list(float(c) for c in self.coeffs)}
@@ -99,7 +105,7 @@ class Trig:
 
 @dataclass(frozen=True)
 class Product:
-    """Product of sub-terms; gradient by the product rule."""
+    """Product of sub-terms."""
 
     factors: tuple
 
@@ -108,17 +114,6 @@ class Product:
         for f in self.factors:
             out = out * f.value(X)
         return out
-
-    def grad(self, X):
-        vals = [f.value(X) for f in self.factors]
-        g = np.zeros(np.shape(X))
-        for k, f in enumerate(self.factors):
-            rest = np.ones(np.shape(X)[:-1])
-            for j, v in enumerate(vals):
-                if j != k:
-                    rest = rest * v
-            g = g + rest[..., None] * f.grad(X)
-        return g
 
     def to_config(self):
         return {"kind": "product", "factors": [f.to_config() for f in self.factors]}
@@ -146,13 +141,12 @@ def _is_state_copy(term, index, n_x):
 class ObservableDictionary:
     """Ordered lifting basis whose first n_x terms copy the state.
 
-    ``eval`` and ``grad`` run ``_program``, built on first use: the distinct
-    terms in dependency order, every product after its factors. They call
-    each distinct monomial's and trig term's own ``value`` (and ``grad``)
-    once, and build each product from its factors' columns in factor order
-    from ones, as ``Product.value`` and ``Product.grad`` do, so for every
-    dictionary they are bitwise equal to stacking ``term.value`` or
-    ``term.grad`` over the terms, in the same C layout.
+    ``eval`` runs ``_program``, built on first use: the distinct terms in
+    dependency order, every product after its factors. It calls each
+    distinct monomial's and trig term's own ``value`` once, and builds each
+    product from its factors' columns in factor order from ones, as
+    ``Product.value`` does, so for every dictionary it is bitwise equal to
+    stacking ``term.value`` over the terms, in the same C layout.
     """
 
     n_x: int
@@ -189,40 +183,30 @@ class ObservableDictionary:
         positions = tuple(visit(t) for t in self.terms)
         return tuple(program), positions
 
-    def _run(self, x, with_grad):
-        """Values, and gradients if asked, of the program's terms at x."""
-        cols, grads = [], []
-        ones, zeros = np.ones(x.shape[:-1]), np.zeros(x.shape)  # never written
-        for term, factors in self._program[0]:
+    def eval(self, x):
+        """psi(x), shape ``x.shape[:-1] + (n_z,)``; complex x gives complex
+        values, with which ``derivative`` differentiates."""
+        x = np.asarray(x)
+        x = x.astype(np.result_type(x.dtype, float), copy=False)
+        program, positions = self._program
+        ones = np.ones(x.shape[:-1])  # never written
+        cols = []
+        for term, factors in program:
             if factors is None:
                 cols.append(term.value(x))
-                if with_grad:
-                    grads.append(term.grad(x))
                 continue
             out = ones
             for j in factors:
                 out = out * cols[j]
-            if with_grad:  # the product rule, as Product.grad applies it
-                g = zeros
-                for k in range(len(factors)):
-                    rest = ones
-                    for i, j in enumerate(factors):
-                        if i != k:
-                            rest = rest * cols[j]
-                    g = g + rest[..., None] * grads[factors[k]]
-                grads.append(g)
             cols.append(out)
-        return cols, grads
+        return np.stack([cols[j] for j in positions], axis=-1)
 
-    def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        cols, _ = self._run(x, with_grad=False)
-        return np.stack([cols[j] for j in self._program[1]], axis=-1)
-
-    def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        _, grads = self._run(x, with_grad=True)
-        return np.stack([grads[j] for j in self._program[1]], axis=-2)
+    def derivative(self, x, v):
+        """Derivative of psi at the real states x along v, exact up to
+        rounding (``numerics.complex_step``). ``v`` broadcasts against x and
+        may carry leading axes of directions: ``x`` (n_s, n_x) and ``v``
+        (k, n_s, n_x) give (k, n_s, n_z)."""
+        return complex_step(self.eval, x, v)
 
     def to_config(self):
         return {

@@ -22,7 +22,8 @@ on its first read.
 
 The running cost's exact derivatives in (x0, xT, T) come from the solved QP
 (``LowerLevelSolution.cost_gradient``; Amos & Kolter, *OptNet*, ICML 2017):
-elementwise tangents of the same maps, then one adjoint solve with the LU
+elementwise tangents of the same maps, with the lifted boundaries' tangents
+as complex steps of the dictionary, then one adjoint solve with the LU
 factors of the KKT solve (``numerics.qp_sensitivity``).
 """
 
@@ -32,7 +33,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BuildError, ConfigError, DegenerateQpError, LowerLevelError
-from .gedmd import linearize
 from .lifting import lift, manifold_defect
 from .numerics import KktResult, qp_sensitivity, solve_kkt, zoh_discretize
 from .systems import running_cost
@@ -174,7 +174,9 @@ def choose_linearization_point(variant, psi0, psiT):
 
     Selects one of the already lifted boundaries, it lifts nothing: ``b0``
     uses psi0 = psi(x0), ``bT`` uses psiT = psi(xT). For soft constraints
-    either boundary works; psi0 is used for determinism.
+    either boundary works; psi0 is used for determinism. Given the
+    boundaries' tangents instead, it picks the point's tangent by the same
+    rule.
     """
     if variant.kind == "bT":
         return psiT
@@ -243,16 +245,18 @@ def _qp_tangents(sol, J):
     Each is elementwise in L0's eigenbasis. The blocks e^(j lam h) q Bm of S
     move with h = T/N, by (j+1) e^((j+1) lam h) - j e^(j lam h) per unit h,
     and with B at the linearization point, by e^(j lam h) q V^-1 dB. Ad^N
-    moves by V diag(lam e^(lam T)) V^-1 per unit T.
+    moves by V diag(lam e^(lam T)) V^-1 per unit T. The lifted boundaries
+    move by psi's derivative along (dx0, dxT), from one
+    ``ObservableDictionary.derivative`` over all k directions.
     """
     p, qp = sol.problem, sol.qp
     model, variant, N = p.model, p.variant, p.N
     n_x, n_z, n_u, k = model.dictionary.n_x, model.n_z, model.n_u, J.shape[1]
     dT, dh = J[-1], J[-1] / N
     dx0, dxT = J[:n_x], J[n_x : 2 * n_x]
-    jac0, jacT = model.dictionary.grad(np.stack([p.x0, p.xT]))
-    dpsi0, dpsiT = jac0 @ dx0, jacT @ dxT
-    dzbar = dpsiT if variant.kind == "bT" else dpsi0
+    dpsi0, dpsiT = np.moveaxis(model.dictionary.derivative(
+        np.stack([p.x0, p.xT]), np.stack([dx0.T, dxT.T], axis=1)), 0, -1)
+    dzbar = choose_linearization_point(variant, dpsi0, dpsiT)
     dB = model.surrogate.input_map(dzbar.T)  # (k, n_z, n_u)
     lam, V, Vinv = model.modes
     E, eT = qp.powers, qp.powers[:, N]
@@ -301,7 +305,7 @@ def build_qp(problem):
     h = problem.T / N
 
     psi0, psiT = problem.psi0, problem.psiT
-    _, B = linearize(model, choose_linearization_point(variant, psi0, psiT))
+    B = model.surrogate.input_map(choose_linearization_point(variant, psi0, psiT))
     _, V, Vinv = model.modes
     powers, q, Bm, S = _discretize(model.modes, B, h, N)
     eT = powers[:, N]  # e^(lam T)

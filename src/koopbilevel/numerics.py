@@ -1,9 +1,9 @@
 """Dense numerical kernels.
 
-Eigendecomposition with the exact zero-order hold of each mode, truncated-SVD
-pseudo-inverse, equality-constrained QP solves via the KKT saddle system and
-their sensitivities to the QP data, Pearson correlation, and common-grid
-trajectory resampling.
+Complex-step directional derivatives, eigendecomposition with the exact
+zero-order hold of each mode, truncated-SVD pseudo-inverse, and
+equality-constrained QP solves via the KKT saddle system with their
+sensitivities to the QP data.
 """
 
 from dataclasses import dataclass
@@ -11,18 +11,36 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import CorrelationError, DegenerateQpError, NumericError
+from .errors import DegenerateQpError, NumericError
 
 __all__ = [
     "KktResult",
+    "complex_step",
     "eigenmodes",
     "zoh_discretize",
     "pinv_svd",
     "solve_kkt",
     "qp_sensitivity",
-    "pearson",
-    "resample_common_grid",
 ]
+
+# step of complex_step: its square is far below any rounding of f, so the
+# step adds no truncation error, and as a power of two it scales exactly
+_CS_STEP = 2.0**-100
+
+
+def complex_step(f, x, v):
+    """Derivative of f at the real point x along v: Im f(x + ihv) / h.
+
+    Exact up to f's own rounding for any f that is a composition of real
+    analytic operations carried out in complex arithmetic (Squire & Trapp,
+    *Using complex variables to estimate derivatives of real functions*, SIAM
+    Review 1998): there is no difference to cancel, so the step ``h`` can be
+    2^-100. ``v`` may carry leading axes of directions, one derivative per
+    direction, as far as f broadcasts over them.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.imag(f(x + 1j * (_CS_STEP * np.asarray(v, dtype=float)))) / _CS_STEP
+
 
 # largest accepted cond(V): a modal result carries about cond(V) times the
 # rounding error. Each bundle's model, at seeds 20240, 20241, 301 and 1-5,
@@ -82,7 +100,6 @@ class KktResult:
     dual: np.ndarray
     stationarity_residual: float
     feasibility_residual: float
-    reg: float
     min_pivot: float
     factors: tuple
 
@@ -123,7 +140,7 @@ def solve_kkt(H, g, Aeq, beq):
     The saddle system ``[[H + reg*I, Aeq'], [Aeq, 0]]`` is factorized with
     pivoted LU (LAPACK ``getrf``). The Tikhonov term ``reg = 1e-9 *
     trace(H)/n`` keeps PSD-singular Hessians factorable; the result records
-    it, the LU factors and their smallest pivot. Stationarity and feasibility
+    the LU factors and their smallest pivot. Stationarity and feasibility
     residuals are recomputed from the returned primal/dual pair and must fall
     below ``1e-9 * scale``; otherwise the system is reported as degenerate.
 
@@ -202,7 +219,6 @@ def solve_kkt(H, g, Aeq, beq):
         dual=lam,
         stationarity_residual=stat_res,
         feasibility_residual=feas_res,
-        reg=reg,
         min_pivot=min_pivot,
         factors=(lu, piv),
     )
@@ -228,62 +244,3 @@ def qp_sensitivity(kkt, grad, dH, dg, dAeq, dbeq):
     dstat = dH @ v + dreg[:, None] * v + dg + lam @ dAeq
     dfeas = dAeq @ v - dbeq
     return -(dstat @ y[: v.size]) - dfeas @ y[v.size :]
-
-
-def pearson(a, b):
-    """Pearson correlation coefficient of two equally long series."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.size != b.size or a.size < 2:
-        raise NumericError(
-            f"pearson needs two equal-length series of length >= 2, "
-            f"got {a.size} and {b.size}"
-        )
-    da = a - a.mean()
-    db = b - b.mean()
-    na = float(np.linalg.norm(da))
-    nb = float(np.linalg.norm(db))
-    if na == 0.0 or nb == 0.0:
-        raise CorrelationError("correlation undefined for zero-variance series")
-    return float(np.clip(da @ db / (na * nb), -1.0, 1.0))
-
-
-def resample_common_grid(traj_a, traj_b, n):
-    """Resample two trajectories onto a shared normalized-time grid.
-
-    Each trajectory is a ``(times, states)`` pair, times (k+1,) and states
-    (k+1, n_x) or (k+1,). Time is normalized to tau in [0, 1] so trajectories
-    with different periods can be compared; states are linearly interpolated
-    onto ``n`` grid points.
-
-    Returns the pair of (n, n_x) arrays.
-    """
-    out = []
-    for times, states in (traj_a, traj_b):
-        times = np.asarray(times, dtype=float)
-        states = np.asarray(states, dtype=float)
-        if states.ndim == 1:
-            states = states[:, None]
-        span = times[-1] - times[0]
-        if span <= 0:
-            raise NumericError("cannot normalize a trajectory with zero duration")
-        tau = (times - times[0]) / span
-        grid = np.linspace(0.0, 1.0, n)
-        out.append(
-            np.column_stack([np.interp(grid, tau, states[:, j])
-                             for j in range(states.shape[1])])
-        )
-    return out[0], out[1]
-
-
-def mean_pearson(series_a, series_b):
-    """Mean Pearson correlation over the columns of two (n, d) arrays.
-
-    The aggregation over state dimensions is an unweighted mean; a single
-    scalar is reported per signal group.
-    """
-    series_a = np.atleast_2d(np.asarray(series_a, dtype=float))
-    series_b = np.atleast_2d(np.asarray(series_b, dtype=float))
-    vals = [pearson(series_a[:, j], series_b[:, j])
-            for j in range(series_a.shape[1])]
-    return float(np.mean(vals))

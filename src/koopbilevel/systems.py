@@ -1,9 +1,11 @@
 """Benchmark control-affine systems and nonlinear simulation.
 
 All drift and input maps broadcast over leading batch axes so that sampling,
-finite-difference Jacobians, and data assembly can run vectorized. Hybrid
-systems (the compass-gait walker) carry their reset machinery in
-:class:`HybridExtras`; resets are only ever applied at trajectory endpoints.
+integration, and data assembly can run vectorized. Hybrid systems (the
+compass-gait walker) carry their reset machinery in :class:`HybridExtras`;
+resets are only ever applied at trajectory endpoints. The walker's impact map
+also runs in complex arithmetic, so its Jacobian is a complex step of the map
+(``numerics.complex_step``), not a hand-differentiated copy.
 """
 
 from dataclasses import dataclass, field
@@ -12,6 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DomainEvaluationError, IntegrationError
+from .numerics import complex_step
 
 __all__ = [
     "ControlAffineSystem",
@@ -30,7 +33,8 @@ class HybridExtras:
     """Reset machinery for systems with an endpoint impact.
 
     ``jump_map`` resets velocities at impact (generalized positions are
-    preserved), and ``jump_jacobian`` is its Jacobian in the state;
+    preserved), and ``jump_jacobian`` is its Jacobian in the state, the
+    complex step of ``jump_map`` along each state entry;
     ``flip_map`` relabels the legs and is an involution. Where
     the impact happens is not part of the system: the walker's gait
     constraint pins th_st + th_sw = 0 at the endpoint, which puts both feet
@@ -254,8 +258,9 @@ def make_compass_gait(hip_mass=2.0, leg_mass=1.0, leg_length=1.0, com_from_hip=0
         return G
 
     def _floating_mass_matrix(th_st, th_sw):
-        # coordinates (x_hip, y_hip, th_st, th_sw), point masses only
-        M = np.zeros((4, 4))
+        # coordinates (x_hip, y_hip, th_st, th_sw), point masses only; complex
+        # angles give a complex matrix, for the complex step of jump_map
+        M = np.zeros((4, 4), dtype=np.result_type(th_st, th_sw))
         M[0, 0] = M[1, 1] = mh + 2.0 * m
         M[0, 2] = M[2, 0] = m * r * np.cos(th_st)
         M[1, 2] = M[2, 1] = m * r * np.sin(th_st)
@@ -275,49 +280,29 @@ def make_compass_gait(hip_mass=2.0, leg_mass=1.0, leg_length=1.0, com_from_hip=0
             [[1.0, 0.0, 0.0, ell * np.cos(th_sw)],
              [0.0, 1.0, 0.0, ell * np.sin(th_sw)]]
         )
-        kkt = np.zeros((6, 6))
+        kkt = np.zeros((6, 6), dtype=x.dtype)
         kkt[:4, :4] = M
         kkt[:4, 4:] = -J.T
         kkt[4:, :4] = J
         rhs = np.concatenate([M @ qd_minus, np.zeros(2)])
-        return kkt, rhs, qd_minus
+        return kkt, rhs
 
     def jump_map(x):
         """Inelastic impact at the swing foot; labels are not swapped here.
 
         Solved in floating-base coordinates: the ground impulse at the new
         contact point changes velocities so the swing foot sticks; angular
-        positions are untouched.
+        positions are untouched. Complex x is solved in complex arithmetic.
         """
-        x = np.asarray(x, dtype=float)
-        kkt, rhs, _ = _impact(x)
+        x = np.asarray(x)
+        x = x.astype(np.result_type(x.dtype, float), copy=False)
+        kkt, rhs = _impact(x)
         qd_plus = np.linalg.solve(kkt, rhs)[:4]
         return np.array([x[0], x[1], qd_plus[2], qd_plus[3]])
 
     def jump_jacobian(x):
-        """Jacobian of ``jump_map`` at x: the impact solve differentiated in
-        each state entry, with the same saddle matrix K, as K^-1 (drhs - dK s)."""
-        x = np.asarray(x, dtype=float)
-        th_st, th_sw, w_st, _ = x
-        kkt, rhs, qd_minus = _impact(x)
-        sol = np.linalg.solve(kkt, rhs)
-        dkkt = np.zeros((4, 6, 6))  # along th_st, th_sw, w_st, w_sw
-        for i, th in enumerate((th_st, th_sw)):  # couplings of leg i in M
-            dkkt[i, [0, 2 + i], [2 + i, 0]] = -m * r * np.sin(th)
-            dkkt[i, [1, 2 + i], [2 + i, 1]] = m * r * np.cos(th)
-        dJ = ell * np.array([-np.sin(th_sw), np.cos(th_sw)])  # of J's last column
-        dkkt[1, 4:, 3] = dJ
-        dkkt[1, 3, 4:] = -dJ
-        dqd = np.zeros((4, 4))  # row i: the tangent of qd- along state entry i
-        dqd[0, :2] = ell * np.array([np.sin(th_st), -np.cos(th_st)]) * w_st
-        dqd[2] = [-ell * np.cos(th_st), -ell * np.sin(th_st), 1.0, 0.0]
-        dqd[3, 3] = 1.0
-        drhs = np.zeros((4, 6))
-        drhs[:, :4] = dkkt[:, :4, :4] @ qd_minus + dqd @ kkt[:4, :4]  # M symmetric
-        dsol = np.linalg.solve(kkt, (drhs - dkkt @ sol).T)
-        jac = np.eye(4)
-        jac[2:] = dsol[2:4]
-        return jac
+        """Jacobian of ``jump_map`` at x, one complex step per state entry."""
+        return np.column_stack([complex_step(jump_map, x, e) for e in np.eye(4)])
 
     def flip_map(x):
         x = np.asarray(x, dtype=float)

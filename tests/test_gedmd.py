@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from koopbilevel import (
     fit_generator,
     get_dictionary,
     identify,
-    linearize,
     prediction_error,
     sample_states,
     simulate,
@@ -71,8 +71,8 @@ class TestAssembleData:
         d = get_dictionary("pendulum12", 2)
         X = sample_states(pendulum.state_box, 60, seed=3)
         _, (d0, d1) = assemble_data(pendulum, d, X)
-        grads = d.grad(X)  # (n_s, n_z, n_x); G = [0, 1]^T
-        assert np.max(np.abs((d1 - d0) - grads[:, :, 1].T)) <= 1e-12
+        column = d.derivative(X, [0.0, 1.0])  # along G = [0, 1]^T
+        assert np.max(np.abs((d1 - d0) - column.T)) <= 1e-12
 
     def test_finite_difference_directional_oracle(self, pendulum):
         d = get_dictionary("pendulum12", 2)
@@ -84,14 +84,30 @@ class TestAssembleData:
         assert np.max(np.abs(dPsi - fd)) <= 1e-6
 
     def test_nonfinite_lift_reports_sample_index(self, oscillator):
+        # 2000**99 overflows, at the largest power a monomial accepts
         overflow = ObservableDictionary(
             n_x=2,
-            terms=(Monomial((1, 0)), Monomial((0, 1)), Monomial((1200, 0))),
+            terms=(Monomial((1, 0)), Monomial((0, 1)), Monomial((99, 0))),
         )
-        box = np.array([[2.0, 3.0], [0.0, 1.0]])
+        box = np.array([[2000.0, 3000.0], [0.0, 1.0]])
         samples = sample_states(box, 5, seed=5)
         with pytest.raises(DataError, match="sample 0"):
             assemble_data(oscillator, overflow, samples)
+
+    def test_peak_memory_is_below_four_lifts_on_walker_data(self, walker):
+        # Psi and one dPsi per channel are three (n_s, n_z) arrays; the
+        # complex-step temporaries, taken block by block, stay below a
+        # fourth. All samples in one block peak near twelve.
+        d = get_dictionary("compass_gait29", 4)
+        n_s = 45000  # the walker bundle's sample count
+        X = sample_states(walker.state_box, n_s, seed=20)
+        tracemalloc.start()
+        try:
+            assemble_data(walker, d, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n_s * d.n_z * 8
 
 
 class TestFitGenerator:
@@ -145,7 +161,7 @@ class TestIdentify:
         assert np.max(np.abs(model.L0[:, 2])) <= 1e-10  # no constant drift
         d = model.dictionary
         for x in ([0.0, 0.0], [0.7, -0.3]):
-            _, B_lin = linearize(model, d.eval(np.asarray(x)))
+            B_lin = model.surrogate.input_map(d.eval(np.asarray(x)))
             assert np.max(np.abs(B_lin[:2] - B)) <= 1e-10
 
     def test_predicted_flow_matches_matrix_exponential(self, oscillator,
@@ -177,7 +193,7 @@ class TestIdentify:
 
     def test_matches_per_channel_oracle_bitwise(self, pendulum):
         # lift, differentiate and decompose the samples once per channel,
-        # term by term, as identification did before sharing them
+        # all samples at once, as identification did before sharing them
         d = get_dictionary("pendulum12", 2)
         model = identify(pendulum, d, n_s=500, seed=13, box=pendulum.state_box)
         X = sample_states(model.box, model.n_s, model.seed)
@@ -185,8 +201,7 @@ class TestIdentify:
             u = np.zeros(pendulum.n_u)
             u[i - 1] = float(i > 0)
             Psi = np.stack([t.value(X) for t in d.terms], -1).T
-            dPsi = np.einsum(
-                "szx,sx->sz", d.grad(X), eval_rhs(pendulum, X, u)).T
+            dPsi = d.derivative(X, eval_rhs(pendulum, X, u)).T
             pinv, rank = pinv_svd(Psi, rel_tol=model.svd_tol)
             L_oracle = dPsi @ pinv
             resid = float(np.linalg.norm(L_oracle @ Psi - dPsi)
@@ -195,34 +210,21 @@ class TestIdentify:
             assert model.residuals[i] == resid
             assert model.ranks[i] == rank
 
-    def test_builds_no_gradient_tensor(self, pendulum, monkeypatch):
-        # Lie derivatives are contracted term by term; the dictionary's
-        # stacked (n_s, n_z, n_x) gradient is never asked for
-        def refuse(self, x):
-            raise AssertionError("ObservableDictionary.grad called")
-
-        monkeypatch.setattr(ObservableDictionary, "grad", refuse)
-        d = get_dictionary("pendulum12", 2)
-        model = identify(pendulum, d, n_s=500, seed=13, box=pendulum.state_box)
-        assert model.n_z == 12 and not model.rank_deficient
-
 
 class TestLinearize:
+    """The lower level linearizes the surrogate at a lifted point z_bar:
+    A = L0, and B is the surrogate's input map at z_bar."""
+
     def test_zero_point_gives_zero_input_matrix(self, oscillator_model):
-        A, B = linearize(oscillator_model, np.zeros(3))
-        assert A is oscillator_model.L0
+        B = oscillator_model.surrogate.input_map(np.zeros(3))
         assert np.array_equal(B, np.zeros((3, 1)))
 
     def test_linearity_in_reference_point(self, pendulum_model):
         rng = np.random.default_rng(14)
         z = rng.normal(size=pendulum_model.n_z)
-        _, B1 = linearize(pendulum_model, z)
-        _, B2 = linearize(pendulum_model, 2.5 * z)
+        B1 = pendulum_model.surrogate.input_map(z)
+        B2 = pendulum_model.surrogate.input_map(2.5 * z)
         assert np.max(np.abs(B2 - 2.5 * B1)) <= 1e-12
-
-    def test_dimension_check(self, pendulum_model):
-        with pytest.raises(ConfigError):
-            linearize(pendulum_model, np.zeros(3))
 
 
 @pytest.fixture(scope="module")
@@ -246,7 +248,6 @@ class TestSurrogate:
         for z, G in zip(Z, batch):
             assert np.array_equal(model.surrogate.input_map(z), columns(z))
             assert np.array_equal(G, columns(z))
-            assert np.array_equal(linearize(model, z)[1], columns(z))
 
     def test_right_hand_side_is_the_bilinear_model(self, pendulum_model):
         model = pendulum_model
@@ -310,8 +311,8 @@ def test_constant_term_required_for_constant_input_maps():
     with_const = identify(sys_lin, get_dictionary("linear_const", 2), n_s=400,
                           seed=16, box=sys_lin.state_box)
     z_bar = with_const.dictionary.eval(np.array([0.2, 0.1]))
-    B_const = linearize(with_const, z_bar)[1][:2]
+    B_const = with_const.surrogate.input_map(z_bar)[:2]
     assert np.max(np.abs(B_const - sys_lin.params["B"])) <= 1e-10
     # identity-dictionary fit has tiny induced B: both channels see ~A psi
-    _, B_ident = linearize(ident, np.array([0.2, 0.1]))
+    B_ident = ident.surrogate.input_map(np.array([0.2, 0.1]))
     assert np.max(np.abs(B_ident)) <= 0.2  # cannot encode the constant column

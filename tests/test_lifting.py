@@ -11,7 +11,7 @@ from koopbilevel import (
     manifold_defect,
     unlift,
 )
-from koopbilevel.lifting import Monomial, Product, Trig, term_from_config
+from koopbilevel.lifting import Monomial, Product, term_from_config
 
 
 def fd_gradient(dictionary, x, h=1e-5):
@@ -28,7 +28,7 @@ class TestLiftUnlift:
         d = get_dictionary("identity", 3)
         x = np.array([0.2, -1.0, 0.5])
         assert np.array_equal(lift(d, x), x)
-        assert np.array_equal(d.grad(x), np.eye(3))
+        assert np.array_equal(d.derivative(x, np.eye(3)), np.eye(3))
 
     def test_pendulum_dictionary_at_origin(self):
         d = get_dictionary("pendulum12", 2)
@@ -55,10 +55,15 @@ class TestLiftUnlift:
         assert np.array_equal(unlift(d, np.zeros(3)), np.zeros(2))
 
 
+def jacobian(dictionary, x):
+    """(n_z, n_x) Jacobian of the lift at x, one derivative per state entry."""
+    return dictionary.derivative(x, np.eye(x.size)).T
+
+
 class TestGradients:
     def test_sin_row_at_zero(self):
         d = get_dictionary("pendulum12", 2)
-        G = d.grad(np.array([0.0, 0.7]))
+        G = jacobian(d, np.array([0.0, 0.7]))
         assert np.allclose(G[2], [1.0, 0.0], atol=1e-15)  # d sin(x1) at x1=0
 
     @pytest.mark.parametrize("name,n_x,scale", [
@@ -70,9 +75,47 @@ class TestGradients:
         rng = np.random.default_rng(14)
         for _ in range(100):
             x = rng.uniform(-scale, scale, size=n_x)
-            G = d.grad(x)
+            G = jacobian(d, x)
             err = np.max(np.abs(G - fd_gradient(d, x)))
             assert err <= 1e-6 * (1.0 + np.max(np.abs(G)))
+
+    @pytest.mark.parametrize("name,n_x", [
+        ("identity", 3),
+        ("linear_const", 2),
+        ("pendulum12", 2),
+        ("compass_gait29", 4),
+    ])
+    def test_derivative_matches_central_differences(self, name, n_x):
+        # every state negative, then mixed signs; three directions per point
+        # along a leading axis, as the gEDMD and boundary tangents batch them
+        d = get_dictionary(name, n_x)
+        rng = np.random.default_rng(22)
+        X = np.vstack([-rng.uniform(0.1, 1.5, size=(4, n_x)),
+                       rng.uniform(-1.5, 1.5, size=(4, n_x))])
+        V = rng.normal(size=(3,) + X.shape)
+        D = d.derivative(X, V)
+        assert D.shape == (3, 8, d.n_z) and D.dtype == float
+        h = 1e-5
+        fd = (d.eval(X + h * V) - d.eval(X - h * V)) / (2 * h)
+        assert np.max(np.abs(D - fd)) <= 1e-8 * (1.0 + np.max(np.abs(D)))
+        for k in range(3):
+            for s in range(8):
+                one = d.derivative(X[s : s + 1], V[k, s : s + 1])
+                assert np.array_equal(one[0], D[k, s])
+
+    def test_power_below_the_cap_is_exact_at_negative_states(self):
+        # numpy takes (-0.5 + ih)**99 by repeated multiplication
+        d = ObservableDictionary(n_x=1, terms=(Monomial((1,)), Monomial((99,))))
+        got = d.derivative(np.array([-0.5]), np.ones(1))[1]
+        want = 99 * 0.5**98
+        assert abs(got - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("power", [100, -100, 1200])
+    def test_power_of_100_or_more_is_rejected(self, power):
+        with pytest.raises(ConfigError, match="magnitude below 100"):
+            Monomial((1, power))
+        with pytest.raises(ConfigError):
+            term_from_config({"kind": "monomial", "powers": [power, 0]})
 
 
 def term_oracle(dictionary, X):
@@ -95,38 +138,6 @@ class TestCompiledEval:
             assert got.shape == want.shape == shape[:-1] + (d.n_z,)
             assert np.array_equal(got, want)
             assert got.flags.c_contiguous
-
-    @pytest.mark.parametrize("name,n_x", [
-        ("identity", 3),
-        ("linear_const", 2),
-        ("pendulum12", 2),
-        ("compass_gait29", 4),
-    ])
-    def test_grad_matches_term_grads_bitwise(self, name, n_x, monkeypatch):
-        # each distinct term's gradient once, products by the product rule
-        # over the cached factor columns, in Product.grad's order
-        d = get_dictionary(name, n_x)
-        rng = np.random.default_rng(21)
-        for shape in [(n_x,), (2, n_x), (52, n_x), (3, 4, n_x)]:
-            X = rng.uniform(-2.0, 2.0, size=shape)
-            got = d.grad(X)
-            want = np.stack([t.grad(X) for t in d.terms], axis=-2)
-            assert got.shape == shape[:-1] + (d.n_z, n_x)
-            assert np.array_equal(got, want)
-            assert got.flags.c_contiguous
-        calls = []
-
-        def counting(original):
-            def grad(term, X):
-                calls.append(term)
-                return original(term, X)
-            return grad
-
-        for cls in (Monomial, Trig):
-            monkeypatch.setattr(cls, "grad", counting(cls.grad))
-        monkeypatch.setattr(Product, "grad", None)  # never called
-        d.grad(X)
-        assert len(calls) == len(set(calls))
 
     def test_nested_config_dictionary_matches_term_oracle(self):
         d = ObservableDictionary.from_config({"n_x": 3, "terms": [
@@ -212,7 +223,8 @@ class TestSerialization:
         rng = np.random.default_rng(16)
         X = rng.normal(size=(20, 4))
         assert np.array_equal(d.eval(X), d2.eval(X))
-        assert np.array_equal(d.grad(X), d2.grad(X))
+        V = rng.normal(size=(4, 20, 4))
+        assert np.array_equal(d.derivative(X, V), d2.derivative(X, V))
 
     def test_term_descriptors(self):
         t = term_from_config({"kind": "product", "factors": [

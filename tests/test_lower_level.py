@@ -17,7 +17,7 @@ from koopbilevel import (
     solve_lower,
 )
 from koopbilevel import cli, config, lower_level, make_walker_gait, upper_level
-from koopbilevel.gedmd import GeneratorModel, linearize
+from koopbilevel.gedmd import GeneratorModel
 from koopbilevel.numerics import eigenmodes, solve_kkt
 
 TWO_PI = 2.0 * np.pi
@@ -158,7 +158,8 @@ class TestSolveLower:
     def test_dynamics_defects(self, pendulum_model, zoh_oracle):
         problem = make_problem(pendulum_model, "b0", [0.7, 0], [0.7, 0], 6.5, 30)
         sol = solve_lower(problem)
-        Ad, Bd = zoh_oracle(*linearize(pendulum_model, problem.psi0), 6.5 / 30)
+        B = pendulum_model.surrogate.input_map(problem.psi0)
+        Ad, Bd = zoh_oracle(pendulum_model.L0, B, 6.5 / 30)
         for k in range(30):
             defect = sol.z_traj[k + 1] - Ad @ sol.z_traj[k] - Bd @ sol.u_traj[k]
             assert np.linalg.norm(defect) <= 1e-9 * (1 + np.linalg.norm(sol.z_traj[k]))
@@ -227,7 +228,7 @@ class TestSolveLower:
 
             variant = problem.variant
             z_bar = choose_linearization_point(variant, lift(d, x0), lift(d, xT))
-            Ad, Bd = zoh_oracle(*linearize(model, z_bar), T / N)
+            Ad, Bd = zoh_oracle(model.L0, model.surrogate.input_map(z_bar), T / N)
             nv = (N + 1) * n_z + N * n_u
             h = T / N
 

@@ -12,18 +12,18 @@ from koopbilevel import (
     LowerLevelProblem,
     NumericError,
     build_qp,
+    complex_step,
     get_dictionary,
     solve_lower,
     eigenmodes,
-    pearson,
     pinv_svd,
     qp_sensitivity,
-    resample_common_grid,
     solve_kkt,
     zoh_discretize,
 )
+from koopbilevel.artifacts import trajectory_pcc
 from koopbilevel.gedmd import GeneratorModel
-from koopbilevel.numerics import mean_pearson
+from koopbilevel.numerics import _TIKHONOV
 from koopbilevel.systems import simulate
 
 
@@ -47,6 +47,22 @@ def modal_zoh(A, B, h):
     lam, V, Vinv = eigenmodes(A)
     e, q = zoh_discretize(lam, h)
     return ((V * e) @ Vinv).real, ((V * q) @ Vinv).real @ np.asarray(B, dtype=float)
+
+
+class TestComplexStep:
+    def test_matches_the_analytic_derivative_at_negative_points(self):
+        # f' = 3x^2 sin x + x^3 cos x; no difference of nearby values cancels
+        x = np.array([-1.3, -0.2, 0.7])
+        got = complex_step(lambda z: z**3 * np.sin(z), x, np.ones(3))
+        want = 3 * x**2 * np.sin(x) + x**3 * np.cos(x)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+
+    def test_leading_axis_of_directions(self):
+        A = np.random.default_rng(3).normal(size=(3, 3))
+        x = np.array([0.5, -1.0, 2.0])
+        # the Jacobian of x -> A x, one direction per row of the identity
+        J = complex_step(lambda z: z @ A.T, x, np.eye(3))
+        assert np.array_equal(J.T, A)
 
 
 class TestExpm:
@@ -154,6 +170,11 @@ class TestPinvSvd:
         assert P[1, 1] == 0.0
 
 
+def tikhonov(H):
+    """The diagonal shift solve_kkt adds to H."""
+    return _TIKHONOV * np.trace(H) / H.shape[0]
+
+
 def nullspace_elimination_oracle(H, g, A, b, reg):
     """Solve the EQP by eliminating constraints with a QR of A^T."""
     n = H.shape[0]
@@ -188,7 +209,7 @@ class TestSolveKkt:
             A = rng.normal(size=(3, 10))
             b = rng.normal(size=3)
             res = solve_kkt(H, g, A, b)
-            oracle = nullspace_elimination_oracle(H, g, A, b, res.reg)
+            oracle = nullspace_elimination_oracle(H, g, A, b, tikhonov(H))
             assert np.max(np.abs(res.primal - oracle)) <= 1e-9
             assert res.stationarity_residual <= 1e-9 * (1 + np.linalg.norm(g))
             assert res.feasibility_residual <= 1e-9 * (1 + np.linalg.norm(b))
@@ -201,7 +222,7 @@ class TestSolveKkt:
         A = rng.normal(size=(2, 6))
         b = rng.normal(size=2)
         res = solve_kkt(H, g, A, b)
-        Hr = H + res.reg * np.eye(6)
+        Hr = H + tikhonov(H) * np.eye(6)
         stat = np.linalg.norm(Hr @ res.primal + g + A.T @ res.dual)
         feas = np.linalg.norm(A @ res.primal - b)
         assert abs(stat - res.stationarity_residual) <= 1e-12
@@ -217,7 +238,7 @@ class TestSolveKkt:
         res = solve_kkt(H, g, A, b)
 
         def obj(v):
-            return 0.5 * v @ (H + res.reg * np.eye(8)) @ v + g @ v
+            return 0.5 * v @ (H + tikhonov(H) * np.eye(8)) @ v + g @ v
 
         Q, _ = np.linalg.qr(A.T, mode="complete")
         Z = Q[:, 3:]
@@ -296,7 +317,7 @@ class TestSolveKkt:
         res = solve_kkt(qp.H, qp.g, qp.Aeq, qp.beq)
         n, m = qp.H.shape[0], qp.Aeq.shape[0]
         kkt = np.zeros((n + m, n + m))
-        kkt[:n, :n] = qp.H + res.reg * np.eye(n)
+        kkt[:n, :n] = qp.H + tikhonov(qp.H) * np.eye(n)
         kkt[:n, n:] = qp.Aeq.T
         kkt[n:, :n] = qp.Aeq
         lu, _ = scipy.linalg.lu_factor(kkt)
@@ -332,11 +353,11 @@ class TestSolveKkt:
                 reduced = np.linalg.eigvalsh(Z.T @ H @ Z)
                 hypothesis.assume(reduced[0] >= 1e-3 * np.linalg.norm(H, 2))
             res = solve_kkt(H, g, A, b)
-            Hr = H + res.reg * np.eye(n)
+            Hr = H + tikhonov(H) * np.eye(n)
             assert res.stationarity_residual <= 1e-9 * (
                 1 + np.linalg.norm(g) + np.linalg.norm(Hr @ res.primal))
             assert res.feasibility_residual <= 1e-9 * (1 + np.linalg.norm(b))
-            oracle = nullspace_elimination_oracle(H, g, A, b, res.reg)
+            oracle = nullspace_elimination_oracle(H, g, A, b, tikhonov(H))
             assert np.max(np.abs(res.primal - oracle)) <= 1e-8 * (
                 1 + np.max(np.abs(oracle)))
 
@@ -344,52 +365,63 @@ class TestSolveKkt:
 
 
 class TestPearson:
+    """``artifacts.trajectory_pcc``: Pearson correlation per state
+    dimension on a shared normalized-time grid, averaged."""
+
     def test_self_correlation(self):
+        t = np.linspace(0.0, 1.0, 4)
         x = np.array([0.3, 1.7, -2.2, 0.4])
-        assert abs(pearson(x, x) - 1.0) <= 1e-12
+        assert abs(trajectory_pcc(t, x, t, x) - 1.0) <= 1e-12
 
     def test_negation(self):
+        t = np.linspace(0.0, 1.0, 4)
         x = np.array([0.3, 1.7, -2.2, 0.4])
-        assert abs(pearson(x, -x) + 1.0) <= 1e-12
+        assert abs(trajectory_pcc(t, x, t, -x) + 1.0) <= 1e-12
 
     def test_hand_computed_value(self):
-        # centered-product formula, cross-checked against np.corrcoef
-        a, b = [1.0, 2.0, 3.0], [2.0, 4.0, 7.0]
-        val = pearson(a, b)
-        assert abs(val - 0.9933992677987828) <= 1e-15
-        assert abs(val - np.corrcoef(a, b)[0, 1]) <= 1e-14
+        # sampled on the comparison grid itself, so resampling keeps the
+        # values: the centered-product formula, cross-checked against
+        # np.corrcoef, and each column's value averaged
+        rng = np.random.default_rng(9)
+        t = np.linspace(0.0, 3.0, 101)
+        a, b = rng.normal(size=(2, 101))
+        want = np.corrcoef(a, b)[0, 1]
+        assert abs(trajectory_pcc(t, a, t, b) - want) <= 1e-14
+        both = trajectory_pcc(t, np.column_stack([a, a]), t, np.column_stack([b, a]))
+        assert abs(both - 0.5 * (want + 1.0)) <= 1e-14
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(8)
+        t = np.linspace(0.0, 2.0, 40)
         a = rng.normal(size=40)
         b = rng.normal(size=40)
-        r = pearson(a, b)
-        assert abs(pearson(2.5 * a + 1.0, b) - r) <= 1e-12
-        assert abs(pearson(a, 0.3 * b - 7.0) - r) <= 1e-12
+        r = trajectory_pcc(t, a, t, b)
+        assert abs(trajectory_pcc(t, 2.5 * a + 1.0, t, b) - r) <= 1e-12
+        assert abs(trajectory_pcc(t, a, t, 0.3 * b - 7.0) - r) <= 1e-12
 
     def test_zero_variance_raises(self):
+        t = np.linspace(0.0, 1.0, 3)
         with pytest.raises(CorrelationError):
-            pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+            trajectory_pcc(t, [1.0, 1.0, 1.0], t, [1.0, 2.0, 3.0])
+
+    def test_zero_duration_raises(self):
+        with pytest.raises(NumericError, match="zero duration"):
+            trajectory_pcc([1.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0])
 
 
 class TestResampling:
     def test_identical_trajectories(self):
         t = np.linspace(0.0, 2.0, 30)
         X = np.column_stack([np.sin(t), np.cos(t)])
-        ga, gb = resample_common_grid((t, X), (t, X), n=50)
-        assert abs(mean_pearson(ga, gb) - 1.0) <= 1e-12
+        assert abs(trajectory_pcc(t, X, t, X) - 1.0) <= 1e-12
 
     def test_time_reversed_monotone(self):
         t = np.linspace(0.0, 1.0, 20)
-        a = (t, t.copy())
-        b = (t, t[::-1].copy())
-        ga, gb = resample_common_grid(a, b, n=40)
-        assert abs(mean_pearson(ga, gb) + 1.0) <= 1e-12
+        assert abs(trajectory_pcc(t, t.copy(), t, t[::-1].copy()) + 1.0) <= 1e-12
 
     def test_different_periods_downsampling(self):
         t_dense = np.linspace(0.0, 2 * np.pi, 400)
         t_coarse = np.linspace(0.0, 4 * np.pi, 51)  # different period, 51 pts
         sig_a = np.sin(t_dense)[:, None]
         sig_b = np.sin(t_coarse / 2.0)[:, None]  # same shape in normalized time
-        ga, gb = resample_common_grid((t_dense, sig_a), (t_coarse, sig_b), n=101)
-        assert mean_pearson(ga, gb) >= 0.9999
+        assert trajectory_pcc(t_dense, sig_a, t_coarse, sig_b) >= 0.9999
