@@ -8,7 +8,7 @@ recomputed exactly from what is on disk.
 Identical runs means the same inputs at the same BLAS thread count: BLAS
 reductions round differently per thread count, so walker with one OpenBLAS
 thread instead of two moves ``model.json``'s ``L0`` by 3.5e-13 relative and
-every artifact differs, though ``T_star`` moves by only 4.7e-8 relative.
+every artifact differs, though ``T_star`` moves by only 1.6e-8 relative.
 """
 
 import hashlib

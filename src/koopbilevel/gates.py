@@ -75,6 +75,8 @@ def _gate_decreasing_envelope(gate, ctx):
 
 def _gate_argmin_period_band(gate, ctx):
     T, c = _sweep_arrays(ctx)
+    if np.isnan(c).all():
+        return False, {"note": "every sweep cost is NaN"}
     i = int(np.nanargmin(c))
     val = float(T[i]) / TWO_PI
     lo, hi = gate["band_periods"]

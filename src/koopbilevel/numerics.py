@@ -6,10 +6,12 @@ equality-constrained QP solves via the KKT saddle system with their
 sensitivities to the QP data.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.exceptions import ComplexWarning
 
 from .errors import DegenerateQpError, NumericError
 
@@ -36,10 +38,20 @@ def complex_step(f, x, v):
     *Using complex variables to estimate derivatives of real functions*, SIAM
     Review 1998): there is no difference to cancel, so the step ``h`` can be
     2^-100. ``v`` may carry leading axes of directions, one derivative per
-    direction, as far as f broadcasts over them.
+    direction, as far as f broadcasts over them. A ``ComplexWarning`` inside
+    f or a real result, either of which would read as a zero derivative,
+    raises ``NumericError``.
     """
     x = np.asarray(x, dtype=float)
-    return np.imag(f(x + 1j * (_CS_STEP * np.asarray(v, dtype=float)))) / _CS_STEP
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ComplexWarning)
+        try:
+            fz = f(x + 1j * (_CS_STEP * np.asarray(v, dtype=float)))
+        except ComplexWarning as exc:
+            raise NumericError(f"f dropped the imaginary part of its input: {exc}") from exc
+    if not np.iscomplexobj(fz):
+        raise NumericError(f"complex step needs complex f, got {np.asarray(fz).dtype}")
+    return np.imag(fz) / _CS_STEP
 
 
 # largest accepted cond(V): a modal result carries about cond(V) times the

@@ -3,9 +3,8 @@
 All drift and input maps broadcast over leading batch axes so that sampling,
 integration, and data assembly can run vectorized. Hybrid systems (the
 compass-gait walker) carry their reset machinery in :class:`HybridExtras`;
-resets are only ever applied at trajectory endpoints. The walker's impact map
-also runs in complex arithmetic, so its Jacobian is a complex step of the map
-(``numerics.complex_step``), not a hand-differentiated copy.
+resets are only ever applied at trajectory endpoints. They also run in complex
+arithmetic, so a boundary reduction built from them has a complex step.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +13,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DomainEvaluationError, IntegrationError
-from .numerics import complex_step
 
 __all__ = [
     "ControlAffineSystem",
@@ -33,17 +31,14 @@ class HybridExtras:
     """Reset machinery for systems with an endpoint impact.
 
     ``jump_map`` resets velocities at impact (generalized positions are
-    preserved), and ``jump_jacobian`` is its Jacobian in the state, the
-    complex step of ``jump_map`` along each state entry;
-    ``flip_map`` relabels the legs and is an involution. Where
-    the impact happens is not part of the system: the walker's gait
-    constraint pins th_st + th_sw = 0 at the endpoint, which puts both feet
-    on the ground.
+    preserved), and ``flip_map`` relabels the legs and is an involution;
+    both keep a complex state complex. Where the impact happens is not part
+    of the system: the walker's gait constraint pins th_st + th_sw = 0 at
+    the endpoint, which puts both feet on the ground.
     """
 
     jump_map: Callable[[np.ndarray], np.ndarray]
     flip_map: Callable[[np.ndarray], np.ndarray]
-    jump_jacobian: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -300,16 +295,12 @@ def make_compass_gait(hip_mass=2.0, leg_mass=1.0, leg_length=1.0, com_from_hip=0
         qd_plus = np.linalg.solve(kkt, rhs)[:4]
         return np.array([x[0], x[1], qd_plus[2], qd_plus[3]])
 
-    def jump_jacobian(x):
-        """Jacobian of ``jump_map`` at x, one complex step per state entry."""
-        return np.column_stack([complex_step(jump_map, x, e) for e in np.eye(4)])
-
     def flip_map(x):
-        x = np.asarray(x, dtype=float)
-        return x[..., [1, 0, 3, 2]]
+        return np.asarray(x)[..., [1, 0, 3, 2]]
 
     def kinetic_energy(x):
-        """Total kinetic energy about the stance pivot (used by energy audits)."""
+        """Total kinetic energy about the stance pivot. No pipeline stage reads
+        it; the impact-dissipation test of ``tests/test_dynamics.py`` does."""
         th_st, th_sw, w_st, w_sw = np.asarray(x, dtype=float)
         M = _floating_mass_matrix(th_st, th_sw)
         qd = np.array(
@@ -320,8 +311,7 @@ def make_compass_gait(hip_mass=2.0, leg_mass=1.0, leg_length=1.0, com_from_hip=0
     box = np.array(
         [[-0.35, 0.35], [-0.35, 0.35], [-1.5, 1.5], [-1.5, 1.5]]
     )
-    extras = HybridExtras(jump_map=jump_map, flip_map=flip_map,
-                          jump_jacobian=jump_jacobian)
+    extras = HybridExtras(jump_map=jump_map, flip_map=flip_map)
     return ControlAffineSystem(
         name="compass_gait",
         n_x=4,

@@ -4,15 +4,15 @@ The upper problem minimizes the original running cost, evaluated by solving
 the convex lower level, over (x0, xT, T) subject to the mixed boundary
 constraints b(x0, xT, T) = 0. Each constraint preset parametrizes the
 solution set of b = 0 explicitly, p -> (x0, xT, T) with the period T as p's
-first entry, and supplies that map's Jacobian, so the upper level is a
-search over a low-dimensional box of p. ``solve_reduced`` runs DIRECT
+first entry, so the upper level is a search over a
+low-dimensional box of p. ``solve_reduced`` runs DIRECT
 (Jones, Perttunen & Stuckman, *Lipschitzian optimization without the
 Lipschitz constant*, 1993, in the locally biased form of Gablonsky & Kelley,
 2001) over that box and polishes its best point with bounded L-BFGS-B. The
 landscape over T has several local minima, one basin per added period, so a
 local method alone is not enough. The polish reads the exact gradient of the
 upper cost: the lower level's cost gradient in (x0, xT, T), from its KKT
-solution, times the reduction's Jacobian.
+solution, times the reduction's Jacobian, its complex step.
 """
 
 from collections import Counter
@@ -30,6 +30,7 @@ from .errors import (
 )
 from .lifting import unlift
 from .lower_level import LowerLevelProblem, solve_lower
+from .numerics import complex_step
 from .systems import step_length
 
 __all__ = [
@@ -47,15 +48,14 @@ __all__ = [
 class MixedBoundaryConstraint:
     """Implicit boundary coupling b(x0, xT, T) = 0, optionally with an
     explicit parametrization of its solution set, ``reduction(p) -> (x0, xT,
-    T)``, and that map's Jacobian: ``reduction_jacobian(p)`` is d(x0, xT,
-    T)/dp, shape (2 n_x + 1, p_dim), rows in that order."""
+    T)``. The reduction must run unchanged on complex p (no ``float`` casts,
+    range checks on ``.real``): ``reduction_jacobian`` is its complex step."""
 
     eval: Callable
     n_g: int
     n_x: int
     name: str = "custom"
     reduction: Optional[Callable] = None
-    reduction_jacobian: Optional[Callable] = None
     # (lo, hi) rows of p after the period, whose row is UpperConfig's bracket;
     # they keep surrogate queries inside the region the model was identified on
     p_bounds: tuple = ()
@@ -67,6 +67,13 @@ class MixedBoundaryConstraint:
     def residual(self, x0, xT, T):
         """b(x0, xT, T) as a 1-D float array."""
         return np.atleast_1d(np.asarray(self.eval(x0, xT, T), dtype=float))
+
+    def reduction_jacobian(self, p):
+        """d(x0, xT, T)/dp, shape (2 n_x + 1, p_dim), rows in that order: one
+        complex step of the reduction per entry of p."""
+        p = np.asarray(p, dtype=float)
+        return np.column_stack([complex_step(lambda q: np.hstack(self.reduction(q)), p, e)
+                                for e in np.eye(p.size)])
 
 
 _DIRECT_MAXFUN = 200  # evaluation budget of the DIRECT stage of solve_reduced
@@ -158,9 +165,6 @@ def solve_reduced(model, variant, mbc, config, N):
     """
     if mbc.reduction is None:
         raise ConfigError(f"constraint '{mbc.name}' provides no reduction")
-    if mbc.reduction_jacobian is None:
-        raise ConfigError(
-            f"constraint '{mbc.name}' provides no Jacobian of its reduction")
     box = np.array([(config.T_min, config.T_max), *mbc.p_bounds], dtype=float)
     memo = {}  # p.tobytes() -> (cost, failure type or None, gradient or None)
     cheapest = [None, None]  # key and lower solution of the cheapest point so far
@@ -286,13 +290,10 @@ def make_periodic_amplitude_anchor(amplitude):
         return np.concatenate([xT - x0, x0 - anchor])
 
     def reduction(p):
-        T = float(np.asarray(p).ravel()[0])
-        if T <= 0:
-            raise LowerLevelError(f"period must be positive, got T={T:.3g}")
+        T = np.asarray(p).ravel()[0]
+        if T.real <= 0:
+            raise LowerLevelError(f"period must be positive, got T={T.real:.3g}")
         return anchor.copy(), anchor.copy(), T
-
-    def reduction_jacobian(p):
-        return np.eye(5)[:, 4:]  # only T moves
 
     return MixedBoundaryConstraint(
         eval=b,
@@ -300,7 +301,6 @@ def make_periodic_amplitude_anchor(amplitude):
         n_x=2,
         name=f"periodic_amplitude_anchor(a={a:g})",
         reduction=reduction,
-        reduction_jacobian=reduction_jacobian,
     )
 
 
@@ -336,27 +336,18 @@ def make_walker_gait(system, v_avg, rate_bound):
         ])
 
     def reduction(p):
-        p = np.asarray(p, dtype=float).ravel()
-        T = float(p[0])
-        if T <= 0:
-            raise LowerLevelError(f"period must be positive, got T={T:.3g}")
+        p = np.asarray(p).ravel()
+        T = p[0]
+        if T.real <= 0:
+            raise LowerLevelError(f"period must be positive, got T={T.real:.3g}")
         arg = v_avg * T / (2.0 * ell)
-        if not -1.0 < arg < 1.0:
+        if not -1.0 < arg.real < 1.0:
             raise LowerLevelError(
-                f"step geometry infeasible: v_avg*T/(2l) = {arg:.3g}"
+                f"step geometry infeasible: v_avg*T/(2l) = {arg.real:.3g}"
             )
-        alpha = float(np.arcsin(arg))
+        alpha = np.arcsin(arg)
         xT = np.array([-alpha, alpha, p[1], p[2]])
         return reset(xT), xT, T
-
-    def reduction_jacobian(p):
-        _, xT, _ = reduction(p)
-        dalpha = v_avg / (2.0 * ell * np.cos(xT[1]))  # d arcsin(v_avg T/(2l))/dT
-        dxT = np.zeros((4, 3))
-        dxT[:2, 0] = -dalpha, dalpha
-        dxT[2:, 1:] = np.eye(2)
-        dx0 = extras.flip_map((extras.jump_jacobian(xT) @ dxT).T).T
-        return np.vstack([dx0, dxT, [1.0, 0.0, 0.0]])
 
     return MixedBoundaryConstraint(
         eval=b,
@@ -364,6 +355,5 @@ def make_walker_gait(system, v_avg, rate_bound):
         n_x=4,
         name=f"walker_gait(v_avg={v_avg:g})",
         reduction=reduction,
-        reduction_jacobian=reduction_jacobian,
         p_bounds=((-rb, rb), (-rb, rb)),
     )

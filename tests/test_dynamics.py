@@ -185,17 +185,6 @@ class TestWalkerHybrid:
             x = np.array([-alpha, alpha, *rng.uniform(-0.8, 0.8, 2)])
             assert np.max(np.abs(walker.hybrid.jump_map(x)[:2] - x[:2])) <= 1e-14
 
-    def test_jump_jacobian_matches_central_differences(self, walker):
-        rng = np.random.default_rng(13)
-        step = 1e-6
-        for _ in range(20):
-            x = rng.uniform(-0.3, 0.3, 4)
-            fd = np.column_stack([
-                (walker.hybrid.jump_map(x + e) - walker.hybrid.jump_map(x - e))
-                / (2 * step) for e in step * np.eye(4)
-            ])
-            assert np.max(np.abs(walker.hybrid.jump_jacobian(x) - fd)) <= 1e-8
-
     def test_impact_dissipates_kinetic_energy(self, walker):
         ke = walker.params["kinetic_energy"]
         rng = np.random.default_rng(12)

@@ -109,6 +109,14 @@ def test_walker_accuracy_detail_says_the_baseline_did_not_converge():
     assert results[0]["detail"]["pcc_state"] == 0.99
 
 
+def test_argmin_period_band_fails_on_an_all_nan_sweep():
+    gate = {"kind": "argmin_period_band", "band_periods": [1.9, 2.1]}
+    rows = [dict(r, c_star=np.nan) for r in SWEEP]
+    results, passed = evaluate_gates([gate], dict(CTX, sweep_rows=rows))
+    assert not results[0]["passed"] and not passed
+    assert "note" in results[0]["detail"]
+
+
 def test_unknown_kind_is_a_config_error():
     with pytest.raises(ConfigError, match="unknown gate kind 'no_such_kind'"):
         evaluate_gates([{"kind": "no_such_kind"}], CTX)

@@ -64,6 +64,11 @@ class TestComplexStep:
         J = complex_step(lambda z: z @ A.T, x, np.eye(3))
         assert np.array_equal(J.T, A)
 
+    def test_real_result_raises(self):
+        # a zero derivative from a result that lost its imaginary part
+        with pytest.raises(NumericError, match="complex f"):
+            complex_step(lambda z: np.abs(z) ** 2, np.array([0.5]), np.ones(1))
+
 
 class TestExpm:
     """The exponential that ``eigenmodes`` gives every function of a matrix."""

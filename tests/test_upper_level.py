@@ -14,7 +14,7 @@ from koopbilevel import (
     sweep_period,
 )
 from koopbilevel import upper_level
-from koopbilevel.errors import LowerLevelError
+from koopbilevel.errors import LowerLevelError, NumericError
 
 TWO_PI = 2.0 * np.pi
 A_30 = np.deg2rad(30.0)
@@ -184,13 +184,45 @@ class TestSolveReduced:
             solve_reduced(oscillator_model, BoundaryVariant("b0"), mbc,
                           osc_config, 20)
 
-    def test_requires_reduction_jacobian(self, oscillator_model, osc_config):
+    def test_custom_reduction_needs_no_jacobian(self, oscillator_model):
+        # p = (T, amplitude): a constraint given only as eval and reduction;
+        # the polish's gradient is the complex step of that reduction
+        def reduction(p):
+            anchor = np.array([p[1], 0.0])
+            return anchor, anchor.copy(), p[0]
+
+        mbc = MixedBoundaryConstraint(
+            eval=lambda x0, xT, T: np.concatenate([xT - x0, [x0[1]]]),
+            n_g=3, n_x=2, reduction=reduction, p_bounds=((0.4, 0.6),),
+        )
+        cfg = UpperConfig(T_min=0.9 * TWO_PI, T_max=1.1 * TWO_PI)
+        sol = solve_reduced(oscillator_model, BoundaryVariant("b0"), mbc, cfg, 101)
+        _, polish = sol.start_records
+        # the cost grows with the amplitude, so the polish ends on its floor
+        assert {"index": 1, "side": "lower", "value": 0.4} in polish["active_bounds"]
+        assert sol.constraint_violation <= 1e-12
+
+        def cost(q):
+            return upper_level._lower_eval(
+                oscillator_model, BoundaryVariant("b0"), mbc, q, 101)[0]
+
+        for p in (np.asarray(polish["p_star"]), np.array([6.0, 0.5])):
+            _, lower, _ = upper_level._lower_eval(
+                oscillator_model, BoundaryVariant("b0"), mbc, p, 101)
+            got = lower.cost_gradient(mbc.reduction_jacobian(p))
+            step = 1e-6
+            want = np.array([(cost(p + e) - cost(p - e)) / (2 * step)
+                             for e in step * np.eye(2)])
+            assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+    def test_reduction_that_drops_the_imaginary_part_raises(self):
         base = make_periodic_amplitude_anchor(A_30)
         mbc = MixedBoundaryConstraint(
-            eval=base.eval, n_g=4, n_x=2, reduction=base.reduction)
-        with pytest.raises(ConfigError, match="Jacobian"):
-            solve_reduced(oscillator_model, BoundaryVariant("b0"), mbc,
-                          osc_config, 20)
+            eval=base.eval, n_g=4, n_x=2,
+            reduction=lambda p: (*base.reduction(p)[:2], float(p[0])),
+        )
+        with pytest.raises(NumericError, match="imaginary part"):
+            mbc.reduction_jacobian([TWO_PI])
 
     def test_polish_objective_is_only_called_for_value_and_gradient(
             self, oscillator_model, monkeypatch):
@@ -239,7 +271,6 @@ class TestSolveReduced:
 
         mbc = MixedBoundaryConstraint(
             eval=base.eval, n_g=4, n_x=2, reduction=guarded_reduction,
-            reduction_jacobian=base.reduction_jacobian,
         )
         cfg = UpperConfig(T_min=TWO_PI, T_max=TWO_PI + 0.1)
         sol = solve_reduced(oscillator_model, BoundaryVariant("b0"), mbc, cfg, 101)
