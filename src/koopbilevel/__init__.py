@@ -10,6 +10,7 @@ original dynamics (`baseline_nlp`).
 """
 
 from .errors import (
+    ArtifactError,
     BuildError,
     ConfigError,
     CorrelationError,
@@ -42,14 +43,12 @@ from .gedmd import (
     assemble_data,
     fit_generator,
     identify,
-    prediction_error,
     sample_states,
 )
 from .numerics import (
     KktResult,
     complex_step,
     eigenmodes,
-    pinv_svd,
     qp_sensitivity,
     solve_kkt,
     zoh_discretize,

@@ -7,8 +7,9 @@ recomputed exactly from what is on disk.
 
 Identical runs means the same inputs at the same BLAS thread count: BLAS
 reductions round differently per thread count, so walker with one OpenBLAS
-thread instead of two moves ``model.json``'s ``L0`` by 3.5e-13 relative and
-every artifact differs, though ``T_star`` moves by only 1.6e-8 relative.
+thread instead of two moves ``model.json``'s ``L0`` by 1.3e-13 relative and
+every artifact differs, though ``T_star`` moves by only 4.2e-13 relative
+(pendulum: at most 2.6e-10).
 """
 
 import hashlib
@@ -16,7 +17,7 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError, CorrelationError, NumericError
+from .errors import ArtifactError, ConfigError, CorrelationError, NumericError
 from .lifting import lift
 from .systems import running_cost
 
@@ -51,8 +52,13 @@ def write_json(path, obj):
 
 
 def read_json(path):
+    """The JSON object at ``path``; a file that does not parse raises
+    ``ArtifactError`` naming it."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ArtifactError(f"{path}: not valid JSON: {exc}") from None
 
 
 def sha256_file(path):
@@ -90,12 +96,20 @@ def write_trajectory_csv(path, times, states, inputs):
 
 
 def read_trajectory_csv(path):
-    """Inverse of :func:`write_trajectory_csv`, trimming the repeated input row."""
+    """Inverse of :func:`write_trajectory_csv`, trimming the repeated input
+    row. A file without two rows of one number per header column, the
+    shortest trajectory written, raises ``ArtifactError`` naming it."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        data = np.array(
-            [[float(tok) for tok in line.strip().split(",")] for line in fh]
-        )
+        try:
+            data = np.array(
+                [[float(tok) for tok in line.strip().split(",")] for line in fh]
+            )
+        except ValueError as exc:
+            raise ArtifactError(f"{path}: not a trajectory: {exc}") from None
+    if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] != len(header):
+        raise ArtifactError(f"{path}: not a trajectory: expected at least two "
+                            f"rows of {len(header)} numbers")
     n_x = sum(1 for name in header if name.startswith("x"))
     n_u = sum(1 for name in header if name.startswith("u"))
     times = data[:, 0]

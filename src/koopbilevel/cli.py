@@ -21,8 +21,8 @@ and ``reproduce`` each identify their model from that config; a
 ``model.json`` already in ``--out`` is overwritten, never reused.
 
 Exit codes: 0 success/pass, 1 gate failure or audit mismatch, 2 config
-error or a file that cannot be read or written (such as an artifact missing
-from the directory ``audit`` checks), 3 numerical failure.
+error or a file that cannot be read, parsed or written (such as an artifact
+missing from the directory ``audit`` checks), 3 numerical failure.
 """
 
 import argparse
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import artifacts, config as cfgmod, gates as gatesmod
 from .baseline_nlp import TranscribedNlp, solve_nlp
-from .errors import ConfigError, KoopbilevelError
+from .errors import ArtifactError, ConfigError, KoopbilevelError
 from .gedmd import identify, load_model, save_model
 from .lifting import manifold_defect
 from .systems import running_cost
@@ -292,8 +292,12 @@ def cmd_reproduce(bundle_name, out_dir, seed=None):
 
 def _close(a, b, rtol=1e-9, atol=1e-12):
     # not exact: an audit may run on a machine whose BLAS and libm round
-    # differently from the one that wrote the artifacts (see ``artifacts``)
-    return abs(a - b) <= atol + rtol * max(abs(a), abs(b))
+    # differently from the one that wrote the artifacts (see ``artifacts``);
+    # a reported value that is not a number matches nothing
+    try:
+        return abs(a - b) <= atol + rtol * max(abs(a), abs(b))
+    except TypeError:
+        return False
 
 
 def _mismatches(source, rows):
@@ -307,12 +311,30 @@ def _mismatches(source, rows):
     ]
 
 
+def _is_vector(value, n):
+    """Whether a value read from JSON is a list of ``n`` numbers."""
+    return (isinstance(value, list) and len(value) == n
+            and all(isinstance(v, (int, float)) for v in value))
+
+
 def _audit_entry(out_dir, entry, baseline, baseline_traj, dictionary):
     """Mismatches of one ``report.json`` entry and its variant's files."""
     label = entry["variant"]
     trajectory = artifacts.read_trajectory_csv(
         os.path.join(out_dir, f"{label}_bilevel.csv"))
     sol = artifacts.read_json(os.path.join(out_dir, f"{label}_solution.json"))
+    # the solution vectors that the recomputation reads; any of another
+    # shape is reported, and nothing is recomputed from them
+    lengths = (("x0", dictionary.n_x), ("xT", dictionary.n_x),
+               ("z0", dictionary.n_z), ("zN", dictionary.n_z),
+               ("manifold_defects", len(trajectory[0])))
+    malformed = [
+        {"variant": label, "field": f"solution.{key}", "reported": sol[key],
+         "recomputed": f"a list of {n} numbers"}
+        for key, n in lengths if not _is_vector(sol[key], n)
+    ]
+    if malformed:
+        return malformed
     recomputed = artifacts.comparison_entry(
         sol, trajectory, baseline, baseline_traj, dictionary)
     rows = [(key, entry[key], value)
@@ -338,8 +360,10 @@ def cmd_audit(out_dir):
     each ``<label>_solution.json``'s ``T``, ``cost`` and ``c_hat_lower``, and
     the manifold defects of its ``z0`` and ``zN``; and ``baseline.json``'s
     period and cost, from ``baseline.csv``. A field missing from an entry or
-    record, and a ``<label>_solution.json`` or ``<label>_bilevel.csv``
-    without a ``report.json`` entry, are mismatches too."""
+    record, a field that is not a number or a solution vector of the wrong
+    length, and a ``<label>_solution.json`` or ``<label>_bilevel.csv``
+    without a ``report.json`` entry, are mismatches too. A file that does not
+    parse raises ``ArtifactError``."""
     report = artifacts.read_json(os.path.join(out_dir, "report.json"))
     dictionary = load_model(_model_path(out_dir)).dictionary
     baseline = artifacts.read_json(os.path.join(out_dir, "baseline.json"))
@@ -429,7 +453,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, ArtifactError) as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 2
     except KoopbilevelError as exc:

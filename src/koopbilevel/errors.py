@@ -15,6 +15,10 @@ class ConfigError(KoopbilevelError):
     """Invalid configuration (bad schema, unknown keys, degenerate bounds)."""
 
 
+class ArtifactError(KoopbilevelError):
+    """A written artifact cannot be parsed (invalid JSON, a CSV without rows)."""
+
+
 class DomainEvaluationError(KoopbilevelError):
     """A system map returned non-finite values for an in-domain state."""
 

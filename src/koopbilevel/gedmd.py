@@ -2,35 +2,33 @@
 
 This is gEDMD (Klus et al., *Data-driven approximation of the Koopman
 generator*, Physica D 2020). For each input channel the generator restricted
-to the dictionary span is fit by least squares: ``L = dPsi @ pinv(Psi)``
-where the columns of ``Psi`` are lifted sample states and the columns of
-``dPsi`` are their Lie derivatives along the drift (index 0) or along the
-drift plus one canonical input channel (index i). The Lie derivatives
-nabla psi . f are complex steps of the dictionary along each channel's vector
-field (``ObservableDictionary.derivative``). The identified matrices
-give the bilinear surrogate
+to the dictionary span is the minimum-norm least-squares solution L of
+``min ||L Psi - dPsi||``, where the columns of ``Psi`` are lifted sample
+states and the columns of ``dPsi`` are their Lie derivatives along the drift
+(index 0) or along the drift plus one canonical input channel (index i).
+The Lie derivatives nabla psi . f are complex steps of the dictionary along
+each channel's vector field (``ObservableDictionary.derivative``). The
+identified matrices give the bilinear surrogate
 
     dz/dt = L0 z + sum_i u_i (Li - L0) z,
 
 a control-affine system on lifted states (``GeneratorModel.surrogate``) with
-drift L0 z and input column i equal to (Li - L0) z. ``systems.simulate``
-integrates it with the same RK4 as the true system, and the convex lower
-level linearizes it about a lifted reference point: A = L0 and B is the
+drift L0 z and input column i equal to (Li - L0) z. The convex lower level
+linearizes it about a lifted reference point: A = L0 and B is the
 surrogate's input map there.
 """
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Tuple
 
 import numpy as np
 
-from .artifacts import write_json
+from .artifacts import read_json, write_json
 from .errors import ConfigError, DataError
 from .lifting import ObservableDictionary
-from .numerics import eigenmodes, pinv_svd
-from .systems import ControlAffineSystem, eval_rhs, simulate
+from .numerics import eigenmodes
+from .systems import ControlAffineSystem, eval_rhs
 
 __all__ = [
     "GeneratorModel",
@@ -38,7 +36,6 @@ __all__ = [
     "assemble_data",
     "fit_generator",
     "identify",
-    "prediction_error",
     "save_model",
     "load_model",
     "model_to_config",
@@ -157,7 +154,7 @@ def assemble_data(system, dictionary, X):
     return Psi.T, tuple(dPsi.T for dPsi in dPsis)
 
 
-# singular values of Psi below this fraction of the largest are truncated. At
+# singular values of Psi at most this fraction of the largest are truncated. At
 # the bundle seeds the smallest ratio is 0.56 (fig1), 8.6e-4 (pendulum) and
 # 2.2e-6 (walker), so those fits keep full rank and only an undersampled fit
 # is cut. model.json records the value with the fit.
@@ -173,20 +170,24 @@ class FitResult:
 
 
 def fit_generator(Psi, dPsis):
-    """Least-squares generator fits ``L = dPsi @ pinv(Psi)``, one per ``dPsi``.
+    """Minimum-norm least-squares generator fits of ``L Psi = dPsi``, one
+    ``np.linalg.lstsq`` per ``dPsi``.
 
-    The pseudo-inverse is computed once and truncates singular values below
-    ``_SVD_TOL`` relative to the largest. A rank-deficient regression is not
-    fatal: each fit proceeds on the retained subspace and the deficiency is
-    recorded on its result.
+    LAPACK's ``gelsd`` treats singular values of ``Psi`` at most ``_SVD_TOL``
+    times the largest as zero. A rank-deficient regression is not fatal:
+    each fit proceeds on the retained subspace and the deficiency is
+    recorded on its result. The residual is ``||L Psi - dPsi|| / ||dPsi||``.
     """
     Psi = np.asarray(Psi, dtype=float)
     n_z = Psi.shape[0]
-    pinv, rank = pinv_svd(Psi, rel_tol=_SVD_TOL)
     fits = []
     for dPsi in dPsis:
         dPsi = np.asarray(dPsi, dtype=float)
-        L = dPsi @ pinv
+        Lt, _, rank, _ = np.linalg.lstsq(Psi.T, dPsi.T, rcond=_SVD_TOL)
+        # C order, as load_model returns it: BLAS rounds products with L by
+        # its layout, so a transposed view would solve differently in bits
+        # from the same model read back from model.json
+        L, rank = np.ascontiguousarray(Lt.T), int(rank)
         denom = np.linalg.norm(dPsi)
         residual = float(np.linalg.norm(L @ Psi - dPsi) / denom) if denom > 0 else 0.0
         fits.append(FitResult(
@@ -201,9 +202,8 @@ def fit_generator(Psi, dPsis):
 def identify(system, dictionary, n_s, seed, box):
     """Identify (L0, L1..Ln_u) from ``n_s`` uniform samples of ``box``.
 
-    The samples are lifted, differentiated and decomposed (one SVD) once;
-    each input channel then costs only its Lie derivatives and one product
-    with the pseudo-inverse.
+    The samples are lifted once and differentiated along every channel in
+    the same pass; each channel then costs one least-squares solve.
     """
     X = sample_states(box, n_s, seed)
     Psi, dPsis = assemble_data(system, dictionary, X)
@@ -220,20 +220,6 @@ def identify(system, dictionary, n_s, seed, box):
         box=np.asarray(box, dtype=float),
         system_name=system.name,
     )
-
-
-def prediction_error(model, system, x0, U, T, substeps=16):
-    """Per-state RMS gap between the bilinear surrogate and the true flow
-    under the ``(N, n_u)`` inputs ``U`` held piecewise constant over ``T``.
-
-    Integrates the bilinear surrogate (not its linearization) so
-    identification error is measured separately from linearization error.
-    """
-    truth = simulate(system, x0, U, T, substeps=substeps)
-    Z = simulate(model.surrogate, model.dictionary.eval(x0), U, T,
-                 substeps=substeps)
-    err = Z[:, : system.n_x] - truth
-    return np.sqrt(np.mean(err**2, axis=0))
 
 
 def model_to_config(model):
@@ -272,5 +258,4 @@ def save_model(model, path):
 
 
 def load_model(path):
-    with open(path) as fh:
-        return model_from_config(json.load(fh))
+    return model_from_config(read_json(path))

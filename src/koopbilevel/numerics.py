@@ -1,9 +1,8 @@
 """Dense numerical kernels.
 
 Complex-step directional derivatives, eigendecomposition with the exact
-zero-order hold of each mode, truncated-SVD pseudo-inverse, and
-equality-constrained QP solves via the KKT saddle system with their
-sensitivities to the QP data.
+zero-order hold of each mode, and equality-constrained QP solves via the KKT
+saddle system with their sensitivities to the QP data.
 """
 
 import warnings
@@ -20,7 +19,6 @@ __all__ = [
     "complex_step",
     "eigenmodes",
     "zoh_discretize",
-    "pinv_svd",
     "solve_kkt",
     "qp_sensitivity",
 ]
@@ -114,32 +112,6 @@ class KktResult:
     feasibility_residual: float
     min_pivot: float
     factors: tuple
-
-
-def pinv_svd(M, rel_tol=1e-12):
-    """Moore-Penrose pseudo-inverse with relative singular-value truncation.
-
-    Singular values below ``rel_tol * sigma_max`` are dropped.
-
-    Returns
-    -------
-    pinv : ndarray
-        Pseudo-inverse of ``M`` on the retained subspace.
-    rank : int
-        Number of retained singular values.
-    """
-    M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
-        raise NumericError("pinv_svd received non-finite entries")
-    if M.size == 0:
-        return M.T.copy(), 0
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    cutoff = rel_tol * (s[0] if s.size else 0.0)
-    keep = s > cutoff
-    rank = int(np.count_nonzero(keep))
-    inv_s = np.zeros_like(s)
-    inv_s[keep] = 1.0 / s[keep]
-    return (Vt.T * inv_s) @ U.T, rank
 
 
 _GETRF = scipy.linalg.get_lapack_funcs("getrf", dtype=np.float64)

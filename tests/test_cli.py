@@ -19,19 +19,32 @@ def _read_bytes(path):
         return fh.read()
 
 
-def _audit_after_edit(path, edit):
-    """Exit code of ``audit`` once ``edit`` has changed the JSON at ``path``;
-    the file is restored afterwards."""
+def _audit_after_rewrite(path, rewrite):
+    """Exit code of ``audit`` once ``rewrite`` has changed the text of the
+    file at ``path``; the file is restored afterwards."""
     original = _read_bytes(path)
-    obj = json.loads(original)
-    edit(obj)
     with open(path, "w") as fh:
-        json.dump(obj, fh)
+        fh.write(rewrite(original.decode()))
     try:
         return cli.main(["audit", "--out", os.path.dirname(path)])
     finally:
         with open(path, "wb") as fh:
             fh.write(original)
+
+
+def _json_edit(edit):
+    """A text rewrite that applies ``edit`` to the parsed JSON."""
+    def rewrite(text):
+        obj = json.loads(text)
+        edit(obj)
+        return json.dumps(obj)
+    return rewrite
+
+
+def _audit_after_edit(path, edit):
+    """Exit code of ``audit`` once ``edit`` has changed the JSON at ``path``;
+    the file is restored afterwards."""
+    return _audit_after_rewrite(path, _json_edit(edit))
 
 
 def test_reproduce_fig1_is_clean_and_deterministic(tmp_path):
@@ -146,6 +159,29 @@ def test_audit_reports_files_without_a_report_entry(fig1_run, capsys):
                              drop_entries) == 1
     out = capsys.readouterr().out
     assert "b0_solution.json" in out and "b0_bilevel.csv" in out
+
+
+# (file, rewrite, exit code, name in the output): a file that does not parse
+# exits 2 naming the file; a parsed one with a bad field is a mismatch naming
+# the field
+MALFORMED_ARTIFACTS = [
+    ("b0_solution.json", _json_edit(lambda sol: sol.update(z0=sol["z0"][:2])),
+     1, "MISMATCH b0.solution.z0"),
+    ("report.json", lambda text: text[: len(text) // 2], 2, "report.json"),
+    ("b0_bilevel.csv", lambda text: text.splitlines(True)[0], 2, "b0_bilevel.csv"),
+    ("b0_solution.json", _json_edit(lambda sol: sol.update(T="abc")),
+     1, "MISMATCH b0.solution.T"),
+]
+
+
+@pytest.mark.parametrize("name,rewrite,code,named", MALFORMED_ARTIFACTS,
+                         ids=["short_z0", "truncated_json", "header_only_csv",
+                              "string_T"])
+def test_audit_of_a_malformed_artifact_names_it(fig1_run, capsys, name, rewrite,
+                                                code, named):
+    assert _audit_after_rewrite(os.path.join(fig1_run, name), rewrite) == code
+    captured = capsys.readouterr()
+    assert named in (captured.out if code == 1 else captured.err)
 
 
 BAD_SOLVER_SETTINGS = [

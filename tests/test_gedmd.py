@@ -11,7 +11,6 @@ from koopbilevel import (
     fit_generator,
     get_dictionary,
     identify,
-    prediction_error,
     sample_states,
     simulate,
 )
@@ -22,7 +21,6 @@ from koopbilevel.gedmd import (
     save_model,
 )
 from koopbilevel.lifting import Monomial, ObservableDictionary
-from koopbilevel.numerics import pinv_svd
 from koopbilevel.systems import eval_rhs, make_linear_system
 
 TWO_PI = 2.0 * np.pi
@@ -146,6 +144,37 @@ class TestFitGenerator:
         )[0].matrix
         assert np.max(np.abs(L - L2)) <= 1e-12
 
+    @staticmethod
+    def _psi_with_singular_values(s, n_s, seed):
+        """``Psi = U diag(s) V^T`` with random orthonormal U and V, returned
+        with its factors."""
+        rng = np.random.default_rng(seed)
+        U, _ = np.linalg.qr(rng.normal(size=(len(s), len(s))))
+        V, _ = np.linalg.qr(rng.normal(size=(n_s, len(s))))
+        return (U * s) @ V.T, U, V
+
+    # 1e-11 lies between _SVD_TOL and lstsq's default cutoff (n_s * eps)
+    @pytest.mark.parametrize("ratio", [1e-14, 1e-11])
+    def test_truncates_singular_values_below_the_tolerance(self, ratio):
+        # the fit keeps n_z - 1 directions and returns the minimum-norm L,
+        # with no component along the dropped direction
+        s = np.array([3.0, 2.0, 1.0, ratio * 3.0])
+        Psi, U, V = self._psi_with_singular_values(s, 50, seed=20)
+        dPsi = np.random.default_rng(21).normal(size=(4, 50))
+        (fit,) = fit_generator(Psi, [dPsi])
+        assert fit.rank == 3 and fit.rank_deficient
+        L_min_norm = dPsi @ V[:, :3] @ (U[:, :3] / s[:3]).T
+        assert np.max(np.abs(fit.matrix - L_min_norm)) <= 1e-12
+        assert np.max(np.abs(fit.matrix @ U[:, 3])) <= 1e-12
+
+    def test_keeps_singular_values_above_the_tolerance(self):
+        s = np.array([3.0, 2.0, 1.0, 1e-8 * 3.0])
+        Psi, _, _ = self._psi_with_singular_values(s, 50, seed=22)
+        L = np.random.default_rng(23).normal(size=(4, 4))
+        (fit,) = fit_generator(Psi, [L @ Psi])
+        assert fit.rank == 4 and not fit.rank_deficient
+        assert np.max(np.abs(fit.matrix - L)) <= 1e-6
+
     def test_rank_deficiency_recorded(self, oscillator):
         d = get_dictionary("pendulum12", 2)
         samples = sample_states(oscillator.state_box, 6, seed=11)  # n_s < n_z
@@ -192,8 +221,8 @@ class TestIdentify:
 
 
     def test_matches_per_channel_oracle_bitwise(self, pendulum):
-        # lift, differentiate and decompose the samples once per channel,
-        # all samples at once, as identification did before sharing them
+        # lift and differentiate the samples once per channel, term by term
+        # and all samples at once, then solve each channel's least squares
         d = get_dictionary("pendulum12", 2)
         model = identify(pendulum, d, n_s=500, seed=13, box=pendulum.state_box)
         X = sample_states(model.box, model.n_s, model.seed)
@@ -202,8 +231,8 @@ class TestIdentify:
             u[i - 1] = float(i > 0)
             Psi = np.stack([t.value(X) for t in d.terms], -1).T
             dPsi = d.derivative(X, eval_rhs(pendulum, X, u)).T
-            pinv, rank = pinv_svd(Psi, rel_tol=model.svd_tol)
-            L_oracle = dPsi @ pinv
+            Lt, _, rank, _ = np.linalg.lstsq(Psi.T, dPsi.T, rcond=model.svd_tol)
+            L_oracle = np.ascontiguousarray(Lt.T)  # the layout of the fit
             resid = float(np.linalg.norm(L_oracle @ Psi - dPsi)
                           / np.linalg.norm(dPsi))
             assert np.array_equal(L, L_oracle)
@@ -259,24 +288,6 @@ class TestSurrogate:
         assert np.max(np.abs(rhs - bilinear)) <= 1e-12 * np.max(np.abs(bilinear))
 
 
-class TestPredictionError:
-    def test_exact_for_linear_surrogate(self, oscillator, oscillator_model):
-        rng = np.random.default_rng(15)
-        U = rng.normal(scale=0.2, size=(20, 1))
-        err = prediction_error(
-            oscillator_model, oscillator, np.array([0.3, 0.4]), U, TWO_PI,
-            substeps=16,
-        )
-        assert np.max(err) <= 1e-8
-
-    def test_vanishing_horizon(self, oscillator, oscillator_model):
-        err = prediction_error(
-            oscillator_model, oscillator, np.array([0.3, 0.4]), np.zeros((1, 1)),
-            1e-9, substeps=1,
-        )
-        assert np.max(err) <= 1e-12
-
-
 class TestPersistence:
     def test_round_trip_exact(self, pendulum_model, tmp_path):
         path = tmp_path / "model.json"
@@ -289,6 +300,17 @@ class TestPersistence:
         assert loaded.residuals == pendulum_model.residuals
         assert loaded.dictionary == pendulum_model.dictionary
         assert np.array_equal(loaded.box, pendulum_model.box)
+
+    def test_fitted_matrices_have_the_reloaded_layout(self, pendulum_model,
+                                                      tmp_path):
+        # products with L round by its memory layout, so the fitted model
+        # must solve like the one read back from model.json
+        path = tmp_path / "model.json"
+        save_model(pendulum_model, path)
+        loaded = load_model(path)
+        for fitted, reloaded in zip((pendulum_model.L0,) + pendulum_model.Li,
+                                    (loaded.L0,) + loaded.Li):
+            assert fitted.flags.c_contiguous and reloaded.flags.c_contiguous
 
     def test_bitwise_determinism(self, pendulum):
         d = get_dictionary("pendulum12", 2)

@@ -16,7 +16,6 @@ from koopbilevel import (
     get_dictionary,
     solve_lower,
     eigenmodes,
-    pinv_svd,
     qp_sensitivity,
     solve_kkt,
     zoh_discretize,
@@ -141,38 +140,6 @@ class TestZoh:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(NumericError):
             zoh_discretize(np.zeros(1), 0.0)
-
-
-class TestPinvSvd:
-    def test_identity(self):
-        P, rank = pinv_svd(np.eye(4))
-        assert np.allclose(P, np.eye(4), atol=1e-14)
-        assert rank == 4
-
-    def test_rank_one_outer_product(self):
-        rng = np.random.default_rng(3)
-        u = rng.normal(size=4)
-        v = rng.normal(size=6)
-        P, rank = pinv_svd(np.outer(u, v))
-        expected = np.outer(v, u) / (u @ u) / (v @ v)
-        assert rank == 1
-        assert np.max(np.abs(P - expected)) <= 1e-12
-
-    def test_penrose_identities(self):
-        rng = np.random.default_rng(4)
-        M = rng.normal(size=(20, 50))
-        P, rank = pinv_svd(M)
-        assert rank == 20
-        assert np.max(np.abs(M @ P @ M - M)) <= 1e-10
-        assert np.max(np.abs(P @ M @ P - P)) <= 1e-10
-        assert np.max(np.abs((M @ P).T - M @ P)) <= 1e-10
-        assert np.max(np.abs((P @ M).T - P @ M)) <= 1e-10
-
-    def test_truncation_drops_small_singular_values(self):
-        M = np.diag([1.0, 1e-14])
-        P, rank = pinv_svd(M, rel_tol=1e-10)
-        assert rank == 1
-        assert P[1, 1] == 0.0
 
 
 def tikhonov(H):
