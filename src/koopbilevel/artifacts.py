@@ -51,14 +51,19 @@ def write_json(path, obj):
         fh.write(canonical_json(obj))
 
 
-def read_json(path):
-    """The JSON object at ``path``; a file that does not parse raises
-    ``ArtifactError`` naming it."""
+def read_json(path, keys=()):
+    """The JSON object at ``path``; a file that does not parse, or that is
+    not an object with each of ``keys``, raises ``ArtifactError`` naming
+    it."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            obj = json.load(fh)
         except ValueError as exc:
             raise ArtifactError(f"{path}: not valid JSON: {exc}") from None
+    for key in keys:
+        if not isinstance(obj, dict) or key not in obj:
+            raise ArtifactError(f"{path}: missing key {key!r}")
+    return obj
 
 
 def sha256_file(path):

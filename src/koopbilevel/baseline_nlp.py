@@ -19,12 +19,12 @@ subproblem has far fewer variables. The every-knot transcription stays the
 checker: the solution's state at every knot is rebuilt by stepping forward
 from each node, and its feasibility and KKT residual are measured there.
 
-Constraint Jacobians come from central finite differences, exploiting the
-per-segment structure: each defect touches only its own node, its segment's
-inputs and T. So one batch of a segment's RK4 steps, over every segment and
-over the nominal point and each perturbed direction (each node state, each
-input, and T) stepped both ways, gives the constraints and every defect
-column together, rather than one trajectory integration per variable. The
+Constraint Jacobians come from one central-difference rule (Nocedal &
+Wright, *Numerical Optimization*, sec. 8.1). Each defect touches only its
+own node, its segment's inputs and T, so one batch of a segment's RK4 steps,
+over every segment, the nominal point and each coordinate of (node state,
+segment inputs, T) stepped both ways, gives the constraints and every defect
+column together. The boundary rows are differenced over (x0, xN, T). The
 every-knot Jacobian is the one-knot-segment case.
 
 This module is the comparison oracle: it is deliberately plain, with no
@@ -189,39 +189,31 @@ class TranscribedNlp:
         return self.linearize(v)[1]
 
     def linearize(self, v):
-        """Constraints and their central-difference Jacobian, ``(c, J)``, from
-        one batch of ``segment`` RK4 steps over every segment, the nominal
-        point and every direction stepped both ways. ``c`` is bitwise
-        :meth:`constraints`: RK4 acts on each batch entry alone."""
+        """Constraints and their central-difference Jacobian, ``(c, J)``: the
+        segment end states differenced over (node state, segment inputs, T)
+        of every segment in one batch of RK4 steps, the boundary rows over
+        (x0, xN, T). ``c`` is bitwise :meth:`constraints`: RK4 acts on each
+        batch entry alone."""
         X, U, T = self.unpack(v)
         N, S, n_x, n_u = self.N, self.n_segments, self.n_x, self.n_u
-        eps = _FD_STEP
-        epsT = eps * max(1.0, abs(T))
         J = np.zeros((self.n_con, self.n_var))
+
+        def steps(n):  # n coordinates, then T
+            return np.append(np.full(n, _FD_STEP), _FD_STEP * max(1.0, abs(T)))
 
         rows = np.arange(S * n_x)
         J[rows, rows + n_x] = 1.0
 
-        # direction j perturbs node state j (j < n_x), the segment's input
-        # j - n_x (step (j - n_x) // n_u, channel (j - n_x) % n_u), or T (last);
-        # batch entry 0 is the nominal point, 1 + j steps direction j by +eps
-        # and 1 + m + j by -eps
-        m = n_x + self.segment * n_u + 1
-        ix, iu, seg = np.arange(n_x), np.arange(self.segment * n_u), np.arange(S)
-        Xs = np.repeat(X[None, :S], 2 * m + 1, axis=0)
-        Us = np.repeat(self._segment_inputs(U).reshape(1, S, -1), 2 * m + 1, axis=0)
-        Xs[1 + ix, :, ix] += eps
-        Xs[1 + m + ix, :, ix] -= eps
-        Us[1 + n_x + iu, :, iu] += eps
-        Us[1 + m + n_x + iu, :, iu] -= eps
-        h = np.full((2 * m + 1, 1, 1), T / N)
-        h[m] = (T + epsT) / N
-        h[2 * m] = (T - epsT) / N
-        ends = self._shoot(
-            Xs, Us.reshape(2 * m + 1, S, self.segment, n_u), h)[:, :, -1]
+        def segment_ends(Y):
+            inputs = Y[..., n_x:-1].reshape(Y.shape[:-1] + (self.segment, n_u))
+            h = Y[..., :1, -1:] / N
+            return self._shoot(Y[..., :n_x], inputs, h)[..., -1, :]
 
-        step = 2.0 * np.append(np.full(m - 1, eps), epsT)
-        dS = (ends[1 : m + 1] - ends[m + 1 :]) / step[:, None, None]
+        # one row per segment: its node state, its inputs, T
+        y = np.column_stack(
+            [X[:S], self._segment_inputs(U).reshape(S, -1), np.full(S, T)])
+        ends, dS = _central_difference(segment_ends, y, steps(y.shape[1] - 1))
+        ix, iu, seg = np.arange(n_x), np.arange(self.segment * n_u), np.arange(S)
         cols = np.concatenate([
             seg * n_x + ix[:, None],
             self.n_states + seg * self.segment * n_u + iu[:, None],
@@ -233,22 +225,31 @@ class TranscribedNlp:
         r, c = np.broadcast_arrays(rows.reshape(S, n_x), cols[:, :, None])
         J[r[keep], c[keep]] = -dS[keep]
 
-        # boundary rows depend on the first and last node and T only
-        mbc_of = self.mbc.residual
-        x0, xN = X[0], X[S]
-        base = self.n_defects
-        for d in range(n_x):
-            e = np.zeros(n_x)
-            e[d] = eps
-            J[base:, d] = (mbc_of(x0 + e, xN, T) - mbc_of(x0 - e, xN, T)) / (2 * eps)
-            J[base:, S * n_x + d] = (
-                mbc_of(x0, xN + e, T) - mbc_of(x0, xN - e, T)
-            ) / (2 * eps)
-        J[base:, -1] = (mbc_of(x0, xN, T + epsT) - mbc_of(x0, xN, T - epsT)) / (
-            2 * epsT
-        )
-        c = np.concatenate([(X[1:] - ends[0]).ravel(), mbc_of(x0, xN, T)])
-        return c, J
+        def boundary(Y):
+            return np.array([self.mbc.residual(y[:n_x], y[n_x:-1], y[-1])
+                             for y in Y])
+
+        b, dB = _central_difference(
+            boundary, np.concatenate([X[0], X[S], [T]]), steps(2 * n_x))
+        J[self.n_defects :, np.r_[ix, S * n_x + ix, self.n_var - 1]] = dB.T
+        return np.concatenate([(X[1:] - ends).ravel(), b]), J
+
+
+def _central_difference(f, y, step):
+    """``(f(y), D)`` with ``D[j] = (f(y + step_j e_j) - f(y - step_j e_j)) /
+    (2 step_j)`` along each coordinate j of y's last axis, from one call of
+    ``f`` on the batch ``[y, y + diag(step), y - diag(step)]`` stacked on a
+    new first axis. Any leading axes of y are batch axes that ``f`` maps
+    entry by entry: each of their entries is stepped at once."""
+    m = len(step)
+    j = np.arange(m)
+    Y = np.repeat(y[None], 2 * m + 1, axis=0)
+    s = step.reshape((m,) + (1,) * (y.ndim - 1))
+    Y[1 + j, ..., j] += s
+    Y[1 + m + j, ..., j] -= s
+    F = f(Y)
+    scale = 2.0 * step.reshape((m,) + (1,) * (F.ndim - 1))
+    return F[0], (F[1 : m + 1] - F[m + 1 :]) / scale
 
 
 def _warm_start(nlp, warm_start):

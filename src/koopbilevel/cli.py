@@ -26,6 +26,7 @@ missing from the directory ``audit`` checks), 3 numerical failure.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -133,18 +134,10 @@ def _solve_step(run, model, mbc):
     t0 = time.perf_counter()
     baseline = solve_nlp(TranscribedNlp(run.system, mbc, run.N), solutions[0])
     timings["baseline"] = time.perf_counter() - t0
-    record = {
-        "warm_start": run.variants[0].label,
-        "T": baseline.T,
-        "cost": baseline.cost,
-        "max_defect": baseline.max_defect,
-        "max_mbc_violation": baseline.max_mbc_violation,
-        "kkt_residual": baseline.kkt_residual,
-        "converged": baseline.converged,
-        "outer_iterations": baseline.outer_iterations,
-        "inner_iterations": baseline.inner_iterations,
-        "history": list(baseline.history),
-    }
+    # every NlpSolution field but the trajectory, which goes to baseline.csv
+    record = {f.name: getattr(baseline, f.name) for f in dataclasses.fields(baseline)
+              if f.name not in ("times", "states", "inputs")}
+    record["warm_start"] = run.variants[0].label
     variants = [(_solution_record(sol), (sol.times, sol.states, sol.inputs))
                 for sol in solutions]
     trajectory = (baseline.times, baseline.states, baseline.inputs)
@@ -363,10 +356,14 @@ def cmd_audit(out_dir):
     record, a field that is not a number or a solution vector of the wrong
     length, and a ``<label>_solution.json`` or ``<label>_bilevel.csv``
     without a ``report.json`` entry, are mismatches too. A file that does not
-    parse raises ``ArtifactError``."""
-    report = artifacts.read_json(os.path.join(out_dir, "report.json"))
+    parse raises ``ArtifactError``, and so does a ``report.json`` without
+    ``entries``, a ``baseline.json`` without ``T`` or ``cost`` and a
+    ``model.json`` without a key the model is read from."""
+    report = artifacts.read_json(os.path.join(out_dir, "report.json"),
+                                 keys=("entries",))
     dictionary = load_model(_model_path(out_dir)).dictionary
-    baseline = artifacts.read_json(os.path.join(out_dir, "baseline.json"))
+    baseline = artifacts.read_json(os.path.join(out_dir, "baseline.json"),
+                                   keys=("T", "cost"))
     tn, xn, un = artifacts.read_trajectory_csv(os.path.join(out_dir, "baseline.csv"))
     problems = _mismatches("baseline", [
         ("T", baseline["T"], tn[-1]),

@@ -7,6 +7,8 @@ gate marked ``required`` passes; ``informational`` gates are reported but do
 not affect the exit code.
 """
 
+import operator
+
 import numpy as np
 
 from .errors import ConfigError
@@ -25,22 +27,15 @@ def _sweep_arrays(ctx):
     return T, c
 
 
-def _local_minima(T, c):
-    idx = [
-        i
+def _local_extrema(T, c, better):
+    """``(T, c)`` at each interior sweep point whose finite cost is
+    ``better`` than both neighbours': ``operator.lt`` for the local minima,
+    ``operator.gt`` for the maxima."""
+    return [
+        (T[i], c[i])
         for i in range(1, len(c) - 1)
-        if np.isfinite(c[i]) and c[i] < c[i - 1] and c[i] < c[i + 1]
+        if np.isfinite(c[i]) and better(c[i], c[i - 1]) and better(c[i], c[i + 1])
     ]
-    return [(T[i], c[i]) for i in idx]
-
-
-def _local_maxima(T, c):
-    idx = [
-        i
-        for i in range(1, len(c) - 1)
-        if np.isfinite(c[i]) and c[i] > c[i - 1] and c[i] > c[i + 1]
-    ]
-    return [(T[i], c[i]) for i in idx]
 
 
 def _entry(ctx, variant):
@@ -52,7 +47,7 @@ def _entry(ctx, variant):
 
 def _gate_local_minima_near_multiples(gate, ctx):
     T, c = _sweep_arrays(ctx)
-    minima = _local_minima(T, c)
+    minima = _local_extrema(T, c, operator.lt)
     tol = gate["near_tol_periods"]
     near = [
         (t, v)
@@ -68,7 +63,7 @@ def _gate_local_minima_near_multiples(gate, ctx):
 
 def _gate_decreasing_envelope(gate, ctx):
     T, c = _sweep_arrays(ctx)
-    maxima = [v for _, v in _local_maxima(T, c)]
+    maxima = [v for _, v in _local_extrema(T, c, operator.gt)]
     passed = all(b < a for a, b in zip(maxima, maxima[1:])) and len(maxima) >= 2
     return passed, {"maxima": [round(float(v), 6) for v in maxima]}
 
@@ -92,7 +87,7 @@ def _gate_argmin_value_band(gate, ctx):
 
 def _gate_second_basin_value_band(gate, ctx):
     T, c = _sweep_arrays(ctx)
-    minima = _local_minima(T, c)
+    minima = _local_extrema(T, c, operator.lt)
     if not minima:
         return False, {"note": "no local minima found"}
     t2, v2 = min(minima, key=lambda tv: abs(tv[0] / TWO_PI - 2.0))

@@ -25,7 +25,7 @@ from typing import Tuple
 import numpy as np
 
 from .artifacts import read_json, write_json
-from .errors import ConfigError, DataError
+from .errors import ArtifactError, ConfigError, DataError
 from .lifting import ObservableDictionary
 from .numerics import eigenmodes
 from .systems import ControlAffineSystem, eval_rhs
@@ -258,4 +258,10 @@ def save_model(model, path):
 
 
 def load_model(path):
-    return model_from_config(read_json(path))
+    """The model saved at ``path``; a file that does not parse, or lacks a
+    key :func:`model_from_config` reads, raises ``ArtifactError`` naming
+    it."""
+    try:
+        return model_from_config(read_json(path))
+    except KeyError as exc:
+        raise ArtifactError(f"{path}: missing key {exc.args[0]!r}") from None

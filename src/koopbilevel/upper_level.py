@@ -147,60 +147,46 @@ def solve_reduced(model, variant, mbc, config, N):
     The box is [T_min, T_max] for the period followed by the rows of
     ``mbc.p_bounds``. The polish gets the cost and its exact gradient in one
     call: ``LowerLevelSolution.cost_gradient`` along the columns of
-    ``mbc.reduction_jacobian(p)``. A point either stage has already
-    evaluated is not solved again: the memo keeps each point's cost (and,
-    once the polish has asked for it, its gradient), and the lower solution
-    of the cheapest point so far is kept. It gives the polish its first
-    gradient, and the solution returned is built from it, with no solve
-    after the search. A failed point costs +inf, with a zero gradient.
+    ``mbc.reduction_jacobian(p)``. Every objective call is one lower solve,
+    a point asked for twice included. Only the lower solution of the
+    cheapest point so far is kept, and the solution returned is built from
+    it, with no solve after the search. A failed point costs +inf, with a
+    zero gradient.
 
-    Each stage leaves one record: point, cost, objective calls (repeats
-    included), how many of them were +inf, and ``failures``, those calls by
-    exception type name. The polish record also has L-BFGS-B's iteration
-    count ``nit``, the box faces its point is on (``active_bounds``) and
-    ``projected_grad_norm``, the inf-norm of the exact gradient there without
-    the components on those faces. These records are written to
-    ``<label>_solution.json`` but cannot be audited: that needs the run's
-    config beside its artifacts.
+    Each stage leaves one record: point, cost, objective calls, how many of
+    them were +inf, and ``failures``, those calls by exception type name,
+    all counted as the calls are made. The polish record also has L-BFGS-B's
+    iteration count ``nit``, the box faces its point is on
+    (``active_bounds``) and ``projected_grad_norm``, the inf-norm of the
+    exact gradient there without the components on those faces. These
+    records are written to ``<label>_solution.json`` but cannot be audited:
+    that needs the run's config beside its artifacts.
     """
     if mbc.reduction is None:
         raise ConfigError(f"constraint '{mbc.name}' provides no reduction")
     box = np.array([(config.T_min, config.T_max), *mbc.p_bounds], dtype=float)
-    memo = {}  # p.tobytes() -> (cost, failure type or None, gradient or None)
-    cheapest = [None, None]  # key and lower solution of the cheapest point so far
-
-    def evaluate(p, with_grad):
-        key = p.tobytes()
-        if key in memo and not (with_grad and memo[key][2] is None):
-            return memo[key]
-        sol = cheapest[1] if key == cheapest[0] else None
-        if sol is None:
-            cost, sol, err = _lower_eval(model, variant, mbc, p, N)
-            if sol is None:
-                memo[key] = (cost, type(err).__name__, np.zeros(p.size))
-                return memo[key]
-            if cheapest[1] is None or sol.c < cheapest[1].c:
-                cheapest[:] = key, sol
-        grad = sol.cost_gradient(mbc.reduction_jacobian(p)) if with_grad else None
-        memo[key] = (sol.c, None, grad)
-        return memo[key]
+    best = [None]  # the lower solution of the cheapest point so far
 
     def run_stage(stage, search, with_grad):
-        entries = []
+        record = {"stage": stage, "nfev": 0, "n_inf": 0, "failures": Counter()}
 
         def objective(p):
-            entries.append(evaluate(np.asarray(p, dtype=float), with_grad))
-            return (entries[-1][0], entries[-1][2]) if with_grad else entries[-1][0]
+            p = np.asarray(p, dtype=float)
+            cost, sol, err = _lower_eval(model, variant, mbc, p, N)
+            record["nfev"] += 1
+            if sol is None:
+                record["n_inf"] += 1
+                record["failures"][type(err).__name__] += 1
+                return (cost, np.zeros(p.size)) if with_grad else cost
+            if best[0] is None or cost < best[0].c:
+                best[0] = sol
+            if with_grad:
+                return cost, sol.cost_gradient(mbc.reduction_jacobian(p))
+            return cost
 
         res = search(objective)
-        record = {
-            "stage": stage,
-            "p_star": res.x.tolist(),
-            "c_star": float(res.fun),
-            "nfev": len(entries),
-            "n_inf": int(np.isinf([e[0] for e in entries]).sum()),
-            "failures": dict(Counter(e[1] for e in entries if e[1] is not None)),
-        }
+        record.update(p_star=res.x.tolist(), c_star=float(res.fun),
+                      failures=dict(record["failures"]))
         return record, res
 
     coarse, _ = run_stage(
@@ -228,7 +214,7 @@ def solve_reduced(model, variant, mbc, config, N):
         {"index": int(i), "side": ("lower", "upper")[j], "value": float(box[i, j])}
         for i, j in zip(*np.nonzero(on_face))
     ]
-    lower = cheapest[1]
+    lower = best[0]
     x0, xT, T = lower.problem.x0, lower.problem.xT, float(lower.problem.T)
     return BilevelSolution(
         variant=variant,

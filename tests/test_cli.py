@@ -161,13 +161,14 @@ def test_audit_reports_files_without_a_report_entry(fig1_run, capsys):
     assert "b0_solution.json" in out and "b0_bilevel.csv" in out
 
 
-# (file, rewrite, exit code, name in the output): a file that does not parse
-# exits 2 naming the file; a parsed one with a bad field is a mismatch naming
-# the field
+# (file, rewrite, exit code, name in the output): a file that does not parse,
+# or is not the object audit reads, exits 2 naming the file; a parsed one with
+# a bad field is a mismatch naming the field
 MALFORMED_ARTIFACTS = [
     ("b0_solution.json", _json_edit(lambda sol: sol.update(z0=sol["z0"][:2])),
      1, "MISMATCH b0.solution.z0"),
     ("report.json", lambda text: text[: len(text) // 2], 2, "report.json"),
+    ("report.json", lambda text: "5", 2, "report.json"),
     ("b0_bilevel.csv", lambda text: text.splitlines(True)[0], 2, "b0_bilevel.csv"),
     ("b0_solution.json", _json_edit(lambda sol: sol.update(T="abc")),
      1, "MISMATCH b0.solution.T"),
@@ -175,13 +176,24 @@ MALFORMED_ARTIFACTS = [
 
 
 @pytest.mark.parametrize("name,rewrite,code,named", MALFORMED_ARTIFACTS,
-                         ids=["short_z0", "truncated_json", "header_only_csv",
-                              "string_T"])
+                         ids=["short_z0", "truncated_json", "number_json",
+                              "header_only_csv", "string_T"])
 def test_audit_of_a_malformed_artifact_names_it(fig1_run, capsys, name, rewrite,
                                                 code, named):
     assert _audit_after_rewrite(os.path.join(fig1_run, name), rewrite) == code
     captured = capsys.readouterr()
     assert named in (captured.out if code == 1 else captured.err)
+
+
+@pytest.mark.parametrize("name,key", [("report.json", "entries"),
+                                      ("model.json", "dictionary"),
+                                      ("baseline.json", "T")])
+def test_audit_of_an_artifact_missing_a_key_names_both(fig1_run, capsys, name,
+                                                       key):
+    assert _audit_after_edit(os.path.join(fig1_run, name),
+                             lambda obj: obj.pop(key)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and name in err and repr(key) in err
 
 
 BAD_SOLVER_SETTINGS = [
