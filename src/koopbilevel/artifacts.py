@@ -5,11 +5,13 @@ with sorted keys. All floats are written with shortest round-trip ``repr`` so
 identical runs produce byte-identical files and every reported number can be
 recomputed exactly from what is on disk.
 
-Identical runs means the same inputs at the same BLAS thread count: BLAS
-reductions round differently per thread count, so walker with one OpenBLAS
-thread instead of two moves ``model.json``'s ``L0`` by 1.3e-13 relative and
-every artifact differs, though ``T_star`` moves by only 4.2e-13 relative
-(pendulum: at most 2.6e-10).
+Identical runs means the same inputs at the same BLAS thread count for the
+baseline NLP, whose BLAS reductions round differently per thread count: with
+one OpenBLAS thread instead of two, walker's baseline period moves by 1.2e-11
+relative (pendulum: 4.0e-12), and ``baseline.*``, ``report.json`` and
+``gates_report.json`` differ. The fit and the bilevel solves do not depend
+on it: ``model.json``, ``residual_report.json`` and every variant's
+``<label>_solution.json`` and ``<label>_bilevel.csv`` are byte-identical.
 """
 
 import hashlib

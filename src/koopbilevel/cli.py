@@ -357,13 +357,15 @@ def cmd_audit(out_dir):
     length, and a ``<label>_solution.json`` or ``<label>_bilevel.csv``
     without a ``report.json`` entry, are mismatches too. A file that does not
     parse raises ``ArtifactError``, and so does a ``report.json`` without
-    ``entries``, a ``baseline.json`` without ``T`` or ``cost`` and a
-    ``model.json`` without a key the model is read from."""
+    ``entries``, a ``baseline.json`` without a key that the recomputation
+    or the report entries read, and a ``model.json`` that is not an object
+    or lacks a key the model is read from."""
     report = artifacts.read_json(os.path.join(out_dir, "report.json"),
                                  keys=("entries",))
     dictionary = load_model(_model_path(out_dir)).dictionary
-    baseline = artifacts.read_json(os.path.join(out_dir, "baseline.json"),
-                                   keys=("T", "cost"))
+    baseline = artifacts.read_json(
+        os.path.join(out_dir, "baseline.json"),
+        keys=("T", "cost", "converged", "max_defect", "max_mbc_violation"))
     tn, xn, un = artifacts.read_trajectory_csv(os.path.join(out_dir, "baseline.csv"))
     problems = _mismatches("baseline", [
         ("T", baseline["T"], tn[-1]),

@@ -172,12 +172,13 @@ MALFORMED_ARTIFACTS = [
     ("b0_bilevel.csv", lambda text: text.splitlines(True)[0], 2, "b0_bilevel.csv"),
     ("b0_solution.json", _json_edit(lambda sol: sol.update(T="abc")),
      1, "MISMATCH b0.solution.T"),
+    ("model.json", lambda text: "5", 2, "model.json"),
 ]
 
 
 @pytest.mark.parametrize("name,rewrite,code,named", MALFORMED_ARTIFACTS,
                          ids=["short_z0", "truncated_json", "number_json",
-                              "header_only_csv", "string_T"])
+                              "header_only_csv", "string_T", "number_model"])
 def test_audit_of_a_malformed_artifact_names_it(fig1_run, capsys, name, rewrite,
                                                 code, named):
     assert _audit_after_rewrite(os.path.join(fig1_run, name), rewrite) == code
@@ -187,7 +188,10 @@ def test_audit_of_a_malformed_artifact_names_it(fig1_run, capsys, name, rewrite,
 
 @pytest.mark.parametrize("name,key", [("report.json", "entries"),
                                       ("model.json", "dictionary"),
-                                      ("baseline.json", "T")])
+                                      ("baseline.json", "T"),
+                                      ("baseline.json", "converged"),
+                                      ("baseline.json", "max_defect"),
+                                      ("baseline.json", "max_mbc_violation")])
 def test_audit_of_an_artifact_missing_a_key_names_both(fig1_run, capsys, name,
                                                        key):
     assert _audit_after_edit(os.path.join(fig1_run, name),

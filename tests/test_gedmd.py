@@ -14,6 +14,7 @@ from koopbilevel import (
     sample_states,
     simulate,
 )
+from koopbilevel import gedmd
 from koopbilevel.gedmd import (
     load_model,
     model_from_config,
@@ -24,6 +25,11 @@ from koopbilevel.lifting import Monomial, ObservableDictionary
 from koopbilevel.systems import eval_rhs, make_linear_system
 
 TWO_PI = 2.0 * np.pi
+
+# 2000**99 overflows, at the largest power a monomial accepts
+OVERFLOW = ObservableDictionary(
+    n_x=2, terms=(Monomial((1, 0)), Monomial((0, 1)), Monomial((99, 0))),
+)
 
 
 class TestSampling:
@@ -81,31 +87,11 @@ class TestAssembleData:
         fd = (d.eval(X + h * rhs) - d.eval(X - h * rhs)).T / (2 * h)
         assert np.max(np.abs(dPsi - fd)) <= 1e-6
 
-    def test_nonfinite_lift_reports_sample_index(self, oscillator):
-        # 2000**99 overflows, at the largest power a monomial accepts
-        overflow = ObservableDictionary(
-            n_x=2,
-            terms=(Monomial((1, 0)), Monomial((0, 1)), Monomial((99, 0))),
-        )
-        box = np.array([[2000.0, 3000.0], [0.0, 1.0]])
-        samples = sample_states(box, 5, seed=5)
-        with pytest.raises(DataError, match="sample 0"):
-            assemble_data(oscillator, overflow, samples)
-
-    def test_peak_memory_is_below_four_lifts_on_walker_data(self, walker):
-        # Psi and one dPsi per channel are three (n_s, n_z) arrays; the
-        # complex-step temporaries, taken block by block, stay below a
-        # fourth. All samples in one block peak near twelve.
-        d = get_dictionary("compass_gait29", 4)
-        n_s = 45000  # the walker bundle's sample count
-        X = sample_states(walker.state_box, n_s, seed=20)
-        tracemalloc.start()
-        try:
-            assemble_data(walker, d, X)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * n_s * d.n_z * 8
+def _fit(Psi, dPsis):
+    """``fit_generator`` on the triangular factor of the rows ``[Psi^T |
+    dPsi^T ...]``, taken by one QR."""
+    R = np.linalg.qr(np.hstack([Psi.T] + [dPsi.T for dPsi in dPsis]), mode="r")
+    return fit_generator(R, len(Psi))
 
 
 class TestFitGenerator:
@@ -113,7 +99,7 @@ class TestFitGenerator:
         d = get_dictionary("identity", 2)
         samples = sample_states(oscillator.state_box, 200, seed=7)
         Psi, dPsis = assemble_data(oscillator, d, samples)
-        fit = fit_generator(Psi, dPsis)[0]
+        fit = _fit(Psi, dPsis)[0]
         assert np.max(np.abs(fit.matrix - oscillator.params["A"])) <= 1e-10
         assert fit.residual <= 1e-12
         assert not fit.rank_deficient
@@ -121,7 +107,7 @@ class TestFitGenerator:
     def test_zero_derivatives_give_zero_matrix(self):
         rng = np.random.default_rng(8)
         Psi = rng.normal(size=(3, 40))
-        (fit,) = fit_generator(Psi, [np.zeros((3, 40))])
+        (fit,) = _fit(Psi, [np.zeros((3, 40))])
         assert np.array_equal(fit.matrix, np.zeros((3, 3)))
         assert fit.residual == 0.0
 
@@ -129,17 +115,17 @@ class TestFitGenerator:
         rng = np.random.default_rng(9)
         Psi = rng.normal(size=(4, 60))
         dPsi = rng.normal(size=(4, 60))
-        L1 = fit_generator(Psi, [dPsi])[0].matrix
-        L2 = fit_generator(np.hstack([Psi, Psi]), [np.hstack([dPsi, dPsi])])[0].matrix
+        L1 = _fit(Psi, [dPsi])[0].matrix
+        L2 = _fit(np.hstack([Psi, Psi]), [np.hstack([dPsi, dPsi])])[0].matrix
         assert np.max(np.abs(L1 - L2)) <= 1e-12
 
     def test_self_consistent_data_leaves_fit_unchanged(self):
         rng = np.random.default_rng(10)
         Psi = rng.normal(size=(4, 50))
         dPsi = rng.normal(size=(4, 50))
-        L = fit_generator(Psi, [dPsi])[0].matrix
+        L = _fit(Psi, [dPsi])[0].matrix
         extra = rng.normal(size=(4, 20))
-        L2 = fit_generator(
+        L2 = _fit(
             np.hstack([Psi, extra]), [np.hstack([dPsi, L @ extra])]
         )[0].matrix
         assert np.max(np.abs(L - L2)) <= 1e-12
@@ -161,7 +147,7 @@ class TestFitGenerator:
         s = np.array([3.0, 2.0, 1.0, ratio * 3.0])
         Psi, U, V = self._psi_with_singular_values(s, 50, seed=20)
         dPsi = np.random.default_rng(21).normal(size=(4, 50))
-        (fit,) = fit_generator(Psi, [dPsi])
+        (fit,) = _fit(Psi, [dPsi])
         assert fit.rank == 3 and fit.rank_deficient
         L_min_norm = dPsi @ V[:, :3] @ (U[:, :3] / s[:3]).T
         assert np.max(np.abs(fit.matrix - L_min_norm)) <= 1e-12
@@ -171,7 +157,7 @@ class TestFitGenerator:
         s = np.array([3.0, 2.0, 1.0, 1e-8 * 3.0])
         Psi, _, _ = self._psi_with_singular_values(s, 50, seed=22)
         L = np.random.default_rng(23).normal(size=(4, 4))
-        (fit,) = fit_generator(Psi, [L @ Psi])
+        (fit,) = _fit(Psi, [L @ Psi])
         assert fit.rank == 4 and not fit.rank_deficient
         assert np.max(np.abs(fit.matrix - L)) <= 1e-6
 
@@ -179,7 +165,7 @@ class TestFitGenerator:
         d = get_dictionary("pendulum12", 2)
         samples = sample_states(oscillator.state_box, 6, seed=11)  # n_s < n_z
         Psi, dPsis = assemble_data(oscillator, d, samples)
-        assert fit_generator(Psi, dPsis)[0].rank_deficient
+        assert _fit(Psi, dPsis)[0].rank_deficient
 
 
 class TestIdentify:
@@ -219,25 +205,69 @@ class TestIdentify:
             resid = np.linalg.norm(L @ Psi - dPsi) / np.linalg.norm(dPsi)
             assert abs(resid - model.residuals[i]) <= 1e-12
 
-
-    def test_matches_per_channel_oracle_bitwise(self, pendulum):
+    @pytest.mark.parametrize("name,dictionary", [("pendulum", "pendulum12"),
+                                                 ("walker", "compass_gait29")],
+                             ids=["pendulum", "walker"])
+    def test_matches_per_channel_lstsq_oracle(self, request, name, dictionary):
         # lift and differentiate the samples once per channel, term by term
-        # and all samples at once, then solve each channel's least squares
-        d = get_dictionary("pendulum12", 2)
-        model = identify(pendulum, d, n_s=500, seed=13, box=pendulum.state_box)
+        # and all samples at once, then solve each channel's least squares on
+        # the whole arrays; 5000 samples are three blocks of the stream
+        system = request.getfixturevalue(name)
+        d = get_dictionary(dictionary, system.n_x)
+        model = identify(system, d, n_s=5000, seed=13, box=system.state_box)
         X = sample_states(model.box, model.n_s, model.seed)
+        Psi = np.stack([t.value(X) for t in d.terms], -1).T
         for i, L in enumerate((model.L0,) + model.Li):
-            u = np.zeros(pendulum.n_u)
+            u = np.zeros(system.n_u)
             u[i - 1] = float(i > 0)
-            Psi = np.stack([t.value(X) for t in d.terms], -1).T
-            dPsi = d.derivative(X, eval_rhs(pendulum, X, u)).T
+            dPsi = d.derivative(X, eval_rhs(system, X, u)).T
             Lt, _, rank, _ = np.linalg.lstsq(Psi.T, dPsi.T, rcond=model.svd_tol)
-            L_oracle = np.ascontiguousarray(Lt.T)  # the layout of the fit
-            resid = float(np.linalg.norm(L_oracle @ Psi - dPsi)
-                          / np.linalg.norm(dPsi))
-            assert np.array_equal(L, L_oracle)
-            assert model.residuals[i] == resid
+            resid = np.linalg.norm(Lt.T @ Psi - dPsi) / np.linalg.norm(dPsi)
+            assert np.max(np.abs(L - Lt.T)) <= 1e-11 * np.max(np.abs(Lt))
+            assert abs(model.residuals[i] - resid) <= 1e-12 * resid
             assert model.ranks[i] == rank
+
+    def test_block_size_leaves_the_fit_unchanged(self, pendulum, monkeypatch):
+        d = get_dictionary("pendulum12", 2)
+
+        def fit(block):
+            monkeypatch.setattr(gedmd, "_BLOCK", block)
+            model = identify(pendulum, d, n_s=500, seed=13, box=pendulum.state_box)
+            return np.stack((model.L0,) + model.Li)
+
+        one, several = fit(500), fit(64)
+        assert np.max(np.abs(one - several)) <= 1e-12 * np.max(np.abs(one))
+
+    def test_nonfinite_lift_reports_sample_index(self, oscillator):
+        box = np.array([[2000.0, 3000.0], [0.0, 1.0]])
+        with pytest.raises(DataError, match="sample 0"):
+            identify(oscillator, OVERFLOW, n_s=5, seed=5, box=box)
+
+    def test_nonfinite_sample_in_a_later_block_reports_its_index(
+            self, oscillator, monkeypatch):
+        # x**99 and its derivative overflow above about 1300; at this seed
+        # samples 0 to 2 stay finite, and sample 3 is the second of the
+        # second two-sample block
+        monkeypatch.setattr(gedmd, "_BLOCK", 2)
+        box = np.array([[1000.0, 1400.0], [0.0, 1.0]])
+        X = sample_states(box, 12, seed=1)
+        with pytest.raises(DataError) as exc:
+            identify(oscillator, OVERFLOW, n_s=12, seed=1, box=box)
+        assert f"sample 3: x={X[3]}" in str(exc.value)
+
+    def test_peak_memory_is_below_one_lift_on_walker_data(self, walker):
+        # one pass holds a block's lifts, Lie derivatives and complex-step
+        # temporaries and the small triangular factor, never an (n_s, n_z)
+        # array; Psi and every dPsi held whole peak near three of them
+        d = get_dictionary("compass_gait29", 4)
+        n_s = 45000  # the walker bundle's sample count
+        tracemalloc.start()
+        try:
+            identify(walker, d, n_s=n_s, seed=20, box=walker.state_box)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= n_s * d.n_z * 8
 
 
 class TestLinearize:
