@@ -310,6 +310,29 @@ def _is_vector(value, n):
             and all(isinstance(v, (int, float)) for v in value))
 
 
+def _stage_count_mismatches(label, sol):
+    """Mismatches of a solution record's counts: its ``eval_count`` is the sum
+    of its stages' ``nfev``, and each stage's ``n_inf`` is the sum of its
+    ``failures`` and at most its ``nfev``."""
+    stages = sol["start_records"]
+    try:
+        rows = [("solution.eval_count", sol["eval_count"],
+                 sum(stage["nfev"] for stage in stages))]
+        over = []
+        for stage in stages:
+            field = f"solution.{stage['stage']}.n_inf"
+            rows.append((field, stage["n_inf"], sum(stage["failures"].values())))
+            if not stage["n_inf"] <= stage["nfev"]:
+                over.append({"variant": label, "field": field,
+                             "reported": stage["n_inf"],
+                             "recomputed": f"at most nfev = {stage['nfev']}"})
+    except (TypeError, AttributeError):
+        return [{"variant": label, "field": "solution.start_records",
+                 "reported": stages,
+                 "recomputed": "a list of stage records with counts"}]
+    return _mismatches(label, rows) + over
+
+
 def _audit_entry(out_dir, entry, baseline, baseline_traj, dictionary):
     """Mismatches of one ``report.json`` entry and its variant's files."""
     label = entry["variant"]
@@ -343,25 +366,30 @@ def _audit_entry(out_dir, entry, baseline, baseline_traj, dictionary):
         ("manifold_defects[0]", sol["manifold_defects"][0], defects[0]),
         ("manifold_defects[-1]", sol["manifold_defects"][-1], defects[1]),
     ]
-    return _mismatches(label, rows)
+    return _mismatches(label, rows) + _stage_count_mismatches(label, sol)
 
 
 def cmd_audit(out_dir):
     """Recompute from the persisted artifacts, and compare with what they
     report: every ``report.json`` entry field, by rerunning
     :func:`~koopbilevel.artifacts.comparison_entry` on the files read back;
-    each ``<label>_solution.json``'s ``T``, ``cost`` and ``c_hat_lower``, and
-    the manifold defects of its ``z0`` and ``zN``; and ``baseline.json``'s
+    each ``<label>_solution.json``'s ``T``, ``cost`` and ``c_hat_lower``, the
+    manifold defects of its ``z0`` and ``zN``, and the counts of its stage
+    records (:func:`_stage_count_mismatches`); and ``baseline.json``'s
     period and cost, from ``baseline.csv``. A field missing from an entry or
     record, a field that is not a number or a solution vector of the wrong
     length, and a ``<label>_solution.json`` or ``<label>_bilevel.csv``
     without a ``report.json`` entry, are mismatches too. A file that does not
-    parse raises ``ArtifactError``, and so does a ``report.json`` without
-    ``entries``, a ``baseline.json`` without a key that the recomputation
-    or the report entries read, and a ``model.json`` that is not an object
-    or lacks a key the model is read from."""
-    report = artifacts.read_json(os.path.join(out_dir, "report.json"),
-                                 keys=("entries",))
+    parse raises ``ArtifactError``, and so does a ``report.json`` whose
+    ``entries`` is missing or not a list of objects, a ``baseline.json``
+    without a key that the recomputation or the report entries read, and a
+    ``model.json`` that is not an object or lacks a key the model is read
+    from."""
+    report_path = os.path.join(out_dir, "report.json")
+    report = artifacts.read_json(report_path, keys=("entries",))
+    if not (isinstance(report["entries"], list)
+            and all(isinstance(entry, dict) for entry in report["entries"])):
+        raise ArtifactError(f"{report_path}: 'entries' is not a list of objects")
     dictionary = load_model(_model_path(out_dir)).dictionary
     baseline = artifacts.read_json(
         os.path.join(out_dir, "baseline.json"),

@@ -34,7 +34,7 @@ which Python's ``json`` reads, are rejected wherever a number is expected.
 Solver budgets and tolerances that no run varies are constants of the module
 that uses them: the SLSQP budget of :mod:`~koopbilevel.baseline_nlp`, the
 SVD cutoff of :mod:`~koopbilevel.gedmd`, the PCC grid of
-:mod:`~koopbilevel.artifacts` and the DIRECT budget of
+:mod:`~koopbilevel.artifacts` and the DIRECT cap and resolution of
 :mod:`~koopbilevel.upper_level`.
 """
 

@@ -10,9 +10,13 @@ low-dimensional box of p. ``solve_reduced`` runs DIRECT
 Lipschitz constant*, 1993, in the locally biased form of Gablonsky & Kelley,
 2001) over that box and polishes its best point with bounded L-BFGS-B. The
 landscape over T has several local minima, one basin per added period, so a
-local method alone is not enough. The polish reads the exact gradient of the
-upper cost: the lower level's cost gradient in (x0, xT, T), from its KKT
-solution, times the reduction's Jacobian, its complex step.
+local method alone is not enough. DIRECT stops at whichever comes first: the
+box holding its best point is resolved, smaller than ``_DIRECT_LEN_TOL`` of
+the search box, which is where the polish can take over, or it reaches its
+evaluation cap ``_DIRECT_MAXFUN``. The bundles' 1-D period searches stop by
+resolution, walker's 3-D search at the cap. The polish reads the exact
+gradient of the upper cost: the lower level's cost gradient in (x0, xT, T),
+from its KKT solution, times the reduction's Jacobian, its complex step.
 """
 
 from collections import Counter
@@ -76,7 +80,11 @@ class MixedBoundaryConstraint:
                                 for e in np.eye(p.size)])
 
 
-_DIRECT_MAXFUN = 200  # evaluation budget of the DIRECT stage of solve_reduced
+_DIRECT_MAXFUN = 200  # evaluation cap of the DIRECT stage of solve_reduced
+# DIRECT stops once the box holding its best point is smaller than this
+# fraction of the search box (scipy's len_tol); at 1e-2 walker's 3-D search
+# would stop early and move, at 1e-3 it still runs to the cap
+_DIRECT_LEN_TOL = 1e-3
 _POLISH_FTOL = 1e-15  # L-BFGS-B tolerances of the polish stage
 _POLISH_GTOL = 1e-10
 
@@ -86,9 +94,10 @@ class UpperConfig:
     """The period bracket [T_min, T_max] of the upper level.
 
     ``solve_reduced`` keeps T inside it. Everything else is a module
-    constant: DIRECT gets ``_DIRECT_MAXFUN`` (200) evaluations and the
-    L-BFGS-B polish runs at ``ftol`` ``_POLISH_FTOL`` (1e-15) and ``gtol``
-    ``_POLISH_GTOL`` (1e-10).
+    constant: DIRECT stops when the box holding its best point is smaller
+    than ``_DIRECT_LEN_TOL`` (1e-3) of the search box, or after
+    ``_DIRECT_MAXFUN`` (200) evaluations, and the L-BFGS-B polish runs at
+    ``ftol`` ``_POLISH_FTOL`` (1e-15) and ``gtol`` ``_POLISH_GTOL`` (1e-10).
     """
 
     T_min: float
@@ -155,12 +164,16 @@ def solve_reduced(model, variant, mbc, config, N):
 
     Each stage leaves one record: point, cost, objective calls, how many of
     them were +inf, and ``failures``, those calls by exception type name,
-    all counted as the calls are made. The polish record also has L-BFGS-B's
-    iteration count ``nit``, the box faces its point is on
-    (``active_bounds``) and ``projected_grad_norm``, the inf-norm of the
-    exact gradient there without the components on those faces. These
-    records are written to ``<label>_solution.json`` but cannot be audited:
-    that needs the run's config beside its artifacts.
+    all counted as the calls are made. The DIRECT record also has its
+    iteration count ``nit`` and scipy's ``message``, which says whether the
+    resolution (``len_tol``) or the cap (``maxfun``) ended the search. The
+    polish record has L-BFGS-B's iteration count ``nit``, the box faces its
+    point is on (``active_bounds``) and ``projected_grad_norm``, the
+    inf-norm of the exact gradient there without the components on those
+    faces. These records are written to ``<label>_solution.json``; ``audit``
+    checks their counts against each other and against ``eval_count``, but
+    not their points and costs: that needs the run's config beside its
+    artifacts.
     """
     if mbc.reduction is None:
         raise ConfigError(f"constraint '{mbc.name}' provides no reduction")
@@ -189,10 +202,13 @@ def solve_reduced(model, variant, mbc, config, N):
                       failures=dict(record["failures"]))
         return record, res
 
-    coarse, _ = run_stage(
-        "direct", lambda f: direct(f, Bounds(*box.T), maxfun=_DIRECT_MAXFUN),
+    coarse, res = run_stage(
+        "direct",
+        lambda f: direct(f, Bounds(*box.T), maxfun=_DIRECT_MAXFUN,
+                         len_tol=_DIRECT_LEN_TOL),
         with_grad=False,
     )
+    coarse.update(nit=int(res.nit), message=str(res.message))
     if not np.isfinite(coarse["c_star"]):
         raise NoSolutionError(
             f"DIRECT found no finite upper cost for '{mbc.name}' in "

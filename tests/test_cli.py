@@ -130,6 +130,7 @@ AUDITED_CORRUPTIONS = [
     ("b0_solution.json", _shift("T")),
     ("b0_solution.json", _shift("cost")),
     ("b0_solution.json", _shift("c_hat_lower")),
+    ("b0_solution.json", _shift("eval_count")),
 ]
 
 
@@ -137,10 +138,38 @@ AUDITED_CORRUPTIONS = [
     "name,edit", AUDITED_CORRUPTIONS,
     ids=["mbc_violation", "baseline_converged", "baseline_max_defect",
          "baseline_max_mbc_violation", "converged", "constraint_violation",
-         "T", "cost", "c_hat_lower"],
+         "T", "cost", "c_hat_lower", "eval_count"],
 )
 def test_audit_finds_a_corrupted_field(fig1_run, name, edit):
     assert _audit_after_edit(os.path.join(fig1_run, name), edit) == 1
+
+
+def _in_direct_record(edit):
+    def edit_solution(sol):
+        edit(sol["start_records"][0])
+    return edit_solution
+
+
+def _more_failures_than_calls(stage):
+    stage["n_inf"] = stage["nfev"] + 1
+    stage["failures"] = {"LowerLevelError": stage["nfev"] + 1}
+
+
+# (edit of b0_solution.json, field named): counts that disagree with each
+# other, and stage records that hold no counts
+STAGE_RECORD_CORRUPTIONS = [
+    (_in_direct_record(_shift("n_inf")), "b0.solution.direct.n_inf"),
+    (_in_direct_record(_more_failures_than_calls), "b0.solution.direct.n_inf"),
+    (lambda sol: sol.update(start_records=5), "b0.solution.start_records"),
+]
+
+
+@pytest.mark.parametrize("edit,named", STAGE_RECORD_CORRUPTIONS,
+                         ids=["n_inf_not_failures", "n_inf_above_nfev",
+                              "number_records"])
+def test_audit_checks_the_stage_record_counts(fig1_run, capsys, edit, named):
+    assert _audit_after_edit(os.path.join(fig1_run, "b0_solution.json"), edit) == 1
+    assert f"MISMATCH {named}:" in capsys.readouterr().out
 
 
 def test_audit_reports_an_entry_missing_a_field(fig1_run, capsys):
@@ -173,12 +202,17 @@ MALFORMED_ARTIFACTS = [
     ("b0_solution.json", _json_edit(lambda sol: sol.update(T="abc")),
      1, "MISMATCH b0.solution.T"),
     ("model.json", lambda text: "5", 2, "model.json"),
+    ("report.json", _json_edit(lambda report: report.update(entries=5)),
+     2, "report.json"),
+    ("report.json", _json_edit(lambda report: report.update(entries=[5])),
+     2, "report.json"),
 ]
 
 
 @pytest.mark.parametrize("name,rewrite,code,named", MALFORMED_ARTIFACTS,
                          ids=["short_z0", "truncated_json", "number_json",
-                              "header_only_csv", "string_T", "number_model"])
+                              "header_only_csv", "string_T", "number_model",
+                              "number_entries", "number_in_entries"])
 def test_audit_of_a_malformed_artifact_names_it(fig1_run, capsys, name, rewrite,
                                                 code, named):
     assert _audit_after_rewrite(os.path.join(fig1_run, name), rewrite) == code

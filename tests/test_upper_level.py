@@ -90,6 +90,23 @@ class TestSolveReduced:
             r["c_star"] for r in osc_solution.start_records)
         assert osc_solution.eval_count == coarse["nfev"] + polish["nfev"]
 
+    def test_resolved_search_finds_the_budgeted_optimum(
+            self, osc_solution, oscillator_model, osc_config, monkeypatch):
+        # DIRECT stops once its best box is resolved, well inside its cap;
+        # at scipy's default len_tol it runs to the cap, and the polish
+        # lands on the same optimum
+        coarse, _ = osc_solution.start_records
+        assert coarse["nfev"] < upper_level._DIRECT_MAXFUN
+        assert "len_tol" in coarse["message"]
+        assert isinstance(coarse["nit"], int) and coarse["nit"] >= 1
+        monkeypatch.setattr(upper_level, "_DIRECT_LEN_TOL", 1e-6)
+        budgeted = solve_reduced(oscillator_model, BoundaryVariant("b0"),
+                                 make_periodic_amplitude_anchor(A_30),
+                                 osc_config, 101)
+        assert "maxfun" in budgeted.start_records[0]["message"]
+        assert osc_solution.T == pytest.approx(budgeted.T, rel=1e-7)
+        assert osc_solution.cost == pytest.approx(budgeted.cost, rel=1e-12)
+
     def test_seed_costs_are_the_objective_at_the_seeds(self, osc_solution,
                                                        oscillator_model):
         # each stage's recorded cost is the objective at its point, and
