@@ -11,7 +11,9 @@ Subcommands:
 ``audit`` reruns :func:`koopbilevel.artifacts.comparison_entry`, which wrote
 each ``report.json`` entry, on the files it reads back and compares every
 field. It also checks each solution record's ``T``, ``cost``, ``c_hat_lower``
-and boundary manifold defects, and the baseline's period and cost.
+and boundary manifold defects, the baseline's period and cost, and
+``residual_report.json`` and the recorded model hashes against
+``model.json``.
 
 Each config is parsed once, by :func:`koopbilevel.config.validate_config`,
 into the :class:`~koopbilevel.config.RunConfig` that ``identify``, ``solve``,
@@ -67,27 +69,31 @@ def _model_path(out_dir):
     return os.path.join(out_dir, "model.json")
 
 
+def _residual_record(model):
+    """The ``residual_report.json`` record of ``model`` but its
+    ``model_hash``: the fit's residuals and ranks, and cond(V) of L0's
+    eigendecomposition. ``audit`` reruns it on the model read back."""
+    return {
+        "residuals": list(model.residuals),
+        "ranks": list(model.ranks),
+        "rank_deficient": model.rank_deficient,
+        "n_z": model.n_z,
+        "modes_cond": float(np.linalg.cond(model.modes[1])),
+    }
+
+
 def cmd_identify(run, out_dir):
-    """Identify the generator model and persist it with its residual report,
-    which records cond(V) of L0's eigendecomposition. A defective L0 raises
-    ``NumericError`` here, before ``model.json`` is written."""
+    """Identify the generator model and persist it with its residual report
+    (:func:`_residual_record` and the sha256 of ``model.json``). A defective
+    L0 raises ``NumericError`` here, before ``model.json`` is written."""
     _ensure_dir(out_dir)
     model = identify(run.system, run.dictionary, n_s=run.n_s, seed=run.seed,
                      box=run.box)
-    modes_cond = float(np.linalg.cond(model.modes[1]))
+    record = _residual_record(model)
     path = _model_path(out_dir)
     save_model(model, path)
-    artifacts.write_json(
-        os.path.join(out_dir, "residual_report.json"),
-        {
-            "residuals": list(model.residuals),
-            "ranks": list(model.ranks),
-            "rank_deficient": model.rank_deficient,
-            "n_z": model.n_z,
-            "modes_cond": modes_cond,
-            "model_hash": artifacts.sha256_file(path),
-        },
-    )
+    record["model_hash"] = artifacts.sha256_file(path)
+    artifacts.write_json(os.path.join(out_dir, "residual_report.json"), record)
     return model
 
 
@@ -333,6 +339,40 @@ def _stage_count_mismatches(label, sol):
     return _mismatches(label, rows) + over
 
 
+def _identification_mismatches(out_dir, model, report):
+    """Mismatches of the identification record: ``residual_report.json``
+    against :func:`_residual_record` of the model read back, and its
+    ``model_hash`` and ``report.json``'s ``provenance.model_hash`` against the
+    sha256 of ``model.json``."""
+    recomputed = _residual_record(model)
+    reported = artifacts.read_json(
+        os.path.join(out_dir, "residual_report.json"),
+        keys=tuple(recomputed) + ("model_hash",))
+    problems, rows = [], []
+    for key, value in recomputed.items():
+        if not isinstance(value, list):
+            rows.append((key, reported[key], value))
+        elif _is_vector(reported[key], len(value)):
+            rows += [(f"{key}[{i}]", r, v)
+                     for i, (r, v) in enumerate(zip(reported[key], value))]
+        else:
+            problems.append({"variant": "residual_report", "field": key,
+                             "reported": reported[key], "recomputed": value})
+    model_hash = artifacts.sha256_file(_model_path(out_dir))
+    provenance = report.get("provenance")
+    hashes = [
+        ("residual_report", "model_hash", reported["model_hash"]),
+        ("report", "provenance.model_hash",
+         provenance.get("model_hash") if isinstance(provenance, dict) else None),
+    ]
+    problems += [
+        {"variant": source, "field": field, "reported": value,
+         "recomputed": model_hash}
+        for source, field, value in hashes if value != model_hash
+    ]
+    return _mismatches("residual_report", rows) + problems
+
+
 def _audit_entry(out_dir, entry, baseline, baseline_traj, dictionary):
     """Mismatches of one ``report.json`` entry and its variant's files."""
     label = entry["variant"]
@@ -375,14 +415,16 @@ def cmd_audit(out_dir):
     :func:`~koopbilevel.artifacts.comparison_entry` on the files read back;
     each ``<label>_solution.json``'s ``T``, ``cost`` and ``c_hat_lower``, the
     manifold defects of its ``z0`` and ``zN``, and the counts of its stage
-    records (:func:`_stage_count_mismatches`); and ``baseline.json``'s
-    period and cost, from ``baseline.csv``. A field missing from an entry or
+    records (:func:`_stage_count_mismatches`); ``baseline.json``'s period
+    and cost, from ``baseline.csv``; and the identification record
+    (:func:`_identification_mismatches`). A field missing from an entry or
     record, a field that is not a number or a solution vector of the wrong
     length, and a ``<label>_solution.json`` or ``<label>_bilevel.csv``
     without a ``report.json`` entry, are mismatches too. A file that does not
     parse raises ``ArtifactError``, and so does a ``report.json`` whose
     ``entries`` is missing or not a list of objects, a ``baseline.json``
-    without a key that the recomputation or the report entries read, and a
+    without a key that the recomputation or the report entries read, a
+    ``residual_report.json`` without a key that it records, and a
     ``model.json`` that is not an object or lacks a key the model is read
     from."""
     report_path = os.path.join(out_dir, "report.json")
@@ -390,7 +432,7 @@ def cmd_audit(out_dir):
     if not (isinstance(report["entries"], list)
             and all(isinstance(entry, dict) for entry in report["entries"])):
         raise ArtifactError(f"{report_path}: 'entries' is not a list of objects")
-    dictionary = load_model(_model_path(out_dir)).dictionary
+    model = load_model(_model_path(out_dir))
     baseline = artifacts.read_json(
         os.path.join(out_dir, "baseline.json"),
         keys=("T", "cost", "converged", "max_defect", "max_mbc_violation"))
@@ -399,10 +441,11 @@ def cmd_audit(out_dir):
         ("T", baseline["T"], tn[-1]),
         ("cost", baseline["cost"], running_cost(tn[-1], un)),
     ])
+    problems += _identification_mismatches(out_dir, model, report)
     for entry in report["entries"]:
         try:
             problems += _audit_entry(out_dir, entry, baseline, (tn, xn, un),
-                                     dictionary)
+                                     model.dictionary)
         except KeyError as exc:
             problems.append({"variant": entry.get("variant"), "field": exc.args[0],
                              "reported": "missing", "recomputed": None})

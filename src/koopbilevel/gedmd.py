@@ -9,10 +9,14 @@ states and the columns of ``dPsi`` are their Lie derivatives along the drift
 The Lie derivatives nabla psi . f are complex steps of the dictionary along
 each channel's vector field (``ObservableDictionary.derivative``).
 
-Identification is one pass over the samples (:func:`identify`), which folds
-each block of lifts and Lie derivatives into a small triangular factor R;
-every channel's fit and residual then come from R alone
-(:func:`fit_generator`). The identified matrices give the bilinear surrogate
+Identification is one pass over the samples (:func:`identify`). Each block
+of lifts and Lie derivatives is folded into a small factor ``[R_Psi | C]`` by
+a QR of the Psi columns alone, whose Q^T is applied to the derivative
+columns, and the derivative rows that Q^T moves below R_Psi are kept only as
+running column sums of squares. Every channel's fit and residual then come
+from ``[R_Psi | C]`` and one more row that holds the square roots of those
+sums (:func:`fit_generator`). The identified matrices give the bilinear
+surrogate
 
     dz/dt = L0 z + sum_i u_i (Li - L0) z,
 
@@ -27,6 +31,7 @@ from functools import cached_property
 from typing import Tuple
 
 import numpy as np
+import scipy.linalg
 
 from .artifacts import read_json, write_json
 from .errors import ArtifactError, ConfigError, DataError
@@ -159,14 +164,17 @@ class FitResult:
 
 def fit_generator(R, n_z):
     """Minimum-norm least-squares generator fits of ``L Psi = dPsi``, one
-    ``np.linalg.lstsq`` per channel, from the triangular factor ``R`` of the
-    sample rows ``[Psi^T | dPsi_0^T | ... | dPsi_{n_u}^T]``.
+    ``np.linalg.lstsq`` per channel, from a factor ``R`` of the sample rows
+    ``[Psi^T | dPsi_0^T | ... | dPsi_{n_u}^T]``: any R with ``||Psi^T X -
+    dPsi_c^T|| = ||R_Psi X - R_c||`` for every X, where ``R_Psi`` is R's
+    leading ``n_z`` columns and ``R_c`` channel c's columns. The triangular
+    factor of one QR of those rows is one. :func:`identify` passes ``[R_Psi
+    | C]``, from a QR of the Psi columns alone, and one more row: zeros under
+    Psi, and under each derivative column the norm of what Q^T put below
+    R_Psi, which no X can reduce.
 
-    Those rows are ``Q R`` with orthonormal Q, so ``||Psi^T X - dPsi_c^T|| =
-    ||R_Psi X - R_c||`` for R's leading ``n_z`` columns ``R_Psi`` and channel
-    c's columns ``R_c``, and ``R_Psi`` has the singular values of ``Psi``.
-    LAPACK's ``gelsd`` treats those at most ``_SVD_TOL`` times the largest as
-    zero. A rank-deficient regression is not fatal: each fit proceeds on the
+    Such an ``R_Psi`` has the singular values of ``Psi``. LAPACK's ``gelsd``
+    treats those at most ``_SVD_TOL`` times the largest as zero. A rank-deficient regression is not fatal: each fit proceeds on the
     retained subspace and the deficiency is recorded on its result. The
     residual ``||R_Psi L^T - R_c|| / ||R_c||`` equals ``||L Psi - dPsi|| /
     ||dPsi||``.
@@ -191,12 +199,32 @@ def fit_generator(R, n_z):
     return fits
 
 
-# samples lifted, differentiated and folded into R per QR; bounds the
-# complex-step temporaries and the rows held. Identifying walker's 45,000
-# samples on a 2-core Xeon peaked at 85, 88, 96 and 110 MB RSS with blocks of
-# 1024, 2048, 4096 and 8192, each in about 0.35 s; at 2048 fig1's 2000
-# samples are one block
+# samples lifted, differentiated and folded into [R_Psi | C] at a time;
+# bounds the complex-step temporaries and the rows held. Identifying walker's
+# 45,000 samples in a fresh process on a 2-core Xeon (median of 5) peaked at
+# 85.0, 86.7 and 92.3 MB RSS with blocks of 1024, 2048 and 4096, each in
+# about 0.16 s; at 2048 fig1's 2000 samples are one block
 _BLOCK = 2048
+
+_GEQRT, _GEMQRT = scipy.linalg.get_lapack_funcs(("geqrt", "gemqrt"),
+                                                dtype=np.float64)
+
+
+def _fold(stack, n_z, tail):
+    """Fold the sample rows below the leading ``n_z`` rows ``[R_Psi | C]`` of
+    the Fortran-order ``stack`` into them: LAPACK ``geqrt`` triangularizes
+    the ``n_z`` Psi columns as one block reflector, ``gemqrt`` applies its
+    Q^T to the derivative columns, and the squared norms of the derivative
+    columns' rows below ``n_z`` are added to ``tail``. Q^T keeps every column
+    norm, so ``[R_Psi | C]`` and the tail norms carry all that a fit needs of
+    the rows folded so far."""
+    V, T, _ = _GEQRT(n_z, stack[:, :n_z], overwrite_a=True)
+    C, _ = _GEMQRT(V, T, stack[:, n_z:], side="L", trans="T", overwrite_c=True)
+    # both work in place on the stack's columns; V holds the reflectors
+    # below R_Psi's diagonal
+    stack[:n_z, :n_z] = np.triu(V[:n_z])
+    stack[:n_z, n_z:] = C[:n_z]
+    tail += np.einsum("ij,ij->j", C[n_z:], C[n_z:])
 
 
 def identify(system, dictionary, n_s, seed, box):
@@ -207,32 +235,40 @@ def identify(system, dictionary, n_s, seed, box):
     Each block of ``_BLOCK`` samples is lifted and differentiated
     (:func:`assemble_data`); its rows ``[psi^T | dpsi_0^T | ... |
     dpsi_{n_u}^T]`` are checked for non-finite values, stacked under the
-    running triangular factor R and re-triangularized by one QR. R has at
-    most ``(n_u + 2) n_z`` rows, so no (n_s, n_z) array is held;
-    :func:`fit_generator` solves every channel from it.
+    running ``[R_Psi | C]`` and folded into it (:func:`_fold`): only the
+    ``n_z`` Psi columns are triangularized, and the derivative columns keep
+    running sums of squares of the rows that fall below ``n_z``. No (n_s,
+    n_z) array is held. :func:`fit_generator` solves every channel from
+    ``[R_Psi | C]`` with one more row, zeros under Psi and the square roots
+    of those sums under the derivative columns.
     """
     X = sample_states(box, n_s, seed)
     n_z = dictionary.n_z
     width = (system.n_u + 2) * n_z
-    # R in the leading k rows, the next block's rows below it
-    stack = np.empty((width + _BLOCK, width))
-    k = 0
+    # [R_Psi | C] in the leading n_z rows, starting from zeros, and the next
+    # block's rows below it. A last, shorter block is followed by zero rows,
+    # which fold to zero, so every fold has one shape: on walker a shorter
+    # last fold rounded differently at one and two OpenBLAS threads
+    stack = np.zeros((n_z + min(_BLOCK, len(X)), width), order="F")
+    tail = np.zeros(width - n_z)
     for start in range(0, len(X), _BLOCK):
         Psi, dPsis = assemble_data(system, dictionary, X[start:start + _BLOCK])
-        rows = stack[k:k + Psi.shape[1]]
-        blocks = rows.reshape(len(rows), -1, n_z)
+        rows = stack[n_z:n_z + Psi.shape[1]]
         for c, M in enumerate((Psi,) + dPsis):
-            blocks[:, c] = M.T
+            rows[:, c * n_z:(c + 1) * n_z] = M.T
+        # free the block's lifts before the next block's are made: kept, they
+        # raised walker's identify peak RSS from 86.7 to 89.3 MB
+        del Psi, dPsis, M
         finite = np.all(np.isfinite(rows), axis=1)
         if not np.all(finite):
             idx = start + int(np.argmin(finite))
             raise DataError(
                 f"non-finite lift or Lie derivative at sample {idx}: x={X[idx]}"
             )
-        R = np.linalg.qr(stack[:k + len(rows)], mode="r")
-        k = len(R)
-        stack[:k] = R
-    fits = fit_generator(stack[:k], n_z)
+        stack[n_z + len(rows):] = 0.0
+        _fold(stack, n_z, tail)
+    R = np.vstack([stack[:n_z], np.concatenate([np.zeros(n_z), np.sqrt(tail)])])
+    fits = fit_generator(R, n_z)
     return GeneratorModel(
         L0=fits[0].matrix,
         Li=tuple(f.matrix for f in fits[1:]),

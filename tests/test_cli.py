@@ -172,6 +172,60 @@ def test_audit_checks_the_stage_record_counts(fig1_run, capsys, edit, named):
     assert f"MISMATCH {named}:" in capsys.readouterr().out
 
 
+def _set(path, value):
+    """An edit that sets the entry at the key path ``path`` to ``value``."""
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return edit
+
+
+def _shift_item(field, index, by):
+    def edit(obj):
+        obj[field][index] += by
+    return edit
+
+
+STALE_HASHES = ["MISMATCH residual_report.model_hash:",
+                "MISMATCH report.provenance.model_hash:"]
+
+# (file, rewrite, text named in the output): the identification record
+# against model.json; a model.json rewritten after the run leaves both
+# recorded hashes stale
+IDENTIFICATION_CORRUPTIONS = [
+    ("residual_report.json", _json_edit(_shift_item("residuals", 0, 1e-3)),
+     ["MISMATCH residual_report.residuals[0]:"]),
+    ("residual_report.json", _json_edit(_shift_item("ranks", 1, -1)),
+     ["MISMATCH residual_report.ranks[1]:"]),
+    ("residual_report.json", _json_edit(_set(["ranks"], [3])),
+     ["MISMATCH residual_report.ranks:"]),
+    ("residual_report.json", _json_edit(_flip("rank_deficient")),
+     ["MISMATCH residual_report.rank_deficient:"]),
+    ("residual_report.json", _json_edit(_shift("n_z")),
+     ["MISMATCH residual_report.n_z:"]),
+    ("residual_report.json", _json_edit(_shift("modes_cond")),
+     ["MISMATCH residual_report.modes_cond:"]),
+    ("residual_report.json", _json_edit(_set(["model_hash"], "0" * 64)),
+     STALE_HASHES[:1]),
+    ("report.json", _json_edit(_set(["provenance", "model_hash"], "0" * 64)),
+     STALE_HASHES[1:]),
+    ("model.json", lambda text: text + "\n", STALE_HASHES),
+]
+
+
+@pytest.mark.parametrize("name,rewrite,named", IDENTIFICATION_CORRUPTIONS,
+                         ids=["residual", "rank", "short_ranks", "rank_deficient",
+                              "n_z", "modes_cond", "residual_report_hash",
+                              "provenance_hash", "stale_model"])
+def test_audit_checks_the_identification_record(fig1_run, capsys, name,
+                                                rewrite, named):
+    assert _audit_after_rewrite(os.path.join(fig1_run, name), rewrite) == 1
+    out = capsys.readouterr().out
+    assert all(text in out for text in named), out
+    assert out.count("MISMATCH") == len(named), out
+
+
 def test_audit_reports_an_entry_missing_a_field(fig1_run, capsys):
     def drop(report):
         del report["entries"][0]["mbc_violation"]
@@ -222,6 +276,8 @@ def test_audit_of_a_malformed_artifact_names_it(fig1_run, capsys, name, rewrite,
 
 @pytest.mark.parametrize("name,key", [("report.json", "entries"),
                                       ("model.json", "dictionary"),
+                                      ("residual_report.json", "residuals"),
+                                      ("residual_report.json", "model_hash"),
                                       ("baseline.json", "T"),
                                       ("baseline.json", "converged"),
                                       ("baseline.json", "max_defect"),

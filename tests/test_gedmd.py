@@ -168,6 +168,62 @@ class TestFitGenerator:
         assert _fit(Psi, dPsis)[0].rank_deficient
 
 
+def _folded(rows, n_z, block):
+    """``[R_Psi | C]`` and the tail sums of squares of ``rows`` folded
+    ``block`` rows at a time, as :func:`identify` folds a block's rows."""
+    stack = np.zeros((n_z + block, rows.shape[1]), order="F")
+    tail = np.zeros(rows.shape[1] - n_z)
+    for start in range(0, len(rows), block):
+        part = rows[start:start + block]
+        stack[n_z:n_z + len(part)] = part
+        stack[n_z + len(part):] = 0.0
+        gedmd._fold(stack, n_z, tail)
+    return stack[:n_z].copy(), tail
+
+
+class TestFold:
+    N_Z = 4
+
+    @staticmethod
+    def _rows(seed):
+        # Psi^T and two channels' dPsi^T, one sample per row; the second
+        # channel is not in the span of Psi, so its residual is far from 0
+        rng = np.random.default_rng(seed)
+        Psi = rng.normal(size=(4, 300))
+        dPsi = [rng.normal(size=(4, 4)) @ Psi, rng.normal(size=(4, 300))]
+        return Psi, dPsi, np.hstack([Psi.T] + [M.T for M in dPsi])
+
+    # 3 is below n_z: the first fold stacks fewer sample rows than columns
+    @pytest.mark.parametrize("block", [3, 64, 300])
+    def test_fold_keeps_the_gram_matrix_and_the_column_norms(self, block):
+        _, _, rows = self._rows(30)
+        R, tail = _folded(rows, self.N_Z, block)
+        R_psi = R[:, :self.N_Z]
+        assert np.array_equal(R_psi, np.triu(R_psi))
+        gram = rows[:, :self.N_Z].T @ rows
+        assert np.max(np.abs(R_psi.T @ R - gram)) <= 1e-12 * np.max(np.abs(gram))
+        norms = np.sum(R[:, self.N_Z:] ** 2, axis=0) + tail
+        assert np.allclose(norms, np.sum(rows[:, self.N_Z:] ** 2, axis=0),
+                           rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("block", [3, 64, 300])
+    def test_tail_row_gives_the_explicit_residual(self, block):
+        # zeros under Psi and the tail norms under the derivative columns:
+        # fit_generator's residual is then ||L Psi - dPsi|| / ||dPsi||
+        Psi, dPsi, rows = self._rows(31)
+        R, tail = _folded(rows, self.N_Z, block)
+        fits = fit_generator(
+            np.vstack([R, np.concatenate([np.zeros(self.N_Z), np.sqrt(tail)])]),
+            self.N_Z)
+        for fit, M in zip(fits, dPsi):
+            Lt = np.linalg.lstsq(Psi.T, M.T, rcond=None)[0]
+            explicit = np.linalg.norm(fit.matrix @ Psi - M) / np.linalg.norm(M)
+            assert np.max(np.abs(fit.matrix - Lt.T)) <= 1e-12 * np.max(np.abs(Lt))
+            assert abs(fit.residual - explicit) <= 1e-12 * max(explicit, 1e-3)
+        assert fits[0].residual <= 1e-13
+        assert fits[1].residual >= 0.5
+
+
 class TestIdentify:
     def test_exact_on_linear_systems(self, oscillator, oscillator_model):
         A, B = oscillator.params["A"], oscillator.params["B"]
@@ -195,7 +251,9 @@ class TestIdentify:
         model = identify(pendulum, d, n_s=8, seed=12, box=pendulum.state_box)
         assert model.rank_deficient
 
-    def test_residuals_recomputable(self, pendulum):
+    def test_residuals_recomputable(self, pendulum, monkeypatch):
+        # eight blocks: the tail norms carry across seven folds
+        monkeypatch.setattr(gedmd, "_BLOCK", 64)
         d = get_dictionary("pendulum12", 2)
         model = identify(pendulum, d, n_s=500, seed=13, box=pendulum.state_box)
         samples = sample_states(model.box, model.n_s, model.seed)
@@ -232,11 +290,18 @@ class TestIdentify:
 
         def fit(block):
             monkeypatch.setattr(gedmd, "_BLOCK", block)
-            model = identify(pendulum, d, n_s=500, seed=13, box=pendulum.state_box)
-            return np.stack((model.L0,) + model.Li)
+            return identify(pendulum, d, n_s=500, seed=13, box=pendulum.state_box)
 
-        one, several = fit(500), fit(64)
-        assert np.max(np.abs(one - several)) <= 1e-12 * np.max(np.abs(one))
+        one = fit(500)
+        L_one = np.stack((one.L0,) + one.Li)
+        # a block of 5 is below pendulum12's 12 terms, so alone it is rank
+        # deficient
+        for block in (64, 5):
+            several = fit(block)
+            L_several = np.stack((several.L0,) + several.Li)
+            assert np.max(np.abs(L_one - L_several)) <= 1e-12 * np.max(np.abs(L_one))
+            assert np.allclose(several.residuals, one.residuals, rtol=1e-12, atol=0)
+            assert several.ranks == one.ranks
 
     def test_nonfinite_lift_reports_sample_index(self, oscillator):
         box = np.array([[2000.0, 3000.0], [0.0, 1.0]])
