@@ -54,16 +54,18 @@ def write_json(path, obj):
 
 
 def read_json(path, keys=()):
-    """The JSON object at ``path``; a file that does not parse, or that is
-    not an object with each of ``keys``, raises ``ArtifactError`` naming
-    it."""
+    """The JSON object at ``path``, which every JSON artifact is; a file that
+    does not parse, or that is not an object with each of ``keys``, raises
+    ``ArtifactError`` naming it."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
         except ValueError as exc:
             raise ArtifactError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ArtifactError(f"{path}: not a JSON object")
     for key in keys:
-        if not isinstance(obj, dict) or key not in obj:
+        if key not in obj:
             raise ArtifactError(f"{path}: missing key {key!r}")
     return obj
 

@@ -8,12 +8,9 @@ Subcommands:
 * ``reproduce`` - run a pinned benchmark bundle and evaluate its gates.
 * ``audit``     - recompute every reported number from persisted artifacts.
 
-``audit`` reruns :func:`koopbilevel.artifacts.comparison_entry`, which wrote
-each ``report.json`` entry, on the files it reads back and compares every
-field. It also checks each solution record's ``T``, ``cost``, ``c_hat_lower``
-and boundary manifold defects, the baseline's period and cost, and
-``residual_report.json`` and the recorded model hashes against
-``model.json``.
+``audit`` rebuilds each record it checks from the other artifacts, with the
+functions that wrote it, and compares the file with it by one rule
+(:func:`_diff`).
 
 Each config is parsed once, by :func:`koopbilevel.config.validate_config`,
 into the :class:`~koopbilevel.config.RunConfig` that ``identify``, ``solve``,
@@ -291,142 +288,111 @@ def cmd_reproduce(bundle_name, out_dir, seed=None):
 
 def _close(a, b, rtol=1e-9, atol=1e-12):
     # not exact: an audit may run on a machine whose BLAS and libm round
-    # differently from the one that wrote the artifacts (see ``artifacts``);
-    # a reported value that is not a number matches nothing
-    try:
-        return abs(a - b) <= atol + rtol * max(abs(a), abs(b))
-    except TypeError:
-        return False
+    # differently from the one that wrote the artifacts (see ``artifacts``)
+    return abs(a - b) <= atol + rtol * max(abs(a), abs(b))
 
 
-def _mismatches(source, rows):
-    """Problem records for the ``(field, reported, recomputed)`` rows that
-    disagree."""
-    return [
-        {"variant": source, "field": key, "reported": reported,
-         "recomputed": recomputed}
-        for key, reported, recomputed in rows
-        if not _close(reported, recomputed)
-    ]
+def _problem(source, field, reported, recomputed):
+    return {"variant": source, "field": field, "reported": reported,
+            "recomputed": recomputed}
 
 
-def _is_vector(value, n):
-    """Whether a value read from JSON is a list of ``n`` numbers."""
-    return (isinstance(value, list) and len(value) == n
-            and all(isinstance(v, (int, float)) for v in value))
+def _diff(source, field, reported, recomputed):
+    """Problems of a ``reported`` value against the ``recomputed`` one: dicts
+    key by key (field ``a.b``), lists item by item (``a[i]``), two numbers
+    by :func:`_close` and anything else by equality. A missing key is one
+    problem at its field, and so is a list of another length or a value of
+    another type."""
+    if isinstance(recomputed, dict) and isinstance(reported, dict):
+        problems = []
+        for key, value in recomputed.items():
+            name = f"{field}.{key}" if field else key
+            problems += (_diff(source, name, reported[key], value) if key in reported
+                         else [_problem(source, name, "missing", value)])
+        return problems
+    if (isinstance(recomputed, list) and isinstance(reported, list)
+            and len(reported) == len(recomputed)):
+        return [problem for i, (r, v) in enumerate(zip(reported, recomputed))
+                for problem in _diff(source, f"{field}[{i}]", r, v)]
+    numbers = all(isinstance(v, (int, float)) for v in (reported, recomputed))
+    if _close(reported, recomputed) if numbers else reported == recomputed:
+        return []
+    return [_problem(source, field, reported, recomputed)]
 
 
-def _stage_count_mismatches(label, sol):
-    """Mismatches of a solution record's counts: its ``eval_count`` is the sum
-    of its stages' ``nfev``, and each stage's ``n_inf`` is the sum of its
-    ``failures`` and at most its ``nfev``."""
-    stages = sol["start_records"]
-    try:
-        rows = [("solution.eval_count", sol["eval_count"],
-                 sum(stage["nfev"] for stage in stages))]
-        over = []
-        for stage in stages:
-            field = f"solution.{stage['stage']}.n_inf"
-            rows.append((field, stage["n_inf"], sum(stage["failures"].values())))
-            if not stage["n_inf"] <= stage["nfev"]:
-                over.append({"variant": label, "field": field,
-                             "reported": stage["n_inf"],
-                             "recomputed": f"at most nfev = {stage['nfev']}"})
-    except (TypeError, AttributeError):
-        return [{"variant": label, "field": "solution.start_records",
-                 "reported": stages,
-                 "recomputed": "a list of stage records with counts"}]
-    return _mismatches(label, rows) + over
-
-
-def _identification_mismatches(out_dir, model, report):
-    """Mismatches of the identification record: ``residual_report.json``
-    against :func:`_residual_record` of the model read back, and its
-    ``model_hash`` and ``report.json``'s ``provenance.model_hash`` against the
-    sha256 of ``model.json``."""
-    recomputed = _residual_record(model)
-    reported = artifacts.read_json(
-        os.path.join(out_dir, "residual_report.json"),
-        keys=tuple(recomputed) + ("model_hash",))
-    problems, rows = [], []
-    for key, value in recomputed.items():
-        if not isinstance(value, list):
-            rows.append((key, reported[key], value))
-        elif _is_vector(reported[key], len(value)):
-            rows += [(f"{key}[{i}]", r, v)
-                     for i, (r, v) in enumerate(zip(reported[key], value))]
-        else:
-            problems.append({"variant": "residual_report", "field": key,
-                             "reported": reported[key], "recomputed": value})
-    model_hash = artifacts.sha256_file(_model_path(out_dir))
-    provenance = report.get("provenance")
-    hashes = [
-        ("residual_report", "model_hash", reported["model_hash"]),
-        ("report", "provenance.model_hash",
-         provenance.get("model_hash") if isinstance(provenance, dict) else None),
-    ]
-    problems += [
-        {"variant": source, "field": field, "reported": value,
-         "recomputed": model_hash}
-        for source, field, value in hashes if value != model_hash
-    ]
-    return _mismatches("residual_report", rows) + problems
+# the keys of a ``<label>_solution.json`` that ``audit`` reads
+_SOLUTION_KEYS = ("variant", "x0", "xT", "z0", "zN", "T", "cost", "c_hat_lower",
+                  "constraint_violation", "manifold_defects", "eval_count",
+                  "start_records")
 
 
 def _audit_entry(out_dir, entry, baseline, baseline_traj, dictionary):
-    """Mismatches of one ``report.json`` entry and its variant's files."""
+    """Problems of one ``report.json`` entry and its variant's files."""
     label = entry["variant"]
     trajectory = artifacts.read_trajectory_csv(
         os.path.join(out_dir, f"{label}_bilevel.csv"))
-    sol = artifacts.read_json(os.path.join(out_dir, f"{label}_solution.json"))
-    # the solution vectors that the recomputation reads; any of another
+    sol = artifacts.read_json(os.path.join(out_dir, f"{label}_solution.json"),
+                              keys=_SOLUTION_KEYS)
+    # the solution vectors that the recomputation indexes; any of another
     # shape is reported, and nothing is recomputed from them
-    lengths = (("x0", dictionary.n_x), ("xT", dictionary.n_x),
-               ("z0", dictionary.n_z), ("zN", dictionary.n_z),
-               ("manifold_defects", len(trajectory[0])))
+    lengths = {"x0": dictionary.n_x, "xT": dictionary.n_x, "z0": dictionary.n_z,
+               "zN": dictionary.n_z, "manifold_defects": len(trajectory[0])}
     malformed = [
-        {"variant": label, "field": f"solution.{key}", "reported": sol[key],
-         "recomputed": f"a list of {n} numbers"}
-        for key, n in lengths if not _is_vector(sol[key], n)
+        _problem(label, f"solution.{key}", sol[key], f"a list of {n} numbers")
+        for key, n in lengths.items()
+        if not (isinstance(sol[key], list) and len(sol[key]) == n
+                and all(isinstance(v, (int, float)) for v in sol[key]))
     ]
     if malformed:
         return malformed
     recomputed = artifacts.comparison_entry(
         sol, trajectory, baseline, baseline_traj, dictionary)
-    rows = [(key, entry[key], value)
-            for key, value in recomputed.items() if key != "variant"]
-    rows += [
-        (f"solution.{key}", sol[key], recomputed[field])
-        for key, field in (("T", "T_star"), ("cost", "c"),
-                           ("c_hat_lower", "c_hat_lower"))
-    ]
-    z_ends = np.array([sol["z0"], sol["zN"]])
-    defects = manifold_defect(dictionary, z_ends).tolist()
-    rows += [
-        ("manifold_defects[0]", sol["manifold_defects"][0], defects[0]),
-        ("manifold_defects[-1]", sol["manifold_defects"][-1], defects[1]),
-    ]
-    return _mismatches(label, rows) + _stage_count_mismatches(label, sol)
+    problems = _diff(label, "", entry, recomputed)
+    # the solution record: the entry's numbers, the manifold defects of its
+    # ends, and the counts that its stage records fix
+    defects = manifold_defect(dictionary, np.array([sol["z0"], sol["zN"]]))
+    ends = {"manifold_defects[0]": 0, "manifold_defects[-1]": -1}
+    reported = dict(sol, **{key: sol["manifold_defects"][i] for key, i in ends.items()})
+    rebuilt = {"T": recomputed["T_star"], "cost": recomputed["c"],
+               "c_hat_lower": recomputed["c_hat_lower"],
+               **{key: float(defects[i]) for key, i in ends.items()}}
+    stages = sol["start_records"]
+    try:
+        problems += [
+            _problem(label, f"solution.{stage['stage']}.n_inf", stage["n_inf"],
+                     f"at most nfev = {stage['nfev']}")
+            for stage in stages if not stage["n_inf"] <= stage["nfev"]
+        ]
+        reported.update({stage["stage"]: stage for stage in stages})
+        rebuilt.update({stage["stage"]: {"n_inf": sum(stage["failures"].values())}
+                        for stage in stages},
+                       eval_count=sum(stage["nfev"] for stage in stages))
+    except (TypeError, AttributeError, KeyError):
+        problems.append(_problem(label, "solution.start_records", stages,
+                                 "a list of stage records with counts"))
+    return problems + _diff(label, "solution", reported, rebuilt)
 
 
 def cmd_audit(out_dir):
-    """Recompute from the persisted artifacts, and compare with what they
-    report: every ``report.json`` entry field, by rerunning
-    :func:`~koopbilevel.artifacts.comparison_entry` on the files read back;
-    each ``<label>_solution.json``'s ``T``, ``cost`` and ``c_hat_lower``, the
-    manifold defects of its ``z0`` and ``zN``, and the counts of its stage
-    records (:func:`_stage_count_mismatches`); ``baseline.json``'s period
-    and cost, from ``baseline.csv``; and the identification record
-    (:func:`_identification_mismatches`). A field missing from an entry or
-    record, a field that is not a number or a solution vector of the wrong
-    length, and a ``<label>_solution.json`` or ``<label>_bilevel.csv``
-    without a ``report.json`` entry, are mismatches too. A file that does not
-    parse raises ``ArtifactError``, and so does a ``report.json`` whose
-    ``entries`` is missing or not a list of objects, a ``baseline.json``
-    without a key that the recomputation or the report entries read, a
-    ``residual_report.json`` without a key that it records, and a
-    ``model.json`` that is not an object or lacks a key the model is read
-    from."""
+    """Problem records of the artifacts in ``out_dir``. Each checked record
+    is rebuilt from the other artifacts and compared with its file by
+    :func:`_diff`:
+
+    * ``residual_report.json``: :func:`_residual_record` of the model read
+      back, plus the sha256 of ``model.json``, as ``report.json``'s
+      ``provenance`` also records;
+    * ``baseline.json``: ``T`` and ``cost`` from ``baseline.csv``;
+    * each entry: :func:`~koopbilevel.artifacts.comparison_entry` of its
+      variant's files;
+    * each ``<label>_solution.json``: ``T``, ``cost`` and ``c_hat_lower``
+      from that entry, its end manifold defects from its ``z0`` and ``zN``,
+      and its counts from its stage records.
+
+    A stage's ``n_inf`` above its ``nfev``, a solution vector of another
+    shape, an entry without ``variant`` and a variant file without an entry
+    are problems too. An artifact that does not parse, is not a JSON object
+    or lacks a key that ``audit`` reads, or a ``report.json`` whose
+    ``entries`` is not a list of objects, raises ``ArtifactError``."""
     report_path = os.path.join(out_dir, "report.json")
     report = artifacts.read_json(report_path, keys=("entries",))
     if not (isinstance(report["entries"], list)
@@ -437,24 +403,27 @@ def cmd_audit(out_dir):
         os.path.join(out_dir, "baseline.json"),
         keys=("T", "cost", "converged", "max_defect", "max_mbc_violation"))
     tn, xn, un = artifacts.read_trajectory_csv(os.path.join(out_dir, "baseline.csv"))
-    problems = _mismatches("baseline", [
-        ("T", baseline["T"], tn[-1]),
-        ("cost", baseline["cost"], running_cost(tn[-1], un)),
-    ])
-    problems += _identification_mismatches(out_dir, model, report)
+    model_hash = artifacts.sha256_file(_model_path(out_dir))
+    identification = dict(_residual_record(model), model_hash=model_hash)
+    residual_report = artifacts.read_json(
+        os.path.join(out_dir, "residual_report.json"), keys=tuple(identification))
+    problems = (
+        _diff("baseline", "", baseline,
+              {"T": float(tn[-1]), "cost": running_cost(tn[-1], un)})
+        + _diff("residual_report", "", residual_report, identification)
+        + _diff("report", "", report, {"provenance": {"model_hash": model_hash}})
+    )
     for entry in report["entries"]:
-        try:
+        if "variant" in entry:
             problems += _audit_entry(out_dir, entry, baseline, (tn, xn, un),
                                      model.dictionary)
-        except KeyError as exc:
-            problems.append({"variant": entry.get("variant"), "field": exc.args[0],
-                             "reported": "missing", "recomputed": None})
+        else:
+            problems.append(_problem(None, "variant", "missing", None))
     labels = {entry.get("variant") for entry in report["entries"]}
     for name in sorted(os.listdir(out_dir)):
         label = name.removesuffix("_solution.json").removesuffix("_bilevel.csv")
         if label != name and label not in labels:
-            problems.append({"variant": label, "field": "report entry",
-                             "reported": "missing", "recomputed": name})
+            problems.append(_problem(label, "report entry", "missing", name))
     return problems
 
 

@@ -323,8 +323,6 @@ def load_model(path):
     object or lacks a key :func:`model_from_config` reads, raises
     ``ArtifactError`` naming it."""
     cfg = read_json(path)
-    if not isinstance(cfg, dict):
-        raise ArtifactError(f"{path}: not a JSON object")
     try:
         return model_from_config(cfg)
     except KeyError as exc:

@@ -271,24 +271,20 @@ def _qp_tangents(sol, J):
         dH = 2.0 * dh[:, None, None] * np.eye(N * n_u)
         dbeq = dxT.T - (dAdN @ p.psi0 + (AdN @ dpsi0).T)[:, :n_x]
         return dH, np.zeros((k, N * n_u)), dS[:, :n_x], dbeq
-    nv = n_z + N * n_u
+    nv, w = n_z + N * n_u, variant.w
     dF = np.concatenate([dAdN, dS], axis=2)
-    dP_u = np.zeros((k, nv, nv))
-    dP_u[:, n_z:, n_z:] = 2.0 * dh[:, None, None] * np.eye(N * n_u)
-    zero_rows = np.zeros((k, n_x, nv))
-    if variant.kind == "bT":
-        dAeq = np.concatenate([zero_rows, dF], axis=1)
-        dbeq = np.concatenate([dx0.T, dpsiT.T], axis=1)
-        return dP_u, np.zeros((k, nv)), dAeq, dbeq
-    w = variant.w
-    F = np.hstack([AdN, qp.S])
-    FtdF = F.T @ dF
-    dH = (1.0 - w) * dP_u + 2.0 * w * (FtdF + FtdF.transpose(0, 2, 1))
-    dg = -2.0 * w * (dF.transpose(0, 2, 1) @ p.psiT + dpsiT.T @ F)
-    dg[:, :n_z] -= 2.0 * w * dpsi0.T
-    dAeq = np.concatenate([zero_rows, dF[:, :n_x]], axis=1)
-    dbeq = np.concatenate([dx0.T, dxT.T], axis=1)
-    return dH, dg, dAeq, dbeq
+    dH = np.zeros((k, nv, nv))
+    dH[:, n_z:, n_z:] = 2.0 * (1.0 - w) * dh[:, None, None] * np.eye(N * n_u)
+    dg = np.zeros((k, nv))
+    if w:
+        F = np.hstack([AdN, qp.S])
+        FtdF = F.T @ dF
+        dH += 2.0 * w * (FtdF + FtdF.transpose(0, 2, 1))
+        dg = -2.0 * w * (dF.transpose(0, 2, 1) @ p.psiT + dpsiT.T @ F)
+        dg[:, :n_z] -= 2.0 * w * dpsi0.T
+    dend, dend_value = (dF, dpsiT) if variant.kind == "bT" else (dF[:, :n_x], dxT)
+    dAeq = np.concatenate([np.zeros((k, n_x, nv)), dend], axis=1)
+    return dH, dg, dAeq, np.concatenate([dx0.T, dend_value.T], axis=1)
 
 
 def build_qp(problem):
@@ -327,18 +323,16 @@ def build_qp(problem):
         E0 = np.hstack([np.eye(n_z), np.zeros((n_z, N * n_u))])
         P_u = np.zeros((nv, nv))
         P_u[n_z:, n_z:] = np.eye(N * n_u)
-        C0 = np.hstack([C, np.zeros((n_x, N * n_u))])
-        if variant.kind == "bT":
-            H = 2.0 * h * P_u
-            g = np.zeros(nv)
-            Aeq = np.vstack([C0, F])
-            beq = np.concatenate([problem.x0, psiT])
-        else:
-            w = variant.w
-            H = 2.0 * (1.0 - w) * h * P_u + 2.0 * w * (E0.T @ E0 + F.T @ F)
+        w = variant.w
+        H = 2.0 * (1.0 - w) * h * P_u
+        g = np.zeros(nv)
+        if w:  # soft: the lifted boundary mismatch at weight w
+            H += 2.0 * w * (E0.T @ E0 + F.T @ F)
             g = -2.0 * w * (E0.T @ psi0 + F.T @ psiT)
-            Aeq = np.vstack([C0, C @ F])
-            beq = np.concatenate([problem.x0, problem.xT])
+        # C z(0) = x0; then z(N) = psiT (bT) or C z(N) = xT (soft)
+        end, end_value = (F, psiT) if variant.kind == "bT" else (F[:n_x], problem.xT)
+        Aeq = np.vstack([np.hstack([C, np.zeros((n_x, N * n_u))]), end])
+        beq = np.concatenate([problem.x0, end_value])
 
     return QpBuild(H=H, g=g, Aeq=Aeq, beq=beq, S=S, powers=powers, q=q, Bm=Bm)
 

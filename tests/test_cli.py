@@ -210,6 +210,8 @@ IDENTIFICATION_CORRUPTIONS = [
      STALE_HASHES[:1]),
     ("report.json", _json_edit(_set(["provenance", "model_hash"], "0" * 64)),
      STALE_HASHES[1:]),
+    ("report.json", _json_edit(_set(["provenance"], 5)),
+     ["MISMATCH report.provenance: reported 5 recomputed {'model_hash': "]),
     ("model.json", lambda text: text + "\n", STALE_HASHES),
 ]
 
@@ -217,7 +219,8 @@ IDENTIFICATION_CORRUPTIONS = [
 @pytest.mark.parametrize("name,rewrite,named", IDENTIFICATION_CORRUPTIONS,
                          ids=["residual", "rank", "short_ranks", "rank_deficient",
                               "n_z", "modes_cond", "residual_report_hash",
-                              "provenance_hash", "stale_model"])
+                              "provenance_hash", "number_provenance",
+                              "stale_model"])
 def test_audit_checks_the_identification_record(fig1_run, capsys, name,
                                                 rewrite, named):
     assert _audit_after_rewrite(os.path.join(fig1_run, name), rewrite) == 1
@@ -260,13 +263,15 @@ MALFORMED_ARTIFACTS = [
      2, "report.json"),
     ("report.json", _json_edit(lambda report: report.update(entries=[5])),
      2, "report.json"),
+    ("b0_solution.json", lambda text: "5", 2, "b0_solution.json"),
 ]
 
 
 @pytest.mark.parametrize("name,rewrite,code,named", MALFORMED_ARTIFACTS,
                          ids=["short_z0", "truncated_json", "number_json",
                               "header_only_csv", "string_T", "number_model",
-                              "number_entries", "number_in_entries"])
+                              "number_entries", "number_in_entries",
+                              "number_solution"])
 def test_audit_of_a_malformed_artifact_names_it(fig1_run, capsys, name, rewrite,
                                                 code, named):
     assert _audit_after_rewrite(os.path.join(fig1_run, name), rewrite) == code
@@ -281,13 +286,35 @@ def test_audit_of_a_malformed_artifact_names_it(fig1_run, capsys, name, rewrite,
                                       ("baseline.json", "T"),
                                       ("baseline.json", "converged"),
                                       ("baseline.json", "max_defect"),
-                                      ("baseline.json", "max_mbc_violation")])
+                                      ("baseline.json", "max_mbc_violation"),
+                                      ("b0_solution.json", "variant"),
+                                      ("b0_solution.json", "z0"),
+                                      ("b0_solution.json", "start_records")])
 def test_audit_of_an_artifact_missing_a_key_names_both(fig1_run, capsys, name,
                                                        key):
     assert _audit_after_edit(os.path.join(fig1_run, name),
                              lambda obj: obj.pop(key)) == 2
     err = capsys.readouterr().err
     assert err.startswith("file error: ") and name in err and repr(key) in err
+
+
+# (edit of report.json or b0_solution.json, text named in the output): an
+# entry is found by its variant label, and must hold its solution's label
+VARIANT_CORRUPTIONS = [
+    ("report.json", lambda report: report["entries"][0].pop("variant"),
+     "MISMATCH None.variant: reported 'missing'"),
+    ("b0_solution.json", _set(["variant"], "bT"),
+     "MISMATCH b0.variant: reported 'b0' recomputed 'bT'"),
+]
+
+
+@pytest.mark.parametrize("name,edit,named", VARIANT_CORRUPTIONS,
+                         ids=["entry_without_variant",
+                              "solution_of_another_variant"])
+def test_audit_checks_the_variant_labels(fig1_run, capsys, name, edit, named):
+    assert _audit_after_edit(os.path.join(fig1_run, name), edit) == 1
+    out = capsys.readouterr().out
+    assert named in out, out
 
 
 BAD_SOLVER_SETTINGS = [
