@@ -12,6 +12,7 @@ import operator
 import numpy as np
 
 from .errors import ConfigError
+from .lower_level import BoundaryVariant
 
 TWO_PI = 2.0 * np.pi
 
@@ -151,7 +152,7 @@ def _gate_soft_tradeoff_ordering(gate, ctx):
     weights = gate["weights"]
     cs, chats = [], []
     for w in weights:
-        e = _entry(ctx, f"soft_w{w:g}")
+        e = _entry(ctx, BoundaryVariant("soft", w).label)
         cs.append(e["c"])
         chats.append(e["c_hat_lower"])
     inc = all(b > a for a, b in zip(cs, cs[1:]))

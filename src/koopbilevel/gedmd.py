@@ -320,10 +320,12 @@ def save_model(model, path):
 
 def load_model(path):
     """The model saved at ``path``; a file that does not parse, is not a JSON
-    object or lacks a key :func:`model_from_config` reads, raises
-    ``ArtifactError`` naming it."""
+    object, lacks a key :func:`model_from_config` reads or holds a value it
+    cannot read raises ``ArtifactError`` naming it."""
     cfg = read_json(path)
     try:
         return model_from_config(cfg)
     except KeyError as exc:
         raise ArtifactError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (ValueError, TypeError, ConfigError) as exc:
+        raise ArtifactError(f"{path}: {exc}") from None

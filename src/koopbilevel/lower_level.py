@@ -3,18 +3,20 @@
 For fixed (x0, xT, T) the bilinear surrogate is linearized about a lifted
 boundary point (A = L0, B its input map there), discretized exactly with a
 zero-order hold at step h = T/N, and condensed: intermediate lifted states are
-eliminated so the decision vector is the initial lifted state (where free)
-plus the input knots. Three boundary formulations are supported:
+eliminated. Each boundary formulation pins the leading k0 entries of z(0) to
+psi(x0) and the leading kN entries of z(N) to psi(xT), either the whole lift
+(n_z) or its state copy alone (n_x, as psi(x)[:n_x] = x):
 
-* ``b0``   - lift the initial boundary: z(0) = psi(x0) (eliminated by
-  substitution), terminal constraint C z(N) = xT.
-* ``bT``   - lift the terminal boundary: C z(0) = x0 and z(N) = psi(xT).
-* ``soft`` - both boundaries pinned only through C, with the lifted boundary
-  mismatch added to the objective at weight w in (0, 1).
+* ``b0``   - lift the initial boundary: (k0, kN) = (n_z, n_x).
+* ``bT``   - lift the terminal boundary: (k0, kN) = (n_x, n_z).
+* ``soft`` - pin only the states, (n_x, n_x), and add the lifted boundary
+  mismatch to the objective at weight w in (0, 1).
+
+The decision vector is z(0)'s n_z - k0 free entries, then the input knots.
 
 Each map is elementwise in the eigenbasis of L0 = V diag(lam) V^-1, computed
 once per model (``GeneratorModel.modes``): the condensing blocks Ad^j Bd =
-V diag(e^(j lam h) h phi1(lam h)) V^-1 B, Ad^N psi0 and the free response
+V diag(e^(j lam h) h phi1(lam h)) V^-1 B, Ad^N on z(0) and the free response
 Ad^k z0, in complex arithmetic with real results out. No step of a solve
 loops over the knots in Python. A solve ends at the inputs and the running
 cost, the only part the upper search reads; the lifted trajectory is rebuilt
@@ -161,10 +163,10 @@ class LowerLevelSolution:
         Jacobian gives the gradient in its parameters. Exact up to rounding,
         the Tikhonov term of ``solve_kkt`` included."""
         p, u = self.problem, self.u_traj.ravel()
-        # of c in the QP's decision vector, and in T at fixed inputs
-        grad = 2.0 * p.T / p.N * u
-        if p.variant.kind != "b0":  # the vector is (z0, u)
-            grad = np.concatenate([np.zeros(p.model.n_z), grad])
+        # of c in the QP's decision vector (free z0 entries, u), and in T at
+        # fixed inputs
+        grad = np.concatenate([np.zeros(self.kkt.primal.size - u.size),
+                               2.0 * p.T / p.N * u])
         dc_dT = (u @ u) / p.N
         return J[-1] * dc_dT + qp_sensitivity(self.kkt, grad, *_qp_tangents(self, J))
 
@@ -183,15 +185,24 @@ def choose_linearization_point(variant, psi0, psiT):
     return psi0
 
 
+def _pinned(variant, n_x, n_z):
+    """(k0, kN) of the module docstring: how many leading entries of z(0)
+    and of z(N) the variant pins to psi(x0) and psi(xT)."""
+    return {"b0": (n_z, n_x), "bT": (n_x, n_z), "soft": (n_x, n_x)}[variant.kind]
+
+
 @dataclass(frozen=True)
 class QpBuild:
-    """Condensed QP data with the modal maps of ``_discretize``, which
+    """Condensed QP data in v = (z(0)'s free entries, inputs), with z(N) =
+    zN + F v (``build_qp``) and the modal maps of ``_discretize``, which
     rebuild z and give the data's tangents."""
 
     H: np.ndarray
     g: np.ndarray
     Aeq: np.ndarray
     beq: np.ndarray
+    zN: np.ndarray
+    F: np.ndarray
     S: np.ndarray
     powers: np.ndarray
     q: np.ndarray
@@ -250,13 +261,14 @@ def _qp_tangents(sol, J):
     ``ObservableDictionary.derivative`` over all k directions.
     """
     p, qp = sol.problem, sol.qp
-    model, variant, N = p.model, p.variant, p.N
+    model, N, w = p.model, p.N, p.variant.w
     n_x, n_z, n_u, k = model.dictionary.n_x, model.n_z, model.n_u, J.shape[1]
+    k0, kN = _pinned(p.variant, n_x, n_z)
     dT, dh = J[-1], J[-1] / N
     dx0, dxT = J[:n_x], J[n_x : 2 * n_x]
     dpsi0, dpsiT = np.moveaxis(model.dictionary.derivative(
         np.stack([p.x0, p.xT]), np.stack([dx0.T, dxT.T], axis=1)), 0, -1)
-    dzbar = choose_linearization_point(variant, dpsi0, dpsiT)
+    dzbar = choose_linearization_point(p.variant, dpsi0, dpsiT)
     dB = model.surrogate.input_map(dzbar.T)  # (k, n_z, n_u)
     lam, V, Vinv = model.modes
     E, eT = qp.powers, qp.powers[:, N]
@@ -267,38 +279,34 @@ def _qp_tangents(sol, J):
           + np.moveaxis(dS_dB.reshape(n_z, N, k, n_u), 2, 0).reshape(k, n_z, N * n_u))
     AdN = _from_modes(V, eT[:, None], Vinv)
     dAdN = dT[:, None, None] * _from_modes(V, (lam * eT)[:, None], Vinv)
-    if variant.kind == "b0":  # inputs only, z0 = psi0 substituted
-        dH = 2.0 * dh[:, None, None] * np.eye(N * n_u)
-        dbeq = dxT.T - (dAdN @ p.psi0 + (AdN @ dpsi0).T)[:, :n_x]
-        return dH, np.zeros((k, N * n_u)), dS[:, :n_x], dbeq
-    nv, w = n_z + N * n_u, variant.w
-    dF = np.concatenate([dAdN, dS], axis=2)
-    dH = np.zeros((k, nv, nv))
-    dH[:, n_z:, n_z:] = 2.0 * (1.0 - w) * dh[:, None, None] * np.eye(N * n_u)
+    # tangents of zN and F in z(N) = zN + F v (build_qp)
+    dzN = dAdN[:, :, :k0] @ p.psi0[:k0] + (AdN[:, :k0] @ dpsi0[:k0]).T
+    dF = np.concatenate([dAdN[:, :, k0:], dS], axis=2)
+    nf, nv = n_z - k0, dF.shape[2]
+    dH, inputs = np.zeros((k, nv, nv)), np.arange(nf, nv)
+    dH[:, inputs, inputs] = 2.0 * (1.0 - w) * dh[:, None]
     dg = np.zeros((k, nv))
     if w:
-        F = np.hstack([AdN, qp.S])
-        FtdF = F.T @ dF
+        FtdF = qp.F.T @ dF
         dH += 2.0 * w * (FtdF + FtdF.transpose(0, 2, 1))
-        dg = -2.0 * w * (dF.transpose(0, 2, 1) @ p.psiT + dpsiT.T @ F)
-        dg[:, :n_z] -= 2.0 * w * dpsi0.T
-    dend, dend_value = (dF, dpsiT) if variant.kind == "bT" else (dF[:, :n_x], dxT)
-    dAeq = np.concatenate([np.zeros((k, n_x, nv)), dend], axis=1)
-    return dH, dg, dAeq, np.concatenate([dx0.T, dend_value.T], axis=1)
+        dg = 2.0 * w * (dF.transpose(0, 2, 1) @ (qp.zN - p.psiT) + (dzN - dpsiT.T) @ qp.F)
+        dg[:, :nf] -= 2.0 * w * dpsi0[k0:].T
+    return dH, dg, dF[:, :kN], dpsiT.T[:, :kN] - dzN[:, :kN]
 
 
 def build_qp(problem):
     """Assemble (H, g, Aeq, beq) for the condensed lower-level QP.
 
-    Decision vector: inputs only for ``b0`` (z0 substituted), otherwise
-    (z0, u0..u_{N-1}). The running cost is the exact piecewise-constant
-    discretization h * sum ||u_k||^2 with h = T/N.
+    The decision vector v is z(0)'s n_z - k0 free entries, then
+    u0..u_{N-1}; the equality rows are the first kN of z(N) = zN + F v, with
+    (k0, kN) the variant's pinned counts (module docstring). The objective is
+    1 - w times the running cost, the exact piecewise-constant discretization
+    h * sum ||u_k||^2 with h = T/N, plus w times the lifted boundary mismatch.
     """
-    model = problem.model
-    variant = problem.variant
-    n_z, n_u, N = model.n_z, model.n_u, problem.N
-    n_x = model.dictionary.n_x
-    h = problem.T / N
+    model, variant = problem.model, problem.variant
+    n_x, n_z, N = model.dictionary.n_x, model.n_z, problem.N
+    k0, kN = _pinned(variant, n_x, n_z)
+    w, h = variant.w, problem.T / N
 
     psi0, psiT = problem.psi0, problem.psiT
     B = model.surrogate.input_map(choose_linearization_point(variant, psi0, psiT))
@@ -306,35 +314,19 @@ def build_qp(problem):
     powers, q, Bm, S = _discretize(model.modes, B, h, N)
     eT = powers[:, N]  # e^(lam T)
 
-    C = np.zeros((n_x, n_z))
-    C[:, :n_x] = np.eye(n_x)
-
-    if variant.kind == "b0":
-        nv = N * n_u
-        H = 2.0 * h * np.eye(nv)
-        g = np.zeros(nv)
-        Aeq = C @ S
-        AdN_psi0 = _from_modes(V, eT[:, None], (Vinv @ psi0)[:, None])[:, 0]
-        beq = problem.xT - C @ AdN_psi0
-    else:
-        nv = n_z + N * n_u
-        # z_N as an affine map of (z0, u)
-        F = np.hstack([_from_modes(V, eT[:, None], Vinv), S])
-        E0 = np.hstack([np.eye(n_z), np.zeros((n_z, N * n_u))])
-        P_u = np.zeros((nv, nv))
-        P_u[n_z:, n_z:] = np.eye(N * n_u)
-        w = variant.w
-        H = 2.0 * (1.0 - w) * h * P_u
-        g = np.zeros(nv)
-        if w:  # soft: the lifted boundary mismatch at weight w
-            H += 2.0 * w * (E0.T @ E0 + F.T @ F)
-            g = -2.0 * w * (E0.T @ psi0 + F.T @ psiT)
-        # C z(0) = x0; then z(N) = psiT (bT) or C z(N) = xT (soft)
-        end, end_value = (F, psiT) if variant.kind == "bT" else (F[:n_x], problem.xT)
-        Aeq = np.vstack([np.hstack([C, np.zeros((n_x, N * n_u))]), end])
-        beq = np.concatenate([problem.x0, end_value])
-
-    return QpBuild(H=H, g=g, Aeq=Aeq, beq=beq, S=S, powers=powers, q=q, Bm=Bm)
+    # Ad^N takes z(0)'s pinned entries to zN and its free ones into F
+    AdN_z0 = _from_modes(V, eT[:, None], np.concatenate(
+        [(Vinv[:, :k0] @ psi0[:k0])[:, None], Vinv[:, k0:]], axis=1))
+    zN, F = AdN_z0[:, 0], np.concatenate([AdN_z0[:, 1:], S], axis=1)
+    nf, nv = n_z - k0, F.shape[1]
+    H = np.diag(2.0 * (1.0 - w) * h * (np.arange(nv) >= nf))
+    g = np.zeros(nv)
+    if w:  # soft: ||z(0) - psi0||^2 + ||z(N) - psiT||^2 at weight w
+        E0 = np.eye(nf, nv)
+        H += 2.0 * w * (E0.T @ E0 + F.T @ F)
+        g = 2.0 * w * (F.T @ (zN - psiT) - E0.T @ psi0[k0:])
+    return QpBuild(H=H, g=g, Aeq=F[:kN], beq=psiT[:kN] - zN[:kN], zN=zN, F=F,
+                   S=S, powers=powers, q=q, Bm=Bm)
 
 
 def solve_lower(problem):
@@ -356,12 +348,9 @@ def solve_lower(problem):
         ) from exc
 
     N, n_z, n_u = problem.N, problem.model.n_z, problem.model.n_u
-    if problem.variant.kind == "b0":  # z0 = psi0 was substituted
-        z0 = problem.psi0
-        u = kkt.primal.reshape(N, n_u)
-    else:
-        z0 = kkt.primal[:n_z]
-        u = kkt.primal[n_z:].reshape(N, n_u)
+    nf = kkt.primal.size - N * n_u  # z(0)'s free entries lead the vector
+    z0 = np.concatenate([problem.psi0[: n_z - nf], kkt.primal[:nf]])
+    u = kkt.primal[nf:].reshape(N, n_u)
 
     return LowerLevelSolution(
         u_traj=u,

@@ -264,6 +264,10 @@ MALFORMED_ARTIFACTS = [
     ("report.json", _json_edit(lambda report: report.update(entries=[5])),
      2, "report.json"),
     ("b0_solution.json", lambda text: "5", 2, "b0_solution.json"),
+    ("model.json", _json_edit(_set(["L0"], "x")), 2, "model.json"),
+    ("model.json", _json_edit(_set(["ranks"], [None, 3])), 2, "model.json"),
+    ("model.json", _json_edit(_set(["dictionary", "terms", 2, "kind"], "bogus")),
+     2, "model.json"),
 ]
 
 
@@ -271,7 +275,8 @@ MALFORMED_ARTIFACTS = [
                          ids=["short_z0", "truncated_json", "number_json",
                               "header_only_csv", "string_T", "number_model",
                               "number_entries", "number_in_entries",
-                              "number_solution"])
+                              "number_solution", "string_L0", "null_rank",
+                              "unknown_term_kind"])
 def test_audit_of_a_malformed_artifact_names_it(fig1_run, capsys, name, rewrite,
                                                 code, named):
     assert _audit_after_rewrite(os.path.join(fig1_run, name), rewrite) == code

@@ -106,9 +106,9 @@ class TestLinearizationPoint:
 
 class TestBuildQp:
     @pytest.mark.parametrize("kind,w,rows", [
-        ("b0", 0.0, 2),        # n_x terminal rows only
-        ("bT", 0.0, 2 + 12),   # n_x + n_z
-        ("soft", 0.5, 4),      # 2 n_x
+        ("b0", 0.0, 2),        # kN = n_x
+        ("bT", 0.0, 12),       # kN = n_z
+        ("soft", 0.5, 2),      # kN = n_x
     ])
     def test_constraint_row_counts(self, pendulum_model, kind, w, rows):
         problem = make_problem(
@@ -121,7 +121,7 @@ class TestBuildQp:
         qp0 = build_qp(make_problem(pendulum_model, "b0", [0.5, 0], [0.5, 0], 6.0, 7))
         assert qp0.H.shape == (7, 7)  # inputs only, z0 eliminated
         qpT = build_qp(make_problem(pendulum_model, "bT", [0.5, 0], [0.5, 0], 6.0, 7))
-        assert qpT.H.shape == (19, 19)  # n_z + N
+        assert qpT.H.shape == (17, 17)  # n_z - n_x free z0 entries + N
 
     def test_hessian_psd(self, pendulum_model):
         for kind, w in (("b0", 0.0), ("bT", 0.0), ("soft", 0.3)):
@@ -168,16 +168,17 @@ class TestSolveLower:
         d = pendulum_model.dictionary
         x0 = np.array([0.7, 0.0])
         xT = np.array([0.65, 0.05])
+        # the pinned entries of z(0) are eliminated, so they equal psi exactly
         b0 = solve_lower(make_problem(pendulum_model, "b0", x0, xT, 6.5, 40))
-        assert np.array_equal(b0.z_traj[0], lift(d, x0))  # eliminated exactly
+        assert np.array_equal(b0.z_traj[0], lift(d, x0))
         assert np.linalg.norm(b0.z_traj[-1][:2] - xT) <= 1e-9
 
         bT = solve_lower(make_problem(pendulum_model, "bT", x0, xT, 6.5, 40))
+        assert np.array_equal(bT.z_traj[0][:2], x0)
         assert np.linalg.norm(bT.z_traj[-1] - lift(d, xT)) <= 1e-9
-        assert np.linalg.norm(bT.z_traj[0][:2] - x0) <= 1e-9
 
         soft = solve_lower(make_problem(pendulum_model, "soft", x0, xT, 6.5, 40, w=0.4))
-        assert np.linalg.norm(soft.z_traj[0][:2] - x0) <= 1e-9
+        assert np.array_equal(soft.z_traj[0][:2], x0)
         assert np.linalg.norm(soft.z_traj[-1][:2] - xT) <= 1e-9
 
     def test_one_dictionary_evaluation_per_solve(self, pendulum_model,
