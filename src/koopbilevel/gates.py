@@ -81,6 +81,8 @@ def _gate_argmin_period_band(gate, ctx):
 
 def _gate_argmin_value_band(gate, ctx):
     _, c = _sweep_arrays(ctx)
+    if np.isnan(c).all():
+        return False, {"note": "every sweep cost is NaN"}
     val = float(np.nanmin(c))
     lo, hi = gate["band"]
     return lo <= val <= hi, {"min_value": val}

@@ -13,10 +13,10 @@ Identification is one pass over the samples (:func:`identify`). Each block
 of lifts and Lie derivatives is folded into a small factor ``[R_Psi | C]`` by
 a QR of the Psi columns alone, whose Q^T is applied to the derivative
 columns, and the derivative rows that Q^T moves below R_Psi are kept only as
-running column sums of squares. Every channel's fit and residual then come
-from ``[R_Psi | C]`` and one more row that holds the square roots of those
-sums (:func:`fit_generator`). The identified matrices give the bilinear
-surrogate
+running column sums of squares. That factor and one more row, the square
+roots of those sums, are the model's stored fit (``GeneratorModel.factor``),
+from which every channel's fit and residual come (:func:`fit_generator`).
+The identified matrices give the bilinear surrogate
 
     dz/dt = L0 z + sum_i u_i (Li - L0) z,
 
@@ -26,7 +26,7 @@ linearizes it about a lifted reference point: A = L0 and B is the
 surrogate's input map there.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Tuple
 
@@ -54,18 +54,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GeneratorModel:
-    """Identified generator matrices plus fit provenance."""
+    """A gEDMD factor with provenance; L0, Li, residuals and ranks come from it."""
 
-    L0: np.ndarray
-    Li: Tuple[np.ndarray, ...]
+    factor: np.ndarray
     dictionary: ObservableDictionary
-    residuals: Tuple[float, ...]
-    ranks: Tuple[int, ...]
     svd_tol: float
     seed: int
     n_s: int
     box: np.ndarray
     system_name: str
+    L0: np.ndarray = field(init=False)
+    Li: Tuple[np.ndarray, ...] = field(init=False)
+    residuals: Tuple[float, ...] = field(init=False)
+    ranks: Tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        fits = fit_generator(self.factor, self.dictionary.n_z, self.svd_tol)
+        object.__setattr__(self, "L0", fits[0].matrix)
+        object.__setattr__(self, "Li", tuple(f.matrix for f in fits[1:]))
+        object.__setattr__(self, "residuals", tuple(f.residual for f in fits))
+        object.__setattr__(self, "ranks", tuple(f.rank for f in fits))
 
     @property
     def n_z(self):
@@ -84,6 +92,12 @@ class GeneratorModel:
         """``(lam, V, Vinv)`` of L0 (``numerics.eigenmodes``), from which the
         lower level takes every discretization in closed form."""
         return eigenmodes(self.L0)
+
+    @cached_property
+    def real_modes(self):
+        """:attr:`modes` with V as ``[Re V, -Im V]`` (``lower_level``)."""
+        lam, V, Vinv = self.modes
+        return lam, np.hstack([V.real, -V.imag]), Vinv
 
     @cached_property
     def surrogate(self):
@@ -123,13 +137,6 @@ def sample_states(box, n_s, seed):
     return rng.uniform(box[:, 0], box[:, 1], size=(int(n_s), box.shape[0]))
 
 
-def _canonical_input(system, input_index):
-    u = np.zeros(system.n_u)
-    if input_index > 0:
-        u[input_index - 1] = 1.0
-    return u
-
-
 def assemble_data(system, dictionary, X):
     """Lift the samples ``X`` (one state per row) and compute their Lie
     derivatives per channel.
@@ -141,7 +148,7 @@ def assemble_data(system, dictionary, X):
     ``dPsi`` per channel. :func:`identify` calls it on one block of
     ``_BLOCK`` samples at a time and checks the block for non-finite values.
     """
-    inputs = [_canonical_input(system, i) for i in range(system.n_u + 1)]
+    inputs = np.eye(system.n_u + 1, system.n_u, -1)  # 0, e_1, ..., e_n_u
     fields = np.stack([eval_rhs(system, X, u) for u in inputs])
     dPsis = dictionary.derivative(X, fields)
     return dictionary.eval(X).T, tuple(dPsi.T for dPsi in dPsis)
@@ -162,7 +169,7 @@ class FitResult:
     rank_deficient: bool
 
 
-def fit_generator(R, n_z):
+def fit_generator(R, n_z, svd_tol=_SVD_TOL):
     """Minimum-norm least-squares generator fits of ``L Psi = dPsi``, one
     ``np.linalg.lstsq`` per channel, from a factor ``R`` of the sample rows
     ``[Psi^T | dPsi_0^T | ... | dPsi_{n_u}^T]``: any R with ``||Psi^T X -
@@ -174,8 +181,8 @@ def fit_generator(R, n_z):
     R_Psi, which no X can reduce.
 
     Such an ``R_Psi`` has the singular values of ``Psi``. LAPACK's ``gelsd``
-    treats those at most ``_SVD_TOL`` times the largest as zero. A rank-deficient regression is not fatal: each fit proceeds on the
-    retained subspace and the deficiency is recorded on its result. The
+    treats those at most ``svd_tol`` times the largest as zero; a fit of
+    lower rank goes on in the retained subspace and records its rank. The
     residual ``||R_Psi L^T - R_c|| / ||R_c||`` equals ``||L Psi - dPsi|| /
     ||dPsi||``.
     """
@@ -183,10 +190,10 @@ def fit_generator(R, n_z):
     fits = []
     for start in range(n_z, R.shape[1], n_z):
         R_c = R[:, start:start + n_z]
-        Lt, _, rank, _ = np.linalg.lstsq(R_psi, R_c, rcond=_SVD_TOL)
-        # C order, as load_model returns it: BLAS rounds products with L by
-        # its layout, so a transposed view would solve differently in bits
-        # from the same model read back from model.json
+        Lt, _, rank, _ = np.linalg.lstsq(R_psi, R_c, rcond=svd_tol)
+        # C order: BLAS rounds products with L by its layout, and every
+        # product with L0 and Li was written and checked against C-order
+        # matrices; a transposed view would round them differently
         L, rank = np.ascontiguousarray(Lt.T), int(rank)
         denom = np.linalg.norm(R_c)
         residual = float(np.linalg.norm(R_psi @ Lt - R_c) / denom) if denom > 0 else 0.0
@@ -238,9 +245,8 @@ def identify(system, dictionary, n_s, seed, box):
     running ``[R_Psi | C]`` and folded into it (:func:`_fold`): only the
     ``n_z`` Psi columns are triangularized, and the derivative columns keep
     running sums of squares of the rows that fall below ``n_z``. No (n_s,
-    n_z) array is held. :func:`fit_generator` solves every channel from
-    ``[R_Psi | C]`` with one more row, zeros under Psi and the square roots
-    of those sums under the derivative columns.
+    n_z) array is held. The model's factor is ``[R_Psi | C]`` over the
+    square roots of those sums, with zeros under Psi.
     """
     X = sample_states(box, n_s, seed)
     n_z = dictionary.n_z
@@ -267,14 +273,9 @@ def identify(system, dictionary, n_s, seed, box):
             )
         stack[n_z + len(rows):] = 0.0
         _fold(stack, n_z, tail)
-    R = np.vstack([stack[:n_z], np.concatenate([np.zeros(n_z), np.sqrt(tail)])])
-    fits = fit_generator(R, n_z)
     return GeneratorModel(
-        L0=fits[0].matrix,
-        Li=tuple(f.matrix for f in fits[1:]),
+        factor=np.vstack([stack[:n_z], np.concatenate([np.zeros(n_z), np.sqrt(tail)])]),
         dictionary=dictionary,
-        residuals=tuple(f.residual for f in fits),
-        ranks=tuple(f.rank for f in fits),
         svd_tol=_SVD_TOL,
         seed=int(seed),
         n_s=int(n_s),
@@ -288,10 +289,7 @@ def model_to_config(model):
     return {
         "system_name": model.system_name,
         "dictionary": model.dictionary.to_config(),
-        "L0": model.L0.tolist(),
-        "Li": [Li.tolist() for Li in model.Li],
-        "residuals": list(model.residuals),
-        "ranks": list(model.ranks),
+        "factor": model.factor.tolist(),
         "svd_tol": model.svd_tol,
         "seed": model.seed,
         "n_s": model.n_s,
@@ -300,12 +298,22 @@ def model_to_config(model):
 
 
 def model_from_config(cfg):
+    """The model of :func:`model_to_config`'s ``cfg``, refitted from its
+    factor; raises ``ValueError`` unless the factor is finite and has the
+    shape ``(n_z + 1, (n_u + 2) n_z)``, n_u >= 1, of the dictionary's n_z."""
+    dictionary = ObservableDictionary.from_config(cfg["dictionary"])
+    # in identify's Fortran order: the residual products round by layout
+    factor = np.array(cfg["factor"], dtype=float, order="F")
+    n_z = dictionary.n_z
+    if not (factor.ndim == 2 and factor.shape[0] == n_z + 1
+            and factor.shape[1] % n_z == 0 and factor.shape[1] >= 3 * n_z
+            and np.all(np.isfinite(factor))):
+        raise ValueError(
+            f"factor must be a finite ({n_z + 1}, (n_u + 2) * {n_z}) array "
+            f"with n_u >= 1, got shape {factor.shape}")
     return GeneratorModel(
-        L0=np.asarray(cfg["L0"], dtype=float),
-        Li=tuple(np.asarray(Li, dtype=float) for Li in cfg["Li"]),
-        dictionary=ObservableDictionary.from_config(cfg["dictionary"]),
-        residuals=tuple(float(r) for r in cfg["residuals"]),
-        ranks=tuple(int(r) for r in cfg["ranks"]),
+        factor=factor,
+        dictionary=dictionary,
         svd_tol=float(cfg["svd_tol"]),
         seed=int(cfg["seed"]),
         n_s=int(cfg["n_s"]),

@@ -139,7 +139,7 @@ class LowerLevelSolution:
 
     @cached_property
     def z_traj(self):
-        return _trajectory(self.problem.model.modes, self.qp.powers, self.qp.S,
+        return _trajectory(self.problem.model.real_modes, self.qp.powers, self.qp.S,
                            self.z0, self.u_traj)
 
     @cached_property
@@ -211,11 +211,11 @@ class QpBuild:
 
 def _from_modes(V, weights, K):
     """Real parts of V diag(w) K for each column w of ``weights``, side by
-    side, as one real product [Re V, -Im V] [Re W; Im W]: with two OpenBLAS
-    threads a complex GEMM of some of these sizes stalls for milliseconds.
+    side, as one real product of ``V`` = [Re V, -Im V] and [Re W; Im W]: with
+    two OpenBLAS threads a complex GEMM of some sizes stalls for milliseconds.
     """
     W = (weights[:, :, None] * K[:, None, :]).reshape(V.shape[0], -1)
-    return np.hstack([V.real, -V.imag]) @ np.vstack([W.real, W.imag])
+    return V @ np.vstack([W.real, W.imag])
 
 
 def _discretize(modes, B, h, N):
@@ -270,7 +270,7 @@ def _qp_tangents(sol, J):
         np.stack([p.x0, p.xT]), np.stack([dx0.T, dxT.T], axis=1)), 0, -1)
     dzbar = choose_linearization_point(p.variant, dpsi0, dpsiT)
     dB = model.surrogate.input_map(dzbar.T)  # (k, n_z, n_u)
-    lam, V, Vinv = model.modes
+    lam, V, Vinv = model.real_modes
     E, eT = qp.powers, qp.powers[:, N]
     j = np.arange(N - 1, -1, -1)  # knot m holds Ad^(N-1-m) Bd
     dS_dh = _from_modes(V, (j + 1) * E[:, j + 1] - j * E[:, j], qp.Bm)
@@ -310,8 +310,8 @@ def build_qp(problem):
 
     psi0, psiT = problem.psi0, problem.psiT
     B = model.surrogate.input_map(choose_linearization_point(variant, psi0, psiT))
-    _, V, Vinv = model.modes
-    powers, q, Bm, S = _discretize(model.modes, B, h, N)
+    _, V, Vinv = model.real_modes
+    powers, q, Bm, S = _discretize(model.real_modes, B, h, N)
     eT = powers[:, N]  # e^(lam T)
 
     # Ad^N takes z(0)'s pinned entries to zN and its free ones into F

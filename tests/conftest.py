@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from koopbilevel import get_dictionary, get_system, identify
+from koopbilevel.gedmd import GeneratorModel
 
 TWO_PI = 2.0 * np.pi
 
@@ -24,6 +25,24 @@ def exact_zoh(A, B, h):
 @pytest.fixture(scope="session")
 def zoh_oracle():
     return exact_zoh
+
+
+def _model_from_matrices(L0, Li, dictionary):
+    """A ``GeneratorModel`` of given generator matrices: its factor ``[I |
+    L0^T | L1^T ... ; 0]`` fits back to ``L0`` and ``Li`` bitwise."""
+    top = np.hstack([np.eye(len(L0))] + [L.T for L in (L0, *Li)])
+    model = GeneratorModel(
+        factor=np.vstack([top, np.zeros(top.shape[1])]), dictionary=dictionary,
+        svd_tol=1e-10, seed=0, n_s=0,
+        box=np.array([[-1.0, 1.0]] * dictionary.n_x), system_name="matrices",
+    )
+    assert all(np.array_equal(a, b) for a, b in zip((model.L0, *model.Li), (L0, *Li)))
+    return model
+
+
+@pytest.fixture(scope="session")
+def model_from_matrices():
+    return _model_from_matrices
 
 
 @pytest.fixture(scope="session")

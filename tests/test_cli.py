@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import glob
 import json
 import os
@@ -213,6 +212,9 @@ IDENTIFICATION_CORRUPTIONS = [
     ("report.json", _json_edit(_set(["provenance"], 5)),
      ["MISMATCH report.provenance: reported 5 recomputed {'model_hash': "]),
     ("model.json", lambda text: text + "\n", STALE_HASHES),
+    # the tail row under channel 0: its residual, not L0
+    ("model.json", _json_edit(lambda model: _shift_item(3, 3, 1e-3)(model["factor"])),
+     ["MISMATCH residual_report.residuals[0]:"] + STALE_HASHES),
 ]
 
 
@@ -220,7 +222,7 @@ IDENTIFICATION_CORRUPTIONS = [
                          ids=["residual", "rank", "short_ranks", "rank_deficient",
                               "n_z", "modes_cond", "residual_report_hash",
                               "provenance_hash", "number_provenance",
-                              "stale_model"])
+                              "stale_model", "factor_tail"])
 def test_audit_checks_the_identification_record(fig1_run, capsys, name,
                                                 rewrite, named):
     assert _audit_after_rewrite(os.path.join(fig1_run, name), rewrite) == 1
@@ -264,8 +266,11 @@ MALFORMED_ARTIFACTS = [
     ("report.json", _json_edit(lambda report: report.update(entries=[5])),
      2, "report.json"),
     ("b0_solution.json", lambda text: "5", 2, "b0_solution.json"),
-    ("model.json", _json_edit(_set(["L0"], "x")), 2, "model.json"),
-    ("model.json", _json_edit(_set(["ranks"], [None, 3])), 2, "model.json"),
+    ("model.json", _json_edit(_set(["factor"], 5)), 2, "model.json"),
+    ("model.json", _json_edit(_set(["factor"], "x")), 2, "model.json"),
+    ("model.json", _json_edit(_set(["factor"], [[1, 2], [3, 4]])), 2, "model.json"),
+    ("model.json", _json_edit(lambda model: _set([3, 3], float("nan"))(model["factor"])),
+     2, "model.json"),
     ("model.json", _json_edit(_set(["dictionary", "terms", 2, "kind"], "bogus")),
      2, "model.json"),
 ]
@@ -275,7 +280,8 @@ MALFORMED_ARTIFACTS = [
                          ids=["short_z0", "truncated_json", "number_json",
                               "header_only_csv", "string_T", "number_model",
                               "number_entries", "number_in_entries",
-                              "number_solution", "string_L0", "null_rank",
+                              "number_solution", "number_factor", "string_factor",
+                              "square_factor", "nan_factor",
                               "unknown_term_kind"])
 def test_audit_of_a_malformed_artifact_names_it(fig1_run, capsys, name, rewrite,
                                                 code, named):
@@ -451,6 +457,20 @@ def test_solve_identifies_from_its_own_config(tmp_path):
     }
 
 
+def test_identify_writes_the_fit_that_solve_writes(tmp_path):
+    # fig1's config with one sweep amplitude, as in the console-script CI step
+    path = tmp_path / "fig1.json"
+    path.write_text(json.dumps(
+        _bundle_config_with("fig1", "sweep", "amplitudes_deg", [30.0])))
+    outs = [str(tmp_path / command) for command in ("solve", "identify")]
+    for command, out in zip(("solve", "identify"), outs):
+        assert cli.main([command, "--config", str(path), "--out", out]) == 0
+    assert sorted(os.listdir(outs[1])) == ["model.json", "residual_report.json"]
+    for name in os.listdir(outs[1]):
+        assert _read_bytes(os.path.join(outs[0], name)) == _read_bytes(
+            os.path.join(outs[1], name)), name
+
+
 def test_walker_config_needs_rate_bound(tmp_path):
     # the upper-level search needs the finite box that rate_bound spans
     cfg = copy.deepcopy(cli.load_bundle("walker")["config"])
@@ -535,7 +555,8 @@ def test_audit_without_the_baseline_csv_exits_2(tmp_path):
     assert "baseline.csv" in err
 
 
-def test_defective_generator_exits_3_at_identify(tmp_path, monkeypatch, capsys):
+def test_defective_generator_exits_3_at_identify(tmp_path, monkeypatch, capsys,
+                                                 model_from_matrices):
     # an L0 with no modal form fails before model.json is written, not as
     # +inf at every point of the upper search
     identify = cli.identify
@@ -544,7 +565,7 @@ def test_defective_generator_exits_3_at_identify(tmp_path, monkeypatch, capsys):
         model = identify(*args, **kwargs)
         L0 = np.zeros_like(model.L0)
         L0[0, 1] = 1.0  # a 2x2 Jordan block
-        return dataclasses.replace(model, L0=L0)
+        return model_from_matrices(L0, model.Li, model.dictionary)
 
     monkeypatch.setattr(cli, "identify", defective)
     out = str(tmp_path / "out")

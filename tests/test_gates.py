@@ -1,5 +1,7 @@
 """Every gate kind, one passing and one failing synthetic run context each."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -109,10 +111,15 @@ def test_walker_accuracy_detail_says_the_baseline_did_not_converge():
     assert results[0]["detail"]["pcc_state"] == 0.99
 
 
-def test_argmin_period_band_fails_on_an_all_nan_sweep():
-    gate = {"kind": "argmin_period_band", "band_periods": [1.9, 2.1]}
+@pytest.mark.parametrize("gate", [
+    {"kind": "argmin_period_band", "band_periods": [1.9, 2.1]},
+    {"kind": "argmin_value_band", "band": [0.0, 1.0]},
+], ids=lambda gate: gate["kind"])
+def test_argmin_gates_fail_on_an_all_nan_sweep(gate):
     rows = [dict(r, c_star=np.nan) for r in SWEEP]
-    results, passed = evaluate_gates([gate], dict(CTX, sweep_rows=rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results, passed = evaluate_gates([gate], dict(CTX, sweep_rows=rows))
     assert not results[0]["passed"] and not passed
     assert "note" in results[0]["detail"]
 

@@ -17,7 +17,6 @@ from koopbilevel import (
     solve_lower,
 )
 from koopbilevel import cli, config, lower_level, make_walker_gait, upper_level
-from koopbilevel.gedmd import GeneratorModel
 from koopbilevel.numerics import eigenmodes, solve_kkt
 
 TWO_PI = 2.0 * np.pi
@@ -278,15 +277,10 @@ class TestSolveLower:
             u_oracle = res.primal[(N + 1) * n_z:].reshape(N, n_u)
             assert np.max(np.abs(u_oracle - sol.u_traj)) <= 1e-8
 
-    def test_degenerate_lower_level_raises(self):
+    def test_degenerate_lower_level_raises(self, model_from_matrices):
         # surrogate with zero input authority cannot meet a moved boundary
-        d = get_dictionary("linear_const", 2)
         L0 = np.zeros((3, 3))
-        model = GeneratorModel(
-            L0=L0, Li=(L0.copy(),), dictionary=d, residuals=(0.0, 0.0),
-            ranks=(3, 3), svd_tol=1e-10, seed=0, n_s=0,
-            box=np.array([[-1, 1], [-1, 1]], dtype=float), system_name="null",
-        )
+        model = model_from_matrices(L0, (L0,), get_dictionary("linear_const", 2))
         with pytest.raises(LowerLevelError):
             solve_lower(make_problem(model, "b0", [0, 0], [1.0, 0], 1.0, 5))
 
@@ -309,7 +303,8 @@ class TestDoubling:
             psi0 = rng.normal(size=n_z)
             u = rng.normal(size=(N, n_u))
 
-            modes = eigenmodes(A)
+            lam, V, Vinv = eigenmodes(A)
+            modes = (lam, np.hstack([V.real, -V.imag]), Vinv)  # as real_modes
             powers, _, _, S = lower_level._discretize(modes, B, h, N)
             AdN_psi0 = lower_level._trajectory(
                 modes, powers, S, psi0, np.zeros_like(u))[-1]
@@ -442,17 +437,12 @@ class TestCostGradient:
 
 
 class TestModalForm:
-    def test_defective_generator_raises(self):
+    def test_defective_generator_raises(self, model_from_matrices):
         # a 2x2 Jordan block has one eigenvector: L0 has no modal form
-        d = get_dictionary("linear_const", 2)
         L0 = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
         L1 = L0.copy()
         L1[1, 2] = 1.0  # input authority on x2
-        model = GeneratorModel(
-            L0=L0, Li=(L1,), dictionary=d, residuals=(0.0, 0.0),
-            ranks=(3, 3), svd_tol=1e-10, seed=0, n_s=0,
-            box=np.array([[-1, 1], [-1, 1]], dtype=float), system_name="jordan",
-        )
+        model = model_from_matrices(L0, (L1,), get_dictionary("linear_const", 2))
         with pytest.raises(NumericError):
             model.modes
         with pytest.raises(NumericError):

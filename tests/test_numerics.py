@@ -21,7 +21,6 @@ from koopbilevel import (
     zoh_discretize,
 )
 from koopbilevel.artifacts import trajectory_pcc
-from koopbilevel.gedmd import GeneratorModel
 from koopbilevel.numerics import _TIKHONOV
 from koopbilevel.systems import simulate
 
@@ -256,17 +255,12 @@ class TestSolveKkt:
             solve_kkt(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2),
                       np.zeros((0, 2)), np.zeros(0))
 
-    def test_singular_systems_raise_without_warnings(self):
+    def test_singular_systems_raise_without_warnings(self, model_from_matrices):
         # both have an exactly zero LU pivot: contradictory constraint rows,
         # and a surrogate with no input authority asked to move its state
         A = np.array([[1.0, 0.0], [1.0, 0.0]])
-        d = get_dictionary("linear_const", 2)
         L0 = np.zeros((3, 3))
-        model = GeneratorModel(
-            L0=L0, Li=(L0.copy(),), dictionary=d, residuals=(0.0, 0.0),
-            ranks=(3, 3), svd_tol=1e-10, seed=0, n_s=0,
-            box=np.array([[-1, 1], [-1, 1]], dtype=float), system_name="null",
-        )
+        model = model_from_matrices(L0, (L0,), get_dictionary("linear_const", 2))
         problem = LowerLevelProblem(
             model=model, variant=BoundaryVariant("b0"), x0=np.zeros(2),
             xT=np.array([1.0, 0.0]), T=1.0, N=5,
