@@ -8,9 +8,10 @@ Subcommands:
 * ``reproduce`` - run a pinned benchmark bundle and evaluate its gates.
 * ``audit``     - recompute every reported number from persisted artifacts.
 
-``audit`` rebuilds each record it checks from the other artifacts, with the
-functions that wrote it, and compares the file with it by one rule
-(:func:`_diff`).
+``solve`` writes the config it ran to ``config.json``. ``audit`` parses it
+again, re-solves each variant's lower level at its recorded boundaries and
+period, and rebuilds each record it checks with the functions that wrote it;
+it compares the file with that record by one rule (:func:`_diff`).
 
 Each config is parsed once, by :func:`koopbilevel.config.validate_config`,
 into the :class:`~koopbilevel.config.RunConfig` that ``identify``, ``solve``,
@@ -37,10 +38,12 @@ import numpy as np
 from . import artifacts, config as cfgmod, gates as gatesmod
 from .baseline_nlp import TranscribedNlp, solve_nlp
 from .errors import ArtifactError, ConfigError, KoopbilevelError
-from .gedmd import identify, load_model, save_model
-from .lifting import manifold_defect
+from .gedmd import identify, load_model, model_to_config, save_model
+from .lifting import unlift
+from .lower_level import LowerLevelProblem, solve_lower
 from .systems import running_cost
-from .upper_level import make_periodic_amplitude_anchor, solve_reduced, sweep_period
+from .upper_level import (_lower_eval, make_periodic_amplitude_anchor, solve_reduced,
+                          sweep_period)
 
 __all__ = [
     "cmd_identify",
@@ -94,25 +97,26 @@ def cmd_identify(run, out_dir):
     return model
 
 
-def _solution_record(bilevel):
-    """The ``<label>_solution.json`` record of one variant's bilevel solution."""
-    lower = bilevel.lower
+def _solution_record(lower, mbc, start_records):
+    """The ``<label>_solution.json`` record of the lower solution ``lower``
+    under ``mbc``, found by the search stages ``start_records``."""
+    p = lower.problem
     return {
-        "variant": bilevel.variant.label,
-        "x0": bilevel.x0.tolist(),
-        "xT": bilevel.xT.tolist(),
-        "T": bilevel.T,
-        "cost": bilevel.cost,
+        "variant": p.variant.label,
+        "x0": p.x0.tolist(),
+        "xT": p.xT.tolist(),
+        "T": float(p.T),
+        "cost": lower.c,
         "c_hat_lower": lower.c_hat,
         "weighted_total": lower.weighted_total,
-        "constraint_violation": bilevel.constraint_violation,
+        "constraint_violation": float(np.linalg.norm(mbc.residual(p.x0, p.xT, p.T))),
         "kkt_stationarity": lower.kkt.stationarity_residual,
         "kkt_feasibility": lower.kkt.feasibility_residual,
         "manifold_defects": lower.manifold_defects.tolist(),
         "z0": lower.z_traj[0].tolist(),
         "zN": lower.z_traj[-1].tolist(),
-        "eval_count": bilevel.eval_count,
-        "start_records": list(bilevel.start_records),
+        "eval_count": sum(stage["nfev"] for stage in start_records),
+        "start_records": list(start_records),
     }
 
 
@@ -141,8 +145,8 @@ def _solve_step(run, model, mbc):
     record = {f.name: getattr(baseline, f.name) for f in dataclasses.fields(baseline)
               if f.name not in ("times", "states", "inputs")}
     record["warm_start"] = run.variants[0].label
-    variants = [(_solution_record(sol), (sol.times, sol.states, sol.inputs))
-                for sol in solutions]
+    variants = [(_solution_record(sol.lower, mbc, sol.start_records),
+                 (sol.times, sol.states, sol.inputs)) for sol in solutions]
     trajectory = (baseline.times, baseline.states, baseline.inputs)
     return variants, (record, trajectory), timings
 
@@ -150,9 +154,11 @@ def _solve_step(run, model, mbc):
 def cmd_solve(run, out_dir, model):
     """Run :func:`_solve_step` on the model that ``cmd_identify`` wrote to
     ``out_dir``, and write ``<label>_bilevel.csv`` and ``<label>_solution.json``
-    per variant, ``baseline.csv``, ``baseline.json`` and ``report.json``, with
-    one :func:`~koopbilevel.artifacts.comparison_entry` per variant of what
-    those files hold. Returns the report and the timings."""
+    per variant, ``baseline.csv``, ``baseline.json``, ``config.json`` (the
+    config ``run`` was parsed from) and ``report.json``, with one
+    :func:`~koopbilevel.artifacts.comparison_entry` per variant of what those
+    files hold and the sha256 of ``config.json`` and ``model.json``. Returns
+    the report and the timings."""
     _ensure_dir(out_dir)
     variants, (baseline, baseline_traj), timings = _solve_step(run, model, run.mbc)
     for record, traj in variants:
@@ -164,15 +170,16 @@ def cmd_solve(run, out_dir, model):
     artifacts.write_trajectory_csv(
         os.path.join(out_dir, "baseline.csv"), *baseline_traj)
     artifacts.write_json(os.path.join(out_dir, "baseline.json"), baseline)
+    config_path = os.path.join(out_dir, "config.json")
+    artifacts.write_json(config_path, run.raw)
 
     report = {
         "entries": [
-            artifacts.comparison_entry(record, traj, baseline, baseline_traj,
-                                       model.dictionary)
+            artifacts.comparison_entry(record, traj, baseline, baseline_traj)
             for record, traj in variants
         ],
         "provenance": {
-            "config_hash": cfgmod.config_hash(run.raw),
+            "config_hash": artifacts.sha256_file(config_path),
             "model_hash": artifacts.sha256_file(_model_path(out_dir)),
         },
     }
@@ -221,7 +228,7 @@ def cmd_sweep(run, out_dir, model, axis="T"):
         variants, baseline, _ = _solve_step(run, model, mbc)
         for var, variant in zip(run.variants, variants):
             row = dict(
-                artifacts.comparison_entry(*variant, *baseline, model.dictionary),
+                artifacts.comparison_entry(*variant, *baseline),
                 amplitude_deg=a_deg, variant_w=var.w,
             )
             rows.append({c: row[c] for c in _AMPLITUDE_COLUMNS})
@@ -288,8 +295,9 @@ def cmd_reproduce(bundle_name, out_dir, seed=None):
 
 def _close(a, b, rtol=1e-9, atol=1e-12):
     # not exact: an audit may run on a machine whose BLAS and libm round
-    # differently from the one that wrote the artifacts (see ``artifacts``)
-    return abs(a - b) <= atol + rtol * max(abs(a), abs(b))
+    # differently from the one that wrote the artifacts (see ``artifacts``);
+    # an infinite value is close only to itself
+    return a == b or abs(a - b) <= atol + rtol * max(abs(a), abs(b)) < np.inf
 
 
 def _problem(source, field, reported, recomputed):
@@ -326,78 +334,93 @@ _SOLUTION_KEYS = ("variant", "x0", "xT", "z0", "zN", "T", "cost", "c_hat_lower",
                   "start_records")
 
 
-def _audit_entry(out_dir, entry, baseline, baseline_traj, dictionary):
+def _audit_entry(out_dir, entry, run, variant, model, baseline, baseline_traj):
     """Problems of one ``report.json`` entry and its variant's files."""
     label = entry["variant"]
     trajectory = artifacts.read_trajectory_csv(
         os.path.join(out_dir, f"{label}_bilevel.csv"))
     sol = artifacts.read_json(os.path.join(out_dir, f"{label}_solution.json"),
                               keys=_SOLUTION_KEYS)
-    # the solution vectors that the recomputation indexes; any of another
-    # shape is reported, and nothing is recomputed from them
-    lengths = {"x0": dictionary.n_x, "xT": dictionary.n_x, "z0": dictionary.n_z,
-               "zN": dictionary.n_z, "manifold_defects": len(trajectory[0])}
-    malformed = [
-        _problem(label, f"solution.{key}", sol[key], f"a list of {n} numbers")
-        for key, n in lengths.items()
-        if not (isinstance(sol[key], list) and len(sol[key]) == n
-                and all(isinstance(v, (int, float)) for v in sol[key]))
-    ]
-    if malformed:
-        return malformed
-    recomputed = artifacts.comparison_entry(
-        sol, trajectory, baseline, baseline_traj, dictionary)
-    problems = _diff(label, "", entry, recomputed)
-    # the solution record: the entry's numbers, the manifold defects of its
-    # ends, and the counts that its stage records fix
-    defects = manifold_defect(dictionary, np.array([sol["z0"], sol["zN"]]))
-    ends = {"manifold_defects[0]": 0, "manifold_defects[-1]": -1}
-    reported = dict(sol, **{key: sol["manifold_defects"][i] for key, i in ends.items()})
-    rebuilt = {"T": recomputed["T_star"], "cost": recomputed["c"],
-               "c_hat_lower": recomputed["c_hat_lower"],
-               **{key: float(defects[i]) for key, i in ends.items()}}
-    stages = sol["start_records"]
+    problems = _diff(label, "", entry, artifacts.comparison_entry(
+        sol, trajectory, baseline, baseline_traj))
+    # boundaries or a period that the lower level cannot take are one
+    # problem, and nothing is re-solved
+    try:
+        lower = solve_lower(LowerLevelProblem(
+            model=model, variant=variant, x0=sol["x0"], xT=sol["xT"], T=sol["T"], N=run.N))
+    except (KoopbilevelError, TypeError, ValueError) as exc:
+        bounds = {key: sol[key] for key in ("x0", "xT", "T")}
+        return problems + [_problem(label, "solution", bounds, str(exc))]
+    # the solution record of the re-solve, each stage's count of failures,
+    # and the cost of its point, re-solved through the constraint
+    stages, reported = sol["start_records"], dict(sol)
     try:
         problems += [
             _problem(label, f"solution.{stage['stage']}.n_inf", stage["n_inf"],
                      f"at most nfev = {stage['nfev']}")
             for stage in stages if not stage["n_inf"] <= stage["nfev"]
         ]
+        record = _solution_record(lower, run.mbc, stages)
+        points = {stage["stage"]: np.reshape(np.asarray(stage["p_star"], dtype=float),
+                                             run.mbc.p_dim) for stage in stages}
         reported.update({stage["stage"]: stage for stage in stages})
-        rebuilt.update({stage["stage"]: {"n_inf": sum(stage["failures"].values())}
-                        for stage in stages},
-                       eval_count=sum(stage["nfev"] for stage in stages))
-    except (TypeError, AttributeError, KeyError):
+        record.update({stage["stage"]: {"n_inf": sum(stage["failures"].values())}
+                       for stage in stages})
+    except (TypeError, AttributeError, KeyError, ValueError):
         problems.append(_problem(label, "solution.start_records", stages,
                                  "a list of stage records with counts"))
-    return problems + _diff(label, "solution", reported, rebuilt)
+        record, points = _solution_record(lower, run.mbc, ()), {}
+        del record["eval_count"]
+    for name, p_star in points.items():
+        record[name]["c_star"] = _lower_eval(model, variant, run.mbc, p_star, run.N)[0]
+    # the stage list is the file's own, checked stage by stage above
+    del record["start_records"]
+    # the re-solve's trajectory, as ``solve_reduced`` returns it
+    rebuilt = (lower.times, unlift(model.dictionary, lower.z_traj), lower.u_traj)
+    columns = ("times", "states", "inputs")
+    return (problems + _diff(label, "solution", reported, record)
+            + _diff(label, "bilevel", dict(zip(columns, (a.tolist() for a in trajectory))),
+                    dict(zip(columns, (a.tolist() for a in rebuilt)))))
 
 
 def cmd_audit(out_dir):
-    """Problem records of the artifacts in ``out_dir``. Each checked record
-    is rebuilt from the other artifacts and compared with its file by
-    :func:`_diff`:
+    """Problem records of the artifacts in ``out_dir``. ``config.json`` is
+    parsed by :func:`~koopbilevel.config.validate_config`; each checked
+    record is rebuilt from it and the other artifacts and compared with its
+    file by :func:`_diff`:
 
     * ``residual_report.json``: :func:`_residual_record` of the model read
-      back, plus the sha256 of ``model.json``, as ``report.json``'s
-      ``provenance`` also records;
+      back, plus the sha256 of ``model.json``;
+    * ``report.json``'s ``provenance``: the sha256 of ``config.json`` and of
+      ``model.json``;
+    * ``model.json``'s ``seed``, ``n_s``, ``box``, ``system_name`` and
+      ``dictionary``: the config's;
     * ``baseline.json``: ``T`` and ``cost`` from ``baseline.csv``;
     * each entry: :func:`~koopbilevel.artifacts.comparison_entry` of its
       variant's files;
-    * each ``<label>_solution.json``: ``T``, ``cost`` and ``c_hat_lower``
-      from that entry, its end manifold defects from its ``z0`` and ``zN``,
-      and its counts from its stage records.
+    * each ``<label>_solution.json``: :func:`_solution_record` of the lower
+      level re-solved at its ``x0``, ``xT`` and ``T`` with the config's N,
+      variant and constraint, and each stage's ``n_inf`` from its
+      ``failures`` and ``c_star`` from re-solving its ``p_star``;
+    * each ``<label>_bilevel.csv``: that re-solve's times, unlifted states
+      and inputs.
 
-    A stage's ``n_inf`` above its ``nfev``, a solution vector of another
-    shape, an entry without ``variant`` and a variant file without an entry
-    are problems too. An artifact that does not parse, is not a JSON object
-    or lacks a key that ``audit`` reads, or a ``report.json`` whose
-    ``entries`` is not a list of objects, raises ``ArtifactError``."""
+    A stage's ``n_inf`` above its ``nfev``, boundaries or a period that the
+    lower level cannot take, an entry without a variant of the config and a
+    variant file without an entry are problems too. An artifact that does
+    not parse, is not a JSON object or lacks a key that ``audit`` reads, a
+    ``report.json`` whose ``entries`` is not a list of objects, and a
+    ``config.json`` that is not a valid config raise ``ArtifactError``."""
     report_path = os.path.join(out_dir, "report.json")
     report = artifacts.read_json(report_path, keys=("entries",))
     if not (isinstance(report["entries"], list)
             and all(isinstance(entry, dict) for entry in report["entries"])):
         raise ArtifactError(f"{report_path}: 'entries' is not a list of objects")
+    config_path = os.path.join(out_dir, "config.json")
+    try:
+        run = cfgmod.validate_config(artifacts.read_json(config_path))
+    except ConfigError as exc:
+        raise ArtifactError(f"{config_path}: {exc}") from None
     model = load_model(_model_path(out_dir))
     baseline = artifacts.read_json(
         os.path.join(out_dir, "baseline.json"),
@@ -407,18 +430,27 @@ def cmd_audit(out_dir):
     identification = dict(_residual_record(model), model_hash=model_hash)
     residual_report = artifacts.read_json(
         os.path.join(out_dir, "residual_report.json"), keys=tuple(identification))
+    provenance = {"config_hash": artifacts.sha256_file(config_path),
+                  "model_hash": model_hash}
+    fit_settings = {"seed": run.seed, "n_s": run.n_s, "box": run.box.tolist(),
+                    "system_name": run.system.name,
+                    "dictionary": run.dictionary.to_config()}
     problems = (
         _diff("baseline", "", baseline,
               {"T": float(tn[-1]), "cost": running_cost(tn[-1], un)})
         + _diff("residual_report", "", residual_report, identification)
-        + _diff("report", "", report, {"provenance": {"model_hash": model_hash}})
+        + _diff("report", "", report, {"provenance": provenance})
+        + _diff("model", "", model_to_config(model), fit_settings)
     )
+    variants = {variant.label: variant for variant in run.variants}
     for entry in report["entries"]:
-        if "variant" in entry:
-            problems += _audit_entry(out_dir, entry, baseline, (tn, xn, un),
-                                     model.dictionary)
+        label = entry.get("variant")
+        if label in variants:
+            problems += _audit_entry(out_dir, entry, run, variants[label], model,
+                                     baseline, (tn, xn, un))
         else:
-            problems.append(_problem(None, "variant", "missing", None))
+            problems.append(_problem(label, "variant", entry.get("variant", "missing"),
+                                     sorted(variants)))
     labels = {entry.get("variant") for entry in report["entries"]}
     for name in sorted(os.listdir(out_dir)):
         label = name.removesuffix("_solution.json").removesuffix("_bilevel.csv")

@@ -28,6 +28,11 @@ The keys a config may set (``?`` marks an optional one):
   ``0 < T_min < T_max`` once defaulted), ``points?`` (default 101),
   ``amplitudes_deg?``
 
+``solve`` writes the config it ran, ``RunConfig.raw``, to ``config.json`` in
+canonical JSON (:func:`~koopbilevel.artifacts.canonical_json`), and
+``report.json`` records that file's sha256 as ``config_hash``; ``audit``
+parses it again with :func:`validate_config`.
+
 Numbers must be finite: JSON's ``NaN``, ``Infinity`` and ``-Infinity``,
 which Python's ``json`` reads, are rejected wherever a number is expected.
 
@@ -40,13 +45,11 @@ SVD cutoff of :mod:`~koopbilevel.gedmd`, the PCC grid of
 
 import contextlib
 import dataclasses
-import hashlib
 import json
 import sys
 
 import numpy as np
 
-from .artifacts import canonical_json
 from .errors import ConfigError
 from .lifting import ObservableDictionary, get_dictionary
 from .lower_level import BoundaryVariant
@@ -62,7 +65,6 @@ __all__ = [
     "RunConfig",
     "load_config",
     "validate_config",
-    "config_hash",
 ]
 
 
@@ -70,8 +72,8 @@ __all__ = [
 class RunConfig:
     """Everything one run reads, parsed from one JSON config.
 
-    ``raw`` is the JSON dict with any seed override applied; it is what
-    :func:`config_hash` hashes. ``period_grid`` is the grid of the period
+    ``raw`` is the JSON dict with any seed override applied; ``solve``
+    writes it to ``config.json``. ``period_grid`` is the grid of the period
     sweep, ``amplitudes_deg`` those of the amplitude sweep (empty when not
     set).
     """
@@ -282,7 +284,3 @@ def load_config(path):
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return validate_config(cfg)
-
-
-def config_hash(cfg):
-    return hashlib.sha256(canonical_json(cfg).encode()).hexdigest()

@@ -106,6 +106,8 @@ def _gate_paper_curve_ratio(gate, ctx):
         i = int(np.argmin(np.abs(T - t_ref)))
         if abs(T[i] - t_ref) > 1e-6 * max(1.0, abs(t_ref)):
             return False, {"note": f"sweep grid misses reference point T={t_ref}"}
+        if not np.isfinite(c[i]):
+            return False, {"note": f"sweep cost at reference point T={t_ref} is {c[i]}"}
         ratios.append(float(c[i] / c_ref))
     passed = all(lo <= r <= hi for r in ratios)
     return passed, {"ratios": [round(r, 5) for r in ratios]}
@@ -182,7 +184,9 @@ def _gate_walker_accuracy(gate, ctx):
 
 
 def _gate_runtime_max_seconds(gate, ctx):
-    val = ctx["timings"].get(gate["stage"], np.inf)
+    if gate["stage"] not in ctx["timings"]:
+        return False, {"note": f"stage '{gate['stage']}' did not run"}
+    val = ctx["timings"][gate["stage"]]
     return val <= gate["limit"], {"seconds": round(val, 2)}
 
 

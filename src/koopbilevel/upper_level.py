@@ -171,9 +171,8 @@ def solve_reduced(model, variant, mbc, config, N):
     point is on (``active_bounds``) and ``projected_grad_norm``, the
     inf-norm of the exact gradient there without the components on those
     faces. These records are written to ``<label>_solution.json``; ``audit``
-    checks their counts against each other and against ``eval_count``, but
-    not their points and costs: that needs the run's config beside its
-    artifacts.
+    checks their counts against each other and against ``eval_count``, and
+    re-solves each point for its cost.
     """
     if mbc.reduction is None:
         raise ConfigError(f"constraint '{mbc.name}' provides no reduction")

@@ -130,6 +130,11 @@ AUDITED_CORRUPTIONS = [
     ("b0_solution.json", _shift("cost")),
     ("b0_solution.json", _shift("c_hat_lower")),
     ("b0_solution.json", _shift("eval_count")),
+    ("b0_solution.json", _shift("weighted_total")),
+    ("b0_solution.json", _shift("kkt_stationarity")),
+    ("b0_solution.json", _shift("kkt_feasibility")),
+    ("b0_solution.json", lambda sol: _shift(51)(sol["manifold_defects"])),
+    ("b0_solution.json", lambda sol: _shift("c_star")(sol["start_records"][1])),
 ]
 
 
@@ -137,7 +142,9 @@ AUDITED_CORRUPTIONS = [
     "name,edit", AUDITED_CORRUPTIONS,
     ids=["mbc_violation", "baseline_converged", "baseline_max_defect",
          "baseline_max_mbc_violation", "converged", "constraint_violation",
-         "T", "cost", "c_hat_lower", "eval_count"],
+         "T", "cost", "c_hat_lower", "eval_count", "weighted_total",
+         "kkt_stationarity", "kkt_feasibility", "inner_manifold_defect",
+         "polish_c_star"],
 )
 def test_audit_finds_a_corrupted_field(fig1_run, name, edit):
     assert _audit_after_edit(os.path.join(fig1_run, name), edit) == 1
@@ -160,12 +167,15 @@ STAGE_RECORD_CORRUPTIONS = [
     (_in_direct_record(_shift("n_inf")), "b0.solution.direct.n_inf"),
     (_in_direct_record(_more_failures_than_calls), "b0.solution.direct.n_inf"),
     (lambda sol: sol.update(start_records=5), "b0.solution.start_records"),
+    # a period that the constraint rejects: the re-solve's cost is +inf
+    (_in_direct_record(lambda stage: stage.update(p_star=[-1.0])),
+     "b0.solution.direct.c_star"),
 ]
 
 
 @pytest.mark.parametrize("edit,named", STAGE_RECORD_CORRUPTIONS,
                          ids=["n_inf_not_failures", "n_inf_above_nfev",
-                              "number_records"])
+                              "number_records", "rejected_p_star"])
 def test_audit_checks_the_stage_record_counts(fig1_run, capsys, edit, named):
     assert _audit_after_edit(os.path.join(fig1_run, "b0_solution.json"), edit) == 1
     assert f"MISMATCH {named}:" in capsys.readouterr().out
@@ -190,8 +200,8 @@ STALE_HASHES = ["MISMATCH residual_report.model_hash:",
                 "MISMATCH report.provenance.model_hash:"]
 
 # (file, rewrite, text named in the output): the identification record
-# against model.json; a model.json rewritten after the run leaves both
-# recorded hashes stale
+# against model.json, and the provenance against config.json and model.json;
+# a model.json rewritten after the run leaves both recorded hashes stale
 IDENTIFICATION_CORRUPTIONS = [
     ("residual_report.json", _json_edit(_shift_item("residuals", 0, 1e-3)),
      ["MISMATCH residual_report.residuals[0]:"]),
@@ -210,8 +220,15 @@ IDENTIFICATION_CORRUPTIONS = [
     ("report.json", _json_edit(_set(["provenance", "model_hash"], "0" * 64)),
      STALE_HASHES[1:]),
     ("report.json", _json_edit(_set(["provenance"], 5)),
-     ["MISMATCH report.provenance: reported 5 recomputed {'model_hash': "]),
+     ["MISMATCH report.provenance: reported 5 recomputed {'config_hash': "]),
+    # a config that solve did not run, though audit recomputes nothing from
+    # the sweep's grid
+    ("config.json", _json_edit(_set(["sweep", "points"], 138)),
+     ["MISMATCH report.provenance.config_hash:"]),
     ("model.json", lambda text: text + "\n", STALE_HASHES),
+    # a model fitted from settings that are not the config's
+    ("model.json", _json_edit(_set(["seed"], 7)),
+     ["MISMATCH model.seed: reported 7 recomputed 20240"] + STALE_HASHES),
     # the tail row under channel 0: its residual, not L0
     ("model.json", _json_edit(lambda model: _shift_item(3, 3, 1e-3)(model["factor"])),
      ["MISMATCH residual_report.residuals[0]:"] + STALE_HASHES),
@@ -222,13 +239,34 @@ IDENTIFICATION_CORRUPTIONS = [
                          ids=["residual", "rank", "short_ranks", "rank_deficient",
                               "n_z", "modes_cond", "residual_report_hash",
                               "provenance_hash", "number_provenance",
-                              "stale_model", "factor_tail"])
+                              "edited_config", "stale_model", "model_seed",
+                              "factor_tail"])
 def test_audit_checks_the_identification_record(fig1_run, capsys, name,
                                                 rewrite, named):
     assert _audit_after_rewrite(os.path.join(fig1_run, name), rewrite) == 1
     out = capsys.readouterr().out
     assert all(text in out for text in named), out
     assert out.count("MISMATCH") == len(named), out
+
+
+def test_audit_without_the_config_exits_2(fig1_run, capsys):
+    path = os.path.join(fig1_run, "config.json")
+    os.rename(path, path + ".moved")
+    try:
+        assert cli.main(["audit", "--out", fig1_run]) == 2
+    finally:
+        os.rename(path + ".moved", path)
+    assert "config.json" in capsys.readouterr().err
+
+
+def test_reproduce_records_its_seed(tmp_path):
+    out = str(tmp_path / "fig1")
+    assert cli.main(["reproduce", "--bundle", "fig1", "--out", out,
+                     "--seed", "301"]) == 0
+    run_config = json.loads(_read_bytes(os.path.join(out, "config.json")))
+    model = json.loads(_read_bytes(os.path.join(out, "model.json")))
+    assert run_config["identification"]["seed"] == model["seed"] == 301
+    assert cli.main(["audit", "--out", out]) == 0
 
 
 def test_audit_reports_an_entry_missing_a_field(fig1_run, capsys):
@@ -250,16 +288,20 @@ def test_audit_reports_files_without_a_report_entry(fig1_run, capsys):
 
 
 # (file, rewrite, exit code, name in the output): a file that does not parse,
-# or is not the object audit reads, exits 2 naming the file; a parsed one with
-# a bad field is a mismatch naming the field
+# or is not the object audit reads, and a config.json that is not a valid
+# config, exit 2 naming the file; a parsed one with a bad field is a mismatch
+# naming the field
 MALFORMED_ARTIFACTS = [
     ("b0_solution.json", _json_edit(lambda sol: sol.update(z0=sol["z0"][:2])),
      1, "MISMATCH b0.solution.z0"),
     ("report.json", lambda text: text[: len(text) // 2], 2, "report.json"),
     ("report.json", lambda text: "5", 2, "report.json"),
     ("b0_bilevel.csv", lambda text: text.splitlines(True)[0], 2, "b0_bilevel.csv"),
+    # a period the lower level cannot take: the boundaries and period are one
+    # problem, and nothing is re-solved
     ("b0_solution.json", _json_edit(lambda sol: sol.update(T="abc")),
-     1, "MISMATCH b0.solution.T"),
+     1, "MISMATCH b0.solution: reported {'x0': [0.5235987755982988, 0.0], "
+        "'xT': [0.5235987755982988, 0.0], 'T': 'abc'}"),
     ("model.json", lambda text: "5", 2, "model.json"),
     ("report.json", _json_edit(lambda report: report.update(entries=5)),
      2, "report.json"),
@@ -273,6 +315,9 @@ MALFORMED_ARTIFACTS = [
      2, "model.json"),
     ("model.json", _json_edit(_set(["dictionary", "terms", 2, "kind"], "bogus")),
      2, "model.json"),
+    ("config.json", lambda text: text[: len(text) // 2], 2, "config.json"),
+    ("config.json", lambda text: "5", 2, "config.json"),
+    ("config.json", _json_edit(_set(["substeps"], 7)), 2, "config.json"),
 ]
 
 
@@ -282,7 +327,8 @@ MALFORMED_ARTIFACTS = [
                               "number_entries", "number_in_entries",
                               "number_solution", "number_factor", "string_factor",
                               "square_factor", "nan_factor",
-                              "unknown_term_kind"])
+                              "unknown_term_kind", "truncated_config",
+                              "number_config", "unknown_config_key"])
 def test_audit_of_a_malformed_artifact_names_it(fig1_run, capsys, name, rewrite,
                                                 code, named):
     assert _audit_after_rewrite(os.path.join(fig1_run, name), rewrite) == code
@@ -450,9 +496,11 @@ def test_solve_identifies_from_its_own_config(tmp_path):
     model_path = os.path.join(out, "model.json")
     model = json.loads(_read_bytes(model_path))
     assert (model["seed"], model["n_s"]) == (7, 300)
+    config_path = os.path.join(out, "config.json")
+    assert json.loads(_read_bytes(config_path)) == cfg
     report = json.loads(_read_bytes(os.path.join(out, "report.json")))
     assert report["provenance"] == {
-        "config_hash": config.config_hash(cfg),
+        "config_hash": artifacts.sha256_file(config_path),
         "model_hash": artifacts.sha256_file(model_path),
     }
 

@@ -1,5 +1,6 @@
 """Every gate kind, one passing and one failing synthetic run context each."""
 
+import json
 import warnings
 
 import numpy as np
@@ -114,6 +115,7 @@ def test_walker_accuracy_detail_says_the_baseline_did_not_converge():
 @pytest.mark.parametrize("gate", [
     {"kind": "argmin_period_band", "band_periods": [1.9, 2.1]},
     {"kind": "argmin_value_band", "band": [0.0, 1.0]},
+    {"kind": "paper_curve_ratio", "points": [[T_GRID, C_GRID]], "ratio_band": [0.0, 2.0]},
 ], ids=lambda gate: gate["kind"])
 def test_argmin_gates_fail_on_an_all_nan_sweep(gate):
     rows = [dict(r, c_star=np.nan) for r in SWEEP]
@@ -122,6 +124,16 @@ def test_argmin_gates_fail_on_an_all_nan_sweep(gate):
         results, passed = evaluate_gates([gate], dict(CTX, sweep_rows=rows))
     assert not results[0]["passed"] and not passed
     assert "note" in results[0]["detail"]
+    # gates_report.json holds strict JSON: no NaN, no Infinity
+    json.dumps(results, allow_nan=False)
+
+
+def test_runtime_gate_fails_on_a_stage_that_did_not_run():
+    gate = {"kind": "runtime_max_seconds", "stage": "sweep", "limit": 1.0}
+    results, passed = evaluate_gates([gate], CTX)
+    assert not results[0]["passed"] and not passed
+    assert results[0]["detail"] == {"note": "stage 'sweep' did not run"}
+    json.dumps(results, allow_nan=False)
 
 
 def test_unknown_kind_is_a_config_error():
