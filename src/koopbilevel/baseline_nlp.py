@@ -253,12 +253,12 @@ def _central_difference(f, y, step):
 
 
 def _warm_start(nlp, warm_start):
-    if hasattr(warm_start, "states"):
-        warm_start = (warm_start.states, warm_start.inputs, warm_start.T)
-    X, U, T = warm_start
+    """``(X, U, T)`` of a ``(times, states, inputs)`` warm start, with T its
+    last time, or a ``BuildError`` naming what does not fit ``nlp``."""
+    times, X, U = warm_start
     X = np.asarray(X, dtype=float)
     U = np.asarray(U, dtype=float)
-    T = float(T)
+    T = float(times[-1])
     for name, A, shape in (("states", X, (nlp.N + 1, nlp.n_x)),
                            ("inputs", U, (nlp.N, nlp.n_u))):
         if A.shape != shape:
@@ -275,13 +275,15 @@ def solve_nlp(nlp, warm_start):
     """SQP solve of the transcribed problem, one SLSQP run on its
     multiple-shooting form, checked on every knot of ``nlp``.
 
-    ``warm_start`` is a bilevel solution (states/inputs/T attributes) or an
-    explicit (X, U, T) triple on the knots of ``nlp``, with states
-    ``(N+1, n_x)``, inputs ``(N, n_u)`` and T finite and positive; anything
-    else is a :class:`BuildError`. SLSQP solves the same problem with a node
-    every ``_SEGMENT`` knots and gets ``_MAXITER`` major iterations. Its
-    constraints, their Jacobian and the history entry at a point all come
-    from one :meth:`TranscribedNlp.linearize` of that point. The returned
+    ``warm_start`` is a ``(times, states, inputs)`` triple on the knots of
+    ``nlp``, the form of ``LowerLevelSolution.trajectory`` and of
+    :class:`NlpSolution`'s fields: states ``(N+1, n_x)``, inputs ``(N,
+    n_u)``, and its period T the last time, finite and positive; states or
+    inputs of another shape and any other T are a :class:`BuildError`.
+    SLSQP solves the same problem with a node every ``_SEGMENT`` knots and
+    gets ``_MAXITER`` major iterations. Its constraints, their Jacobian and
+    the history entry at a point all come from one
+    :meth:`TranscribedNlp.linearize` of that point. The returned
     solution is SLSQP's last iterate, with its state at every knot rebuilt by
     stepping forward from each node, whether or not it converged:
     ``converged`` is True only when SLSQP reports success and, at that point,

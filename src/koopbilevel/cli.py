@@ -39,7 +39,6 @@ from . import artifacts, config as cfgmod, gates as gatesmod
 from .baseline_nlp import TranscribedNlp, solve_nlp
 from .errors import ArtifactError, ConfigError, KoopbilevelError
 from .gedmd import identify, load_model, model_to_config, save_model
-from .lifting import unlift
 from .lower_level import LowerLevelProblem, solve_lower
 from .systems import running_cost
 from .upper_level import (_lower_eval, make_periodic_amplitude_anchor, solve_reduced,
@@ -123,8 +122,8 @@ def _solution_record(lower, mbc, start_records):
 def _solve_step(run, model, mbc):
     """Bilevel solve of every variant under ``mbc``, then one baseline NLP,
     which depends only on the system, the mbc and N, warm-started from the
-    first variant. A baseline that does not converge is returned as SLSQP's
-    last iterate, with ``converged: false``.
+    first variant's trajectory. A baseline that does not converge is
+    returned as SLSQP's last iterate, with ``converged: false``.
 
     Returns ``(variants, baseline, timings)``: a ``(record, (times, states,
     inputs))`` pair per variant, in config order, and one for the baseline,
@@ -139,14 +138,15 @@ def _solve_step(run, model, mbc):
         timings["per_variant"][var.label] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    baseline = solve_nlp(TranscribedNlp(run.system, mbc, run.N), solutions[0])
+    baseline = solve_nlp(TranscribedNlp(run.system, mbc, run.N),
+                         solutions[0].lower.trajectory)
     timings["baseline"] = time.perf_counter() - t0
     # every NlpSolution field but the trajectory, which goes to baseline.csv
     record = {f.name: getattr(baseline, f.name) for f in dataclasses.fields(baseline)
               if f.name not in ("times", "states", "inputs")}
     record["warm_start"] = run.variants[0].label
     variants = [(_solution_record(sol.lower, mbc, sol.start_records),
-                 (sol.times, sol.states, sol.inputs)) for sol in solutions]
+                 sol.lower.trajectory) for sol in solutions]
     trajectory = (baseline.times, baseline.states, baseline.inputs)
     return variants, (record, trajectory), timings
 
@@ -375,12 +375,10 @@ def _audit_entry(out_dir, entry, run, variant, model, baseline, baseline_traj):
         record[name]["c_star"] = _lower_eval(model, variant, run.mbc, p_star, run.N)[0]
     # the stage list is the file's own, checked stage by stage above
     del record["start_records"]
-    # the re-solve's trajectory, as ``solve_reduced`` returns it
-    rebuilt = (lower.times, unlift(model.dictionary, lower.z_traj), lower.u_traj)
     columns = ("times", "states", "inputs")
     return (problems + _diff(label, "solution", reported, record)
             + _diff(label, "bilevel", dict(zip(columns, (a.tolist() for a in trajectory))),
-                    dict(zip(columns, (a.tolist() for a in rebuilt)))))
+                    dict(zip(columns, (a.tolist() for a in lower.trajectory)))))
 
 
 def cmd_audit(out_dir):
@@ -402,15 +400,15 @@ def cmd_audit(out_dir):
       level re-solved at its ``x0``, ``xT`` and ``T`` with the config's N,
       variant and constraint, and each stage's ``n_inf`` from its
       ``failures`` and ``c_star`` from re-solving its ``p_star``;
-    * each ``<label>_bilevel.csv``: that re-solve's times, unlifted states
-      and inputs.
+    * each ``<label>_bilevel.csv``: that re-solve's ``trajectory``.
 
     A stage's ``n_inf`` above its ``nfev``, boundaries or a period that the
-    lower level cannot take, an entry without a variant of the config and a
-    variant file without an entry are problems too. An artifact that does
-    not parse, is not a JSON object or lacks a key that ``audit`` reads, a
-    ``report.json`` whose ``entries`` is not a list of objects, and a
-    ``config.json`` that is not a valid config raise ``ArtifactError``."""
+    lower level cannot take, an entry whose ``variant`` is not the label of
+    a config variant (a non-string one included) and a variant file without
+    an entry are problems too. An artifact that does not parse, is not a
+    JSON object or lacks a key that ``audit`` reads, a ``report.json`` whose
+    ``entries`` is not a list of objects, and a ``config.json`` that is not a
+    valid config raise ``ArtifactError``."""
     report_path = os.path.join(out_dir, "report.json")
     report = artifacts.read_json(report_path, keys=("entries",))
     if not (isinstance(report["entries"], list)
@@ -443,15 +441,15 @@ def cmd_audit(out_dir):
         + _diff("model", "", model_to_config(model), fit_settings)
     )
     variants = {variant.label: variant for variant in run.variants}
-    for entry in report["entries"]:
-        label = entry.get("variant")
-        if label in variants:
+    # a list, not a set: a label read from JSON need not be hashable
+    labels = [entry.get("variant") for entry in report["entries"]]
+    for entry, label in zip(report["entries"], labels):
+        if isinstance(label, str) and label in variants:
             problems += _audit_entry(out_dir, entry, run, variants[label], model,
                                      baseline, (tn, xn, un))
         else:
             problems.append(_problem(label, "variant", entry.get("variant", "missing"),
                                      sorted(variants)))
-    labels = {entry.get("variant") for entry in report["entries"]}
     for name in sorted(os.listdir(out_dir)):
         label = name.removesuffix("_solution.json").removesuffix("_bilevel.csv")
         if label != name and label not in labels:

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BuildError, ConfigError, DegenerateQpError, LowerLevelError
-from .lifting import lift, manifold_defect
+from .lifting import lift, manifold_defect, unlift
 from .numerics import KktResult, qp_sensitivity, solve_kkt, zoh_discretize
 from .systems import running_cost
 
@@ -121,9 +121,11 @@ class LowerLevelSolution:
     blend ``weighted_total`` are computed on first read and kept, as are
     ``manifold_defects`` (the distance of each knot of ``z_traj`` from the
     lift manifold of the problem's dictionary, in one batched
-    ``manifold_defect`` call). For that, and for the cost gradient, the
-    solution keeps the solved ``QpBuild`` ``qp`` and the initial lifted
-    state ``z0``.
+    ``manifold_defect`` call) and ``trajectory``, the ``(times, states,
+    inputs)`` triple with ``z_traj`` unlifted to the original states: the
+    one form in which a trajectory is written, compared and used as a warm
+    start. For that, and for the cost gradient, the solution keeps the
+    solved ``QpBuild`` ``qp`` and the initial lifted state ``z0``.
     """
 
     u_traj: np.ndarray
@@ -133,14 +135,16 @@ class LowerLevelSolution:
     qp: "QpBuild"
     z0: np.ndarray
 
-    @property
-    def times(self):
-        return np.linspace(0.0, self.problem.T, self.problem.N + 1)
-
     @cached_property
     def z_traj(self):
         return _trajectory(self.problem.model.real_modes, self.qp.powers, self.qp.S,
                            self.z0, self.u_traj)
+
+    @cached_property
+    def trajectory(self):
+        p = self.problem
+        times = np.linspace(0.0, p.T, p.N + 1)
+        return times, unlift(p.model.dictionary, self.z_traj), self.u_traj
 
     @cached_property
     def c_hat(self):

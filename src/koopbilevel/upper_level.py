@@ -32,7 +32,6 @@ from .errors import (
     LowerLevelError,
     NoSolutionError,
 )
-from .lifting import unlift
 from .lower_level import LowerLevelProblem, solve_lower
 from .numerics import complex_step
 from .systems import step_length
@@ -112,26 +111,23 @@ class UpperConfig:
 
 @dataclass(frozen=True)
 class BilevelSolution:
-    """Optimal boundaries and period with the recovered trajectories.
+    """The kept lower solution of a bilevel solve and the search's records.
 
-    ``states`` is the lifted trajectory of ``lower`` mapped back to the
-    original states; ``lower.z_traj`` is that lifted trajectory and
-    ``lower.problem`` the lower-level instance at the optimum. ``cost`` is
-    the running cost ``lower.c``.
+    ``lower`` is the :class:`~koopbilevel.lower_level.LowerLevelSolution` of
+    the cheapest point the search evaluated: its ``problem`` holds the
+    variant, boundaries ``x0``, ``xT`` and period ``T``, its ``c`` is the
+    running cost and its ``trajectory`` the ``(times, states, inputs)``
+    triple. ``start_records`` holds one record per search stage (see
+    :func:`solve_reduced`).
     """
 
-    variant: object
-    x0: np.ndarray
-    xT: np.ndarray
-    T: float
-    times: np.ndarray
-    states: np.ndarray
-    inputs: np.ndarray
-    cost: float
-    constraint_violation: float
-    eval_count: int
-    start_records: tuple
     lower: object
+    start_records: tuple
+
+    @property
+    def eval_count(self):
+        """Objective calls over every stage, one lower solve each."""
+        return sum(stage["nfev"] for stage in self.start_records)
 
 
 def _lower_eval(model, variant, mbc, p, N):
@@ -158,9 +154,9 @@ def solve_reduced(model, variant, mbc, config, N):
     call: ``LowerLevelSolution.cost_gradient`` along the columns of
     ``mbc.reduction_jacobian(p)``. Every objective call is one lower solve,
     a point asked for twice included. Only the lower solution of the
-    cheapest point so far is kept, and the solution returned is built from
-    it, with no solve after the search. A failed point costs +inf, with a
-    zero gradient.
+    cheapest point so far is kept, and it is returned as the solution's
+    ``lower``, with no solve after the search and nothing copied out of it.
+    A failed point costs +inf, with a zero gradient.
 
     Each stage leaves one record: point, cost, objective calls, how many of
     them were +inf, and ``failures``, those calls by exception type name,
@@ -229,22 +225,7 @@ def solve_reduced(model, variant, mbc, config, N):
         {"index": int(i), "side": ("lower", "upper")[j], "value": float(box[i, j])}
         for i, j in zip(*np.nonzero(on_face))
     ]
-    lower = best[0]
-    x0, xT, T = lower.problem.x0, lower.problem.xT, float(lower.problem.T)
-    return BilevelSolution(
-        variant=variant,
-        x0=x0,
-        xT=xT,
-        T=T,
-        times=lower.times,
-        states=unlift(model.dictionary, lower.z_traj),
-        inputs=lower.u_traj,
-        cost=lower.c,
-        constraint_violation=float(np.linalg.norm(mbc.residual(x0, xT, T))),
-        eval_count=coarse["nfev"] + polish["nfev"],
-        start_records=(coarse, polish),
-        lower=lower,
-    )
+    return BilevelSolution(lower=best[0], start_records=(coarse, polish))
 
 
 def sweep_period(model, variant, mbc, T_grid, N):

@@ -142,7 +142,8 @@ def rk4_calls(monkeypatch):
 def pendulum_bilevel_n40(pendulum_model):
     mbc = make_periodic_amplitude_anchor(A_40)
     cfg = UpperConfig(T_min=0.8 * TWO_PI, T_max=1.4 * TWO_PI)
-    return solve_reduced(pendulum_model, BoundaryVariant("b0"), mbc, cfg, 40)
+    return solve_reduced(pendulum_model, BoundaryVariant("b0"), mbc, cfg,
+                         40).lower.trajectory
 
 
 @pytest.fixture(scope="module")
@@ -297,8 +298,8 @@ class TestTranscription:
     def test_bilevel_warm_start_defect_is_small(self, pendulum_bilevel_n40,
                                                 pendulum_nlp_n40):
         nlp = pendulum_nlp_n40
-        v = nlp.pack(pendulum_bilevel_n40.states, pendulum_bilevel_n40.inputs,
-                     pendulum_bilevel_n40.T)
+        times, X, U = pendulum_bilevel_n40
+        v = nlp.pack(X, U, times[-1])
         defect = np.max(np.abs(nlp.defects(v)))
         # surrogate accuracy measured, not pinned: the warm start should be
         # close to dynamically feasible
@@ -311,7 +312,7 @@ class TestSolveNlp:
     ):
         nlp = pendulum_nlp_n40
         first = solve_nlp(nlp, pendulum_bilevel_n40)
-        again = solve_nlp(nlp, (first.states, first.inputs, first.T))
+        again = solve_nlp(nlp, (first.times, first.states, first.inputs))
         assert again.converged
         assert again.outer_iterations <= 1
         assert abs(again.cost - first.cost) <= 1e-8
@@ -363,7 +364,8 @@ class TestSolveNlp:
                                          pendulum_bilevel_n40):
         nlp = pendulum_nlp_n40
         warm = solve_nlp(nlp, pendulum_bilevel_n40)
-        cold_guess = (np.zeros((41, 2)), np.zeros((40, 1)), TWO_PI)
+        cold_guess = (np.linspace(0, TWO_PI, 41), np.zeros((41, 2)),
+                      np.zeros((40, 1)))
         cold = solve_nlp(nlp, cold_guess)
         assert warm.inner_iterations <= cold.inner_iterations
 
@@ -384,7 +386,7 @@ class TestSolveNlp:
             x0=anchor, xT=anchor, T=T0, N=N,
         ))
         X = simulate(oscillator, anchor, qp_sol.u_traj, T0, substeps=8)
-        sol = solve_nlp(nlp, (X, qp_sol.u_traj, T0))
+        sol = solve_nlp(nlp, (np.linspace(0, T0, N + 1), X, qp_sol.u_traj))
         assert sol.converged
         assert abs(sol.T - T0) <= 1e-9
         assert np.max(np.abs(sol.inputs - qp_sol.u_traj)) <= 1e-6
@@ -396,7 +398,7 @@ class TestSolveNlp:
 
         mbc = MixedBoundaryConstraint(eval=b, n_g=2, n_x=2)
         nlp = TranscribedNlp(pendulum, mbc, 10)
-        guess = (np.zeros((11, 2)), np.zeros((10, 1)), 5.0)
+        guess = (np.linspace(0, 5.0, 11), np.zeros((11, 2)), np.zeros((10, 1)))
         monkeypatch.setattr(baseline_nlp, "_MAXITER", 180)
         sol = solve_nlp(nlp, guess)
         assert not sol.converged
@@ -421,7 +423,8 @@ class TestSolveNlp:
     @pytest.mark.parametrize("N", [40, 12])
     def test_slsqp_sees_one_state_per_segment(self, pendulum, slsqp_sizes, N):
         nlp = TranscribedNlp(pendulum, make_periodic_amplitude_anchor(A_40), N)
-        guess = (np.zeros((N + 1, 2)), np.full((N, 1), 0.1), TWO_PI)
+        guess = (np.linspace(0, TWO_PI, N + 1), np.zeros((N + 1, 2)),
+                 np.full((N, 1), 0.1))
         solve_nlp(nlp, guess)
         S = -(-N // baseline_nlp._SEGMENT)
         assert slsqp_sizes == [(S + 1) * nlp.n_x + N * nlp.n_u + 1]
@@ -432,10 +435,10 @@ class TestSolveNlp:
         sol = solve_nlp(nlp, pendulum_bilevel_n40)
         assert slsqp_sizes[0] < nlp.n_var
         # SLSQP on every knot (x_0..x_N, u, T) with solve_nlp's options and box
-        ws = pendulum_bilevel_n40
-        T0 = ws.T
+        times, X, U = pendulum_bilevel_n40
+        T0 = times[-1]
         oracle = minimize(
-            nlp.objective, nlp.pack(ws.states, ws.inputs, T0),
+            nlp.objective, nlp.pack(X, U, T0),
             jac=nlp.objective_grad, method="SLSQP",
             bounds=[(None, None)] * (nlp.n_var - 1) + [(0.2 * T0, 5.0 * T0)],
             constraints={"type": "eq", "fun": nlp.constraints,
@@ -488,7 +491,8 @@ class TestSolveNlp:
     def test_malformed_warm_start_is_a_build_error(self, pendulum_nlp_n40,
                                                    inputs, T, match):
         with pytest.raises(BuildError, match=match):
-            solve_nlp(pendulum_nlp_n40, (np.zeros((41, 2)), inputs, T))
+            solve_nlp(pendulum_nlp_n40,
+                      (np.linspace(0, T, 41), np.zeros((41, 2)), inputs))
 
 
 class TestEvaluateSolution:

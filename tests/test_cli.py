@@ -85,6 +85,13 @@ def test_reproduce_bundle_passes_gates_with_clean_audit(tmp_path, monkeypatch, b
     assert cli.main(["audit", "--out", out]) == 0
     # the baseline NLP depends only on (system, mbc, N): one solve per bundle
     assert len(calls) == 1
+    # warm-started from the trajectory written for the first variant
+    first = validate_config(cli.load_bundle(bundle)["config"]).variants[0].label
+    written = artifacts.read_trajectory_csv(os.path.join(out, f"{first}_bilevel.csv"))
+    _, warm_start = calls[0]
+    assert len(warm_start) == len(written) == 3
+    for used, read in zip(warm_start, written):
+        assert np.array_equal(used, read)
 
     baseline = json.loads(_read_bytes(os.path.join(out, "baseline.json")))
     report = json.loads(_read_bytes(os.path.join(out, "report.json")))
@@ -362,12 +369,15 @@ VARIANT_CORRUPTIONS = [
      "MISMATCH None.variant: reported 'missing'"),
     ("b0_solution.json", _set(["variant"], "bT"),
      "MISMATCH b0.variant: reported 'b0' recomputed 'bT'"),
+    ("report.json", lambda report: report["entries"][0].update(variant=["b0"]),
+     "MISMATCH ['b0'].variant: reported ['b0']"),
 ]
 
 
 @pytest.mark.parametrize("name,edit,named", VARIANT_CORRUPTIONS,
                          ids=["entry_without_variant",
-                              "solution_of_another_variant"])
+                              "solution_of_another_variant",
+                              "entry_with_list_variant"])
 def test_audit_checks_the_variant_labels(fig1_run, capsys, name, edit, named):
     assert _audit_after_edit(os.path.join(fig1_run, name), edit) == 1
     out = capsys.readouterr().out

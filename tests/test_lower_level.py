@@ -325,9 +325,9 @@ class TestDoubling:
 
 class TestLazyTrajectory:
     def test_search_solves_build_no_trajectory(self, monkeypatch):
-        # the upper search reads only c: of the fig1 bilevel solve's lower
-        # solutions, only the cheapest one builds z_traj, and only once the
-        # search has ended
+        # the upper search reads only c: none of the fig1 bilevel solve's
+        # lower solutions builds z_traj, and the kept one builds it on the
+        # first read of its trajectory
         run = config.validate_config(cli.load_bundle("fig1")["config"])
         model = identify(run.system, run.dictionary, n_s=run.n_s,
                          seed=run.seed, box=run.box)
@@ -354,6 +354,8 @@ class TestLazyTrajectory:
         assert sol.eval_count == coarse["nfev"] + polish["nfev"]
         assert coarse["stage"] == "direct" and coarse["nfev"] > 20
         assert at_final == [0]
+        assert len(builds) == 0
+        _ = sol.lower.trajectory  # its first read
         assert len(builds) == 1
         assert "z_traj" in vars(sol.lower)
 

@@ -63,9 +63,11 @@ class TestUpperObjective:
 
 class TestSolveReduced:
     def test_finds_global_basin(self, osc_solution):
-        assert osc_solution.T == pytest.approx(ORACLE_T_STAR, rel=2e-3)
-        assert osc_solution.cost == pytest.approx(ORACLE_COST, rel=5e-3)
-        assert osc_solution.constraint_violation <= 1e-12
+        assert osc_solution.lower.problem.T == pytest.approx(ORACLE_T_STAR, rel=2e-3)
+        assert osc_solution.lower.c == pytest.approx(ORACLE_COST, rel=5e-3)
+        p = osc_solution.lower.problem
+        mbc = make_periodic_amplitude_anchor(A_30)
+        assert np.linalg.norm(mbc.residual(p.x0, p.xT, p.T)) <= 1e-12
 
     def test_second_basin_costs_about_twice_the_optimum(self, osc_solution,
                                                          oscillator_model):
@@ -77,7 +79,7 @@ class TestSolveReduced:
         i = int(np.argmin(costs))
         assert 0 < i < len(grid) - 1
         assert costs[i] == pytest.approx(2 * 0.0306649, rel=2e-2)
-        assert costs[i] > 1.5 * osc_solution.cost
+        assert costs[i] > 1.5 * osc_solution.lower.c
 
     def test_multistart_dominance(self, osc_solution):
         # the two stages are the starts: DIRECT's point seeds the polish,
@@ -85,8 +87,8 @@ class TestSolveReduced:
         coarse, polish = osc_solution.start_records
         assert (coarse["stage"], polish["stage"]) == ("direct", "polish")
         assert polish["c_star"] <= coarse["c_star"]
-        assert osc_solution.cost == polish["c_star"]
-        assert osc_solution.cost <= min(
+        assert osc_solution.lower.c == polish["c_star"]
+        assert osc_solution.lower.c <= min(
             r["c_star"] for r in osc_solution.start_records)
         assert osc_solution.eval_count == coarse["nfev"] + polish["nfev"]
 
@@ -104,8 +106,9 @@ class TestSolveReduced:
                                  make_periodic_amplitude_anchor(A_30),
                                  osc_config, 101)
         assert "maxfun" in budgeted.start_records[0]["message"]
-        assert osc_solution.T == pytest.approx(budgeted.T, rel=1e-7)
-        assert osc_solution.cost == pytest.approx(budgeted.cost, rel=1e-12)
+        assert osc_solution.lower.problem.T == pytest.approx(
+            budgeted.lower.problem.T, rel=1e-7)
+        assert osc_solution.lower.c == pytest.approx(budgeted.lower.c, rel=1e-12)
 
     def test_seed_costs_are_the_objective_at_the_seeds(self, osc_solution,
                                                        oscillator_model):
@@ -137,30 +140,31 @@ class TestSolveReduced:
         # one solve per objective call, and none after the search: the
         # solution is the cheapest point's, kept from its solve
         assert len(calls) == sol.eval_count
-        assert sol.T in calls
+        assert sol.lower.problem.T in calls
         assert sum(r["n_inf"] for r in sol.start_records) == 0
 
     def test_cost_reproducible_from_lower_level(self, osc_solution,
                                                 oscillator_model):
+        p = osc_solution.lower.problem
         lower = solve_lower(LowerLevelProblem(
             model=oscillator_model, variant=BoundaryVariant("b0"),
-            x0=osc_solution.x0, xT=osc_solution.xT, T=osc_solution.T, N=101,
+            x0=p.x0, xT=p.xT, T=p.T, N=101,
         ))
-        assert abs(lower.c - osc_solution.cost) <= 1e-10
+        assert abs(lower.c - osc_solution.lower.c) <= 1e-10
 
     def test_single_start_at_optimum_stays_put(self, oscillator_model):
         mbc = make_periodic_amplitude_anchor(A_30)
         cfg = UpperConfig(T_min=ORACLE_T_STAR, T_max=ORACLE_T_STAR + 1e-9)
         sol = solve_reduced(oscillator_model, BoundaryVariant("b0"), mbc, cfg, 101)
-        assert abs(sol.T - ORACLE_T_STAR) <= 1e-4
+        assert abs(sol.lower.problem.T - ORACLE_T_STAR) <= 1e-4
 
     def test_deterministic(self, oscillator_model, osc_config, osc_solution):
         mbc = make_periodic_amplitude_anchor(A_30)
         again = solve_reduced(
             oscillator_model, BoundaryVariant("b0"), mbc, osc_config, 101
         )
-        assert again.T == osc_solution.T
-        assert again.cost == osc_solution.cost
+        assert again.lower.problem.T == osc_solution.lower.problem.T
+        assert again.lower.c == osc_solution.lower.c
 
     def test_requires_reduction(self, oscillator_model, osc_config):
         mbc = MixedBoundaryConstraint(
@@ -186,7 +190,8 @@ class TestSolveReduced:
         _, polish = sol.start_records
         # the cost grows with the amplitude, so the polish ends on its floor
         assert {"index": 1, "side": "lower", "value": 0.4} in polish["active_bounds"]
-        assert sol.constraint_violation <= 1e-12
+        p = sol.lower.problem
+        assert np.linalg.norm(mbc.residual(p.x0, p.xT, p.T)) <= 1e-12
 
         def cost(q):
             return upper_level._lower_eval(
