@@ -73,7 +73,7 @@ from .upper_level import (
 from .baseline_nlp import (
     NlpSolution,
     TranscribedNlp,
-    evaluate_solution,
+    check_trajectory,
     solve_nlp,
 )
 

@@ -43,7 +43,7 @@ __all__ = [
     "TranscribedNlp",
     "NlpSolution",
     "solve_nlp",
-    "evaluate_solution",
+    "check_trajectory",
 ]
 
 
@@ -51,7 +51,10 @@ __all__ = [
 # shooting form walker stops after 31, pendulum after 14, fig1 after 2; on
 # every knot they took 48, 30 and 2)
 _MAXITER = 6000
-# knots per multiple-shooting segment of the problem SLSQP solves
+# knots per multiple-shooting segment of the problem SLSQP solves. Median of
+# 3 one-thread solves from b0_bilevel.csv on a 2-core Xeon, walker/pendulum:
+# 5 and 10 are within noise (0.12/0.052 s and 0.14/0.051 s), 1 (every knot)
+# and 20 are slower (0.40/0.29 s and 0.18/0.063 s)
 _SEGMENT = 10
 # bound on the largest constraint residual and on the KKT stationarity
 # residual of a converged solution
@@ -83,7 +86,7 @@ class TranscribedNlp:
     is shorter when ``segment`` does not divide N. Each defect is the next
     node state minus the RK4 steps from the node. The default ``segment=1``
     puts a node on every knot: the transcription (x_0..x_N, u, T) that
-    :func:`evaluate_solution` checks.
+    :func:`check_trajectory` checks.
     """
 
     def __init__(self, system, mbc, N, segment=1):
@@ -171,17 +174,12 @@ class TranscribedNlp:
         g[-1] = float(np.sum(U**2)) / self.N
         return g
 
-    def defects(self, v):
+    def constraints(self, v):
+        """The defects, ``n_defects`` of them, then the boundary rows."""
         X, U, T = self.unpack(v)
         path = self._shoot(X[:-1], self._segment_inputs(U), T / self.N)
-        return (X[1:] - path[:, -1]).ravel()
-
-    def mbc_residual(self, v):
-        X, _, T = self.unpack(v)
-        return self.mbc.residual(X[0], X[-1], T)
-
-    def constraints(self, v):
-        return np.concatenate([self.defects(v), self.mbc_residual(v)])
+        return np.concatenate([(X[1:] - path[:, -1]).ravel(),
+                               self.mbc.residual(X[0], X[-1], T)])
 
     def constraint_jacobian(self, v):
         """Central-difference Jacobian of :meth:`constraints`; see
@@ -252,10 +250,10 @@ def _central_difference(f, y, step):
     return F[0], (F[1 : m + 1] - F[m + 1 :]) / scale
 
 
-def _warm_start(nlp, warm_start):
-    """``(X, U, T)`` of a ``(times, states, inputs)`` warm start, with T its
+def _unpack_trajectory(nlp, trajectory):
+    """``(X, U, T)`` of a ``(times, states, inputs)`` trajectory, with T its
     last time, or a ``BuildError`` naming what does not fit ``nlp``."""
-    times, X, U = warm_start
+    times, X, U = trajectory
     X = np.asarray(X, dtype=float)
     U = np.asarray(U, dtype=float)
     T = float(times[-1])
@@ -263,12 +261,36 @@ def _warm_start(nlp, warm_start):
                            ("inputs", U, (nlp.N, nlp.n_u))):
         if A.shape != shape:
             raise BuildError(
-                f"warm-start {name} have shape {A.shape}, expected {shape}; "
+                f"{name} have shape {A.shape}, expected {shape}; "
                 f"use matching N"
             )
     if not (np.isfinite(T) and T > 0):
-        raise BuildError(f"warm-start period must be finite and positive, got T={T}")
+        raise BuildError(f"period must be finite and positive, got T={T}")
     return X, U, T
+
+
+def check_trajectory(nlp, trajectory, success):
+    """``{T, cost, max_defect, max_mbc_violation, kkt_residual, converged}``
+    of a ``(times, states, inputs)`` trajectory on the knots of ``nlp``, from
+    one :meth:`TranscribedNlp.linearize` and the least-squares multipliers
+    lam (Nocedal & Wright, *Numerical Optimization*, ch. 12): the largest
+    defect, boundary row and entry of ``grad f + J^T lam``. ``converged`` is
+    ``success``, the solver's verdict, and each of the three at most
+    ``_TOL_FEAS`` (a NaN is not). States not ``(N+1, n_x)``, inputs not
+    ``(N, n_u)`` and a last time T not finite and positive are a
+    :class:`BuildError`."""
+    X, U, T = _unpack_trajectory(nlp, trajectory)
+    v = nlp.pack(X, U, T)
+    c, J = nlp.linearize(v)
+    g = nlp.objective_grad(v)
+    lam, *_ = np.linalg.lstsq(J.T, -g, rcond=None)
+    residuals = {
+        "max_defect": float(np.max(np.abs(c[: nlp.n_defects]))),
+        "max_mbc_violation": float(np.max(np.abs(c[nlp.n_defects :]))),
+        "kkt_residual": float(np.max(np.abs(g + J.T @ lam))),
+    }
+    converged = bool(success) and all(r <= _TOL_FEAS for r in residuals.values())
+    return dict(residuals, T=T, cost=nlp.objective(v), converged=converged)
 
 
 def solve_nlp(nlp, warm_start):
@@ -277,22 +299,18 @@ def solve_nlp(nlp, warm_start):
 
     ``warm_start`` is a ``(times, states, inputs)`` triple on the knots of
     ``nlp``, the form of ``LowerLevelSolution.trajectory`` and of
-    :class:`NlpSolution`'s fields: states ``(N+1, n_x)``, inputs ``(N,
-    n_u)``, and its period T the last time, finite and positive; states or
-    inputs of another shape and any other T are a :class:`BuildError`.
-    SLSQP solves the same problem with a node every ``_SEGMENT`` knots and
-    gets ``_MAXITER`` major iterations. Its constraints, their Jacobian and
-    the history entry at a point all come from one
-    :meth:`TranscribedNlp.linearize` of that point. The returned
+    :class:`NlpSolution`'s fields, checked as :func:`check_trajectory`
+    checks its trajectory. SLSQP solves the same problem with a node every
+    ``_SEGMENT`` knots and gets ``_MAXITER`` major iterations. Its
+    constraints, their Jacobian and the history entry at a point all come
+    from one :meth:`TranscribedNlp.linearize` of that point. The returned
     solution is SLSQP's last iterate, with its state at every knot rebuilt by
-    stepping forward from each node, whether or not it converged:
-    ``converged`` is True only when SLSQP reports success and, at that point,
-    both the largest constraint residual and the KKT stationarity residual of
-    the every-knot ``nlp`` are at most ``_TOL_FEAS``. ``max_defect``,
-    ``max_mbc_violation`` and ``kkt_residual`` are ``nlp``'s too, from one
-    ``linearize`` of the every-knot point. ``history`` holds one
-    ``{iteration, feas, cost}`` entry per major iteration, with ``feas`` the
-    shooting problem's largest constraint residual.
+    stepping forward from each node, whether or not it converged. Its ``T``,
+    ``cost``, ``max_defect``, ``max_mbc_violation``, ``kkt_residual`` and
+    ``converged`` are :func:`check_trajectory` of that trajectory on
+    ``nlp``, with SLSQP's success. ``history`` holds one ``{iteration,
+    feas, cost}`` entry per major iteration, with ``feas`` the shooting
+    problem's largest constraint residual.
 
     The period is kept in the box ``(0.2 T0, 5 T0)`` around the warm start's
     T0. The stationarity test leaves out that box, which is a safeguard
@@ -300,7 +318,7 @@ def solve_nlp(nlp, warm_start):
     reported converged. ``outer_iterations`` counts SLSQP's major
     iterations, ``inner_iterations`` its objective evaluations.
     """
-    X, U, T0 = _warm_start(nlp, warm_start)
+    X, U, T0 = _unpack_trajectory(nlp, warm_start)
     shoot = TranscribedNlp(nlp.system, nlp.mbc, nlp.N, segment=_SEGMENT)
     bounds = [(None, None)] * (shoot.n_var - 1) + [(0.2 * T0, 5.0 * T0)]
     history = []
@@ -334,37 +352,12 @@ def solve_nlp(nlp, warm_start):
         options={"maxiter": _MAXITER, "ftol": 1e-14},
     )
     _, U, T = shoot.unpack(res.x)
+    # linspace stores the endpoint T exactly
+    times = np.linspace(0.0, T, nlp.N + 1)
     X = shoot.knot_states(res.x)
-    v = nlp.pack(X, U, T)
-    c, J = nlp.linearize(v)
-    feas = float(np.max(np.abs(c)))
-    # stationarity: largest entry of grad f + J^T lam, lam the least-squares
-    # multipliers at the returned point
-    g = nlp.objective_grad(v)
-    lam, *_ = np.linalg.lstsq(J.T, -g, rcond=None)
-    kkt = float(np.max(np.abs(g + J.T @ lam)))
     return NlpSolution(
-        times=np.linspace(0.0, T, nlp.N + 1), states=X, inputs=U, T=T,
-        cost=nlp.objective(v),
-        max_defect=float(np.max(np.abs(c[: nlp.n_defects]))),
-        max_mbc_violation=float(np.max(np.abs(c[nlp.n_defects :]))),
-        kkt_residual=kkt,
-        converged=bool(res.success) and max(feas, kkt) <= _TOL_FEAS,
+        times=times, states=X, inputs=U,
+        **check_trajectory(nlp, (times, X, U), res.success),
         outer_iterations=int(res.nit), inner_iterations=int(res.nfev),
         history=tuple(history),
     )
-
-
-def evaluate_solution(nlp, sol):
-    """Recompute cost and residuals from scratch, independent of the solver."""
-    v = nlp.pack(sol.states, sol.inputs, sol.T)
-    defects = nlp.defects(v)
-    mbc = nlp.mbc_residual(v)
-    U = np.asarray(sol.inputs, dtype=float)
-    return {
-        "cost": nlp.objective(v),
-        "max_defect": float(np.max(np.abs(defects))),
-        "defect_rms": float(np.sqrt(np.mean(defects**2))),
-        "max_mbc_violation": float(np.max(np.abs(mbc))),
-        "max_input": float(np.max(np.abs(U))),
-    }

@@ -36,11 +36,10 @@ from importlib import resources
 import numpy as np
 
 from . import artifacts, config as cfgmod, gates as gatesmod
-from .baseline_nlp import TranscribedNlp, solve_nlp
+from .baseline_nlp import TranscribedNlp, check_trajectory, solve_nlp
 from .errors import ArtifactError, ConfigError, KoopbilevelError
 from .gedmd import identify, load_model, model_to_config, save_model
 from .lower_level import LowerLevelProblem, solve_lower
-from .systems import running_cost
 from .upper_level import (_lower_eval, make_periodic_amplitude_anchor, solve_reduced,
                           sweep_period)
 
@@ -393,7 +392,9 @@ def cmd_audit(out_dir):
       ``model.json``;
     * ``model.json``'s ``seed``, ``n_s``, ``box``, ``system_name`` and
       ``dictionary``: the config's;
-    * ``baseline.json``: ``T`` and ``cost`` from ``baseline.csv``;
+    * ``baseline.json``: :func:`~koopbilevel.baseline_nlp.check_trajectory`
+      of ``baseline.csv`` with the config's N, taking the file's word for
+      SLSQP's success;
     * each entry: :func:`~koopbilevel.artifacts.comparison_entry` of its
       variant's files;
     * each ``<label>_solution.json``: :func:`_solution_record` of the lower
@@ -403,9 +404,10 @@ def cmd_audit(out_dir):
     * each ``<label>_bilevel.csv``: that re-solve's ``trajectory``.
 
     A stage's ``n_inf`` above its ``nfev``, boundaries or a period that the
-    lower level cannot take, an entry whose ``variant`` is not the label of
-    a config variant (a non-string one included) and a variant file without
-    an entry are problems too. An artifact that does not parse, is not a
+    lower level cannot take, a ``baseline.csv`` that ``check_trajectory``
+    rejects, an entry whose ``variant`` is not the label of a config variant
+    (a non-string one included) and a variant file without an entry are
+    problems too. An artifact that does not parse, is not a
     JSON object or lacks a key that ``audit`` reads, a ``report.json`` whose
     ``entries`` is not a list of objects, and a ``config.json`` that is not a
     valid config raise ``ArtifactError``."""
@@ -422,8 +424,9 @@ def cmd_audit(out_dir):
     model = load_model(_model_path(out_dir))
     baseline = artifacts.read_json(
         os.path.join(out_dir, "baseline.json"),
-        keys=("T", "cost", "converged", "max_defect", "max_mbc_violation"))
-    tn, xn, un = artifacts.read_trajectory_csv(os.path.join(out_dir, "baseline.csv"))
+        keys=("T", "cost", "converged", "max_defect", "max_mbc_violation",
+              "kkt_residual"))
+    baseline_traj = artifacts.read_trajectory_csv(os.path.join(out_dir, "baseline.csv"))
     model_hash = artifacts.sha256_file(_model_path(out_dir))
     identification = dict(_residual_record(model), model_hash=model_hash)
     residual_report = artifacts.read_json(
@@ -433,10 +436,16 @@ def cmd_audit(out_dir):
     fit_settings = {"seed": run.seed, "n_s": run.n_s, "box": run.box.tolist(),
                     "system_name": run.system.name,
                     "dictionary": run.dictionary.to_config()}
-    problems = (
-        _diff("baseline", "", baseline,
-              {"T": float(tn[-1]), "cost": running_cost(tn[-1], un)})
-        + _diff("residual_report", "", residual_report, identification)
+    # SLSQP's success cannot be rebuilt; a trajectory that does not fit the
+    # config's N, or whose states the dynamics reject, is one problem
+    try:
+        problems = _diff("baseline", "", baseline, check_trajectory(
+            TranscribedNlp(run.system, run.mbc, run.N), baseline_traj,
+            baseline["converged"] is True))
+    except KoopbilevelError as exc:
+        problems = [_problem("baseline", "trajectory", "baseline.csv", str(exc))]
+    problems += (
+        _diff("residual_report", "", residual_report, identification)
         + _diff("report", "", report, {"provenance": provenance})
         + _diff("model", "", model_to_config(model), fit_settings)
     )
@@ -446,7 +455,7 @@ def cmd_audit(out_dir):
     for entry, label in zip(report["entries"], labels):
         if isinstance(label, str) and label in variants:
             problems += _audit_entry(out_dir, entry, run, variants[label], model,
-                                     baseline, (tn, xn, un))
+                                     baseline, baseline_traj)
         else:
             problems.append(_problem(label, "variant", entry.get("variant", "missing"),
                                      sorted(variants)))

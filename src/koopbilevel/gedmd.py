@@ -166,7 +166,6 @@ class FitResult:
     matrix: np.ndarray
     residual: float
     rank: int
-    rank_deficient: bool
 
 
 def fit_generator(R, n_z, svd_tol=_SVD_TOL):
@@ -197,12 +196,7 @@ def fit_generator(R, n_z, svd_tol=_SVD_TOL):
         L, rank = np.ascontiguousarray(Lt.T), int(rank)
         denom = np.linalg.norm(R_c)
         residual = float(np.linalg.norm(R_psi @ Lt - R_c) / denom) if denom > 0 else 0.0
-        fits.append(FitResult(
-            matrix=L,
-            residual=residual,
-            rank=rank,
-            rank_deficient=rank < n_z,
-        ))
+        fits.append(FitResult(matrix=L, residual=residual, rank=rank))
     return fits
 
 

@@ -8,7 +8,7 @@ from koopbilevel import (
     MixedBoundaryConstraint,
     TranscribedNlp,
     UpperConfig,
-    evaluate_solution,
+    check_trajectory,
     make_periodic_amplitude_anchor,
     make_walker_gait,
     solve_lower,
@@ -175,8 +175,9 @@ class TestTranscription:
     def test_equilibrium_trajectory_has_zero_defects(self, pendulum):
         nlp = TranscribedNlp(pendulum, make_periodic_amplitude_anchor(0.0), 25)
         v = nlp.pack(np.zeros((26, 2)), np.zeros((25, 1)), TWO_PI)
-        assert np.max(np.abs(nlp.defects(v))) == 0.0
-        assert np.max(np.abs(nlp.mbc_residual(v))) == 0.0
+        c = nlp.constraints(v)
+        assert np.max(np.abs(c[: nlp.n_defects])) == 0.0
+        assert np.max(np.abs(c[nlp.n_defects :])) == 0.0
 
     def test_objective_and_gradient(self, pendulum):
         nlp = TranscribedNlp(pendulum, make_periodic_amplitude_anchor(A_40), 12)
@@ -238,7 +239,7 @@ class TestTranscription:
 
         monkeypatch.setattr(baseline_nlp, "rk4_step", counted)
         v = nlp.pack(X[nlp.nodes], U, T)
-        assert np.all(nlp.defects(v) == 0.0)
+        assert np.all(nlp.constraints(v)[: nlp.n_defects] == 0.0)
         # no step runs past knot N
         assert sum(stepped) == N
         assert np.array_equal(nlp.knot_states(v), X)
@@ -300,7 +301,7 @@ class TestTranscription:
         nlp = pendulum_nlp_n40
         times, X, U = pendulum_bilevel_n40
         v = nlp.pack(X, U, times[-1])
-        defect = np.max(np.abs(nlp.defects(v)))
+        defect = np.max(np.abs(nlp.constraints(v)[: nlp.n_defects]))
         # surrogate accuracy measured, not pinned: the warm start should be
         # close to dynamically feasible
         assert defect <= 5e-2
@@ -409,7 +410,8 @@ class TestSolveNlp:
     ):
         nlp = pendulum_nlp_n40
         sol = solve_nlp(nlp, pendulum_bilevel_n40)
-        d = np.abs(nlp.defects(nlp.pack(sol.states, sol.inputs, sol.T)))
+        c = nlp.constraints(nlp.pack(sol.states, sol.inputs, sol.T))
+        d = np.abs(c[: nlp.n_defects])
         d = d.reshape(nlp.N, nlp.n_x)
         # defect k closes the interval into knot k + 1; only the interval into
         # a shooting node carries SLSQP's residual, every other knot is the
@@ -495,13 +497,14 @@ class TestSolveNlp:
                       (np.linspace(0, T, 41), np.zeros((41, 2)), inputs))
 
 
-class TestEvaluateSolution:
-    def test_recomputation_matches_solver_report(self, pendulum_nlp_n40,
-                                                 pendulum_bilevel_n40):
+class TestCheckTrajectory:
+    def test_rebuilds_the_solution_fields_bitwise(self, pendulum_nlp_n40,
+                                                  pendulum_bilevel_n40):
         nlp = pendulum_nlp_n40
         sol = solve_nlp(nlp, pendulum_bilevel_n40)
-        report = evaluate_solution(nlp, sol)
-        assert abs(report["cost"] - sol.cost) <= 1e-10
-        assert abs(report["max_defect"] - sol.max_defect) <= 1e-12
-        assert abs(report["max_mbc_violation"] - sol.max_mbc_violation) <= 1e-12
+        assert sol.converged
+        record = check_trajectory(nlp, (sol.times, sol.states, sol.inputs), True)
+        assert record == {name: getattr(sol, name) for name in
+                          ("T", "cost", "max_defect", "max_mbc_violation",
+                           "kkt_residual", "converged")}
 

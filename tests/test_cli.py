@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import glob
 import json
@@ -18,17 +19,25 @@ def _read_bytes(path):
         return fh.read()
 
 
-def _audit_after_rewrite(path, rewrite):
-    """Exit code of ``audit`` once ``rewrite`` has changed the text of the
-    file at ``path``; the file is restored afterwards."""
+@contextlib.contextmanager
+def _rewritten(path, rewrite):
+    """The file at ``path`` with its text changed by ``rewrite``, restored
+    on exit."""
     original = _read_bytes(path)
     with open(path, "w") as fh:
         fh.write(rewrite(original.decode()))
     try:
-        return cli.main(["audit", "--out", os.path.dirname(path)])
+        yield
     finally:
         with open(path, "wb") as fh:
             fh.write(original)
+
+
+def _audit_after_rewrite(path, rewrite):
+    """Exit code of ``audit`` once ``rewrite`` has changed the text of the
+    file at ``path``; the file is restored afterwards."""
+    with _rewritten(path, rewrite):
+        return cli.main(["audit", "--out", os.path.dirname(path)])
 
 
 def _json_edit(edit):
@@ -125,36 +134,67 @@ def _in_entry(edit):
     return edit_report
 
 
-# (file, edit): one corruption each, every one a field that solve computed
+def _in_every_entry(edit):
+    def edit_report(report):
+        for entry in report["entries"]:
+            edit(entry)
+    return edit_report
+
+
+def _shifted_baseline(field):
+    """A baseline residual shifted in ``baseline.json`` and in every entry's
+    copy of it, so that only its rebuild from ``baseline.csv`` can catch it."""
+    return {"baseline.json": _shift(field),
+            "report.json": _in_every_entry(_shift(f"baseline_{field}"))}
+
+
+# {file: edit}: one corruption each, every one a field that solve computed
 AUDITED_CORRUPTIONS = [
-    ("report.json", _in_entry(_shift("mbc_violation"))),
-    ("report.json", _in_entry(_flip("baseline_converged"))),
-    ("report.json", _in_entry(_shift("baseline_max_defect"))),
-    ("report.json", _in_entry(_shift("baseline_max_mbc_violation"))),
-    ("baseline.json", _flip("converged")),
-    ("b0_solution.json", _shift("constraint_violation")),
-    ("b0_solution.json", _shift("T")),
-    ("b0_solution.json", _shift("cost")),
-    ("b0_solution.json", _shift("c_hat_lower")),
-    ("b0_solution.json", _shift("eval_count")),
-    ("b0_solution.json", _shift("weighted_total")),
-    ("b0_solution.json", _shift("kkt_stationarity")),
-    ("b0_solution.json", _shift("kkt_feasibility")),
-    ("b0_solution.json", lambda sol: _shift(51)(sol["manifold_defects"])),
-    ("b0_solution.json", lambda sol: _shift("c_star")(sol["start_records"][1])),
+    {"report.json": _in_entry(_shift("mbc_violation"))},
+    {"report.json": _in_entry(_flip("baseline_converged"))},
+    {"report.json": _in_entry(_shift("baseline_max_defect"))},
+    {"report.json": _in_entry(_shift("baseline_max_mbc_violation"))},
+    {"baseline.json": _flip("converged")},
+    {"baseline.json": _shift("kkt_residual")},
+    _shifted_baseline("max_defect"),
+    _shifted_baseline("max_mbc_violation"),
+    {"b0_solution.json": _shift("constraint_violation")},
+    {"b0_solution.json": _shift("T")},
+    {"b0_solution.json": _shift("cost")},
+    {"b0_solution.json": _shift("c_hat_lower")},
+    {"b0_solution.json": _shift("eval_count")},
+    {"b0_solution.json": _shift("weighted_total")},
+    {"b0_solution.json": _shift("kkt_stationarity")},
+    {"b0_solution.json": _shift("kkt_feasibility")},
+    {"b0_solution.json": lambda sol: _shift(51)(sol["manifold_defects"])},
+    {"b0_solution.json": lambda sol: _shift("c_star")(sol["start_records"][1])},
 ]
 
 
 @pytest.mark.parametrize(
-    "name,edit", AUDITED_CORRUPTIONS,
+    "edits", AUDITED_CORRUPTIONS,
     ids=["mbc_violation", "baseline_converged", "baseline_max_defect",
-         "baseline_max_mbc_violation", "converged", "constraint_violation",
-         "T", "cost", "c_hat_lower", "eval_count", "weighted_total",
-         "kkt_stationarity", "kkt_feasibility", "inner_manifold_defect",
-         "polish_c_star"],
+         "baseline_max_mbc_violation", "converged", "kkt_residual",
+         "max_defect_everywhere", "max_mbc_violation_everywhere",
+         "constraint_violation", "T", "cost", "c_hat_lower", "eval_count",
+         "weighted_total", "kkt_stationarity", "kkt_feasibility",
+         "inner_manifold_defect", "polish_c_star"],
 )
-def test_audit_finds_a_corrupted_field(fig1_run, name, edit):
-    assert _audit_after_edit(os.path.join(fig1_run, name), edit) == 1
+def test_audit_finds_a_corrupted_field(fig1_run, edits):
+    with contextlib.ExitStack() as stack:
+        for name, edit in edits.items():
+            stack.enter_context(_rewritten(os.path.join(fig1_run, name),
+                                           _json_edit(edit)))
+        assert cli.main(["audit", "--out", fig1_run]) == 1
+
+
+def test_audit_checks_the_residual_half_of_converged(fig1_run, capsys,
+                                                     monkeypatch):
+    # the run converged; under a zero tolerance its residuals do not pass
+    monkeypatch.setattr(baseline_nlp, "_TOL_FEAS", 0.0)
+    assert cli.main(["audit", "--out", fig1_run]) == 1
+    out = capsys.readouterr().out
+    assert "MISMATCH baseline.converged: reported True recomputed False" in out, out
 
 
 def _in_direct_record(edit):
@@ -294,6 +334,16 @@ def test_audit_reports_files_without_a_report_entry(fig1_run, capsys):
     assert "b0_solution.json" in out and "b0_bilevel.csv" in out
 
 
+def _set_csv_value(text, row, column, value):
+    """CSV ``text`` with the field at data ``row`` and ``column`` set to
+    ``value``."""
+    lines = text.splitlines(True)
+    fields = lines[row + 1].rstrip("\n").split(",")
+    fields[column] = value
+    lines[row + 1] = ",".join(fields) + "\n"
+    return "".join(lines)
+
+
 # (file, rewrite, exit code, name in the output): a file that does not parse,
 # or is not the object audit reads, and a config.json that is not a valid
 # config, exit 2 naming the file; a parsed one with a bad field is a mismatch
@@ -325,6 +375,12 @@ MALFORMED_ARTIFACTS = [
     ("config.json", lambda text: text[: len(text) // 2], 2, "config.json"),
     ("config.json", lambda text: "5", 2, "config.json"),
     ("config.json", _json_edit(_set(["substeps"], 7)), 2, "config.json"),
+    # a baseline trajectory that check_trajectory rejects: too short, or a
+    # state that the dynamics reject
+    ("baseline.csv", lambda text: "".join(text.splitlines(True)[:5]),
+     1, "MISMATCH baseline.trajectory: reported 'baseline.csv'"),
+    ("baseline.csv", lambda text: _set_csv_value(text, 3, 1, "nan"),
+     1, "MISMATCH baseline.trajectory: reported 'baseline.csv'"),
 ]
 
 
@@ -335,7 +391,8 @@ MALFORMED_ARTIFACTS = [
                               "number_solution", "number_factor", "string_factor",
                               "square_factor", "nan_factor",
                               "unknown_term_kind", "truncated_config",
-                              "number_config", "unknown_config_key"])
+                              "number_config", "unknown_config_key",
+                              "short_baseline_csv", "nan_baseline_state"])
 def test_audit_of_a_malformed_artifact_names_it(fig1_run, capsys, name, rewrite,
                                                 code, named):
     assert _audit_after_rewrite(os.path.join(fig1_run, name), rewrite) == code
@@ -351,6 +408,7 @@ def test_audit_of_a_malformed_artifact_names_it(fig1_run, capsys, name, rewrite,
                                       ("baseline.json", "converged"),
                                       ("baseline.json", "max_defect"),
                                       ("baseline.json", "max_mbc_violation"),
+                                      ("baseline.json", "kkt_residual"),
                                       ("b0_solution.json", "variant"),
                                       ("b0_solution.json", "z0"),
                                       ("b0_solution.json", "start_records")])
