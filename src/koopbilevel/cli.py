@@ -74,7 +74,6 @@ def _residual_record(model):
     return {
         "residuals": list(model.residuals),
         "ranks": list(model.ranks),
-        "rank_deficient": model.rank_deficient,
         "n_z": model.n_z,
         "modes_cond": float(np.linalg.cond(model.modes[1])),
     }
@@ -95,9 +94,9 @@ def cmd_identify(run, out_dir):
     return model
 
 
-def _solution_record(lower, mbc, start_records):
+def _solution_record(lower, mbc):
     """The ``<label>_solution.json`` record of the lower solution ``lower``
-    under ``mbc``, found by the search stages ``start_records``."""
+    under ``mbc``, but the ``start_records`` of the search that found it."""
     p = lower.problem
     return {
         "variant": p.variant.label,
@@ -106,15 +105,12 @@ def _solution_record(lower, mbc, start_records):
         "T": float(p.T),
         "cost": lower.c,
         "c_hat_lower": lower.c_hat,
-        "weighted_total": lower.weighted_total,
         "constraint_violation": float(np.linalg.norm(mbc.residual(p.x0, p.xT, p.T))),
         "kkt_stationarity": lower.kkt.stationarity_residual,
         "kkt_feasibility": lower.kkt.feasibility_residual,
         "manifold_defects": lower.manifold_defects.tolist(),
         "z0": lower.z_traj[0].tolist(),
         "zN": lower.z_traj[-1].tolist(),
-        "eval_count": sum(stage["nfev"] for stage in start_records),
-        "start_records": list(start_records),
     }
 
 
@@ -144,7 +140,8 @@ def _solve_step(run, model, mbc):
     record = {f.name: getattr(baseline, f.name) for f in dataclasses.fields(baseline)
               if f.name not in ("times", "states", "inputs")}
     record["warm_start"] = run.variants[0].label
-    variants = [(_solution_record(sol.lower, mbc, sol.start_records),
+    variants = [(dict(_solution_record(sol.lower, mbc),
+                      start_records=list(sol.start_records)),
                  sol.lower.trajectory) for sol in solutions]
     trajectory = (baseline.times, baseline.states, baseline.inputs)
     return variants, (record, trajectory), timings
@@ -329,8 +326,7 @@ def _diff(source, field, reported, recomputed):
 
 # the keys of a ``<label>_solution.json`` that ``audit`` reads
 _SOLUTION_KEYS = ("variant", "x0", "xT", "z0", "zN", "T", "cost", "c_hat_lower",
-                  "constraint_violation", "manifold_defects", "eval_count",
-                  "start_records")
+                  "constraint_violation", "manifold_defects", "start_records")
 
 
 def _audit_entry(out_dir, entry, run, variant, model, baseline, baseline_traj):
@@ -340,8 +336,14 @@ def _audit_entry(out_dir, entry, run, variant, model, baseline, baseline_traj):
         os.path.join(out_dir, f"{label}_bilevel.csv"))
     sol = artifacts.read_json(os.path.join(out_dir, f"{label}_solution.json"),
                               keys=_SOLUTION_KEYS)
-    problems = _diff(label, "", entry, artifacts.comparison_entry(
-        sol, trajectory, baseline, baseline_traj))
+    # trajectories whose PCC is undefined (no time span, or a column without
+    # variance) are one problem
+    try:
+        problems = _diff(label, "", entry, artifacts.comparison_entry(
+            sol, trajectory, baseline, baseline_traj))
+    except KoopbilevelError as exc:
+        problems = [_problem(label, "entry", f"{label}_bilevel.csv and baseline.csv",
+                             str(exc))]
     # boundaries or a period that the lower level cannot take are one
     # problem, and nothing is re-solved
     try:
@@ -350,30 +352,25 @@ def _audit_entry(out_dir, entry, run, variant, model, baseline, baseline_traj):
     except (KoopbilevelError, TypeError, ValueError) as exc:
         bounds = {key: sol[key] for key in ("x0", "xT", "T")}
         return problems + [_problem(label, "solution", bounds, str(exc))]
-    # the solution record of the re-solve, each stage's count of failures,
-    # and the cost of its point, re-solved through the constraint
+    # the re-solve's solution record; each stage's failures, at most its
+    # calls, and the cost of its point, re-solved through the constraint
     stages, reported = sol["start_records"], dict(sol)
     try:
         problems += [
-            _problem(label, f"solution.{stage['stage']}.n_inf", stage["n_inf"],
-                     f"at most nfev = {stage['nfev']}")
-            for stage in stages if not stage["n_inf"] <= stage["nfev"]
+            _problem(label, f"solution.{stage['stage']}.failures", stage["failures"],
+                     f"at most nfev = {stage['nfev']} in all")
+            for stage in stages if not sum(stage["failures"].values()) <= stage["nfev"]
         ]
-        record = _solution_record(lower, run.mbc, stages)
         points = {stage["stage"]: np.reshape(np.asarray(stage["p_star"], dtype=float),
                                              run.mbc.p_dim) for stage in stages}
         reported.update({stage["stage"]: stage for stage in stages})
-        record.update({stage["stage"]: {"n_inf": sum(stage["failures"].values())}
-                       for stage in stages})
     except (TypeError, AttributeError, KeyError, ValueError):
         problems.append(_problem(label, "solution.start_records", stages,
                                  "a list of stage records with counts"))
-        record, points = _solution_record(lower, run.mbc, ()), {}
-        del record["eval_count"]
+        points = {}
+    record = _solution_record(lower, run.mbc)
     for name, p_star in points.items():
-        record[name]["c_star"] = _lower_eval(model, variant, run.mbc, p_star, run.N)[0]
-    # the stage list is the file's own, checked stage by stage above
-    del record["start_records"]
+        record[name] = {"c_star": _lower_eval(model, variant, run.mbc, p_star, run.N)[0]}
     columns = ("times", "states", "inputs")
     return (problems + _diff(label, "solution", reported, record)
             + _diff(label, "bilevel", dict(zip(columns, (a.tolist() for a in trajectory))),
@@ -399,18 +396,20 @@ def cmd_audit(out_dir):
       variant's files;
     * each ``<label>_solution.json``: :func:`_solution_record` of the lower
       level re-solved at its ``x0``, ``xT`` and ``T`` with the config's N,
-      variant and constraint, and each stage's ``n_inf`` from its
-      ``failures`` and ``c_star`` from re-solving its ``p_star``;
+      variant and constraint, and each stage's ``c_star`` from re-solving
+      its ``p_star``;
     * each ``<label>_bilevel.csv``: that re-solve's ``trajectory``.
 
-    A stage's ``n_inf`` above its ``nfev``, boundaries or a period that the
-    lower level cannot take, a ``baseline.csv`` that ``check_trajectory``
-    rejects, an entry whose ``variant`` is not the label of a config variant
-    (a non-string one included) and a variant file without an entry are
-    problems too. An artifact that does not parse, is not a
-    JSON object or lacks a key that ``audit`` reads, a ``report.json`` whose
-    ``entries`` is not a list of objects, and a ``config.json`` that is not a
-    valid config raise ``ArtifactError``."""
+    A stage whose ``failures`` add up to more than its ``nfev``, trajectories
+    whose PCC is undefined (no time span, or a column without variance),
+    boundaries or a period that the lower level cannot take, a
+    ``baseline.csv`` that ``check_trajectory`` rejects, an entry whose
+    ``variant`` is not the label of a config variant (a non-string one
+    included) and a variant file without an entry are problems too. An
+    artifact that does not parse, is not a JSON object or lacks a key that
+    ``audit`` reads, a ``report.json`` whose ``entries`` is not a list of
+    objects, and a ``config.json`` that is not a valid config raise
+    ``ArtifactError``."""
     report_path = os.path.join(out_dir, "report.json")
     report = artifacts.read_json(report_path, keys=("entries",))
     if not (isinstance(report["entries"], list)

@@ -143,13 +143,11 @@ def _gate_t_star_rel_diff_max(gate, ctx):
 
 def _gate_baseline_cost_band(gate, ctx):
     lo, hi = gate["band"]
-    vals = {}
-    ok = True
-    for v in gate["variants"]:
-        e = _entry(ctx, v)
-        vals[v] = e["c_baseline"]
-        ok = ok and e["baseline_converged"] and lo <= e["c_baseline"] <= hi
-    return ok, {"c_baseline": vals}
+    entries = {v: _entry(ctx, v) for v in gate["variants"]}
+    costs = {v: e["c_baseline"] for v, e in entries.items()}
+    converged = {v: e["baseline_converged"] for v, e in entries.items()}
+    passed = all(converged.values()) and all(lo <= c <= hi for c in costs.values())
+    return passed, {"c_baseline": costs, "baseline_converged": converged}
 
 
 def _gate_soft_tradeoff_ordering(gate, ctx):

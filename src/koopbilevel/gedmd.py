@@ -83,10 +83,6 @@ class GeneratorModel:
     def n_u(self):
         return len(self.Li)
 
-    @property
-    def rank_deficient(self):
-        return any(r < self.n_z for r in self.ranks)
-
     @cached_property
     def modes(self):
         """``(lam, V, Vinv)`` of L0 (``numerics.eigenmodes``), from which the

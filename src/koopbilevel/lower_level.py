@@ -117,15 +117,15 @@ class LowerLevelSolution:
     ``problem`` is the :class:`LowerLevelProblem` that was solved; the
     variant, period, grid, dictionary and lifted boundaries are read from it.
     The upper search reads only ``c``, so a solve stops at the inputs. The
-    lifted trajectory ``z_traj``, the boundary mismatch ``c_hat`` and the
-    blend ``weighted_total`` are computed on first read and kept, as are
-    ``manifold_defects`` (the distance of each knot of ``z_traj`` from the
-    lift manifold of the problem's dictionary, in one batched
-    ``manifold_defect`` call) and ``trajectory``, the ``(times, states,
-    inputs)`` triple with ``z_traj`` unlifted to the original states: the
-    one form in which a trajectory is written, compared and used as a warm
-    start. For that, and for the cost gradient, the solution keeps the
-    solved ``QpBuild`` ``qp`` and the initial lifted state ``z0``.
+    lifted trajectory ``z_traj`` and the boundary mismatch ``c_hat`` are
+    computed on first read and kept, as are ``manifold_defects`` (the
+    distance of each knot of ``z_traj`` from the lift manifold of the
+    problem's dictionary, in one batched ``manifold_defect`` call) and
+    ``trajectory``, the ``(times, states, inputs)`` triple with ``z_traj``
+    unlifted to the original states: the one form in which a trajectory is
+    written, compared and used as a warm start. For that, and for the cost
+    gradient, the solution keeps the solved ``QpBuild`` ``qp`` and the
+    initial lifted state ``z0``.
     """
 
     u_traj: np.ndarray
@@ -150,11 +150,6 @@ class LowerLevelSolution:
     def c_hat(self):
         z, p = self.z_traj, self.problem
         return float(np.sum((z[0] - p.psi0) ** 2) + np.sum((z[-1] - p.psiT) ** 2))
-
-    @cached_property
-    def weighted_total(self):
-        w = self.problem.variant.w
-        return (1.0 - w) * self.c + w * self.c_hat
 
     @cached_property
     def manifold_defects(self):

@@ -158,17 +158,17 @@ def solve_reduced(model, variant, mbc, config, N):
     ``lower``, with no solve after the search and nothing copied out of it.
     A failed point costs +inf, with a zero gradient.
 
-    Each stage leaves one record: point, cost, objective calls, how many of
-    them were +inf, and ``failures``, those calls by exception type name,
-    all counted as the calls are made. The DIRECT record also has its
-    iteration count ``nit`` and scipy's ``message``, which says whether the
-    resolution (``len_tol``) or the cap (``maxfun``) ended the search. The
-    polish record has L-BFGS-B's iteration count ``nit``, the box faces its
-    point is on (``active_bounds``) and ``projected_grad_norm``, the
-    inf-norm of the exact gradient there without the components on those
-    faces. These records are written to ``<label>_solution.json``; ``audit``
-    checks their counts against each other and against ``eval_count``, and
-    re-solves each point for its cost.
+    Each stage leaves one record: point ``p_star``, cost ``c_star``,
+    objective calls ``nfev`` and ``failures``, the calls that were +inf by
+    exception type name, both counted as the calls are made. The DIRECT
+    record also has its iteration count ``nit`` and scipy's ``message``,
+    which says whether the resolution (``len_tol``) or the cap (``maxfun``)
+    ended the search. The polish record has L-BFGS-B's iteration count
+    ``nit``, the box faces its point is on (``active_bounds``) and
+    ``projected_grad_norm``, the inf-norm of the exact gradient there
+    without the components on those faces. These records are written to
+    ``<label>_solution.json``; ``audit`` checks that a stage's failures do
+    not outnumber its calls, and re-solves each point for its cost.
     """
     if mbc.reduction is None:
         raise ConfigError(f"constraint '{mbc.name}' provides no reduction")
@@ -176,14 +176,13 @@ def solve_reduced(model, variant, mbc, config, N):
     best = [None]  # the lower solution of the cheapest point so far
 
     def run_stage(stage, search, with_grad):
-        record = {"stage": stage, "nfev": 0, "n_inf": 0, "failures": Counter()}
+        record = {"stage": stage, "nfev": 0, "failures": Counter()}
 
         def objective(p):
             p = np.asarray(p, dtype=float)
             cost, sol, err = _lower_eval(model, variant, mbc, p, N)
             record["nfev"] += 1
             if sol is None:
-                record["n_inf"] += 1
                 record["failures"][type(err).__name__] += 1
                 return (cost, np.zeros(p.size)) if with_grad else cost
             if best[0] is None or cost < best[0].c:

@@ -112,6 +112,17 @@ def test_walker_accuracy_detail_says_the_baseline_did_not_converge():
     assert results[0]["detail"]["pcc_state"] == 0.99
 
 
+def test_baseline_cost_band_detail_says_the_baseline_did_not_converge():
+    gate = {"kind": "baseline_cost_band", "variants": ["b0", "unconverged"],
+            "band": [0.4, 0.6]}
+    results, _ = evaluate_gates([gate], CTX)
+    assert not results[0]["passed"]
+    assert results[0]["detail"] == {
+        "c_baseline": {"b0": 0.5, "unconverged": 0.5},
+        "baseline_converged": {"b0": True, "unconverged": False},
+    }
+
+
 @pytest.mark.parametrize("gate", [
     {"kind": "argmin_period_band", "band_periods": [1.9, 2.1]},
     {"kind": "argmin_value_band", "band": [0.0, 1.0]},

@@ -249,7 +249,7 @@ class TestIdentify:
     def test_rank_warning_for_undersampling(self, pendulum):
         d = get_dictionary("pendulum12", 2)
         model = identify(pendulum, d, n_s=8, seed=12, box=pendulum.state_box)
-        assert model.rank_deficient
+        assert min(model.ranks) < model.n_z
 
     def test_residuals_recomputable(self, pendulum, monkeypatch):
         # eight blocks: the tail norms carry across seven folds
