@@ -146,10 +146,12 @@ def trajectory_pcc(times_a, values_a, times_b, values_b):
         resampled.append([np.interp(grid, tau, col) for col in columns])
     pccs = []
     for a, b in zip(*resampled):
+        # on the spread, not the centred norm: a constant's mean need not
+        # round to its value
+        if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
+            raise CorrelationError("correlation undefined for zero-variance series")
         da, db = a - a.mean(), b - b.mean()
         na, nb = float(np.linalg.norm(da)), float(np.linalg.norm(db))
-        if na == 0.0 or nb == 0.0:
-            raise CorrelationError("correlation undefined for zero-variance series")
         pccs.append(float(np.clip(da @ db / (na * nb), -1.0, 1.0)))
     return float(np.mean(pccs))
 

@@ -252,7 +252,9 @@ def _central_difference(f, y, step):
 
 def _unpack_trajectory(nlp, trajectory):
     """``(X, U, T)`` of a ``(times, states, inputs)`` trajectory, with T its
-    last time, or a ``BuildError`` naming what does not fit ``nlp``."""
+    last time, or a ``BuildError`` naming what does not fit ``nlp``. The
+    times must be ``np.linspace(0, T, N + 1)`` bitwise, the grid that
+    ``solve_nlp`` and ``LowerLevelSolution.trajectory`` write."""
     times, X, U = trajectory
     X = np.asarray(X, dtype=float)
     U = np.asarray(U, dtype=float)
@@ -266,6 +268,9 @@ def _unpack_trajectory(nlp, trajectory):
             )
     if not (np.isfinite(T) and T > 0):
         raise BuildError(f"period must be finite and positive, got T={T}")
+    if not np.array_equal(times, np.linspace(0.0, T, nlp.N + 1)):
+        raise BuildError(f"times are not the {nlp.N + 1} evenly spaced knots "
+                         f"of [0, T={T}]")
     return X, U, T
 
 
@@ -277,8 +282,8 @@ def check_trajectory(nlp, trajectory, success):
     defect, boundary row and entry of ``grad f + J^T lam``. ``converged`` is
     ``success``, the solver's verdict, and each of the three at most
     ``_TOL_FEAS`` (a NaN is not). States not ``(N+1, n_x)``, inputs not
-    ``(N, n_u)`` and a last time T not finite and positive are a
-    :class:`BuildError`."""
+    ``(N, n_u)``, a last time T not finite and positive and times other
+    than the N+1 evenly spaced knots of [0, T] are a :class:`BuildError`."""
     X, U, T = _unpack_trajectory(nlp, trajectory)
     v = nlp.pack(X, U, T)
     c, J = nlp.linearize(v)

@@ -36,7 +36,7 @@ class NumericError(KoopbilevelError):
 
 
 class DegenerateQpError(KoopbilevelError):
-    """The KKT system stayed singular after regularization.
+    """The KKT system is singular or its solution misses the residual test.
 
     Carries the smallest pivot magnitude seen during factorization.
     """

@@ -159,8 +159,8 @@ class LowerLevelSolution:
         """Derivatives of ``c`` along the columns of ``J``, (2 n_x + 1, k):
         each column a direction of (x0, xT, T), stacked in that order. ``J``
         the identity gives the gradient in (x0, xT, T); a reduction's
-        Jacobian gives the gradient in its parameters. Exact up to rounding,
-        the Tikhonov term of ``solve_kkt`` included."""
+        Jacobian gives the gradient in its parameters. Exact up to rounding:
+        the gradient of the QP as posed, which ``solve_kkt`` solves."""
         p, u = self.problem, self.u_traj.ravel()
         # of c in the QP's decision vector (free z0 entries, u), and in T at
         # fixed inputs

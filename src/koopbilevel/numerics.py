@@ -115,23 +115,24 @@ class KktResult:
 
 
 _GETRF = scipy.linalg.get_lapack_funcs("getrf", dtype=np.float64)
-_TIKHONOV = 1e-9  # solve_kkt adds _TIKHONOV * trace(H)/n to the diagonal of H
 
 
 def solve_kkt(H, g, Aeq, beq):
     """Solve ``min 1/2 v'Hv + g'v  s.t.  Aeq v = beq`` by direct factorization.
 
-    The saddle system ``[[H + reg*I, Aeq'], [Aeq, 0]]`` is factorized with
-    pivoted LU (LAPACK ``getrf``). The Tikhonov term ``reg = 1e-9 *
-    trace(H)/n`` keeps PSD-singular Hessians factorable; the result records
-    the LU factors and their smallest pivot. Stationarity and feasibility
-    residuals are recomputed from the returned primal/dual pair and must fall
-    below ``1e-9 * scale``; otherwise the system is reported as degenerate.
+    The saddle system ``[[H, Aeq'], [Aeq, 0]]`` is factorized with pivoted
+    LU (LAPACK ``getrf``); the result records the LU factors and their
+    smallest pivot. The QP is solved as posed: H positive definite on the
+    null space of ``Aeq``, with ``Aeq`` of full row rank, makes that matrix
+    nonsingular (Nocedal & Wright, *Numerical Optimization*, sec. 16.1).
+    Stationarity and feasibility residuals are recomputed from the returned
+    primal/dual pair and must fall below ``1e-9 * scale``; otherwise the
+    system is reported as degenerate.
 
     Parameters
     ----------
     H : (n, n) ndarray
-        Symmetric positive semidefinite Hessian.
+        Symmetric Hessian, positive definite on the null space of ``Aeq``.
     g : (n,) ndarray
         Linear cost term.
     Aeq : (m, n) ndarray
@@ -160,11 +161,9 @@ def solve_kkt(H, g, Aeq, beq):
         raise NumericError(
             f"inconsistent constraint dimensions: Aeq {Aeq.shape}, beq {beq.shape}"
         )
-    reg = _TIKHONOV * float(np.trace(H)) / n
 
-    Hr = H + reg * np.eye(n)
     kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = Hr
+    kkt[:n, :n] = H
     kkt[:n, n:] = Aeq.T
     kkt[n:, :n] = Aeq
     rhs = np.concatenate([-g, beq])
@@ -181,9 +180,9 @@ def solve_kkt(H, g, Aeq, beq):
     sol = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
     v, lam = sol[:n], sol[n:]
 
-    stat = Hr @ v + g + Aeq.T @ lam
+    stat = H @ v + g + Aeq.T @ lam
     feas = Aeq @ v - beq
-    scale_stat = 1.0 + float(np.linalg.norm(g)) + float(np.linalg.norm(Hr @ v))
+    scale_stat = 1.0 + float(np.linalg.norm(g)) + float(np.linalg.norm(H @ v))
     scale_feas = 1.0 + float(np.linalg.norm(beq))
     stat_res = float(np.linalg.norm(stat))
     feas_res = float(np.linalg.norm(feas))
@@ -193,7 +192,7 @@ def solve_kkt(H, g, Aeq, beq):
         or feas_res > 1e-9 * scale_feas
     ):
         raise DegenerateQpError(
-            "KKT system is singular or inconsistent after regularization "
+            "KKT system is singular or inconsistent "
             f"(stationarity {stat_res:.3e}, feasibility {feas_res:.3e}, "
             f"smallest pivot {min_pivot:.3e})",
             min_pivot=min_pivot,
@@ -217,14 +216,12 @@ def qp_sensitivity(kkt, grad, dH, dg, dAeq, dbeq):
     ``(H, g, Aeq, beq)`` along each direction. One adjoint solve with the LU
     factors of the saddle matrix ``K`` (symmetric, so ``K' y = K y``) gives
     ``y``, and each derivative is ``y' (dr - dK s)`` for the solution ``s =
-    (v, lam)`` of ``K s = r``, the Tikhonov term's own tangent included.
-    Returns the k derivatives; phi's explicit dependence on the data is the
-    caller's.
+    (v, lam)`` of ``K s = r``. Returns the k derivatives; phi's explicit
+    dependence on the data is the caller's.
     """
     v, lam = kkt.primal, kkt.dual
     rhs = np.concatenate([grad, np.zeros(lam.size)])
     y = scipy.linalg.lu_solve(kkt.factors, rhs, check_finite=False)
-    dreg = _TIKHONOV * np.trace(dH, axis1=1, axis2=2) / v.size
-    dstat = dH @ v + dreg[:, None] * v + dg + lam @ dAeq
+    dstat = dH @ v + dg + lam @ dAeq
     dfeas = dAeq @ v - dbeq
     return -(dstat @ y[: v.size]) - dfeas @ y[v.size :]

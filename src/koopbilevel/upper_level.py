@@ -114,10 +114,10 @@ class BilevelSolution:
     """The kept lower solution of a bilevel solve and the search's records.
 
     ``lower`` is the :class:`~koopbilevel.lower_level.LowerLevelSolution` of
-    the cheapest point the search evaluated: its ``problem`` holds the
-    variant, boundaries ``x0``, ``xT`` and period ``T``, its ``c`` is the
-    running cost and its ``trajectory`` the ``(times, states, inputs)``
-    triple. ``start_records`` holds one record per search stage (see
+    the point the polish records: its ``problem`` holds the variant,
+    boundaries ``x0``, ``xT`` and period ``T``, its ``c`` is the running cost
+    and its ``trajectory`` the ``(times, states, inputs)`` triple.
+    ``start_records`` holds one record per search stage (see
     :func:`solve_reduced`).
     """
 
@@ -153,78 +153,76 @@ def solve_reduced(model, variant, mbc, config, N):
     ``mbc.p_bounds``. The polish gets the cost and its exact gradient in one
     call: ``LowerLevelSolution.cost_gradient`` along the columns of
     ``mbc.reduction_jacobian(p)``. Every objective call is one lower solve,
-    a point asked for twice included. Only the lower solution of the
-    cheapest point so far is kept, and it is returned as the solution's
-    ``lower``, with no solve after the search and nothing copied out of it.
-    A failed point costs +inf, with a zero gradient.
+    a point asked for twice included, and a failed point costs +inf, with a
+    zero gradient. The polish keeps the lower solution of its cheapest point,
+    the later of equal ones, and returns it as ``lower``, with no solve after
+    the search; a polish with no finite point raises ``NoSolutionError``.
+    DIRECT keeps none: the polish starts at its point, and L-BFGS-B accepts
+    no ascent.
 
     Each stage leaves one record: point ``p_star``, cost ``c_star``,
     objective calls ``nfev`` and ``failures``, the calls that were +inf by
-    exception type name, both counted as the calls are made. The DIRECT
-    record also has its iteration count ``nit`` and scipy's ``message``,
-    which says whether the resolution (``len_tol``) or the cap (``maxfun``)
-    ended the search. The polish record has L-BFGS-B's iteration count
-    ``nit``, the box faces its point is on (``active_bounds``) and
-    ``projected_grad_norm``, the inf-norm of the exact gradient there
-    without the components on those faces. These records are written to
-    ``<label>_solution.json``; ``audit`` checks that a stage's failures do
-    not outnumber its calls, and re-solves each point for its cost.
+    exception type name, both counted as the calls are made. DIRECT's point
+    and cost are scipy's, and its record also has its iteration count
+    ``nit`` and scipy's ``message``, which says whether the resolution
+    (``len_tol``) or the cap (``maxfun``) ended the search. The polish
+    records its kept point, with the box faces it is on (``active_bounds``),
+    ``projected_grad_norm``, the inf-norm of its exact gradient without the
+    components on those faces, and L-BFGS-B's iteration count ``nit``. These
+    records are written to ``<label>_solution.json``; ``audit`` checks that
+    a stage's failures do not outnumber its calls, and re-solves each point
+    for its cost.
     """
     if mbc.reduction is None:
         raise ConfigError(f"constraint '{mbc.name}' provides no reduction")
     box = np.array([(config.T_min, config.T_max), *mbc.p_bounds], dtype=float)
-    best = [None]  # the lower solution of the cheapest point so far
 
-    def run_stage(stage, search, with_grad):
-        record = {"stage": stage, "nfev": 0, "failures": Counter()}
+    def evaluate(record, p):
+        p = np.array(p, dtype=float)
+        cost, sol, err = _lower_eval(model, variant, mbc, p, N)
+        record["nfev"] += 1
+        if sol is None:
+            record["failures"][type(err).__name__] += 1
+        return p, cost, sol
 
-        def objective(p):
-            p = np.asarray(p, dtype=float)
-            cost, sol, err = _lower_eval(model, variant, mbc, p, N)
-            record["nfev"] += 1
-            if sol is None:
-                record["failures"][type(err).__name__] += 1
-                return (cost, np.zeros(p.size)) if with_grad else cost
-            if best[0] is None or cost < best[0].c:
-                best[0] = sol
-            if with_grad:
-                return cost, sol.cost_gradient(mbc.reduction_jacobian(p))
-            return cost
-
-        res = search(objective)
-        record.update(p_star=res.x.tolist(), c_star=float(res.fun),
-                      failures=dict(record["failures"]))
-        return record, res
-
-    coarse, res = run_stage(
-        "direct",
-        lambda f: direct(f, Bounds(*box.T), maxfun=_DIRECT_MAXFUN,
-                         len_tol=_DIRECT_LEN_TOL),
-        with_grad=False,
-    )
-    coarse.update(nit=int(res.nit), message=str(res.message))
+    coarse = {"stage": "direct", "nfev": 0, "failures": Counter()}
+    res = direct(lambda p: evaluate(coarse, p)[1], Bounds(*box.T),
+                 maxfun=_DIRECT_MAXFUN, len_tol=_DIRECT_LEN_TOL)
+    coarse.update(p_star=res.x.tolist(), c_star=float(res.fun), nit=int(res.nit),
+                  message=str(res.message), failures=dict(coarse["failures"]))
     if not np.isfinite(coarse["c_star"]):
         raise NoSolutionError(
             f"DIRECT found no finite upper cost for '{mbc.name}' in "
             f"{coarse['nfev']} evaluations"
         )
-    polish, res = run_stage(
-        "polish",
-        lambda f: minimize(
-            f, np.asarray(coarse["p_star"]), jac=True, method="L-BFGS-B",
-            bounds=box, options={"ftol": _POLISH_FTOL, "gtol": _POLISH_GTOL},
-        ),
-        with_grad=True,
-    )
-    on_face = res.x[:, None] == box
-    polish["nit"] = int(res.nit)
-    polish["projected_grad_norm"] = float(
-        np.max(np.abs(res.jac[~on_face.any(axis=1)]), initial=0.0))
+    polish = {"stage": "polish", "nfev": 0, "failures": Counter()}
+    kept = []  # (p, lower solution, gradient) of the cheapest point so far
+
+    def objective(p):
+        p, cost, sol = evaluate(polish, p)
+        if sol is None:
+            return cost, np.zeros(p.size)
+        grad = sol.cost_gradient(mbc.reduction_jacobian(p))
+        if not kept or cost <= kept[1].c:
+            kept[:] = p, sol, grad
+        return cost, grad
+
+    res = minimize(objective, np.asarray(coarse["p_star"]), jac=True,
+                   method="L-BFGS-B", bounds=box,
+                   options={"ftol": _POLISH_FTOL, "gtol": _POLISH_GTOL})
+    if not kept:
+        raise NoSolutionError(f"the polish found no finite upper cost for "
+                              f"'{mbc.name}' in {polish['nfev']} evaluations")
+    p, lower, grad = kept
+    on_face = p[:, None] == box
+    polish.update(p_star=p.tolist(), c_star=lower.c, nit=int(res.nit),
+                  failures=dict(polish["failures"]), projected_grad_norm=float(
+                      np.max(np.abs(grad[~on_face.any(axis=1)]), initial=0.0)))
     polish["active_bounds"] = [
         {"index": int(i), "side": ("lower", "upper")[j], "value": float(box[i, j])}
         for i, j in zip(*np.nonzero(on_face))
     ]
-    return BilevelSolution(lower=best[0], start_records=(coarse, polish))
+    return BilevelSolution(lower=lower, start_records=(coarse, polish))
 
 
 def sweep_period(model, variant, mbc, T_grid, N):

@@ -359,12 +359,23 @@ def _set_csv_value(text, row, column, value):
     return "".join(lines)
 
 
-def _zero_csv_column(column):
-    """A CSV rewrite that sets ``column`` of every data row to 0.0."""
+def _constant_csv_column(column, value=None):
+    """A CSV rewrite that sets ``column`` of every data row to ``value``, by
+    default to the column's value in the first data row."""
     def rewrite(text):
+        fill = value or text.splitlines()[1].split(",")[column]
         for row in range(text.count("\n") - 1):
-            text = _set_csv_value(text, row, column, "0.0")
+            text = _set_csv_value(text, row, column, fill)
         return text
+    return rewrite
+
+
+def _scaled_csv_value(row, column, factor):
+    """A CSV rewrite that multiplies the field at data ``row`` and
+    ``column`` by ``factor``."""
+    def rewrite(text):
+        value = float(text.splitlines()[row + 1].split(",")[column])
+        return _set_csv_value(text, row, column, repr(value * factor))
     return rewrite
 
 
@@ -405,11 +416,16 @@ MALFORMED_ARTIFACTS = [
      1, "MISMATCH baseline.trajectory: reported 'baseline.csv'"),
     ("baseline.csv", lambda text: _set_csv_value(text, 3, 1, "nan"),
      1, "MISMATCH baseline.trajectory: reported 'baseline.csv'"),
-    # trajectories whose PCC is undefined: the entry is one problem
-    ("b0_bilevel.csv", _zero_csv_column(0), 1, "MISMATCH b0.entry:"),
-    ("b0_bilevel.csv", _zero_csv_column(-1), 1, "MISMATCH b0.entry:"),
-    ("baseline.csv", _zero_csv_column(0), 1, "MISMATCH b0.entry:"),
-    ("baseline.csv", _zero_csv_column(-1), 1, "MISMATCH b0.entry:"),
+    # an interior time off the knot grid by one part in 1e12
+    ("baseline.csv", _scaled_csv_value(51, 0, 1.0 + 1e-12),
+     1, "MISMATCH baseline.trajectory: reported 'baseline.csv'"),
+    # trajectories whose PCC is undefined: the entry is one problem, also
+    # for a constant input whose mean does not round to its value
+    ("b0_bilevel.csv", _constant_csv_column(0, "0.0"), 1, "MISMATCH b0.entry:"),
+    ("b0_bilevel.csv", _constant_csv_column(-1, "0.0"), 1, "MISMATCH b0.entry:"),
+    ("baseline.csv", _constant_csv_column(0, "0.0"), 1, "MISMATCH b0.entry:"),
+    ("baseline.csv", _constant_csv_column(-1, "0.0"), 1, "MISMATCH b0.entry:"),
+    ("b0_bilevel.csv", _constant_csv_column(-1), 1, "MISMATCH b0.entry:"),
 ]
 
 
@@ -422,9 +438,11 @@ MALFORMED_ARTIFACTS = [
                               "unknown_term_kind", "truncated_config",
                               "number_config", "unknown_config_key",
                               "short_baseline_csv", "nan_baseline_state",
+                              "baseline_time_off_the_grid",
                               "constant_bilevel_times", "constant_bilevel_inputs",
                               "constant_baseline_times",
-                              "constant_baseline_inputs"])
+                              "constant_baseline_inputs",
+                              "first_bilevel_input_everywhere"])
 def test_audit_of_a_malformed_artifact_names_it(fig1_run, capsys, name, rewrite,
                                                 code, named):
     assert _audit_after_rewrite(os.path.join(fig1_run, name), rewrite) == code

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from koopbilevel import (
     BoundaryVariant,
@@ -129,6 +130,20 @@ class TestBuildQp:
             )
             eigs = np.linalg.eigvalsh(0.5 * (qp.H + qp.H.T))
             assert eigs.min() >= -1e-10 * np.linalg.norm(qp.H)
+
+    @pytest.mark.parametrize("kind,w", [("b0", 0.0), ("bT", 0.0), ("soft", 0.5)])
+    def test_hessian_positive_definite_on_the_constraint_null_space(
+            self, pendulum_model, kind, w):
+        # what solve_kkt needs of H: Z'HZ, with Z an orthonormal basis of
+        # null(Aeq), is positive definite over the pendulum bundle's period
+        # bracket. bT's free z(0) entries cost nothing, and Aeq pins them.
+        # Its smallest eigenvalue over its largest is at least 2.5e-3 here.
+        x = np.array([np.deg2rad(40.0), 0.0])
+        for T in np.linspace(1.5 * np.pi, 3.0 * np.pi, 5):
+            qp = build_qp(make_problem(pendulum_model, kind, x, x, T, 101, w=w))
+            Z = scipy.linalg.null_space(qp.Aeq)
+            eigs = np.linalg.eigvalsh(Z.T @ qp.H @ Z)
+            assert eigs[0] >= 1e-4 * eigs[-1] > 0.0, (T, eigs[0], eigs[-1])
 
     def test_dimension_mismatch_raises(self, pendulum_model):
         with pytest.raises(Exception):

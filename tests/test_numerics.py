@@ -21,7 +21,6 @@ from koopbilevel import (
     zoh_discretize,
 )
 from koopbilevel.artifacts import trajectory_pcc
-from koopbilevel.numerics import _TIKHONOV
 from koopbilevel.systems import simulate
 
 
@@ -141,19 +140,12 @@ class TestZoh:
             zoh_discretize(np.zeros(1), 0.0)
 
 
-def tikhonov(H):
-    """The diagonal shift solve_kkt adds to H."""
-    return _TIKHONOV * np.trace(H) / H.shape[0]
-
-
-def nullspace_elimination_oracle(H, g, A, b, reg):
+def nullspace_elimination_oracle(H, g, A, b):
     """Solve the EQP by eliminating constraints with a QR of A^T."""
-    n = H.shape[0]
     Q, _ = np.linalg.qr(np.asarray(A).T, mode="complete")
     Z = Q[:, A.shape[0]:]
     v0, *_ = np.linalg.lstsq(A, b, rcond=None)
-    Hr = H + reg * np.eye(n)
-    y = np.linalg.solve(Z.T @ Hr @ Z, -Z.T @ (Hr @ v0 + g))
+    y = np.linalg.solve(Z.T @ H @ Z, -Z.T @ (H @ v0 + g))
     return v0 + Z @ y
 
 
@@ -168,8 +160,8 @@ class TestSolveKkt:
             np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([2.0])
         )
         assert np.allclose(res.primal, [1.0, 1.0], atol=1e-12)
-        # the regularization perturbs the multiplier by O(1e-9)
-        assert abs(res.dual[0] + 1.0) <= 1e-8
+        # stationarity v + lam (1, 1) = 0 at v = (1, 1)
+        assert abs(res.dual[0] + 1.0) <= 1e-12
 
     def test_nullspace_elimination_oracle(self):
         rng = np.random.default_rng(5)
@@ -180,7 +172,7 @@ class TestSolveKkt:
             A = rng.normal(size=(3, 10))
             b = rng.normal(size=3)
             res = solve_kkt(H, g, A, b)
-            oracle = nullspace_elimination_oracle(H, g, A, b, tikhonov(H))
+            oracle = nullspace_elimination_oracle(H, g, A, b)
             assert np.max(np.abs(res.primal - oracle)) <= 1e-9
             assert res.stationarity_residual <= 1e-9 * (1 + np.linalg.norm(g))
             assert res.feasibility_residual <= 1e-9 * (1 + np.linalg.norm(b))
@@ -193,8 +185,7 @@ class TestSolveKkt:
         A = rng.normal(size=(2, 6))
         b = rng.normal(size=2)
         res = solve_kkt(H, g, A, b)
-        Hr = H + tikhonov(H) * np.eye(6)
-        stat = np.linalg.norm(Hr @ res.primal + g + A.T @ res.dual)
+        stat = np.linalg.norm(H @ res.primal + g + A.T @ res.dual)
         feas = np.linalg.norm(A @ res.primal - b)
         assert abs(stat - res.stationarity_residual) <= 1e-12
         assert abs(feas - res.feasibility_residual) <= 1e-12
@@ -209,7 +200,7 @@ class TestSolveKkt:
         res = solve_kkt(H, g, A, b)
 
         def obj(v):
-            return 0.5 * v @ (H + tikhonov(H) * np.eye(8)) @ v + g @ v
+            return 0.5 * v @ H @ v + g @ v
 
         Q, _ = np.linalg.qr(A.T, mode="complete")
         Z = Q[:, 3:]
@@ -221,7 +212,7 @@ class TestSolveKkt:
 
     def test_sensitivity_matches_central_differences(self):
         # phi(v) = w'v + |v|^2 / 2 along random tangents of all four QP data,
-        # on a singular H, so the Tikhonov term's own tangent matters too
+        # on a singular H that is positive definite on null(A) alone
         rng = np.random.default_rng(8)
         R = rng.normal(size=(4, 7))
         H, g = R.T @ R, rng.normal(size=7)
@@ -249,6 +240,14 @@ class TestSolveKkt:
         with pytest.raises(DegenerateQpError) as err:
             solve_kkt(np.eye(2), np.zeros(2), A, b)
         assert err.value.min_pivot is not None
+
+    def test_hessian_singular_on_the_null_space_raises(self):
+        # v2 is free and costs nothing: no minimizer exists, and the saddle
+        # matrix has a zero row, so H is factored as given
+        with pytest.raises(DegenerateQpError) as err:
+            solve_kkt(np.diag([1.0, 0.0]), np.zeros(2), np.array([[1.0, 0.0]]),
+                      np.array([1.0]))
+        assert err.value.min_pivot == 0.0
 
     def test_rejects_asymmetric_hessian(self):
         with pytest.raises(NumericError):
@@ -283,7 +282,7 @@ class TestSolveKkt:
         res = solve_kkt(qp.H, qp.g, qp.Aeq, qp.beq)
         n, m = qp.H.shape[0], qp.Aeq.shape[0]
         kkt = np.zeros((n + m, n + m))
-        kkt[:n, :n] = qp.H + tikhonov(qp.H) * np.eye(n)
+        kkt[:n, :n] = qp.H
         kkt[:n, n:] = qp.Aeq.T
         kkt[n:, :n] = qp.Aeq
         lu, _ = scipy.linalg.lu_factor(kkt)
@@ -319,11 +318,10 @@ class TestSolveKkt:
                 reduced = np.linalg.eigvalsh(Z.T @ H @ Z)
                 hypothesis.assume(reduced[0] >= 1e-3 * np.linalg.norm(H, 2))
             res = solve_kkt(H, g, A, b)
-            Hr = H + tikhonov(H) * np.eye(n)
             assert res.stationarity_residual <= 1e-9 * (
-                1 + np.linalg.norm(g) + np.linalg.norm(Hr @ res.primal))
+                1 + np.linalg.norm(g) + np.linalg.norm(H @ res.primal))
             assert res.feasibility_residual <= 1e-9 * (1 + np.linalg.norm(b))
-            oracle = nullspace_elimination_oracle(H, g, A, b, tikhonov(H))
+            oracle = nullspace_elimination_oracle(H, g, A, b)
             assert np.max(np.abs(res.primal - oracle)) <= 1e-8 * (
                 1 + np.max(np.abs(oracle)))
 
@@ -369,6 +367,11 @@ class TestPearson:
         t = np.linspace(0.0, 1.0, 3)
         with pytest.raises(CorrelationError):
             trajectory_pcc(t, [1.0, 1.0, 1.0], t, [1.0, 2.0, 3.0])
+        # the mean of 101 copies of 0.1 is not 0.1, so centring leaves
+        # rounding noise, not zero
+        t = np.linspace(0.0, 1.0, 101)
+        with pytest.raises(CorrelationError):
+            trajectory_pcc(t, np.full(101, 0.1), t, np.sin(3.0 * t))
 
     def test_zero_duration_raises(self):
         with pytest.raises(NumericError, match="zero duration"):

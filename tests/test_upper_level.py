@@ -14,7 +14,7 @@ from koopbilevel import (
     sweep_period,
 )
 from koopbilevel import upper_level
-from koopbilevel.errors import LowerLevelError, NumericError
+from koopbilevel.errors import LowerLevelError, NoSolutionError, NumericError
 
 TWO_PI = 2.0 * np.pi
 A_30 = np.deg2rad(30.0)
@@ -36,6 +36,25 @@ def osc_solution(oscillator_model, osc_config):
     return solve_reduced(
         oscillator_model, BoundaryVariant("b0"), mbc, osc_config, 101
     )
+
+
+def _anchor_at_amplitude(p):
+    anchor = np.array([p[1], 0.0])
+    return anchor, anchor.copy(), p[0]
+
+
+# p = (T, amplitude): a constraint given only as eval and reduction
+FREE_AMPLITUDE = MixedBoundaryConstraint(
+    eval=lambda x0, xT, T: np.concatenate([xT - x0, [x0[1]]]),
+    n_g=3, n_x=2, reduction=_anchor_at_amplitude, p_bounds=((0.4, 0.6),),
+)
+
+
+@pytest.fixture(scope="module")
+def free_amplitude_solution(oscillator_model):
+    cfg = UpperConfig(T_min=0.9 * TWO_PI, T_max=1.1 * TWO_PI)
+    return solve_reduced(oscillator_model, BoundaryVariant("b0"), FREE_AMPLITUDE,
+                         cfg, 101)
 
 
 # p = (T,) -> both boundaries at the origin, whatever the sign of T
@@ -174,19 +193,11 @@ class TestSolveReduced:
             solve_reduced(oscillator_model, BoundaryVariant("b0"), mbc,
                           osc_config, 20)
 
-    def test_custom_reduction_needs_no_jacobian(self, oscillator_model):
-        # p = (T, amplitude): a constraint given only as eval and reduction;
-        # the polish's gradient is the complex step of that reduction
-        def reduction(p):
-            anchor = np.array([p[1], 0.0])
-            return anchor, anchor.copy(), p[0]
-
-        mbc = MixedBoundaryConstraint(
-            eval=lambda x0, xT, T: np.concatenate([xT - x0, [x0[1]]]),
-            n_g=3, n_x=2, reduction=reduction, p_bounds=((0.4, 0.6),),
-        )
-        cfg = UpperConfig(T_min=0.9 * TWO_PI, T_max=1.1 * TWO_PI)
-        sol = solve_reduced(oscillator_model, BoundaryVariant("b0"), mbc, cfg, 101)
+    def test_custom_reduction_needs_no_jacobian(self, oscillator_model,
+                                                free_amplitude_solution):
+        # the polish's gradient is the complex step of FREE_AMPLITUDE's
+        # reduction
+        mbc, sol = FREE_AMPLITUDE, free_amplitude_solution
         _, polish = sol.start_records
         # the cost grows with the amplitude, so the polish ends on its floor
         assert {"index": 1, "side": "lower", "value": 0.4} in polish["active_bounds"]
@@ -205,6 +216,28 @@ class TestSolveReduced:
             want = np.array([(cost(p + e) - cost(p - e)) / (2 * step)
                              for e in step * np.eye(2)])
             assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+    def test_solution_is_the_point_the_polish_records(self, osc_solution,
+                                                      free_amplitude_solution):
+        # on an interior optimum and on one with an active face
+        for sol, mbc in ((osc_solution, make_periodic_amplitude_anchor(A_30)),
+                         (free_amplitude_solution, FREE_AMPLITUDE)):
+            _, polish = sol.start_records
+            x0, xT, T = mbc.reduction(np.asarray(polish["p_star"]))
+            p = sol.lower.problem
+            assert np.array_equal(x0, p.x0) and np.array_equal(xT, p.xT)
+            assert T == p.T
+            assert polish["c_star"] == sol.lower.c
+
+    def test_polish_without_a_finite_point_raises(self, oscillator_model,
+                                                  monkeypatch):
+        # a polish that asks only for a negative period, which the
+        # reduction rejects
+        monkeypatch.setattr(upper_level, "minimize", lambda f, x0, **kw: f(-x0))
+        cfg = UpperConfig(T_min=TWO_PI, T_max=TWO_PI + 0.1)
+        with pytest.raises(NoSolutionError, match="polish .* 1 evaluations"):
+            solve_reduced(oscillator_model, BoundaryVariant("b0"),
+                          make_periodic_amplitude_anchor(A_30), cfg, 101)
 
     def test_reduction_that_drops_the_imaginary_part_raises(self):
         base = make_periodic_amplitude_anchor(A_30)
