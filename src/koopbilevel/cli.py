@@ -9,9 +9,9 @@ Subcommands:
 * ``audit``     - recompute every reported number from persisted artifacts.
 
 ``solve`` writes the config it ran to ``config.json``. ``audit`` parses it
-again, re-solves each variant's lower level at its recorded boundaries and
-period, and rebuilds each record it checks with the functions that wrote it;
-it compares the file with that record by one rule (:func:`_diff`).
+again, re-solves the point that each search stage recorded as the search
+evaluated it, and rebuilds each record it checks with the functions that
+wrote it; it compares the file with that record by one rule (:func:`_diff`).
 
 Each config is parsed once, by :func:`koopbilevel.config.validate_config`,
 into the :class:`~koopbilevel.config.RunConfig` that ``identify``, ``solve``,
@@ -28,6 +28,7 @@ missing from the directory ``audit`` checks), 3 numerical failure.
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -39,7 +40,6 @@ from . import artifacts, config as cfgmod, gates as gatesmod
 from .baseline_nlp import TranscribedNlp, check_trajectory, solve_nlp
 from .errors import ArtifactError, ConfigError, KoopbilevelError
 from .gedmd import identify, load_model, model_to_config, save_model
-from .lower_level import LowerLevelProblem, solve_lower
 from .upper_level import (_lower_eval, make_periodic_amplitude_anchor, solve_reduced,
                           sweep_period)
 
@@ -194,6 +194,21 @@ def _write_sweep_csv(path, rows, columns):
             ) + "\n")
 
 
+def _read_sweep_csv(path):
+    """The rows of a ``sweep_T.csv``, as dicts of floats; a file whose header
+    is not the sweep's columns, or a row that is not one number per column,
+    raises ``ArtifactError`` naming it."""
+    try:
+        with open(path) as fh:
+            header, *lines = fh.read().splitlines()
+        if tuple(header.split(",")) != _SWEEP_COLUMNS:
+            raise ValueError(f"header {header!r}")
+        return [dict(zip(_SWEEP_COLUMNS, map(float, line.split(",")), strict=True))
+                for line in lines]
+    except ValueError as exc:
+        raise ArtifactError(f"{path}: not a period sweep: {exc}") from None
+
+
 def _check_sweep_axis(run, axis):
     if axis not in ("T", "amplitude"):
         raise ConfigError(f"unknown sweep axis '{axis}'; expected T or amplitude")
@@ -292,8 +307,10 @@ def cmd_reproduce(bundle_name, out_dir, seed=None):
 def _close(a, b, rtol=1e-9, atol=1e-12):
     # not exact: an audit may run on a machine whose BLAS and libm round
     # differently from the one that wrote the artifacts (see ``artifacts``);
-    # an infinite value is close only to itself
-    return a == b or abs(a - b) <= atol + rtol * max(abs(a), abs(b)) < np.inf
+    # an infinite value is close only to itself, and NaN, which a failed
+    # sweep point is written as, only to NaN
+    return (a == b or math.isnan(a) and math.isnan(b)
+            or abs(a - b) <= atol + rtol * max(abs(a), abs(b)) < np.inf)
 
 
 def _problem(source, field, reported, recomputed):
@@ -324,7 +341,7 @@ def _diff(source, field, reported, recomputed):
     return [_problem(source, field, reported, recomputed)]
 
 
-# the keys of a ``<label>_solution.json`` that ``audit`` reads
+# the keys a ``<label>_solution.json`` must hold; any other it lacks is a problem
 _SOLUTION_KEYS = ("variant", "x0", "xT", "z0", "zN", "T", "cost", "c_hat_lower",
                   "constraint_violation", "manifold_defects", "start_records")
 
@@ -344,16 +361,7 @@ def _audit_entry(out_dir, entry, run, variant, model, baseline, baseline_traj):
     except KoopbilevelError as exc:
         problems = [_problem(label, "entry", f"{label}_bilevel.csv and baseline.csv",
                              str(exc))]
-    # boundaries or a period that the lower level cannot take are one
-    # problem, and nothing is re-solved
-    try:
-        lower = solve_lower(LowerLevelProblem(
-            model=model, variant=variant, x0=sol["x0"], xT=sol["xT"], T=sol["T"], N=run.N))
-    except (KoopbilevelError, TypeError, ValueError) as exc:
-        bounds = {key: sol[key] for key in ("x0", "xT", "T")}
-        return problems + [_problem(label, "solution", bounds, str(exc))]
-    # the re-solve's solution record; each stage's failures, at most its
-    # calls, and the cost of its point, re-solved through the constraint
+    # each stage's failures, at most its calls, and its point, re-solved
     stages, reported = sol["start_records"], dict(sol)
     try:
         problems += [
@@ -368,9 +376,16 @@ def _audit_entry(out_dir, entry, run, variant, model, baseline, baseline_traj):
         problems.append(_problem(label, "solution.start_records", stages,
                                  "a list of stage records with counts"))
         points = {}
-    record = _solution_record(lower, run.mbc)
+    record, solved = {}, {"polish": ("missing", None, "a polish stage")}
     for name, p_star in points.items():
-        record[name] = {"c_star": _lower_eval(model, variant, run.mbc, p_star, run.N)[0]}
+        cost, lower, error = _lower_eval(model, variant, run.mbc, p_star, run.N)
+        record[name], solved[name] = {"c_star": cost}, (p_star.tolist(), lower, error)
+    # the polish's lower solution is the solution; without one only costs are diffed
+    point, lower, error = solved["polish"]
+    if lower is None:
+        return problems + [_problem(label, "solution", point, str(error))] + _diff(
+            label, "solution", reported, record)
+    record.update(_solution_record(lower, run.mbc))
     columns = ("times", "states", "inputs")
     return (problems + _diff(label, "solution", reported, record)
             + _diff(label, "bilevel", dict(zip(columns, (a.tolist() for a in trajectory))),
@@ -394,22 +409,25 @@ def cmd_audit(out_dir):
       SLSQP's success;
     * each entry: :func:`~koopbilevel.artifacts.comparison_entry` of its
       variant's files;
-    * each ``<label>_solution.json``: :func:`_solution_record` of the lower
-      level re-solved at its ``x0``, ``xT`` and ``T`` with the config's N,
-      variant and constraint, and each stage's ``c_star`` from re-solving
-      its ``p_star``;
-    * each ``<label>_bilevel.csv``: that re-solve's ``trajectory``.
+    * each ``<label>_solution.json``: each stage's ``c_star`` from re-solving
+      its ``p_star`` as the search did (``_lower_eval``, with the config's N,
+      variant and constraint), and :func:`_solution_record` of the polish
+      stage's lower solution;
+    * each ``<label>_bilevel.csv``: that solution's ``trajectory``;
+    * ``sweep_T.csv``, if there is one: the rows of
+      :func:`~koopbilevel.upper_level.sweep_period` run as ``cmd_sweep``
+      runs it, on the config's grid.
 
     A stage whose ``failures`` add up to more than its ``nfev``, trajectories
-    whose PCC is undefined (no time span, or a column without variance),
-    boundaries or a period that the lower level cannot take, a
+    whose PCC is undefined (no time span, or a column without variance), a
+    polish point that is missing or that the lower level rejects, a
     ``baseline.csv`` that ``check_trajectory`` rejects, an entry whose
     ``variant`` is not the label of a config variant (a non-string one
-    included) and a variant file without an entry are problems too. An
-    artifact that does not parse, is not a JSON object or lacks a key that
-    ``audit`` reads, a ``report.json`` whose ``entries`` is not a list of
-    objects, and a ``config.json`` that is not a valid config raise
-    ``ArtifactError``."""
+    included), a variant file without an entry and a ``sweep_T.csv`` whose
+    row count is not the grid's are problems too. An artifact that does not
+    parse, is not a JSON object or lacks a key that ``audit`` reads, a
+    ``report.json`` whose ``entries`` is not a list of objects, and a
+    ``config.json`` that is not a valid config raise ``ArtifactError``."""
     report_path = os.path.join(out_dir, "report.json")
     report = artifacts.read_json(report_path, keys=("entries",))
     if not (isinstance(report["entries"], list)
@@ -448,6 +466,14 @@ def cmd_audit(out_dir):
         + _diff("report", "", report, {"provenance": provenance})
         + _diff("model", "", model_to_config(model), fit_settings)
     )
+    # the period sweep, re-run as cmd_sweep runs it; a grid of another size
+    # is one problem
+    sweep_path = os.path.join(out_dir, "sweep_T.csv")
+    if os.path.exists(sweep_path):
+        rows = _read_sweep_csv(sweep_path)
+        sweep = sweep_period(model, run.variants[0], run.mbc, run.period_grid, run.N)
+        problems += (_diff("sweep", "rows", rows, sweep) if len(rows) == len(sweep) else
+                     [_problem("sweep", "rows", f"{len(rows)} rows", f"{len(sweep)} rows")])
     variants = {variant.label: variant for variant in run.variants}
     # a list, not a set: a label read from JSON need not be hashable
     labels = [entry.get("variant") for entry in report["entries"]]

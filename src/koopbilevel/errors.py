@@ -55,7 +55,8 @@ class BuildError(KoopbilevelError):
 
 
 class LowerLevelError(KoopbilevelError):
-    """The convex lower level could not be solved for the given boundary data."""
+    """A constraint's reduction rejected the upper-level point p: a period
+    T <= 0, or step geometry that no gait of that speed meets."""
 
 
 class NoSolutionError(KoopbilevelError):

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BuildError, ConfigError, DegenerateQpError, LowerLevelError
+from .errors import BuildError, ConfigError
 from .lifting import lift, manifold_defect, unlift
 from .numerics import KktResult, qp_sensitivity, solve_kkt, zoh_discretize
 from .systems import running_cost
@@ -335,16 +335,11 @@ def solve_lower(problem):
     upper level consumes. The lifted trajectory, the lifted boundary
     mismatch ``c_hat`` and the trajectory's manifold defects wait for their
     first read (see ``LowerLevelSolution``). The dictionary is evaluated
-    once, for the boundaries, when ``problem`` is built.
+    once, for the boundaries, when ``problem`` is built. A KKT system that
+    ``solve_kkt`` rejects raises its ``DegenerateQpError``, with ``min_pivot``.
     """
     qp = build_qp(problem)
-    try:
-        kkt = solve_kkt(qp.H, qp.g, qp.Aeq, qp.beq)
-    except DegenerateQpError as exc:
-        raise LowerLevelError(
-            f"lower level degenerate for variant {problem.variant.label} at "
-            f"T={problem.T:.6g}: {exc}"
-        ) from exc
+    kkt = solve_kkt(qp.H, qp.g, qp.Aeq, qp.beq)
 
     N, n_z, n_u = problem.N, problem.model.n_z, problem.model.n_u
     nf = kkt.primal.size - N * n_u  # z(0)'s free entries lead the vector

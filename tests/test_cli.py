@@ -12,6 +12,8 @@ import pytest
 import koopbilevel
 from koopbilevel import ConfigError, artifacts, baseline_nlp, cli, config
 from koopbilevel.config import validate_config
+from koopbilevel.gedmd import load_model
+from koopbilevel.upper_level import _lower_eval
 
 
 def _read_bytes(path):
@@ -245,6 +247,70 @@ def test_audit_checks_the_stage_record_counts(fig1_run, capsys, edit, named):
     assert f"MISMATCH {named}:" in capsys.readouterr().out
 
 
+def test_audit_names_a_polish_point_the_constraint_rejects(fig1_run, capsys):
+    def reject_polish_point(sol):
+        sol["start_records"][1]["p_star"] = [-1.0]
+
+    path = os.path.join(fig1_run, "b0_solution.json")
+    assert _audit_after_edit(path, reject_polish_point) == 1
+    out = capsys.readouterr().out
+    assert "MISMATCH b0.solution: reported [-1.0] recomputed 'period must be" in out
+    assert "MISMATCH b0.solution.polish.c_star:" in out
+    assert out.count("MISMATCH") == 2, out
+
+
+def test_audit_rebuilds_the_solution_at_the_polish_point(fig1_run, capsys, tmp_path):
+    # the solution at 1.05 times the period, with its trajectory and report
+    # entry rewritten to match, under the search's own stage records
+    run = validate_config(json.loads(_read_bytes(os.path.join(fig1_run, "config.json"))))
+    model = load_model(os.path.join(fig1_run, "model.json"))
+    path = os.path.join(fig1_run, "b0_solution.json")
+    sol = json.loads(_read_bytes(path))
+    _, lower, _ = _lower_eval(model, run.variants[0], run.mbc,
+                              np.array([1.05 * sol["T"]]), run.N)
+    record = dict(cli._solution_record(lower, run.mbc),
+                  start_records=sol["start_records"])
+    swap_csv = str(tmp_path / "swap.csv")
+    artifacts.write_trajectory_csv(swap_csv, *lower.trajectory)
+    baseline = json.loads(_read_bytes(os.path.join(fig1_run, "baseline.json")))
+    baseline_traj = artifacts.read_trajectory_csv(os.path.join(fig1_run, "baseline.csv"))
+    entry = artifacts.comparison_entry(record, lower.trajectory, baseline, baseline_traj)
+    rewrites = {
+        "b0_solution.json": lambda _: artifacts.canonical_json(record),
+        "b0_bilevel.csv": lambda _: _read_bytes(swap_csv).decode(),
+        "report.json": _json_edit(_in_entry(lambda old: old.update(entry))),
+    }
+    with contextlib.ExitStack() as stack:
+        for name, rewrite in rewrites.items():
+            stack.enter_context(_rewritten(os.path.join(fig1_run, name), rewrite))
+        assert cli.main(["audit", "--out", fig1_run]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    for named in ("b0.solution.T:", "b0.solution.cost:", "b0.bilevel.times["):
+        assert any(line.startswith(f"MISMATCH {named}") for line in lines), lines
+    # the swapped files agree with each other: only the re-solve differs
+    assert all(line.startswith(("MISMATCH b0.solution.", "MISMATCH b0.bilevel."))
+               for line in lines), lines
+
+
+# (rewrite of sweep_T.csv, the one problem named): the sweep is re-run from
+# config.json and diffed row by row
+SWEEP_CORRUPTIONS = [
+    (lambda text: _set_csv_value(text, 10, 1, "9.9"),
+     "MISMATCH sweep.rows[10].c_star: reported 9.9 recomputed 0."),
+    (lambda text: "".join(line for i, line in enumerate(text.splitlines(True))
+                          if i != 11),
+     "MISMATCH sweep.rows: reported '136 rows' recomputed '137 rows'"),
+]
+
+
+@pytest.mark.parametrize("rewrite,named", SWEEP_CORRUPTIONS,
+                         ids=["row_cost", "missing_row"])
+def test_audit_reruns_the_period_sweep(fig1_run, capsys, rewrite, named):
+    assert _audit_after_rewrite(os.path.join(fig1_run, "sweep_T.csv"), rewrite) == 1
+    out = capsys.readouterr().out
+    assert named in out and out.count("MISMATCH") == 1, out
+
+
 def _set(path, value):
     """An edit that sets the entry at the key path ``path`` to ``value``."""
     def edit(obj):
@@ -283,10 +349,10 @@ IDENTIFICATION_CORRUPTIONS = [
      STALE_HASHES[1:]),
     ("report.json", _json_edit(_set(["provenance"], 5)),
      ["MISMATCH report.provenance: reported 5 recomputed {'config_hash': "]),
-    # a config that solve did not run, though audit recomputes nothing from
-    # the sweep's grid
+    # a config that solve did not run, whose sweep grid has another size
     ("config.json", _json_edit(_set(["sweep", "points"], 138)),
-     ["MISMATCH report.provenance.config_hash:"]),
+     ["MISMATCH report.provenance.config_hash:",
+      "MISMATCH sweep.rows: reported '137 rows' recomputed '138 rows'"]),
     ("model.json", lambda text: text + "\n", STALE_HASHES),
     # a model fitted from settings that are not the config's
     ("model.json", _json_edit(_set(["seed"], 7)),
@@ -389,11 +455,10 @@ MALFORMED_ARTIFACTS = [
     ("report.json", lambda text: text[: len(text) // 2], 2, "report.json"),
     ("report.json", lambda text: "5", 2, "report.json"),
     ("b0_bilevel.csv", lambda text: text.splitlines(True)[0], 2, "b0_bilevel.csv"),
-    # a period the lower level cannot take: the boundaries and period are one
-    # problem, and nothing is re-solved
+    # a period that is not a number: the record is rebuilt from the polish's
+    # point, so the file's period is diffed, not solved
     ("b0_solution.json", _json_edit(lambda sol: sol.update(T="abc")),
-     1, "MISMATCH b0.solution: reported {'x0': [0.5235987755982988, 0.0], "
-        "'xT': [0.5235987755982988, 0.0], 'T': 'abc'}"),
+     1, "MISMATCH b0.solution.T: reported 'abc'"),
     ("model.json", lambda text: "5", 2, "model.json"),
     ("report.json", _json_edit(lambda report: report.update(entries=5)),
      2, "report.json"),
@@ -426,6 +491,7 @@ MALFORMED_ARTIFACTS = [
     ("baseline.csv", _constant_csv_column(0, "0.0"), 1, "MISMATCH b0.entry:"),
     ("baseline.csv", _constant_csv_column(-1, "0.0"), 1, "MISMATCH b0.entry:"),
     ("b0_bilevel.csv", _constant_csv_column(-1), 1, "MISMATCH b0.entry:"),
+    ("sweep_T.csv", lambda text: _set_csv_value(text, 10, 1, "abc"), 2, "sweep_T.csv"),
 ]
 
 
@@ -442,7 +508,8 @@ MALFORMED_ARTIFACTS = [
                               "constant_bilevel_times", "constant_bilevel_inputs",
                               "constant_baseline_times",
                               "constant_baseline_inputs",
-                              "first_bilevel_input_everywhere"])
+                              "first_bilevel_input_everywhere",
+                              "string_sweep_cost"])
 def test_audit_of_a_malformed_artifact_names_it(fig1_run, capsys, name, rewrite,
                                                 code, named):
     assert _audit_after_rewrite(os.path.join(fig1_run, name), rewrite) == code

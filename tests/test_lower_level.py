@@ -5,7 +5,7 @@ import scipy.linalg
 from koopbilevel import (
     BoundaryVariant,
     ConfigError,
-    LowerLevelError,
+    DegenerateQpError,
     LowerLevelProblem,
     NumericError,
     ObservableDictionary,
@@ -296,8 +296,9 @@ class TestSolveLower:
         # surrogate with zero input authority cannot meet a moved boundary
         L0 = np.zeros((3, 3))
         model = model_from_matrices(L0, (L0,), get_dictionary("linear_const", 2))
-        with pytest.raises(LowerLevelError):
+        with pytest.raises(DegenerateQpError) as err:
             solve_lower(make_problem(model, "b0", [0, 0], [1.0, 0], 1.0, 5))
+        assert err.value.min_pivot == 0.0
 
 
 class TestDoubling:

@@ -4,9 +4,11 @@ import pytest
 from koopbilevel import (
     BoundaryVariant,
     ConfigError,
+    DegenerateQpError,
     LowerLevelProblem,
     MixedBoundaryConstraint,
     UpperConfig,
+    get_dictionary,
     make_periodic_amplitude_anchor,
     make_walker_gait,
     solve_lower,
@@ -78,6 +80,20 @@ class TestUpperObjective:
             oscillator_model, BoundaryVariant("b0"), AT_REST, [-1.0], 50)
         assert np.isinf(c)
         assert sol is None and "period must be positive" in str(err)
+
+    def test_failures_keep_their_type(self, model_from_matrices):
+        # a surrogate with no input authority has a singular KKT matrix; the
+        # anchor's reduction rejects a negative period
+        L0 = np.zeros((3, 3))
+        model = model_from_matrices(L0, (L0,), get_dictionary("linear_const", 2))
+        anchor = make_periodic_amplitude_anchor(A_30)
+        _, sol, err = upper_level._lower_eval(model, BoundaryVariant("b0"), anchor,
+                                              [TWO_PI], 50)
+        assert sol is None and type(err) is DegenerateQpError
+        assert err.min_pivot == 0.0
+        _, sol, err = upper_level._lower_eval(model, BoundaryVariant("b0"), anchor,
+                                              [-1.0], 50)
+        assert sol is None and type(err) is LowerLevelError
 
 
 class TestSolveReduced:
