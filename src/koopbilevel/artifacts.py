@@ -5,14 +5,10 @@ with sorted keys. All floats are written with shortest round-trip ``repr`` so
 identical runs produce byte-identical files and every reported number can be
 recomputed exactly from what is on disk.
 
-Identical runs means the same inputs at the same BLAS thread count for the
-baseline NLP, whose BLAS reductions round differently per thread count: with
-one OpenBLAS thread instead of two, walker's baseline period moves by 1.2e-11
-relative (pendulum: 4.0e-12), and ``baseline.*``, ``report.json`` and
-``gates_report.json`` differ. The fit and the bilevel solves do not depend
-on it: ``config.json``, ``model.json``, ``residual_report.json`` and every
-variant's ``<label>_solution.json`` and ``<label>_bilevel.csv`` are
-byte-identical.
+Identical runs means the same inputs and libraries; ``koopbilevel.cli.main``
+runs every command on one OpenBLAS thread, so the thread count the process
+starts with changes no artifact. ``gates_report.json`` also holds wall-clock
+timings.
 """
 
 import hashlib

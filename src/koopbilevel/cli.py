@@ -20,13 +20,20 @@ bad config exits with code 2 before ``identify`` runs. ``solve``, ``sweep``
 and ``reproduce`` each identify their model from that config; a
 ``model.json`` already in ``--out`` is overwritten, never reused.
 
+:func:`main` runs each command with numpy's and scipy's OpenBLAS at one
+thread (:func:`_one_blas_thread`), so a command writes the same artifacts
+whatever thread count the process was started with.
+
 Exit codes: 0 success/pass, 1 gate failure or audit mismatch, 2 config
 error or a file that cannot be read, parsed or written (such as an artifact
 missing from the directory ``audit`` checks), 3 numerical failure.
 """
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
+import glob
 import json
 import math
 import os
@@ -35,6 +42,7 @@ import time
 from importlib import resources
 
 import numpy as np
+import scipy
 
 from . import artifacts, config as cfgmod, gates as gatesmod
 from .baseline_nlp import TranscribedNlp, check_trajectory, solve_nlp
@@ -56,6 +64,56 @@ __all__ = [
 _SWEEP_COLUMNS = ("T", "c_star", "kkt_residual", "manifold_defect_max")
 _AMPLITUDE_COLUMNS = ("amplitude_deg", "variant_w", "T_star", "T_star_baseline",
                       "pcc_state", "pcc_input", "c", "c_baseline", "variant")
+
+
+# numpy and scipy each load their own OpenBLAS, with its own thread pool, from
+# the wheel's ``<package>.libs`` directory: (package, pattern of the names of
+# its thread-count getter and setter)
+_OPENBLAS = ((np, "scipy_openblas_{}_num_threads64_"),
+             (scipy, "scipy_openblas_{}_num_threads"))
+
+
+def _blas_pools():
+    """The ``(get, set)`` pair of the thread count of numpy's and of scipy's
+    OpenBLAS, found through ``ctypes``; a library without both is left out."""
+    pools = []
+    for package, symbol in _OPENBLAS:
+        libs = os.path.join(os.path.dirname(package.__file__), os.pardir,
+                            f"{package.__name__}.libs")
+        for path in glob.glob(os.path.join(libs, "*openblas*")):
+            lib = ctypes.CDLL(path)
+            get, set_ = (getattr(lib, symbol.format(verb), None) for verb in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                pools.append((get, set_))
+    return pools
+
+
+def _blas_threads():
+    """The thread count that both OpenBLAS pools run, or None if a pool is
+    not found or the two differ."""
+    pools = _blas_pools()
+    counts = {get() for get, _ in pools}
+    return counts.pop() if len(pools) == len(_OPENBLAS) and len(counts) == 1 else None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Both OpenBLAS pools at one thread inside the block, and at their
+    caller's counts again after it, also after a raise. Every matrix here is
+    small (at most 87 columns in the fit, 306 variables in the baseline): a
+    second thread stalls now and then, and it changes how the baseline NLP
+    rounds."""
+    pools = _blas_pools()
+    counts = [get() for get, _ in pools]
+    for _, set_ in pools:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(pools, counts):
+            set_(count)
 
 
 def _ensure_dir(path):
@@ -153,8 +211,9 @@ def cmd_solve(run, out_dir, model):
     per variant, ``baseline.csv``, ``baseline.json``, ``config.json`` (the
     config ``run`` was parsed from) and ``report.json``, with one
     :func:`~koopbilevel.artifacts.comparison_entry` per variant of what those
-    files hold and the sha256 of ``config.json`` and ``model.json``. Returns
-    the report and the timings."""
+    files hold, the sha256 of ``config.json`` and ``model.json``, and the
+    OpenBLAS thread count it ran (:func:`_blas_threads`). Returns the report
+    and the timings."""
     _ensure_dir(out_dir)
     variants, (baseline, baseline_traj), timings = _solve_step(run, model, run.mbc)
     for record, traj in variants:
@@ -177,6 +236,7 @@ def cmd_solve(run, out_dir, model):
         "provenance": {
             "config_hash": artifacts.sha256_file(config_path),
             "model_hash": artifacts.sha256_file(_model_path(out_dir)),
+            "blas_threads": _blas_threads(),
         },
     }
     artifacts.write_json(os.path.join(out_dir, "report.json"), report)
@@ -401,7 +461,8 @@ def cmd_audit(out_dir):
     * ``residual_report.json``: :func:`_residual_record` of the model read
       back, plus the sha256 of ``model.json``;
     * ``report.json``'s ``provenance``: the sha256 of ``config.json`` and of
-      ``model.json``;
+      ``model.json``, but not its ``blas_threads``, which describes the
+      process that ran the solve, not anything the artifacts rebuild;
     * ``model.json``'s ``seed``, ``n_s``, ``box``, ``system_name`` and
       ``dictionary``: the config's;
     * ``baseline.json``: :func:`~koopbilevel.baseline_nlp.check_trajectory`
@@ -427,8 +488,13 @@ def cmd_audit(out_dir):
     row count is not the grid's are problems too. An artifact that does not
     parse, is not a JSON object or lacks a key that ``audit`` reads, a
     ``report.json`` whose ``entries`` is not a list of objects, and a
-    ``config.json`` that is not a valid config raise ``ArtifactError``."""
+    ``config.json`` that is not a valid config raise ``ArtifactError``, and
+    so does a directory without ``report.json``, such as one that ``sweep``
+    or ``identify`` wrote."""
     report_path = os.path.join(out_dir, "report.json")
+    if not os.path.isfile(report_path):
+        raise ArtifactError(f"{report_path}: no such file; audit checks the "
+                            "directory of a solve or reproduce run")
     report = artifacts.read_json(report_path, keys=("entries",))
     if not (isinstance(report["entries"], list)
             and all(isinstance(entry, dict) for entry in report["entries"])):
@@ -522,47 +588,50 @@ def _build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand on one OpenBLAS thread (:func:`_one_blas_thread`)
+    and return its exit code."""
     args = _build_parser().parse_args(argv)
-    try:
-        if args.command == "identify":
-            cmd_identify(cfgmod.load_config(args.config), args.out)
-            return 0
-        if args.command == "solve":
-            run = cfgmod.load_config(args.config)
-            cmd_solve(run, args.out, cmd_identify(run, args.out))
-            return 0
-        if args.command == "sweep":
-            run = cfgmod.load_config(args.config)
-            _check_sweep_axis(run, args.axis)  # before identify writes model.json
-            cmd_sweep(run, args.out, cmd_identify(run, args.out), axis=args.axis)
-            return 0
-        if args.command == "reproduce":
-            results, passed = cmd_reproduce(args.bundle, args.out, seed=args.seed)
-            for rec in results:
-                status = "PASS" if rec["passed"] else "FAIL"
-                print(f"[{status}] ({rec['severity']}) {rec['id']}: {rec['detail']}")
-            return 0 if passed else 1
-        if args.command == "audit":
-            problems = cmd_audit(args.out)
-            if problems:
-                for p in problems:
-                    print(
-                        f"MISMATCH {p['variant']}.{p['field']}: reported "
-                        f"{p['reported']!r} recomputed {p['recomputed']!r}"
-                    )
-                return 1
-            print("audit clean: all reported numbers recomputed within rtol 1e-9")
-            return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ArtifactError) as exc:
-        print(f"file error: {exc}", file=sys.stderr)
-        return 2
-    except KoopbilevelError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    raise AssertionError("unreachable")
+    with _one_blas_thread():
+        try:
+            if args.command == "identify":
+                cmd_identify(cfgmod.load_config(args.config), args.out)
+                return 0
+            if args.command == "solve":
+                run = cfgmod.load_config(args.config)
+                cmd_solve(run, args.out, cmd_identify(run, args.out))
+                return 0
+            if args.command == "sweep":
+                run = cfgmod.load_config(args.config)
+                _check_sweep_axis(run, args.axis)  # before identify writes model.json
+                cmd_sweep(run, args.out, cmd_identify(run, args.out), axis=args.axis)
+                return 0
+            if args.command == "reproduce":
+                results, passed = cmd_reproduce(args.bundle, args.out, seed=args.seed)
+                for rec in results:
+                    status = "PASS" if rec["passed"] else "FAIL"
+                    print(f"[{status}] ({rec['severity']}) {rec['id']}: {rec['detail']}")
+                return 0 if passed else 1
+            if args.command == "audit":
+                problems = cmd_audit(args.out)
+                if problems:
+                    for p in problems:
+                        print(
+                            f"MISMATCH {p['variant']}.{p['field']}: reported "
+                            f"{p['reported']!r} recomputed {p['recomputed']!r}"
+                        )
+                    return 1
+                print("audit clean: all reported numbers recomputed within rtol 1e-9")
+                return 0
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except (OSError, ArtifactError) as exc:
+            print(f"file error: {exc}", file=sys.stderr)
+            return 2
+        except KoopbilevelError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
+        raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

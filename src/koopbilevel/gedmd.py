@@ -244,7 +244,8 @@ def identify(system, dictionary, n_s, seed, box):
     # [R_Psi | C] in the leading n_z rows, starting from zeros, and the next
     # block's rows below it. A last, shorter block is followed by zero rows,
     # which fold to zero, so every fold has one shape: on walker a shorter
-    # last fold rounded differently at one and two OpenBLAS threads
+    # last fold rounded differently at one and two OpenBLAS threads, and a
+    # library call outside ``cli.main`` runs the process's thread count
     stack = np.zeros((n_z + min(_BLOCK, len(X)), width), order="F")
     tail = np.zeros(width - n_z)
     for start in range(0, len(X), _BLOCK):

@@ -86,17 +86,8 @@ class Trig:
         if self.fn not in ("sin", "cos"):
             raise ConfigError(f"trig term must be sin or cos, got '{self.fn}'")
 
-    def _arg(self, X):
-        # elementwise, not X @ coeffs: with two OpenBLAS threads, complex
-        # matrix-vector products of complex-step batches stall for milliseconds
-        arg = np.zeros(np.shape(X)[:-1])
-        for i, c in enumerate(self.coeffs):
-            if c:
-                arg = arg + c * X[..., i]
-        return arg
-
     def value(self, X):
-        arg = self._arg(X)
+        arg = X @ np.asarray(self.coeffs)
         return np.sin(arg) if self.fn == "sin" else np.cos(arg)
 
     def to_config(self):

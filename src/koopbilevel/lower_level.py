@@ -210,8 +210,11 @@ class QpBuild:
 
 def _from_modes(V, weights, K):
     """Real parts of V diag(w) K for each column w of ``weights``, side by
-    side, as one real product of ``V`` = [Re V, -Im V] and [Re W; Im W]: with
-    two OpenBLAS threads a complex GEMM of some sizes stalls for milliseconds.
+    side, as one real product of ``V`` = [Re V, -Im V] and [Re W; Im W]. At
+    one OpenBLAS thread the complex GEMM ``(V @ W).real`` is no faster (a
+    ``solve_lower`` and its ``cost_gradient`` took the same time within 2 %
+    on fig1 and walker), and it rounds otherwise: walker's T* would move by
+    4.8e-8 relative. With two threads a complex GEMM of some sizes stalls.
     """
     W = (weights[:, :, None] * K[:, None, :]).reshape(V.shape[0], -1)
     return V @ np.vstack([W.real, W.imag])

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import ctypes
 import glob
 import json
 import os
@@ -8,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 import koopbilevel
 from koopbilevel import ConfigError, artifacts, baseline_nlp, cli, config
@@ -687,6 +689,7 @@ def test_solve_identifies_from_its_own_config(tmp_path):
     assert report["provenance"] == {
         "config_hash": artifacts.sha256_file(config_path),
         "model_hash": artifacts.sha256_file(model_path),
+        "blas_threads": 1,
     }
 
 
@@ -778,6 +781,18 @@ def test_audit_of_an_empty_directory_exits_2(tmp_path):
     assert "report.json" in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "identify"])
+def test_audit_of_a_directory_without_a_solve_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "fig1.json"
+    path.write_text(json.dumps(cli.load_bundle("fig1")["config"]))
+    out = str(tmp_path / command)
+    assert cli.main([command, "--config", str(path), "--out", out]) == 0
+    assert cli.main(["audit", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"file error: {os.path.join(out, 'report.json')}: ")
+    assert "audit checks the directory of a solve or reproduce run" in err
+
+
 def test_audit_without_the_baseline_csv_exits_2(tmp_path):
     out = str(tmp_path / "fig1")
     assert cli.main(["reproduce", "--bundle", "fig1", "--out", out]) == 0
@@ -805,3 +820,79 @@ def test_defective_generator_exits_3_at_identify(tmp_path, monkeypatch, capsys,
     assert cli.main(["reproduce", "--bundle", "fig1", "--out", out]) == 3
     assert not os.path.exists(os.path.join(out, "model.json"))
     assert "defective" in capsys.readouterr().err
+
+
+def _openblas_pools():
+    """``(get, set)`` of the thread count of numpy's and of scipy's OpenBLAS,
+    each looked up by its own name in its wheel's library."""
+    pools = []
+    for package, name, symbol in (
+            (np, "libscipy_openblas64_*", "scipy_openblas_{}_num_threads64_"),
+            (scipy, "libscipy_openblas-*", "scipy_openblas_{}_num_threads")):
+        libs = os.path.join(os.path.dirname(package.__file__), os.pardir,
+                            f"{package.__name__}.libs")
+        (path,) = glob.glob(os.path.join(libs, name))
+        lib = ctypes.CDLL(path)
+        get, set_ = (getattr(lib, symbol.format(verb)) for verb in ("get", "set"))
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        pools.append((get, set_))
+    return pools
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Both OpenBLAS pools at two threads; their counts are restored after
+    the test. Yields a function that reads both counts."""
+    pools = _openblas_pools()
+    counts = [get() for get, _ in pools]
+    for _, set_ in pools:
+        set_(2)
+    yield lambda: [get() for get, _ in pools]
+    for (_, set_), count in zip(pools, counts):
+        set_(count)
+
+
+def test_main_runs_on_one_blas_thread(tmp_path, monkeypatch, capsys,
+                                      two_blas_threads):
+    path = tmp_path / "fig1.json"
+    path.write_text(json.dumps(cli.load_bundle("fig1")["config"]))
+    argv = ["solve", "--config", str(path), "--out", str(tmp_path / "out")]
+    seen = []
+    cmd_identify = cli.cmd_identify
+
+    def recording(*args):
+        seen.append(two_blas_threads())
+        return cmd_identify(*args)
+
+    monkeypatch.setattr(cli, "cmd_identify", recording)
+    assert cli.main(argv) == 0
+    assert seen == [[1, 1]]
+    assert two_blas_threads() == [2, 2]
+    report = json.loads(_read_bytes(str(tmp_path / "out" / "report.json")))
+    assert report["provenance"]["blas_threads"] == 1
+
+    # the caller's counts come back after a config error (exit 2) and after
+    # an exception that leaves main
+    def failing(error):
+        def identify(*args):
+            seen.append(two_blas_threads())
+            raise error
+        return identify
+
+    monkeypatch.setattr(cli, "cmd_identify", failing(ConfigError("bad setting")))
+    assert cli.main(argv) == 2
+    assert "config error: bad setting" in capsys.readouterr().err
+    assert two_blas_threads() == [2, 2]
+    monkeypatch.setattr(cli, "cmd_identify", failing(RuntimeError("interrupted")))
+    with pytest.raises(RuntimeError, match="interrupted"):
+        cli.main(argv)
+    assert seen == [[1, 1]] * 3
+    assert two_blas_threads() == [2, 2]
+
+
+def test_a_direct_solve_records_the_thread_count_it_ran(tmp_path, two_blas_threads):
+    run = config.validate_config(cli.load_bundle("fig1")["config"])
+    out = str(tmp_path)
+    report, _ = cli.cmd_solve(run, out, cli.cmd_identify(run, out))
+    assert report["provenance"]["blas_threads"] == 2

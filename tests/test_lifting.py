@@ -11,7 +11,7 @@ from koopbilevel import (
     manifold_defect,
     unlift,
 )
-from koopbilevel.lifting import Monomial, Product, term_from_config
+from koopbilevel.lifting import Monomial, Product, Trig, term_from_config
 
 
 def fd_gradient(dictionary, x, h=1e-5):
@@ -234,6 +234,20 @@ class TestSerialization:
         assert isinstance(t, Product)
         x = np.array([0.3, 1.2])
         assert abs(t.value(x) - 1.44 * np.sin(0.3)) <= 1e-15
+
+    @pytest.mark.parametrize("fn,oracle", [("sin", np.sin), ("cos", np.cos)])
+    def test_trig_matches_the_elementwise_sum(self, fn, oracle):
+        # the argument is one matrix-vector product, which may sum in another
+        # order than term by term; real states and a complex-step batch
+        coeffs = (0.3, -1.7, 0.0, 2.5)
+        rng = np.random.default_rng(21)
+        X = rng.uniform(-2.0, 2.0, size=(52, 4))
+        for batch in (X, X + 1j * 2.0**-10 * rng.normal(size=X.shape)):
+            arg = sum(c * batch[..., i] for i, c in enumerate(coeffs))
+            # four roundings, each at most eps * sum |c| * max |x|
+            atol = 4 * np.finfo(float).eps * sum(abs(c) for c in coeffs) * 2.0
+            assert np.allclose(Trig(fn, coeffs).value(batch), oracle(arg),
+                               rtol=0.0, atol=atol)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
