@@ -157,8 +157,8 @@ def comparison_entry(solution, trajectory, baseline, baseline_trajectory):
     written for them: their JSON records and ``(times, states, inputs)``
     trajectories. ``c_hat_lower`` and ``mbc_violation`` are copied from the
     variant's solution record, the ``baseline_*`` verdict and residuals from
-    the baseline's; ``audit`` rebuilds both records and calls it as
-    ``solve`` does, so every field is audited."""
+    the baseline's; ``audit`` re-runs the solve that calls it, so every
+    field is audited."""
     times, states, inputs = trajectory
     times_b, states_b, inputs_b = baseline_trajectory
     return {

@@ -6,19 +6,14 @@ Subcommands:
 * ``solve``     - bilevel solve of every variant, checked by one baseline NLP.
 * ``sweep``     - period or amplitude sweeps, written as plot-ready CSV.
 * ``reproduce`` - run a pinned benchmark bundle and evaluate its gates.
-* ``audit``     - recompute every reported number from persisted artifacts.
-
-``solve`` writes the config it ran to ``config.json``. ``audit`` parses it
-again, re-solves the point that each search stage recorded as the search
-evaluated it, and rebuilds each record it checks with the functions that
-wrote it; it compares the file with that record by one rule (:func:`_diff`).
+* ``audit``     - re-run a solve from its files and diff every file it wrote.
 
 Each config is parsed once, by :func:`koopbilevel.config.validate_config`,
-into the :class:`~koopbilevel.config.RunConfig` that ``identify``, ``solve``,
-``sweep`` and ``reproduce`` read; it is the only source of run settings, so a
-bad config exits with code 2 before ``identify`` runs. ``solve``, ``sweep``
-and ``reproduce`` each identify their model from that config; a
-``model.json`` already in ``--out`` is overwritten, never reused.
+into the :class:`~koopbilevel.config.RunConfig` that the commands read; a bad
+config exits with code 2 before ``identify`` runs. ``solve``, ``sweep`` and
+``reproduce`` each identify their model from that config; a ``model.json``
+already in ``--out`` is overwritten, never reused. ``solve`` also writes the
+config it ran to ``config.json``, which ``audit`` re-runs.
 
 :func:`main` runs each command with numpy's and scipy's OpenBLAS at one
 thread (:func:`_one_blas_thread`), so a command writes the same artifacts
@@ -45,11 +40,10 @@ import numpy as np
 import scipy
 
 from . import artifacts, config as cfgmod, gates as gatesmod
-from .baseline_nlp import TranscribedNlp, check_trajectory, solve_nlp
+from .baseline_nlp import TranscribedNlp, solve_nlp
 from .errors import ArtifactError, ConfigError, KoopbilevelError
 from .gedmd import identify, load_model, model_to_config, save_model
-from .upper_level import (_lower_eval, make_periodic_amplitude_anchor, solve_reduced,
-                          sweep_period)
+from .upper_level import make_periodic_amplitude_anchor, solve_reduced, sweep_period
 
 __all__ = [
     "cmd_identify",
@@ -205,34 +199,42 @@ def _solve_step(run, model, mbc):
     return variants, (record, trajectory), timings
 
 
-def cmd_solve(run, out_dir, model):
-    """Run :func:`_solve_step` on the model that ``cmd_identify`` wrote to
-    ``out_dir``, and write ``<label>_bilevel.csv`` and ``<label>_solution.json``
-    per variant, ``baseline.csv``, ``baseline.json``, ``config.json`` (the
-    config ``run`` was parsed from) and ``report.json``, with one
-    :func:`~koopbilevel.artifacts.comparison_entry` per variant of what those
-    files hold, the sha256 of ``config.json`` and ``model.json``, and the
-    OpenBLAS thread count it ran (:func:`_blas_threads`). Returns the report
-    and the timings."""
-    _ensure_dir(out_dir)
+def _solve_records(run, model):
+    """The records of :func:`_solve_step` under the config's constraint,
+    keyed by the file that :func:`cmd_solve` writes each to:
+    ``<label>_solution.json`` and ``<label>_bilevel.csv`` per variant,
+    ``baseline.json`` and ``baseline.csv``, a CSV's record being its
+    ``(times, states, inputs)``. Returns ``(records, entries, timings)``, with
+    one :func:`~koopbilevel.artifacts.comparison_entry` per variant."""
     variants, (baseline, baseline_traj), timings = _solve_step(run, model, run.mbc)
+    records = {"baseline.json": baseline, "baseline.csv": baseline_traj}
     for record, traj in variants:
         label = record["variant"]
-        artifacts.write_trajectory_csv(
-            os.path.join(out_dir, f"{label}_bilevel.csv"), *traj)
-        artifacts.write_json(
-            os.path.join(out_dir, f"{label}_solution.json"), record)
-    artifacts.write_trajectory_csv(
-        os.path.join(out_dir, "baseline.csv"), *baseline_traj)
-    artifacts.write_json(os.path.join(out_dir, "baseline.json"), baseline)
+        records.update({f"{label}_solution.json": record, f"{label}_bilevel.csv": traj})
+    entries = [artifacts.comparison_entry(record, traj, baseline, baseline_traj)
+               for record, traj in variants]
+    return records, entries, timings
+
+
+def cmd_solve(run, out_dir, model):
+    """Write :func:`_solve_records` of the model that ``cmd_identify`` wrote
+    to ``out_dir``, then ``config.json`` (the config ``run`` was parsed from)
+    and ``report.json``: the entries, the sha256 of ``config.json`` and
+    ``model.json``, and the OpenBLAS thread count it ran
+    (:func:`_blas_threads`). Returns the report and the timings."""
+    _ensure_dir(out_dir)
+    records, entries, timings = _solve_records(run, model)
+    for name, record in records.items():
+        path = os.path.join(out_dir, name)
+        if name.endswith(".csv"):
+            artifacts.write_trajectory_csv(path, *record)
+        else:
+            artifacts.write_json(path, record)
     config_path = os.path.join(out_dir, "config.json")
     artifacts.write_json(config_path, run.raw)
 
     report = {
-        "entries": [
-            artifacts.comparison_entry(record, traj, baseline, baseline_traj)
-            for record, traj in variants
-        ],
+        "entries": entries,
         "provenance": {
             "config_hash": artifacts.sha256_file(config_path),
             "model_hash": artifacts.sha256_file(_model_path(out_dir)),
@@ -321,10 +323,24 @@ def load_bundle(name):
         ) from None
 
 
+def _gates_record(bundle_name, sweep_rows, entries, timings):
+    """The ``gates_report.json`` record of a run of the bundle: its gates
+    evaluated on the run's period sweep rows (None without a sweep), report
+    entries and timings, with the timings themselves."""
+    ctx = {"sweep_rows": sweep_rows, "entries": entries, "timings": timings}
+    results, passed = gatesmod.evaluate_gates(load_bundle(bundle_name)["gates"], ctx)
+    return {
+        "bundle": bundle_name,
+        "passed": passed,
+        "gates": results,
+        "timings": {k: v for k, v in timings.items() if not isinstance(v, dict)},
+        "per_variant_seconds": timings["per_variant"],
+    }
+
+
 def cmd_reproduce(bundle_name, out_dir, seed=None):
     """Run a bundle end to end and evaluate its tolerance gates."""
-    bundle = load_bundle(bundle_name)
-    run = cfgmod.validate_config(bundle["config"], seed=seed)
+    run = cfgmod.validate_config(load_bundle(bundle_name)["config"], seed=seed)
     _ensure_dir(out_dir)
 
     timings = {}
@@ -343,25 +359,9 @@ def cmd_reproduce(bundle_name, out_dir, seed=None):
     timings["solve"] = time.perf_counter() - t0
     timings.update(solve_timings)
 
-    ctx = {
-        "sweep_rows": sweep_rows,
-        "entries": report["entries"],
-        "timings": timings,
-    }
-    results, passed = gatesmod.evaluate_gates(bundle["gates"], ctx)
-    artifacts.write_json(
-        os.path.join(out_dir, "gates_report.json"),
-        {
-            "bundle": bundle_name,
-            "passed": passed,
-            "gates": results,
-            "timings": {
-                k: v for k, v in timings.items() if not isinstance(v, dict)
-            },
-            "per_variant_seconds": timings["per_variant"],
-        },
-    )
-    return results, passed
+    record = _gates_record(bundle_name, sweep_rows, report["entries"], timings)
+    artifacts.write_json(os.path.join(out_dir, "gates_report.json"), record)
+    return record["gates"], record["passed"]
 
 
 def _close(a, b, rtol=1e-9, atol=1e-12):
@@ -373,187 +373,146 @@ def _close(a, b, rtol=1e-9, atol=1e-12):
             or abs(a - b) <= atol + rtol * max(abs(a), abs(b)) < np.inf)
 
 
-def _problem(source, field, reported, recomputed):
-    return {"variant": source, "field": field, "reported": reported,
+def _problem(name, field, reported, recomputed):
+    return {"file": name, "field": field, "reported": reported,
             "recomputed": recomputed}
 
 
-def _diff(source, field, reported, recomputed):
-    """Problems of a ``reported`` value against the ``recomputed`` one: dicts
-    key by key (field ``a.b``), lists item by item (``a[i]``), two numbers
-    by :func:`_close` and anything else by equality. A missing key is one
-    problem at its field, and so is a list of another length or a value of
-    another type."""
+def _diff(name, field, reported, recomputed):
+    """Problems of a ``reported`` value of the file ``name`` against the
+    ``recomputed`` one: dicts key by key (field ``a.b``), lists item by item
+    (``a[i]``), two numbers by :func:`_close` and anything else by equality.
+    A key that only one of two dicts has is one problem at its field, and so
+    are two lists of different lengths, given by their lengths, and a value
+    of another type."""
     if isinstance(recomputed, dict) and isinstance(reported, dict):
         problems = []
-        for key, value in recomputed.items():
-            name = f"{field}.{key}" if field else key
-            problems += (_diff(source, name, reported[key], value) if key in reported
-                         else [_problem(source, name, "missing", value)])
+        for key in {**recomputed, **reported}:
+            path = f"{field}.{key}" if field else key
+            problems += (_diff(name, path, reported[key], recomputed[key])
+                         if key in reported and key in recomputed else
+                         [_problem(name, path, reported.get(key, "missing"),
+                                   recomputed.get(key, "missing"))])
         return problems
-    if (isinstance(recomputed, list) and isinstance(reported, list)
-            and len(reported) == len(recomputed)):
+    if isinstance(recomputed, list) and isinstance(reported, list):
+        if len(reported) != len(recomputed):
+            return [_problem(name, field, f"length {len(reported)}",
+                             f"length {len(recomputed)}")]
         return [problem for i, (r, v) in enumerate(zip(reported, recomputed))
-                for problem in _diff(source, f"{field}[{i}]", r, v)]
+                for problem in _diff(name, f"{field}[{i}]", r, v)]
     numbers = all(isinstance(v, (int, float)) for v in (reported, recomputed))
     if _close(reported, recomputed) if numbers else reported == recomputed:
         return []
-    return [_problem(source, field, reported, recomputed)]
+    return [_problem(name, field, reported, recomputed)]
 
 
-# the keys a ``<label>_solution.json`` must hold; any other it lacks is a problem
-_SOLUTION_KEYS = ("variant", "x0", "xT", "z0", "zN", "T", "cost", "c_hat_lower",
-                  "constraint_violation", "manifold_defects", "start_records")
+def _columns(trajectory):
+    """A ``(times, states, inputs)`` trajectory as the lists :func:`_diff`
+    compares."""
+    return dict(zip(("times", "states", "inputs"),
+                    (np.asarray(a).tolist() for a in trajectory)))
 
 
-def _audit_entry(out_dir, entry, run, variant, model, baseline, baseline_traj):
-    """Problems of one ``report.json`` entry and its variant's files."""
-    label = entry["variant"]
-    trajectory = artifacts.read_trajectory_csv(
-        os.path.join(out_dir, f"{label}_bilevel.csv"))
-    sol = artifacts.read_json(os.path.join(out_dir, f"{label}_solution.json"),
-                              keys=_SOLUTION_KEYS)
-    # trajectories whose PCC is undefined (no time span, or a column without
-    # variance) are one problem
+def _read_record(path):
+    """The record in the file at ``path`` as :func:`_diff` compares it: a
+    JSON object, the ``rows`` of ``sweep_T.csv`` or a trajectory's columns."""
+    if path.endswith(".json"):
+        return artifacts.read_json(path)
+    if path.endswith("sweep_T.csv"):
+        return {"rows": _read_sweep_csv(path)}
+    return _columns(artifacts.read_trajectory_csv(path))
+
+
+def _as_read(name, record):
+    """``record`` as :func:`_read_record` reads it back from the file
+    ``name`` that it is written to."""
+    if name.endswith(".json") or name == "sweep_T.csv":
+        return json.loads(artifacts.canonical_json(record))
+    return _columns(record)
+
+
+def _audited_gates(path, sweep_rows, entries):
+    """:func:`_gates_record` of the bundle and timings that the
+    ``gates_report.json`` at ``path`` names, on the re-run's sweep rows and
+    entries; the timings are taken from the file, since nothing rebuilds
+    them. A bundle that does not ship, or timings that are not seconds by
+    name, raise ``ArtifactError``."""
+    written = artifacts.read_json(path, keys=("bundle", "timings", "per_variant_seconds"))
+    seconds = (written["timings"], written["per_variant_seconds"])
+    if not all(isinstance(s, dict) and all(isinstance(v, (int, float)) for v in s.values())
+               for s in seconds):
+        raise ArtifactError(f"{path}: timings are not seconds by name")
     try:
-        problems = _diff(label, "", entry, artifacts.comparison_entry(
-            sol, trajectory, baseline, baseline_traj))
-    except KoopbilevelError as exc:
-        problems = [_problem(label, "entry", f"{label}_bilevel.csv and baseline.csv",
-                             str(exc))]
-    # each stage's failures, at most its calls, and its point, re-solved
-    stages, reported = sol["start_records"], dict(sol)
-    try:
-        problems += [
-            _problem(label, f"solution.{stage['stage']}.failures", stage["failures"],
-                     f"at most nfev = {stage['nfev']} in all")
-            for stage in stages if not sum(stage["failures"].values()) <= stage["nfev"]
-        ]
-        points = {stage["stage"]: np.reshape(np.asarray(stage["p_star"], dtype=float),
-                                             run.mbc.p_dim) for stage in stages}
-        reported.update({stage["stage"]: stage for stage in stages})
-    except (TypeError, AttributeError, KeyError, ValueError):
-        problems.append(_problem(label, "solution.start_records", stages,
-                                 "a list of stage records with counts"))
-        points = {}
-    record, solved = {}, {"polish": ("missing", None, "a polish stage")}
-    for name, p_star in points.items():
-        cost, lower, error = _lower_eval(model, variant, run.mbc, p_star, run.N)
-        record[name], solved[name] = {"c_star": cost}, (p_star.tolist(), lower, error)
-    # the polish's lower solution is the solution; without one only costs are diffed
-    point, lower, error = solved["polish"]
-    if lower is None:
-        return problems + [_problem(label, "solution", point, str(error))] + _diff(
-            label, "solution", reported, record)
-    record.update(_solution_record(lower, run.mbc))
-    columns = ("times", "states", "inputs")
-    return (problems + _diff(label, "solution", reported, record)
-            + _diff(label, "bilevel", dict(zip(columns, (a.tolist() for a in trajectory))),
-                    dict(zip(columns, (a.tolist() for a in lower.trajectory)))))
+        return _gates_record(written["bundle"], sweep_rows, entries,
+                             dict(seconds[0], per_variant=seconds[1]))
+    except ConfigError as exc:
+        raise ArtifactError(f"{path}: {exc}") from None
 
 
 def cmd_audit(out_dir):
-    """Problem records of the artifacts in ``out_dir``. ``config.json`` is
-    parsed by :func:`~koopbilevel.config.validate_config`; each checked
-    record is rebuilt from it and the other artifacts and compared with its
-    file by :func:`_diff`:
+    """Problem records of the solve or reproduce run in ``out_dir``.
 
-    * ``residual_report.json``: :func:`_residual_record` of the model read
-      back, plus the sha256 of ``model.json``;
-    * ``report.json``'s ``provenance``: the sha256 of ``config.json`` and of
-      ``model.json``, but not its ``blas_threads``, which describes the
-      process that ran the solve, not anything the artifacts rebuild;
-    * ``model.json``'s ``seed``, ``n_s``, ``box``, ``system_name`` and
-      ``dictionary``: the config's;
-    * ``baseline.json``: :func:`~koopbilevel.baseline_nlp.check_trajectory`
-      of ``baseline.csv`` with the config's N, taking the file's word for
-      SLSQP's success;
-    * each entry: :func:`~koopbilevel.artifacts.comparison_entry` of its
-      variant's files;
-    * each ``<label>_solution.json``: each stage's ``c_star`` from re-solving
-      its ``p_star`` as the search did (``_lower_eval``, with the config's N,
-      variant and constraint), and :func:`_solution_record` of the polish
-      stage's lower solution;
-    * each ``<label>_bilevel.csv``: that solution's ``trajectory``;
-    * ``sweep_T.csv``, if there is one: the rows of
-      :func:`~koopbilevel.upper_level.sweep_period` run as ``cmd_sweep``
-      runs it, on the config's grid.
+    ``config.json`` is parsed by :func:`~koopbilevel.config.validate_config`
+    and re-run on ``model.json`` as the run ran it: :func:`_solve_records`,
+    the period sweep if there is a ``sweep_T.csv``, and :func:`_gates_record`
+    if there is a ``gates_report.json``. Each file those write, and
+    ``report.json``, is diffed whole with the re-run's record by
+    :func:`_diff`. What no re-run rebuilds is checked otherwise:
+    ``residual_report.json`` is :func:`_residual_record` of the model read
+    back, both hashes are recomputed, ``model.json``'s fit settings are the
+    config's, and ``blas_threads`` and the gates' timings are taken from the
+    files. A ``*_solution.json`` or ``*_bilevel.csv`` that the re-run does
+    not write is a problem too.
 
-    A stage whose ``failures`` add up to more than its ``nfev``, trajectories
-    whose PCC is undefined (no time span, or a column without variance), a
-    polish point that is missing or that the lower level rejects, a
-    ``baseline.csv`` that ``check_trajectory`` rejects, an entry whose
-    ``variant`` is not the label of a config variant (a non-string one
-    included), a variant file without an entry and a ``sweep_T.csv`` whose
-    row count is not the grid's are problems too. An artifact that does not
-    parse, is not a JSON object or lacks a key that ``audit`` reads, a
-    ``report.json`` whose ``entries`` is not a list of objects, and a
-    ``config.json`` that is not a valid config raise ``ArtifactError``, and
-    so does a directory without ``report.json``, such as one that ``sweep``
-    or ``identify`` wrote."""
+    The re-run is exact on the libraries that wrote the files. Run on other
+    libraries, the solvers' iteration-path fields (``history``, ``nit``,
+    ``kkt_residual``) can differ beyond :func:`_close`, and are reported as
+    mismatches like any other field.
+
+    A file that is missing or does not parse, a ``config.json`` that is not
+    a valid config and a ``gates_report.json`` that names no shipped bundle
+    raise ``ArtifactError``."""
     report_path = os.path.join(out_dir, "report.json")
     if not os.path.isfile(report_path):
         raise ArtifactError(f"{report_path}: no such file; audit checks the "
                             "directory of a solve or reproduce run")
-    report = artifacts.read_json(report_path, keys=("entries",))
-    if not (isinstance(report["entries"], list)
-            and all(isinstance(entry, dict) for entry in report["entries"])):
-        raise ArtifactError(f"{report_path}: 'entries' is not a list of objects")
     config_path = os.path.join(out_dir, "config.json")
     try:
         run = cfgmod.validate_config(artifacts.read_json(config_path))
     except ConfigError as exc:
         raise ArtifactError(f"{config_path}: {exc}") from None
     model = load_model(_model_path(out_dir))
-    baseline = artifacts.read_json(
-        os.path.join(out_dir, "baseline.json"),
-        keys=("T", "cost", "converged", "max_defect", "max_mbc_violation",
-              "kkt_residual"))
-    baseline_traj = artifacts.read_trajectory_csv(os.path.join(out_dir, "baseline.csv"))
     model_hash = artifacts.sha256_file(_model_path(out_dir))
-    identification = dict(_residual_record(model), model_hash=model_hash)
-    residual_report = artifacts.read_json(
-        os.path.join(out_dir, "residual_report.json"), keys=tuple(identification))
-    provenance = {"config_hash": artifacts.sha256_file(config_path),
-                  "model_hash": model_hash}
+
+    records, entries, _ = _solve_records(run, model)
+    written = artifacts.read_json(report_path).get("provenance")
+    records["report.json"] = {"entries": entries, "provenance": {
+        "config_hash": artifacts.sha256_file(config_path),
+        "model_hash": model_hash,
+        "blas_threads": written.get("blas_threads") if isinstance(written, dict) else None,
+    }}
+    records["residual_report.json"] = dict(_residual_record(model), model_hash=model_hash)
+    sweep_rows = None
+    if os.path.exists(os.path.join(out_dir, "sweep_T.csv")):
+        sweep_rows = sweep_period(model, run.variants[0], run.mbc, run.period_grid, run.N)
+        records["sweep_T.csv"] = {"rows": sweep_rows}
+    gates_path = os.path.join(out_dir, "gates_report.json")
+    if os.path.exists(gates_path):
+        records["gates_report.json"] = _audited_gates(gates_path, sweep_rows, entries)
+
+    problems = [problem for name, record in records.items()
+                for problem in _diff(name, "", _read_record(os.path.join(out_dir, name)),
+                                     _as_read(name, record))]
     fit_settings = {"seed": run.seed, "n_s": run.n_s, "box": run.box.tolist(),
                     "system_name": run.system.name,
                     "dictionary": run.dictionary.to_config()}
-    # SLSQP's success cannot be rebuilt; a trajectory that does not fit the
-    # config's N, or whose states the dynamics reject, is one problem
-    try:
-        problems = _diff("baseline", "", baseline, check_trajectory(
-            TranscribedNlp(run.system, run.mbc, run.N), baseline_traj,
-            baseline["converged"] is True))
-    except KoopbilevelError as exc:
-        problems = [_problem("baseline", "trajectory", "baseline.csv", str(exc))]
-    problems += (
-        _diff("residual_report", "", residual_report, identification)
-        + _diff("report", "", report, {"provenance": provenance})
-        + _diff("model", "", model_to_config(model), fit_settings)
-    )
-    # the period sweep, re-run as cmd_sweep runs it; a grid of another size
-    # is one problem
-    sweep_path = os.path.join(out_dir, "sweep_T.csv")
-    if os.path.exists(sweep_path):
-        rows = _read_sweep_csv(sweep_path)
-        sweep = sweep_period(model, run.variants[0], run.mbc, run.period_grid, run.N)
-        problems += (_diff("sweep", "rows", rows, sweep) if len(rows) == len(sweep) else
-                     [_problem("sweep", "rows", f"{len(rows)} rows", f"{len(sweep)} rows")])
-    variants = {variant.label: variant for variant in run.variants}
-    # a list, not a set: a label read from JSON need not be hashable
-    labels = [entry.get("variant") for entry in report["entries"]]
-    for entry, label in zip(report["entries"], labels):
-        if isinstance(label, str) and label in variants:
-            problems += _audit_entry(out_dir, entry, run, variants[label], model,
-                                     baseline, baseline_traj)
-        else:
-            problems.append(_problem(label, "variant", entry.get("variant", "missing"),
-                                     sorted(variants)))
-    for name in sorted(os.listdir(out_dir)):
-        label = name.removesuffix("_solution.json").removesuffix("_bilevel.csv")
-        if label != name and label not in labels:
-            problems.append(_problem(label, "report entry", "missing", name))
+    fitted = model_to_config(model)
+    problems += _diff("model.json", "", {key: fitted[key] for key in fit_settings},
+                      fit_settings)
+    problems += [_problem(name, "file", "written", "not written by the re-run")
+                 for name in sorted(os.listdir(out_dir))
+                 if name.endswith(("_solution.json", "_bilevel.csv"))
+                 and name not in records]
     return problems
 
 
@@ -616,7 +575,7 @@ def main(argv=None):
                 if problems:
                     for p in problems:
                         print(
-                            f"MISMATCH {p['variant']}.{p['field']}: reported "
+                            f"MISMATCH {p['file']}:{p['field']}: reported "
                             f"{p['reported']!r} recomputed {p['recomputed']!r}"
                         )
                     return 1

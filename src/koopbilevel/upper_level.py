@@ -169,9 +169,8 @@ def solve_reduced(model, variant, mbc, config, N):
     records its kept point, with the box faces it is on (``active_bounds``),
     ``projected_grad_norm``, the inf-norm of its exact gradient without the
     components on those faces, and L-BFGS-B's iteration count ``nit``. These
-    records are written to ``<label>_solution.json``; ``audit`` checks that
-    a stage's failures do not outnumber its calls, re-solves each point for
-    its cost and rebuilds the solution from the polish's.
+    records are written to ``<label>_solution.json``, and ``audit`` rebuilds
+    them whole by running the search again.
     """
     if mbc.reduction is None:
         raise ConfigError(f"constraint '{mbc.name}' provides no reduction")

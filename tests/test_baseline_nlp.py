@@ -484,17 +484,21 @@ class TestSolveNlp:
             assert entry["feas"] == np.max(np.abs(shoot.constraints(x)))
             assert entry["cost"] == shoot.objective(x)
 
-    @pytest.mark.parametrize("inputs,T,match", [
-        (np.zeros((39, 1)), TWO_PI,
+    @pytest.mark.parametrize("inputs,T,off_grid,match", [
+        (np.zeros((39, 1)), TWO_PI, 1.0,
          r"inputs have shape \(39, 1\), expected \(40, 1\)"),
-        (np.zeros((40, 1)), -1.0, "finite and positive, got T=-1.0"),
-        (np.zeros((40, 1)), np.nan, "finite and positive, got T=nan"),
-    ], ids=["short_inputs", "negative_T", "nan_T"])
+        (np.zeros((40, 1)), -1.0, 1.0, "finite and positive, got T=-1.0"),
+        (np.zeros((40, 1)), np.nan, 1.0, "finite and positive, got T=nan"),
+        # one interior time off the knot grid by one part in 1e12
+        (np.zeros((40, 1)), TWO_PI, 1.0 + 1e-12,
+         r"times are not the 41 evenly spaced knots of \[0, T=6.28"),
+    ], ids=["short_inputs", "negative_T", "nan_T", "time_off_the_grid"])
     def test_malformed_warm_start_is_a_build_error(self, pendulum_nlp_n40,
-                                                   inputs, T, match):
+                                                   inputs, T, off_grid, match):
+        times = np.linspace(0, T, 41)
+        times[20] *= off_grid
         with pytest.raises(BuildError, match=match):
-            solve_nlp(pendulum_nlp_n40,
-                      (np.linspace(0, T, 41), np.zeros((41, 2)), inputs))
+            solve_nlp(pendulum_nlp_n40, (times, np.zeros((41, 2)), inputs))
 
 
 class TestCheckTrajectory:

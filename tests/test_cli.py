@@ -87,7 +87,8 @@ def test_reproduce_fig1_is_clean_and_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("bundle", ["pendulum", "walker"])
-def test_reproduce_bundle_passes_gates_with_clean_audit(tmp_path, monkeypatch, bundle):
+def test_reproduce_bundle_passes_gates_with_clean_audit(tmp_path, monkeypatch, capsys,
+                                                        bundle):
     calls = []
     solve_nlp = cli.solve_nlp
     monkeypatch.setattr(
@@ -95,9 +96,10 @@ def test_reproduce_bundle_passes_gates_with_clean_audit(tmp_path, monkeypatch, b
     )
     out = str(tmp_path / bundle)
     assert cli.main(["reproduce", "--bundle", bundle, "--out", out]) == 0
-    assert cli.main(["audit", "--out", out]) == 0
     # the baseline NLP depends only on (system, mbc, N): one solve per bundle
+    # (audit re-runs it once more)
     assert len(calls) == 1
+    assert cli.main(["audit", "--out", out]) == 0
     # warm-started from the trajectory written for the first variant
     first = validate_config(cli.load_bundle(bundle)["config"]).variants[0].label
     written = artifacts.read_trajectory_csv(os.path.join(out, f"{first}_bilevel.csv"))
@@ -111,6 +113,27 @@ def test_reproduce_bundle_passes_gates_with_clean_audit(tmp_path, monkeypatch, b
     for entry in report["entries"]:
         assert entry["T_star_baseline"] == baseline["T"], entry["variant"]
         assert entry["c_baseline"] == baseline["cost"], entry["variant"]
+
+    if bundle != "walker":
+        return
+    # fields in which the search, the baseline or the gates report on
+    # themselves: each is rebuilt by audit's re-run
+    solution = f"{first}_solution.json"
+    for name, edit, named in [
+        (solution, _in_stage(1, _set(["nit"], 999)), "start_records[1].nit"),
+        (solution, _in_stage(1, _set(["active_bounds"], [])),
+         "start_records[1].active_bounds"),
+        (solution, _in_stage(1, _set(["projected_grad_norm"], 1e-30)),
+         "start_records[1].projected_grad_norm"),
+        (solution, _in_stage(1, _set(["nfev"], 3)), "start_records[1].nfev"),
+        (solution, _in_stage(0, _set(["message"], "edited")), "start_records[0].message"),
+        ("baseline.json", _set(["history"], []), "history"),
+        ("baseline.json", _set(["outer_iterations"], 1), "outer_iterations"),
+        ("gates_report.json", lambda rec: _flip("passed")(rec["gates"][0]),
+         "gates[0].passed"),
+    ]:
+        assert _audit_after_edit(os.path.join(out, name), edit) == 1, named
+        assert f"MISMATCH {name}:{named}: " in capsys.readouterr().out, named
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +161,21 @@ def _in_entry(edit):
     return edit_report
 
 
+def _set(path, value):
+    """An edit that sets the entry at the key path ``path`` to ``value``."""
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return edit
+
+
+def _in_stage(index, edit):
+    def edit_solution(sol):
+        edit(sol["start_records"][index])
+    return edit_solution
+
+
 def _in_every_entry(edit):
     def edit_report(report):
         for entry in report["entries"]:
@@ -147,7 +185,7 @@ def _in_every_entry(edit):
 
 def _shifted_baseline(field):
     """A baseline residual shifted in ``baseline.json`` and in every entry's
-    copy of it, so that only its rebuild from ``baseline.csv`` can catch it."""
+    copy of it, so that only its re-run can catch it."""
     return {"baseline.json": _shift(field),
             "report.json": _in_every_entry(_shift(f"baseline_{field}"))}
 
@@ -169,7 +207,7 @@ AUDITED_CORRUPTIONS = [
     {"b0_solution.json": _shift("kkt_stationarity")},
     {"b0_solution.json": _shift("kkt_feasibility")},
     {"b0_solution.json": lambda sol: _shift(51)(sol["manifold_defects"])},
-    {"b0_solution.json": lambda sol: _shift("c_star")(sol["start_records"][1])},
+    {"b0_solution.json": _in_stage(1, _shift("c_star"))},
 ]
 
 
@@ -217,13 +255,7 @@ def test_audit_checks_the_residual_half_of_converged(fig1_run, capsys,
     monkeypatch.setattr(baseline_nlp, "_TOL_FEAS", 0.0)
     assert cli.main(["audit", "--out", fig1_run]) == 1
     out = capsys.readouterr().out
-    assert "MISMATCH baseline.converged: reported True recomputed False" in out, out
-
-
-def _in_direct_record(edit):
-    def edit_solution(sol):
-        edit(sol["start_records"][0])
-    return edit_solution
+    assert "MISMATCH baseline.json:converged: reported True recomputed False" in out, out
 
 
 def _more_failures_than_calls(stage):
@@ -231,13 +263,14 @@ def _more_failures_than_calls(stage):
 
 
 # (edit of b0_solution.json, field named): counts that disagree with each
-# other, and stage records that hold no counts
+# other, stage records that hold no counts and a point that the search did
+# not find, each against the re-run's stage records
 STAGE_RECORD_CORRUPTIONS = [
-    (_in_direct_record(_more_failures_than_calls), "b0.solution.direct.failures"),
-    (lambda sol: sol.update(start_records=5), "b0.solution.start_records"),
-    # a period that the constraint rejects: the re-solve's cost is +inf
-    (_in_direct_record(lambda stage: stage.update(p_star=[-1.0])),
-     "b0.solution.direct.c_star"),
+    # a failure type that the re-run does not count
+    (_in_stage(0, _more_failures_than_calls),
+     "b0_solution.json:start_records[0].failures.BuildError"),
+    (lambda sol: sol.update(start_records=5), "b0_solution.json:start_records"),
+    (_in_stage(0, _set(["p_star"], [-1.0])), "b0_solution.json:start_records[0].p_star[0]"),
 ]
 
 
@@ -250,15 +283,11 @@ def test_audit_checks_the_stage_record_counts(fig1_run, capsys, edit, named):
 
 
 def test_audit_names_a_polish_point_the_constraint_rejects(fig1_run, capsys):
-    def reject_polish_point(sol):
-        sol["start_records"][1]["p_star"] = [-1.0]
-
     path = os.path.join(fig1_run, "b0_solution.json")
-    assert _audit_after_edit(path, reject_polish_point) == 1
+    assert _audit_after_edit(path, _in_stage(1, _set(["p_star"], [-1.0]))) == 1
     out = capsys.readouterr().out
-    assert "MISMATCH b0.solution: reported [-1.0] recomputed 'period must be" in out
-    assert "MISMATCH b0.solution.polish.c_star:" in out
-    assert out.count("MISMATCH") == 2, out
+    assert "MISMATCH b0_solution.json:start_records[1].p_star[0]: reported -1.0 " in out
+    assert out.count("MISMATCH") == 1, out
 
 
 def test_audit_rebuilds_the_solution_at_the_polish_point(fig1_run, capsys, tmp_path):
@@ -287,10 +316,12 @@ def test_audit_rebuilds_the_solution_at_the_polish_point(fig1_run, capsys, tmp_p
             stack.enter_context(_rewritten(os.path.join(fig1_run, name), rewrite))
         assert cli.main(["audit", "--out", fig1_run]) == 1
     lines = capsys.readouterr().out.splitlines()
-    for named in ("b0.solution.T:", "b0.solution.cost:", "b0.bilevel.times["):
+    for named in ("b0_solution.json:T:", "b0_solution.json:cost:",
+                  "b0_bilevel.csv:times[", "report.json:entries[0].T_star:"):
         assert any(line.startswith(f"MISMATCH {named}") for line in lines), lines
-    # the swapped files agree with each other: only the re-solve differs
-    assert all(line.startswith(("MISMATCH b0.solution.", "MISMATCH b0.bilevel."))
+    # only the swapped files differ from the re-run
+    assert all(line.startswith(("MISMATCH b0_solution.json:", "MISMATCH b0_bilevel.csv:",
+                                "MISMATCH report.json:entries[0]."))
                for line in lines), lines
 
 
@@ -298,10 +329,10 @@ def test_audit_rebuilds_the_solution_at_the_polish_point(fig1_run, capsys, tmp_p
 # config.json and diffed row by row
 SWEEP_CORRUPTIONS = [
     (lambda text: _set_csv_value(text, 10, 1, "9.9"),
-     "MISMATCH sweep.rows[10].c_star: reported 9.9 recomputed 0."),
+     "MISMATCH sweep_T.csv:rows[10].c_star: reported 9.9 recomputed 0."),
     (lambda text: "".join(line for i, line in enumerate(text.splitlines(True))
                           if i != 11),
-     "MISMATCH sweep.rows: reported '136 rows' recomputed '137 rows'"),
+     "MISMATCH sweep_T.csv:rows: reported 'length 136' recomputed 'length 137'"),
 ]
 
 
@@ -313,55 +344,51 @@ def test_audit_reruns_the_period_sweep(fig1_run, capsys, rewrite, named):
     assert named in out and out.count("MISMATCH") == 1, out
 
 
-def _set(path, value):
-    """An edit that sets the entry at the key path ``path`` to ``value``."""
-    def edit(obj):
-        for key in path[:-1]:
-            obj = obj[key]
-        obj[path[-1]] = value
-    return edit
-
-
 def _shift_item(field, index, by):
     def edit(obj):
         obj[field][index] += by
     return edit
 
 
-STALE_HASHES = ["MISMATCH residual_report.model_hash:",
-                "MISMATCH report.provenance.model_hash:"]
+STALE_HASHES = ["MISMATCH residual_report.json:model_hash:",
+                "MISMATCH report.json:provenance.model_hash:"]
 
-# (file, rewrite, text named in the output): the identification record
-# against model.json, and the provenance against config.json and model.json;
-# a model.json rewritten after the run leaves both recorded hashes stale
+# (file, rewrite, texts that start the lines of the output, each at least
+# once): the identification record against model.json, and the provenance
+# against config.json and model.json; a model.json rewritten after the run
+# leaves both recorded hashes stale
 IDENTIFICATION_CORRUPTIONS = [
     ("residual_report.json", _json_edit(_shift_item("residuals", 0, 1e-3)),
-     ["MISMATCH residual_report.residuals[0]:"]),
+     ["MISMATCH residual_report.json:residuals[0]:"]),
     ("residual_report.json", _json_edit(_shift_item("ranks", 1, -1)),
-     ["MISMATCH residual_report.ranks[1]:"]),
+     ["MISMATCH residual_report.json:ranks[1]:"]),
     ("residual_report.json", _json_edit(_set(["ranks"], [3])),
-     ["MISMATCH residual_report.ranks:"]),
+     ["MISMATCH residual_report.json:ranks:"]),
     ("residual_report.json", _json_edit(_shift("n_z")),
-     ["MISMATCH residual_report.n_z:"]),
+     ["MISMATCH residual_report.json:n_z:"]),
     ("residual_report.json", _json_edit(_shift("modes_cond")),
-     ["MISMATCH residual_report.modes_cond:"]),
+     ["MISMATCH residual_report.json:modes_cond:"]),
     ("residual_report.json", _json_edit(_set(["model_hash"], "0" * 64)),
      STALE_HASHES[:1]),
     ("report.json", _json_edit(_set(["provenance", "model_hash"], "0" * 64)),
      STALE_HASHES[1:]),
     ("report.json", _json_edit(_set(["provenance"], 5)),
-     ["MISMATCH report.provenance: reported 5 recomputed {'config_hash': "]),
-    # a config that solve did not run, whose sweep grid has another size
+     ["MISMATCH report.json:provenance: reported 5 recomputed {'blas_threads': None, "
+      "'config_hash': "]),
+    # a config that solve did not run, whose sweep grid has another size,
+    # on which the gates are re-evaluated too
     ("config.json", _json_edit(_set(["sweep", "points"], 138)),
-     ["MISMATCH report.provenance.config_hash:",
-      "MISMATCH sweep.rows: reported '137 rows' recomputed '138 rows'"]),
+     ["MISMATCH report.json:provenance.config_hash:",
+      "MISMATCH sweep_T.csv:rows: reported 'length 137' recomputed 'length 138'",
+      "MISMATCH gates_report.json:gates[",
+      "MISMATCH gates_report.json:passed: reported True recomputed False"]),
     ("model.json", lambda text: text + "\n", STALE_HASHES),
     # a model fitted from settings that are not the config's
     ("model.json", _json_edit(_set(["seed"], 7)),
-     ["MISMATCH model.seed: reported 7 recomputed 20240"] + STALE_HASHES),
+     ["MISMATCH model.json:seed: reported 7 recomputed 20240"] + STALE_HASHES),
     # the tail row under channel 0: its residual, not L0
     ("model.json", _json_edit(lambda model: _shift_item(3, 3, 1e-3)(model["factor"])),
-     ["MISMATCH residual_report.residuals[0]:"] + STALE_HASHES),
+     ["MISMATCH residual_report.json:residuals[0]:"] + STALE_HASHES),
 ]
 
 
@@ -376,7 +403,7 @@ def test_audit_checks_the_identification_record(fig1_run, capsys, name,
     assert _audit_after_rewrite(os.path.join(fig1_run, name), rewrite) == 1
     out = capsys.readouterr().out
     assert all(text in out for text in named), out
-    assert out.count("MISMATCH") == len(named), out
+    assert all(line.startswith(tuple(named)) for line in out.splitlines()), out
 
 
 def test_audit_without_the_config_exits_2(fig1_run, capsys):
@@ -404,17 +431,32 @@ def test_audit_reports_an_entry_missing_a_field(fig1_run, capsys):
         del report["entries"][0]["mbc_violation"]
 
     assert _audit_after_edit(os.path.join(fig1_run, "report.json"), drop) == 1
-    assert "b0.mbc_violation" in capsys.readouterr().out
+    assert "MISMATCH report.json:entries[0].mbc_violation: reported 'missing'" in (
+        capsys.readouterr().out)
 
 
 def test_audit_reports_files_without_a_report_entry(fig1_run, capsys):
+    # files of a variant that the config does not have, which the re-run
+    # does not write, and a report without the entry of one that it has
     def drop_entries(report):
         report["entries"] = []
 
-    assert _audit_after_edit(os.path.join(fig1_run, "report.json"),
-                             drop_entries) == 1
+    suffixes = ("_solution.json", "_bilevel.csv")
+    for suffix in suffixes:
+        with open(os.path.join(fig1_run, f"bT{suffix}"), "wb") as fh:
+            fh.write(_read_bytes(os.path.join(fig1_run, f"b0{suffix}")))
+    try:
+        assert _audit_after_edit(os.path.join(fig1_run, "report.json"),
+                                 drop_entries) == 1
+    finally:
+        for suffix in suffixes:
+            os.remove(os.path.join(fig1_run, f"bT{suffix}"))
     out = capsys.readouterr().out
-    assert "b0_solution.json" in out and "b0_bilevel.csv" in out
+    assert "MISMATCH report.json:entries: reported 'length 0' recomputed 'length 1'" in out
+    for suffix in suffixes:
+        assert (f"MISMATCH bT{suffix}:file: reported 'written' recomputed "
+                "'not written by the re-run'") in out, out
+    assert out.count("MISMATCH") == 3, out
 
 
 def _set_csv_value(text, row, column, value):
@@ -438,34 +480,25 @@ def _constant_csv_column(column, value=None):
     return rewrite
 
 
-def _scaled_csv_value(row, column, factor):
-    """A CSV rewrite that multiplies the field at data ``row`` and
-    ``column`` by ``factor``."""
-    def rewrite(text):
-        value = float(text.splitlines()[row + 1].split(",")[column])
-        return _set_csv_value(text, row, column, repr(value * factor))
-    return rewrite
-
-
 # (file, rewrite, exit code, name in the output): a file that does not parse,
 # or is not the object audit reads, and a config.json that is not a valid
 # config, exit 2 naming the file; a parsed one with a bad field is a mismatch
 # naming the field
 MALFORMED_ARTIFACTS = [
     ("b0_solution.json", _json_edit(lambda sol: sol.update(z0=sol["z0"][:2])),
-     1, "MISMATCH b0.solution.z0"),
+     1, "MISMATCH b0_solution.json:z0: reported 'length 2' recomputed 'length 3'"),
     ("report.json", lambda text: text[: len(text) // 2], 2, "report.json"),
     ("report.json", lambda text: "5", 2, "report.json"),
     ("b0_bilevel.csv", lambda text: text.splitlines(True)[0], 2, "b0_bilevel.csv"),
-    # a period that is not a number: the record is rebuilt from the polish's
-    # point, so the file's period is diffed, not solved
+    # a period that is not a number: the record is rebuilt by the re-run,
+    # so the file's period is diffed, not solved
     ("b0_solution.json", _json_edit(lambda sol: sol.update(T="abc")),
-     1, "MISMATCH b0.solution.T: reported 'abc'"),
+     1, "MISMATCH b0_solution.json:T: reported 'abc'"),
     ("model.json", lambda text: "5", 2, "model.json"),
     ("report.json", _json_edit(lambda report: report.update(entries=5)),
-     2, "report.json"),
+     1, "MISMATCH report.json:entries: reported 5 recomputed [{"),
     ("report.json", _json_edit(lambda report: report.update(entries=[5])),
-     2, "report.json"),
+     1, "MISMATCH report.json:entries[0]: reported 5 recomputed {"),
     ("b0_solution.json", lambda text: "5", 2, "b0_solution.json"),
     ("model.json", _json_edit(_set(["factor"], 5)), 2, "model.json"),
     ("model.json", _json_edit(_set(["factor"], "x")), 2, "model.json"),
@@ -477,23 +510,31 @@ MALFORMED_ARTIFACTS = [
     ("config.json", lambda text: text[: len(text) // 2], 2, "config.json"),
     ("config.json", lambda text: "5", 2, "config.json"),
     ("config.json", _json_edit(_set(["substeps"], 7)), 2, "config.json"),
-    # a baseline trajectory that check_trajectory rejects: too short, or a
-    # state that the dynamics reject
+    # a baseline trajectory too short, or with a state that the dynamics
+    # reject
     ("baseline.csv", lambda text: "".join(text.splitlines(True)[:5]),
-     1, "MISMATCH baseline.trajectory: reported 'baseline.csv'"),
+     1, "MISMATCH baseline.csv:times: reported 'length 4' recomputed 'length 102'"),
     ("baseline.csv", lambda text: _set_csv_value(text, 3, 1, "nan"),
-     1, "MISMATCH baseline.trajectory: reported 'baseline.csv'"),
-    # an interior time off the knot grid by one part in 1e12
-    ("baseline.csv", _scaled_csv_value(51, 0, 1.0 + 1e-12),
-     1, "MISMATCH baseline.trajectory: reported 'baseline.csv'"),
-    # trajectories whose PCC is undefined: the entry is one problem, also
-    # for a constant input whose mean does not round to its value
-    ("b0_bilevel.csv", _constant_csv_column(0, "0.0"), 1, "MISMATCH b0.entry:"),
-    ("b0_bilevel.csv", _constant_csv_column(-1, "0.0"), 1, "MISMATCH b0.entry:"),
-    ("baseline.csv", _constant_csv_column(0, "0.0"), 1, "MISMATCH b0.entry:"),
-    ("baseline.csv", _constant_csv_column(-1, "0.0"), 1, "MISMATCH b0.entry:"),
-    ("b0_bilevel.csv", _constant_csv_column(-1), 1, "MISMATCH b0.entry:"),
+     1, "MISMATCH baseline.csv:states[3][0]: reported nan"),
+    # trajectories whose PCC would be undefined (no time span, or a column
+    # without variance, also a constant input whose mean does not round to
+    # its value): each differing point is a problem
+    ("b0_bilevel.csv", _constant_csv_column(0, "0.0"), 1,
+     "MISMATCH b0_bilevel.csv:times[1]: reported 0.0"),
+    ("b0_bilevel.csv", _constant_csv_column(-1, "0.0"), 1,
+     "MISMATCH b0_bilevel.csv:inputs[0][0]: reported 0.0"),
+    ("baseline.csv", _constant_csv_column(0, "0.0"), 1,
+     "MISMATCH baseline.csv:times[1]: reported 0.0"),
+    ("baseline.csv", _constant_csv_column(-1, "0.0"), 1,
+     "MISMATCH baseline.csv:inputs[0][0]: reported 0.0"),
+    ("b0_bilevel.csv", _constant_csv_column(-1), 1, "MISMATCH b0_bilevel.csv:inputs[1][0]:"),
     ("sweep_T.csv", lambda text: _set_csv_value(text, 10, 1, "abc"), 2, "sweep_T.csv"),
+    # gates that audit cannot re-evaluate: of a bundle that does not ship,
+    # or on timings that are not numbers
+    ("gates_report.json", _json_edit(_set(["bundle"], "bogus")), 2,
+     "gates_report.json: unknown bundle 'bogus'"),
+    ("gates_report.json", _json_edit(_set(["timings", "solve"], "abc")), 2,
+     "gates_report.json: timings are not seconds by name"),
 ]
 
 
@@ -506,12 +547,12 @@ MALFORMED_ARTIFACTS = [
                               "unknown_term_kind", "truncated_config",
                               "number_config", "unknown_config_key",
                               "short_baseline_csv", "nan_baseline_state",
-                              "baseline_time_off_the_grid",
                               "constant_bilevel_times", "constant_bilevel_inputs",
                               "constant_baseline_times",
                               "constant_baseline_inputs",
                               "first_bilevel_input_everywhere",
-                              "string_sweep_cost"])
+                              "string_sweep_cost", "unknown_bundle",
+                              "string_timing"])
 def test_audit_of_a_malformed_artifact_names_it(fig1_run, capsys, name, rewrite,
                                                 code, named):
     assert _audit_after_rewrite(os.path.join(fig1_run, name), rewrite) == code
@@ -533,21 +574,28 @@ def test_audit_of_a_malformed_artifact_names_it(fig1_run, capsys, name, rewrite,
                                       ("b0_solution.json", "start_records")])
 def test_audit_of_an_artifact_missing_a_key_names_both(fig1_run, capsys, name,
                                                        key):
+    # a file that audit diffs with its re-run lacks a field, one that audit
+    # re-runs from cannot be read
+    code = 2 if name == "model.json" else 1
     assert _audit_after_edit(os.path.join(fig1_run, name),
-                             lambda obj: obj.pop(key)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("file error: ") and name in err and repr(key) in err
+                             lambda obj: obj.pop(key)) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        assert f"MISMATCH {name}:{key}: reported 'missing' recomputed " in captured.out
+    else:
+        err = captured.err
+        assert err.startswith("file error: ") and name in err and repr(key) in err
 
 
-# (edit of report.json or b0_solution.json, text named in the output): an
-# entry is found by its variant label, and must hold its solution's label
+# (edit of report.json or b0_solution.json, text named in the output): each
+# entry and solution holds the label of the re-run's variant
 VARIANT_CORRUPTIONS = [
     ("report.json", lambda report: report["entries"][0].pop("variant"),
-     "MISMATCH None.variant: reported 'missing'"),
+     "MISMATCH report.json:entries[0].variant: reported 'missing' recomputed 'b0'"),
     ("b0_solution.json", _set(["variant"], "bT"),
-     "MISMATCH b0.variant: reported 'b0' recomputed 'bT'"),
+     "MISMATCH b0_solution.json:variant: reported 'bT' recomputed 'b0'"),
     ("report.json", lambda report: report["entries"][0].update(variant=["b0"]),
-     "MISMATCH ['b0'].variant: reported ['b0']"),
+     "MISMATCH report.json:entries[0].variant: reported ['b0'] recomputed 'b0'"),
 ]
 
 
