@@ -60,6 +60,7 @@ from .lower_level import (
     build_qp,
     choose_linearization_point,
     solve_lower,
+    sweep_lower,
 )
 from .upper_level import (
     BilevelSolution,

@@ -103,7 +103,8 @@ def write_trajectory_csv(path, times, states, inputs):
 def read_trajectory_csv(path):
     """Inverse of :func:`write_trajectory_csv`, trimming the repeated input
     row. A file without two rows of one number per header column, the
-    shortest trajectory written, raises ``ArtifactError`` naming it."""
+    shortest trajectory written, or whose last input row does not repeat
+    the one before it, raises ``ArtifactError`` naming it."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         try:
@@ -119,8 +120,11 @@ def read_trajectory_csv(path):
     n_u = sum(1 for name in header if name.startswith("u"))
     times = data[:, 0]
     states = data[:, 1 : 1 + n_x]
-    inputs = data[:-1, 1 + n_x : 1 + n_x + n_u]
-    return times, states, inputs
+    inputs = data[:, 1 + n_x : 1 + n_x + n_u]
+    if not np.array_equal(inputs[-1], inputs[-2], equal_nan=True):
+        raise ArtifactError(f"{path}: the last input row {inputs[-1].tolist()} does "
+                            f"not repeat the one before it, {inputs[-2].tolist()}")
+    return times, states, inputs[:-1]
 
 
 def trajectory_pcc(times_a, values_a, times_b, values_b):

@@ -216,12 +216,13 @@ def _solve_records(run, model):
     return records, entries, timings
 
 
-def cmd_solve(run, out_dir, model):
+def cmd_solve(run, out_dir, model, command="solve"):
     """Write :func:`_solve_records` of the model that ``cmd_identify`` wrote
     to ``out_dir``, then ``config.json`` (the config ``run`` was parsed from)
     and ``report.json``: the entries, the sha256 of ``config.json`` and
-    ``model.json``, and the OpenBLAS thread count it ran
-    (:func:`_blas_threads`). Returns the report and the timings."""
+    ``model.json``, the OpenBLAS thread count it ran (:func:`_blas_threads`)
+    and the command that writes the directory, ``solve`` or ``reproduce``.
+    Returns the report and the timings."""
     _ensure_dir(out_dir)
     records, entries, timings = _solve_records(run, model)
     for name, record in records.items():
@@ -239,6 +240,7 @@ def cmd_solve(run, out_dir, model):
             "config_hash": artifacts.sha256_file(config_path),
             "model_hash": artifacts.sha256_file(_model_path(out_dir)),
             "blas_threads": _blas_threads(),
+            "command": command,
         },
     }
     artifacts.write_json(os.path.join(out_dir, "report.json"), report)
@@ -355,7 +357,7 @@ def cmd_reproduce(bundle_name, out_dir, seed=None):
         timings["sweep"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    report, solve_timings = cmd_solve(run, out_dir, model)
+    report, solve_timings = cmd_solve(run, out_dir, model, command="reproduce")
     timings["solve"] = time.perf_counter() - t0
     timings.update(solve_timings)
 
@@ -454,24 +456,27 @@ def cmd_audit(out_dir):
 
     ``config.json`` is parsed by :func:`~koopbilevel.config.validate_config`
     and re-run on ``model.json`` as the run ran it: :func:`_solve_records`,
-    the period sweep if there is a ``sweep_T.csv``, and :func:`_gates_record`
-    if there is a ``gates_report.json``. Each file those write, and
-    ``report.json``, is diffed whole with the re-run's record by
-    :func:`_diff`. What no re-run rebuilds is checked otherwise:
-    ``residual_report.json`` is :func:`_residual_record` of the model read
-    back, both hashes are recomputed, ``model.json``'s fit settings are the
-    config's, and ``blas_threads`` and the gates' timings are taken from the
-    files. A ``*_solution.json`` or ``*_bilevel.csv`` that the re-run does
-    not write is a problem too.
+    then, for a ``reproduce`` run, :func:`_gates_record` and the period sweep
+    if the config has a ``sweep``. A directory with a ``gates_report.json``
+    is a ``reproduce`` run, and the command that ``report.json`` records is
+    diffed with that; a ``sweep_T.csv`` is re-run in any directory. Each
+    file those write, and ``report.json``, is diffed whole with the re-run's
+    record by :func:`_diff`, so a file that a ``reproduce`` run writes and
+    the directory lacks cannot be read. What no re-run rebuilds is checked
+    otherwise: ``residual_report.json`` is :func:`_residual_record` of the
+    model read back, both hashes are recomputed, ``model.json``'s fit
+    settings are the config's, and ``blas_threads`` and the gates' timings
+    are taken from the files. A ``*_solution.json`` or ``*_bilevel.csv``
+    that the re-run does not write is a problem too.
 
     The re-run is exact on the libraries that wrote the files. Run on other
     libraries, the solvers' iteration-path fields (``history``, ``nit``,
     ``kkt_residual``) can differ beyond :func:`_close`, and are reported as
     mismatches like any other field.
 
-    A file that is missing or does not parse, a ``config.json`` that is not
-    a valid config and a ``gates_report.json`` that names no shipped bundle
-    raise ``ArtifactError``."""
+    A file that is missing raises ``OSError``; one that does not parse, a
+    ``config.json`` that is not a valid config and a ``gates_report.json``
+    that names no shipped bundle raise ``ArtifactError``."""
     report_path = os.path.join(out_dir, "report.json")
     if not os.path.isfile(report_path):
         raise ArtifactError(f"{report_path}: no such file; audit checks the "
@@ -486,18 +491,20 @@ def cmd_audit(out_dir):
 
     records, entries, _ = _solve_records(run, model)
     written = artifacts.read_json(report_path).get("provenance")
+    gates_path = os.path.join(out_dir, "gates_report.json")
+    reproduce = os.path.exists(gates_path)
     records["report.json"] = {"entries": entries, "provenance": {
         "config_hash": artifacts.sha256_file(config_path),
         "model_hash": model_hash,
         "blas_threads": written.get("blas_threads") if isinstance(written, dict) else None,
+        "command": "reproduce" if reproduce else "solve",
     }}
     records["residual_report.json"] = dict(_residual_record(model), model_hash=model_hash)
     sweep_rows = None
-    if os.path.exists(os.path.join(out_dir, "sweep_T.csv")):
+    if reproduce and "sweep" in run.raw or os.path.exists(os.path.join(out_dir, "sweep_T.csv")):
         sweep_rows = sweep_period(model, run.variants[0], run.mbc, run.period_grid, run.N)
         records["sweep_T.csv"] = {"rows": sweep_rows}
-    gates_path = os.path.join(out_dir, "gates_report.json")
-    if os.path.exists(gates_path):
+    if reproduce:
         records["gates_report.json"] = _audited_gates(gates_path, sweep_rows, entries)
 
     problems = [problem for name, record in records.items()

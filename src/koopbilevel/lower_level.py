@@ -13,23 +13,32 @@ psi(x0) and the leading kN entries of z(N) to psi(xT), either the whole lift
   mismatch to the objective at weight w in (0, 1).
 
 The decision vector is z(0)'s n_z - k0 free entries, then the input knots.
+Its Hessian is diagonal plus at most rank n_z, H = diag(d) + G'G: d is 2(1 -
+w)h on the inputs and 2w on z(0)'s free entries, and G = sqrt(2w) F for the
+map z(N) = zN + F v, with no rows for the hard variants. ``numerics.solve_kkt``
+eliminates every entry with d > 0 and LU-factors what is left, at most 2 n_z
+wide: n_x for ``b0``, 2 n_z - n_x for ``bT`` (whose free z(0) entries cost
+nothing), n_z + n_x for ``soft``.
 
 Each map is elementwise in the eigenbasis of L0 = V diag(lam) V^-1, computed
 once per model (``GeneratorModel.modes``): the condensing blocks Ad^j Bd =
 V diag(e^(j lam h) h phi1(lam h)) V^-1 B, Ad^N on z(0) and the free response
 Ad^k z0, in complex arithmetic with real results out. No step of a solve
-loops over the knots in Python. A solve ends at the inputs and the running
-cost, the only part the upper search reads; the lifted trajectory is rebuilt
-on its first read.
+loops over the knots in Python. Every step also runs over a leading batch
+axis of problems that share model, variant and N: ``sweep_lower`` solves a
+whole period grid in one pass, and ``solve_lower`` is its batch of one. Each
+problem of a batch is solved as it would be alone. A solve ends at the inputs
+and the running cost, the only part the upper search reads; the lifted
+trajectory is rebuilt on its first read.
 
 The running cost's exact derivatives in (x0, xT, T) come from the solved QP
 (``LowerLevelSolution.cost_gradient``; Amos & Kolter, *OptNet*, ICML 2017):
 elementwise tangents of the same maps, with the lifted boundaries' tangents
-as complex steps of the dictionary, then one adjoint solve with the LU
-factors of the KKT solve (``numerics.qp_sensitivity``).
+as complex steps of the dictionary, then one adjoint solve with the reduced
+LU factors of the KKT solve (``numerics.qp_sensitivity``).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -46,6 +55,7 @@ __all__ = [
     "choose_linearization_point",
     "build_qp",
     "solve_lower",
+    "sweep_lower",
 ]
 
 _VARIANT_KINDS = ("b0", "bT", "soft")
@@ -78,9 +88,8 @@ class BoundaryVariant:
 class LowerLevelProblem:
     """One lower-level instance: model + variant + boundary data + grid.
 
-    It also carries the lifted boundaries ``psi0 = psi(x0)`` and
-    ``psiT = psi(xT)``, computed once, in one dictionary evaluation, when the
-    problem is built; the QP assembly and the solve read them from here.
+    Building one checks the data; ``build_qp`` lifts the boundaries of a
+    whole batch of problems in one dictionary evaluation.
     """
 
     model: object
@@ -89,8 +98,6 @@ class LowerLevelProblem:
     xT: np.ndarray
     T: float
     N: int
-    psi0: np.ndarray = field(init=False)
-    psiT: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
@@ -105,9 +112,6 @@ class LowerLevelProblem:
             raise BuildError(f"period must be positive, got T={self.T}")
         if self.N < 2:
             raise BuildError(f"need at least 2 knots, got N={self.N}")
-        psi0, psiT = lift(self.model.dictionary, np.stack([self.x0, self.xT]))
-        object.__setattr__(self, "psi0", psi0)
-        object.__setattr__(self, "psiT", psiT)
 
 
 @dataclass(frozen=True)
@@ -115,17 +119,17 @@ class LowerLevelSolution:
     """Inputs, running cost and KKT result; the lifted trajectory on demand.
 
     ``problem`` is the :class:`LowerLevelProblem` that was solved; the
-    variant, period, grid, dictionary and lifted boundaries are read from it.
-    The upper search reads only ``c``, so a solve stops at the inputs. The
-    lifted trajectory ``z_traj`` and the boundary mismatch ``c_hat`` are
-    computed on first read and kept, as are ``manifold_defects`` (the
-    distance of each knot of ``z_traj`` from the lift manifold of the
-    problem's dictionary, in one batched ``manifold_defect`` call) and
-    ``trajectory``, the ``(times, states, inputs)`` triple with ``z_traj``
-    unlifted to the original states: the one form in which a trajectory is
-    written, compared and used as a warm start. For that, and for the cost
-    gradient, the solution keeps the solved ``QpBuild`` ``qp`` and the
-    initial lifted state ``z0``.
+    variant, period, grid and dictionary are read from it. The upper search
+    reads only ``c``, so a solve stops at the inputs. The lifted trajectory
+    ``z_traj`` and the boundary mismatch ``c_hat`` are computed on first
+    read and kept, as are ``manifold_defects`` (the distance of each knot of
+    ``z_traj`` from the lift manifold of the problem's dictionary, in one
+    batched ``manifold_defect`` call) and ``trajectory``, the ``(times,
+    states, inputs)`` triple with ``z_traj`` unlifted to the original
+    states: the one form in which a trajectory is written, compared and used
+    as a warm start. For that, and for the cost gradient, the solution keeps
+    the solved ``QpBuild`` ``qp``, which holds the lifted boundaries, and
+    the initial lifted state ``z0``.
     """
 
     u_traj: np.ndarray
@@ -148,8 +152,8 @@ class LowerLevelSolution:
 
     @cached_property
     def c_hat(self):
-        z, p = self.z_traj, self.problem
-        return float(np.sum((z[0] - p.psi0) ** 2) + np.sum((z[-1] - p.psiT) ** 2))
+        z, qp = self.z_traj, self.qp
+        return float(np.sum((z[0] - qp.psi0) ** 2) + np.sum((z[-1] - qp.psiT) ** 2))
 
     @cached_property
     def manifold_defects(self):
@@ -192,11 +196,14 @@ def _pinned(variant, n_x, n_z):
 
 @dataclass(frozen=True)
 class QpBuild:
-    """Condensed QP data in v = (z(0)'s free entries, inputs), with z(N) =
-    zN + F v (``build_qp``) and the modal maps of ``_discretize``, which
-    rebuild z and give the data's tangents."""
+    """Condensed QP data in v = (z(0)'s free entries, inputs), with Hessian
+    diag(d) + G'G and z(N) = zN + F v (``build_qp``), the lifted boundaries
+    ``psi0 = psi(x0)`` and ``psiT = psi(xT)``, and the modal maps of
+    ``_discretize``, which rebuild z and give the data's tangents. Each
+    field carries the batch axis of the problems it was built for."""
 
-    H: np.ndarray
+    d: np.ndarray
+    G: np.ndarray
     g: np.ndarray
     Aeq: np.ndarray
     beq: np.ndarray
@@ -206,32 +213,37 @@ class QpBuild:
     powers: np.ndarray
     q: np.ndarray
     Bm: np.ndarray
+    psi0: np.ndarray
+    psiT: np.ndarray
 
 
 def _from_modes(V, weights, K):
     """Real parts of V diag(w) K for each column w of ``weights``, side by
-    side, as one real product of ``V`` = [Re V, -Im V] and [Re W; Im W]. At
+    side, as one real product of ``V`` = [Re V, -Im V] and [Re W; Im W];
+    ``weights`` and ``K`` may carry matching leading batch axes. At
     one OpenBLAS thread the complex GEMM ``(V @ W).real`` is no faster (a
     ``solve_lower`` and its ``cost_gradient`` took the same time within 2 %
     on fig1 and walker), and it rounds otherwise: walker's T* would move by
     4.8e-8 relative. With two threads a complex GEMM of some sizes stalls.
     """
-    W = (weights[:, :, None] * K[:, None, :]).reshape(V.shape[0], -1)
-    return V @ np.vstack([W.real, W.imag])
+    W = weights[..., :, :, None] * K[..., :, None, :]
+    W = W.reshape(*W.shape[:-2], -1)
+    return V @ np.concatenate([W.real, W.imag], axis=-2)
 
 
 def _discretize(modes, B, h, N):
     """Exact ZOH of ``dz/dt = L0 z + B u`` at step h, in L0's eigenbasis.
 
-    Returns ``powers[:, j]`` = e^(j lam h) for j = 0..N, q = h phi1(lam h),
+    Returns ``powers[..., j]`` = e^(j lam h) for j = 0..N, q = h phi1(lam h),
     Bm = V^-1 B, and S with ``z_N = Ad^N z_0 + S u`` (u stacked knot-major),
     whose block of knot m is Ad^(N-1-m) Bd = V diag(e^((N-1-m) lam h) q) Bm.
+    ``h`` and ``B`` may carry a leading batch axis.
     """
     lam, V, Vinv = modes
     _, q = zoh_discretize(lam, h)
-    powers = np.exp(np.multiply.outer(lam, h * np.arange(N + 1)))
+    powers = np.exp(lam[:, None] * np.multiply.outer(h, np.arange(N + 1))[..., None, :])
     Bm = Vinv @ B
-    return powers, q, Bm, _from_modes(V, powers[:, N - 1 :: -1] * q[:, None], Bm)
+    return powers, q, Bm, _from_modes(V, powers[..., N - 1 :: -1] * q[..., None], Bm)
 
 
 def _trajectory(modes, powers, S, z0, u):
@@ -240,18 +252,22 @@ def _trajectory(modes, powers, S, z0, u):
     ``z_k = Ad^k z_0 + sum_{j<k} Ad^(k-1-j) Bd u_j``: the free response V
     diag(e^(k lam h)) V^-1 z_0, plus one block-Toeplitz product. Row k-1 of
     that product is the inputs shifted right by N-k knots, so that u_j meets
-    the block of S (``_discretize``) that holds Ad^(k-1-j) Bd.
+    the block of S (``_discretize``) that holds Ad^(k-1-j) Bd. Each argument
+    may carry a leading batch axis; the shifted inputs are a strided view,
+    so no (N, N n_u) operand is built.
     """
     _, V, Vinv = modes
-    N, n_u = u.shape
-    free = _from_modes(V, powers[:, 1:], (Vinv @ z0)[:, None]).T
-    shifted = np.concatenate([np.zeros((N - 1) * n_u), u.ravel()])
-    lagged = np.lib.stride_tricks.sliding_window_view(shifted, N * n_u)[::n_u]
-    return np.vstack([z0, free + lagged @ S.T])
+    N, n_u = u.shape[-2:]
+    free = np.swapaxes(_from_modes(V, powers[..., 1:], Vinv @ z0[..., None]), -1, -2)
+    flat = u.reshape(*u.shape[:-2], N * n_u)
+    shifted = np.concatenate([np.zeros((*flat.shape[:-1], (N - 1) * n_u)), flat], axis=-1)
+    lagged = np.lib.stride_tricks.sliding_window_view(shifted, N * n_u, axis=-1)[..., ::n_u, :]
+    return np.concatenate([z0[..., None, :], free + lagged @ np.swapaxes(S, -1, -2)],
+                          axis=-2)
 
 
 def _qp_tangents(sol, J):
-    """Tangents (dH, dg, dAeq, dbeq) of ``build_qp``'s data along the
+    """Tangents (dd, dG, dg, dAeq, dbeq) of ``build_qp``'s data along the
     columns of ``J`` (see ``LowerLevelSolution.cost_gradient``), stacked over
     them.
 
@@ -282,73 +298,96 @@ def _qp_tangents(sol, J):
     AdN = _from_modes(V, eT[:, None], Vinv)
     dAdN = dT[:, None, None] * _from_modes(V, (lam * eT)[:, None], Vinv)
     # tangents of zN and F in z(N) = zN + F v (build_qp)
-    dzN = dAdN[:, :, :k0] @ p.psi0[:k0] + (AdN[:, :k0] @ dpsi0[:k0]).T
+    dzN = dAdN[:, :, :k0] @ qp.psi0[:k0] + (AdN[:, :k0] @ dpsi0[:k0]).T
     dF = np.concatenate([dAdN[:, :, k0:], dS], axis=2)
     nf, nv = n_z - k0, dF.shape[2]
-    dH, inputs = np.zeros((k, nv, nv)), np.arange(nf, nv)
-    dH[:, inputs, inputs] = 2.0 * (1.0 - w) * dh[:, None]
+    dd = np.zeros((k, nv))
+    dd[:, nf:] = 2.0 * (1.0 - w) * dh[:, None]
     dg = np.zeros((k, nv))
     if w:
-        FtdF = qp.F.T @ dF
-        dH += 2.0 * w * (FtdF + FtdF.transpose(0, 2, 1))
-        dg = 2.0 * w * (dF.transpose(0, 2, 1) @ (qp.zN - p.psiT) + (dzN - dpsiT.T) @ qp.F)
+        dg = 2.0 * w * (dF.transpose(0, 2, 1) @ (qp.zN - qp.psiT) + (dzN - dpsiT.T) @ qp.F)
         dg[:, :nf] -= 2.0 * w * dpsi0[k0:].T
-    return dH, dg, dF[:, :kN], dpsiT.T[:, :kN] - dzN[:, :kN]
+    dG = np.sqrt(2.0 * w) * dF if w else dF[:, :0]
+    return dd, dG, dg, dF[:, :kN], dpsiT.T[:, :kN] - dzN[:, :kN]
 
 
-def build_qp(problem):
-    """Assemble (H, g, Aeq, beq) for the condensed lower-level QP.
+def build_qp(problems):
+    """Assemble the condensed lower-level QP of each problem, stacked on a
+    leading batch axis; the problems share model, variant and N. Their
+    boundaries are lifted in one dictionary evaluation.
 
     The decision vector v is z(0)'s n_z - k0 free entries, then
     u0..u_{N-1}; the equality rows are the first kN of z(N) = zN + F v, with
     (k0, kN) the variant's pinned counts (module docstring). The objective is
     1 - w times the running cost, the exact piecewise-constant discretization
-    h * sum ||u_k||^2 with h = T/N, plus w times the lifted boundary mismatch.
+    h * sum ||u_k||^2 with h = T/N, plus w times the lifted boundary mismatch
+    ||z(0) - psi0||^2 + ||z(N) - psiT||^2. Its Hessian is diag(d) + G'G, with
+    d = 2(1 - w)h on the inputs and 2w on z(0)'s free entries, and G =
+    sqrt(2w) F, which has no rows for a hard variant.
     """
-    model, variant = problem.model, problem.variant
-    n_x, n_z, N = model.dictionary.n_x, model.n_z, problem.N
+    model, variant, N = problems[0].model, problems[0].variant, problems[0].N
+    if any(p.model is not model or p.variant != variant or p.N != N for p in problems):
+        raise BuildError("the problems of a batch must share model, variant and N")
+    n_x, n_z = model.dictionary.n_x, model.n_z
     k0, kN = _pinned(variant, n_x, n_z)
-    w, h = variant.w, problem.T / N
+    P, nf = len(problems), n_z - k0
+    w, h = variant.w, np.array([p.T for p in problems], dtype=float) / N
 
-    psi0, psiT = problem.psi0, problem.psiT
+    psi0, psiT = np.split(lift(model.dictionary, np.concatenate(
+        [[p.x0 for p in problems], [p.xT for p in problems]])), 2)
     B = model.surrogate.input_map(choose_linearization_point(variant, psi0, psiT))
     _, V, Vinv = model.real_modes
     powers, q, Bm, S = _discretize(model.real_modes, B, h, N)
-    eT = powers[:, N]  # e^(lam T)
 
     # Ad^N takes z(0)'s pinned entries to zN and its free ones into F
-    AdN_z0 = _from_modes(V, eT[:, None], np.concatenate(
-        [(Vinv[:, :k0] @ psi0[:k0])[:, None], Vinv[:, k0:]], axis=1))
-    zN, F = AdN_z0[:, 0], np.concatenate([AdN_z0[:, 1:], S], axis=1)
-    nf, nv = n_z - k0, F.shape[1]
-    H = np.diag(2.0 * (1.0 - w) * h * (np.arange(nv) >= nf))
-    g = np.zeros(nv)
-    if w:  # soft: ||z(0) - psi0||^2 + ||z(N) - psiT||^2 at weight w
-        E0 = np.eye(nf, nv)
-        H += 2.0 * w * (E0.T @ E0 + F.T @ F)
-        g = 2.0 * w * (F.T @ (zN - psiT) - E0.T @ psi0[k0:])
-    return QpBuild(H=H, g=g, Aeq=F[:kN], beq=psiT[:kN] - zN[:kN], zN=zN, F=F,
-                   S=S, powers=powers, q=q, Bm=Bm)
+    K = np.empty((P, n_z, 1 + nf), dtype=Vinv.dtype)
+    K[..., :1] = Vinv[:, :k0] @ psi0[:, :k0, None]
+    K[..., 1:] = Vinv[:, k0:]
+    AdN_z0 = _from_modes(V, powers[..., N, None], K)  # e^(lam T)
+    zN, F = AdN_z0[..., 0], np.concatenate([AdN_z0[..., 1:], S], axis=-1)
+    d = np.empty((P, F.shape[-1]))
+    d[:, :nf] = 2.0 * w
+    d[:, nf:] = 2.0 * (1.0 - w) * h[:, None]
+    g = np.zeros(d.shape)
+    if w:
+        g = (F.transpose(0, 2, 1) @ (zN - psiT)[..., None])[..., 0]
+        g[:, :nf] -= psi0[:, k0:]
+        g *= 2.0 * w
+    return QpBuild(d=d, G=np.sqrt(2.0 * w) * F if w else F[:, :0], g=g, Aeq=F[:, :kN],
+                   beq=psiT[:, :kN] - zN[:, :kN], zN=zN, F=F, S=S, powers=powers,
+                   q=q, Bm=Bm, psi0=psi0, psiT=psiT)
+
+
+def _split_primal(psi0, primal, N, n_u):
+    """z(0) and the ``(N, n_u)`` inputs of the QP's primal, over any
+    leading batch axis: z(0)'s free entries lead the vector."""
+    nf = primal.shape[-1] - N * n_u
+    z0 = np.concatenate([psi0[..., : psi0.shape[-1] - nf], primal[..., :nf]], axis=-1)
+    return z0, primal[..., nf:].reshape(*primal.shape[:-1], N, n_u)
+
+
+def _solve_qps(problems):
+    """``build_qp`` of the problems and ``solve_kkt``'s result for each."""
+    qp = build_qp(problems)
+    return qp, solve_kkt(qp.d, qp.G, qp.g, qp.Aeq, qp.beq)
 
 
 def solve_lower(problem):
     """Solve the condensed QP for the inputs and the running cost.
 
-    The solve computes the original running cost ``c``, the only part the
-    upper level consumes. The lifted trajectory, the lifted boundary
-    mismatch ``c_hat`` and the trajectory's manifold defects wait for their
-    first read (see ``LowerLevelSolution``). The dictionary is evaluated
-    once, for the boundaries, when ``problem`` is built. A KKT system that
-    ``solve_kkt`` rejects raises its ``DegenerateQpError``, with ``min_pivot``.
+    The batch of one of ``sweep_lower``'s solve. It computes the original
+    running cost ``c``, the only part the upper level consumes. The lifted
+    trajectory, the lifted boundary mismatch ``c_hat`` and the trajectory's
+    manifold defects wait for their first read (see ``LowerLevelSolution``).
+    The dictionary is evaluated once, for the boundaries, in ``build_qp``. A
+    KKT system that ``solve_kkt`` rejects raises its ``DegenerateQpError``,
+    with ``min_pivot``.
     """
-    qp = build_qp(problem)
-    kkt = solve_kkt(qp.H, qp.g, qp.Aeq, qp.beq)
-
-    N, n_z, n_u = problem.N, problem.model.n_z, problem.model.n_u
-    nf = kkt.primal.size - N * n_u  # z(0)'s free entries lead the vector
-    z0 = np.concatenate([problem.psi0[: n_z - nf], kkt.primal[:nf]])
-    u = kkt.primal[nf:].reshape(N, n_u)
-
+    qp, (kkt,) = _solve_qps([problem])
+    if not isinstance(kkt, KktResult):
+        raise kkt
+    qp = QpBuild(*(getattr(qp, f.name)[0] for f in fields(QpBuild)))
+    z0, u = _split_primal(qp.psi0, kkt.primal, problem.N, problem.model.n_u)
     return LowerLevelSolution(
         u_traj=u,
         c=running_cost(problem.T, u),
@@ -357,3 +396,29 @@ def solve_lower(problem):
         qp=qp,
         z0=z0,
     )
+
+
+def sweep_lower(problems):
+    """Rows ``(c, kkt_residual, manifold_defect_max)`` of the problems'
+    solutions, as a ``(len(problems), 3)`` array, from one batched solve.
+
+    The problems share model, variant and N. ``kkt_residual`` is the larger
+    of the stationarity and feasibility residuals, and the defects of every
+    knot of every trajectory come from one ``manifold_defect`` call. Each
+    row equals what ``solve_lower`` gives for its problem alone; a problem
+    whose QP ``solve_kkt`` rejects gets a row of NaN.
+    """
+    qp, results = _solve_qps(problems)
+    rows = np.full((len(problems), 3), np.nan)
+    ok = [i for i, kkt in enumerate(results) if isinstance(kkt, KktResult)]
+    if not ok:
+        return rows
+    model, N = problems[0].model, problems[0].N
+    z0, u = _split_primal(qp.psi0[ok], np.stack([results[i].primal for i in ok]), N,
+                          model.n_u)
+    z = _trajectory(model.real_modes, qp.powers[ok], qp.S[ok], z0, u)
+    rows[ok, 2] = manifold_defect(model.dictionary, z).max(axis=1)
+    rows[ok, :2] = [(running_cost(problems[i].T, u_i),
+                     max(results[i].stationarity_residual, results[i].feasibility_residual))
+                    for i, u_i in zip(ok, u)]
+    return rows

@@ -32,7 +32,7 @@ from .errors import (
     LowerLevelError,
     NoSolutionError,
 )
-from .lower_level import LowerLevelProblem, solve_lower
+from .lower_level import LowerLevelProblem, solve_lower, sweep_lower
 from .numerics import complex_step
 from .systems import step_length
 
@@ -130,6 +130,12 @@ class BilevelSolution:
         return sum(stage["nfev"] for stage in self.start_records)
 
 
+def _reduce(model, variant, mbc, p, N):
+    """The lower-level problem at p: ``mbc.reduction(p)`` = (x0, xT, T)."""
+    x0, xT, T = mbc.reduction(p)
+    return LowerLevelProblem(model=model, variant=variant, x0=x0, xT=xT, T=T, N=N)
+
+
 def _lower_eval(model, variant, mbc, p, N):
     """Upper cost at p: reduce p to (x0, xT, T) and solve the lower level.
 
@@ -137,10 +143,7 @@ def _lower_eval(model, variant, mbc, p, N):
     the reduction or the lower solve fails.
     """
     try:
-        x0, xT, T = mbc.reduction(p)
-        sol = solve_lower(LowerLevelProblem(
-            model=model, variant=variant, x0=x0, xT=xT, T=T, N=N
-        ))
+        sol = solve_lower(_reduce(model, variant, mbc, p, N))
     except KoopbilevelError as exc:
         return np.inf, None, exc
     return sol.c, sol, None
@@ -227,26 +230,28 @@ def solve_reduced(model, variant, mbc, config, N):
 def sweep_period(model, variant, mbc, T_grid, N):
     """Evaluate the upper objective on a period grid (no refinement).
 
-    Returns one row per grid point with the lower-level diagnostics; failed
-    points carry NaNs so a sweep never dies on an isolated degenerate period.
+    Returns one row per grid point with the lower-level diagnostics of
+    ``lower_level.sweep_lower``: every point that reduces is solved in one
+    batch, and each row equals the point's own ``solve_lower``. A point whose
+    reduction raises, or whose QP ``solve_kkt`` rejects, carries NaNs, so a
+    sweep never dies on an isolated degenerate period.
     """
     if mbc.reduction is None or mbc.p_dim != 1:
         raise ConfigError("period sweeps need a one-dimensional reduction")
-
-    def evaluate(T):
-        cost, sol, _ = _lower_eval(model, variant, mbc, np.asarray([T]), N)
-        if sol is None:
-            return {"T": float(T), "c_star": np.nan,
-                    "kkt_residual": np.nan, "manifold_defect_max": np.nan}
-        return {
-            "T": float(T),
-            "c_star": cost,
-            "kkt_residual": max(sol.kkt.stationarity_residual,
-                                sol.kkt.feasibility_residual),
-            "manifold_defect_max": float(np.max(sol.manifold_defects)),
-        }
-
-    return [evaluate(T) for T in np.asarray(T_grid, dtype=float)]
+    T_grid = np.asarray(T_grid, dtype=float)
+    problems, reduced = [], []
+    for i, T in enumerate(T_grid):
+        try:
+            problems.append(_reduce(model, variant, mbc, np.asarray([T]), N))
+        except KoopbilevelError:
+            continue
+        reduced.append(i)
+    values = np.full((T_grid.size, 3), np.nan)
+    if problems:
+        values[reduced] = sweep_lower(problems)
+    return [{"T": float(T), **dict(zip(
+        ("c_star", "kkt_residual", "manifold_defect_max"), row.tolist()))}
+        for T, row in zip(T_grid, values)]
 
 
 # ---------------------------------------------------------------------------

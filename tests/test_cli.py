@@ -374,7 +374,7 @@ IDENTIFICATION_CORRUPTIONS = [
      STALE_HASHES[1:]),
     ("report.json", _json_edit(_set(["provenance"], 5)),
      ["MISMATCH report.json:provenance: reported 5 recomputed {'blas_threads': None, "
-      "'config_hash': "]),
+      "'command': 'reproduce', 'config_hash': "]),
     # a config that solve did not run, whose sweep grid has another size,
     # on which the gates are re-evaluated too
     ("config.json", _json_edit(_set(["sweep", "points"], 138)),
@@ -404,6 +404,28 @@ def test_audit_checks_the_identification_record(fig1_run, capsys, name,
     out = capsys.readouterr().out
     assert all(text in out for text in named), out
     assert all(line.startswith(tuple(named)) for line in out.splitlines()), out
+
+
+@pytest.mark.parametrize("names,code,named", [
+    (["gates_report.json"], 1,
+     "MISMATCH report.json:provenance.command: reported 'reproduce' recomputed 'solve'"),
+    (["sweep_T.csv"], 2, "sweep_T.csv"),
+    (["gates_report.json", "sweep_T.csv"], 1,
+     "MISMATCH report.json:provenance.command: reported 'reproduce' recomputed 'solve'"),
+], ids=["gates", "sweep", "gates_and_sweep"])
+def test_audit_of_a_reproduce_run_needs_its_files(fig1_run, capsys, names, code, named):
+    # report.json records that reproduce wrote the directory, and fig1's
+    # config has a sweep
+    paths = [os.path.join(fig1_run, name) for name in names]
+    for path in paths:
+        os.rename(path, path + ".moved")
+    try:
+        assert cli.main(["audit", "--out", fig1_run]) == code
+    finally:
+        for path in paths:
+            os.rename(path + ".moved", path)
+    captured = capsys.readouterr()
+    assert named in (captured.out if code == 1 else captured.err)
 
 
 def test_audit_without_the_config_exits_2(fig1_run, capsys):
@@ -510,9 +532,10 @@ MALFORMED_ARTIFACTS = [
     ("config.json", lambda text: text[: len(text) // 2], 2, "config.json"),
     ("config.json", lambda text: "5", 2, "config.json"),
     ("config.json", _json_edit(_set(["substeps"], 7)), 2, "config.json"),
-    # a baseline trajectory too short, or with a state that the dynamics
-    # reject
-    ("baseline.csv", lambda text: "".join(text.splitlines(True)[:5]),
+    # a baseline trajectory too short, its last input row repeated as a
+    # trajectory file has it, or with a state that the dynamics reject
+    ("baseline.csv", lambda text: _set_csv_value(
+        "".join(text.splitlines(True)[:5]), 3, -1, text.splitlines()[3].split(",")[-1]),
      1, "MISMATCH baseline.csv:times: reported 'length 4' recomputed 'length 102'"),
     ("baseline.csv", lambda text: _set_csv_value(text, 3, 1, "nan"),
      1, "MISMATCH baseline.csv:states[3][0]: reported nan"),
@@ -529,6 +552,10 @@ MALFORMED_ARTIFACTS = [
      "MISMATCH baseline.csv:inputs[0][0]: reported 0.0"),
     ("b0_bilevel.csv", _constant_csv_column(-1), 1, "MISMATCH b0_bilevel.csv:inputs[1][0]:"),
     ("sweep_T.csv", lambda text: _set_csv_value(text, 10, 1, "abc"), 2, "sweep_T.csv"),
+    # a last input row that does not repeat the one before it, which the
+    # reader would otherwise drop unread
+    ("b0_bilevel.csv", lambda text: _set_csv_value(text, text.count("\n") - 2, -1, "123.0"),
+     2, "b0_bilevel.csv: the last input row [123.0] does not repeat"),
     # gates that audit cannot re-evaluate: of a bundle that does not ship,
     # or on timings that are not numbers
     ("gates_report.json", _json_edit(_set(["bundle"], "bogus")), 2,
@@ -551,8 +578,8 @@ MALFORMED_ARTIFACTS = [
                               "constant_baseline_times",
                               "constant_baseline_inputs",
                               "first_bilevel_input_everywhere",
-                              "string_sweep_cost", "unknown_bundle",
-                              "string_timing"])
+                              "string_sweep_cost", "last_input_not_repeated",
+                              "unknown_bundle", "string_timing"])
 def test_audit_of_a_malformed_artifact_names_it(fig1_run, capsys, name, rewrite,
                                                 code, named):
     assert _audit_after_rewrite(os.path.join(fig1_run, name), rewrite) == code
@@ -738,6 +765,7 @@ def test_solve_identifies_from_its_own_config(tmp_path):
         "config_hash": artifacts.sha256_file(config_path),
         "model_hash": artifacts.sha256_file(model_path),
         "blas_threads": 1,
+        "command": "solve",
     }
 
 

@@ -4,6 +4,7 @@ import scipy.linalg
 
 from koopbilevel import (
     BoundaryVariant,
+    BuildError,
     ConfigError,
     DegenerateQpError,
     LowerLevelProblem,
@@ -44,6 +45,11 @@ def loop_trajectory(Ad, Bd, z0, u):
     for u_k in u:
         Z.append(Ad @ Z[-1] + Bd @ u_k)
     return np.array(Z)
+
+
+def hessian(qp):
+    """The dense Hessian diag(d) + G'G of a batch of one ``build_qp``."""
+    return np.diag(qp.d[0]) + qp.G[0].T @ qp.G[0]
 
 
 def make_problem(model, kind, x0, xT, T, N, w=0.0):
@@ -114,22 +120,25 @@ class TestBuildQp:
         problem = make_problem(
             pendulum_model, kind, [0.5, 0.0], [0.5, 0.0], TWO_PI, 5, w=w
         )
-        qp = build_qp(problem)
-        assert qp.Aeq.shape[0] == rows
+        qp = build_qp([problem])
+        assert qp.Aeq.shape[1] == rows
 
     def test_decision_vector_layout(self, pendulum_model):
-        qp0 = build_qp(make_problem(pendulum_model, "b0", [0.5, 0], [0.5, 0], 6.0, 7))
-        assert qp0.H.shape == (7, 7)  # inputs only, z0 eliminated
-        qpT = build_qp(make_problem(pendulum_model, "bT", [0.5, 0], [0.5, 0], 6.0, 7))
-        assert qpT.H.shape == (17, 17)  # n_z - n_x free z0 entries + N
+        qp0 = build_qp([make_problem(pendulum_model, "b0", [0.5, 0], [0.5, 0], 6.0, 7)])
+        assert qp0.d.shape == (1, 7)  # inputs only, z0 eliminated
+        assert qp0.G.shape == (1, 0, 7)  # a hard variant's Hessian is diagonal
+        qpT = build_qp([make_problem(pendulum_model, "bT", [0.5, 0], [0.5, 0], 6.0, 7)])
+        assert qpT.d.shape == (1, 17)  # n_z - n_x free z0 entries + N
+        # the free z0 entries cost nothing, and the inputs 2h each
+        np.testing.assert_array_equal(qpT.d[0], [0.0] * 10 + [2.0 * 6.0 / 7] * 7)
 
     def test_hessian_psd(self, pendulum_model):
         for kind, w in (("b0", 0.0), ("bT", 0.0), ("soft", 0.3)):
-            qp = build_qp(
-                make_problem(pendulum_model, kind, [0.7, 0], [0.6, 0.1], 5.0, 8, w=w)
-            )
-            eigs = np.linalg.eigvalsh(0.5 * (qp.H + qp.H.T))
-            assert eigs.min() >= -1e-10 * np.linalg.norm(qp.H)
+            H = hessian(build_qp(
+                [make_problem(pendulum_model, kind, [0.7, 0], [0.6, 0.1], 5.0, 8, w=w)]
+            ))
+            eigs = np.linalg.eigvalsh(H)
+            assert eigs.min() >= -1e-10 * np.linalg.norm(H)
 
     @pytest.mark.parametrize("kind,w", [("b0", 0.0), ("bT", 0.0), ("soft", 0.5)])
     def test_hessian_positive_definite_on_the_constraint_null_space(
@@ -140,10 +149,18 @@ class TestBuildQp:
         # Its smallest eigenvalue over its largest is at least 2.5e-3 here.
         x = np.array([np.deg2rad(40.0), 0.0])
         for T in np.linspace(1.5 * np.pi, 3.0 * np.pi, 5):
-            qp = build_qp(make_problem(pendulum_model, kind, x, x, T, 101, w=w))
-            Z = scipy.linalg.null_space(qp.Aeq)
-            eigs = np.linalg.eigvalsh(Z.T @ qp.H @ Z)
+            qp = build_qp([make_problem(pendulum_model, kind, x, x, T, 101, w=w)])
+            Z = scipy.linalg.null_space(qp.Aeq[0])
+            eigs = np.linalg.eigvalsh(Z.T @ hessian(qp) @ Z)
             assert eigs[0] >= 1e-4 * eigs[-1] > 0.0, (T, eigs[0], eigs[-1])
+
+    def test_a_batch_shares_model_variant_and_grid(self, pendulum_model):
+        problems = [make_problem(pendulum_model, kind, [0.5, 0], [0.5, 0], 6.0, N)
+                    for kind, N in (("b0", 7), ("bT", 7), ("b0", 8))]
+        assert build_qp(problems[::2][:1] * 2).d.shape == (2, 7)
+        for mixed in (problems[:2], problems[::2]):
+            with pytest.raises(BuildError, match="share"):
+                build_qp(mixed)
 
     def test_dimension_mismatch_raises(self, pendulum_model):
         with pytest.raises(Exception):
@@ -172,7 +189,7 @@ class TestSolveLower:
     def test_dynamics_defects(self, pendulum_model, zoh_oracle):
         problem = make_problem(pendulum_model, "b0", [0.7, 0], [0.7, 0], 6.5, 30)
         sol = solve_lower(problem)
-        B = pendulum_model.surrogate.input_map(problem.psi0)
+        B = pendulum_model.surrogate.input_map(lift(pendulum_model.dictionary, problem.x0))
         Ad, Bd = zoh_oracle(pendulum_model.L0, B, 6.5 / 30)
         for k in range(30):
             defect = sol.z_traj[k + 1] - Ad @ sol.z_traj[k] - Bd @ sol.u_traj[k]
@@ -288,7 +305,9 @@ class TestSolveLower:
                 H[zs(N), zs(N)] += 2 * w * np.eye(n_z)
                 g[zs(0)] -= 2 * w * psi0
                 g[zs(N)] -= 2 * w * psiT
-            res = solve_kkt(H, g, np.vstack(rows), np.concatenate(rhs))
+            # H is diagonal
+            res = solve_kkt(np.diag(H), np.zeros((0, nv)), g, np.vstack(rows),
+                            np.concatenate(rhs))
             u_oracle = res.primal[(N + 1) * n_z:].reshape(N, n_u)
             assert np.max(np.abs(u_oracle - sol.u_traj)) <= 1e-8
 

@@ -139,6 +139,11 @@ class TestZoh:
             zoh_discretize(np.zeros(1), 0.0)
 
 
+def no_rows(n):
+    """The low-rank part of a diagonal Hessian: G with no rows."""
+    return np.zeros((0, n))
+
+
 def nullspace_elimination_oracle(H, g, A, b):
     """Solve the EQP by eliminating constraints with a QR of A^T."""
     Q, _ = np.linalg.qr(np.asarray(A).T, mode="complete")
@@ -150,13 +155,19 @@ def nullspace_elimination_oracle(H, g, A, b):
 
 class TestSolveKkt:
     def test_unconstrained_quadratic(self):
+        # every entry is eliminated, so the reduced matrix is empty; as G = I
+        # with d = 0, it is 6 wide
         g = np.array([1.0, -2.0, 0.5])
-        res = solve_kkt(np.eye(3), g, np.zeros((0, 3)), np.zeros(0))
+        res = solve_kkt(np.ones(3), no_rows(3), g, np.zeros((0, 3)), np.zeros(0))
         assert np.allclose(res.primal, -g, atol=1e-9)
+        assert res.min_pivot == np.inf
+        res = solve_kkt(np.zeros(3), np.eye(3), g, np.zeros((0, 3)), np.zeros(0))
+        assert np.allclose(res.primal, -g, atol=1e-9)
+        assert res.factors[2].shape == (6, 6)
 
     def test_symmetric_two_variable(self):
         res = solve_kkt(
-            np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([2.0])
+            np.ones(2), no_rows(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([2.0])
         )
         assert np.allclose(res.primal, [1.0, 1.0], atol=1e-12)
         # stationarity v + lam (1, 1) = 0 at v = (1, 1)
@@ -170,7 +181,7 @@ class TestSolveKkt:
             g = rng.normal(size=10)
             A = rng.normal(size=(3, 10))
             b = rng.normal(size=3)
-            res = solve_kkt(H, g, A, b)
+            res = solve_kkt(np.full(10, 0.1), R, g, A, b)
             oracle = nullspace_elimination_oracle(H, g, A, b)
             assert np.max(np.abs(res.primal - oracle)) <= 1e-9
             assert res.stationarity_residual <= 1e-9 * (1 + np.linalg.norm(g))
@@ -183,7 +194,7 @@ class TestSolveKkt:
         g = rng.normal(size=6)
         A = rng.normal(size=(2, 6))
         b = rng.normal(size=2)
-        res = solve_kkt(H, g, A, b)
+        res = solve_kkt(np.zeros(6), R, g, A, b)
         stat = np.linalg.norm(H @ res.primal + g + A.T @ res.dual)
         feas = np.linalg.norm(A @ res.primal - b)
         assert abs(stat - res.stationarity_residual) <= 1e-12
@@ -196,7 +207,7 @@ class TestSolveKkt:
         g = rng.normal(size=8)
         A = rng.normal(size=(3, 8))
         b = rng.normal(size=3)
-        res = solve_kkt(H, g, A, b)
+        res = solve_kkt(np.full(8, 0.01), R, g, A, b)
 
         def obj(v):
             return 0.5 * v @ H @ v + g @ v
@@ -210,24 +221,25 @@ class TestSolveKkt:
             assert obj(res.primal + d) >= base - 1e-12
 
     def test_sensitivity_matches_central_differences(self):
-        # phi(v) = w'v + |v|^2 / 2 along random tangents of all four QP data,
-        # on a singular H that is positive definite on null(A) alone
+        # phi(v) = w'v + |v|^2 / 2 along random tangents of all five QP data,
+        # on a singular H = diag(d) + R'R, whose d is zero on four entries,
+        # that is positive definite on null(A) alone
         rng = np.random.default_rng(8)
-        R = rng.normal(size=(4, 7))
-        H, g = R.T @ R, rng.normal(size=7)
+        R = rng.normal(size=(2, 7))
+        d = np.concatenate([np.zeros(4), rng.uniform(0.5, 1.0, size=3)])
+        g = rng.normal(size=7)
         A, b = rng.normal(size=(3, 7)), rng.normal(size=3)
-        dR = rng.normal(size=(2, 4, 7))
-        dH = dR.transpose(0, 2, 1) @ R + R.T @ dR
-        dg, dA, db = (rng.normal(size=(2,) + x.shape) for x in (g, A, b))
+        dd = rng.normal(size=(2, 7)) * (d > 0)
+        dR, dg, dA, db = (rng.normal(size=(2,) + x.shape) for x in (R, g, A, b))
         w = rng.normal(size=7)
 
         def phi(t, i):
-            v = solve_kkt(H + t * dH[i], g + t * dg[i], A + t * dA[i],
-                          b + t * db[i]).primal
+            v = solve_kkt(d + t * dd[i], R + t * dR[i], g + t * dg[i],
+                          A + t * dA[i], b + t * db[i]).primal
             return w @ v + 0.5 * v @ v
 
-        res = solve_kkt(H, g, A, b)
-        got = qp_sensitivity(res, w + res.primal, dH, dg, dA, db)
+        res = solve_kkt(d, R, g, A, b)
+        got = qp_sensitivity(res, w + res.primal, dd, dR, dg, dA, db)
         step = 1e-6
         want = [(phi(step, i) - phi(-step, i)) / (2 * step) for i in range(2)]
         assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
@@ -237,21 +249,41 @@ class TestSolveKkt:
         A = np.array([[1.0, 0.0], [1.0, 0.0]])
         b = np.array([0.0, 1.0])
         with pytest.raises(DegenerateQpError) as err:
-            solve_kkt(np.eye(2), np.zeros(2), A, b)
+            solve_kkt(np.ones(2), no_rows(2), np.zeros(2), A, b)
         assert err.value.min_pivot is not None
 
     def test_hessian_singular_on_the_null_space_raises(self):
-        # v2 is free and costs nothing: no minimizer exists, and the saddle
+        # v2 is free and costs nothing: no minimizer exists, and the reduced
         # matrix has a zero row, so H is factored as given
         with pytest.raises(DegenerateQpError) as err:
-            solve_kkt(np.diag([1.0, 0.0]), np.zeros(2), np.array([[1.0, 0.0]]),
-                      np.array([1.0]))
+            solve_kkt(np.array([1.0, 0.0]), no_rows(2), np.zeros(2),
+                      np.array([[1.0, 0.0]]), np.array([1.0]))
         assert err.value.min_pivot == 0.0
 
-    def test_rejects_asymmetric_hessian(self):
-        with pytest.raises(NumericError):
-            solve_kkt(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2),
-                      np.zeros((0, 2)), np.zeros(0))
+    def test_rejects_negative_or_mixed_diagonals(self):
+        A, b = np.array([[1.0, 1.0]]), np.array([1.0])
+        with pytest.raises(NumericError, match="nonnegative"):
+            solve_kkt(np.array([1.0, -0.5]), no_rows(2), np.zeros(2), A, b)
+        # a batch shares which entries of d are eliminated
+        with pytest.raises(NumericError, match="pattern"):
+            solve_kkt(np.array([[1.0, 1.0], [1.0, 0.0]]), np.zeros((2, 0, 2)),
+                      np.zeros((2, 2)), np.stack([A, A]), np.stack([b, b]))
+
+    def test_batch_solves_each_qp_as_alone(self):
+        # a degenerate QP mid-batch is reported in its place, and its
+        # neighbours are bitwise their own solves
+        rng = np.random.default_rng(10)
+        d = np.concatenate([np.zeros((5, 2)), rng.uniform(0.5, 2.0, size=(5, 4))], axis=1)
+        G, g = rng.normal(size=(5, 2, 6)), rng.normal(size=(5, 6))
+        A, b = rng.normal(size=(5, 3, 6)), rng.normal(size=(5, 3))
+        A[2, 1] = A[2, 0]  # contradictory rows
+        results = solve_kkt(d, G, g, A, b)
+        assert isinstance(results[2], DegenerateQpError)
+        for i in (0, 1, 3, 4):
+            alone = solve_kkt(d[i], G[i], g[i], A[i], b[i])
+            assert np.array_equal(results[i].primal, alone.primal)
+            assert np.array_equal(results[i].dual, alone.dual)
+            assert results[i].min_pivot == alone.min_pivot
 
     def test_singular_systems_raise_without_warnings(self, model_from_matrices):
         # both have an exactly zero LU pivot: contradictory constraint rows,
@@ -266,28 +298,36 @@ class TestSolveKkt:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateQpError) as err:
-                solve_kkt(np.eye(2), np.zeros(2), A, np.array([0.0, 1.0]))
+                solve_kkt(np.ones(2), no_rows(2), np.zeros(2), A, np.array([0.0, 1.0]))
             assert err.value.min_pivot == 0.0
             with pytest.raises(DegenerateQpError) as err:
                 solve_lower(problem)
             assert err.value.min_pivot == 0.0
 
     def test_result_carries_the_smallest_pivot(self, pendulum_model):
-        problem = LowerLevelProblem(
-            model=pendulum_model, variant=BoundaryVariant("b0"),
-            x0=np.array([0.7, 0.0]), xT=np.array([0.7, 0.0]), T=6.5, N=40,
-        )
-        qp = build_qp(problem)
-        res = solve_kkt(qp.H, qp.g, qp.Aeq, qp.beq)
-        n, m = qp.H.shape[0], qp.Aeq.shape[0]
-        kkt = np.zeros((n + m, n + m))
-        kkt[:n, :n] = qp.H
-        kkt[:n, n:] = qp.Aeq.T
-        kkt[n:, :n] = qp.Aeq
-        lu, _ = scipy.linalg.lu_factor(kkt)
-        assert res.min_pivot > 0.0
-        assert res.min_pivot == np.abs(np.diag(lu)).min()
-        assert solve_lower(problem).kkt.min_pivot == res.min_pivot
+        # the smallest pivot of the reduced matrix, rebuilt here from the
+        # QP's data: [[0, C0'], [C0, -(E + C+ D+^-1 C+')]] over the entries
+        # with d = 0 and the rows of C = [G; Aeq]; n_x = 2 and n_z = 12 give
+        # widths 2 (b0), 22 (bT) and 14 (soft)
+        for kind, w, width in (("b0", 0.0, 2), ("bT", 0.0, 22), ("soft", 0.5, 14)):
+            problem = LowerLevelProblem(
+                model=pendulum_model, variant=BoundaryVariant(kind, w=w),
+                x0=np.array([0.7, 0.0]), xT=np.array([0.7, 0.0]), T=6.5, N=40,
+            )
+            qp = build_qp([problem])
+            d, G, g, A, b = (x[0] for x in (qp.d, qp.G, qp.g, qp.Aeq, qp.beq))
+            res = solve_kkt(d, G, g, A, b)
+            C, plus = np.vstack([G, A]), d > 0
+            C0, Cp = C[:, ~plus], C[:, plus]
+            E = np.diag(np.arange(C.shape[0]) < G.shape[0]).astype(float)
+            reduced = np.block([[np.zeros((C0.shape[1],) * 2), C0.T],
+                                [C0, -(E + (Cp / d[plus]) @ Cp.T)]])
+            assert reduced.shape == (width, width)
+            lu, _ = scipy.linalg.lu_factor(reduced)
+            assert res.factors[2].shape == (width, width)
+            assert res.min_pivot > 0.0
+            assert res.min_pivot == pytest.approx(np.abs(np.diag(lu)).min(), rel=1e-12)
+            assert solve_lower(problem).kkt.min_pivot == res.min_pivot
 
     def test_random_psd_problems_match_nullspace_oracle(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -295,20 +335,24 @@ class TestSolveKkt:
 
         @st.composite
         def problems(draw):
+            # H = diag(d) + B'B: d is zero, positive on some entries, or
+            # positive everywhere, and B has r rows
             n = draw(st.integers(2, 12))
             m = draw(st.integers(1, n))
-            # rank(H) + m >= n, so null(H) and null(Aeq) meet only in 0
-            r = draw(st.integers(max(n - m, 1), n))
             rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            n_plus = draw(st.integers(0, n))
+            d = np.zeros(n)
+            d[rng.permutation(n)[:n_plus]] = rng.uniform(0.1, 2.0, size=n_plus)
+            # rank(H) + m >= n, so null(H) and null(Aeq) meet only in 0
+            r = draw(st.integers(max(n - m - n_plus, 0 if n_plus else 1), n))
             B = rng.normal(size=(r, n))
-            H = B.T @ B
-            return (0.5 * (H + H.T), rng.normal(size=n),
-                    rng.normal(size=(m, n)), rng.normal(size=m))
+            return d, B, rng.normal(size=n), rng.normal(size=(m, n)), rng.normal(size=m)
 
-        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.settings(max_examples=300, deadline=None)
         @hypothesis.given(problems())
         def check(qp):
-            H, g, A, b = qp
+            d, B, g, A, b = qp
+            H = np.diag(d) + B.T @ B
             n, m = A.shape[1], A.shape[0]
             sv = np.linalg.svd(A, compute_uv=False)
             hypothesis.assume(sv[-1] >= 1e-3 * sv[0])
@@ -316,7 +360,7 @@ class TestSolveKkt:
                 Z = scipy.linalg.null_space(A)
                 reduced = np.linalg.eigvalsh(Z.T @ H @ Z)
                 hypothesis.assume(reduced[0] >= 1e-3 * np.linalg.norm(H, 2))
-            res = solve_kkt(H, g, A, b)
+            res = solve_kkt(d, B, g, A, b)
             assert res.stationarity_residual <= 1e-9 * (
                 1 + np.linalg.norm(g) + np.linalg.norm(H @ res.primal))
             assert res.feasibility_residual <= 1e-9 * (1 + np.linalg.norm(b))

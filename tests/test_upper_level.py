@@ -374,6 +374,55 @@ class TestSweep:
         assert np.isfinite(rows[0]["c_star"])
         assert np.isnan(rows[1]["c_star"])
 
+    @pytest.mark.parametrize("kind,w", [("b0", 0.0), ("bT", 0.0), ("soft", 0.5)])
+    def test_rows_equal_the_single_solves(self, pendulum_model, kind, w):
+        # the grid is solved in one batch; each row is what the grid
+        # period's own solve_lower gives
+        variant = BoundaryVariant(kind, w=w)
+        mbc = make_periodic_amplitude_anchor(np.deg2rad(40.0))
+        grid = np.linspace(1.5 * np.pi, 3.0 * np.pi, 9)
+        rows = sweep_period(pendulum_model, variant, mbc, grid, 60)
+        assert [row["T"] for row in rows] == grid.tolist()
+        for T, row in zip(grid, rows):
+            _, sol, _ = upper_level._lower_eval(pendulum_model, variant, mbc, [T], 60)
+            single = {
+                "c_star": sol.c,
+                "kkt_residual": max(sol.kkt.stationarity_residual,
+                                    sol.kkt.feasibility_residual),
+                "manifold_defect_max": float(np.max(sol.manifold_defects)),
+            }
+            for key, value in single.items():
+                assert row[key] == pytest.approx(value, rel=1e-12, abs=0.0), (T, key)
+
+    def test_failed_points_mid_grid_leave_their_neighbours(self, model_from_matrices):
+        # input authority (0, x1, 0) vanishes at x1 = 0: the middle period
+        # reduces to x0 = xT = 0, whose QP has a zero pivot, and the period
+        # after it fails in its reduction
+        L0 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        L1 = L0.copy()
+        L1[1, 0] += 1.0
+        model = model_from_matrices(L0, (L1,), get_dictionary("linear_const", 2))
+        grid = np.linspace(5.0, 7.0, 5)
+
+        def reduction(p):
+            if p[0] == grid[3]:
+                raise LowerLevelError("outside the trusted horizon")
+            anchor = np.array([0.2 * (p[0] - 6.0), 0.0])
+            return anchor, anchor.copy(), p[0]
+
+        mbc = MixedBoundaryConstraint(eval=None, n_g=4, n_x=2, reduction=reduction)
+        variant = BoundaryVariant("b0")
+        rows = sweep_period(model, variant, mbc, grid, 30)
+        _, _, err = upper_level._lower_eval(model, variant, mbc, [grid[2]], 30)
+        assert type(err) is DegenerateQpError and err.min_pivot == 0.0
+        for i in (2, 3):
+            assert all(np.isnan(rows[i][key]) for key in
+                       ("c_star", "kkt_residual", "manifold_defect_max")), rows[i]
+        # the other rows are those of a sweep without the failed points
+        alone = sweep_period(model, variant, mbc, grid[[0, 1, 4]], 30)
+        assert [rows[i] for i in (0, 1, 4)] == alone
+        assert all(row["c_star"] > 0.0 for row in alone)
+
     def test_needs_one_dimensional_reduction(self, oscillator_model, walker):
         mbc = make_walker_gait(walker, 0.05, rate_bound=0.15)
         with pytest.raises(ConfigError):
