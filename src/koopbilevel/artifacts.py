@@ -1,9 +1,11 @@
 """Result persistence: deterministic CSV/JSON artifacts and comparison reports.
 
-Trajectories go to CSV (header ``t,x1..xn,u1..um``), everything else to JSON
-with sorted keys. All floats are written with shortest round-trip ``repr`` so
-identical runs produce byte-identical files and every reported number can be
-recomputed exactly from what is on disk.
+This module owns every CSV: trajectories (header ``t,x1..xn,u1..um``) and
+the sweeps' rows are written by :func:`write_csv`, and a CSV read back is
+parsed by :func:`read_csv`. Everything else goes to JSON with sorted keys.
+All floats are written with shortest round-trip ``repr`` so identical runs
+produce byte-identical files and every reported number can be recomputed
+exactly from what is on disk.
 
 Identical runs means the same inputs and libraries; ``koopbilevel.cli.main``
 runs every command on one OpenBLAS thread, so the thread count the process
@@ -24,6 +26,8 @@ __all__ = [
     "write_json",
     "read_json",
     "sha256_file",
+    "write_csv",
+    "read_csv",
     "write_trajectory_csv",
     "read_trajectory_csv",
     "comparison_entry",
@@ -33,10 +37,6 @@ __all__ = [
 # points of the normalized-time grid that PCC compares trajectories on; one
 # constant, so the report and audit compute on the same grid
 _PCC_POINTS = 101
-
-
-def _fmt(x):
-    return repr(float(x))
 
 
 def canonical_json(obj):
@@ -73,13 +73,43 @@ def sha256_file(path):
     return digest.hexdigest()
 
 
+def write_csv(path, header, rows):
+    """Write ``rows`` under the column names ``header``: numbers as
+    round-trip floats, strings as they are."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(x if isinstance(x, str) else repr(float(x))
+                              for x in row) + "\n")
+
+
+def read_csv(path):
+    """The header of the CSV at ``path`` and its rows as a ``(rows,
+    columns)`` float array. An empty file, a row without one field per
+    column or a field that is not a number raises ``ArtifactError`` naming
+    it."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ArtifactError(f"{path}: empty file")
+    header = lines[0].split(",")
+    try:
+        rows = [[float(tok) for tok in line.split(",")] for line in lines[1:]]
+    except ValueError as exc:
+        raise ArtifactError(f"{path}: {exc}") from None
+    for i, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ArtifactError(f"{path}: line {i} has {len(row)} fields, "
+                                f"the header {len(header)}")
+    return header, np.array(rows, dtype=float).reshape(len(rows), len(header))
+
+
 def write_trajectory_csv(path, times, states, inputs):
     """Write a sampled trajectory with its piecewise-constant inputs.
 
     States have N+1 rows and inputs N; the final input row repeats the last
     knot (step-plot convention), which cost recomputation must ignore.
     """
-    times = np.asarray(times, dtype=float)
     states = np.atleast_2d(np.asarray(states, dtype=float))
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim == 1:
@@ -89,31 +119,20 @@ def write_trajectory_csv(path, times, states, inputs):
         raise ConfigError(
             f"expected {n_pts - 1} input rows for {n_pts} states, got {inputs.shape[0]}"
         )
-    u_full = np.vstack([inputs, inputs[-1:]])
     header = ["t"] + [f"x{i + 1}" for i in range(n_x)] + [
         f"u{i + 1}" for i in range(inputs.shape[1])
     ]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(n_pts):
-            row = [times[k], *states[k], *u_full[k]]
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    u_full = np.vstack([inputs, inputs[-1:]])
+    write_csv(path, header, np.column_stack([times, states, u_full]))
 
 
 def read_trajectory_csv(path):
     """Inverse of :func:`write_trajectory_csv`, trimming the repeated input
-    row. A file without two rows of one number per header column, the
-    shortest trajectory written, or whose last input row does not repeat
+    row. A file that :func:`read_csv` rejects, one with fewer than two rows,
+    the shortest trajectory written, or whose last input row does not repeat
     the one before it, raises ``ArtifactError`` naming it."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        try:
-            data = np.array(
-                [[float(tok) for tok in line.strip().split(",")] for line in fh]
-            )
-        except ValueError as exc:
-            raise ArtifactError(f"{path}: not a trajectory: {exc}") from None
-    if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] != len(header):
+    header, data = read_csv(path)
+    if data.shape[0] < 2:
         raise ArtifactError(f"{path}: not a trajectory: expected at least two "
                             f"rows of {len(header)} numbers")
     n_x = sum(1 for name in header if name.startswith("x"))

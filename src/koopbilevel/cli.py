@@ -166,17 +166,19 @@ def _solution_record(lower, mbc):
     }
 
 
-def _solve_step(run, model, mbc):
+def _solve_records(run, model, mbc):
     """Bilevel solve of every variant under ``mbc``, then one baseline NLP,
     which depends only on the system, the mbc and N, warm-started from the
     first variant's trajectory. A baseline that does not converge is
-    returned as SLSQP's last iterate, with ``converged: false``.
+    recorded as SLSQP's last iterate, with ``converged: false``.
 
-    Returns ``(variants, baseline, timings)``: a ``(record, (times, states,
-    inputs))`` pair per variant, in config order, and one for the baseline,
-    each record as written to ``<label>_solution.json`` or ``baseline.json``;
-    and the seconds of each bilevel solve (``per_variant``) and of the baseline.
-    """
+    Returns ``(records, entries, timings)``: the records keyed by the file
+    that :func:`cmd_solve` writes each to (``baseline.json``, ``baseline.csv``
+    and, per variant in config order, ``<label>_solution.json`` and
+    ``<label>_bilevel.csv``; a CSV's record is its ``(times, states,
+    inputs)``), one :func:`~koopbilevel.artifacts.comparison_entry` per
+    variant, and the seconds of each bilevel solve (``per_variant``) and of
+    the baseline."""
     timings = {"per_variant": {}}
     solutions = []
     for var in run.variants:
@@ -192,85 +194,54 @@ def _solve_step(run, model, mbc):
     record = {f.name: getattr(baseline, f.name) for f in dataclasses.fields(baseline)
               if f.name not in ("times", "states", "inputs")}
     record["warm_start"] = run.variants[0].label
-    variants = [(dict(_solution_record(sol.lower, mbc),
-                      start_records=list(sol.start_records)),
-                 sol.lower.trajectory) for sol in solutions]
     trajectory = (baseline.times, baseline.states, baseline.inputs)
-    return variants, (record, trajectory), timings
-
-
-def _solve_records(run, model):
-    """The records of :func:`_solve_step` under the config's constraint,
-    keyed by the file that :func:`cmd_solve` writes each to:
-    ``<label>_solution.json`` and ``<label>_bilevel.csv`` per variant,
-    ``baseline.json`` and ``baseline.csv``, a CSV's record being its
-    ``(times, states, inputs)``. Returns ``(records, entries, timings)``, with
-    one :func:`~koopbilevel.artifacts.comparison_entry` per variant."""
-    variants, (baseline, baseline_traj), timings = _solve_step(run, model, run.mbc)
-    records = {"baseline.json": baseline, "baseline.csv": baseline_traj}
-    for record, traj in variants:
-        label = record["variant"]
-        records.update({f"{label}_solution.json": record, f"{label}_bilevel.csv": traj})
-    entries = [artifacts.comparison_entry(record, traj, baseline, baseline_traj)
-               for record, traj in variants]
+    records = {"baseline.json": record, "baseline.csv": trajectory}
+    entries = []
+    for sol in solutions:
+        solution = dict(_solution_record(sol.lower, mbc),
+                        start_records=list(sol.start_records))
+        label = solution["variant"]
+        records.update({f"{label}_solution.json": solution,
+                        f"{label}_bilevel.csv": sol.lower.trajectory})
+        entries.append(artifacts.comparison_entry(solution, sol.lower.trajectory,
+                                                  record, trajectory))
     return records, entries, timings
+
+
+def _report_record(out_dir, entries, blas_threads, command):
+    """The ``report.json`` record of the solve in ``out_dir``: its entries,
+    the sha256 of ``config.json`` and ``model.json``, the OpenBLAS thread
+    count it ran and the command that wrote the directory, ``solve`` or
+    ``reproduce``."""
+    return {
+        "entries": entries,
+        "provenance": {
+            "config_hash": artifacts.sha256_file(os.path.join(out_dir, "config.json")),
+            "model_hash": artifacts.sha256_file(_model_path(out_dir)),
+            "blas_threads": blas_threads,
+            "command": command,
+        },
+    }
 
 
 def cmd_solve(run, out_dir, model, command="solve"):
     """Write :func:`_solve_records` of the model that ``cmd_identify`` wrote
-    to ``out_dir``, then ``config.json`` (the config ``run`` was parsed from)
-    and ``report.json``: the entries, the sha256 of ``config.json`` and
-    ``model.json``, the OpenBLAS thread count it ran (:func:`_blas_threads`)
-    and the command that writes the directory, ``solve`` or ``reproduce``.
-    Returns the report and the timings."""
+    to ``out_dir`` under the config's constraint, then ``config.json`` (the
+    config ``run`` was parsed from) and :func:`_report_record`, with the
+    thread count of :func:`_blas_threads`, as ``report.json``. Returns the
+    report and the timings."""
     _ensure_dir(out_dir)
-    records, entries, timings = _solve_records(run, model)
+    records, entries, timings = _solve_records(run, model, run.mbc)
     for name, record in records.items():
         path = os.path.join(out_dir, name)
         if name.endswith(".csv"):
             artifacts.write_trajectory_csv(path, *record)
         else:
             artifacts.write_json(path, record)
-    config_path = os.path.join(out_dir, "config.json")
-    artifacts.write_json(config_path, run.raw)
-
-    report = {
-        "entries": entries,
-        "provenance": {
-            "config_hash": artifacts.sha256_file(config_path),
-            "model_hash": artifacts.sha256_file(_model_path(out_dir)),
-            "blas_threads": _blas_threads(),
-            "command": command,
-        },
-    }
+    artifacts.write_json(os.path.join(out_dir, "config.json"), run.raw)
+    report = _report_record(out_dir, entries, _blas_threads(), command)
     artifacts.write_json(os.path.join(out_dir, "report.json"), report)
     return report, timings
-
-
-def _write_sweep_csv(path, rows, columns):
-    """One row per dict: numbers as round-trip floats, strings as they are."""
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                row[c] if isinstance(row[c], str) else repr(float(row[c]))
-                for c in columns
-            ) + "\n")
-
-
-def _read_sweep_csv(path):
-    """The rows of a ``sweep_T.csv``, as dicts of floats; a file whose header
-    is not the sweep's columns, or a row that is not one number per column,
-    raises ``ArtifactError`` naming it."""
-    try:
-        with open(path) as fh:
-            header, *lines = fh.read().splitlines()
-        if tuple(header.split(",")) != _SWEEP_COLUMNS:
-            raise ValueError(f"header {header!r}")
-        return [dict(zip(_SWEEP_COLUMNS, map(float, line.split(",")), strict=True))
-                for line in lines]
-    except ValueError as exc:
-        raise ArtifactError(f"{path}: not a period sweep: {exc}") from None
 
 
 def _check_sweep_axis(run, axis):
@@ -286,30 +257,29 @@ def _check_sweep_axis(run, axis):
 
 
 def cmd_sweep(run, out_dir, model, axis="T"):
-    """Grid evaluation: period sweep of the lower level, or amplitude sweep
-    comparing every variant's bilevel solution with one baseline NLP per
-    amplitude, each amplitude solved by :func:`_solve_step`."""
+    """Grid evaluation, written as ``sweep_<axis>.csv`` and returned as
+    rows. The period sweep evaluates the lower level of the first variant
+    at each period of the grid. The amplitude sweep runs
+    :func:`_solve_records` under each amplitude's anchor; each of its rows
+    is that solve's report entry of one variant, with the amplitude and the
+    variant's weight, in the columns of ``_AMPLITUDE_COLUMNS``."""
     _check_sweep_axis(run, axis)
     _ensure_dir(out_dir)
 
     if axis == "T":
         rows = sweep_period(model, run.variants[0], run.mbc, run.period_grid, run.N)
-        _write_sweep_csv(os.path.join(out_dir, "sweep_T.csv"), rows, _SWEEP_COLUMNS)
-        return rows
-
-    rows = []
-    for a_deg in run.amplitudes_deg:
-        mbc = make_periodic_amplitude_anchor(np.deg2rad(a_deg))
-        variants, baseline, _ = _solve_step(run, model, mbc)
-        for var, variant in zip(run.variants, variants):
-            row = dict(
-                artifacts.comparison_entry(*variant, *baseline),
-                amplitude_deg=a_deg, variant_w=var.w,
-            )
-            rows.append({c: row[c] for c in _AMPLITUDE_COLUMNS})
-    _write_sweep_csv(
-        os.path.join(out_dir, "sweep_amplitude.csv"), rows, _AMPLITUDE_COLUMNS
-    )
+        columns = _SWEEP_COLUMNS
+    else:
+        rows = []
+        for a_deg in run.amplitudes_deg:
+            mbc = make_periodic_amplitude_anchor(np.deg2rad(a_deg))
+            _, entries, _ = _solve_records(run, model, mbc)
+            for var, entry in zip(run.variants, entries):
+                row = dict(entry, amplitude_deg=a_deg, variant_w=var.w)
+                rows.append({c: row[c] for c in _AMPLITUDE_COLUMNS})
+        columns = _AMPLITUDE_COLUMNS
+    artifacts.write_csv(os.path.join(out_dir, f"sweep_{axis}.csv"), columns,
+                        [[row[c] for c in columns] for row in rows])
     return rows
 
 
@@ -386,7 +356,8 @@ def _diff(name, field, reported, recomputed):
     (``a[i]``), two numbers by :func:`_close` and anything else by equality.
     A key that only one of two dicts has is one problem at its field, and so
     are two lists of different lengths, given by their lengths, and a value
-    of another type."""
+    whose type is not the re-run's, such as ``1`` for ``True`` or ``3.0``
+    for ``3``."""
     if isinstance(recomputed, dict) and isinstance(reported, dict):
         problems = []
         for key in {**recomputed, **reported}:
@@ -402,8 +373,9 @@ def _diff(name, field, reported, recomputed):
                              f"length {len(recomputed)}")]
         return [problem for i, (r, v) in enumerate(zip(reported, recomputed))
                 for problem in _diff(name, f"{field}[{i}]", r, v)]
-    numbers = all(isinstance(v, (int, float)) for v in (reported, recomputed))
-    if _close(reported, recomputed) if numbers else reported == recomputed:
+    numbers = isinstance(recomputed, (int, float))
+    if type(reported) is type(recomputed) and (
+            _close(reported, recomputed) if numbers else reported == recomputed):
         return []
     return [_problem(name, field, reported, recomputed)]
 
@@ -421,7 +393,10 @@ def _read_record(path):
     if path.endswith(".json"):
         return artifacts.read_json(path)
     if path.endswith("sweep_T.csv"):
-        return {"rows": _read_sweep_csv(path)}
+        header, data = artifacts.read_csv(path)
+        if tuple(header) != _SWEEP_COLUMNS:
+            raise ArtifactError(f"{path}: not a period sweep: header {header}")
+        return {"rows": [dict(zip(header, row)) for row in data.tolist()]}
     return _columns(artifacts.read_trajectory_csv(path))
 
 
@@ -489,16 +464,14 @@ def cmd_audit(out_dir):
     model = load_model(_model_path(out_dir))
     model_hash = artifacts.sha256_file(_model_path(out_dir))
 
-    records, entries, _ = _solve_records(run, model)
+    records, entries, _ = _solve_records(run, model, run.mbc)
     written = artifacts.read_json(report_path).get("provenance")
     gates_path = os.path.join(out_dir, "gates_report.json")
     reproduce = os.path.exists(gates_path)
-    records["report.json"] = {"entries": entries, "provenance": {
-        "config_hash": artifacts.sha256_file(config_path),
-        "model_hash": model_hash,
-        "blas_threads": written.get("blas_threads") if isinstance(written, dict) else None,
-        "command": "reproduce" if reproduce else "solve",
-    }}
+    records["report.json"] = _report_record(
+        out_dir, entries,
+        written.get("blas_threads") if isinstance(written, dict) else None,
+        "reproduce" if reproduce else "solve")
     records["residual_report.json"] = dict(_residual_record(model), model_hash=model_hash)
     sweep_rows = None
     if reproduce and "sweep" in run.raw or os.path.exists(os.path.join(out_dir, "sweep_T.csv")):

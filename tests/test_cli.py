@@ -552,6 +552,9 @@ MALFORMED_ARTIFACTS = [
      "MISMATCH baseline.csv:inputs[0][0]: reported 0.0"),
     ("b0_bilevel.csv", _constant_csv_column(-1), 1, "MISMATCH b0_bilevel.csv:inputs[1][0]:"),
     ("sweep_T.csv", lambda text: _set_csv_value(text, 10, 1, "abc"), 2, "sweep_T.csv"),
+    # a period sweep whose header is not the sweep's columns
+    ("sweep_T.csv", lambda text: text.replace("c_star", "cost", 1), 2,
+     "sweep_T.csv: not a period sweep"),
     # a last input row that does not repeat the one before it, which the
     # reader would otherwise drop unread
     ("b0_bilevel.csv", lambda text: _set_csv_value(text, text.count("\n") - 2, -1, "123.0"),
@@ -578,7 +581,8 @@ MALFORMED_ARTIFACTS = [
                               "constant_baseline_times",
                               "constant_baseline_inputs",
                               "first_bilevel_input_everywhere",
-                              "string_sweep_cost", "last_input_not_repeated",
+                              "string_sweep_cost", "renamed_sweep_column",
+                              "last_input_not_repeated",
                               "unknown_bundle", "string_timing"])
 def test_audit_of_a_malformed_artifact_names_it(fig1_run, capsys, name, rewrite,
                                                 code, named):
@@ -634,6 +638,29 @@ def test_audit_checks_the_variant_labels(fig1_run, capsys, name, edit, named):
     assert _audit_after_edit(os.path.join(fig1_run, name), edit) == 1
     out = capsys.readouterr().out
     assert named in out, out
+
+
+# (file, edit, the one problem named): a value written as another JSON type
+# than the re-run's, though Python compares it equal (1 == True, 3.0 == 3)
+TYPE_CORRUPTIONS = [
+    ("baseline.json", _set(["converged"], 1),
+     "MISMATCH baseline.json:converged: reported 1 recomputed True"),
+    ("report.json", _in_entry(_set(["baseline_converged"], 1.0)),
+     "MISMATCH report.json:entries[0].baseline_converged: reported 1.0 recomputed True"),
+    ("gates_report.json", _set(["passed"], 1),
+     "MISMATCH gates_report.json:passed: reported 1 recomputed True"),
+    ("b0_solution.json", _in_stage(0, lambda stage: stage.update(nfev=float(stage["nfev"]))),
+     "MISMATCH b0_solution.json:start_records[0].nfev: reported "),
+]
+
+
+@pytest.mark.parametrize("name,edit,named", TYPE_CORRUPTIONS,
+                         ids=["int_converged", "float_baseline_converged",
+                              "int_gates_passed", "float_nfev"])
+def test_audit_checks_the_json_type_of_each_field(fig1_run, capsys, name, edit, named):
+    assert _audit_after_edit(os.path.join(fig1_run, name), edit) == 1
+    out = capsys.readouterr().out
+    assert named in out and out.count("MISMATCH") == 1, out
 
 
 BAD_SOLVER_SETTINGS = [
@@ -795,32 +822,41 @@ def test_walker_config_needs_rate_bound(tmp_path):
 
 
 def test_amplitude_sweep_rows_match_solve_report(tmp_path):
+    amplitudes = [30.0, 35.0]
     cfg = copy.deepcopy(cli.load_bundle("fig1")["config"])
-    cfg["sweep"]["amplitudes_deg"] = [30.0]
-    cfg["variants"] = [{"kind": "b0"}, {"kind": "bT"}]
+    cfg["sweep"]["amplitudes_deg"] = amplitudes
+    cfg["variants"] = [{"kind": "b0"}, {"kind": "bT"}, {"kind": "soft", "w": 0.5}]
+    weights = {var.label: var.w for var in validate_config(cfg).variants}
     path = tmp_path / "fig1.json"
     path.write_text(json.dumps(cfg))
-    out = str(tmp_path / "out")
-    for command in ("solve", "sweep"):
-        argv = [command, "--config", str(path), "--out", out]
-        if command == "sweep":
-            argv += ["--axis", "amplitude"]
-        assert cli.main(argv) == 0
-
-    report = json.loads(_read_bytes(os.path.join(out, "report.json")))
-    entries = {e["variant"]: e for e in report["entries"]}
+    out = str(tmp_path / "sweep")
+    assert cli.main(["sweep", "--axis", "amplitude", "--config", str(path),
+                     "--out", out]) == 0
     with open(os.path.join(out, "sweep_amplitude.csv")) as fh:
         header = fh.readline().strip().split(",")
         rows = [dict(zip(header, line.strip().split(","))) for line in fh]
-    assert len(rows) == len(entries) == 2
-    # one baseline per amplitude, shared by its rows
-    for key in ("T_star_baseline", "c_baseline"):
-        assert rows[0][key] == rows[1][key], key
-    for row in rows:
-        entry = entries[row["variant"]]
-        assert float(row["amplitude_deg"]) == 30.0
-        for key in ("T_star", "c", "pcc_state", "T_star_baseline", "c_baseline"):
-            assert float(row[key]) == entry[key], key
+    assert header == list(cli._AMPLITUDE_COLUMNS)
+    assert len(rows) == len(amplitudes) * len(weights)
+
+    # each amplitude's rows against a solve whose anchor is that amplitude
+    for a_deg in amplitudes:
+        cfg["mbc"]["amplitude_deg"] = a_deg
+        path.write_text(json.dumps(cfg))
+        out = str(tmp_path / f"solve{a_deg}")
+        assert cli.main(["solve", "--config", str(path), "--out", out]) == 0
+        report = json.loads(_read_bytes(os.path.join(out, "report.json")))
+        entries = {e["variant"]: e for e in report["entries"]}
+        at = [row for row in rows if float(row["amplitude_deg"]) == a_deg]
+        assert [row["variant"] for row in at] == list(entries) == list(weights)
+        # one baseline per amplitude, shared by its rows
+        for key in ("T_star_baseline", "c_baseline"):
+            assert len({row[key] for row in at}) == 1, key
+        for row in at:
+            expected = dict(entries[row["variant"]], amplitude_deg=a_deg,
+                            variant_w=weights[row["variant"]])
+            for key in cli._AMPLITUDE_COLUMNS:
+                value = row[key] if key == "variant" else float(row[key])
+                assert value == expected[key], (a_deg, row["variant"], key)
 
 
 def test_solve_reports_a_nonconverged_baseline(tmp_path, monkeypatch):
