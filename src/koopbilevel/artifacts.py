@@ -26,6 +26,7 @@ __all__ = [
     "write_json",
     "read_json",
     "sha256_file",
+    "sha256_json",
     "write_csv",
     "read_csv",
     "write_trajectory_csv",
@@ -71,6 +72,11 @@ def sha256_file(path):
     with open(path, "rb") as fh:
         digest.update(fh.read())
     return digest.hexdigest()
+
+
+def sha256_json(obj):
+    """The sha256 of the file that :func:`write_json` writes of ``obj``."""
+    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
 def write_csv(path, header, rows):

@@ -6,14 +6,17 @@ Subcommands:
 * ``solve``     - bilevel solve of every variant, checked by one baseline NLP.
 * ``sweep``     - period or amplitude sweeps, written as plot-ready CSV.
 * ``reproduce`` - run a pinned benchmark bundle and evaluate its gates.
-* ``audit``     - re-run a solve from its files and diff every file it wrote.
+* ``audit``     - re-run a solve, its fit included, from its ``config.json``
+  and diff every file it wrote.
 
 Each config is parsed once, by :func:`koopbilevel.config.validate_config`,
 into the :class:`~koopbilevel.config.RunConfig` that the commands read; a bad
 config exits with code 2 before ``identify`` runs. ``solve``, ``sweep`` and
 ``reproduce`` each identify their model from that config; a ``model.json``
 already in ``--out`` is overwritten, never reused. ``solve`` also writes the
-config it ran to ``config.json``, which ``audit`` re-runs.
+config it ran to ``config.json``, from which ``audit`` re-runs the whole run,
+the identification included: it reads no model back from ``model.json`` but
+diffs that file, like every other, with the re-run's record.
 
 :func:`main` runs each command with numpy's and scipy's OpenBLAS at one
 thread (:func:`_one_blas_thread`), so a command writes the same artifacts
@@ -42,7 +45,7 @@ import scipy
 from . import artifacts, config as cfgmod, gates as gatesmod
 from .baseline_nlp import TranscribedNlp, solve_nlp
 from .errors import ArtifactError, ConfigError, KoopbilevelError
-from .gedmd import identify, load_model, model_to_config, save_model
+from .gedmd import identify, model_to_config
 from .upper_level import make_periodic_amplitude_anchor, solve_reduced, sweep_period
 
 __all__ = [
@@ -115,34 +118,44 @@ def _ensure_dir(path):
     return path
 
 
-def _model_path(out_dir):
-    return os.path.join(out_dir, "model.json")
+def _write_records(out_dir, records):
+    """Write each record to the file in ``out_dir`` that it is keyed by: a
+    ``.csv`` record, a ``(times, states, inputs)`` trajectory, as a
+    trajectory CSV and any other as JSON."""
+    for name, record in records.items():
+        path = os.path.join(out_dir, name)
+        if name.endswith(".csv"):
+            artifacts.write_trajectory_csv(path, *record)
+        else:
+            artifacts.write_json(path, record)
 
 
-def _residual_record(model):
-    """The ``residual_report.json`` record of ``model`` but its
-    ``model_hash``: the fit's residuals and ranks, and cond(V) of L0's
-    eigendecomposition. ``audit`` reruns it on the model read back."""
-    return {
-        "residuals": list(model.residuals),
-        "ranks": list(model.ranks),
-        "n_z": model.n_z,
-        "modes_cond": float(np.linalg.cond(model.modes[1])),
+def _identify_records(run):
+    """The model identified from the config, and its records keyed by the
+    file that :func:`cmd_identify` writes each to: ``model.json`` and
+    ``residual_report.json`` (the fit's residuals and ranks, cond(V) of L0's
+    eigendecomposition and the sha256 of ``model.json``). A defective L0
+    raises ``NumericError`` here, before any file is written."""
+    model = identify(run.system, run.dictionary, n_s=run.n_s, seed=run.seed,
+                     box=run.box)
+    fit = model_to_config(model)
+    return model, {
+        "model.json": fit,
+        "residual_report.json": {
+            "residuals": list(model.residuals),
+            "ranks": list(model.ranks),
+            "n_z": model.n_z,
+            "modes_cond": float(np.linalg.cond(model.modes[1])),
+            "model_hash": artifacts.sha256_json(fit),
+        },
     }
 
 
 def cmd_identify(run, out_dir):
-    """Identify the generator model and persist it with its residual report
-    (:func:`_residual_record` and the sha256 of ``model.json``). A defective
-    L0 raises ``NumericError`` here, before ``model.json`` is written."""
+    """Write :func:`_identify_records` to ``out_dir`` and return the model."""
     _ensure_dir(out_dir)
-    model = identify(run.system, run.dictionary, n_s=run.n_s, seed=run.seed,
-                     box=run.box)
-    record = _residual_record(model)
-    path = _model_path(out_dir)
-    save_model(model, path)
-    record["model_hash"] = artifacts.sha256_file(path)
-    artifacts.write_json(os.path.join(out_dir, "residual_report.json"), record)
+    model, records = _identify_records(run)
+    _write_records(out_dir, records)
     return model
 
 
@@ -217,7 +230,7 @@ def _report_record(out_dir, entries, blas_threads, command):
         "entries": entries,
         "provenance": {
             "config_hash": artifacts.sha256_file(os.path.join(out_dir, "config.json")),
-            "model_hash": artifacts.sha256_file(_model_path(out_dir)),
+            "model_hash": artifacts.sha256_file(os.path.join(out_dir, "model.json")),
             "blas_threads": blas_threads,
             "command": command,
         },
@@ -232,12 +245,7 @@ def cmd_solve(run, out_dir, model, command="solve"):
     report and the timings."""
     _ensure_dir(out_dir)
     records, entries, timings = _solve_records(run, model, run.mbc)
-    for name, record in records.items():
-        path = os.path.join(out_dir, name)
-        if name.endswith(".csv"):
-            artifacts.write_trajectory_csv(path, *record)
-        else:
-            artifacts.write_json(path, record)
+    _write_records(out_dir, records)
     artifacts.write_json(os.path.join(out_dir, "config.json"), run.raw)
     report = _report_record(out_dir, entries, _blas_threads(), command)
     artifacts.write_json(os.path.join(out_dir, "report.json"), report)
@@ -412,11 +420,13 @@ def _audited_gates(path, sweep_rows, entries):
     """:func:`_gates_record` of the bundle and timings that the
     ``gates_report.json`` at ``path`` names, on the re-run's sweep rows and
     entries; the timings are taken from the file, since nothing rebuilds
-    them. A bundle that does not ship, or timings that are not seconds by
-    name, raise ``ArtifactError``."""
+    them. A bundle that does not ship, or timings that are not finite
+    seconds (at least 0, and not a bool, as in the config) by name, raise
+    ``ArtifactError``."""
     written = artifacts.read_json(path, keys=("bundle", "timings", "per_variant_seconds"))
     seconds = (written["timings"], written["per_variant_seconds"])
-    if not all(isinstance(s, dict) and all(isinstance(v, (int, float)) for v in s.values())
+    if not all(isinstance(s, dict) and all(type(v) in (int, float) and 0 <= v < math.inf
+                                           for v in s.values())
                for s in seconds):
         raise ArtifactError(f"{path}: timings are not seconds by name")
     try:
@@ -430,28 +440,32 @@ def cmd_audit(out_dir):
     """Problem records of the solve or reproduce run in ``out_dir``.
 
     ``config.json`` is parsed by :func:`~koopbilevel.config.validate_config`
-    and re-run on ``model.json`` as the run ran it: :func:`_solve_records`,
-    then, for a ``reproduce`` run, :func:`_gates_record` and the period sweep
-    if the config has a ``sweep``. A directory with a ``gates_report.json``
-    is a ``reproduce`` run, and the command that ``report.json`` records is
+    and re-run as the run ran it: :func:`_identify_records`, then
+    :func:`_solve_records` on the re-identified model and, for a
+    ``reproduce`` run, :func:`_gates_record` and the period sweep if the
+    config has a ``sweep``. A directory with a ``gates_report.json`` is a
+    ``reproduce`` run, and the command that ``report.json`` records is
     diffed with that; a ``sweep_T.csv`` is re-run in any directory. Each
-    file those write, and ``report.json``, is diffed whole with the re-run's
-    record by :func:`_diff`, so a file that a ``reproduce`` run writes and
-    the directory lacks cannot be read. What no re-run rebuilds is checked
-    otherwise: ``residual_report.json`` is :func:`_residual_record` of the
-    model read back, both hashes are recomputed, ``model.json``'s fit
-    settings are the config's, and ``blas_threads`` and the gates' timings
-    are taken from the files. A ``*_solution.json`` or ``*_bilevel.csv``
-    that the re-run does not write is a problem too.
+    file those write, ``model.json`` and ``residual_report.json`` among
+    them, and ``report.json`` is diffed whole with the re-run's record by
+    :func:`_diff`, so a file that a ``reproduce`` run writes and the
+    directory lacks cannot be read. ``report.json``'s hashes are of the
+    files beside it. What no re-run rebuilds is taken from the files:
+    ``report.json``'s thread count, a positive int or null, and the gates'
+    timings (:func:`_audited_gates`). A ``*_solution.json`` or
+    ``*_bilevel.csv`` that the re-run does not write is a problem too.
 
     The re-run is exact on the libraries that wrote the files. Run on other
     libraries, the solvers' iteration-path fields (``history``, ``nit``,
-    ``kkt_residual``) can differ beyond :func:`_close`, and are reported as
-    mismatches like any other field.
+    ``kkt_residual``) can differ beyond :func:`_close`, and so can
+    ``residual_report.json``'s ``model_hash``, the sha256 of a factor that
+    may round differently; each is reported as a mismatch like any other
+    field.
 
     A file that is missing raises ``OSError``; one that does not parse, a
-    ``config.json`` that is not a valid config and a ``gates_report.json``
-    that names no shipped bundle raise ``ArtifactError``."""
+    ``config.json`` that is not a valid config, a thread count or timings
+    of the wrong type and a ``gates_report.json`` that names no shipped
+    bundle raise ``ArtifactError``."""
     report_path = os.path.join(out_dir, "report.json")
     if not os.path.isfile(report_path):
         raise ArtifactError(f"{report_path}: no such file; audit checks the "
@@ -461,18 +475,19 @@ def cmd_audit(out_dir):
         run = cfgmod.validate_config(artifacts.read_json(config_path))
     except ConfigError as exc:
         raise ArtifactError(f"{config_path}: {exc}") from None
-    model = load_model(_model_path(out_dir))
-    model_hash = artifacts.sha256_file(_model_path(out_dir))
 
-    records, entries, _ = _solve_records(run, model, run.mbc)
-    written = artifacts.read_json(report_path).get("provenance")
+    model, records = _identify_records(run)
+    solve_records, entries, _ = _solve_records(run, model, run.mbc)
+    records.update(solve_records)
     gates_path = os.path.join(out_dir, "gates_report.json")
     reproduce = os.path.exists(gates_path)
-    records["report.json"] = _report_record(
-        out_dir, entries,
-        written.get("blas_threads") if isinstance(written, dict) else None,
-        "reproduce" if reproduce else "solve")
-    records["residual_report.json"] = dict(_residual_record(model), model_hash=model_hash)
+    written = artifacts.read_json(report_path).get("provenance")
+    threads = written.get("blas_threads") if isinstance(written, dict) else None
+    if threads is not None and not (type(threads) is int and threads > 0):
+        raise ArtifactError(f"{report_path}: provenance.blas_threads is {threads!r}, "
+                            "not a thread count or null")
+    records["report.json"] = _report_record(out_dir, entries, threads,
+                                            "reproduce" if reproduce else "solve")
     sweep_rows = None
     if reproduce and "sweep" in run.raw or os.path.exists(os.path.join(out_dir, "sweep_T.csv")):
         sweep_rows = sweep_period(model, run.variants[0], run.mbc, run.period_grid, run.N)
@@ -483,12 +498,6 @@ def cmd_audit(out_dir):
     problems = [problem for name, record in records.items()
                 for problem in _diff(name, "", _read_record(os.path.join(out_dir, name)),
                                      _as_read(name, record))]
-    fit_settings = {"seed": run.seed, "n_s": run.n_s, "box": run.box.tolist(),
-                    "system_name": run.system.name,
-                    "dictionary": run.dictionary.to_config()}
-    fitted = model_to_config(model)
-    problems += _diff("model.json", "", {key: fitted[key] for key in fit_settings},
-                      fit_settings)
     problems += [_problem(name, "file", "written", "not written by the re-run")
                  for name in sorted(os.listdir(out_dir))
                  if name.endswith(("_solution.json", "_bilevel.csv"))

@@ -33,8 +33,7 @@ from typing import Tuple
 import numpy as np
 import scipy.linalg
 
-from .artifacts import read_json, write_json
-from .errors import ArtifactError, ConfigError, DataError
+from .errors import ConfigError, DataError
 from .lifting import ObservableDictionary
 from .numerics import eigenmodes
 from .systems import ControlAffineSystem, eval_rhs
@@ -45,10 +44,7 @@ __all__ = [
     "assemble_data",
     "fit_generator",
     "identify",
-    "save_model",
-    "load_model",
     "model_to_config",
-    "model_from_config",
 ]
 
 
@@ -276,7 +272,9 @@ def identify(system, dictionary, n_s, seed, box):
 
 
 def model_to_config(model):
-    """JSON-ready representation; floats survive a round trip exactly."""
+    """The ``model.json`` record of ``model``: its factor, in floats that
+    survive a round trip exactly, and the settings and dictionary it was fit
+    with. ``audit`` diffs the file with the record of a re-identification."""
     return {
         "system_name": model.system_name,
         "dictionary": model.dictionary.to_config(),
@@ -286,45 +284,3 @@ def model_to_config(model):
         "n_s": model.n_s,
         "box": model.box.tolist(),
     }
-
-
-def model_from_config(cfg):
-    """The model of :func:`model_to_config`'s ``cfg``, refitted from its
-    factor; raises ``ValueError`` unless the factor is finite and has the
-    shape ``(n_z + 1, (n_u + 2) n_z)``, n_u >= 1, of the dictionary's n_z."""
-    dictionary = ObservableDictionary.from_config(cfg["dictionary"])
-    # in identify's Fortran order: the residual products round by layout
-    factor = np.array(cfg["factor"], dtype=float, order="F")
-    n_z = dictionary.n_z
-    if not (factor.ndim == 2 and factor.shape[0] == n_z + 1
-            and factor.shape[1] % n_z == 0 and factor.shape[1] >= 3 * n_z
-            and np.all(np.isfinite(factor))):
-        raise ValueError(
-            f"factor must be a finite ({n_z + 1}, (n_u + 2) * {n_z}) array "
-            f"with n_u >= 1, got shape {factor.shape}")
-    return GeneratorModel(
-        factor=factor,
-        dictionary=dictionary,
-        svd_tol=float(cfg["svd_tol"]),
-        seed=int(cfg["seed"]),
-        n_s=int(cfg["n_s"]),
-        box=np.asarray(cfg["box"], dtype=float),
-        system_name=str(cfg["system_name"]),
-    )
-
-
-def save_model(model, path):
-    write_json(path, model_to_config(model))
-
-
-def load_model(path):
-    """The model saved at ``path``; a file that does not parse, is not a JSON
-    object, lacks a key :func:`model_from_config` reads or holds a value it
-    cannot read raises ``ArtifactError`` naming it."""
-    cfg = read_json(path)
-    try:
-        return model_from_config(cfg)
-    except KeyError as exc:
-        raise ArtifactError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (ValueError, TypeError, ConfigError) as exc:
-        raise ArtifactError(f"{path}: {exc}") from None

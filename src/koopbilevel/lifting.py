@@ -4,10 +4,11 @@ A dictionary is an ordered list of scalar terms. The first ``n_x`` terms are
 always the plain state copy, so the original state is recovered from a lifted
 vector by reading its leading entries (``x = C z`` with ``C = [I 0]``).
 
-Terms are declared as serializable descriptors (monomial / sin / cos /
-product) rather than opaque callables, so an identified surrogate model can be
-persisted together with the exact basis it was fit in. The descriptors stay
-the source of truth, and they are what ``to_config`` writes.
+Terms are declared as descriptors (monomial / sin / cos / product) rather
+than opaque callables, so that ``model.json`` records the exact basis a
+surrogate was fit in: ``to_config`` writes them. They are not read back;
+``audit`` rebuilds the dictionary from ``config.json`` and diffs what it
+writes with the file.
 ``ObservableDictionary.eval`` walks a program of the dictionary's distinct
 terms, built once per dictionary, that evaluates each of them once with its
 own ``value`` (a product from its factors' columns), so it is bitwise equal
@@ -33,7 +34,6 @@ __all__ = [
     "Trig",
     "Product",
     "ObservableDictionary",
-    "term_from_config",
     "lift",
     "unlift",
     "manifold_defect",
@@ -108,18 +108,6 @@ class Product:
 
     def to_config(self):
         return {"kind": "product", "factors": [f.to_config() for f in self.factors]}
-
-
-def term_from_config(cfg):
-    """Rebuild a term from its JSON descriptor."""
-    kind = cfg.get("kind")
-    if kind == "monomial":
-        return Monomial(powers=tuple(int(p) for p in cfg["powers"]))
-    if kind in ("sin", "cos"):
-        return Trig(fn=kind, coeffs=tuple(float(c) for c in cfg["coeffs"]))
-    if kind == "product":
-        return Product(factors=tuple(term_from_config(f) for f in cfg["factors"]))
-    raise ConfigError(f"unknown term kind '{kind}'")
 
 
 def _is_state_copy(term, index, n_x):
@@ -205,14 +193,6 @@ class ObservableDictionary:
             "n_x": self.n_x,
             "terms": [t.to_config() for t in self.terms],
         }
-
-    @staticmethod
-    def from_config(cfg):
-        return ObservableDictionary(
-            n_x=int(cfg["n_x"]),
-            terms=tuple(term_from_config(t) for t in cfg["terms"]),
-            name=str(cfg.get("name", "custom")),
-        )
 
 
 def lift(dictionary, x):

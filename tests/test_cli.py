@@ -1,7 +1,9 @@
 import contextlib
 import copy
 import ctypes
+import dataclasses
 import glob
+import hashlib
 import json
 import os
 import subprocess
@@ -14,7 +16,6 @@ import scipy
 import koopbilevel
 from koopbilevel import ConfigError, artifacts, baseline_nlp, cli, config
 from koopbilevel.config import validate_config
-from koopbilevel.gedmd import load_model
 from koopbilevel.upper_level import _lower_eval
 
 
@@ -294,7 +295,7 @@ def test_audit_rebuilds_the_solution_at_the_polish_point(fig1_run, capsys, tmp_p
     # the solution at 1.05 times the period, with its trajectory and report
     # entry rewritten to match, under the search's own stage records
     run = validate_config(json.loads(_read_bytes(os.path.join(fig1_run, "config.json"))))
-    model = load_model(os.path.join(fig1_run, "model.json"))
+    model, _ = cli._identify_records(run)
     path = os.path.join(fig1_run, "b0_solution.json")
     sol = json.loads(_read_bytes(path))
     _, lower, _ = _lower_eval(model, run.variants[0], run.mbc,
@@ -353,57 +354,113 @@ def _shift_item(field, index, by):
 STALE_HASHES = ["MISMATCH residual_report.json:model_hash:",
                 "MISMATCH report.json:provenance.model_hash:"]
 
-# (file, rewrite, texts that start the lines of the output, each at least
-# once): the identification record against model.json, and the provenance
-# against config.json and model.json; a model.json rewritten after the run
-# leaves both recorded hashes stale
+
+def _rehashed(rewrite):
+    """Rewrites of model.json by ``rewrite`` and of both recorded model
+    hashes, each set to the sha256 of the rewritten file, so that every file
+    in the directory agrees with the new model.json."""
+    digest = []
+
+    def rewrite_model(text):
+        text = rewrite(text)
+        digest.append(hashlib.sha256(text.encode()).hexdigest())
+        return text
+
+    def set_hash(*keys):
+        return _json_edit(lambda obj: _set(keys, digest[-1])(obj))
+
+    return {"model.json": rewrite_model,
+            "residual_report.json": set_hash("model_hash"),
+            "report.json": set_hash("provenance", "model_hash")}
+
+
+def _next_float_of_factor(model):
+    model["factor"][0][0] = float(np.nextafter(model["factor"][0][0], np.inf))
+
+
+# ({file: rewrite}, texts that start the lines of the output, each at least
+# once): the identification record and model.json against the re-run's fit,
+# and the provenance against config.json and model.json. A model.json
+# rewritten after the run leaves report.json's hash of it stale; with both
+# hashes updated too, the re-run's hash of its own fit still differs
 IDENTIFICATION_CORRUPTIONS = [
-    ("residual_report.json", _json_edit(_shift_item("residuals", 0, 1e-3)),
+    ({"residual_report.json": _json_edit(_shift_item("residuals", 0, 1e-3))},
      ["MISMATCH residual_report.json:residuals[0]:"]),
-    ("residual_report.json", _json_edit(_shift_item("ranks", 1, -1)),
+    ({"residual_report.json": _json_edit(_shift_item("ranks", 1, -1))},
      ["MISMATCH residual_report.json:ranks[1]:"]),
-    ("residual_report.json", _json_edit(_set(["ranks"], [3])),
+    ({"residual_report.json": _json_edit(_set(["ranks"], [3]))},
      ["MISMATCH residual_report.json:ranks:"]),
-    ("residual_report.json", _json_edit(_shift("n_z")),
+    ({"residual_report.json": _json_edit(_shift("n_z"))},
      ["MISMATCH residual_report.json:n_z:"]),
-    ("residual_report.json", _json_edit(_shift("modes_cond")),
+    ({"residual_report.json": _json_edit(_shift("modes_cond"))},
      ["MISMATCH residual_report.json:modes_cond:"]),
-    ("residual_report.json", _json_edit(_set(["model_hash"], "0" * 64)),
+    ({"residual_report.json": _json_edit(_set(["model_hash"], "0" * 64))},
      STALE_HASHES[:1]),
-    ("report.json", _json_edit(_set(["provenance", "model_hash"], "0" * 64)),
+    ({"report.json": _json_edit(_set(["provenance", "model_hash"], "0" * 64))},
      STALE_HASHES[1:]),
-    ("report.json", _json_edit(_set(["provenance"], 5)),
+    ({"report.json": _json_edit(_set(["provenance"], 5))},
      ["MISMATCH report.json:provenance: reported 5 recomputed {'blas_threads': None, "
       "'command': 'reproduce', 'config_hash': "]),
     # a config that solve did not run, whose sweep grid has another size,
     # on which the gates are re-evaluated too
-    ("config.json", _json_edit(_set(["sweep", "points"], 138)),
+    ({"config.json": _json_edit(_set(["sweep", "points"], 138))},
      ["MISMATCH report.json:provenance.config_hash:",
       "MISMATCH sweep_T.csv:rows: reported 'length 137' recomputed 'length 138'",
       "MISMATCH gates_report.json:gates[",
       "MISMATCH gates_report.json:passed: reported True recomputed False"]),
-    ("model.json", lambda text: text + "\n", STALE_HASHES),
+    # the same content in other bytes: only the hash of the file tells
+    ({"model.json": lambda text: text + "\n"}, STALE_HASHES[1:]),
     # a model fitted from settings that are not the config's
-    ("model.json", _json_edit(_set(["seed"], 7)),
-     ["MISMATCH model.json:seed: reported 7 recomputed 20240"] + STALE_HASHES),
-    # the tail row under channel 0: its residual, not L0
-    ("model.json", _json_edit(lambda model: _shift_item(3, 3, 1e-3)(model["factor"])),
-     ["MISMATCH residual_report.json:residuals[0]:"] + STALE_HASHES),
+    ({"model.json": _json_edit(_set(["seed"], 7))},
+     ["MISMATCH model.json:seed: reported 7 recomputed 20240"] + STALE_HASHES[1:]),
+    # the tail row under channel 0
+    ({"model.json": _json_edit(lambda model: _shift_item(3, 3, 1e-3)(model["factor"]))},
+     ["MISMATCH model.json:factor[3][3]:"] + STALE_HASHES[1:]),
+    # settings of the config's value in another JSON type, and a factor
+    # entry one float away, each with both hashes updated to match
+    (_rehashed(_json_edit(lambda model: model.update(seed=float(model["seed"])))),
+     ["MISMATCH model.json:seed: reported 20240.0 recomputed 20240"] + STALE_HASHES[:1]),
+    (_rehashed(_json_edit(lambda model: model.update(n_s=float(model["n_s"])))),
+     ["MISMATCH model.json:n_s: reported 2000.0 recomputed 2000"] + STALE_HASHES[:1]),
+    (_rehashed(_json_edit(_next_float_of_factor)), STALE_HASHES[:1]),
 ]
 
 
-@pytest.mark.parametrize("name,rewrite,named", IDENTIFICATION_CORRUPTIONS,
+@pytest.mark.parametrize("rewrites,named", IDENTIFICATION_CORRUPTIONS,
                          ids=["residual", "rank", "short_ranks", "n_z",
                               "modes_cond", "residual_report_hash",
                               "provenance_hash", "number_provenance",
                               "edited_config", "stale_model", "model_seed",
-                              "factor_tail"])
-def test_audit_checks_the_identification_record(fig1_run, capsys, name,
-                                                rewrite, named):
-    assert _audit_after_rewrite(os.path.join(fig1_run, name), rewrite) == 1
+                              "factor_tail", "float_seed", "float_n_s",
+                              "factor_last_bit"])
+def test_audit_checks_the_identification_record(fig1_run, capsys, rewrites, named):
+    with contextlib.ExitStack() as stack:
+        for name, rewrite in rewrites.items():
+            stack.enter_context(_rewritten(os.path.join(fig1_run, name), rewrite))
+        assert cli.main(["audit", "--out", fig1_run]) == 1
     out = capsys.readouterr().out
     assert all(text in out for text in named), out
     assert all(line.startswith(tuple(named)) for line in out.splitlines()), out
+
+
+def test_audit_reidentifies_the_model_of_a_consistent_directory(tmp_path, monkeypatch,
+                                                               capsys):
+    # every file, hash and solution of this directory is of one model, but
+    # not of the one that its config.json identifies
+    identify = cli.identify
+
+    def scaled(*args, **kwargs):
+        model = identify(*args, **kwargs)
+        return dataclasses.replace(model, factor=model.factor * (1 + 1e-6))
+
+    path = tmp_path / "fig1.json"
+    path.write_text(json.dumps(cli.load_bundle("fig1")["config"]))
+    out = str(tmp_path / "out")
+    monkeypatch.setattr(cli, "identify", scaled)
+    assert cli.main(["solve", "--config", str(path), "--out", out]) == 0
+    monkeypatch.undo()
+    assert cli.main(["audit", "--out", out]) == 1
+    assert "MISMATCH model.json:factor[" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("names,code,named", [
@@ -503,9 +560,9 @@ def _constant_csv_column(column, value=None):
 
 
 # (file, rewrite, exit code, name in the output): a file that does not parse,
-# or is not the object audit reads, and a config.json that is not a valid
-# config, exit 2 naming the file; a parsed one with a bad field is a mismatch
-# naming the field
+# or is not the object audit reads, a config.json that is not a valid config
+# and a value taken from a file, not rebuilt, of the wrong type exit 2 naming
+# the file; a parsed one with a bad field is a mismatch naming the field
 MALFORMED_ARTIFACTS = [
     ("b0_solution.json", _json_edit(lambda sol: sol.update(z0=sol["z0"][:2])),
      1, "MISMATCH b0_solution.json:z0: reported 'length 2' recomputed 'length 3'"),
@@ -522,13 +579,17 @@ MALFORMED_ARTIFACTS = [
     ("report.json", _json_edit(lambda report: report.update(entries=[5])),
      1, "MISMATCH report.json:entries[0]: reported 5 recomputed {"),
     ("b0_solution.json", lambda text: "5", 2, "b0_solution.json"),
-    ("model.json", _json_edit(_set(["factor"], 5)), 2, "model.json"),
-    ("model.json", _json_edit(_set(["factor"], "x")), 2, "model.json"),
-    ("model.json", _json_edit(_set(["factor"], [[1, 2], [3, 4]])), 2, "model.json"),
+    # model.json is diffed with the re-run's fit, not read as a model
+    ("model.json", _json_edit(_set(["factor"], 5)), 1,
+     "MISMATCH model.json:factor: reported 5 recomputed [["),
+    ("model.json", _json_edit(_set(["factor"], "x")), 1,
+     "MISMATCH model.json:factor: reported 'x' recomputed [["),
+    ("model.json", _json_edit(_set(["factor"], [[1, 2], [3, 4]])), 1,
+     "MISMATCH model.json:factor: reported 'length 2' recomputed 'length 4'"),
     ("model.json", _json_edit(lambda model: _set([3, 3], float("nan"))(model["factor"])),
-     2, "model.json"),
+     1, "MISMATCH model.json:factor[3][3]: reported nan"),
     ("model.json", _json_edit(_set(["dictionary", "terms", 2, "kind"], "bogus")),
-     2, "model.json"),
+     1, "MISMATCH model.json:dictionary.terms[2].kind: reported 'bogus' recomputed 'monomial'"),
     ("config.json", lambda text: text[: len(text) // 2], 2, "config.json"),
     ("config.json", lambda text: "5", 2, "config.json"),
     ("config.json", _json_edit(_set(["substeps"], 7)), 2, "config.json"),
@@ -565,6 +626,21 @@ MALFORMED_ARTIFACTS = [
      "gates_report.json: unknown bundle 'bogus'"),
     ("gates_report.json", _json_edit(_set(["timings", "solve"], "abc")), 2,
      "gates_report.json: timings are not seconds by name"),
+    # a bool is an int to Python, but not a number of seconds
+    ("gates_report.json", _json_edit(_set(["timings", "solve"], True)), 2,
+     "gates_report.json: timings are not seconds by name"),
+    ("gates_report.json", _json_edit(_set(["per_variant_seconds", "b0"], False)), 2,
+     "gates_report.json: timings are not seconds by name"),
+    ("gates_report.json", _json_edit(_set(["timings", "solve"], -1.0)), 2,
+     "gates_report.json: timings are not seconds by name"),
+    ("gates_report.json", _json_edit(_set(["timings", "solve"], float("inf"))), 2,
+     "gates_report.json: timings are not seconds by name"),
+    ("report.json", _json_edit(_set(["provenance", "blas_threads"], "abc")), 2,
+     "report.json: provenance.blas_threads is 'abc', not a thread count or null"),
+    ("report.json", _json_edit(_set(["provenance", "blas_threads"], True)), 2,
+     "report.json: provenance.blas_threads is True, not a thread count or null"),
+    ("report.json", _json_edit(_set(["provenance", "blas_threads"], 0)), 2,
+     "report.json: provenance.blas_threads is 0, not a thread count or null"),
 ]
 
 
@@ -583,7 +659,11 @@ MALFORMED_ARTIFACTS = [
                               "first_bilevel_input_everywhere",
                               "string_sweep_cost", "renamed_sweep_column",
                               "last_input_not_repeated",
-                              "unknown_bundle", "string_timing"])
+                              "unknown_bundle", "string_timing",
+                              "bool_timing", "bool_variant_timing",
+                              "negative_timing", "infinite_timing",
+                              "string_blas_threads", "bool_blas_threads",
+                              "zero_blas_threads"])
 def test_audit_of_a_malformed_artifact_names_it(fig1_run, capsys, name, rewrite,
                                                 code, named):
     assert _audit_after_rewrite(os.path.join(fig1_run, name), rewrite) == code
@@ -605,17 +685,11 @@ def test_audit_of_a_malformed_artifact_names_it(fig1_run, capsys, name, rewrite,
                                       ("b0_solution.json", "start_records")])
 def test_audit_of_an_artifact_missing_a_key_names_both(fig1_run, capsys, name,
                                                        key):
-    # a file that audit diffs with its re-run lacks a field, one that audit
-    # re-runs from cannot be read
-    code = 2 if name == "model.json" else 1
+    # a file that audit diffs with its re-run lacks a field
     assert _audit_after_edit(os.path.join(fig1_run, name),
-                             lambda obj: obj.pop(key)) == code
-    captured = capsys.readouterr()
-    if code == 1:
-        assert f"MISMATCH {name}:{key}: reported 'missing' recomputed " in captured.out
-    else:
-        err = captured.err
-        assert err.startswith("file error: ") and name in err and repr(key) in err
+                             lambda obj: obj.pop(key)) == 1
+    assert (f"MISMATCH {name}:{key}: reported 'missing' recomputed "
+            in capsys.readouterr().out)
 
 
 # (edit of report.json or b0_solution.json, text named in the output): each

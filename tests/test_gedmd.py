@@ -15,12 +15,7 @@ from koopbilevel import (
     simulate,
 )
 from koopbilevel import gedmd
-from koopbilevel.gedmd import (
-    load_model,
-    model_from_config,
-    model_to_config,
-    save_model,
-)
+from koopbilevel.gedmd import model_to_config
 from koopbilevel.lifting import Monomial, ObservableDictionary
 from koopbilevel.systems import eval_rhs, make_linear_system
 
@@ -384,28 +379,11 @@ class TestSurrogate:
 
 
 class TestPersistence:
-    def test_round_trip_exact(self, pendulum_model, tmp_path):
-        path = tmp_path / "model.json"
-        save_model(pendulum_model, path)
-        loaded = load_model(path)
-        assert np.array_equal(loaded.L0, pendulum_model.L0)
-        assert all(
-            np.array_equal(a, b) for a, b in zip(loaded.Li, pendulum_model.Li)
-        )
-        assert loaded.residuals == pendulum_model.residuals
-        assert loaded.dictionary == pendulum_model.dictionary
-        assert np.array_equal(loaded.box, pendulum_model.box)
-
-    def test_fitted_matrices_have_the_reloaded_layout(self, pendulum_model,
-                                                      tmp_path):
-        # products with L round by its memory layout, so the fitted model
-        # must solve like the one read back from model.json
-        path = tmp_path / "model.json"
-        save_model(pendulum_model, path)
-        loaded = load_model(path)
-        for fitted, reloaded in zip((pendulum_model.L0,) + pendulum_model.Li,
-                                    (loaded.L0,) + loaded.Li):
-            assert fitted.flags.c_contiguous and reloaded.flags.c_contiguous
+    def test_fitted_matrices_are_c_contiguous(self, pendulum_model):
+        # products with L round by its memory layout, and every product with
+        # L0 and Li was written and checked against C-order matrices
+        for fitted in (pendulum_model.L0,) + pendulum_model.Li:
+            assert fitted.flags.c_contiguous
 
     def test_bitwise_determinism(self, pendulum):
         d = get_dictionary("pendulum12", 2)
@@ -414,7 +392,6 @@ class TestPersistence:
         s1 = json.dumps(model_to_config(m1), sort_keys=True)
         s2 = json.dumps(model_to_config(m2), sort_keys=True)
         assert s1 == s2
-        assert model_from_config(json.loads(s1)).L0 is not None
 
 
 def test_constant_term_required_for_constant_input_maps():
