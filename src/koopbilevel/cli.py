@@ -32,6 +32,7 @@ import contextlib
 import ctypes
 import dataclasses
 import glob
+import hashlib
 import json
 import math
 import os
@@ -121,24 +122,28 @@ def _ensure_dir(path):
 def _write_records(out_dir, records):
     """Write each record to the file in ``out_dir`` that it is keyed by: a
     ``.csv`` record, a ``(times, states, inputs)`` trajectory, as a
-    trajectory CSV and any other as JSON."""
+    trajectory CSV, a string as the file's text and any other as JSON."""
     for name, record in records.items():
         path = os.path.join(out_dir, name)
         if name.endswith(".csv"):
             artifacts.write_trajectory_csv(path, *record)
+        elif isinstance(record, str):
+            with open(path, "w") as fh:
+                fh.write(record)
         else:
             artifacts.write_json(path, record)
 
 
 def _identify_records(run):
     """The model identified from the config, and its records keyed by the
-    file that :func:`cmd_identify` writes each to: ``model.json`` and
+    file that :func:`cmd_identify` writes each to: ``model.json``, as its
+    canonical JSON text, formatted once for both the file and its hash, and
     ``residual_report.json`` (the fit's residuals and ranks, cond(V) of L0's
     eigendecomposition and the sha256 of ``model.json``). A defective L0
     raises ``NumericError`` here, before any file is written."""
     model = identify(run.system, run.dictionary, n_s=run.n_s, seed=run.seed,
                      box=run.box)
-    fit = model_to_config(model)
+    fit = artifacts.canonical_json(model_to_config(model))
     return model, {
         "model.json": fit,
         "residual_report.json": {
@@ -146,7 +151,7 @@ def _identify_records(run):
             "ranks": list(model.ranks),
             "n_z": model.n_z,
             "modes_cond": float(np.linalg.cond(model.modes[1])),
-            "model_hash": artifacts.sha256_json(fit),
+            "model_hash": hashlib.sha256(fit.encode()).hexdigest(),
         },
     }
 
@@ -410,7 +415,9 @@ def _read_record(path):
 
 def _as_read(name, record):
     """``record`` as :func:`_read_record` reads it back from the file
-    ``name`` that it is written to."""
+    ``name`` that it is written to; a string record is the file's text."""
+    if isinstance(record, str):
+        return json.loads(record)
     if name.endswith(".json") or name == "sweep_T.csv":
         return json.loads(artifacts.canonical_json(record))
     return _columns(record)

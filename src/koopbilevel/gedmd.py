@@ -134,16 +134,17 @@ def assemble_data(system, dictionary, X):
     derivatives per channel.
 
     Channel 0 uses u = 0; channel i in 1..n_u uses the canonical basis input
-    u = e_i. Every channel's Lie derivatives come from one complex-step
-    evaluation of the dictionary along the channels' vector fields. Returns
-    ``(Psi, dPsis)``: ``Psi`` with one column per sample, and one such
-    ``dPsi`` per channel. :func:`identify` calls it on one block of
+    u = e_i. Each channel's Lie derivatives come from a complex-step
+    evaluation of the dictionary along that channel's vector field alone, so
+    one channel's complex temporaries are held at a time; the step is
+    elementwise, so they round as a step along every channel at once would.
+    Returns ``(Psi, dPsis)``: ``Psi`` with one column per sample, and one
+    such ``dPsi`` per channel. :func:`identify` calls it on one block of
     ``_BLOCK`` samples at a time and checks the block for non-finite values.
     """
     inputs = np.eye(system.n_u + 1, system.n_u, -1)  # 0, e_1, ..., e_n_u
-    fields = np.stack([eval_rhs(system, X, u) for u in inputs])
-    dPsis = dictionary.derivative(X, fields)
-    return dictionary.eval(X).T, tuple(dPsi.T for dPsi in dPsis)
+    dPsis = tuple(dictionary.derivative(X, eval_rhs(system, X, u)).T for u in inputs)
+    return dictionary.eval(X).T, dPsis
 
 
 # singular values of Psi at most this fraction of the largest are truncated. At
@@ -195,8 +196,8 @@ def fit_generator(R, n_z, svd_tol=_SVD_TOL):
 # samples lifted, differentiated and folded into [R_Psi | C] at a time;
 # bounds the complex-step temporaries and the rows held. Identifying walker's
 # 45,000 samples in a fresh process on a 2-core Xeon (median of 5) peaked at
-# 85.0, 86.7 and 92.3 MB RSS with blocks of 1024, 2048 and 4096, each in
-# about 0.16 s; at 2048 fig1's 2000 samples are one block
+# 83.8, 85.1 and 89.5 MB RSS with blocks of 1024, 2048 and 4096, each in
+# about 0.15 s; at 2048 fig1's 2000 samples are one block
 _BLOCK = 2048
 
 _GEQRT, _GEMQRT = scipy.linalg.get_lapack_funcs(("geqrt", "gemqrt"),
@@ -250,7 +251,7 @@ def identify(system, dictionary, n_s, seed, box):
         for c, M in enumerate((Psi,) + dPsis):
             rows[:, c * n_z:(c + 1) * n_z] = M.T
         # free the block's lifts before the next block's are made: kept, they
-        # raised walker's identify peak RSS from 86.7 to 89.3 MB
+        # raised walker's identify peak RSS from 85.1 to 87.6 MB
         del Psi, dPsis, M
         finite = np.all(np.isfinite(rows), axis=1)
         if not np.all(finite):

@@ -231,8 +231,8 @@ def sweep_period(model, variant, mbc, T_grid, N):
     """Evaluate the upper objective on a period grid (no refinement).
 
     Returns one row per grid point with the lower-level diagnostics of
-    ``lower_level.sweep_lower``: every point that reduces is solved in one
-    batch, and each row equals the point's own ``solve_lower``. A point whose
+    ``lower_level.sweep_lower``: the points that reduce are solved in
+    blocks, and each row equals the point's own ``solve_lower``. A point whose
     reduction raises, or whose QP ``solve_kkt`` rejects, carries NaNs, so a
     sweep never dies on an isolated degenerate period.
     """
@@ -247,8 +247,7 @@ def sweep_period(model, variant, mbc, T_grid, N):
             continue
         reduced.append(i)
     values = np.full((T_grid.size, 3), np.nan)
-    if problems:
-        values[reduced] = sweep_lower(problems)
+    values[reduced] = sweep_lower(problems)
     return [{"T": float(T), **dict(zip(
         ("c_star", "kkt_residual", "manifold_defect_max"), row.tolist()))}
         for T, row in zip(T_grid, values)]

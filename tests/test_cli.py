@@ -884,6 +884,28 @@ def test_identify_writes_the_fit_that_solve_writes(tmp_path):
             os.path.join(outs[1], name)), name
 
 
+def test_identify_formats_the_model_record_once(tmp_path, monkeypatch):
+    # model.json's text is hashed into residual_report.json and written as
+    # it is; formatting walker's record takes milliseconds
+    formatted = []
+    canonical_json = artifacts.canonical_json
+
+    def counting(obj):
+        if isinstance(obj, dict) and "factor" in obj:
+            formatted.append(obj)
+        return canonical_json(obj)
+
+    monkeypatch.setattr(artifacts, "canonical_json", counting)
+    run = validate_config(cli.load_bundle("fig1")["config"])
+    out = str(tmp_path / "identify")
+    cli.cmd_identify(run, out)
+    assert len(formatted) == 1
+    text = _read_bytes(os.path.join(out, "model.json"))
+    assert text.decode() == canonical_json(formatted[0])
+    report = json.loads(_read_bytes(os.path.join(out, "residual_report.json")))
+    assert report["model_hash"] == hashlib.sha256(text).hexdigest()
+
+
 def test_walker_config_needs_rate_bound(tmp_path):
     # the upper-level search needs the finite box that rate_bound spans
     cfg = copy.deepcopy(cli.load_bundle("walker")["config"])

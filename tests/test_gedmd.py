@@ -16,7 +16,7 @@ from koopbilevel import (
 )
 from koopbilevel import gedmd
 from koopbilevel.gedmd import model_to_config
-from koopbilevel.lifting import Monomial, ObservableDictionary
+from koopbilevel.lifting import DICTIONARY_PRESETS, Monomial, ObservableDictionary
 from koopbilevel.systems import eval_rhs, make_linear_system
 
 TWO_PI = 2.0 * np.pi
@@ -72,6 +72,25 @@ class TestAssembleData:
         _, (d0, d1) = assemble_data(pendulum, d, X)
         column = d.derivative(X, [0.0, 1.0])  # along G = [0, 1]^T
         assert np.max(np.abs((d1 - d0) - column.T)) <= 1e-12
+
+    # the system each preset dictionary lifts in the bundles and tests
+    @pytest.mark.parametrize("dictionary,name", [
+        ("identity", "oscillator"), ("linear_const", "oscillator"),
+        ("pendulum12", "pendulum"), ("compass_gait29", "walker")])
+    def test_each_channel_rounds_as_one_stacked_step(self, request, dictionary, name):
+        # a complex step along each channel alone, bitwise the step along
+        # every channel's vector field at once
+        assert dictionary in DICTIONARY_PRESETS
+        system = request.getfixturevalue(name)
+        d = get_dictionary(dictionary, system.n_x)
+        X = sample_states(system.state_box, 300, seed=8)
+        inputs = np.eye(system.n_u + 1, system.n_u, -1)
+        stacked = d.derivative(X, np.stack([eval_rhs(system, X, u) for u in inputs]))
+        Psi, dPsis = assemble_data(system, d, X)
+        assert np.array_equal(Psi, d.eval(X).T)
+        assert len(dPsis) == len(stacked)
+        for dPsi, expected in zip(dPsis, stacked):
+            assert np.array_equal(dPsi, expected.T)
 
     def test_finite_difference_directional_oracle(self, pendulum):
         d = get_dictionary("pendulum12", 2)
@@ -327,7 +346,10 @@ class TestIdentify:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= n_s * d.n_z * 8
+        # each channel's Lie derivatives are complex steps of their own, so
+        # one channel's complex temporaries are held at a time: 0.57 of
+        # n_s n_z float64s here, and 0.68 with every channel in one step
+        assert peak <= 0.62 * n_s * d.n_z * 8
 
 
 class TestLinearize:

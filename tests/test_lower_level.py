@@ -162,9 +162,19 @@ class TestBuildQp:
             with pytest.raises(BuildError, match="share"):
                 build_qp(mixed)
 
+    def test_an_empty_batch_is_a_build_error(self):
+        with pytest.raises(BuildError, match="empty"):
+            build_qp([])
+
     def test_dimension_mismatch_raises(self, pendulum_model):
         with pytest.raises(Exception):
             make_problem(pendulum_model, "b0", [0.5, 0.0, 0.0], [0.5, 0], 5.0, 8)
+
+
+class TestSweepLower:
+    def test_no_problems_give_no_rows(self):
+        rows = lower_level.sweep_lower([])
+        assert rows.shape == (0, 3) and rows.dtype == float
 
 
 class TestSolveLower:

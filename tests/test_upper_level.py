@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from koopbilevel import (
     solve_reduced,
     sweep_period,
 )
-from koopbilevel import upper_level
+from koopbilevel import lower_level, upper_level
 from koopbilevel.errors import LowerLevelError, NoSolutionError, NumericError
 
 TWO_PI = 2.0 * np.pi
@@ -376,8 +378,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("kind,w", [("b0", 0.0), ("bT", 0.0), ("soft", 0.5)])
     def test_rows_equal_the_single_solves(self, pendulum_model, kind, w):
-        # the grid is solved in one batch; each row is what the grid
-        # period's own solve_lower gives
+        # the grid is solved in blocks of lower_level._SWEEP_BLOCK; each row
+        # is what the grid period's own solve_lower gives
         variant = BoundaryVariant(kind, w=w)
         mbc = make_periodic_amplitude_anchor(np.deg2rad(40.0))
         grid = np.linspace(1.5 * np.pi, 3.0 * np.pi, 9)
@@ -393,6 +395,73 @@ class TestSweep:
             }
             for key, value in single.items():
                 assert row[key] == pytest.approx(value, rel=1e-12, abs=0.0), (T, key)
+
+    @pytest.mark.parametrize("kind,w", [("b0", 0.0), ("bT", 0.0), ("soft", 0.5)])
+    def test_rows_equal_the_single_solves_across_block_edges(
+            self, pendulum_model, monkeypatch, kind, w):
+        # blocks of 4 over 2 * 4 + 5 periods, whose reductions fail at grid
+        # indices 3 and 4, either side of the grid's first block edge: the 11
+        # points that reduce are solved in blocks of 4, 4 and 3, and each row
+        # is bitwise what the period's own solve_lower gives
+        monkeypatch.setattr(lower_level, "_SWEEP_BLOCK", 4)
+        variant = BoundaryVariant(kind, w=w)
+        base = make_periodic_amplitude_anchor(np.deg2rad(40.0))
+        grid = np.linspace(1.5 * np.pi, 3.0 * np.pi, 2 * 4 + 5)
+
+        def reduction(p):
+            if p[0] in grid[3:5]:
+                raise LowerLevelError("outside the trusted horizon")
+            return base.reduction(p)
+
+        mbc = MixedBoundaryConstraint(eval=base.eval, n_g=4, n_x=2, reduction=reduction)
+        rows = sweep_period(pendulum_model, variant, mbc, grid, 60)
+        assert [row["T"] for row in rows] == grid.tolist()
+        for i, (T, row) in enumerate(zip(grid, rows)):
+            _, sol, err = upper_level._lower_eval(pendulum_model, variant, mbc, [T], 60)
+            values = (row["c_star"], row["kkt_residual"], row["manifold_defect_max"])
+            if i in (3, 4):
+                assert type(err) is LowerLevelError
+                assert all(np.isnan(values)), row
+                continue
+            assert values == (sol.c, max(sol.kkt.stationarity_residual,
+                                         sol.kkt.feasibility_residual),
+                              float(np.max(sol.manifold_defects))), T
+
+    def test_sweep_holds_one_block_at_a_time(self, oscillator_model):
+        # fig1's grid, N and variant: the peak traced allocation of a sweep
+        # of four blocks stays near that of one block
+        mbc = make_periodic_amplitude_anchor(A_30)
+        variant, block = BoundaryVariant("b0"), lower_level._SWEEP_BLOCK
+        peaks = []
+        for points in (block, 4 * block):
+            grid = np.linspace(0.7 * TWO_PI, 5.0 * TWO_PI, points)
+            sweep_period(oscillator_model, variant, mbc, grid, 101)  # warm caches
+            tracemalloc.start()
+            try:
+                sweep_period(oscillator_model, variant, mbc, grid, 101)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    def test_a_grid_that_never_reduces_is_one_empty_batch(
+            self, oscillator_model, monkeypatch):
+        batches = []
+
+        def recording(problems):
+            batches.append(list(problems))
+            return lower_level.sweep_lower(problems)
+
+        def reduction(p):
+            raise LowerLevelError("outside the trusted horizon")
+
+        monkeypatch.setattr(upper_level, "sweep_lower", recording)
+        mbc = MixedBoundaryConstraint(eval=None, n_g=4, n_x=2, reduction=reduction)
+        rows = sweep_period(oscillator_model, BoundaryVariant("b0"), mbc, [6.0, 7.0], 30)
+        assert batches == [[]]
+        assert [row["T"] for row in rows] == [6.0, 7.0]
+        assert all(np.isnan(row[key]) for row in rows
+                   for key in ("c_star", "kkt_residual", "manifold_defect_max"))
 
     def test_failed_points_mid_grid_leave_their_neighbours(self, model_from_matrices):
         # input authority (0, x1, 0) vanishes at x1 = 0: the middle period
