@@ -24,8 +24,10 @@ Wright, *Numerical Optimization*, sec. 8.1). Each defect touches only its
 own node, its segment's inputs and T, so one batch of a segment's RK4 steps,
 over every segment, the nominal point and each coordinate of (node state,
 segment inputs, T) stepped both ways, gives the constraints and every defect
-column together. The boundary rows are differenced over (x0, xN, T). The
-every-knot Jacobian is the one-knot-segment case.
+column together. The boundary rows are differenced over (x0, xN, T), every
+stepped point in one call of the constraint, which broadcasts over them
+(``MixedBoundaryConstraint``). The every-knot Jacobian is the
+one-knot-segment case.
 
 This module is the comparison oracle: it is deliberately plain, with no
 sparsity or second-order machinery beyond what the problem sizes need.
@@ -190,8 +192,9 @@ class TranscribedNlp:
         """Constraints and their central-difference Jacobian, ``(c, J)``: the
         segment end states differenced over (node state, segment inputs, T)
         of every segment in one batch of RK4 steps, the boundary rows over
-        (x0, xN, T). ``c`` is bitwise :meth:`constraints`: RK4 acts on each
-        batch entry alone."""
+        (x0, xN, T) in one call of the constraint. ``c`` is bitwise
+        :meth:`constraints`: RK4 and the constraint act on each batch entry
+        alone."""
         X, U, T = self.unpack(v)
         N, S, n_x, n_u = self.N, self.n_segments, self.n_x, self.n_u
         J = np.zeros((self.n_con, self.n_var))
@@ -223,12 +226,9 @@ class TranscribedNlp:
         r, c = np.broadcast_arrays(rows.reshape(S, n_x), cols[:, :, None])
         J[r[keep], c[keep]] = -dS[keep]
 
-        def boundary(Y):
-            return np.array([self.mbc.residual(y[:n_x], y[n_x:-1], y[-1])
-                             for y in Y])
-
         b, dB = _central_difference(
-            boundary, np.concatenate([X[0], X[S], [T]]), steps(2 * n_x))
+            lambda Y: self.mbc.residual(Y[..., :n_x], Y[..., n_x:-1], Y[..., -1]),
+            np.concatenate([X[0], X[S], [T]]), steps(2 * n_x))
         J[self.n_defects :, np.r_[ix, S * n_x + ix, self.n_var - 1]] = dB.T
         return np.concatenate([(X[1:] - ends).ravel(), b]), J
 

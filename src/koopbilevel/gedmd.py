@@ -6,8 +6,9 @@ to the dictionary span is the minimum-norm least-squares solution L of
 ``min ||L Psi - dPsi||``, where the columns of ``Psi`` are lifted sample
 states and the columns of ``dPsi`` are their Lie derivatives along the drift
 (index 0) or along the drift plus one canonical input channel (index i).
-The Lie derivatives nabla psi . f are complex steps of the dictionary along
-each channel's vector field (``ObservableDictionary.derivative``).
+The Lie derivatives nabla psi . f are the dictionary's forward-mode tangents
+along each channel's vector field, all channels and the lifts themselves from
+one walk of the dictionary (``ObservableDictionary.jet``).
 
 Identification is one pass over the samples (:func:`identify`). Each block
 of lifts and Lie derivatives is folded into a small factor ``[R_Psi | C]`` by
@@ -115,9 +116,11 @@ class GeneratorModel:
         )
 
 
-def sample_states(box, n_s, seed):
-    """Draw n_s i.i.d. uniform samples in the box, one state per row of the
-    returned array, deterministic in the seed."""
+def _draws(box, n_s, seed, block):
+    """The rows of ``sample_states(box, n_s, seed)`` in blocks of ``block``,
+    each drawn from one generator when it is asked for. A uniform draw takes
+    the stream's doubles row by row, so the blocks, a shorter last one
+    included, are bitwise the rows of one draw."""
     box = np.asarray(box, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2:
         raise ConfigError(f"sampling box must have shape (n_x, 2), got {box.shape}")
@@ -126,25 +129,34 @@ def sample_states(box, n_s, seed):
     if n_s < 1:
         raise ConfigError(f"need at least one sample, got n_s={n_s}")
     rng = np.random.default_rng(seed)
-    return rng.uniform(box[:, 0], box[:, 1], size=(int(n_s), box.shape[0]))
+    for start in range(0, int(n_s), block):
+        yield rng.uniform(box[:, 0], box[:, 1],
+                          size=(min(block, int(n_s) - start), box.shape[0]))
 
 
-def assemble_data(system, dictionary, X):
+def sample_states(box, n_s, seed):
+    """Draw n_s i.i.d. uniform samples in the box, one state per row of the
+    returned array, deterministic in the seed."""
+    return next(_draws(box, n_s, seed, int(n_s)))
+
+
+def assemble_data(system, dictionary, X, out=None):
     """Lift the samples ``X`` (one state per row) and compute their Lie
     derivatives per channel.
 
     Channel 0 uses u = 0; channel i in 1..n_u uses the canonical basis input
-    u = e_i. Each channel's Lie derivatives come from a complex-step
-    evaluation of the dictionary along that channel's vector field alone, so
-    one channel's complex temporaries are held at a time; the step is
-    elementwise, so they round as a step along every channel at once would.
-    Returns ``(Psi, dPsis)``: ``Psi`` with one column per sample, and one
-    such ``dPsi`` per channel. :func:`identify` calls it on one block of
-    ``_BLOCK`` samples at a time and checks the block for non-finite values.
+    u = e_i. The lifts and every channel's Lie derivatives come from one
+    walk of the dictionary along the channels' vector fields stacked
+    (``ObservableDictionary.jet``), in real arithmetic. Returns ``(Psi,
+    dPsis)``: ``Psi`` with one column per sample, and one such ``dPsi`` per
+    channel. Given ``out``, a pair of arrays shaped ``(n_s, n_z)`` and
+    ``(n_u + 1, n_s, n_z)``, the lifts and Lie derivatives are written
+    there and returned as views of it: :func:`identify` passes the rows it
+    folds, one block of ``_BLOCK`` samples at a time.
     """
     inputs = np.eye(system.n_u + 1, system.n_u, -1)  # 0, e_1, ..., e_n_u
-    dPsis = tuple(dictionary.derivative(X, eval_rhs(system, X, u)).T for u in inputs)
-    return dictionary.eval(X).T, dPsis
+    psi, dpsi = dictionary.jet(X, np.stack([eval_rhs(system, X, u) for u in inputs]), out)
+    return psi.T, tuple(d.T for d in dpsi)
 
 
 # singular values of Psi at most this fraction of the largest are truncated. At
@@ -193,11 +205,12 @@ def fit_generator(R, n_z, svd_tol=_SVD_TOL):
     return fits
 
 
-# samples lifted, differentiated and folded into [R_Psi | C] at a time;
-# bounds the complex-step temporaries and the rows held. Identifying walker's
-# 45,000 samples in a fresh process on a 2-core Xeon (median of 5) peaked at
-# 83.8, 85.1 and 89.5 MB RSS with blocks of 1024, 2048 and 4096, each in
-# about 0.15 s; at 2048 fig1's 2000 samples are one block
+# samples drawn, lifted, differentiated and folded into [R_Psi | C] at a
+# time; bounds the dictionary walk's temporaries and the rows held.
+# Identifying walker's 45,000 samples in a fresh process on a 2-core Xeon
+# (median of 5) peaked at 82.4, 83.1 and 86.0 MB RSS with blocks of 1024,
+# 2048 and 4096, each in 0.06-0.10 s; at 2048 fig1's 2000 samples are one
+# block
 _BLOCK = 2048
 
 _GEQRT, _GEMQRT = scipy.linalg.get_lapack_funcs(("geqrt", "gemqrt"),
@@ -226,16 +239,17 @@ def identify(system, dictionary, n_s, seed, box):
     pass over the samples (sequential TSQR: Demmel, Grigori, Hoemmen &
     Langou, SIAM J. Sci. Comput. 2012).
 
-    Each block of ``_BLOCK`` samples is lifted and differentiated
-    (:func:`assemble_data`); its rows ``[psi^T | dpsi_0^T | ... |
-    dpsi_{n_u}^T]`` are checked for non-finite values, stacked under the
-    running ``[R_Psi | C]`` and folded into it (:func:`_fold`): only the
-    ``n_z`` Psi columns are triangularized, and the derivative columns keep
-    running sums of squares of the rows that fall below ``n_z``. No (n_s,
-    n_z) array is held. The model's factor is ``[R_Psi | C]`` over the
-    square roots of those sums, with zeros under Psi.
+    Each block of ``_BLOCK`` samples is drawn when it is needed, from one
+    generator whose stream is that of :func:`sample_states`, then lifted and
+    differentiated (:func:`assemble_data`) straight into its rows ``[psi^T |
+    dpsi_0^T | ... | dpsi_{n_u}^T]`` under the running ``[R_Psi | C]``. The
+    rows are checked for non-finite values and folded into it
+    (:func:`_fold`): only the ``n_z`` Psi columns are triangularized, and
+    the derivative columns keep running sums of squares of the rows that
+    fall below ``n_z``. No (n_s, n_z) or (n_s, n_x) array is held. The
+    model's factor is ``[R_Psi | C]`` over the square roots of those sums,
+    with zeros under Psi.
     """
-    X = sample_states(box, n_s, seed)
     n_z = dictionary.n_z
     width = (system.n_u + 2) * n_z
     # [R_Psi | C] in the leading n_z rows, starting from zeros, and the next
@@ -243,21 +257,22 @@ def identify(system, dictionary, n_s, seed, box):
     # which fold to zero, so every fold has one shape: on walker a shorter
     # last fold rounded differently at one and two OpenBLAS threads, and a
     # library call outside ``cli.main`` runs the process's thread count
-    stack = np.zeros((n_z + min(_BLOCK, len(X)), width), order="F")
+    stack = np.zeros((n_z + min(_BLOCK, int(n_s)), width), order="F")
+    # the stack's columns by (term, channel), Psi's first: a view, into
+    # which each block is lifted and differentiated in place
+    terms = stack.reshape(len(stack), n_z, system.n_u + 2, order="F")
     tail = np.zeros(width - n_z)
-    for start in range(0, len(X), _BLOCK):
-        Psi, dPsis = assemble_data(system, dictionary, X[start:start + _BLOCK])
-        rows = stack[n_z:n_z + Psi.shape[1]]
-        for c, M in enumerate((Psi,) + dPsis):
-            rows[:, c * n_z:(c + 1) * n_z] = M.T
-        # free the block's lifts before the next block's are made: kept, they
-        # raised walker's identify peak RSS from 85.1 to 87.6 MB
-        del Psi, dPsis, M
+    for block, X in enumerate(_draws(box, n_s, seed, _BLOCK)):
+        lifted = terms[n_z:n_z + len(X)]
+        assemble_data(system, dictionary, X,
+                      (lifted[..., 0], np.moveaxis(lifted[..., 1:], -1, 0)))
+        rows = stack[n_z:n_z + len(X)]
         finite = np.all(np.isfinite(rows), axis=1)
         if not np.all(finite):
-            idx = start + int(np.argmin(finite))
+            idx = int(np.argmin(finite))
             raise DataError(
-                f"non-finite lift or Lie derivative at sample {idx}: x={X[idx]}"
+                f"non-finite lift or Lie derivative at sample "
+                f"{block * _BLOCK + idx}: x={X[idx]}"
             )
         stack[n_z + len(rows):] = 0.0
         _fold(stack, n_z, tail)

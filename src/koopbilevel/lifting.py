@@ -9,15 +9,18 @@ than opaque callables, so that ``model.json`` records the exact basis a
 surrogate was fit in: ``to_config`` writes them. They are not read back;
 ``audit`` rebuilds the dictionary from ``config.json`` and diffs what it
 writes with the file.
-``ObservableDictionary.eval`` walks a program of the dictionary's distinct
-terms, built once per dictionary, that evaluates each of them once with its
-own ``value`` (a product from its factors' columns), so it is bitwise equal
-to ``term.value`` term by term for every dictionary.
 
-Every term is a product of integer powers, sines and cosines, so ``eval``
-runs unchanged on complex states, and derivatives of the lift are complex
-steps of ``eval`` (``ObservableDictionary.derivative``): no term carries a
-hand-written gradient.
+``ObservableDictionary`` walks a program of the dictionary's distinct terms,
+built once per dictionary, once per call. The walk gives each term's values
+and, when asked, its tangents along a direction v: forward-mode derivatives
+in real arithmetic (Griewank & Walther, *Evaluating Derivatives*, SIAM 2008),
+by the power rule for a monomial, the chain rule for sin and cos and the
+product rule for a product. Each distinct trig argument, and its sin and cos,
+is computed once per call and shared by the terms and tangents that use it.
+``eval`` is the values-only walk, bitwise equal to ``term.value`` term by
+term for every dictionary; no term carries a hand-written gradient. Every
+term is a product of integer powers, sines and cosines, so ``eval`` also runs
+unchanged on complex states.
 """
 
 from dataclasses import dataclass
@@ -27,7 +30,6 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import complex_step
 
 __all__ = [
     "Monomial",
@@ -48,14 +50,15 @@ __all__ = [
 
 # numpy raises a complex number to an integer power by repeated
 # multiplication only below this magnitude; above it goes through the
-# logarithm, whose branch cut breaks the complex step at negative states
+# logarithm, whose branch cut breaks a complex step of ``eval`` at negative
+# states, the oracle the tangents are tested against
 _MAX_POWER = 100
 
 
 @dataclass(frozen=True)
 class Monomial:
     """prod_i x_i^powers[i]; all powers zero gives the constant term. Each
-    power's magnitude stays below 100, so the complex step is exact."""
+    power's magnitude stays below 100, so a complex step of it is exact."""
 
     powers: Tuple[int, ...]
 
@@ -120,12 +123,13 @@ def _is_state_copy(term, index, n_x):
 class ObservableDictionary:
     """Ordered lifting basis whose first n_x terms copy the state.
 
-    ``eval`` runs ``_program``, built on first use: the distinct terms in
-    dependency order, every product after its factors. It calls each
-    distinct monomial's and trig term's own ``value`` once, and builds each
-    product from its factors' columns in factor order from ones, as
-    ``Product.value`` does, so for every dictionary it is bitwise equal to
-    stacking ``term.value`` over the terms, in the same C layout.
+    ``_walk`` runs ``_program``, built on first use: the distinct terms in
+    dependency order, every product after its factors. A monomial's value is
+    the product of its nonzero powers in state order, a trig term's the sin
+    or cos of ``x @ coeffs`` and a product's the product of its factors'
+    columns in factor order, each as the term's own ``value`` rounds it, so
+    for every dictionary ``eval`` is bitwise equal to stacking ``term.value``
+    over the terms, in the same C layout.
     """
 
     n_x: int
@@ -147,45 +151,106 @@ class ObservableDictionary:
 
     @cached_property
     def _program(self):
-        """((term, factor positions or None), ...) in dependency order, and
-        the position of each dictionary term in it."""
-        index, program = {}, []
+        """The distinct terms as steps in dependency order, every product
+        after its factors; the position of each dictionary term among them;
+        and the distinct trig arguments' coefficient vectors. A step is
+        ``("monomial", ((state, power), ...))`` over the nonzero powers,
+        ``("trig", fn, argument)`` or ``("product", factor steps)``."""
+        index, steps, args = {}, [], {}
 
         def visit(t):
             if t not in index:
-                factors = (tuple(visit(f) for f in t.factors)
-                           if isinstance(t, Product) else None)
-                index[t] = len(program)
-                program.append((t, factors))
+                if isinstance(t, Product):
+                    step = ("product", tuple(visit(f) for f in t.factors))
+                elif isinstance(t, Trig):
+                    step = ("trig", t.fn, args.setdefault(t.coeffs, len(args)))
+                else:
+                    step = ("monomial", tuple((i, p) for i, p in enumerate(t.powers) if p))
+                index[t] = len(steps)
+                steps.append(step)
             return index[t]
 
         positions = tuple(visit(t) for t in self.terms)
-        return tuple(program), positions
+        return tuple(steps), positions, tuple(np.asarray(c) for c in args)
+
+    def _walk(self, x, v=None):
+        """Value columns of the program's steps at the states x and, given
+        v, their tangents along v. A tangent has the leading shape of x and
+        v broadcast, or is the scalar 0.0 for a constant."""
+        steps, _, coeffs = self._program
+        xs = [x[..., i] for i in range(x.shape[-1])]
+        ones = np.ones(x.shape[:-1])  # never written
+        # each distinct trig argument x @ c, its sin and cos, and v @ c
+        trig = [(np.sin(a), np.cos(a)) for a in (x @ c for c in coeffs)]
+        if v is not None:
+            vs = [v[..., i] for i in range(v.shape[-1])]
+            dargs = [v @ c for c in coeffs]
+        vals, tans = [], []
+        for kind, *data in steps:
+            val, tan = ones, 0.0
+            if kind == "monomial":
+                for n, (i, p) in enumerate(data[0]):
+                    f = xs[i] ** p
+                    if v is not None:
+                        df = vs[i] if p == 1 else p * xs[i] ** (p - 1) * vs[i]
+                        tan = tan * f + val * df if n else df
+                    val = val * f if n else f
+            elif kind == "trig":
+                fn, a = data
+                sin, cos = trig[a]
+                val = sin if fn == "sin" else cos
+                if v is not None:
+                    tan = cos * dargs[a] if fn == "sin" else -sin * dargs[a]
+            else:
+                for n, j in enumerate(data[0]):
+                    if v is not None:
+                        tan = tan * vals[j] + val * tans[j] if n else tans[j]
+                    val = val * vals[j] if n else vals[j]
+            vals.append(val)
+            tans.append(tan)
+        return vals, tans
+
+    def _gather(self, cols, out):
+        """Write the dictionary terms' columns of a walk into the last axis
+        of ``out``, each broadcast to its leading shape, and return ``out``."""
+        for k, j in enumerate(self._program[1]):
+            out[..., k] = cols[j]
+        return out
+
+    @staticmethod
+    def _states(x, v=None):
+        """x as a float or complex array, v as a float array, and the
+        leading shape of the columns: x's, or x's and v's broadcast."""
+        x = np.asarray(x)
+        x = x.astype(np.result_type(x.dtype, float), copy=False)
+        if v is None:
+            return x, None, x.shape[:-1]
+        v = np.asarray(v, dtype=float)
+        return x, v, np.broadcast_shapes(x.shape, v.shape)[:-1]
 
     def eval(self, x):
         """psi(x), shape ``x.shape[:-1] + (n_z,)``; complex x gives complex
-        values, with which ``derivative`` differentiates."""
-        x = np.asarray(x)
-        x = x.astype(np.result_type(x.dtype, float), copy=False)
-        program, positions = self._program
-        ones = np.ones(x.shape[:-1])  # never written
-        cols = []
-        for term, factors in program:
-            if factors is None:
-                cols.append(term.value(x))
-                continue
-            out = ones
-            for j in factors:
-                out = out * cols[j]
-            cols.append(out)
-        return np.stack([cols[j] for j in positions], axis=-1)
+        values."""
+        x, _, shape = self._states(x)
+        return self._gather(self._walk(x)[0], np.empty(shape + (self.n_z,), x.dtype))
 
     def derivative(self, x, v):
         """Derivative of psi at the real states x along v, exact up to
-        rounding (``numerics.complex_step``). ``v`` broadcasts against x and
-        may carry leading axes of directions: ``x`` (n_s, n_x) and ``v``
-        (k, n_s, n_x) give (k, n_s, n_z)."""
-        return complex_step(self.eval, x, v)
+        rounding. ``v`` broadcasts against x and may carry leading axes of
+        directions: ``x`` (n_s, n_x) and ``v`` (k, n_s, n_x) give (k, n_s,
+        n_z)."""
+        return self.jet(x, v)[1]
+
+    def jet(self, x, v, out=None):
+        """``(psi(x), derivative of psi at x along v)`` from one walk, bitwise
+        :meth:`eval` and :meth:`derivative`. Given ``out``, a pair of arrays
+        of their shapes in any memory layout, they are written there and
+        ``out`` is returned."""
+        x, v, shape = self._states(x, v)
+        vals, tans = self._walk(x, v)
+        if out is None:
+            out = (np.empty(x.shape[:-1] + (self.n_z,)), np.empty(shape + (self.n_z,)))
+        return self._gather(vals, out[0]), self._gather(tans, out[1])
 
     def to_config(self):
         return {

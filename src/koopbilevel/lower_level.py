@@ -34,8 +34,9 @@ search reads; the lifted trajectory is rebuilt on its first read.
 The running cost's exact derivatives in (x0, xT, T) come from the solved QP
 (``LowerLevelSolution.cost_gradient``; Amos & Kolter, *OptNet*, ICML 2017):
 elementwise tangents of the same maps, with the lifted boundaries' tangents
-as complex steps of the dictionary, then one adjoint solve with the reduced
-LU factors of the KKT solve (``numerics.qp_sensitivity``).
+the dictionary's forward-mode derivative (``ObservableDictionary.derivative``),
+then one adjoint solve with the reduced LU factors of the KKT solve
+(``numerics.qp_sensitivity``).
 """
 
 from dataclasses import dataclass, fields
@@ -276,7 +277,9 @@ def _qp_tangents(sol, J):
     and with B at the linearization point, by e^(j lam h) q V^-1 dB. Ad^N
     moves by V diag(lam e^(lam T)) V^-1 per unit T. The lifted boundaries
     move by psi's derivative along (dx0, dxT), from one
-    ``ObservableDictionary.derivative`` over all k directions.
+    ``ObservableDictionary.derivative`` over all k directions: forward-mode
+    tangents in real arithmetic, one walk of the dictionary for both
+    boundaries.
     """
     p, qp = sol.problem, sol.qp
     model, N, w = p.model, p.N, p.variant.w

@@ -3,8 +3,9 @@
 All drift and input maps broadcast over leading batch axes so that sampling,
 integration, and data assembly can run vectorized. Hybrid systems (the
 compass-gait walker) carry their reset machinery in :class:`HybridExtras`;
-resets are only ever applied at trajectory endpoints. They also run in complex
-arithmetic, so a boundary reduction built from them has a complex step.
+resets are only ever applied at trajectory endpoints. They also broadcast over
+leading axes and run in complex arithmetic, so a boundary reduction built from
+them takes its complex steps along every direction in one call.
 """
 
 from dataclasses import dataclass, field
@@ -32,9 +33,10 @@ class HybridExtras:
 
     ``jump_map`` resets velocities at impact (generalized positions are
     preserved), and ``flip_map`` relabels the legs and is an involution;
-    both keep a complex state complex. Where the impact happens is not part
-    of the system: the walker's gait constraint pins th_st + th_sw = 0 at
-    the endpoint, which puts both feet on the ground.
+    both broadcast over leading axes of the state and keep a complex state
+    complex. Where the impact happens is not part of the system: the
+    walker's gait constraint pins th_st + th_sw = 0 at the endpoint, which
+    puts both feet on the ground.
     """
 
     jump_map: Callable[[np.ndarray], np.ndarray]
@@ -72,14 +74,14 @@ def eval_rhs(system, x, u):
             f"{system.name}: input has dim {u.shape[-1]}, expected {system.n_u}"
         )
     f = system.drift(x)
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise DomainEvaluationError(f"{system.name}: drift returned non-finite values")
     G = system.input_map(x)
-    if not np.all(np.isfinite(G)):
+    if not np.isfinite(G).all():
         raise DomainEvaluationError(
             f"{system.name}: input map returned non-finite values"
         )
-    return f + np.einsum("...ij,...j->...i", G, np.broadcast_to(u, x.shape[:-1] + (system.n_u,)))
+    return f + (G @ u[..., None])[..., 0]
 
 
 def rk4_step(system, x, u, h):
@@ -96,7 +98,7 @@ def rk4_step(system, x, u, h):
     k3 = eval_rhs(system, x + 0.5 * h * k2, u)
     k4 = eval_rhs(system, x + h * k3, u)
     out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         # the step of the first non-finite entry
         h_bad = float(np.broadcast_to(h, out.shape)[~np.isfinite(out)][0])
         raise IntegrationError(
@@ -186,9 +188,10 @@ def make_pendulum(damping=0.1):
     """
 
     def drift(x):
-        return np.stack(
-            [x[..., 1], -np.sin(x[..., 0]) - damping * x[..., 1]], axis=-1
-        )
+        out = np.empty(np.shape(x))
+        out[..., 0] = x[..., 1]
+        out[..., 1] = -np.sin(x[..., 0]) - damping * x[..., 1]
+        return out
 
     def input_map(x):
         G = np.zeros(np.shape(x)[:-1] + (2, 1))
@@ -238,9 +241,11 @@ def make_compass_gait(hip_mass=2.0, leg_mass=1.0, leg_length=1.0, com_from_hip=0
         b1 = mlr * s * w_sw**2 + g_st * np.sin(th_st)
         b2 = -mlr * s * w_st**2 - g_sw * np.sin(th_sw)
         det = m11 * m22 - m12**2
-        a_st = (m22 * b1 - m12 * b2) / det
-        a_sw = (m11 * b2 - m12 * b1) / det
-        return np.stack([w_st, w_sw, a_st, a_sw], axis=-1)
+        out = np.empty(np.shape(x))
+        out[..., :2] = x[..., 2:]
+        out[..., 2] = (m22 * b1 - m12 * b2) / det
+        out[..., 3] = (m11 * b2 - m12 * b1) / det
+        return out
 
     def input_map(x):
         th_st, th_sw = x[..., 0], x[..., 1]
@@ -252,35 +257,25 @@ def make_compass_gait(hip_mass=2.0, leg_mass=1.0, leg_length=1.0, com_from_hip=0
         G[..., 3, 0] = (m11 + m12) / det
         return G
 
-    def _floating_mass_matrix(th_st, th_sw):
-        # coordinates (x_hip, y_hip, th_st, th_sw), point masses only; complex
-        # angles give a complex matrix, for the complex step of jump_map
-        M = np.zeros((4, 4), dtype=np.result_type(th_st, th_sw))
-        M[0, 0] = M[1, 1] = mh + 2.0 * m
-        M[0, 2] = M[2, 0] = m * r * np.cos(th_st)
-        M[1, 2] = M[2, 1] = m * r * np.sin(th_st)
-        M[0, 3] = M[3, 0] = m * r * np.cos(th_sw)
-        M[1, 3] = M[3, 1] = m * r * np.sin(th_sw)
-        M[2, 2] = M[3, 3] = m * r**2
+    def _floating_mass_matrix(th_st, th_sw, M):
+        # coordinates (x_hip, y_hip, th_st, th_sw), point masses only, written
+        # into the zeros M, one matrix per entry of the angles' leading axes;
+        # complex angles need a complex M, for the complex step of jump_map
+        M[..., 0, 0] = M[..., 1, 1] = mh + 2.0 * m
+        M[..., 0, 2] = M[..., 2, 0] = m * r * np.cos(th_st)
+        M[..., 1, 2] = M[..., 2, 1] = m * r * np.sin(th_st)
+        M[..., 0, 3] = M[..., 3, 0] = m * r * np.cos(th_sw)
+        M[..., 1, 3] = M[..., 3, 1] = m * r * np.sin(th_sw)
+        M[..., 2, 2] = M[..., 3, 3] = m * r**2
         return M
 
-    def _impact(x):
-        # saddle system K (qd+, impulse) = rhs of the impact, and qd-
-        th_st, th_sw, w_st, w_sw = x
-        M = _floating_mass_matrix(th_st, th_sw)
-        qd_minus = np.array(
-            [-ell * np.cos(th_st) * w_st, -ell * np.sin(th_st) * w_st, w_st, w_sw]
-        )
-        J = np.array(
-            [[1.0, 0.0, 0.0, ell * np.cos(th_sw)],
-             [0.0, 1.0, 0.0, ell * np.sin(th_sw)]]
-        )
-        kkt = np.zeros((6, 6), dtype=x.dtype)
-        kkt[:4, :4] = M
-        kkt[:4, 4:] = -J.T
-        kkt[4:, :4] = J
-        rhs = np.concatenate([M @ qd_minus, np.zeros(2)])
-        return kkt, rhs
+    def _pre_impact_velocity(x):
+        # floating-base velocities (x_hip', y_hip', w_st, w_sw) of the states x
+        qd = np.empty_like(x)
+        qd[..., 0] = -ell * np.cos(x[..., 0]) * x[..., 2]
+        qd[..., 1] = -ell * np.sin(x[..., 0]) * x[..., 2]
+        qd[..., 2:] = x[..., 2:]
+        return qd
 
     def jump_map(x):
         """Inelastic impact at the swing foot; labels are not swapped here.
@@ -288,12 +283,25 @@ def make_compass_gait(hip_mass=2.0, leg_mass=1.0, leg_length=1.0, com_from_hip=0
         Solved in floating-base coordinates: the ground impulse at the new
         contact point changes velocities so the swing foot sticks; angular
         positions are untouched. Complex x is solved in complex arithmetic.
+        ``x`` may carry leading axes: every state's saddle system is solved
+        by one ``np.linalg.solve``, each as it would be alone.
         """
         x = np.asarray(x)
         x = x.astype(np.result_type(x.dtype, float), copy=False)
-        kkt, rhs = _impact(x)
-        qd_plus = np.linalg.solve(kkt, rhs)[:4]
-        return np.array([x[0], x[1], qd_plus[2], qd_plus[3]])
+        # saddle system [[M, -J^T], [J, 0]] (qd+, impulse) = (M qd-, 0)
+        kkt = np.zeros(x.shape[:-1] + (6, 6), dtype=x.dtype)
+        M = _floating_mass_matrix(x[..., 0], x[..., 1], kkt[..., :4, :4])
+        J = kkt[..., 4:, :4]
+        J[..., 0, 0] = J[..., 1, 1] = 1.0
+        J[..., 0, 3] = ell * np.cos(x[..., 1])
+        J[..., 1, 3] = ell * np.sin(x[..., 1])
+        kkt[..., :4, 4:] = -np.swapaxes(J, -1, -2)
+        rhs = np.zeros(x.shape[:-1] + (6, 1), dtype=x.dtype)
+        rhs[..., :4, :] = M @ _pre_impact_velocity(x)[..., None]
+        qd_plus = np.linalg.solve(kkt, rhs)
+        out = x.copy()
+        out[..., 2:] = qd_plus[..., 2:4, 0]
+        return out
 
     def flip_map(x):
         return np.asarray(x)[..., [1, 0, 3, 2]]
@@ -301,12 +309,9 @@ def make_compass_gait(hip_mass=2.0, leg_mass=1.0, leg_length=1.0, com_from_hip=0
     def kinetic_energy(x):
         """Total kinetic energy about the stance pivot. No pipeline stage reads
         it; the impact-dissipation test of ``tests/test_dynamics.py`` does."""
-        th_st, th_sw, w_st, w_sw = np.asarray(x, dtype=float)
-        M = _floating_mass_matrix(th_st, th_sw)
-        qd = np.array(
-            [-ell * np.cos(th_st) * w_st, -ell * np.sin(th_st) * w_st, w_st, w_sw]
-        )
-        return 0.5 * float(qd @ M @ qd)
+        x = np.asarray(x, dtype=float)
+        qd = _pre_impact_velocity(x)
+        return 0.5 * float(qd @ _floating_mass_matrix(x[0], x[1], np.zeros((4, 4))) @ qd)
 
     box = np.array(
         [[-0.35, 0.35], [-0.35, 0.35], [-1.5, 1.5], [-1.5, 1.5]]
@@ -332,10 +337,11 @@ def make_compass_gait(hip_mass=2.0, leg_mass=1.0, leg_length=1.0, com_from_hip=0
 
 
 def step_length(system, x):
-    """Horizontal distance between the feet: l*(sin th_sw - sin th_st)."""
+    """Horizontal distance between the feet: l*(sin th_sw - sin th_st), one
+    per state of the leading axes of x."""
     ell = system.params["leg_length"]
     x = np.asarray(x, dtype=float)
-    return float(ell * (np.sin(x[1]) - np.sin(x[0])))
+    return ell * (np.sin(x[..., 1]) - np.sin(x[..., 0]))
 
 
 SYSTEM_PRESETS = {

@@ -51,8 +51,17 @@ __all__ = [
 class MixedBoundaryConstraint:
     """Implicit boundary coupling b(x0, xT, T) = 0, optionally with an
     explicit parametrization of its solution set, ``reduction(p) -> (x0, xT,
-    T)``. The reduction must run unchanged on complex p (no ``float`` casts,
-    range checks on ``.real``): ``reduction_jacobian`` is its complex step."""
+    T)``.
+
+    Both broadcast over leading axes, as the vector fields do. ``eval``
+    takes x0 and xT of shape ``(..., n_x)`` and T of shape ``(...)`` and
+    returns the ``(..., n_g)`` rows, each as it would be alone: the NLP
+    baseline differences the boundary rows in one call. ``reduction`` takes
+    p of shape ``(..., p_dim)`` and returns x0 and xT that broadcast to
+    ``(..., n_x)`` and T of shape ``(...)``. It must also run unchanged on
+    complex p (no ``float`` casts, range checks on ``.real``):
+    ``reduction_jacobian`` is its complex step along every entry of p at
+    once."""
 
     eval: Callable
     n_g: int
@@ -72,11 +81,18 @@ class MixedBoundaryConstraint:
         return np.atleast_1d(np.asarray(self.eval(x0, xT, T), dtype=float))
 
     def reduction_jacobian(self, p):
-        """d(x0, xT, T)/dp, shape (2 n_x + 1, p_dim), rows in that order: one
-        complex step of the reduction per entry of p."""
+        """d(x0, xT, T)/dp, shape (2 n_x + 1, p_dim), rows in that order: the
+        complex steps along every entry of p from one call of the reduction
+        on the stacked directions."""
         p = np.asarray(p, dtype=float)
-        return np.column_stack([complex_step(lambda q: np.hstack(self.reduction(q)), p, e)
-                                for e in np.eye(p.size)])
+
+        def stacked(q):
+            x0, xT, T = self.reduction(q)
+            lead = np.shape(T) + (self.n_x,)
+            return np.concatenate([np.broadcast_to(x0, lead), np.broadcast_to(xT, lead),
+                                   np.asarray(T)[..., None]], axis=-1)
+
+        return complex_step(stacked, p, np.eye(p.size)).T
 
 
 _DIRECT_MAXFUN = 200  # evaluation cap of the DIRECT stage of solve_reduced
@@ -269,12 +285,12 @@ def make_periodic_amplitude_anchor(amplitude):
     anchor = np.array([a, 0.0])
 
     def b(x0, xT, T):
-        return np.concatenate([xT - x0, x0 - anchor])
+        return np.concatenate([xT - x0, x0 - anchor], axis=-1)
 
     def reduction(p):
-        T = np.asarray(p).ravel()[0]
-        if T.real <= 0:
-            raise LowerLevelError(f"period must be positive, got T={T.real:.3g}")
+        T = np.asarray(p)[..., 0][()]  # a scalar for one point
+        if (T.real <= 0).any():
+            raise LowerLevelError(f"period must be positive, got T={np.min(T.real):.3g}")
         return anchor.copy(), anchor.copy(), T
 
     return MixedBoundaryConstraint(
@@ -313,22 +329,26 @@ def make_walker_gait(system, v_avg, rate_bound):
     def b(x0, xT, T):
         return np.concatenate([
             x0 - reset(xT),
-            [step_length(system, xT) / T - v_avg],
-            [xT[0] + xT[1]],
-        ])
+            (step_length(system, xT) / T - v_avg)[..., None],
+            (xT[..., 0] + xT[..., 1])[..., None],
+        ], axis=-1)
 
     def reduction(p):
-        p = np.asarray(p).ravel()
-        T = p[0]
-        if T.real <= 0:
-            raise LowerLevelError(f"period must be positive, got T={T.real:.3g}")
+        p = np.asarray(p)
+        T = p[..., 0][()]  # a scalar for one point
+        if (T.real <= 0).any():
+            raise LowerLevelError(f"period must be positive, got T={np.min(T.real):.3g}")
         arg = v_avg * T / (2.0 * ell)
-        if not -1.0 < arg.real < 1.0:
+        if not (abs(arg.real) < 1.0).all():
+            outside = np.ravel(arg.real)[~(abs(np.ravel(arg.real)) < 1.0)]
             raise LowerLevelError(
-                f"step geometry infeasible: v_avg*T/(2l) = {arg.real:.3g}"
+                f"step geometry infeasible: v_avg*T/(2l) = {outside[0]:.3g}"
             )
         alpha = np.arcsin(arg)
-        xT = np.array([-alpha, alpha, p[1], p[2]])
+        xT = np.empty(p.shape[:-1] + (4,), dtype=np.result_type(alpha, p))
+        xT[..., 0] = -alpha
+        xT[..., 1] = alpha
+        xT[..., 2:] = p[..., 1:3]
         return reset(xT), xT, T
 
     return MixedBoundaryConstraint(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -220,6 +222,25 @@ class TestTranscription:
             assert len(rk4_calls) == 1
             assert np.array_equal(J, jacobian_oracle(nlp, v))
 
+    @pytest.mark.parametrize("name,T", [("pendulum", 5.0), ("walker", 2.2)])
+    def test_boundary_rows_are_differenced_in_one_constraint_call(
+        self, request, name, T
+    ):
+        # the nominal point and each of the 2 n_x + 1 coordinates of (x0, xN,
+        # T) stepped both ways, stacked on one leading axis
+        system = request.getfixturevalue(name)
+        base = gait_or_anchor(name, system)
+        periods = []
+
+        def counted(x0, xT, T):
+            periods.append(np.shape(T))
+            return base.eval(x0, xT, T)
+
+        nlp = TranscribedNlp(system, dataclasses.replace(base, eval=counted), 8)
+        v = random_point(nlp, np.random.default_rng(28), T)
+        nlp.linearize(v)
+        assert periods == [(2 * (2 * nlp.n_x + 1) + 1,)]
+
     @pytest.mark.parametrize("N,segment", [(12, 5), (3, 10), (10, 5)])
     def test_segments_step_the_every_knot_trajectory(self, pendulum,
                                                      monkeypatch, N, segment):
@@ -378,7 +399,7 @@ class TestSolveNlp:
         anchor = np.array([a, 0.0])
 
         def b(x0, xT, T):
-            return np.concatenate([xT - x0, x0 - anchor, [T - T0]])
+            return np.concatenate([xT - x0, x0 - anchor, (T - T0)[..., None]], axis=-1)
 
         mbc = MixedBoundaryConstraint(eval=b, n_g=5, n_x=2)
         nlp = TranscribedNlp(oscillator, mbc, N)
@@ -395,7 +416,7 @@ class TestSolveNlp:
     def test_infeasible_problem_returns_nonconverged_iterate(self, pendulum,
                                                              monkeypatch):
         def b(x0, xT, T):
-            return np.array([x0[0] - 0.3, x0[0] - 0.6])
+            return np.stack([x0[..., 0] - 0.3, x0[..., 0] - 0.6], axis=-1)
 
         mbc = MixedBoundaryConstraint(eval=b, n_g=2, n_x=2)
         nlp = TranscribedNlp(pendulum, mbc, 10)

@@ -21,6 +21,34 @@ def pendulum_energy(x):
     return 0.5 * x[..., 1] ** 2 + (1.0 - np.cos(x[..., 0]))
 
 
+def drift_oracle(system, x):
+    """The preset drifts as stacks of their rows."""
+    if system.name == "pendulum":
+        damping = system.params["damping"]
+        return np.stack([x[..., 1], -np.sin(x[..., 0]) - damping * x[..., 1]], axis=-1)
+    p = system.params
+    mh, m, ell, r = p["hip_mass"], p["leg_mass"], p["leg_length"], p["com_from_hip"]
+    m11 = mh * ell**2 + m * (ell - r) ** 2 + m * ell**2
+    m22, mlr = m * r**2, m * ell * r
+    g_st = p["gravity"] * (mh * ell + m * (ell - r) + m * ell)
+    g_sw = p["gravity"] * m * r
+    th_st, th_sw, w_st, w_sw = np.moveaxis(x, -1, 0)
+    c, s = np.cos(th_st - th_sw), np.sin(th_st - th_sw)
+    m12 = -mlr * c
+    b1 = mlr * s * w_sw**2 + g_st * np.sin(th_st)
+    b2 = -mlr * s * w_st**2 - g_sw * np.sin(th_sw)
+    det = m11 * m22 - m12**2
+    a_st = (m22 * b1 - m12 * b2) / det
+    a_sw = (m11 * b2 - m12 * b1) / det
+    return np.stack([w_st, w_sw, a_st, a_sw], axis=-1)
+
+
+def rhs_oracle(system, x, u):
+    """``drift + G u`` with G u an einsum over the inputs broadcast to x."""
+    u = np.broadcast_to(u, x.shape[:-1] + (system.n_u,))
+    return system.drift(x) + np.einsum("...ij,...j->...i", system.input_map(x), u)
+
+
 class TestEvalRhs:
     def test_oscillator_equilibrium(self, oscillator):
         assert np.array_equal(eval_rhs(oscillator, [0.0, 0.0], [0.0]), [0.0, 0.0])
@@ -46,6 +74,18 @@ class TestEvalRhs:
             eval_rhs(pendulum, [0.0, 0.0, 0.0], [0.0])
         with pytest.raises(DomainEvaluationError):
             eval_rhs(pendulum, [0.0, 0.0], [0.0, 0.0])
+
+    @pytest.mark.parametrize("name", ["oscillator", "pendulum", "compass_gait"])
+    def test_drift_and_rhs_match_the_stacked_formulas_bitwise(self, name):
+        system = get_system(name)
+        rng = np.random.default_rng(31)
+        for shape in [(system.n_x,), (7, system.n_x), (3, 5, system.n_x)]:
+            x = rng.uniform(-1.5, 1.5, size=shape)
+            if name != "oscillator":
+                assert np.array_equal(system.drift(x), drift_oracle(system, x))
+            for u in (np.array([0.0]), np.array([-0.7]),
+                      rng.normal(size=shape[:-1] + (1,))):
+                assert np.array_equal(eval_rhs(system, x, u), rhs_oracle(system, x, u))
 
     def test_nonfinite_drift_names_component(self):
         bad = ControlAffineSystem(
@@ -177,6 +217,18 @@ class TestWalkerHybrid:
         X = rng.normal(size=(1000, 4))
         flipped = walker.hybrid.flip_map(walker.hybrid.flip_map(X))
         assert np.max(np.abs(flipped - X)) <= 1e-14
+
+    def test_batched_impact_equals_per_state_calls(self, walker):
+        # real states, and complex ones as the reduction's complex step
+        # passes them; every saddle system of the batch is solved at once
+        rng = np.random.default_rng(32)
+        X = rng.uniform(-0.4, 0.4, size=(3, 5, 4))
+        for batch in (X, X + 1j * 2.0**-100 * rng.normal(size=X.shape)):
+            jumped = walker.hybrid.jump_map(batch)
+            assert jumped.shape == batch.shape and jumped.dtype == batch.dtype
+            assert np.array_equal(
+                jumped, np.reshape([walker.hybrid.jump_map(x) for x in batch.reshape(-1, 4)],
+                                   batch.shape))
 
     def test_jump_preserves_positions(self, walker):
         rng = np.random.default_rng(11)

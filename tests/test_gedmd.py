@@ -51,6 +51,30 @@ class TestSampling:
         with pytest.raises(ConfigError):
             sample_states(np.array([[1.0, 1.0]]), 10, seed=0)
 
+    def test_blockwise_draws_equal_one_draw(self, walker):
+        # the walker bundle's sample count, whose last block of 1992 is ragged
+        n_s, block = 45000, gedmd._BLOCK
+        blocks = list(gedmd._draws(walker.state_box, n_s, 20, block))
+        assert [len(b) for b in blocks] == [block] * 21 + [n_s - 21 * block]
+        assert np.array_equal(np.concatenate(blocks),
+                              sample_states(walker.state_box, n_s, seed=20))
+
+    def test_identify_lifts_the_rows_of_one_draw(self, oscillator, monkeypatch):
+        # blocks of 1000 over 4500 samples: identify draws each block as it
+        # goes, and together they are the rows of sample_states
+        seen = []
+
+        def recording(system, dictionary, X, out):
+            seen.append(X)
+            return assemble_data(system, dictionary, X, out)
+
+        monkeypatch.setattr(gedmd, "_BLOCK", 1000)
+        monkeypatch.setattr(gedmd, "assemble_data", recording)
+        box = oscillator.state_box
+        identify(oscillator, get_dictionary("identity", 2), n_s=4500, seed=9, box=box)
+        assert [len(X) for X in seen] == [1000] * 4 + [500]
+        assert np.array_equal(np.concatenate(seen), sample_states(box, 4500, seed=9))
+
 
 class TestAssembleData:
     def test_linear_system_identity_dictionary(self, oscillator):
@@ -78,8 +102,8 @@ class TestAssembleData:
         ("identity", "oscillator"), ("linear_const", "oscillator"),
         ("pendulum12", "pendulum"), ("compass_gait29", "walker")])
     def test_each_channel_rounds_as_one_stacked_step(self, request, dictionary, name):
-        # a complex step along each channel alone, bitwise the step along
-        # every channel's vector field at once
+        # assemble_data's lifts are eval's and its Lie derivatives are
+        # derivative's along every channel's vector field at once, bitwise
         assert dictionary in DICTIONARY_PRESETS
         system = request.getfixturevalue(name)
         d = get_dictionary(dictionary, system.n_x)
@@ -91,6 +115,12 @@ class TestAssembleData:
         assert len(dPsis) == len(stacked)
         for dPsi, expected in zip(dPsis, stacked):
             assert np.array_equal(dPsi, expected.T)
+        # written into the caller's arrays, as identify passes its rows
+        out = (np.empty((len(X), d.n_z)), np.empty(stacked.shape))
+        Psi_out, dPsis_out = assemble_data(system, d, X, out)
+        assert Psi_out.base is out[0] and all(M.base is out[1] for M in dPsis_out)
+        assert np.array_equal(Psi_out, Psi)
+        assert all(np.array_equal(a, b) for a, b in zip(dPsis_out, dPsis))
 
     def test_finite_difference_directional_oracle(self, pendulum):
         d = get_dictionary("pendulum12", 2)
@@ -346,10 +376,12 @@ class TestIdentify:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # each channel's Lie derivatives are complex steps of their own, so
-        # one channel's complex temporaries are held at a time: 0.57 of
-        # n_s n_z float64s here, and 0.68 with every channel in one step
-        assert peak <= 0.62 * n_s * d.n_z * 8
+        # one real walk of the dictionary gives every channel's tangents,
+        # written straight into the rows that are folded, and the samples
+        # are drawn one block at a time: 0.30 of n_s n_z float64s here, and
+        # 0.52 with a complex step per channel, the rows copied and one draw
+        # of all the samples
+        assert peak <= 0.33 * n_s * d.n_z * 8
 
 
 class TestLinearize:

@@ -10,6 +10,7 @@ from koopbilevel import (
     unlift,
 )
 from koopbilevel.lifting import Monomial, Product, Trig
+from koopbilevel.numerics import complex_step
 
 
 def fd_gradient(dictionary, x, h=1e-5):
@@ -114,6 +115,24 @@ class TestGradients:
             Monomial((1, power))
 
 
+# products nested in products, factors shared between terms, a power of 3,
+# a sin and a cos of one argument, and an empty product
+NESTED = ObservableDictionary(n_x=3, terms=(
+    Monomial((1, 0, 0)),
+    Monomial((0, 1, 0)),
+    Monomial((0, 0, 1)),
+    Monomial((0, 0, 0)),
+    Trig("cos", (0.3, -1.7, 2.5)),
+    Product((Monomial((2, 0, 3)), Trig("sin", (0.3, -1.7, 2.5)),
+             Monomial((0, 1, 0)))),
+    Product((Trig("cos", (1.0, 0.0, 0.0)),
+             Product((Monomial((0, 0, 0)), Trig("sin", (0.0, 0.5, 0.0)))))),
+    Monomial((1, 2, 0)),
+    Monomial((2, 0, 3)),
+    Product(()),
+))
+
+
 def term_oracle(dictionary, X):
     return np.stack([t.value(X) for t in dictionary.terms], -1)
 
@@ -136,25 +155,10 @@ class TestCompiledEval:
             assert got.flags.c_contiguous
 
     def test_nested_config_dictionary_matches_term_oracle(self):
-        # products nested in products, and factors shared between terms
-        d = ObservableDictionary(n_x=3, terms=(
-            Monomial((1, 0, 0)),
-            Monomial((0, 1, 0)),
-            Monomial((0, 0, 1)),
-            Monomial((0, 0, 0)),
-            Trig("cos", (0.3, -1.7, 2.5)),
-            Product((Monomial((2, 0, 3)), Trig("sin", (0.3, -1.7, 2.5)),
-                     Monomial((0, 1, 0)))),
-            Product((Trig("cos", (1.0, 0.0, 0.0)),
-                     Product((Monomial((0, 0, 0)), Trig("sin", (0.0, 0.5, 0.0)))))),
-            Monomial((1, 2, 0)),
-            Monomial((2, 0, 3)),
-            Product(()),
-        ))
         rng = np.random.default_rng(19)
         for shape in [(3,), (2, 3), (52, 3), (3, 4, 3)]:
             X = rng.uniform(-1.5, 1.5, size=shape)
-            got, want = d.eval(X), term_oracle(d, X)
+            got, want = NESTED.eval(X), term_oracle(NESTED, X)
             assert np.array_equal(got, want)
             assert got.flags.c_contiguous
 
@@ -175,6 +179,64 @@ class TestCompiledEval:
             assert np.array_equal(d.eval(X), term_oracle(d, X))
 
         check()
+
+
+class TestForwardMode:
+    """The walk gives values and tangents in real arithmetic; the complex
+    step of ``eval`` is the oracle of the tangents."""
+
+    @staticmethod
+    def check_against_oracles(d, X, V):
+        psi, dpsi = d.jet(X, V)
+        assert psi.shape == X.shape[:-1] + (d.n_z,)
+        assert dpsi.shape == V.shape[:-1] + (d.n_z,)
+        # values: bitwise the stack of term.value, and eval's
+        assert np.array_equal(psi, term_oracle(d, X))
+        assert np.array_equal(d.eval(X), psi)
+        D = d.derivative(X, V)
+        assert D.flags.c_contiguous and D.dtype == float
+        assert np.array_equal(D, dpsi)
+        # written into arrays of any layout, the same
+        out = (np.empty(psi.shape[::-1]).T, np.empty(dpsi.shape[::-1]).T)
+        assert d.jet(X, V, out) == out
+        assert np.array_equal(out[0], psi) and np.array_equal(out[1], dpsi)
+        # tangents: within 1e-15 of each column's largest entry
+        oracle = complex_step(d.eval, X, V)
+        scale = np.max(np.abs(oracle), axis=tuple(range(oracle.ndim - 1)))
+        assert np.all(np.abs(D - oracle) <= 1e-15 * scale)
+        return D, oracle
+
+    @pytest.mark.parametrize("name,n_x", [
+        ("identity", 3),
+        ("linear_const", 2),
+        ("pendulum12", 2),
+        ("compass_gait29", 4),
+    ])
+    def test_presets_match_term_values_and_the_complex_step(self, name, n_x):
+        d = get_dictionary(name, n_x)
+        rng = np.random.default_rng(23)
+        X = np.vstack([-rng.uniform(0.1, 2.0, size=(50, n_x)),
+                       rng.uniform(-2.0, 2.0, size=(200, n_x))])
+        V = rng.normal(size=(2,) + X.shape)
+        D, oracle = self.check_against_oracles(d, X, V)
+        if name in ("identity", "linear_const"):
+            # a state copy's tangent is its direction, a constant's zero
+            assert np.array_equal(D, oracle)
+
+    def test_nested_dictionary_matches_the_complex_step(self):
+        rng = np.random.default_rng(24)
+        X = rng.uniform(-1.5, 1.5, size=(40, 3))
+        self.check_against_oracles(NESTED, X, rng.normal(size=(3,) + X.shape))
+
+    def test_directions_broadcast_against_states(self):
+        # one state and the canonical directions, as a Jacobian is taken
+        d = get_dictionary("compass_gait29", 4)
+        x = np.array([0.1, -0.2, 0.7, -1.1])
+        psi, dpsi = d.jet(x, np.eye(4))
+        assert psi.shape == (29,) and dpsi.shape == (4, 29)
+        assert np.array_equal(d.derivative(x, np.eye(4)), dpsi)
+        for e, row in zip(np.eye(4), dpsi):
+            assert np.array_equal(d.derivative(x, e), row)
 
 
 class TestManifoldDefect:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from koopbilevel import (
 )
 from koopbilevel import lower_level, upper_level
 from koopbilevel.errors import LowerLevelError, NoSolutionError, NumericError
+from koopbilevel.numerics import complex_step
 
 TWO_PI = 2.0 * np.pi
 A_30 = np.deg2rad(30.0)
@@ -43,8 +45,10 @@ def osc_solution(oscillator_model, osc_config):
 
 
 def _anchor_at_amplitude(p):
-    anchor = np.array([p[1], 0.0])
-    return anchor, anchor.copy(), p[0]
+    # broadcasts over leading axes of p, as reduction_jacobian asks
+    p = np.asarray(p)
+    anchor = np.stack([p[..., 1], np.zeros_like(p[..., 1])], axis=-1)
+    return anchor, anchor.copy(), p[..., 0]
 
 
 # p = (T, amplitude): a constraint given only as eval and reduction
@@ -261,7 +265,8 @@ class TestSolveReduced:
         base = make_periodic_amplitude_anchor(A_30)
         mbc = MixedBoundaryConstraint(
             eval=base.eval, n_g=4, n_x=2,
-            reduction=lambda p: (*base.reduction(p)[:2], float(p[0])),
+            reduction=lambda p: (*base.reduction(p)[:2],
+                                 np.asarray(p)[..., 0].astype(float)),
         )
         with pytest.raises(NumericError, match="imaginary part"):
             mbc.reduction_jacobian([TWO_PI])
@@ -500,8 +505,16 @@ class TestSweep:
 
 
 def stacked_reduction(mbc, p):
+    """(x0, xT, T) of the points p, side by side on the last axis."""
     x0, xT, T = mbc.reduction(p)
-    return np.concatenate([x0, xT, [T]])
+    lead = np.shape(T) + (mbc.n_x,)
+    return np.concatenate([np.broadcast_to(x0, lead), np.broadcast_to(xT, lead),
+                           np.asarray(T)[..., None]], axis=-1)
+
+
+def preset_constraint(preset, walker):
+    return (make_periodic_amplitude_anchor(A_30) if preset == "anchor"
+            else make_walker_gait(walker, 0.05, rate_bound=0.15))
 
 
 @pytest.mark.parametrize("preset,points", [
@@ -509,8 +522,7 @@ def stacked_reduction(mbc, p):
     ("walker", [[2.06, -0.09, -0.14], [2.5, 0.1, -0.05], [1.8, 0.0, 0.15]]),
 ])
 def test_reduction_jacobians_match_central_differences(walker, preset, points):
-    mbc = (make_periodic_amplitude_anchor(A_30) if preset == "anchor"
-           else make_walker_gait(walker, 0.05, rate_bound=0.15))
+    mbc = preset_constraint(preset, walker)
     step = 1e-6
     for p in np.asarray(points):
         fd = np.column_stack([
@@ -520,6 +532,57 @@ def test_reduction_jacobians_match_central_differences(walker, preset, points):
         got = mbc.reduction_jacobian(p)
         assert got.shape == (2 * mbc.n_x + 1, mbc.p_dim)
         assert np.max(np.abs(got - fd)) <= 1e-8
+
+
+@pytest.mark.parametrize("preset", ["anchor", "walker"])
+def test_batched_boundary_rows_equal_per_row_calls(walker, preset):
+    mbc = preset_constraint(preset, walker)
+    rng = np.random.default_rng(33)
+    X0, XT = rng.uniform(-0.3, 0.3, size=(2, 3, 5, mbc.n_x))
+    T = rng.uniform(1.5, 2.5, size=(3, 5))
+    rows = mbc.residual(X0, XT, T)
+    assert rows.shape == (3, 5, mbc.n_g)
+    assert np.array_equal(rows, np.reshape(
+        [mbc.residual(a, b, t) for a, b, t in
+         zip(X0.reshape(-1, mbc.n_x), XT.reshape(-1, mbc.n_x), T.ravel())],
+        rows.shape))
+
+
+@pytest.mark.parametrize("preset,p", [
+    ("anchor", [6.3]),
+    ("walker", [2.06, -0.09, -0.14]),
+])
+def test_batched_reduction_equals_per_point_calls(walker, preset, p):
+    # real points, and complex ones as reduction_jacobian passes them
+    mbc = preset_constraint(preset, walker)
+    rng = np.random.default_rng(34)
+    P = np.asarray(p) * (1.0 + 0.05 * rng.normal(size=(6, len(p))))
+    for batch in (P, P + 1j * 2.0**-100 * rng.normal(size=P.shape)):
+        stacked = stacked_reduction(mbc, batch)
+        assert np.array_equal(stacked, [stacked_reduction(mbc, q) for q in batch])
+
+
+@pytest.mark.parametrize("preset,p", [
+    ("anchor", [6.3]),
+    ("walker", [2.06, -0.09, -0.14]),
+])
+def test_reduction_jacobian_is_one_reduction_call(walker, preset, p):
+    # every entry's complex step from one call on the stacked directions,
+    # bitwise the steps taken one entry at a time
+    base = preset_constraint(preset, walker)
+    calls = []
+
+    def counted(q):
+        calls.append(np.shape(q))
+        return base.reduction(q)
+
+    mbc = dataclasses.replace(base, reduction=counted)
+    p = np.asarray(p)
+    J = mbc.reduction_jacobian(p)
+    assert calls == [(p.size, p.size)]
+    one_by_one = np.column_stack([
+        complex_step(lambda q: stacked_reduction(base, q), p, e) for e in np.eye(p.size)])
+    assert np.array_equal(J, one_by_one)
 
 
 class TestWalkerConstraint:
