@@ -21,10 +21,10 @@ The identified matrices give the bilinear surrogate
 
     dz/dt = L0 z + sum_i u_i (Li - L0) z,
 
-a control-affine system on lifted states (``GeneratorModel.surrogate``) with
-drift L0 z and input column i equal to (Li - L0) z. The convex lower level
-linearizes it about a lifted reference point: A = L0 and B is the
-surrogate's input map there.
+a control-affine system on lifted states (``GeneratorModel.surrogate``) whose
+fields are f = L0 z and G with column i equal to (Li - L0) z. The convex
+lower level linearizes it about a lifted reference point: A = L0 and B is
+the surrogate's G there.
 """
 
 from dataclasses import dataclass, field
@@ -94,24 +94,22 @@ class GeneratorModel:
 
     @cached_property
     def surrogate(self):
-        """The bilinear surrogate as a control-affine system on lifted states:
-        drift L0 z, input column i equal to (Li - L0) z. The stacked product
-        rounds bitwise like ``(Li - L0) @ z``; ``einsum`` does not."""
+        """The bilinear surrogate as a control-affine system on lifted states,
+        whose ``fields(z)`` is ``(L0 z, G)`` with column i of G equal to (Li -
+        L0) z. The stacked product rounds bitwise like ``(Li - L0) @ z``;
+        ``einsum`` does not."""
         L0 = self.L0
-        G = np.stack([Li - L0 for Li in self.Li])
+        dL = np.stack([Li - L0 for Li in self.Li])
 
-        def drift(z):
-            return (L0 @ z[..., None])[..., 0]
-
-        def input_map(z):
-            return np.moveaxis((G @ z[..., None, :, None])[..., 0], -2, -1)
+        def fields(z):
+            return ((L0 @ z[..., None])[..., 0],
+                    np.moveaxis((dL @ z[..., None, :, None])[..., 0], -2, -1))
 
         return ControlAffineSystem(
             name=f"{self.system_name} surrogate",
             n_x=self.n_z,
             n_u=self.n_u,
-            drift=drift,
-            input_map=input_map,
+            fields=fields,
             state_box=None,
         )
 
@@ -145,17 +143,19 @@ def assemble_data(system, dictionary, X, out=None):
     derivatives per channel.
 
     Channel 0 uses u = 0; channel i in 1..n_u uses the canonical basis input
-    u = e_i. The lifts and every channel's Lie derivatives come from one
-    walk of the dictionary along the channels' vector fields stacked
-    (``ObservableDictionary.jet``), in real arithmetic. Returns ``(Psi,
-    dPsis)``: ``Psi`` with one column per sample, and one such ``dPsi`` per
-    channel. Given ``out``, a pair of arrays shaped ``(n_s, n_z)`` and
-    ``(n_u + 1, n_s, n_z)``, the lifts and Lie derivatives are written
-    there and returned as views of it: :func:`identify` passes the rows it
-    folds, one block of ``_BLOCK`` samples at a time.
+    u = e_i. Every channel's vector field comes from one ``eval_rhs`` over
+    the stacked inputs, so the system's ``fields`` are evaluated once, and
+    the lifts and every channel's Lie derivatives from one walk of the
+    dictionary along those vector fields (``ObservableDictionary.jet``), in
+    real arithmetic. Returns ``(Psi, dPsis)``: ``Psi`` with one column per
+    sample, and one such ``dPsi`` per channel. Given ``out``, a pair of
+    arrays shaped ``(n_s, n_z)`` and ``(n_u + 1, n_s, n_z)``, the lifts and
+    Lie derivatives are written there and returned as views of it:
+    :func:`identify` passes the rows it folds, one block of ``_BLOCK``
+    samples at a time.
     """
     inputs = np.eye(system.n_u + 1, system.n_u, -1)  # 0, e_1, ..., e_n_u
-    psi, dpsi = dictionary.jet(X, np.stack([eval_rhs(system, X, u) for u in inputs]), out)
+    psi, dpsi = dictionary.jet(X, eval_rhs(system, X, inputs[:, None, :]), out)
     return psi.T, tuple(d.T for d in dpsi)
 
 
@@ -208,9 +208,9 @@ def fit_generator(R, n_z, svd_tol=_SVD_TOL):
 # samples drawn, lifted, differentiated and folded into [R_Psi | C] at a
 # time; bounds the dictionary walk's temporaries and the rows held.
 # Identifying walker's 45,000 samples in a fresh process on a 2-core Xeon
-# (median of 5) peaked at 82.4, 83.1 and 86.0 MB RSS with blocks of 1024,
-# 2048 and 4096, each in 0.06-0.10 s; at 2048 fig1's 2000 samples are one
-# block
+# at one BLAS thread (median of 5) peaked at 82.3, 83.2 and 85.9 MB RSS with
+# blocks of 1024, 2048 and 4096, and took 0.06-0.07 s at each; at 2048
+# fig1's 2000 samples are one block
 _BLOCK = 2048
 
 _GEQRT, _GEMQRT = scipy.linalg.get_lapack_funcs(("geqrt", "gemqrt"),

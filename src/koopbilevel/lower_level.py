@@ -1,7 +1,7 @@
 """Convex lower level: lifted LTI trajectory QP for fixed boundaries and period.
 
 For fixed (x0, xT, T) the bilinear surrogate is linearized about a lifted
-boundary point (A = L0, B its input map there), discretized exactly with a
+boundary point z (A = L0, B = G(z) of its fields), discretized exactly with a
 zero-order hold at step h = T/N, and condensed: intermediate lifted states are
 eliminated. Each boundary formulation pins the leading k0 entries of z(0) to
 psi(x0) and the leading kN entries of z(N) to psi(xT), either the whole lift
@@ -290,7 +290,7 @@ def _qp_tangents(sol, J):
     dpsi0, dpsiT = np.moveaxis(model.dictionary.derivative(
         np.stack([p.x0, p.xT]), np.stack([dx0.T, dxT.T], axis=1)), 0, -1)
     dzbar = choose_linearization_point(p.variant, dpsi0, dpsiT)
-    dB = model.surrogate.input_map(dzbar.T)  # (k, n_z, n_u)
+    dB = model.surrogate.fields(dzbar.T)[1]  # (k, n_z, n_u)
     lam, V, Vinv = model.real_modes
     E, eT = qp.powers, qp.powers[:, N]
     j = np.arange(N - 1, -1, -1)  # knot m holds Ad^(N-1-m) Bd
@@ -341,7 +341,7 @@ def build_qp(problems):
 
     psi0, psiT = np.split(lift(model.dictionary, np.concatenate(
         [[p.x0 for p in problems], [p.xT for p in problems]])), 2)
-    B = model.surrogate.input_map(choose_linearization_point(variant, psi0, psiT))
+    B = model.surrogate.fields(choose_linearization_point(variant, psi0, psiT))[1]
     _, V, Vinv = model.real_modes
     powers, q, Bm, S = _discretize(model.real_modes, B, h, N)
 

@@ -1,15 +1,16 @@
 """Benchmark control-affine systems and nonlinear simulation.
 
-All drift and input maps broadcast over leading batch axes so that sampling,
-integration, and data assembly can run vectorized. Hybrid systems (the
-compass-gait walker) carry their reset machinery in :class:`HybridExtras`;
-resets are only ever applied at trajectory endpoints. They also broadcast over
-leading axes and run in complex arithmetic, so a boundary reduction built from
-them takes its complex steps along every direction in one call.
+Every system's vector fields broadcast over leading batch axes so that
+sampling, integration, and data assembly can run vectorized. Hybrid systems
+(the compass-gait walker) carry their reset machinery in
+:class:`HybridExtras`; resets are only ever applied at trajectory endpoints.
+They also broadcast over leading axes and run in complex arithmetic, so a
+boundary reduction built from them takes its complex steps along every
+direction in one call.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -45,24 +46,26 @@ class HybridExtras:
 
 @dataclass(frozen=True)
 class ControlAffineSystem:
-    """Control-affine dynamics ``dx/dt = drift(x) + input_map(x) @ u``.
+    """Control-affine dynamics ``dx/dt = f(x) + G(x) @ u``.
 
-    ``state_box`` is the default identification box of a true system; a
+    ``fields(x)`` returns the drift f and the input map G from one
+    evaluation, shaped ``(..., n_x)`` and ``(..., n_x, n_u)`` for states
+    ``x`` of shape ``(..., n_x)``. ``state_box`` is the default identification box of a true system; a
     surrogate, which is never sampled, has none.
     """
 
     name: str
     n_x: int
     n_u: int
-    drift: Callable[[np.ndarray], np.ndarray]
-    input_map: Callable[[np.ndarray], np.ndarray]
+    fields: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     state_box: Optional[np.ndarray]
     hybrid: Optional[HybridExtras] = None
     params: dict = field(default_factory=dict)
 
 
 def eval_rhs(system, x, u):
-    """Evaluate ``drift(x) + input_map(x) @ u``; broadcasts over batches."""
+    """Evaluate ``f(x) + G(x) @ u`` from one ``fields(x)``; broadcasts over
+    batches, and ``u`` may carry leading axes of inputs ahead of x's."""
     x = np.asarray(x, dtype=float)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if x.shape[-1] != system.n_x:
@@ -73,10 +76,9 @@ def eval_rhs(system, x, u):
         raise DomainEvaluationError(
             f"{system.name}: input has dim {u.shape[-1]}, expected {system.n_u}"
         )
-    f = system.drift(x)
+    f, G = system.fields(x)
     if not np.isfinite(f).all():
         raise DomainEvaluationError(f"{system.name}: drift returned non-finite values")
-    G = system.input_map(x)
     if not np.isfinite(G).all():
         raise DomainEvaluationError(
             f"{system.name}: input map returned non-finite values"
@@ -158,18 +160,15 @@ def make_linear_system(A, B, name="linear", state_box=None):
     if state_box is None:
         state_box = np.column_stack([-np.ones(n_x), np.ones(n_x)])
 
-    def drift(x):
-        return np.einsum("ij,...j->...i", A, x)
-
-    def input_map(x):
-        return np.broadcast_to(B, np.shape(x)[:-1] + B.shape)
+    def fields(x):
+        return (np.einsum("ij,...j->...i", A, x),
+                np.broadcast_to(B, np.shape(x)[:-1] + B.shape))
 
     return ControlAffineSystem(
         name=name,
         n_x=n_x,
         n_u=n_u,
-        drift=drift,
-        input_map=input_map,
+        fields=fields,
         state_box=np.asarray(state_box, dtype=float),
         params={"A": A, "B": B},
     )
@@ -187,24 +186,20 @@ def make_pendulum(damping=0.1):
     optimum; damping=0.1 reproduces the benchmark cost level.
     """
 
-    def drift(x):
-        out = np.empty(np.shape(x))
-        out[..., 0] = x[..., 1]
-        out[..., 1] = -np.sin(x[..., 0]) - damping * x[..., 1]
-        return out
-
-    def input_map(x):
+    def fields(x):
+        f = np.empty(np.shape(x))
+        f[..., 0] = x[..., 1]
+        f[..., 1] = -np.sin(x[..., 0]) - damping * x[..., 1]
         G = np.zeros(np.shape(x)[:-1] + (2, 1))
         G[..., 1, 0] = 1.0
-        return G
+        return f, G
 
     box = np.array([[-np.pi / 2, np.pi / 2], [-2.0, 2.0]])
     return ControlAffineSystem(
         name="pendulum",
         n_x=2,
         n_u=1,
-        drift=drift,
-        input_map=input_map,
+        fields=fields,
         state_box=box,
         params={"damping": damping},
     )
@@ -231,7 +226,7 @@ def make_compass_gait(hip_mass=2.0, leg_mass=1.0, leg_length=1.0, com_from_hip=0
     g_st = grav * (mh * ell + m * (ell - r) + m * ell)
     g_sw = grav * m * r
 
-    def drift(x):
+    def fields(x):
         th_st, th_sw = x[..., 0], x[..., 1]
         w_st, w_sw = x[..., 2], x[..., 3]
         c = np.cos(th_st - th_sw)
@@ -241,21 +236,15 @@ def make_compass_gait(hip_mass=2.0, leg_mass=1.0, leg_length=1.0, com_from_hip=0
         b1 = mlr * s * w_sw**2 + g_st * np.sin(th_st)
         b2 = -mlr * s * w_st**2 - g_sw * np.sin(th_sw)
         det = m11 * m22 - m12**2
-        out = np.empty(np.shape(x))
-        out[..., :2] = x[..., 2:]
-        out[..., 2] = (m22 * b1 - m12 * b2) / det
-        out[..., 3] = (m11 * b2 - m12 * b1) / det
-        return out
-
-    def input_map(x):
-        th_st, th_sw = x[..., 0], x[..., 1]
-        m12 = -mlr * np.cos(th_st - th_sw)
-        det = m11 * m22 - m12**2
+        f = np.empty(np.shape(x))
+        f[..., :2] = x[..., 2:]
+        f[..., 2] = (m22 * b1 - m12 * b2) / det
+        f[..., 3] = (m11 * b2 - m12 * b1) / det
         # hip torque acts as tau = (-u, +u) on (th_st, th_sw)
         G = np.zeros(np.shape(x)[:-1] + (4, 1))
         G[..., 2, 0] = (-m22 - m12) / det
         G[..., 3, 0] = (m11 + m12) / det
-        return G
+        return f, G
 
     def _floating_mass_matrix(th_st, th_sw, M):
         # coordinates (x_hip, y_hip, th_st, th_sw), point masses only, written
@@ -321,8 +310,7 @@ def make_compass_gait(hip_mass=2.0, leg_mass=1.0, leg_length=1.0, com_from_hip=0
         name="compass_gait",
         n_x=4,
         n_u=1,
-        drift=drift,
-        input_map=input_map,
+        fields=fields,
         state_box=box,
         hybrid=extras,
         params={

@@ -21,11 +21,18 @@ def pendulum_energy(x):
     return 0.5 * x[..., 1] ** 2 + (1.0 - np.cos(x[..., 0]))
 
 
-def drift_oracle(system, x):
-    """The preset drifts as stacks of their rows."""
+def fields_oracle(system, x):
+    """The preset vector fields f and G, each from its own formulas: f as a
+    stack of its rows, and G from the mass-matrix terms computed afresh."""
+    if system.name == "oscillator":
+        A, B = system.params["A"], system.params["B"]
+        return (np.einsum("ij,...j->...i", A, x),
+                np.broadcast_to(B, x.shape[:-1] + B.shape))
     if system.name == "pendulum":
         damping = system.params["damping"]
-        return np.stack([x[..., 1], -np.sin(x[..., 0]) - damping * x[..., 1]], axis=-1)
+        f = np.stack([x[..., 1], -np.sin(x[..., 0]) - damping * x[..., 1]], axis=-1)
+        G = np.broadcast_to([[0.0], [1.0]], x.shape[:-1] + (2, 1))
+        return f, G
     p = system.params
     mh, m, ell, r = p["hip_mass"], p["leg_mass"], p["leg_length"], p["com_from_hip"]
     m11 = mh * ell**2 + m * (ell - r) ** 2 + m * ell**2
@@ -40,13 +47,28 @@ def drift_oracle(system, x):
     det = m11 * m22 - m12**2
     a_st = (m22 * b1 - m12 * b2) / det
     a_sw = (m11 * b2 - m12 * b1) / det
-    return np.stack([w_st, w_sw, a_st, a_sw], axis=-1)
+    f = np.stack([w_st, w_sw, a_st, a_sw], axis=-1)
+    # hip torque (-u, +u) on (th_st, th_sw) through M^-1
+    m12 = -mlr * np.cos(th_st - th_sw)
+    det = m11 * m22 - m12**2
+    zero = np.zeros(x.shape[:-1])
+    G = np.stack([zero, zero, (-m22 - m12) / det, (m11 + m12) / det], axis=-1)[..., None]
+    return f, G
 
 
 def rhs_oracle(system, x, u):
-    """``drift + G u`` with G u an einsum over the inputs broadcast to x."""
+    """``f + G u`` of the oracle fields, with G u an einsum over the inputs
+    broadcast to x."""
     u = np.broadcast_to(u, x.shape[:-1] + (system.n_u,))
-    return system.drift(x) + np.einsum("...ij,...j->...i", system.input_map(x), u)
+    f, G = fields_oracle(system, x)
+    return f + np.einsum("...ij,...j->...i", G, u)
+
+
+def one_dim_system(name, f, G, state_box=None):
+    """A system with n_x = n_u = 1 whose fields are ``(f(x), G(x))``."""
+    return ControlAffineSystem(
+        name=name, n_x=1, n_u=1, fields=lambda x: (f(x), G(x)), state_box=state_box,
+    )
 
 
 class TestEvalRhs:
@@ -81,22 +103,39 @@ class TestEvalRhs:
         rng = np.random.default_rng(31)
         for shape in [(system.n_x,), (7, system.n_x), (3, 5, system.n_x)]:
             x = rng.uniform(-1.5, 1.5, size=shape)
-            if name != "oscillator":
-                assert np.array_equal(system.drift(x), drift_oracle(system, x))
+            f, G = system.fields(x)
+            f_oracle, G_oracle = fields_oracle(system, x)
+            assert f.shape == shape and G.shape == shape + (system.n_u,)
+            assert np.array_equal(f, f_oracle) and np.array_equal(G, G_oracle)
             for u in (np.array([0.0]), np.array([-0.7]),
                       rng.normal(size=shape[:-1] + (1,))):
                 assert np.array_equal(eval_rhs(system, x, u), rhs_oracle(system, x, u))
 
+    @pytest.mark.parametrize("name", ["oscillator", "pendulum", "compass_gait"])
+    def test_stacked_inputs_match_single_input_calls_bitwise(self, name):
+        # gEDMD evaluates every channel's input on one block of samples
+        system = get_system(name)
+        rng = np.random.default_rng(32)
+        X = rng.uniform(-1.5, 1.5, size=(20, system.n_x))
+        U = rng.normal(size=(3, 1, system.n_u))
+        stacked = eval_rhs(system, X, U)
+        assert stacked.shape == (3, 20, system.n_x)
+        assert np.array_equal(stacked, np.stack([eval_rhs(system, X, u) for u in U[:, 0]]))
+        with pytest.raises(DomainEvaluationError, match="input has dim 2"):
+            eval_rhs(system, X, rng.normal(size=(3, 1, system.n_u + 1)))
+
     def test_nonfinite_drift_names_component(self):
-        bad = ControlAffineSystem(
-            name="bad",
-            n_x=1,
-            n_u=1,
-            drift=lambda x: x / 0.0,
-            input_map=lambda x: np.ones(np.shape(x)[:-1] + (1, 1)),
-            state_box=np.array([[-1.0, 1.0]]),
-        )
+        bad = one_dim_system("bad", lambda x: x / 0.0,
+                             lambda x: np.ones(np.shape(x)[:-1] + (1, 1)),
+                             state_box=np.array([[-1.0, 1.0]]))
         with pytest.raises(DomainEvaluationError, match="drift"):
+            eval_rhs(bad, [1.0], [0.0])
+
+    def test_nonfinite_input_map_names_component(self):
+        bad = one_dim_system("bad", lambda x: x,
+                             lambda x: np.full(np.shape(x)[:-1] + (1, 1), np.inf))
+        with pytest.raises(DomainEvaluationError,
+                           match="bad: input map returned non-finite values"):
             eval_rhs(bad, [1.0], [0.0])
 
 
@@ -134,12 +173,8 @@ class TestRk4:
 
     def test_nonfinite_state_error_names_the_step_of_that_entry(self):
         # finite drift whose RK4 combination overflows only where x > 0
-        big = ControlAffineSystem(
-            name="big", n_x=1, n_u=1,
-            drift=lambda x: np.where(x > 0, 1e308, 0.0),
-            input_map=lambda x: np.zeros(np.shape(x)[:-1] + (1, 1)),
-            state_box=None,
-        )
+        big = one_dim_system("big", lambda x: np.where(x > 0, 1e308, 0.0),
+                             lambda x: np.zeros(np.shape(x)[:-1] + (1, 1)))
         x = np.array([[-1.0], [-1.0], [1.0], [1.0]])[:, None, :]
         h = np.array([0.1, 0.2, 0.3, 0.4])[:, None, None]
         with pytest.raises(IntegrationError) as info, np.errstate(over="ignore"):

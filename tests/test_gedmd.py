@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -15,6 +16,7 @@ from koopbilevel import (
     simulate,
 )
 from koopbilevel import gedmd
+from koopbilevel.cli import load_bundle
 from koopbilevel.gedmd import model_to_config
 from koopbilevel.lifting import DICTIONARY_PRESETS, Monomial, ObservableDictionary
 from koopbilevel.systems import eval_rhs, make_linear_system
@@ -276,8 +278,30 @@ class TestIdentify:
         assert np.max(np.abs(model.L0[:, 2])) <= 1e-10  # no constant drift
         d = model.dictionary
         for x in ([0.0, 0.0], [0.7, -0.3]):
-            B_lin = model.surrogate.input_map(d.eval(np.asarray(x)))
+            B_lin = model.surrogate.fields(d.eval(np.asarray(x)))[1]
             assert np.max(np.abs(B_lin[:2] - B)) <= 1e-10
+
+    @pytest.mark.parametrize("bundle,fixture,calls", [
+        ("fig1", "oscillator", 1), ("walker", "walker", 22)])
+    def test_fields_are_evaluated_once_per_block(self, request, bundle, fixture,
+                                                 calls):
+        # every channel's vector field comes from one evaluation of the
+        # system's fields per block of samples
+        cfg = load_bundle(bundle)["config"]
+        system = request.getfixturevalue(fixture)
+        count = []
+
+        def fields(x):
+            count.append(len(x))
+            return system.fields(x)
+
+        ident = cfg["identification"]
+        box = np.asarray(ident.get("box", system.state_box), dtype=float)
+        identify(dataclasses.replace(system, fields=fields),
+                 get_dictionary(cfg["dictionary"], system.n_x),
+                 n_s=ident["n_s"], seed=ident["seed"], box=box)
+        assert len(count) == calls
+        assert sum(count) == ident["n_s"]
 
     def test_predicted_flow_matches_matrix_exponential(self, oscillator,
                                                        oscillator_model,
@@ -389,14 +413,14 @@ class TestLinearize:
     A = L0, and B is the surrogate's input map at z_bar."""
 
     def test_zero_point_gives_zero_input_matrix(self, oscillator_model):
-        B = oscillator_model.surrogate.input_map(np.zeros(3))
+        B = oscillator_model.surrogate.fields(np.zeros(3))[1]
         assert np.array_equal(B, np.zeros((3, 1)))
 
     def test_linearity_in_reference_point(self, pendulum_model):
         rng = np.random.default_rng(14)
         z = rng.normal(size=pendulum_model.n_z)
-        B1 = pendulum_model.surrogate.input_map(z)
-        B2 = pendulum_model.surrogate.input_map(2.5 * z)
+        B1 = pendulum_model.surrogate.fields(z)[1]
+        B2 = pendulum_model.surrogate.fields(2.5 * z)[1]
         assert np.max(np.abs(B2 - 2.5 * B1)) <= 1e-12
 
 
@@ -416,11 +440,13 @@ class TestSurrogate:
         def columns(z):
             return np.column_stack([(Li - model.L0) @ z for Li in model.Li])
 
-        batch = model.surrogate.input_map(Z)
-        assert batch.shape == (50, model.n_z, model.n_u)
-        for z, G in zip(Z, batch):
-            assert np.array_equal(model.surrogate.input_map(z), columns(z))
-            assert np.array_equal(G, columns(z))
+        f_batch, G_batch = model.surrogate.fields(Z)
+        assert f_batch.shape == (50, model.n_z)
+        assert G_batch.shape == (50, model.n_z, model.n_u)
+        for z, f, G in zip(Z, f_batch, G_batch):
+            f_one, G_one = model.surrogate.fields(z)
+            assert np.array_equal(f_one, model.L0 @ z) and np.array_equal(f, model.L0 @ z)
+            assert np.array_equal(G_one, columns(z)) and np.array_equal(G, columns(z))
 
     def test_right_hand_side_is_the_bilinear_model(self, pendulum_model):
         model = pendulum_model
@@ -459,8 +485,8 @@ def test_constant_term_required_for_constant_input_maps():
     with_const = identify(sys_lin, get_dictionary("linear_const", 2), n_s=400,
                           seed=16, box=sys_lin.state_box)
     z_bar = with_const.dictionary.eval(np.array([0.2, 0.1]))
-    B_const = with_const.surrogate.input_map(z_bar)[:2]
+    B_const = with_const.surrogate.fields(z_bar)[1][:2]
     assert np.max(np.abs(B_const - sys_lin.params["B"])) <= 1e-10
     # identity-dictionary fit has tiny induced B: both channels see ~A psi
-    B_ident = ident.surrogate.input_map(np.array([0.2, 0.1]))
+    B_ident = ident.surrogate.fields(np.array([0.2, 0.1]))[1]
     assert np.max(np.abs(B_ident)) <= 0.2  # cannot encode the constant column

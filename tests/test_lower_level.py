@@ -199,7 +199,7 @@ class TestSolveLower:
     def test_dynamics_defects(self, pendulum_model, zoh_oracle):
         problem = make_problem(pendulum_model, "b0", [0.7, 0], [0.7, 0], 6.5, 30)
         sol = solve_lower(problem)
-        B = pendulum_model.surrogate.input_map(lift(pendulum_model.dictionary, problem.x0))
+        B = pendulum_model.surrogate.fields(lift(pendulum_model.dictionary, problem.x0))[1]
         Ad, Bd = zoh_oracle(pendulum_model.L0, B, 6.5 / 30)
         for k in range(30):
             defect = sol.z_traj[k + 1] - Ad @ sol.z_traj[k] - Bd @ sol.u_traj[k]
@@ -270,7 +270,7 @@ class TestSolveLower:
 
             variant = problem.variant
             z_bar = choose_linearization_point(variant, lift(d, x0), lift(d, xT))
-            Ad, Bd = zoh_oracle(model.L0, model.surrogate.input_map(z_bar), T / N)
+            Ad, Bd = zoh_oracle(model.L0, model.surrogate.fields(z_bar)[1], T / N)
             nv = (N + 1) * n_z + N * n_u
             h = T / N
 
