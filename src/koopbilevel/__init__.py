@@ -29,7 +29,6 @@ from .systems import (
     eval_rhs,
     get_system,
     rk4_step,
-    simulate,
 )
 from .lifting import (
     ObservableDictionary,
@@ -43,7 +42,6 @@ from .gedmd import (
     assemble_data,
     fit_generator,
     identify,
-    sample_states,
 )
 from .numerics import (
     KktResult,

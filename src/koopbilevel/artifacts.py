@@ -107,13 +107,12 @@ def read_csv(path):
 def write_trajectory_csv(path, times, states, inputs):
     """Write a sampled trajectory with its piecewise-constant inputs.
 
-    States have N+1 rows and inputs N; the final input row repeats the last
-    knot (step-plot convention), which cost recomputation must ignore.
+    ``states`` is ``(N+1, n_x)`` and ``inputs`` ``(N, n_u)``; the final input
+    row repeats the last knot (step-plot convention), which cost
+    recomputation must ignore.
     """
-    states = np.atleast_2d(np.asarray(states, dtype=float))
+    states = np.asarray(states, dtype=float)
     inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim == 1:
-        inputs = inputs[:, None]
     n_pts, n_x = states.shape
     if inputs.shape[0] != n_pts - 1:
         raise ConfigError(

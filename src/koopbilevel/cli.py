@@ -47,7 +47,7 @@ from . import artifacts, config as cfgmod, gates as gatesmod
 from .baseline_nlp import TranscribedNlp, solve_nlp
 from .errors import ArtifactError, ConfigError, KoopbilevelError
 from .gedmd import identify, model_to_config
-from .upper_level import make_periodic_amplitude_anchor, solve_reduced, sweep_period
+from .upper_level import solve_reduced, sweep_period
 
 __all__ = [
     "cmd_identify",
@@ -184,11 +184,12 @@ def _solution_record(lower, mbc):
     }
 
 
-def _solve_records(run, model, mbc):
-    """Bilevel solve of every variant under ``mbc``, then one baseline NLP,
-    which depends only on the system, the mbc and N, warm-started from the
-    first variant's trajectory. A baseline that does not converge is
-    recorded as SLSQP's last iterate, with ``converged: false``.
+def _solve_records(run, model):
+    """Bilevel solve of every variant under the config's constraint
+    ``run.mbc``, then one baseline NLP, which depends only on the system,
+    the constraint and N, warm-started from the first variant's trajectory.
+    A baseline that does not converge is recorded as SLSQP's last iterate,
+    with ``converged: false``.
 
     Returns ``(records, entries, timings)``: the records keyed by the file
     that :func:`cmd_solve` writes each to (``baseline.json``, ``baseline.csv``
@@ -201,11 +202,11 @@ def _solve_records(run, model, mbc):
     solutions = []
     for var in run.variants:
         t0 = time.perf_counter()
-        solutions.append(solve_reduced(model, var, mbc, run.upper, run.N))
+        solutions.append(solve_reduced(model, var, run.mbc, run.upper, run.N))
         timings["per_variant"][var.label] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    baseline = solve_nlp(TranscribedNlp(run.system, mbc, run.N),
+    baseline = solve_nlp(TranscribedNlp(run.system, run.mbc, run.N),
                          solutions[0].lower.trajectory)
     timings["baseline"] = time.perf_counter() - t0
     # every NlpSolution field but the trajectory, which goes to baseline.csv
@@ -216,7 +217,7 @@ def _solve_records(run, model, mbc):
     records = {"baseline.json": record, "baseline.csv": trajectory}
     entries = []
     for sol in solutions:
-        solution = dict(_solution_record(sol.lower, mbc),
+        solution = dict(_solution_record(sol.lower, run.mbc),
                         start_records=list(sol.start_records))
         label = solution["variant"]
         records.update({f"{label}_solution.json": solution,
@@ -244,12 +245,12 @@ def _report_record(out_dir, entries, blas_threads, command):
 
 def cmd_solve(run, out_dir, model, command="solve"):
     """Write :func:`_solve_records` of the model that ``cmd_identify`` wrote
-    to ``out_dir`` under the config's constraint, then ``config.json`` (the
-    config ``run`` was parsed from) and :func:`_report_record`, with the
-    thread count of :func:`_blas_threads`, as ``report.json``. Returns the
-    report and the timings."""
+    to ``out_dir``, then ``config.json`` (the config ``run`` was parsed
+    from) and :func:`_report_record`, with the thread count of
+    :func:`_blas_threads`, as ``report.json``. Returns the report and the
+    timings."""
     _ensure_dir(out_dir)
-    records, entries, timings = _solve_records(run, model, run.mbc)
+    records, entries, timings = _solve_records(run, model)
     _write_records(out_dir, records)
     artifacts.write_json(os.path.join(out_dir, "config.json"), run.raw)
     report = _report_record(out_dir, entries, _blas_threads(), command)
@@ -273,8 +274,10 @@ def cmd_sweep(run, out_dir, model, axis="T"):
     """Grid evaluation, written as ``sweep_<axis>.csv`` and returned as
     rows. The period sweep evaluates the lower level of the first variant
     at each period of the grid. The amplitude sweep runs
-    :func:`_solve_records` under each amplitude's anchor; each of its rows
-    is that solve's report entry of one variant, with the amplitude and the
+    :func:`_solve_records` on the config with each amplitude as its
+    ``mbc.amplitude_deg``, parsed by
+    :func:`~koopbilevel.config.validate_config`; each of its rows is that
+    solve's report entry of one variant, with the amplitude and the
     variant's weight, in the columns of ``_AMPLITUDE_COLUMNS``."""
     _check_sweep_axis(run, axis)
     _ensure_dir(out_dir)
@@ -285,8 +288,9 @@ def cmd_sweep(run, out_dir, model, axis="T"):
     else:
         rows = []
         for a_deg in run.amplitudes_deg:
-            mbc = make_periodic_amplitude_anchor(np.deg2rad(a_deg))
-            _, entries, _ = _solve_records(run, model, mbc)
+            at = cfgmod.validate_config(
+                {**run.raw, "mbc": {**run.raw["mbc"], "amplitude_deg": a_deg}})
+            _, entries, _ = _solve_records(at, model)
             for var, entry in zip(run.variants, entries):
                 row = dict(entry, amplitude_deg=a_deg, variant_w=var.w)
                 rows.append({c: row[c] for c in _AMPLITUDE_COLUMNS})
@@ -484,7 +488,7 @@ def cmd_audit(out_dir):
         raise ArtifactError(f"{config_path}: {exc}") from None
 
     model, records = _identify_records(run)
-    solve_records, entries, _ = _solve_records(run, model, run.mbc)
+    solve_records, entries, _ = _solve_records(run, model)
     records.update(solve_records)
     gates_path = os.path.join(out_dir, "gates_report.json")
     reproduce = os.path.exists(gates_path)

@@ -41,7 +41,6 @@ from .systems import ControlAffineSystem, eval_rhs
 
 __all__ = [
     "GeneratorModel",
-    "sample_states",
     "assemble_data",
     "fit_generator",
     "identify",
@@ -51,11 +50,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GeneratorModel:
-    """A gEDMD factor with provenance; L0, Li, residuals and ranks come from it."""
+    """A gEDMD factor with provenance; L0, Li, residuals and ranks come from
+    it, by :func:`fit_generator` at the module's ``_SVD_TOL``."""
 
     factor: np.ndarray
     dictionary: ObservableDictionary
-    svd_tol: float
     seed: int
     n_s: int
     box: np.ndarray
@@ -66,7 +65,7 @@ class GeneratorModel:
     ranks: Tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        fits = fit_generator(self.factor, self.dictionary.n_z, self.svd_tol)
+        fits = fit_generator(self.factor, self.dictionary.n_z)
         object.__setattr__(self, "L0", fits[0].matrix)
         object.__setattr__(self, "Li", tuple(f.matrix for f in fits[1:]))
         object.__setattr__(self, "residuals", tuple(f.residual for f in fits))
@@ -115,10 +114,11 @@ class GeneratorModel:
 
 
 def _draws(box, n_s, seed, block):
-    """The rows of ``sample_states(box, n_s, seed)`` in blocks of ``block``,
-    each drawn from one generator when it is asked for. A uniform draw takes
-    the stream's doubles row by row, so the blocks, a shorter last one
-    included, are bitwise the rows of one draw."""
+    """``n_s`` i.i.d. uniform samples of ``box``, one state per row, in blocks
+    of ``block``, each drawn from the generator ``default_rng(seed)`` when it
+    is asked for. A uniform draw takes the stream's doubles row by row, so the
+    blocks, a shorter last one included, are bitwise the rows of one
+    ``default_rng(seed).uniform(box[:, 0], box[:, 1], (n_s, n_x))``."""
     box = np.asarray(box, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2:
         raise ConfigError(f"sampling box must have shape (n_x, 2), got {box.shape}")
@@ -130,12 +130,6 @@ def _draws(box, n_s, seed, block):
     for start in range(0, int(n_s), block):
         yield rng.uniform(box[:, 0], box[:, 1],
                           size=(min(block, int(n_s) - start), box.shape[0]))
-
-
-def sample_states(box, n_s, seed):
-    """Draw n_s i.i.d. uniform samples in the box, one state per row of the
-    returned array, deterministic in the seed."""
-    return next(_draws(box, n_s, seed, int(n_s)))
 
 
 def assemble_data(system, dictionary, X, out=None):
@@ -173,7 +167,7 @@ class FitResult:
     rank: int
 
 
-def fit_generator(R, n_z, svd_tol=_SVD_TOL):
+def fit_generator(R, n_z):
     """Minimum-norm least-squares generator fits of ``L Psi = dPsi``, one
     ``np.linalg.lstsq`` per channel, from a factor ``R`` of the sample rows
     ``[Psi^T | dPsi_0^T | ... | dPsi_{n_u}^T]``: any R with ``||Psi^T X -
@@ -185,7 +179,7 @@ def fit_generator(R, n_z, svd_tol=_SVD_TOL):
     R_Psi, which no X can reduce.
 
     Such an ``R_Psi`` has the singular values of ``Psi``. LAPACK's ``gelsd``
-    treats those at most ``svd_tol`` times the largest as zero; a fit of
+    treats those at most ``_SVD_TOL`` times the largest as zero; a fit of
     lower rank goes on in the retained subspace and records its rank. The
     residual ``||R_Psi L^T - R_c|| / ||R_c||`` equals ``||L Psi - dPsi|| /
     ||dPsi||``.
@@ -194,7 +188,7 @@ def fit_generator(R, n_z, svd_tol=_SVD_TOL):
     fits = []
     for start in range(n_z, R.shape[1], n_z):
         R_c = R[:, start:start + n_z]
-        Lt, _, rank, _ = np.linalg.lstsq(R_psi, R_c, rcond=svd_tol)
+        Lt, _, rank, _ = np.linalg.lstsq(R_psi, R_c, rcond=_SVD_TOL)
         # C order: BLAS rounds products with L by its layout, and every
         # product with L0 and Li was written and checked against C-order
         # matrices; a transposed view would round them differently
@@ -239,14 +233,15 @@ def identify(system, dictionary, n_s, seed, box):
     pass over the samples (sequential TSQR: Demmel, Grigori, Hoemmen &
     Langou, SIAM J. Sci. Comput. 2012).
 
-    Each block of ``_BLOCK`` samples is drawn when it is needed, from one
-    generator whose stream is that of :func:`sample_states`, then lifted and
-    differentiated (:func:`assemble_data`) straight into its rows ``[psi^T |
-    dpsi_0^T | ... | dpsi_{n_u}^T]`` under the running ``[R_Psi | C]``. The
-    rows are checked for non-finite values and folded into it
-    (:func:`_fold`): only the ``n_z`` Psi columns are triangularized, and
-    the derivative columns keep running sums of squares of the rows that
-    fall below ``n_z``. No (n_s, n_z) or (n_s, n_x) array is held. The
+    Each block of ``_BLOCK`` samples is drawn when it is needed
+    (:func:`_draws`); together the blocks are the rows of one
+    ``default_rng(seed).uniform`` draw of ``n_s`` states. Each block is
+    lifted and differentiated (:func:`assemble_data`) straight into its
+    rows ``[psi^T | dpsi_0^T | ... | dpsi_{n_u}^T]`` under the running
+    ``[R_Psi | C]``. The rows are checked for non-finite values and folded
+    into it (:func:`_fold`): only the ``n_z`` Psi columns are
+    triangularized, and the derivative columns keep running sums of squares
+    of the rows that fall below ``n_z``. No (n_s, n_z) or (n_s, n_x) array is held. The
     model's factor is ``[R_Psi | C]`` over the square roots of those sums,
     with zeros under Psi.
     """
@@ -279,7 +274,6 @@ def identify(system, dictionary, n_s, seed, box):
     return GeneratorModel(
         factor=np.vstack([stack[:n_z], np.concatenate([np.zeros(n_z), np.sqrt(tail)])]),
         dictionary=dictionary,
-        svd_tol=_SVD_TOL,
         seed=int(seed),
         n_s=int(n_s),
         box=np.asarray(box, dtype=float),
@@ -295,7 +289,7 @@ def model_to_config(model):
         "system_name": model.system_name,
         "dictionary": model.dictionary.to_config(),
         "factor": model.factor.tolist(),
-        "svd_tol": model.svd_tol,
+        "svd_tol": _SVD_TOL,
         "seed": model.seed,
         "n_s": model.n_s,
         "box": model.box.tolist(),

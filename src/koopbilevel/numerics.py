@@ -167,7 +167,8 @@ def _reduced_solve(factors, a, c, rows):
 
 
 def solve_kkt(d, G, g, Aeq, beq):
-    """Solve ``min 1/2 v'Hv + g'v  s.t.  Aeq v = beq`` with H = diag(d) + G'G.
+    """Solve a batch of ``min 1/2 v'Hv + g'v  s.t.  Aeq v = beq`` with H =
+    diag(d) + G'G.
 
     With C = [G; Aeq] and mu = G v, the KKT conditions are the symmetric
     system ``[[D, C'], [C, -E]] (v, nu) = (-g, (0, beq))``, where nu = (mu,
@@ -187,37 +188,37 @@ def solve_kkt(d, G, g, Aeq, beq):
     degenerate. Any symmetric positive semidefinite H is d = 0 with G a
     factor of H = G'G.
 
-    Every argument may carry one leading batch axis, over QPs that share
-    n, r and m and the pattern of positive entries of d; each QP of a batch
+    Every argument carries one leading batch axis, over P QPs that share n,
+    r and m and the pattern of positive entries of d; each QP of the batch
     is solved as it would be alone.
 
     Parameters
     ----------
-    d : (n,) ndarray
-        Nonnegative diagonal of H.
-    G : (r, n) ndarray
-        Low-rank part of H; r = 0 for a diagonal H.
-    g : (n,) ndarray
-        Linear cost term.
-    Aeq : (m, n) ndarray
-        Equality constraint matrix; m = 0 for an unconstrained quadratic.
-    beq : (m,) ndarray
-        Equality right-hand side.
+    d : (P, n) ndarray
+        Nonnegative diagonal of each H.
+    G : (P, r, n) ndarray
+        Low-rank part of each H; r = 0 for a diagonal H.
+    g : (P, n) ndarray
+        Linear cost terms.
+    Aeq : (P, m, n) ndarray
+        Equality constraint matrices; m = 0 for an unconstrained quadratic.
+    beq : (P, m) ndarray
+        Equality right-hand sides.
 
     Returns
     -------
-    A :class:`KktResult`; for a batch, a list holding for each QP its
-    ``KktResult`` or the ``DegenerateQpError`` that it would raise alone.
+    A list holding for each QP its :class:`KktResult` or, for a degenerate
+    QP, a ``DegenerateQpError``: when the reduced LU has an exactly zero
+    pivot (not solved, with ``min_pivot`` 0), or when the residuals stay
+    above tolerance.
 
     Raises
     ------
-    DegenerateQpError
-        If the reduced LU has an exactly zero pivot (raised before any
-        solve, with ``min_pivot`` 0) or the residuals stay above tolerance.
+    NumericError
+        If the shapes disagree, or d is negative somewhere or has more than
+        one pattern of positive entries.
     """
-    single = np.ndim(g) == 1
-    d, G, g, Aeq, beq = (np.asarray(a, dtype=float)[None] if single
-                         else np.asarray(a, dtype=float) for a in (d, G, g, Aeq, beq))
+    d, G, g, Aeq, beq = (np.asarray(a, dtype=float) for a in (d, G, g, Aeq, beq))
     if g.ndim != 2 or g.shape[1] == 0 or d.shape != g.shape:
         raise NumericError(f"inconsistent QP dimensions: d {d.shape}, g {g.shape}")
     (P, n), r, m = g.shape, G.shape[-2], Aeq.shape[-2]
@@ -262,11 +263,7 @@ def solve_kkt(d, G, g, Aeq, beq):
                 primal=v[i], dual=lam[i], stationarity_residual=s,
                 feasibility_residual=f, min_pivot=pivot,
                 factors=(dinv[i], C[i], lu[i], piv[i])))
-    if not single:
-        return results
-    if isinstance(results[0], DegenerateQpError):
-        raise results[0]
-    return results[0]
+    return results
 
 
 def qp_sensitivity(kkt, grad, dd, dG, dg, dAeq, dbeq):

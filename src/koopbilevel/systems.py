@@ -1,4 +1,4 @@
-"""Benchmark control-affine systems and nonlinear simulation.
+"""Benchmark control-affine systems and their one-step RK4 integrator.
 
 Every system's vector fields broadcast over leading batch axes so that
 sampling, integration, and data assembly can run vectorized. Hybrid systems
@@ -22,7 +22,6 @@ __all__ = [
     "eval_rhs",
     "rk4_step",
     "running_cost",
-    "simulate",
     "get_system",
     "SYSTEM_PRESETS",
 ]
@@ -113,33 +112,6 @@ def running_cost(T, U):
     """Input energy ``(T/N) sum_k ||u_k||^2`` of the ``(N, n_u)`` inputs ``U``
     held piecewise constant over the period ``T``."""
     return float(T / U.shape[0]) * float(np.sum(U**2))
-
-
-def simulate(system, x0, U, T, substeps=16):
-    """Integrate under piecewise-constant inputs; samples at knot boundaries.
-
-    Row k of the ``(N, n_u)`` inputs ``U`` is held on [k T/N, (k+1) T/N), and
-    each of those intervals is integrated with ``substeps`` RK4 steps.
-    Returns the ``(N+1, n_x)`` states at times ``k T/N``.
-    """
-    if substeps < 1:
-        raise ConfigError(f"substeps must be >= 1, got {substeps}")
-    U = np.asarray(U, dtype=float)
-    if U.ndim == 0 or U.shape[0] < 1:
-        raise ConfigError("simulate needs at least one input knot")
-    if not T > 0:
-        raise ConfigError(f"control period must be positive, got T={T}")
-    x0 = np.asarray(x0, dtype=float)
-    N = U.shape[0]
-    h = T / N / substeps
-    states = np.empty((N + 1, system.n_x))
-    states[0] = x0
-    x = x0
-    for k in range(N):
-        for _ in range(substeps):
-            x = rk4_step(system, x, U[k], h)
-        states[k + 1] = x
-    return states
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +267,6 @@ def make_compass_gait(hip_mass=2.0, leg_mass=1.0, leg_length=1.0, com_from_hip=0
     def flip_map(x):
         return np.asarray(x)[..., [1, 0, 3, 2]]
 
-    def kinetic_energy(x):
-        """Total kinetic energy about the stance pivot. No pipeline stage reads
-        it; the impact-dissipation test of ``tests/test_dynamics.py`` does."""
-        x = np.asarray(x, dtype=float)
-        qd = _pre_impact_velocity(x)
-        return 0.5 * float(qd @ _floating_mass_matrix(x[0], x[1], np.zeros((4, 4))) @ qd)
-
     box = np.array(
         [[-0.35, 0.35], [-0.35, 0.35], [-1.5, 1.5], [-1.5, 1.5]]
     )
@@ -319,7 +284,6 @@ def make_compass_gait(hip_mass=2.0, leg_mass=1.0, leg_length=1.0, com_from_hip=0
             "leg_length": ell,
             "com_from_hip": r,
             "gravity": grav,
-            "kinetic_energy": kinetic_energy,
         },
     )
 

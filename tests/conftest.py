@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from koopbilevel import get_dictionary, get_system, identify
+from koopbilevel import get_dictionary, get_system, identify, rk4_step
 from koopbilevel.gedmd import GeneratorModel
 
 TWO_PI = 2.0 * np.pi
@@ -27,13 +27,32 @@ def zoh_oracle():
     return exact_zoh
 
 
+def rk4_path(system, x0, U, T, substeps):
+    """The ``(N+1, n_x)`` states at the knots k T/N of the system driven from
+    ``x0`` by the N inputs ``U``: row k is held on [k T/N, (k+1) T/N), which
+    is taken in ``substeps`` steps of ``rk4_step``."""
+    h = T / len(U) / substeps
+    states = [np.asarray(x0, dtype=float)]
+    for u in U:
+        x = states[-1]
+        for _ in range(substeps):
+            x = rk4_step(system, x, u, h)
+        states.append(x)
+    return np.array(states)
+
+
+@pytest.fixture(scope="session")
+def rk4_oracle():
+    return rk4_path
+
+
 def _model_from_matrices(L0, Li, dictionary):
     """A ``GeneratorModel`` of given generator matrices: its factor ``[I |
     L0^T | L1^T ... ; 0]`` fits back to ``L0`` and ``Li`` bitwise."""
     top = np.hstack([np.eye(len(L0))] + [L.T for L in (L0, *Li)])
     model = GeneratorModel(
         factor=np.vstack([top, np.zeros(top.shape[1])]), dictionary=dictionary,
-        svd_tol=1e-10, seed=0, n_s=0,
+        seed=0, n_s=0,
         box=np.array([[-1.0, 1.0]] * dictionary.n_x), system_name="matrices",
     )
     assert all(np.array_equal(a, b) for a, b in zip((model.L0, *model.Li), (L0, *Li)))

@@ -19,7 +19,7 @@ from koopbilevel import (
 )
 from koopbilevel import baseline_nlp
 from koopbilevel.lower_level import LowerLevelProblem
-from koopbilevel.systems import rk4_step, simulate
+from koopbilevel.systems import rk4_step
 
 TWO_PI = 2.0 * np.pi
 A_40 = np.deg2rad(40.0)
@@ -392,7 +392,7 @@ class TestSolveNlp:
         assert warm.inner_iterations <= cold.inner_iterations
 
     def test_oscillator_fixed_period_matches_qp(self, oscillator,
-                                                oscillator_model):
+                                                oscillator_model, rk4_oracle):
         # with linear dynamics and pinned period the NLP is the convex QP
         T0, N = TWO_PI, 101
         a = np.deg2rad(30.0)
@@ -407,7 +407,7 @@ class TestSolveNlp:
             model=oscillator_model, variant=BoundaryVariant("b0"),
             x0=anchor, xT=anchor, T=T0, N=N,
         ))
-        X = simulate(oscillator, anchor, qp_sol.u_traj, T0, substeps=8)
+        X = rk4_oracle(oscillator, anchor, qp_sol.u_traj, T0, substeps=8)
         sol = solve_nlp(nlp, (np.linspace(0, T0, N + 1), X, qp_sol.u_traj))
         assert sol.converged
         assert abs(sol.T - T0) <= 1e-9

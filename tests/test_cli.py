@@ -836,6 +836,30 @@ def test_solve_exits_2_on_a_bad_setting(tmp_path, capsys, path, bundle, block, k
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", [None, '{"N": 101,'], ids=["missing", "invalid_json"])
+def test_solve_exits_2_on_a_config_file_it_cannot_read(tmp_path, capsys, text):
+    cfg_path = tmp_path / "config.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    out = str(tmp_path / "out")
+    assert cli.main(["solve", "--config", str(cfg_path), "--out", out]) == 2
+    assert not os.path.exists(out)
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg_path}: ")
+    assert "Traceback" not in err
+
+
+def test_amplitude_sweep_without_amplitudes_exits_2_before_identify(tmp_path, capsys):
+    cfg_path = tmp_path / "fig1.json"
+    cfg_path.write_text(json.dumps(cli.load_bundle("fig1")["config"]))
+    out = str(tmp_path / "out")
+    assert cli.main(["sweep", "--axis", "amplitude", "--config", str(cfg_path),
+                     "--out", out]) == 2
+    assert not os.path.exists(os.path.join(out, "model.json"))
+    assert capsys.readouterr().err == (
+        "config error: amplitude sweep needs sweep.amplitudes_deg\n")
+
+
 def test_reproduce_builds_the_system_once(tmp_path, monkeypatch):
     calls = []
     get_system = config.get_system

@@ -147,6 +147,27 @@ def test_runtime_gate_fails_on_a_stage_that_did_not_run():
     json.dumps(results, allow_nan=False)
 
 
+def test_a_sweep_gate_without_sweep_rows_is_a_config_error():
+    gate = {"kind": "argmin_value_band", "band": [0.0, 1.0]}
+    with pytest.raises(ConfigError, match="gate needs sweep data"):
+        evaluate_gates([gate], dict(CTX, sweep_rows=None))
+
+
+def test_a_gate_naming_a_missing_variant_is_a_config_error():
+    gate = {"kind": "t_star_band", "variant": "bT", "band": [6.0, 6.5]}
+    with pytest.raises(ConfigError, match="missing variant 'bT'"):
+        evaluate_gates([gate], CTX)
+
+
+def test_second_basin_gate_fails_without_an_interior_minimum():
+    rows = [{"T": float(T), "c_star": float(T)} for T in np.linspace(2.0, 17.0, 31)]
+    gate = {"kind": "second_basin_value_band", "band": [0.0, 100.0]}
+    results, passed = evaluate_gates([gate], dict(CTX, sweep_rows=rows))
+    assert not results[0]["passed"] and not passed
+    assert results[0]["detail"] == {"note": "no local minima found"}
+    json.dumps(results, allow_nan=False)
+
+
 def test_unknown_kind_is_a_config_error():
     with pytest.raises(ConfigError, match="unknown gate kind 'no_such_kind'"):
         evaluate_gates([{"kind": "no_such_kind"}], CTX)

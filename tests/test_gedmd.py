@@ -12,8 +12,6 @@ from koopbilevel import (
     fit_generator,
     get_dictionary,
     identify,
-    sample_states,
-    simulate,
 )
 from koopbilevel import gedmd
 from koopbilevel.cli import load_bundle
@@ -22,6 +20,18 @@ from koopbilevel.lifting import DICTIONARY_PRESETS, Monomial, ObservableDictiona
 from koopbilevel.systems import eval_rhs, make_linear_system
 
 TWO_PI = 2.0 * np.pi
+
+def one_draw(box, n_s, seed):
+    """The samples ``identify`` fits from: the rows of one uniform draw of
+    ``n_s`` states of ``box`` from ``default_rng(seed)``."""
+    box = np.asarray(box, dtype=float)
+    return np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], (n_s, len(box)))
+
+
+def drawn(box, n_s, seed, block=gedmd._BLOCK):
+    """Every block of ``gedmd._draws``, stacked."""
+    return np.concatenate(list(gedmd._draws(box, n_s, seed, block)))
+
 
 # 2000**99 overflows, at the largest power a monomial accepts
 OVERFLOW = ObservableDictionary(
@@ -32,26 +42,27 @@ OVERFLOW = ObservableDictionary(
 class TestSampling:
     def test_bounds_and_shape(self):
         box = np.array([[0.0, 1.0], [0.0, 1.0]])
-        s = sample_states(box, 4, seed=42)
+        s = drawn(box, 4, seed=42, block=3)
         assert s.shape == (4, 2)
         assert np.all(s >= 0.0) and np.all(s <= 1.0)
 
     def test_deterministic_given_seed(self):
         box = np.array([[-1.0, 2.0], [0.0, 1.0]])
-        a = sample_states(box, 100, seed=5)
-        b = sample_states(box, 100, seed=5)
+        a = drawn(box, 100, seed=5)
+        b = drawn(box, 100, seed=5)
         assert np.array_equal(a, b)
 
     def test_law_of_large_numbers(self):
         box = np.array([[-1.0, 3.0], [0.5, 2.5]])
-        s = sample_states(box, 45000, seed=6)
+        s = drawn(box, 45000, seed=6)
         mid = box.mean(axis=1)
         sigma = (box[:, 1] - box[:, 0]) / np.sqrt(12.0) / np.sqrt(45000)
         assert np.all(np.abs(s.mean(axis=0) - mid) <= 3.0 * sigma)
 
-    def test_degenerate_box_rejected(self):
-        with pytest.raises(ConfigError):
-            sample_states(np.array([[1.0, 1.0]]), 10, seed=0)
+    def test_degenerate_box_rejected(self, oscillator):
+        with pytest.raises(ConfigError, match="degenerate"):
+            identify(oscillator, get_dictionary("identity", 2), n_s=10, seed=0,
+                     box=np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_blockwise_draws_equal_one_draw(self, walker):
         # the walker bundle's sample count, whose last block of 1992 is ragged
@@ -59,11 +70,11 @@ class TestSampling:
         blocks = list(gedmd._draws(walker.state_box, n_s, 20, block))
         assert [len(b) for b in blocks] == [block] * 21 + [n_s - 21 * block]
         assert np.array_equal(np.concatenate(blocks),
-                              sample_states(walker.state_box, n_s, seed=20))
+                              one_draw(walker.state_box, n_s, seed=20))
 
     def test_identify_lifts_the_rows_of_one_draw(self, oscillator, monkeypatch):
         # blocks of 1000 over 4500 samples: identify draws each block as it
-        # goes, and together they are the rows of sample_states
+        # goes, and together they are the rows of one draw
         seen = []
 
         def recording(system, dictionary, X, out):
@@ -75,26 +86,26 @@ class TestSampling:
         box = oscillator.state_box
         identify(oscillator, get_dictionary("identity", 2), n_s=4500, seed=9, box=box)
         assert [len(X) for X in seen] == [1000] * 4 + [500]
-        assert np.array_equal(np.concatenate(seen), sample_states(box, 4500, seed=9))
+        assert np.array_equal(np.concatenate(seen), one_draw(box, 4500, seed=9))
 
 
 class TestAssembleData:
     def test_linear_system_identity_dictionary(self, oscillator):
         d = get_dictionary("identity", 2)
-        samples = sample_states(oscillator.state_box, 50, seed=1)
+        samples = one_draw(oscillator.state_box, 50, seed=1)
         Psi, (dPsi, _) = assemble_data(oscillator, d, samples)
         assert np.max(np.abs(dPsi - oscillator.params["A"] @ Psi)) <= 1e-14
 
     def test_pendulum_sin_row_is_lie_derivative(self, pendulum):
         d = get_dictionary("pendulum12", 2)
-        X = sample_states(pendulum.state_box, 80, seed=2)
+        X = one_draw(pendulum.state_box, 80, seed=2)
         _, (dPsi, _) = assemble_data(pendulum, d, X)
         # d/dt sin(x1) = x2 cos(x1) regardless of drift details
         assert np.max(np.abs(dPsi[2] - X[:, 1] * np.cos(X[:, 0]))) <= 1e-12
 
     def test_input_channel_difference_is_gradient_column(self, pendulum):
         d = get_dictionary("pendulum12", 2)
-        X = sample_states(pendulum.state_box, 60, seed=3)
+        X = one_draw(pendulum.state_box, 60, seed=3)
         _, (d0, d1) = assemble_data(pendulum, d, X)
         column = d.derivative(X, [0.0, 1.0])  # along G = [0, 1]^T
         assert np.max(np.abs((d1 - d0) - column.T)) <= 1e-12
@@ -109,7 +120,7 @@ class TestAssembleData:
         assert dictionary in DICTIONARY_PRESETS
         system = request.getfixturevalue(name)
         d = get_dictionary(dictionary, system.n_x)
-        X = sample_states(system.state_box, 300, seed=8)
+        X = one_draw(system.state_box, 300, seed=8)
         inputs = np.eye(system.n_u + 1, system.n_u, -1)
         stacked = d.derivative(X, np.stack([eval_rhs(system, X, u) for u in inputs]))
         Psi, dPsis = assemble_data(system, d, X)
@@ -126,7 +137,7 @@ class TestAssembleData:
 
     def test_finite_difference_directional_oracle(self, pendulum):
         d = get_dictionary("pendulum12", 2)
-        X = sample_states(pendulum.state_box, 40, seed=4)
+        X = one_draw(pendulum.state_box, 40, seed=4)
         Psi, (_, dPsi) = assemble_data(pendulum, d, X)
         rhs = eval_rhs(pendulum, X, np.ones(1))
         h = 1e-5
@@ -143,7 +154,7 @@ def _fit(Psi, dPsis):
 class TestFitGenerator:
     def test_exact_linear_regression(self, oscillator):
         d = get_dictionary("identity", 2)
-        samples = sample_states(oscillator.state_box, 200, seed=7)
+        samples = one_draw(oscillator.state_box, 200, seed=7)
         Psi, dPsis = assemble_data(oscillator, d, samples)
         fit = _fit(Psi, dPsis)[0]
         assert np.max(np.abs(fit.matrix - oscillator.params["A"])) <= 1e-10
@@ -209,7 +220,7 @@ class TestFitGenerator:
 
     def test_rank_deficiency_recorded(self, oscillator):
         d = get_dictionary("pendulum12", 2)
-        samples = sample_states(oscillator.state_box, 6, seed=11)  # n_s < n_z
+        samples = one_draw(oscillator.state_box, 6, seed=11)  # n_s < n_z
         Psi, dPsis = assemble_data(oscillator, d, samples)
         assert _fit(Psi, dPsis)[0].rank < d.n_z
 
@@ -305,10 +316,10 @@ class TestIdentify:
 
     def test_predicted_flow_matches_matrix_exponential(self, oscillator,
                                                        oscillator_model,
-                                                       zoh_oracle):
+                                                       zoh_oracle, rk4_oracle):
         x0 = np.array([0.8, -0.2])
         model = oscillator_model
-        Z = simulate(model.surrogate, model.dictionary.eval(x0), np.zeros(64),
+        Z = rk4_oracle(model.surrogate, model.dictionary.eval(x0), np.zeros(64),
                      TWO_PI, substeps=8)
         Ad, _ = zoh_oracle(oscillator.params["A"], oscillator.params["B"], TWO_PI)
         exact = Ad @ x0
@@ -324,7 +335,7 @@ class TestIdentify:
         monkeypatch.setattr(gedmd, "_BLOCK", 64)
         d = get_dictionary("pendulum12", 2)
         model = identify(pendulum, d, n_s=500, seed=13, box=pendulum.state_box)
-        samples = sample_states(model.box, model.n_s, model.seed)
+        samples = one_draw(model.box, model.n_s, model.seed)
         Psi, dPsis = assemble_data(pendulum, d, samples)
         for i, L in enumerate((model.L0,) + model.Li):
             dPsi = dPsis[i]
@@ -341,13 +352,13 @@ class TestIdentify:
         system = request.getfixturevalue(name)
         d = get_dictionary(dictionary, system.n_x)
         model = identify(system, d, n_s=5000, seed=13, box=system.state_box)
-        X = sample_states(model.box, model.n_s, model.seed)
+        X = one_draw(model.box, model.n_s, model.seed)
         Psi = np.stack([t.value(X) for t in d.terms], -1).T
         for i, L in enumerate((model.L0,) + model.Li):
             u = np.zeros(system.n_u)
             u[i - 1] = float(i > 0)
             dPsi = d.derivative(X, eval_rhs(system, X, u)).T
-            Lt, _, rank, _ = np.linalg.lstsq(Psi.T, dPsi.T, rcond=model.svd_tol)
+            Lt, _, rank, _ = np.linalg.lstsq(Psi.T, dPsi.T, rcond=gedmd._SVD_TOL)
             resid = np.linalg.norm(Lt.T @ Psi - dPsi) / np.linalg.norm(dPsi)
             assert np.max(np.abs(L - Lt.T)) <= 1e-11 * np.max(np.abs(Lt))
             assert abs(model.residuals[i] - resid) <= 1e-12 * resid
@@ -383,7 +394,7 @@ class TestIdentify:
         # second two-sample block
         monkeypatch.setattr(gedmd, "_BLOCK", 2)
         box = np.array([[1000.0, 1400.0], [0.0, 1.0]])
-        X = sample_states(box, 12, seed=1)
+        X = one_draw(box, 12, seed=1)
         with pytest.raises(DataError) as exc:
             identify(oscillator, OVERFLOW, n_s=12, seed=1, box=box)
         assert f"sample 3: x={X[3]}" in str(exc.value)

@@ -176,6 +176,17 @@ class TestSweepLower:
         rows = lower_level.sweep_lower([])
         assert rows.shape == (0, 3) and rows.dtype == float
 
+    def test_blocks_whose_every_qp_is_rejected_give_nan_rows(self, model_from_matrices,
+                                                             monkeypatch):
+        # no input authority: every QP has a zero pivot. Blocks of two over
+        # three problems: a full block and a shorter one, each rejected whole
+        monkeypatch.setattr(lower_level, "_SWEEP_BLOCK", 2)
+        L0 = np.zeros((3, 3))
+        model = model_from_matrices(L0, (L0,), get_dictionary("linear_const", 2))
+        rows = lower_level.sweep_lower(
+            [make_problem(model, "b0", [0, 0], [1.0, 0], T, 5) for T in (1.0, 2.0, 3.0)])
+        assert rows.shape == (3, 3) and np.isnan(rows).all()
+
 
 class TestSolveLower:
     def test_zero_boundaries_give_zero_input(self, oscillator_model):
@@ -316,8 +327,8 @@ class TestSolveLower:
                 g[zs(0)] -= 2 * w * psi0
                 g[zs(N)] -= 2 * w * psiT
             # H is diagonal
-            res = solve_kkt(np.diag(H), np.zeros((0, nv)), g, np.vstack(rows),
-                            np.concatenate(rhs))
+            (res,) = solve_kkt(np.diag(H)[None], np.zeros((1, 0, nv)), g[None],
+                               np.vstack(rows)[None], np.concatenate(rhs)[None])
             u_oracle = res.primal[(N + 1) * n_z:].reshape(N, n_u)
             assert np.max(np.abs(u_oracle - sol.u_traj)) <= 1e-8
 

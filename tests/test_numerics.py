@@ -20,7 +20,6 @@ from koopbilevel import (
     zoh_discretize,
 )
 from koopbilevel.artifacts import trajectory_pcc
-from koopbilevel.systems import simulate
 
 
 def truncated_series(M, terms=40):
@@ -126,12 +125,12 @@ class TestZoh:
         assert abs(e[0] - np.exp(a * h)) <= 1e-14
         assert abs(q[0] * b - (np.exp(a * h) - 1.0) * b / a) <= 1e-14
 
-    def test_fine_rk4_oracle(self, oscillator):
+    def test_fine_rk4_oracle(self, oscillator, rk4_oracle):
         h = 0.1
         Ad, Bd = modal_zoh(oscillator.params["A"], oscillator.params["B"], h)
         x0 = np.array([0.4, -0.2])
         u = np.array([0.7])
-        X = simulate(oscillator, x0, u[None], h, substeps=256)
+        X = rk4_oracle(oscillator, x0, u[None], h, substeps=256)
         assert np.max(np.abs(Ad @ x0 + Bd @ u - X[-1])) <= 1e-10
 
     def test_rejects_nonpositive_step(self):
@@ -142,6 +141,13 @@ class TestZoh:
 def no_rows(n):
     """The low-rank part of a diagonal Hessian: G with no rows."""
     return np.zeros((0, n))
+
+
+def solve_one(d, G, g, Aeq, beq):
+    """``solve_kkt``'s result for one QP: a ``KktResult`` or the
+    ``DegenerateQpError`` that reports it, as a batch of one."""
+    (res,) = solve_kkt(*(np.asarray(a, dtype=float)[None] for a in (d, G, g, Aeq, beq)))
+    return res
 
 
 def nullspace_elimination_oracle(H, g, A, b):
@@ -158,15 +164,15 @@ class TestSolveKkt:
         # every entry is eliminated, so the reduced matrix is empty; as G = I
         # with d = 0, it is 6 wide
         g = np.array([1.0, -2.0, 0.5])
-        res = solve_kkt(np.ones(3), no_rows(3), g, np.zeros((0, 3)), np.zeros(0))
+        res = solve_one(np.ones(3), no_rows(3), g, np.zeros((0, 3)), np.zeros(0))
         assert np.allclose(res.primal, -g, atol=1e-9)
         assert res.min_pivot == np.inf
-        res = solve_kkt(np.zeros(3), np.eye(3), g, np.zeros((0, 3)), np.zeros(0))
+        res = solve_one(np.zeros(3), np.eye(3), g, np.zeros((0, 3)), np.zeros(0))
         assert np.allclose(res.primal, -g, atol=1e-9)
         assert res.factors[2].shape == (6, 6)
 
     def test_symmetric_two_variable(self):
-        res = solve_kkt(
+        res = solve_one(
             np.ones(2), no_rows(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([2.0])
         )
         assert np.allclose(res.primal, [1.0, 1.0], atol=1e-12)
@@ -181,7 +187,7 @@ class TestSolveKkt:
             g = rng.normal(size=10)
             A = rng.normal(size=(3, 10))
             b = rng.normal(size=3)
-            res = solve_kkt(np.full(10, 0.1), R, g, A, b)
+            res = solve_one(np.full(10, 0.1), R, g, A, b)
             oracle = nullspace_elimination_oracle(H, g, A, b)
             assert np.max(np.abs(res.primal - oracle)) <= 1e-9
             assert res.stationarity_residual <= 1e-9 * (1 + np.linalg.norm(g))
@@ -194,7 +200,7 @@ class TestSolveKkt:
         g = rng.normal(size=6)
         A = rng.normal(size=(2, 6))
         b = rng.normal(size=2)
-        res = solve_kkt(np.zeros(6), R, g, A, b)
+        res = solve_one(np.zeros(6), R, g, A, b)
         stat = np.linalg.norm(H @ res.primal + g + A.T @ res.dual)
         feas = np.linalg.norm(A @ res.primal - b)
         assert abs(stat - res.stationarity_residual) <= 1e-12
@@ -207,7 +213,7 @@ class TestSolveKkt:
         g = rng.normal(size=8)
         A = rng.normal(size=(3, 8))
         b = rng.normal(size=3)
-        res = solve_kkt(np.full(8, 0.01), R, g, A, b)
+        res = solve_one(np.full(8, 0.01), R, g, A, b)
 
         def obj(v):
             return 0.5 * v @ H @ v + g @ v
@@ -234,11 +240,11 @@ class TestSolveKkt:
         w = rng.normal(size=7)
 
         def phi(t, i):
-            v = solve_kkt(d + t * dd[i], R + t * dR[i], g + t * dg[i],
+            v = solve_one(d + t * dd[i], R + t * dR[i], g + t * dg[i],
                           A + t * dA[i], b + t * db[i]).primal
             return w @ v + 0.5 * v @ v
 
-        res = solve_kkt(d, R, g, A, b)
+        res = solve_one(d, R, g, A, b)
         got = qp_sensitivity(res, w + res.primal, dd, dR, dg, dA, db)
         step = 1e-6
         want = [(phi(step, i) - phi(-step, i)) / (2 * step) for i in range(2)]
@@ -248,26 +254,31 @@ class TestSolveKkt:
         # two contradictory rows make the KKT system inconsistent
         A = np.array([[1.0, 0.0], [1.0, 0.0]])
         b = np.array([0.0, 1.0])
-        with pytest.raises(DegenerateQpError) as err:
-            solve_kkt(np.ones(2), no_rows(2), np.zeros(2), A, b)
-        assert err.value.min_pivot is not None
+        err = solve_one(np.ones(2), no_rows(2), np.zeros(2), A, b)
+        assert isinstance(err, DegenerateQpError)
+        assert err.min_pivot is not None
 
     def test_hessian_singular_on_the_null_space_raises(self):
         # v2 is free and costs nothing: no minimizer exists, and the reduced
         # matrix has a zero row, so H is factored as given
-        with pytest.raises(DegenerateQpError) as err:
-            solve_kkt(np.array([1.0, 0.0]), no_rows(2), np.zeros(2),
-                      np.array([[1.0, 0.0]]), np.array([1.0]))
-        assert err.value.min_pivot == 0.0
+        err = solve_one(np.array([1.0, 0.0]), no_rows(2), np.zeros(2),
+                        np.array([[1.0, 0.0]]), np.array([1.0]))
+        assert isinstance(err, DegenerateQpError)
+        assert err.min_pivot == 0.0
 
     def test_rejects_negative_or_mixed_diagonals(self):
         A, b = np.array([[1.0, 1.0]]), np.array([1.0])
         with pytest.raises(NumericError, match="nonnegative"):
-            solve_kkt(np.array([1.0, -0.5]), no_rows(2), np.zeros(2), A, b)
+            solve_one(np.array([1.0, -0.5]), no_rows(2), np.zeros(2), A, b)
         # a batch shares which entries of d are eliminated
         with pytest.raises(NumericError, match="pattern"):
             solve_kkt(np.array([[1.0, 1.0], [1.0, 0.0]]), np.zeros((2, 0, 2)),
                       np.zeros((2, 2)), np.stack([A, A]), np.stack([b, b]))
+
+    def test_rejects_a_qp_without_a_batch_axis(self):
+        with pytest.raises(NumericError, match="inconsistent QP dimensions"):
+            solve_kkt(np.ones(2), no_rows(2), np.zeros(2), np.array([[1.0, 1.0]]),
+                      np.array([1.0]))
 
     def test_batch_solves_each_qp_as_alone(self):
         # a degenerate QP mid-batch is reported in its place, and its
@@ -280,7 +291,7 @@ class TestSolveKkt:
         results = solve_kkt(d, G, g, A, b)
         assert isinstance(results[2], DegenerateQpError)
         for i in (0, 1, 3, 4):
-            alone = solve_kkt(d[i], G[i], g[i], A[i], b[i])
+            alone = solve_one(d[i], G[i], g[i], A[i], b[i])
             assert np.array_equal(results[i].primal, alone.primal)
             assert np.array_equal(results[i].dual, alone.dual)
             assert results[i].min_pivot == alone.min_pivot
@@ -297,9 +308,8 @@ class TestSolveKkt:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DegenerateQpError) as err:
-                solve_kkt(np.ones(2), no_rows(2), np.zeros(2), A, np.array([0.0, 1.0]))
-            assert err.value.min_pivot == 0.0
+            err = solve_one(np.ones(2), no_rows(2), np.zeros(2), A, np.array([0.0, 1.0]))
+            assert isinstance(err, DegenerateQpError) and err.min_pivot == 0.0
             with pytest.raises(DegenerateQpError) as err:
                 solve_lower(problem)
             assert err.value.min_pivot == 0.0
@@ -316,7 +326,7 @@ class TestSolveKkt:
             )
             qp = build_qp([problem])
             d, G, g, A, b = (x[0] for x in (qp.d, qp.G, qp.g, qp.Aeq, qp.beq))
-            res = solve_kkt(d, G, g, A, b)
+            res = solve_one(d, G, g, A, b)
             C, plus = np.vstack([G, A]), d > 0
             C0, Cp = C[:, ~plus], C[:, plus]
             E = np.diag(np.arange(C.shape[0]) < G.shape[0]).astype(float)
@@ -360,7 +370,7 @@ class TestSolveKkt:
                 Z = scipy.linalg.null_space(A)
                 reduced = np.linalg.eigvalsh(Z.T @ H @ Z)
                 hypothesis.assume(reduced[0] >= 1e-3 * np.linalg.norm(H, 2))
-            res = solve_kkt(d, B, g, A, b)
+            res = solve_one(d, B, g, A, b)
             assert res.stationarity_residual <= 1e-9 * (
                 1 + np.linalg.norm(g) + np.linalg.norm(H @ res.primal))
             assert res.feasibility_residual <= 1e-9 * (1 + np.linalg.norm(b))

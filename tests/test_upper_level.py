@@ -251,6 +251,15 @@ class TestSolveReduced:
             assert T == p.T
             assert polish["c_star"] == sol.lower.c
 
+    def test_direct_without_a_finite_point_raises(self, model_from_matrices):
+        # no input authority: every lower QP has a zero pivot
+        L0 = np.zeros((3, 3))
+        model = model_from_matrices(L0, (L0,), get_dictionary("linear_const", 2))
+        with pytest.raises(NoSolutionError, match=r"DIRECT found no finite upper cost "
+                           r"for 'periodic_amplitude_anchor\(a=0\.5\)'"):
+            solve_reduced(model, BoundaryVariant("b0"), make_periodic_amplitude_anchor(0.5),
+                          UpperConfig(T_min=1.0, T_max=2.0), 5)
+
     def test_polish_without_a_finite_point_raises(self, oscillator_model,
                                                   monkeypatch):
         # a polish that asks only for a negative period, which the
@@ -602,6 +611,12 @@ class TestWalkerConstraint:
         mbc = make_walker_gait(walker, 0.9, rate_bound=0.15)  # needs sin(alpha) > 1 at T ~ 3
         with pytest.raises(LowerLevelError):
             mbc.reduction(np.array([3.0, -0.1, -0.1]))
+
+    def test_nonpositive_period_rejected(self, walker):
+        mbc = make_walker_gait(walker, 0.05, rate_bound=0.15)
+        for T in (0.0, -1.0):
+            with pytest.raises(LowerLevelError, match="period must be positive"):
+                mbc.reduction(np.array([T, -0.1, -0.1]))
 
     def test_trust_region_bounds_expose_limits(self, walker):
         mbc = make_walker_gait(walker, 0.05, rate_bound=0.15)
